@@ -26,7 +26,6 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, gain_report_for, load_config
 from .controllers import FourierModes, Nodal, NoControl
 from .integrator import RunResult, run
-from .kernels import backend
 from .models import Family
 
 # Inequality-suite keys that must hold; the remaining key records the
@@ -137,35 +136,22 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
 
     if result.blew_up:
-        doc = {
-            "backend": backend(),
-            "version": __version__,
-            "variant": cfg.variant,
-            "config": cfg.raw,
-            "gain": report.to_dict() if report else None,
-            "blowup": {"blew_up": True, "time": result.blowup_time},
-            "records": len(result.records),
-            "fit": None,
-            "verify": None,
-            "wall_time_s": wall,
-        }
-        code = 3
+        fit_dict, verify, code = None, None, 3
     else:
         fit_dict, verify, verify_ok = _verify(cfg, report, result)
         satisfied = report.satisfied if report else True
-        doc = {
-            "backend": backend(),
-            "version": __version__,
-            "variant": cfg.variant,
-            "config": cfg.raw,
-            "gain": report.to_dict() if report else None,
-            "blowup": {"blew_up": False, "time": None},
-            "records": len(result.records),
-            "fit": fit_dict,
-            "verify": verify,
-            "wall_time_s": wall,
-        }
         code = 0 if (satisfied and verify_ok) else 1
+    doc = {
+        "version": __version__,
+        "variant": cfg.variant,
+        "config": cfg.raw,
+        "gain": report.to_dict() if report else None,
+        "blowup": {"blew_up": result.blew_up, "time": result.blowup_time},
+        "records": len(result.records),
+        "fit": fit_dict,
+        "verify": verify,
+        "wall_time_s": wall,
+    }
 
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -234,6 +220,7 @@ def _sweep_worker(config_path: str, param: str, value: float, out_dir: str) -> d
         "gain_satisfied": bool(gain["satisfied"]) if gain else False,
         "fitted_rate": rate,
         "verified": verified,
+        "blew_up": doc["blowup"]["blew_up"],
     }
 
 
@@ -270,7 +257,7 @@ def cmd_sweep(args) -> int:
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["value", "gain_satisfied", "fitted_rate", "verified"])
+        writer.writerow(["value", "gain_satisfied", "fitted_rate", "verified", "blew_up"])
         for r in rows:
             writer.writerow(
                 [
@@ -278,9 +265,16 @@ def cmd_sweep(args) -> int:
                     str(r["gain_satisfied"]).lower(),
                     "" if r["fitted_rate"] is None else repr(float(r["fitted_rate"])),
                     str(r["verified"]).lower(),
+                    str(r["blew_up"]).lower(),
                 ]
             )
     print(f"wrote {summary} ({len(rows)} rows)")
+    blown = [_format_value(args.param, r["value"]) for r in rows if r["blew_up"]]
+    if blown:
+        print(f"solution blew up for {args.param} = {', '.join(blown)}")
+        return 3
+    # members that fail verification do not fail the sweep: values below
+    # the certified threshold are swept on purpose
     return 0
 
 

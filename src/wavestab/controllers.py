@@ -172,70 +172,80 @@ def _nearest_interior_index(grid: Grid1D, x: np.ndarray) -> np.ndarray:
     return np.clip(full, 0, grid.n_cells)
 
 
+def _require_dirichlet(grid: Grid1D, what: str) -> None:
+    if grid.bc is not BoundaryCondition.DIRICHLET:
+        raise ValueError(f"{what} feedback is posed with Dirichlet boundaries")
+
+
+def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
+    """The law as (observe, actuate, s), validated once for this grid.
+
+    ``observe(u)`` gives the finitely many observed numbers y,
+    ``actuate(y, gain)`` spreads ``gain * y`` back onto the nodes, and the
+    controller energy is ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
+    law, whose observation and actuation points differ, the actuation is
+    the adjoint of the observation (weights s on y, trapezoid weights on
+    the nodes), so the feedback ``actuate(observe(u), -mu)`` is minus the
+    weighted gradient of that energy.  The actuation takes the gain itself
+    so that each law multiplies it in where rounding matches the direct
+    formula (the nodal law folds it into its ``h/dx`` scale).
+    """
+    if isinstance(spec, NoControl):
+        return (lambda u: u[:0]), (lambda y, gain: np.zeros(grid.n_nodes)), np.zeros(0)
+
+    if isinstance(spec, VolumeElements):
+        avg, owner, m = element_layout(grid, spec.N)
+        # elements on the left and right of each node; they differ only at
+        # the nodes two elements share, which get the mean of both averages
+        left = np.concatenate((owner[:1], owner[:-1]))
+
+        def actuate_volume(y, gain):
+            return gain * (0.5 * (y[left] + y[owner]))
+
+        return (lambda u: avg @ u), actuate_volume, np.full(spec.N, m * grid.dx)
+
+    if isinstance(spec, FourierModes):
+        _require_dirichlet(grid, "modal")
+        basis = EigenBasis(grid.L, spec.N)
+        W = mode_matrix(basis, grid, spec.N)
+        Wq = W * grid.quad_weights
+        return (lambda u: Wq @ u), (lambda c, gain: gain * (c @ W)), np.ones(spec.N)
+
+    if isinstance(spec, Nodal):
+        _require_dirichlet(grid, "nodal")
+        obs, act = spec.points(grid.L)
+        act_idx = _nearest_interior_index(grid, act)
+        h = grid.L / spec.N
+        # interpolation with the implicit zero boundary values
+        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
+
+        def observe_nodal(u):
+            return np.interp(obs, xs, np.concatenate(([0.0], u, [0.0])))
+
+        def actuate_nodal(y, gain):
+            out = np.zeros(grid.n_nodes)
+            np.add.at(out, act_idx, gain * h / grid.dx * y)
+            return out
+
+        return observe_nodal, actuate_nodal, np.full(spec.N, h)
+
+    if isinstance(spec, SubdomainControl):
+        _require_dirichlet(grid, "subdomain")
+        chi = spec.omega.indicator(grid.nodes)
+        return (lambda u: u), (lambda y, gain: gain * chi * y), grid.quad_weights * chi
+
+    raise TypeError(f"unknown controller specification {type(spec).__name__}")
+
+
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the feedback law into an array-in/array-out closure.
 
     Validation (boundary type, alignment, point placement) happens once
     here; the returned closure is what a time stepper should call.
     """
-    if isinstance(spec, NoControl):
-        zero = np.zeros(grid.n_nodes)
-        return lambda u: zero
-
-    if isinstance(spec, VolumeElements):
-        avg, owner, _ = element_layout(grid, spec.N)
-        mu = spec.mu
-
-        def apply_volume(u: np.ndarray) -> np.ndarray:
-            return -mu * (avg @ u)[owner]
-
-        return apply_volume
-
-    if isinstance(spec, FourierModes):
-        if grid.bc is not BoundaryCondition.DIRICHLET:
-            raise ValueError("modal feedback is posed with Dirichlet boundaries")
-        basis = EigenBasis(grid.L, spec.N)
-        W = mode_matrix(basis, grid, spec.N)
-        Wq = W * grid.quad_weights
-        mu = spec.mu
-
-        def apply_fourier(u: np.ndarray) -> np.ndarray:
-            return -mu * ((Wq @ u) @ W)
-
-        return apply_fourier
-
-    if isinstance(spec, Nodal):
-        if grid.bc is not BoundaryCondition.DIRICHLET:
-            raise ValueError("nodal feedback is posed with Dirichlet boundaries")
-        obs, act = spec.points(grid.L)
-        act_idx = _nearest_interior_index(grid, act)
-        h = grid.L / spec.N
-        mu = spec.mu
-        # interpolation with the implicit zero boundary values
-        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
-        scale = mu * h / grid.dx
-
-        def apply_nodal(u: np.ndarray) -> np.ndarray:
-            vals = np.concatenate(([0.0], u, [0.0]))
-            u_obs = np.interp(obs, xs, vals)
-            out = np.zeros_like(u)
-            np.add.at(out, act_idx, -scale * u_obs)
-            return out
-
-        return apply_nodal
-
-    if isinstance(spec, SubdomainControl):
-        if grid.bc is not BoundaryCondition.DIRICHLET:
-            raise ValueError("subdomain feedback is posed with Dirichlet boundaries")
-        chi = spec.omega.indicator(grid.nodes)
-        mu = spec.mu
-
-        def apply_subdomain(u: np.ndarray) -> np.ndarray:
-            return -mu * chi * u
-
-        return apply_subdomain
-
-    raise TypeError(f"unknown controller specification {type(spec).__name__}")
+    observe, actuate, _ = _feedback_law(spec, grid)
+    gain = -spec.mu
+    return lambda u: actuate(observe(u), gain)
 
 
 def control_field(spec: ControllerSpec, state: State) -> Field:
@@ -246,37 +256,9 @@ def control_field(spec: ControllerSpec, state: State) -> Field:
 
 def make_energy_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], float]:
     """Controller's quadratic contribution to the energy ledger, as a closure."""
-    if isinstance(spec, NoControl):
-        return lambda u: 0.0
-    if isinstance(spec, VolumeElements):
-        avg, _, m = element_layout(grid, spec.N)
-        h = m * grid.dx
-        mu = spec.mu
-        return lambda u: 0.5 * mu * h * float(np.sum((avg @ u) ** 2))
-    if isinstance(spec, FourierModes):
-        basis = EigenBasis(grid.L, spec.N)
-        W = mode_matrix(basis, grid, spec.N)
-        Wq = W * grid.quad_weights
-        mu = spec.mu
-        return lambda u: 0.5 * mu * float(np.sum((Wq @ u) ** 2))
-    if isinstance(spec, Nodal):
-        obs, _ = spec.points(grid.L)
-        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
-        h = grid.L / spec.N
-        mu = spec.mu
-
-        def nodal_energy(u: np.ndarray) -> float:
-            vals = np.concatenate(([0.0], u, [0.0]))
-            u_obs = np.interp(obs, xs, vals)
-            return 0.5 * mu * h * float(np.sum(u_obs**2))
-
-        return nodal_energy
-    if isinstance(spec, SubdomainControl):
-        chi = spec.omega.indicator(grid.nodes)
-        w = grid.quad_weights
-        mu = spec.mu
-        return lambda u: 0.5 * mu * float(np.dot(w, chi * u * u))
-    raise TypeError(f"unknown controller specification {type(spec).__name__}")
+    observe, _, s = _feedback_law(spec, grid)
+    half_mu = 0.5 * spec.mu
+    return lambda u: half_mu * float(np.dot(s, observe(u) ** 2))
 
 
 def controller_energy(spec: ControllerSpec, state: State) -> float:

@@ -35,7 +35,7 @@ from .controllers import (
     make_energy_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, h1_seminorm, l2_inner
-from .models import EnergyRecord, Family, ModelSpec, energy_record
+from .models import EnergyRecord, Family, ModelSpec, energy_record, source
 
 __all__ = [
     "Scheme",
@@ -121,8 +121,8 @@ class _ImexStepper:
         self.dt = dt
         self.ctl = ctl
         self.lap = _lap_for(grid.bc)
-        self.c_lin = model.b if model.family is Family.DAMPED_WAVE else 0.0
-        self.beta = model.b if model.family is Family.STRONGLY_DAMPED else 0.0
+        self.c_lin = model.linear_damping
+        self.beta = model.viscosity
         kappa = 0.5 * dt * self.beta + 0.25 * dt * dt * model.nu
         inv_dx2 = 1.0 / grid.dx**2
         n = grid.n_nodes
@@ -140,21 +140,10 @@ class _ImexStepper:
         mdl = self.model
         dt = self.dt
         u_star = u + 0.5 * dt * v
-        if mdl.family is Family.DAMPED_WAVE:
-            return u_star, mdl.a * u_star - mdl.nonlinearity.f(u_star) + self.ctl(u_star)
-        if mdl.family is Family.NONLINEAR_DAMPING:
-            damp = mdl.b * np.abs(v) ** (mdl.m - 2.0) * v
-            accel = mdl.nu * lap_u + mdl.a * u - np.abs(u) ** (mdl.p - 2.0) * u - damp + self.ctl(u)
-            v_star = v + 0.5 * dt * accel
-            g = (
-                mdl.a * u_star
-                - np.abs(u_star) ** (mdl.p - 2.0) * u_star
-                - mdl.b * np.abs(v_star) ** (mdl.m - 2.0) * v_star
-                + self.ctl(u_star)
-            )
-            return u_star, g
-        # strongly damped
-        return u_star, mdl.a * u_star - np.abs(u_star) ** (mdl.p - 2.0) * u_star + self.ctl(u_star)
+        if mdl.m is not None:
+            # only nonlinear damping reads v: predict it at the half step
+            v = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * lap_u) + self.ctl(u))
+        return u_star, source(mdl, u_star, v) + self.ctl(u_star)
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mdl = self.model
@@ -191,11 +180,8 @@ class _RK4Stepper:
 
     def _accel(self, u, v):
         mdl = self.model
-        lap_u = self.lap(u, self.grid.dx)
-        if mdl.family is Family.DAMPED_WAVE:
-            return mdl.nu * lap_u - mdl.b * v + mdl.a * u - mdl.nonlinearity.f(u) + self.ctl(u)
-        damp = mdl.b * np.abs(v) ** (mdl.m - 2.0) * v
-        return mdl.nu * lap_u - damp + mdl.a * u - np.abs(u) ** (mdl.p - 2.0) * u + self.ctl(u)
+        stiff = mdl.nu * self.lap(u, self.grid.dx) - mdl.linear_damping * v
+        return source(mdl, u, v, stiff) + self.ctl(u)
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt = self.dt
@@ -226,6 +212,23 @@ def step(state: State, model: ModelSpec, ctrl: ControllerSpec, cfg: StepperConfi
 # Lyapunov functionals
 # ---------------------------------------------------------------------------
 
+def _perturbed_energy(
+    state: State, model: ModelSpec, ctrl: ControllerSpec, eps: float, grad: float, quad: float
+) -> float:
+    """Phi = 1/2||v||^2 + grad/2||u_x||^2 + quad||u||^2 + int F(u) + E_ctrl(u) + eps*(u, v)."""
+    u, v = state.u, state.v
+    gx = h1_seminorm(u)
+    potential = float(np.dot(state.grid.quad_weights, model.nonlinearity.F(u.values)))
+    return (
+        0.5 * l2_inner(v, v)
+        + 0.5 * grad * gx * gx
+        + quad * l2_inner(u, u)
+        + potential
+        + controller_energy(ctrl, state)
+        + eps * l2_inner(u, v)
+    )
+
+
 def lyapunov_volume(
     state: State, model: ModelSpec, ctrl: VolumeElements, eps: Optional[float] = None
 ) -> float:
@@ -242,18 +245,7 @@ def lyapunov_volume(
         raise TypeError("lyapunov_volume expects a volume-element controller")
     if eps is None:
         eps = 0.5 * model.b
-    u, v = state.u, state.v
-    gx = h1_seminorm(u)
-    w = state.grid.quad_weights
-    potential = float(np.dot(w, model.nonlinearity.F(u.values)))
-    return (
-        0.5 * l2_inner(v, v)
-        + 0.5 * model.nu * gx * gx
-        + 0.5 * (eps * model.b - model.a) * l2_inner(u, u)
-        + potential
-        + controller_energy(ctrl, state)
-        + eps * l2_inner(u, v)
-    )
+    return _perturbed_energy(state, model, ctrl, eps, model.nu, 0.5 * (eps * model.b - model.a))
 
 
 def lyapunov_eb(state: State, model: ModelSpec, ctrl: ControllerSpec, variant: str) -> float:
@@ -268,47 +260,18 @@ def lyapunov_eb(state: State, model: ModelSpec, ctrl: ControllerSpec, variant: s
         ``"strong"``    E_eps with eps = b*lam1/2 and stiffened gradient
                         weight (nu + eps*b)/2, for the strongly damped wave.
     """
-    u, v = state.u, state.v
-    gx = h1_seminorm(u)
-    w = state.grid.quad_weights
-    potential = float(np.dot(w, model.nonlinearity.F(u.values)))
-    ctrl_term = controller_energy(ctrl, state)
     b, a, nu = model.b, model.a, model.nu
-    if variant == "fourier":
-        if not isinstance(ctrl, FourierModes):
-            raise TypeError("fourier variant expects modal feedback")
-        return (
-            0.5 * l2_inner(v, v)
-            + 0.5 * nu * gx * gx
-            + (0.25 * b * b - 0.5 * a) * l2_inner(u, u)
-            + potential
-            + ctrl_term
-            + 0.5 * b * l2_inner(u, v)
-        )
-    if variant == "subdomain":
-        if not isinstance(ctrl, SubdomainControl):
-            raise TypeError("subdomain variant expects localized feedback")
-        return (
-            0.5 * l2_inner(v, v)
-            + 0.5 * nu * gx * gx
-            + (0.25 * b * b - 0.5 * a) * l2_inner(u, u)
-            + potential
-            + ctrl_term
-            + 0.5 * b * l2_inner(u, v)
-        )
+    if variant in ("fourier", "subdomain"):
+        expected = FourierModes if variant == "fourier" else SubdomainControl
+        if not isinstance(ctrl, expected):
+            raise TypeError(f"{variant} variant expects {expected.__name__} feedback")
+        eps = 0.5 * b
+        return _perturbed_energy(state, model, ctrl, eps, nu, 0.5 * (eps * b - a))
     if variant == "strong":
         if not isinstance(ctrl, FourierModes):
             raise TypeError("strong variant expects modal feedback")
-        lam1 = (np.pi / state.grid.L) ** 2
-        eps = 0.5 * b * lam1
-        return (
-            0.5 * l2_inner(v, v)
-            + 0.5 * (nu + eps * b) * gx * gx
-            - 0.5 * a * l2_inner(u, u)
-            + potential
-            + ctrl_term
-            + eps * l2_inner(u, v)
-        )
+        eps = 0.5 * b * (np.pi / state.grid.L) ** 2
+        return _perturbed_energy(state, model, ctrl, eps, nu + eps * b, -0.5 * a)
     raise ValueError(f"unknown Lyapunov variant {variant!r}")
 
 

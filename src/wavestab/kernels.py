@@ -1,49 +1,20 @@
 """Hot numerical kernels: FD Laplacian stencils and a tridiagonal solve.
 
-Two backends share one interface.  The default backend compiles the kernels
-with numba's ``@njit``; setting the environment variable ``WAVESTAB_NUMBA=0``
-(or numba being absent) selects a plain numpy/LAPACK path instead.  Both
-paths are exercised by the test suite; ``benchmarks/bench_kernels.py`` times
-them against each other.
+Plain numpy stencils and a banded LAPACK solve.  ``perfbench/README.md``
+describes the benchmark that times them on the CLI's real workloads.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("WAVESTAB_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
-
-try:
-    if not _want_numba:
-        raise ImportError
-    from numba import njit
-
-    NUMBA_ACTIVE = True
-except ImportError:
-    NUMBA_ACTIVE = False
-
-    def njit(*args, **kwargs):  # no-op decorator so kernels stay importable
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ACTIVE else "numpy"
+from scipy.linalg import solve_banded
 
 
 # ---------------------------------------------------------------------------
 # second-order Laplacian stencils
 # ---------------------------------------------------------------------------
 
-def _laplacian_dirichlet_np(values: np.ndarray, dx: float) -> np.ndarray:
+def laplacian_dirichlet(values: np.ndarray, dx: float) -> np.ndarray:
     # zero ghost values outside both ends
     out = -2.0 * values
     out[:-1] += values[1:]
@@ -52,7 +23,7 @@ def _laplacian_dirichlet_np(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _laplacian_neumann_np(values: np.ndarray, dx: float) -> np.ndarray:
+def laplacian_neumann(values: np.ndarray, dx: float) -> np.ndarray:
     # reflected ghosts: f[-1] = f[1], f[n+1] = f[n-1]
     out = -2.0 * values
     out[1:-1] += values[2:] + values[:-2]
@@ -62,70 +33,16 @@ def _laplacian_neumann_np(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _laplacian_dirichlet_nb(values, dx):  # pragma: no cover - jitted
-    n = values.shape[0]
-    out = np.empty(n)
-    inv = 1.0 / (dx * dx)
-    for i in range(n):
-        left = values[i - 1] if i > 0 else 0.0
-        right = values[i + 1] if i < n - 1 else 0.0
-        out[i] = (left - 2.0 * values[i] + right) * inv
-    return out
-
-
-@njit(cache=True)
-def _laplacian_neumann_nb(values, dx):  # pragma: no cover - jitted
-    n = values.shape[0]
-    out = np.empty(n)
-    inv = 1.0 / (dx * dx)
-    for i in range(1, n - 1):
-        out[i] = (values[i - 1] - 2.0 * values[i] + values[i + 1]) * inv
-    out[0] = 2.0 * (values[1] - values[0]) * inv
-    out[n - 1] = 2.0 * (values[n - 2] - values[n - 1]) * inv
-    return out
-
-
 # ---------------------------------------------------------------------------
-# tridiagonal solve (Thomas algorithm / banded LAPACK)
+# tridiagonal solve (banded LAPACK)
 # ---------------------------------------------------------------------------
 # Convention: lower[i] multiplies x[i-1] (lower[0] unused), diag[i] x[i],
 # upper[i] multiplies x[i+1] (upper[-1] unused).
 
-@njit(cache=True)
-def _thomas_nb(lower, diag, upper, rhs):  # pragma: no cover - jitted
-    n = diag.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def _thomas_np(lower, diag, upper, rhs):
-    from scipy.linalg import solve_banded
-
+def thomas_solve(lower, diag, upper, rhs):
     n = diag.shape[0]
     ab = np.zeros((3, n))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
     return solve_banded((1, 1), ab, rhs)
-
-
-if NUMBA_ACTIVE:
-    laplacian_dirichlet = _laplacian_dirichlet_nb
-    laplacian_neumann = _laplacian_neumann_nb
-    thomas_solve = _thomas_nb
-else:
-    laplacian_dirichlet = _laplacian_dirichlet_np
-    laplacian_neumann = _laplacian_neumann_np
-    thomas_solve = _thomas_np

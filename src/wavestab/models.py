@@ -10,6 +10,9 @@ The linear ``a*u`` term is destabilizing (it is what the feedback has to
 beat); damping and the monotone nonlinearity dissipate.  The power-law
 nonlinearity is hard-wired for the second and third family; the first
 admits any monotone source term satisfying the sign condition below.
+Each right-hand side splits into linear stiff terms (the Laplacians and
+the linear damping ``b*v``) and the explicit :func:`source`, which all
+time steppers share.
 """
 
 from __future__ import annotations
@@ -141,6 +144,16 @@ class ModelSpec:
             if self.m is not None:
                 raise ValueError("damping exponent m only applies to nonlinear damping")
 
+    @property
+    def linear_damping(self) -> float:
+        """Coefficient c of the linear damping term -c*v (b for the damped wave)."""
+        return self.b if self.family is Family.DAMPED_WAVE else 0.0
+
+    @property
+    def viscosity(self) -> float:
+        """Coefficient beta of the viscous term beta*v_xx (b for the strongly damped wave)."""
+        return self.b if self.family is Family.STRONGLY_DAMPED else 0.0
+
 
 def damped_wave(
     nu: float,
@@ -180,6 +193,21 @@ def strongly_damped_wave(nu: float, a: float, b: float, p: float) -> ModelSpec:
     )
 
 
+def source(
+    model: ModelSpec, u: np.ndarray, v: np.ndarray, base: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
+
+    ``base`` (typically the stiff terms) is added first, so a caller
+    assembling the whole acceleration gets it in one fixed summation order.
+    """
+    s = model.a * u if base is None else base + model.a * u
+    s = s - model.nonlinearity.f(u)
+    if model.family is Family.NONLINEAR_DAMPING:
+        s = s - model.b * np.abs(v) ** (model.m - 2.0) * v
+    return s
+
+
 def acceleration(state: State, model: ModelSpec, control: Field) -> Field:
     """Right-hand side of v_t for the model, including the control term."""
     grid = state.grid
@@ -189,25 +217,12 @@ def acceleration(state: State, model: ModelSpec, control: Field) -> Field:
         raise ValueError("control field lives on a different grid")
     u = state.u.values
     v = state.v.values
-    lap_u = laplacian_apply(state.u).values
-    if model.family is Family.DAMPED_WAVE:
-        acc = model.nu * lap_u - model.b * v + model.a * u - model.nonlinearity.f(u)
-    elif model.family is Family.NONLINEAR_DAMPING:
-        acc = (
-            model.nu * lap_u
-            - model.b * np.abs(v) ** (model.m - 2.0) * v
-            + model.a * u
-            - np.abs(u) ** (model.p - 2.0) * u
-        )
-    else:
-        lap_v = laplacian_apply(state.v).values
-        acc = (
-            model.nu * lap_u
-            + model.b * lap_v
-            + model.a * u
-            - np.abs(u) ** (model.p - 2.0) * u
-        )
-    return Field(grid, acc + control.values)
+    stiff = (
+        model.nu * laplacian_apply(state.u).values
+        - model.linear_damping * v
+        + model.viscosity * laplacian_apply(state.v).values
+    )
+    return Field(grid, source(model, u, v, stiff) + control.values)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from wavestab import (
     control_field,
     controller_energy,
     element_layout,
+    make_control_operator,
+    make_energy_operator,
     make_grid,
     mu_zero,
     zeros,
@@ -146,6 +148,46 @@ class TestControlFields:
         gn = make_grid(PI, 64, "neumann")
         with pytest.raises(ValueError):
             control_field(FourierModes(2, 1.0), State(zeros(gn), zeros(gn)))
+
+    @pytest.mark.parametrize(
+        "spec, bc",
+        [
+            (VolumeElements(2, 1.0), "dirichlet"),
+            (FourierModes(2, 1.0), "neumann"),
+            (Nodal(4, 1.0), "neumann"),
+            (SubdomainControl(Subdomain(0.5, 1.5, PI), 1.0), "neumann"),
+        ],
+        ids=["volume", "fourier", "nodal", "subdomain"],
+    )
+    def test_energy_operator_rejects_wrong_boundary(self, spec, bc):
+        g = make_grid(PI, 64, bc)
+        with pytest.raises(ValueError, match="boundaries"):
+            make_control_operator(spec, g)
+        with pytest.raises(ValueError, match="boundaries"):
+            make_energy_operator(spec, g)
+
+    @pytest.mark.parametrize(
+        "spec, bc",
+        [
+            (VolumeElements(1, 3.0), "neumann"),
+            (VolumeElements(8, 3.0), "neumann"),
+            (FourierModes(3, 3.0), "dirichlet"),
+            (SubdomainControl(Subdomain(0.5, 1.7, PI), 3.0), "dirichlet"),
+        ],
+        ids=["volume1", "volume8", "fourier", "subdomain"],
+    )
+    def test_feedback_is_minus_energy_gradient(self, spec, bc):
+        # <control(u), e>_W = -[E(u+e) - E(u-e)]/2 holds exactly for a
+        # quadratic E when the feedback is -W^{-1} grad E; nodal feedback is
+        # left out because it observes and actuates at different points
+        g = make_grid(PI, 64, bc)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(g.n_nodes)
+        e = rng.standard_normal(g.n_nodes)
+        control = make_control_operator(spec, g)
+        energy = make_energy_operator(spec, g)
+        work = float(np.dot(g.quad_weights, control(u) * e))
+        assert work == pytest.approx(-0.5 * (energy(u + e) - energy(u - e)), rel=1e-12)
 
 
 class TestControllerEnergy:

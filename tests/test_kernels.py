@@ -1,22 +1,9 @@
-"""Backend selection and numerical equivalence of the jitted kernels."""
-
-import importlib.util
-import os
-import subprocess
-import sys
-from collections import Counter
-from pathlib import Path
+"""The Laplacian stencils and the tridiagonal solve against dense matrices."""
 
 import numpy as np
 import pytest
 
-import wavestab as ws
 from wavestab import kernels
-
-# absolute ``src`` directory, so child interpreters import this checkout
-# wherever pytest was launched from
-SRC_DIR = Path(ws.__file__).resolve().parents[1]
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def dense_laplacian(n, dx, bc):
@@ -64,94 +51,3 @@ def test_thomas_matches_dense_solve(n):
         A[i - 1, i] = upper[i - 1]
     x = kernels.thomas_solve(lower, diag, upper, rhs)
     np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=1e-10)
-
-
-def test_both_backends_agree():
-    rng = np.random.default_rng(9)
-    n = 128
-    f = rng.standard_normal(n)
-    np.testing.assert_allclose(
-        kernels._laplacian_dirichlet_np(f, 0.1),
-        kernels._laplacian_dirichlet_nb(f, 0.1),
-        rtol=1e-13,
-    )
-    np.testing.assert_allclose(
-        kernels._laplacian_neumann_np(f, 0.1),
-        kernels._laplacian_neumann_nb(f, 0.1),
-        rtol=1e-13,
-    )
-    lower = rng.uniform(-1, 0, n)
-    upper = rng.uniform(-1, 0, n)
-    diag = 4.0 + rng.uniform(0, 1, n)
-    rhs = rng.standard_normal(n)
-    np.testing.assert_allclose(
-        kernels._thomas_np(lower, diag, upper, rhs),
-        kernels._thomas_nb(lower, diag, upper, rhs),
-        rtol=1e-12,
-    )
-
-
-def _backend_in_subprocess(flag):
-    env = dict(os.environ)
-    if flag is None:
-        env.pop("WAVESTAB_NUMBA", None)
-    else:
-        env["WAVESTAB_NUMBA"] = flag
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "from wavestab.kernels import backend; print(backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_backend():
-    # "1" or no flag asks for numba; without numba installed the module
-    # must still import and fall back to numpy
-    requested = "numba" if HAVE_NUMBA else "numpy"
-    assert _backend_in_subprocess("0") == "numpy"
-    assert _backend_in_subprocess("off") == "numpy"
-    assert _backend_in_subprocess("1") == requested
-    assert _backend_in_subprocess(None) == requested
-
-
-def test_backend_reports_current_module_state():
-    assert kernels.backend() in ("numba", "numpy")
-
-
-def _mini_run():
-    g = ws.make_grid(np.pi, 64, "neumann")
-    m = ws.damped_wave(1.0, 1.0, 2.0, "neumann")
-    u0 = ws.sample(g, lambda x: np.exp(-((x - 1.5) / 0.4) ** 2))
-    r = ws.run(m, ws.VolumeElements(2, 4.0), u0, ws.zeros(g),
-               ws.StepperConfig(dt=0.005, t_end=1.0))
-    return np.vstack([r.final_state.u.values, r.final_state.v.values])
-
-
-def test_full_run_identical_across_backends(monkeypatch):
-    """A short closed-loop run must agree across backends to solver roundoff.
-
-    Both runs happen in this process with the module-level kernels swapped,
-    so the loop kernels are compared even where numba is absent (they then
-    run as plain Python).  Call counters prove each set was really used.
-    """
-    results = {}
-    for suffix in ("np", "nb"):
-        calls = Counter()
-        for public, private in (
-            ("laplacian_dirichlet", "_laplacian_dirichlet"),
-            ("laplacian_neumann", "_laplacian_neumann"),
-            ("thomas_solve", "_thomas"),
-        ):
-            def counted(*args, _f=getattr(kernels, f"{private}_{suffix}"), _name=public):
-                calls[_name] += 1
-                return _f(*args)
-
-            monkeypatch.setattr(kernels, public, counted)
-        results[suffix] = _mini_run()
-        assert calls["laplacian_neumann"] > 0, suffix
-        assert calls["thomas_solve"] > 0, suffix
-    np.testing.assert_allclose(results["np"], results["nb"], rtol=1e-9, atol=1e-12)
