@@ -147,6 +147,9 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         "config": cfg.raw,
         "gain": report.to_dict() if report else None,
         "blowup": {"blew_up": result.blew_up, "time": result.blowup_time},
+        "n_steps": cfg.stepper.n_steps,
+        "dt": cfg.stepper.dt,
+        "t_reached": result.final_state.t,
         "records": len(result.records),
         "fit": fit_dict,
         "verify": verify,

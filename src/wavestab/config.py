@@ -10,8 +10,9 @@ the CLI can exit with a usage error.
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -303,18 +304,21 @@ def load_config(path: str) -> ExperimentConfig:
 
     time_sec = _Section("time", parser["time"])
     t_end = time_sec.float("t_end", required=True)
-    dt = time_sec.float("dt", default_dt(grid))
+    dt = time_sec.float("dt")
+    if dt is None:
+        # the largest step up to the default that divides t_end
+        dt = default_dt(grid)
+        if math.isfinite(t_end) and t_end > 0.0:
+            dt = t_end / math.ceil(t_end / dt)
     scheme_name = time_sec.str("scheme", "imex_cn").lower()
     try:
         scheme = Scheme(scheme_name)
     except ValueError:
         raise ConfigError(f"[time] unknown scheme {scheme_name!r}") from None
     record_every = time_sec.int("record_every", 0)
-    if record_every == 0:
-        n_steps = int(round(t_end / dt)) if t_end > 0 else 0
-        record_every = max(1, n_steps // 2000)
     try:
-        stepper = StepperConfig(dt=dt, t_end=t_end, scheme=scheme, record_every=record_every)
+        stepper = StepperConfig(dt=dt, t_end=t_end, scheme=scheme)
+        stepper = replace(stepper, record_every=record_every or max(1, stepper.n_steps // 2000))
     except ValueError as exc:
         raise ConfigError(f"[time] {exc}") from None
 

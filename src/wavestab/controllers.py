@@ -17,6 +17,7 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -177,8 +178,16 @@ def _require_dirichlet(grid: Grid1D, what: str) -> None:
         raise ValueError(f"{what} feedback is posed with Dirichlet boundaries")
 
 
+def _frozen_law(observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray):
+    """The law triple, with ``s`` and the arrays its closures hold made read-only."""
+    for arr in (s, *held):
+        arr.flags.writeable = False
+    return observe, actuate, s
+
+
+@lru_cache(maxsize=16)
 def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
-    """The law as (observe, actuate, s), validated once for this grid.
+    """The law as (observe, actuate, s), validated and built once per (spec, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y,
     ``actuate(y, gain)`` spreads ``gain * y`` back onto the nodes, and the
@@ -189,9 +198,13 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     weighted gradient of that energy.  The actuation takes the gain itself
     so that each law multiplies it in where rounding matches the direct
     formula (the nodal law folds it into its ``h/dx`` scale).
+
+    The laws are cached (both key types are frozen dataclasses), so the
+    ledger's per-record energy calls cost a lookup, not a rebuild; the
+    arrays they hold are read-only.
     """
     if isinstance(spec, NoControl):
-        return (lambda u: u[:0]), (lambda y, gain: np.zeros(grid.n_nodes)), np.zeros(0)
+        return _frozen_law(lambda u: u[:0], lambda y, gain: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
         avg, owner, m = element_layout(grid, spec.N)
@@ -202,14 +215,15 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def actuate_volume(y, gain):
             return gain * (0.5 * (y[left] + y[owner]))
 
-        return (lambda u: avg @ u), actuate_volume, np.full(spec.N, m * grid.dx)
+        s = np.full(spec.N, m * grid.dx)
+        return _frozen_law(lambda u: avg @ u, actuate_volume, s, avg, owner, left)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
         basis = EigenBasis(grid.L, spec.N)
         W = mode_matrix(basis, grid, spec.N)
         Wq = W * grid.quad_weights
-        return (lambda u: Wq @ u), (lambda c, gain: gain * (c @ W)), np.ones(spec.N)
+        return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
@@ -227,12 +241,13 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             np.add.at(out, act_idx, gain * h / grid.dx * y)
             return out
 
-        return observe_nodal, actuate_nodal, np.full(spec.N, h)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), obs, act_idx, xs)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
         chi = spec.omega.indicator(grid.nodes)
-        return (lambda u: u), (lambda y, gain: gain * chi * y), grid.quad_weights * chi
+        s = grid.quad_weights * chi
+        return _frozen_law(lambda u: u, lambda y, gain: gain * chi * y, s, chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
 

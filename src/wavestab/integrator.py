@@ -5,10 +5,12 @@ The workhorse is an IMEX Crank--Nicolson step: the linear stiff terms
 trapezoidal rule, while the source terms (a*u, the monotone nonlinearity,
 nonlinear velocity damping, and the feedback) are evaluated explicitly at
 the half step.  Eliminating the displacement update leaves one tridiagonal
-solve per step.  On the undamped linear wave the scheme reduces to plain
-Crank--Nicolson and conserves the discrete energy to round-off, because the
-discrete Laplacian is exactly self-adjoint under the trapezoid weights and
-the H1 seminorm is its associated quadratic form.
+solve per step.  The matrix depends only on dt, nu, b and the boundary
+type, so it is LU-factored once per run and each step back-substitutes.
+On the undamped linear wave the scheme reduces to plain Crank--Nicolson
+and conserves the discrete energy to round-off, because the discrete
+Laplacian is exactly self-adjoint under the trapezoid weights and the H1
+seminorm is its associated quadratic form.
 
 An explicit RK4 stepper is provided for cross-checks; it refuses the
 strongly damped family (the viscous term makes the problem parabolic-stiff)
@@ -62,7 +64,9 @@ class StepperConfig:
     """Time-stepping parameters.
 
     ``record_every`` controls energy-ledger cadence in steps; the initial
-    state and the final step are always recorded.
+    state and the final step are always recorded.  ``dt`` must divide
+    ``t_end`` (to 1e-9 relative), so a run takes ``n_steps`` equal steps and
+    ends at ``t_end``; there is no partial last step.
     """
 
     dt: float
@@ -77,10 +81,19 @@ class StepperConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"dt={self.dt} does not divide t_end={self.t_end}; the nearest dt "
+                f"that does is {self.t_end / self.n_steps!r}"
+            )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_end / self.dt) if self.t_end > 0.0 else 0
 
 
 def default_dt(grid: Grid1D) -> float:
@@ -127,13 +140,15 @@ class _ImexStepper:
         inv_dx2 = 1.0 / grid.dx**2
         n = grid.n_nodes
         s = 1.0 + 0.5 * dt * self.c_lin
-        self.diag = np.full(n, s + 2.0 * kappa * inv_dx2)
-        self.lower = np.full(n, -kappa * inv_dx2)
-        self.upper = np.full(n, -kappa * inv_dx2)
+        diag = np.full(n, s + 2.0 * kappa * inv_dx2)
+        lower = np.full(n, -kappa * inv_dx2)
+        upper = np.full(n, -kappa * inv_dx2)
         if grid.bc is BoundaryCondition.NEUMANN:
             # reflected ghosts double the off-diagonal coupling at both ends
-            self.upper[0] = -2.0 * kappa * inv_dx2
-            self.lower[-1] = -2.0 * kappa * inv_dx2
+            upper[0] = -2.0 * kappa * inv_dx2
+            lower[-1] = -2.0 * kappa * inv_dx2
+        # the matrix is fixed for the run: factor once, back-substitute per step
+        self.factors = kernels.factor_tridiagonal(lower, diag, upper)
 
     def _explicit_half(self, u, v, lap_u):
         """Source terms at the predicted half step."""
@@ -154,7 +169,7 @@ class _ImexStepper:
         if self.beta != 0.0:
             r_v += 0.5 * dt * self.beta * self.lap(v, self.grid.dx)
         rhs = r_v + 0.5 * dt * mdl.nu * self.lap(u_star, self.grid.dx)
-        v_new = kernels.thomas_solve(self.lower, self.diag, self.upper, rhs)
+        v_new = kernels.thomas_solve(self.factors, rhs)
         u_new = u_star + 0.5 * dt * v_new
         return u_new, v_new
 
@@ -339,7 +354,7 @@ def run(
             raise ValueError("snapshot_every must be >= 1")
         snapshots = [State(Field(grid, u), Field(grid, v), 0.0)]
 
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0.0 else 0
+    n_steps = cfg.n_steps
     blowup_time = None
     t = 0.0
     u_prev, v_prev, t_prev = u, v, t

@@ -1,13 +1,19 @@
 """Hot numerical kernels: FD Laplacian stencils and a tridiagonal solve.
 
-Plain numpy stencils and a banded LAPACK solve.  ``perfbench/README.md``
-describes the benchmark that times them on the CLI's real workloads.
+Plain numpy stencils and a prefactored LAPACK tridiagonal solve.  The IMEX
+matrix is fixed for a whole run, so it is LU-factored once with ``dgttrf``
+(:func:`factor_tridiagonal`) and each step only back-substitutes with
+``dgttrs`` (:func:`thomas_solve`).  The solve does not check its input for
+non-finite values: a NaN or inf in the right-hand side comes back as NaN,
+and the stepping loop reports it as a blow-up.  ``perfbench/README.md``
+describes the benchmark that times these kernels on the CLI's real
+workloads.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 # ---------------------------------------------------------------------------
@@ -34,15 +40,23 @@ def laplacian_neumann(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal solve (banded LAPACK)
+# tridiagonal solve (LAPACK LU with partial pivoting)
 # ---------------------------------------------------------------------------
 # Convention: lower[i] multiplies x[i-1] (lower[0] unused), diag[i] x[i],
 # upper[i] multiplies x[i+1] (upper[-1] unused).
 
-def thomas_solve(lower, diag, upper, rhs):
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+def factor_tridiagonal(lower, diag, upper) -> tuple:
+    """LU factors of the tridiagonal matrix, to be passed to :func:`thomas_solve`.
+
+    Raises ``ValueError`` if the matrix is exactly singular.
+    """
+    *factors, info = dgttrf(lower[1:], diag, upper[:-1])
+    if info != 0:
+        raise ValueError(f"tridiagonal matrix is singular (dgttrf info={info})")
+    return tuple(factors)
+
+
+def thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from :func:`factor_tridiagonal`; ``rhs`` is not modified."""
+    x, _ = dgttrs(*factors, rhs)
+    return x

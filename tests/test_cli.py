@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from wavestab import __version__
@@ -79,6 +80,32 @@ t_end = 50.0
 """
 
 
+# |u|^38 u overflows to inf in the first step, well below the 1e12 peak limit
+OVERFLOW_INI = """\
+[model]
+family = damped_wave
+nu = 1.0
+a = 1.0
+b = 0.5
+bc = dirichlet
+nonlinearity = power
+p = 40
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = none
+
+[initial]
+u0 = mode 1
+u0_amplitude = 12533141373.155003
+
+[time]
+dt = 0.01
+t_end = 5.0
+"""
+
+
 @pytest.fixture
 def volume_ini(tmp_path):
     p = tmp_path / "volume.ini"
@@ -126,6 +153,18 @@ class TestRun:
         assert report["fit"]["rate"] >= 0.8
         assert report["blowup"]["blew_up"] is False
         assert report["version"] == __version__
+        assert report["n_steps"] == 1200
+        assert report["dt"] == 0.005
+        assert report["t_reached"] == pytest.approx(6.0, rel=1e-12)
+
+    def test_dt_that_does_not_divide_t_end_exits_two(self, tmp_path, capsys):
+        ini = tmp_path / "dt.ini"
+        ini.write_text(
+            VOLUME_INI.replace("dt = 0.005", "dt = 0.3").replace("t_end = 6.0", "t_end = 1.0")
+        )
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "does not divide" in err and repr(1.0 / 3.0) in err
 
     def test_trajectory_header_exact(self, volume_ini, tmp_path):
         out = tmp_path / "out"
@@ -175,6 +214,18 @@ class TestRun:
         assert report["blowup"]["time"] > 0
         # records up to the abort are still written
         assert len((out / "trajectory.csv").read_text().splitlines()) > 2
+
+    def test_overflowing_source_exits_three(self, tmp_path, capsys):
+        ini = tmp_path / "overflow.ini"
+        ini.write_text(OVERFLOW_INI)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(ini), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["blowup"] == {"blew_up": True, "time": 0.01}
+        assert report["n_steps"] == 500
+        assert report["t_reached"] == 0.0
+        assert "blew up at t = 0.01" in capsys.readouterr().out
 
     def test_t_end_zero_single_row(self, tmp_path):
         ini = tmp_path / "frozen.ini"

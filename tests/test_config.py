@@ -1,5 +1,7 @@
 """INI experiment parsing and profile construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -228,14 +230,23 @@ t_end = 1.0
     def test_default_dt_and_records(self, tmp_path):
         text = BASE.replace("dt = 0.005\n", "")
         cfg = load_config(write(tmp_path, text))
-        # min(0.25 dx, 1e-2) with dx = pi/128
-        assert cfg.stepper.dt == pytest.approx(0.25 * np.pi / 128)
+        # the largest dt up to min(0.25 dx, 1e-2), dx = pi/128, that divides t_end
+        assert cfg.stepper.dt == pytest.approx(6.0 / math.ceil(6.0 / (0.25 * np.pi / 128)))
+        assert cfg.stepper.dt <= 0.25 * np.pi / 128
+        assert cfg.stepper.n_steps * cfg.stepper.dt == pytest.approx(6.0, rel=1e-12)
 
     def test_record_every_targets_2000_records(self, tmp_path):
         text = BASE.replace("t_end = 6.0", "t_end = 60.0").replace("dt = 0.005", "dt = 0.005")
         cfg = load_config(write(tmp_path, text))
         n_steps = round(60.0 / 0.005)
         assert cfg.stepper.record_every == max(1, n_steps // 2000)
+
+    @pytest.mark.parametrize("t_end", ["inf", "-1.0", "nan"])
+    @pytest.mark.parametrize("dt_line", ["dt = 0.005\n", ""], ids=["dt", "default_dt"])
+    def test_bad_t_end(self, tmp_path, t_end, dt_line):
+        text = BASE.replace("dt = 0.005\n", dt_line).replace("t_end = 6.0", f"t_end = {t_end}")
+        with pytest.raises(ConfigError, match=r"\[time\] t_end"):
+            load_config(write(tmp_path, text))
 
     def test_bad_scheme(self, tmp_path):
         text = BASE + "scheme = leapfrog\n"

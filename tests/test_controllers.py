@@ -4,6 +4,8 @@ The gain-condition tests pin the worked numbers for each variant, including
 the boundary cases where an inequality is strict versus inclusive.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from wavestab import (
     mu_zero,
     zeros,
 )
+from wavestab import controllers
 
 from conftest import random_trig_field
 
@@ -222,6 +225,108 @@ class TestControllerEnergy:
                 SubdomainControl(Subdomain(0.2, 0.7, 1.0), 2.0),
             ):
                 assert controller_energy(spec, st_) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the law cache: one (observe, actuate, s) per (spec, grid)
+# ---------------------------------------------------------------------------
+
+LAW_IDS = ["volume", "fourier", "nodal", "subdomain", "none"]
+
+
+def law_specs(mu):
+    return [
+        (VolumeElements(4, mu), "neumann"),
+        (FourierModes(3, mu), "dirichlet"),
+        (Nodal(4, mu), "dirichlet"),
+        (SubdomainControl(Subdomain(0.5, 1.7, PI), mu), "dirichlet"),
+        (NoControl(mu), "neumann"),
+    ]
+
+
+def uncached_operators(spec, grid):
+    """Control and energy closures from a fresh build of the law, bypassing the cache."""
+    observe, actuate, s = controllers._feedback_law.__wrapped__(spec, grid)
+    return (
+        lambda u: actuate(observe(u), -spec.mu),
+        lambda u: 0.5 * spec.mu * float(np.dot(s, observe(u) ** 2)),
+    )
+
+
+class TestLawCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        controllers._feedback_law.cache_clear()
+        yield
+        controllers._feedback_law.cache_clear()
+
+    def test_one_layout_for_many_records(self, monkeypatch):
+        calls = []
+        layout = controllers.element_layout
+        monkeypatch.setattr(
+            controllers, "element_layout", lambda *a: calls.append(a) or layout(*a)
+        )
+        g = make_grid(PI, 64, "neumann")
+        rng = np.random.default_rng(5)
+        spec = VolumeElements(8, 3.0)
+        make_control_operator(spec, g)
+        for _ in range(50):
+            controller_energy(spec, State(random_trig_field(g, rng), zeros(g)))
+        assert len(calls) == 1
+        assert controllers._feedback_law.cache_info().currsize == 1
+
+    def test_distinct_geometries_never_share_a_law(self):
+        keys = [
+            (VolumeElements(2, 1.0), make_grid(PI, 64, "neumann")),
+            (VolumeElements(4, 1.0), make_grid(PI, 64, "neumann")),
+            (VolumeElements(4, 1.0), make_grid(PI, 128, "neumann")),
+            (VolumeElements(4, 1.0), make_grid(2.0, 64, "neumann")),
+            (FourierModes(2, 1.0), make_grid(PI, 64, "dirichlet")),
+            (FourierModes(3, 1.0), make_grid(PI, 64, "dirichlet")),
+            (Nodal(4, 1.0), make_grid(PI, 64, "dirichlet")),
+            (Nodal(4, 1.0, obs_points=(0.3, 1.0, 1.9, 2.8)), make_grid(PI, 64, "dirichlet")),
+            (SubdomainControl(Subdomain(0.5, 1.7, PI), 1.0), make_grid(PI, 64, "dirichlet")),
+            (SubdomainControl(Subdomain(0.5, 2.0, PI), 1.0), make_grid(PI, 64, "dirichlet")),
+            (NoControl(), make_grid(PI, 64, "dirichlet")),
+            (NoControl(), make_grid(PI, 64, "neumann")),
+        ]
+        rng = np.random.default_rng(9)
+        laws = [controllers._feedback_law(spec, g) for spec, g in keys]
+        assert len({id(law) for law in laws}) == len(keys)
+        assert controllers._feedback_law.cache_info().currsize == len(keys)
+        for spec, g in keys:
+            u = random_trig_field(g, rng).values
+            control, energy = uncached_operators(spec, g)
+            np.testing.assert_array_equal(make_control_operator(spec, g)(u), control(u))
+            assert make_energy_operator(spec, g)(u) == energy(u)
+
+    @pytest.mark.parametrize("spec_lo, bc", law_specs(1.5), ids=LAW_IDS)
+    def test_two_gains_on_one_geometry(self, spec_lo, bc):
+        g = make_grid(PI, 64, bc)
+        rng = np.random.default_rng(13)
+        spec_hi = dataclasses.replace(spec_lo, mu=7.25)
+        for _ in range(2):  # the second pass is served from the cache
+            for spec in (spec_lo, spec_hi):
+                st_ = State(random_trig_field(g, rng), zeros(g))
+                control, energy = uncached_operators(spec, g)
+                u = st_.u.values
+                assert controller_energy(spec, st_) == energy(u)
+                np.testing.assert_array_equal(make_control_operator(spec, g)(u), control(u))
+        assert controllers._feedback_law.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
+    def test_cached_arrays_are_read_only(self, spec, bc):
+        g = make_grid(PI, 64, bc)
+        observe, actuate, s = controllers._feedback_law(spec, g)
+        held = [s] + [
+            c.cell_contents
+            for fn in (observe, actuate)
+            for c in fn.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray)
+        ]
+        for arr in held:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

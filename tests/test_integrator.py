@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from wavestab import (
     EigenBasis,
     Field,
     FourierModes,
     NoControl,
+    Nonlinearity,
     Scheme,
     State,
     StepperConfig,
@@ -27,6 +29,7 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
+from wavestab import kernels
 
 PI = np.pi
 
@@ -61,6 +64,20 @@ class TestStepperConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             StepperConfig(**kwargs)
+
+    @pytest.mark.parametrize("dt, nearest", [(0.3, 1.0 / 3.0), (0.4, 0.5), (0.0061, 1.0 / 164)])
+    def test_rejects_dt_that_does_not_divide_t_end(self, dt, nearest):
+        with pytest.raises(ValueError, match="does not divide") as err:
+            StepperConfig(dt=dt, t_end=1.0)
+        assert repr(nearest) in str(err.value)
+        StepperConfig(dt=nearest, t_end=1.0)  # the suggested dt is accepted
+
+    @pytest.mark.parametrize("dt, t_end, n", [(0.005, 6.0, 1200), (0.002, 16.0, 8000),
+                                              (0.1, 0.3, 3), (0.1, 0.0, 0)])
+    def test_n_steps_reaches_t_end(self, dt, t_end, n):
+        cfg = StepperConfig(dt=dt, t_end=t_end)
+        assert cfg.n_steps == n
+        assert cfg.n_steps * dt == pytest.approx(t_end, rel=1e-12, abs=0.0)
 
     def test_scheme_coercion(self):
         cfg = StepperConfig(dt=0.1, t_end=1.0, scheme="rk4")
@@ -206,6 +223,83 @@ class TestBlowup:
         )
 
 
+    def test_overflowing_source_is_a_blowup_not_a_crash(self):
+        # |u|^38 u overflows to inf in the first explicit half step, long
+        # before |u| reaches the 1e12 limit; the solve passes it on as NaN
+        g = make_grid(PI, 64, "dirichlet")
+        model = damped_wave(1.0, 1.0, 0.5, "dirichlet", Nonlinearity.power_law(40))
+        u0 = sample(g, lambda x: 1e10 * np.sin(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=5.0))
+        assert res.blew_up
+        assert res.blowup_time == 0.01
+        assert res.final_state.t == 0.0
+        np.testing.assert_array_equal(res.final_state.u.values, u0.values)
+
+
+def banded_imex_matrix(model, grid, dt):
+    """The IMEX matrix in ``solve_banded``'s (1, 1) storage, written from the scheme."""
+    kappa = 0.5 * dt * model.viscosity + 0.25 * dt * dt * model.nu
+    inv_dx2 = 1.0 / grid.dx**2
+    ab = np.empty((3, grid.n_nodes))
+    ab[0] = ab[2] = -kappa * inv_dx2
+    ab[1] = 1.0 + 0.5 * dt * model.linear_damping + 2.0 * kappa * inv_dx2
+    if grid.bc.value == "neumann":  # reflected ghosts double the end couplings
+        ab[0, 1] = ab[2, -2] = -2.0 * kappa * inv_dx2
+    return ab
+
+
+class TestPrefactoredSolve:
+    CASES = [
+        pytest.param(
+            damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4)),
+            "dirichlet", FourierModes(2, 4.0), id="dirichlet",
+        ),
+        pytest.param(
+            damped_wave(1.0, 1.0, 2.0, "neumann", Nonlinearity.power_law(4)),
+            "neumann", VolumeElements(4, 6.0), id="neumann",
+        ),
+        pytest.param(
+            strongly_damped_wave(1.0, 1.0, 0.5, 4.0), "dirichlet", FourierModes(2, 4.0),
+            id="strongly_damped",
+        ),
+    ]
+
+    @pytest.mark.parametrize("model, bc, ctrl", CASES)
+    def test_matches_banded_solve_reference(self, model, bc, ctrl, monkeypatch):
+        g = make_grid(PI, 128, bc)
+        u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x) * (bc == "neumann"))
+        cfg = StepperConfig(dt=0.005, t_end=1.0)
+        assert cfg.n_steps == 200
+        fast = run(model, ctrl, u0, zeros(g), cfg, snapshot_every=20)
+        ab = banded_imex_matrix(model, g, cfg.dt)
+        monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: solve_banded((1, 1), ab, rhs))
+        ref = run(model, ctrl, u0, zeros(g), cfg, snapshot_every=20)
+        assert len(fast.snapshots) == len(ref.snapshots) == 11
+        for a, b in zip(fast.snapshots, ref.snapshots):
+            for fa, fb in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
+                np.testing.assert_allclose(fa, fb, rtol=0.0, atol=1e-14 * np.max(np.abs(fb)))
+
+    def test_one_factorisation_per_run(self, monkeypatch):
+        calls = {"factor": 0, "solve": 0}
+        factor, solve = kernels.factor_tridiagonal, kernels.thomas_solve
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "factor_tridiagonal", counted("factor", factor))
+        monkeypatch.setattr(kernels, "thomas_solve", counted("solve", solve))
+        g = make_grid(PI, 64, "neumann")
+        model = damped_wave(1.0, 1.0, 2.0, "neumann")
+        u0 = sample(g, lambda x: np.cos(x))
+        cfg = StepperConfig(dt=0.01, t_end=1.5, record_every=7)
+        run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
+        assert calls == {"factor": 1, "solve": cfg.n_steps}
+
+
 class TestRK4Guards:
     def test_refuses_strongly_damped(self):
         g = make_grid(PI, 64, "dirichlet")
@@ -223,13 +317,14 @@ class TestRK4Guards:
         g = make_grid(PI, 256, "dirichlet")
         model = damped_wave(4.0, 0.0, 1.0, "dirichlet")
         limit = 0.5 * g.dx / 2.0
+        dt = 1.01 * limit
         with pytest.raises(ValueError, match="stability"):
             run(
                 model,
                 NoControl(),
                 zeros(g),
                 zeros(g),
-                StepperConfig(dt=1.01 * limit, t_end=1.0, scheme="rk4"),
+                StepperConfig(dt=dt, t_end=100 * dt, scheme="rk4"),
             )
 
     # the explicit b|v|v term gives IMEX a larger second-order error constant
@@ -257,7 +352,8 @@ def test_nonlinear_damping_stable_at_default_dt():
     g = make_grid(PI, 128, "dirichlet")
     model = nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)
     u0 = first_mode_state(g, 2.0)
-    res = run(model, FourierModes(1, 2.0), u0, zeros(g), StepperConfig(dt=default_dt(g), t_end=5.0))
+    dt = 5.0 / math.ceil(5.0 / default_dt(g))  # the largest dt <= default that divides t_end
+    res = run(model, FourierModes(1, 2.0), u0, zeros(g), StepperConfig(dt=dt, t_end=5.0))
     assert not res.blew_up
     assert res.records[-1].total < res.records[0].total
 
