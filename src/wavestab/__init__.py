@@ -62,7 +62,6 @@ from .integrator import (
     lyapunov_eb,
     lyapunov_volume,
     run,
-    step,
 )
 from .models import (
     EnergyRecord,
@@ -149,7 +148,6 @@ __all__ = [
     "RunResult",
     "default_dt",
     "run",
-    "step",
     "lyapunov_volume",
     "lyapunov_eb",
     # analysis

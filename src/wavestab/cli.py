@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import sys
 import time
@@ -24,9 +25,8 @@ from .analysis import (
     verify_polynomial,
 )
 from .config import ConfigError, ExperimentConfig, gain_report_for, load_config
-from .controllers import FourierModes, Nodal, NoControl
+from .controllers import NoControl
 from .integrator import RunResult, run
-from .models import Family
 
 # Inequality-suite keys that must hold; the remaining key records the
 # stated-but-unprovable variant of the mean-plus-gradient bound and is
@@ -48,38 +48,24 @@ def _fmt(x: Optional[float]) -> str:
 
 
 def write_trajectory(path: str, result: RunResult) -> None:
+    row = operator.attrgetter(*CSV_HEADER.split(","))  # the EnergyRecord fields
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in result.records:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(r.t),
-                        _fmt(r.kinetic),
-                        _fmt(r.grad),
-                        _fmt(r.quadratic),
-                        _fmt(r.lp),
-                        _fmt(r.controller),
-                        _fmt(r.total),
-                        _fmt(r.stab_norm),
-                        _fmt(r.lyapunov),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(_fmt, row(r))) + "\n")
 
 
 def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[dict], Optional[dict], bool]:
     """Fit the recorded decay and test it against the predicted rate.
 
-    Returns (fit_dict, verify_dict, ok).  Verification runs whenever a
-    prediction exists, even with unsatisfied gain conditions — the
+    Returns (fit_dict, verify_dict, ok).  Verification runs whenever the
+    pair has a certificate, even with unsatisfied gain conditions — the
     conditions are sufficient, not necessary, so sweeps can legitimately
-    observe decay below the certified threshold.
+    observe decay below the certified threshold.  The report picks the
+    test: no rate is qualitative, a polynomial exponent is checked as a
+    power law, and an exponential rate against its envelope.
     """
-    t_end = cfg.stepper.t_end
-    window = cfg.analysis.window(t_end)
-    fit_dict = None
+    window = cfg.analysis.window(cfg.stepper.t_end)
     try:
         fit = fit_exponential(result.records, window=window)
         fit_dict = dataclasses.asdict(fit)
@@ -90,7 +76,7 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     if report is None:
         return fit_dict, None, True
 
-    if isinstance(cfg.controller, Nodal):
+    if report.predicted_rate is None:
         ok = fit is not None and fit.rate > 0.0 and fit.r_squared >= 0.95
         verify = {
             "kind": "qualitative",
@@ -99,30 +85,16 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
         }
         return fit_dict, verify, ok
 
-    if (
-        isinstance(cfg.controller, FourierModes)
-        and cfg.model.family is Family.NONLINEAR_DAMPING
-    ):
-        lo, hi = window
-        lo = max(1.0, lo)
-        try:
-            res = verify_polynomial(result.records, report.predicted_rate, window=(lo, hi))
-        except ValueError as exc:
-            return fit_dict, {"kind": "polynomial", "ok": False, "error": str(exc)}, False
-        verify = {"kind": "polynomial", **dataclasses.asdict(res)}
-        return fit_dict, verify, res.ok
-
+    records, rate = result.records, report.predicted_rate
     try:
-        res = verify_exponential(
-            result.records,
-            report.predicted_rate,
-            safety=cfg.analysis.safety,
-            window=window,
-        )
+        if report.kind == "polynomial":
+            # the power law is checked from t = 1 on
+            res = verify_polynomial(records, rate, window=(max(1.0, window[0]), window[1]))
+        else:
+            res = verify_exponential(records, rate, safety=cfg.analysis.safety, window=window)
     except ValueError as exc:
-        return fit_dict, {"kind": "exponential", "ok": False, "error": str(exc)}, False
-    verify = {"kind": "exponential", **dataclasses.asdict(res)}
-    return fit_dict, verify, res.ok
+        return fit_dict, {"kind": report.kind, "ok": False, "error": str(exc)}, False
+    return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
 
 
 def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
@@ -170,7 +142,9 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config)
     report = gain_report_for(cfg)
     if report is None:
-        print("error: config has no controller to check", file=sys.stderr)
+        family = cfg.model.family.value
+        pair = f"variant {cfg.variant!r} on family {family!r}"
+        print(f"error: no certificate covers {pair}", file=sys.stderr)
         return 2
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.satisfied else 1
@@ -208,7 +182,10 @@ def _apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> Exper
         if not hasattr(ctrl, "N"):
             raise ConfigError(f"controller variant {cfg.variant!r} has no N to sweep")
         new_ctrl = dataclasses.replace(ctrl, N=int(value))
-    return dataclasses.replace(cfg, controller=new_ctrl)
+    # echo the member's own value in its report.json, not the base config's
+    echoed = {**cfg.raw["controller"], param.lower(): _format_value(param, value)}
+    raw = {**cfg.raw, "controller": echoed}
+    return dataclasses.replace(cfg, controller=new_ctrl, raw=raw)
 
 
 def _sweep_worker(config_path: str, param: str, value: float, out_dir: str) -> dict:
@@ -228,7 +205,11 @@ def _sweep_worker(config_path: str, param: str, value: float, out_dir: str) -> d
 
 
 def _format_value(param: str, value: float) -> str:
-    return str(int(value)) if param == "N" else format(value, "g")
+    """The member's label: short ``g`` form when it reads back exactly, else ``repr``."""
+    if param == "N":
+        return str(int(value))
+    short = format(value, "g")
+    return short if float(short) == value else repr(value)
 
 
 def cmd_sweep(args) -> int:
@@ -243,6 +224,11 @@ def cmd_sweep(args) -> int:
     base = load_config(args.config)
     for v in values:
         _apply_sweep_value(base, args.param, v)
+    labels = [_format_value(args.param, v) for v in values]
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        print(f"error: --values repeats {args.param} = {', '.join(repeated)}", file=sys.stderr)
+        return 2
 
     os.makedirs(args.out, exist_ok=True)
     jobs = []

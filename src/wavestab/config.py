@@ -25,16 +25,10 @@ from .controllers import (
     Nodal,
     SubdomainControl,
     VolumeElements,
-    check_fourier_gains,
-    check_nodal_gains,
-    check_nonlinear_gains,
-    check_strong_fourier_gains,
-    check_subdomain_gains,
-    check_volume_gains,
     make_control_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, sample, zeros
-from .integrator import Scheme, StepperConfig, default_dt
+from .integrator import Scheme, StepperConfig, certificate, default_dt
 from .models import (
     Family,
     ModelSpec,
@@ -347,19 +341,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def gain_report_for(cfg: ExperimentConfig) -> Optional[GainReport]:
-    """Evaluate the matching printed gain conditions for the configuration."""
-    grid, model, ctrl = cfg.grid, cfg.model, cfg.controller
-    L = grid.L
-    if isinstance(ctrl, VolumeElements):
-        return check_volume_gains(L, model.nu, model.a, model.b, ctrl.mu, ctrl.N)
-    if isinstance(ctrl, FourierModes):
-        if model.family is Family.NONLINEAR_DAMPING:
-            return check_nonlinear_gains(L, model.nu, model.a, ctrl.mu, ctrl.N, model.m)
-        if model.family is Family.STRONGLY_DAMPED:
-            return check_strong_fourier_gains(L, model.nu, model.a, model.b, ctrl.mu, ctrl.N)
-        return check_fourier_gains(L, model.nu, model.a, model.b, ctrl.mu, ctrl.N)
-    if isinstance(ctrl, Nodal):
-        return check_nodal_gains(L, model.nu, model.a, model.b, ctrl.mu, ctrl.N)
-    if isinstance(ctrl, SubdomainControl):
-        return check_subdomain_gains(L, model.a, model.b, ctrl.mu, ctrl.omega, grid)
-    return None
+    """The configured pair's gain report; None if ``integrator.CERTIFIED`` has no entry."""
+    cert = certificate(cfg.model, cfg.controller)
+    return cert.gains(cfg.grid, cfg.model, cfg.controller) if cert is not None else None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +30,16 @@ from . import kernels
 from .controllers import (
     ControllerSpec,
     FourierModes,
+    GainReport,
+    Nodal,
     SubdomainControl,
     VolumeElements,
+    check_fourier_gains,
+    check_nodal_gains,
+    check_nonlinear_gains,
+    check_strong_fourier_gains,
+    check_subdomain_gains,
+    check_volume_gains,
     controller_energy,
     make_control_operator,
     make_energy_operator,
@@ -43,7 +51,9 @@ __all__ = [
     "Scheme",
     "StepperConfig",
     "RunResult",
-    "step",
+    "Certificate",
+    "CERTIFIED",
+    "certificate",
     "run",
     "default_dt",
     "lyapunov_volume",
@@ -215,14 +225,6 @@ def _make_stepper(model: ModelSpec, grid: Grid1D, cfg: StepperConfig, ctl: Calla
     return _RK4Stepper(model, grid, cfg.dt, ctl)
 
 
-def step(state: State, model: ModelSpec, ctrl: ControllerSpec, cfg: StepperConfig) -> State:
-    """Advance one step of ``cfg.dt`` (convenience wrapper around run's core)."""
-    ctl = make_control_operator(ctrl, state.grid)
-    stepper = _make_stepper(model, state.grid, cfg, ctl)
-    u_new, v_new = stepper.advance(state.u.values, state.v.values)
-    return State(Field(state.grid, u_new), Field(state.grid, v_new), state.t + cfg.dt)
-
-
 # ---------------------------------------------------------------------------
 # Lyapunov functionals
 # ---------------------------------------------------------------------------
@@ -244,10 +246,8 @@ def _perturbed_energy(
     )
 
 
-def lyapunov_volume(
-    state: State, model: ModelSpec, ctrl: VolumeElements, eps: Optional[float] = None
-) -> float:
-    """Perturbed energy for the cell-average loop (default eps = b/2).
+def lyapunov_volume(state: State, model: ModelSpec, ctrl: VolumeElements) -> float:
+    """Perturbed energy for the cell-average loop, with eps = b/2.
 
     Phi_eps = 1/2||v||^2 + nu/2||u_x||^2 + 1/2(eps*b - a)||u||^2
               + int F(u) + 1/2*h*mu*sum(ubar_k^2) + eps*(u, v)
@@ -258,8 +258,7 @@ def lyapunov_volume(
     """
     if not isinstance(ctrl, VolumeElements):
         raise TypeError("lyapunov_volume expects a volume-element controller")
-    if eps is None:
-        eps = 0.5 * model.b
+    eps = 0.5 * model.b
     return _perturbed_energy(state, model, ctrl, eps, model.nu, 0.5 * (eps * model.b - model.a))
 
 
@@ -274,32 +273,68 @@ def lyapunov_eb(state: State, model: ModelSpec, ctrl: ControllerSpec, variant: s
                         controller term;
         ``"strong"``    E_eps with eps = b*lam1/2 and stiffened gradient
                         weight (nu + eps*b)/2, for the strongly damped wave.
+
+    The (law, family) pair must be one whose certificate uses a functional
+    (see ``CERTIFIED``).
     """
+    if variant not in ("fourier", "subdomain", "strong"):
+        raise ValueError(f"unknown Lyapunov variant {variant!r}")
+    cert = certificate(model, ctrl)
+    if cert is None or cert.lyapunov is None:
+        pair = f"{type(ctrl).__name__} feedback on the {model.family.value} family"
+        raise TypeError(f"no certified functional for {pair}")
     b, a, nu = model.b, model.a, model.nu
-    if variant in ("fourier", "subdomain"):
-        expected = FourierModes if variant == "fourier" else SubdomainControl
-        if not isinstance(ctrl, expected):
-            raise TypeError(f"{variant} variant expects {expected.__name__} feedback")
-        eps = 0.5 * b
-        return _perturbed_energy(state, model, ctrl, eps, nu, 0.5 * (eps * b - a))
     if variant == "strong":
-        if not isinstance(ctrl, FourierModes):
-            raise TypeError("strong variant expects modal feedback")
         eps = 0.5 * b * (np.pi / state.grid.L) ** 2
         return _perturbed_energy(state, model, ctrl, eps, nu + eps * b, -0.5 * a)
-    raise ValueError(f"unknown Lyapunov variant {variant!r}")
+    eps = 0.5 * b
+    return _perturbed_energy(state, model, ctrl, eps, nu, 0.5 * (eps * b - a))
 
 
-def _auto_lyapunov(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Callable[[State], float]]:
-    if isinstance(ctrl, VolumeElements):
-        return lambda st: lyapunov_volume(st, model, ctrl)
-    if isinstance(ctrl, FourierModes) and model.family is Family.DAMPED_WAVE:
-        return lambda st: lyapunov_eb(st, model, ctrl, "fourier")
-    if isinstance(ctrl, FourierModes) and model.family is Family.STRONGLY_DAMPED:
-        return lambda st: lyapunov_eb(st, model, ctrl, "strong")
-    if isinstance(ctrl, SubdomainControl):
-        return lambda st: lyapunov_eb(st, model, ctrl, "subdomain")
-    return None
+# ---------------------------------------------------------------------------
+# certified (law, family) pairs
+# ---------------------------------------------------------------------------
+
+class Certificate(NamedTuple):
+    """One pair's proof: its gain check and its perturbed energy (None if it uses none)."""
+
+    gains: Callable[[Grid1D, ModelSpec, ControllerSpec], GainReport]
+    lyapunov: Optional[Callable[[State, ModelSpec, ControllerSpec], float]] = None
+
+
+# The pairs the paper certifies, and the only place that pairs a law with a
+# family: any other pair has no gain check and no functional.  The entries
+# look the checks and functionals up by name when called, so a wrapper set
+# on a module attribute sees every call.
+CERTIFIED: dict[tuple[type, Family], Certificate] = {
+    (VolumeElements, Family.DAMPED_WAVE): Certificate(
+        lambda g, m, c: check_volume_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_volume(st, m, c),
+    ),
+    (FourierModes, Family.DAMPED_WAVE): Certificate(
+        lambda g, m, c: check_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_eb(st, m, c, "fourier"),
+    ),
+    (FourierModes, Family.STRONGLY_DAMPED): Certificate(
+        lambda g, m, c: check_strong_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_eb(st, m, c, "strong"),
+    ),
+    (FourierModes, Family.NONLINEAR_DAMPING): Certificate(
+        lambda g, m, c: check_nonlinear_gains(g.L, m.nu, m.a, c.mu, c.N, m.m)
+    ),
+    (Nodal, Family.STRONGLY_DAMPED): Certificate(
+        lambda g, m, c: check_nodal_gains(g.L, m.nu, m.a, m.b, c.mu, c.N)
+    ),
+    (SubdomainControl, Family.DAMPED_WAVE): Certificate(
+        lambda g, m, c: check_subdomain_gains(g.L, m.a, m.b, c.mu, c.omega, g),
+        lambda st, m, c: lyapunov_eb(st, m, c, "subdomain"),
+    ),
+}
+
+
+def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]:
+    """The certificate proved for this model's family under this law, or None."""
+    return CERTIFIED.get((type(ctrl), model.family))
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +348,15 @@ def run(
     u1: Field,
     cfg: StepperConfig,
     *,
-    lyapunov: str = "auto",
     snapshot_every: Optional[int] = None,
 ) -> RunResult:
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
-    Blow-up (any nodal magnitude above 1e12, or non-finite values) aborts
-    the loop and is reported through ``RunResult.blowup_time``; the records
-    collected so far are kept.  Identical inputs produce bit-identical
-    trajectories.
+    Each record carries the perturbed energy of the (law, family) pair's
+    certificate, when it has one (see ``CERTIFIED``).  Blow-up (any nodal
+    magnitude above 1e12, or non-finite values) aborts the loop and is
+    reported through ``RunResult.blowup_time``; the records collected so
+    far are kept.  Identical inputs produce bit-identical trajectories.
     """
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
@@ -330,19 +365,17 @@ def run(
         raise ValueError(
             f"model is posed with {model.bc.value} boundaries, grid has {grid.bc.value}"
         )
-    if lyapunov not in ("auto", "none"):
-        raise ValueError("lyapunov must be 'auto' or 'none'")
-
     ctl = make_control_operator(ctrl, grid)
     energy_op = make_energy_operator(ctrl, grid)
     stepper = _make_stepper(model, grid, cfg, ctl)
-    lyap_fn = _auto_lyapunov(model, ctrl) if lyapunov == "auto" else None
+    cert = certificate(model, ctrl)
+    lyap_fn = cert.lyapunov if cert is not None else None
 
     def make_record(u: np.ndarray, v: np.ndarray, t: float) -> EnergyRecord:
         st = State(Field(grid, u), Field(grid, v), t)
         rec = energy_record(st, model, energy_op(u))
         if lyap_fn is not None:
-            rec = replace(rec, lyapunov=lyap_fn(st))
+            rec = replace(rec, lyapunov=lyap_fn(st, model, ctrl))
         return rec
 
     u = u0.values.copy()
@@ -357,7 +390,6 @@ def run(
     n_steps = cfg.n_steps
     blowup_time = None
     t = 0.0
-    u_prev, v_prev, t_prev = u, v, t
     for k in range(1, n_steps + 1):
         u_prev, v_prev, t_prev = u, v, t
         u, v = stepper.advance(u, v)

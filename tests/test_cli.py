@@ -106,6 +106,42 @@ t_end = 5.0
 """
 
 
+# one model section for every family: each family reads only its own keys
+PAIR_INI = """\
+[model]
+family = {family}
+nu = 1.0
+a = 1.0
+b = 0.5
+m = 3.0
+p = 4.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+{controller}
+
+[initial]
+u0 = mode 1
+
+[time]
+dt = 0.01
+t_end = 0.5
+"""
+
+NODAL = "variant = nodal\nN = 4\nmu = 1.0"
+SUBDOMAIN = "variant = subdomain\nmu = 5.0\nomega_lo = 1.0\nomega_hi = 2.0"
+
+# (law, family) pairs no certificate covers
+UNCERTIFIED = {
+    "nodal-damped_wave": ("damped_wave", NODAL),
+    "nodal-nonlinear_damping": ("nonlinear_damping", NODAL),
+    "subdomain-strongly_damped": ("strongly_damped", SUBDOMAIN),
+    "subdomain-nonlinear_damping": ("nonlinear_damping", SUBDOMAIN),
+}
+
+
 @pytest.fixture
 def volume_ini(tmp_path):
     p = tmp_path / "volume.ini"
@@ -140,6 +176,25 @@ class TestCheck:
 
     def test_missing_file_exits_two(self):
         assert main(["check", "--config", "/no/such/file.ini"]) == 2
+
+
+@pytest.mark.parametrize("pair", sorted(UNCERTIFIED))
+def test_uncertified_pair_has_no_report(pair, tmp_path, capsys):
+    family, controller = UNCERTIFIED[pair]
+    variant = pair.split("-")[0]
+    ini = tmp_path / "pair.ini"
+    ini.write_text(PAIR_INI.format(family=family, controller=controller))
+
+    assert main(["check", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert repr(variant) in err and repr(family) in err
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["gain"] is None and report["verify"] is None
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 51 and all(row.endswith(",") for row in rows)
 
 
 class TestRun:
@@ -274,6 +329,9 @@ class TestSweep:
         verified = [r["verified"] == "true" for r in rows]
         assert verified == sorted(verified)  # false..true, monotone in N
         assert verified[-1]
+        for n in ("1", "2", "4"):
+            report = json.loads((out / f"N={n}" / "report.json").read_text())
+            assert report["config"]["controller"]["n"] == n
 
     def test_blown_up_members_exit_three(self, tmp_path, capsys):
         ini = tmp_path / "blow.ini"
@@ -293,6 +351,32 @@ class TestSweep:
         assert rows[2]["verified"] == "true"
         report = json.loads((out / "mu=0" / "report.json").read_text())
         assert report["blowup"]["blew_up"] is True
+
+    def test_close_values_get_their_own_members(self, tmp_path):
+        out = tmp_path / "sweep"
+        values = "4.0000002,4.0000001,0.25,8"
+        short = tmp_path / "short.ini"
+        short.write_text(VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5"))
+        assert main(["sweep", "--config", str(short), "--param", "mu", "--values", values]
+                    + ["--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            labels = [r["value"] for r in csv.DictReader(fh)]
+        assert labels == ["0.25", "4.0000001", "4.0000002", "8"]
+        for label in labels:
+            report = json.loads((out / f"mu={label}" / "report.json").read_text())
+            # the config echo shows the member's gain, not the base config's 4.0
+            assert report["config"]["controller"]["mu"] == label
+            assert report["gain"]["margins"][0]["lhs"] == float(label)
+
+    @pytest.mark.parametrize(
+        "param,values", [("mu", "4,4.0"), ("mu", "1,0.25,1e0"), ("N", "2,2.0")]
+    )
+    def test_repeated_values_rejected(self, volume_ini, tmp_path, capsys, param, values):
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", volume_ini, "--param", param, "--values", values]
+                    + ["--out", str(out)]) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_values_header_only(self, volume_ini, tmp_path):
         out = tmp_path / "empty"

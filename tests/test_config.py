@@ -5,16 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from wavestab import BoundaryCondition, Family, FourierModes, Nodal, SubdomainControl, VolumeElements
+from wavestab import (
+    BoundaryCondition,
+    Family,
+    FourierModes,
+    Nodal,
+    StepperConfig,
+    SubdomainControl,
+    VolumeElements,
+    check_fourier_gains,
+    check_nodal_gains,
+    check_nonlinear_gains,
+    check_strong_fourier_gains,
+    check_subdomain_gains,
+    check_volume_gains,
+    damped_wave,
+    lyapunov_eb,
+    lyapunov_volume,
+    nonlinear_damping_wave,
+    run,
+    sample,
+    strongly_damped_wave,
+    zeros,
+)
 from wavestab.config import (
     AnalysisOptions,
     ConfigError,
+    ExperimentConfig,
     build_profile,
     gain_report_for,
     load_config,
     parse_profile,
 )
 from wavestab.grid import make_grid
+from wavestab.integrator import CERTIFIED
+from wavestab.spectral import Subdomain
 
 BASE = """\
 [model]
@@ -269,3 +294,76 @@ def test_analysis_window_fractions_and_overrides():
     assert opts.window(10.0) == (2.0, 9.0)
     opts = AnalysisOptions(window_lo=5.0, window_hi=50.0)
     assert opts.window(55.0) == (5.0, 50.0)
+
+
+
+def _pair_config(family, ctrl):
+    """A 64-cell experiment for one (law, family) pair, bump initial data."""
+    bc = "neumann" if isinstance(ctrl, VolumeElements) else "dirichlet"
+    model = {
+        Family.DAMPED_WAVE: lambda: damped_wave(1.0, 1.0, 2.0, bc),
+        Family.STRONGLY_DAMPED: lambda: strongly_damped_wave(1.0, 1.0, 0.5, 4.0),
+        Family.NONLINEAR_DAMPING: lambda: nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0),
+    }[family]()
+    grid = make_grid(np.pi, 64, bc)
+    u0 = sample(grid, lambda x: np.exp(-(((x - 1.3) / 0.5) ** 2)))
+    stepper = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
+    return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, AnalysisOptions(), {})
+
+
+# each certified pair with the gain check and functional its proof uses
+CERTIFIED_CASES = {
+    "volume-damped": (
+        Family.DAMPED_WAVE,
+        VolumeElements(2, 4.0),
+        lambda g, m, c: check_volume_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_volume(st, m, c),
+    ),
+    "fourier-damped": (
+        Family.DAMPED_WAVE,
+        FourierModes(2, 4.0),
+        lambda g, m, c: check_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_eb(st, m, c, "fourier"),
+    ),
+    "fourier-strong": (
+        Family.STRONGLY_DAMPED,
+        FourierModes(1, 4.0),
+        lambda g, m, c: check_strong_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        lambda st, m, c: lyapunov_eb(st, m, c, "strong"),
+    ),
+    "fourier-nonlinear": (
+        Family.NONLINEAR_DAMPING,
+        FourierModes(1, 2.0),
+        lambda g, m, c: check_nonlinear_gains(g.L, m.nu, m.a, c.mu, c.N, m.m),
+        None,
+    ),
+    "nodal-strong": (
+        Family.STRONGLY_DAMPED,
+        Nodal(4, 1.0),
+        lambda g, m, c: check_nodal_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
+        None,
+    ),
+    "subdomain-damped": (
+        Family.DAMPED_WAVE,
+        SubdomainControl(Subdomain(1.0, 2.0, np.pi), 35.0),
+        lambda g, m, c: check_subdomain_gains(g.L, m.a, m.b, c.mu, c.omega, g),
+        lambda st, m, c: lyapunov_eb(st, m, c, "subdomain"),
+    ),
+}
+
+
+class TestCertifiedPairs:
+    def test_table_holds_exactly_the_six_pairs(self):
+        assert set(CERTIFIED) == {(type(c[1]), c[0]) for c in CERTIFIED_CASES.values()}
+
+    @pytest.mark.parametrize("pair", sorted(CERTIFIED_CASES))
+    def test_report_and_functional_match_direct_calls(self, pair):
+        family, ctrl, check, functional = CERTIFIED_CASES[pair]
+        cfg = _pair_config(family, ctrl)
+        assert gain_report_for(cfg) == check(cfg.grid, cfg.model, ctrl)
+
+        res = run(cfg.model, ctrl, cfg.u0, cfg.u1, cfg.stepper, snapshot_every=5)
+        assert len(res.records) == len(res.snapshots) == 11
+        for rec, st in zip(res.records, res.snapshots):
+            expected = None if functional is None else functional(st, cfg.model, ctrl)
+            assert rec.lyapunov == expected

@@ -15,6 +15,8 @@ from wavestab import (
     Scheme,
     State,
     StepperConfig,
+    Subdomain,
+    SubdomainControl,
     VolumeElements,
     damped_wave,
     default_dt,
@@ -25,7 +27,6 @@ from wavestab import (
     nonlinear_damping_wave,
     run,
     sample,
-    step,
     strongly_damped_wave,
     zeros,
 )
@@ -358,15 +359,6 @@ def test_nonlinear_damping_stable_at_default_dt():
     assert res.records[-1].total < res.records[0].total
 
 
-def test_step_advances_single_interval():
-    g = make_grid(PI, 64, "dirichlet")
-    model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-    st = State(first_mode_state(g), zeros(g), t=0.0)
-    out = step(st, model, NoControl(), StepperConfig(dt=0.01, t_end=1.0))
-    assert out.t == pytest.approx(0.01)
-    assert not np.array_equal(out.u.values, st.u.values)
-
-
 class TestLyapunov:
     def test_zero_states_vanish(self):
         gn = make_grid(PI, 64, "neumann")
@@ -383,6 +375,17 @@ class TestLyapunov:
         md = damped_wave(1.0, 1.0, 2.0, "dirichlet", None)
         with pytest.raises(ValueError):
             lyapunov_eb(State(zeros(gd), zeros(gd)), md, FourierModes(2, 4.0), "volume")
+
+    @pytest.mark.parametrize(
+        "model",
+        [strongly_damped_wave(1.0, 1.0, 0.5, 4.0), nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)],
+        ids=["strongly_damped", "nonlinear_damping"],
+    )
+    def test_subdomain_functional_only_on_damped_wave(self, model):
+        gd = make_grid(PI, 64, "dirichlet")
+        ctrl = SubdomainControl(Subdomain(1.0, 2.0, PI), 5.0)
+        with pytest.raises(TypeError, match="SubdomainControl feedback"):
+            lyapunov_eb(State(zeros(gd), zeros(gd)), model, ctrl, "subdomain")
 
     def test_volume_requires_volume_controller(self):
         gn = make_grid(PI, 64, "neumann")
