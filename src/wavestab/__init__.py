@@ -76,9 +76,9 @@ from .models import (
     strongly_damped_wave,
 )
 from .spectral import (
-    EigenBasis,
     Subdomain,
     complement_eigenvalue,
+    dirichlet_eigenvalue,
     mode_matrix,
     mu_zero,
     project_modes,
@@ -104,8 +104,8 @@ __all__ = [
     "h1_seminorm",
     "laplacian_apply",
     # spectral
-    "EigenBasis",
     "Subdomain",
+    "dirichlet_eigenvalue",
     "mode_matrix",
     "project_modes",
     "tail_bound_check",

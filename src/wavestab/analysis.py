@@ -31,10 +31,14 @@ from .grid import (
     make_grid,
 )
 from .models import EnergyRecord
-from .spectral import EigenBasis, mode_matrix, tail_bound_check
+from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check
 
 STAB_FLOOR = 1.0e-13
 SUITE_SLACK = 1.01
+# what a decay check uses when its caller sets nothing: the fit window as
+# fractions of the final time, and the share of the certified rate to reach
+DEFAULT_FIT_WINDOW = (0.2, 0.9)
+DEFAULT_SAFETY = 0.8
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class VerifyPolynomial:
 
 def _default_window(records: Sequence[EnergyRecord]) -> tuple[float, float]:
     t_end = records[-1].t
-    return (0.2 * t_end, 0.9 * t_end)
+    return (DEFAULT_FIT_WINDOW[0] * t_end, DEFAULT_FIT_WINDOW[1] * t_end)
 
 
 def fit_exponential(
@@ -114,7 +118,7 @@ def fit_exponential(
 def verify_exponential(
     records: Sequence[EnergyRecord],
     delta_target: float,
-    safety: float = 0.8,
+    safety: float = DEFAULT_SAFETY,
     window: Optional[tuple[float, float]] = None,
 ) -> VerifyExponential:
     """Check exponential decay of stab_norm against a certified rate.
@@ -264,13 +268,12 @@ def _trig_tables(grid: Grid1D, degree: int) -> np.ndarray:
 
 
 def run_inequality_suite(
-    seed: int,
-    samples: int,
-    grid: Optional[Grid1D] = None,
-    config: Optional[SuiteConfig] = None,
+    seed: int, samples: int, config: Optional[SuiteConfig] = None
 ) -> dict[str, InequalityReport]:
     """Randomized verification of the finite-parameter inequalities.
 
+    The samples live on 512 cells over (0, pi): full trigonometric
+    polynomials on the Neumann grid, sine polynomials on the Dirichlet one.
     Each sample draws a trigonometric polynomial of degree <= config.degree
     with uniform[-1,1] coefficients from a per-sample RNG stream
     (seed + index), plus random element/mode counts and random in-element
@@ -292,18 +295,12 @@ def run_inequality_suite(
     if samples < 1:
         raise ValueError("need at least one sample")
     cfg = config or SuiteConfig()
-    ngrid = grid or make_grid(np.pi, 512, BoundaryCondition.NEUMANN)
-    if ngrid.bc is not BoundaryCondition.NEUMANN:
-        raise ValueError("suite grid must be Neumann (full trigonometric samples)")
-    for N in cfg.element_counts:
-        if ngrid.n_cells % N != 0:
-            raise ValueError(f"element count {N} must divide n_cells={ngrid.n_cells}")
+    ngrid = make_grid(np.pi, 512, BoundaryCondition.NEUMANN)
     dgrid = make_grid(ngrid.L, ngrid.n_cells, BoundaryCondition.DIRICHLET)
 
     table = _trig_tables(ngrid, cfg.degree)
-    basis = EigenBasis(dgrid.L, max(cfg.mode_counts) + cfg.degree)
-    W = mode_matrix(basis, dgrid, cfg.degree)
-    lam1 = basis.eigenvalue(1)
+    W = mode_matrix(dgrid, cfg.degree)
+    lam1 = dirichlet_eigenvalue(dgrid.L, 1)
     layouts = {N: element_layout(ngrid, N) for N in cfg.element_counts}
 
     tallies = {
@@ -369,7 +366,7 @@ def run_inequality_suite(
         g = Field(dgrid, dcoeffs @ W)
         gsem2 = h1_seminorm(g) ** 2
         Nq = int(cfg.mode_counts[rng.integers(len(cfg.mode_counts))])
-        tail, tail_bound, _ = tail_bound_check(g, basis, Nq)
+        tail, tail_bound, _ = tail_bound_check(g, Nq)
         tallies["spectral_tail"].add(tail, tail_bound, cfg.slack)
         tallies["poincare"].add(l2_norm(g) ** 2, gsem2 / lam1, cfg.slack)
 

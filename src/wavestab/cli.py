@@ -24,7 +24,7 @@ from .analysis import (
     verify_exponential,
     verify_polynomial,
 )
-from .config import ConfigError, ExperimentConfig, gain_report_for, load_config
+from .config import ConfigError, ExperimentConfig, finite_float, gain_report_for, load_config
 from .controllers import NoControl
 from .integrator import RunResult, run
 
@@ -216,9 +216,9 @@ def cmd_sweep(args) -> int:
     values: list[float] = []
     if args.values.strip():
         try:
-            values = [float(s) for s in args.values.split(",")]
+            values = [finite_float(s) for s in args.values.split(",")]
         except ValueError:
-            print(f"error: --values must be a comma-separated list of numbers", file=sys.stderr)
+            print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
             return 2
     # Validate the base config and the overrides before launching anything.
     base = load_config(args.config)
@@ -301,6 +301,13 @@ def cmd_lemmas(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavestab",
@@ -323,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--param", required=True, choices=("mu", "N"), help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_lem = sub.add_parser("lemmas", help="randomized checks of the discrete inequalities")

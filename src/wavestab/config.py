@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import DEFAULT_FIT_WINDOW, DEFAULT_SAFETY
 from .controllers import (
     ControllerSpec,
     FourierModes,
@@ -37,18 +38,26 @@ from .models import (
     nonlinear_damping_wave,
     strongly_damped_wave,
 )
-from .spectral import Subdomain
+from .spectral import Subdomain, mode_matrix
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, with infinities and NaN refused like unparsable text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
-    safety: float = 0.8
-    window_lo_frac: float = 0.2
-    window_hi_frac: float = 0.9
+    safety: float = DEFAULT_SAFETY
+    window_lo_frac: float = DEFAULT_FIT_WINDOW[0]
+    window_hi_frac: float = DEFAULT_FIT_WINDOW[1]
     window_lo: Optional[float] = None  # absolute overrides
     window_hi: Optional[float] = None
 
@@ -101,9 +110,9 @@ def parse_profile(text: str) -> tuple[str, tuple[float, ...]]:
         raise ConfigError(f"unrecognized profile {text!r}")
     kind = m.group(1)
     try:
-        args = tuple(float(s) for s in m.group(2).split(",")) if m.group(2) else ()
+        args = tuple(finite_float(s) for s in m.group(2).split(",")) if m.group(2) else ()
     except ValueError:
-        raise ConfigError(f"non-numeric arguments in profile {text!r}") from None
+        raise ConfigError(f"profile {text!r} needs finite numeric arguments") from None
     expected = {"mode": 1, "bump": 2, "random": 2}[kind]
     if len(args) != expected:
         raise ConfigError(f"profile {kind!r} takes {expected} argument(s), got {len(args)}")
@@ -117,10 +126,12 @@ def build_profile(grid: Grid1D, text: str, amplitude: float = 1.0) -> Field:
         return zeros(grid)
     if kind == "mode":
         k = int(args[0])
-        if k != args[0] or k < (1 if grid.bc is BoundaryCondition.DIRICHLET else 0):
-            raise ConfigError(f"invalid mode index {args[0]}")
+        lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
+        # the nodes resolve n_nodes modes; any higher one aliases onto these
+        if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
+            raise ConfigError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
         if grid.bc is BoundaryCondition.DIRICHLET:
-            vals = np.sqrt(2.0 / grid.L) * np.sin(k * np.pi * grid.nodes / grid.L)
+            vals = mode_matrix(grid, k)[k - 1]
         else:
             vals = np.cos(k * np.pi * grid.nodes / grid.L)
         return Field(grid, amplitude * vals)
@@ -170,11 +181,11 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid value") from None
 
     def float(self, key, default=None, required=False):
-        return self._get(key, float, default, required)
+        return self._get(key, finite_float, default, required)
 
     def int(self, key, default=None, required=False):
         def conv(s):
-            v = float(s)
+            v = finite_float(s)
             if v != int(v):
                 raise ValueError
             return int(v)
@@ -189,7 +200,7 @@ class _Section:
         if raw is None:
             return None
         try:
-            return tuple(float(s) for s in raw.split(","))
+            return tuple(finite_float(s) for s in raw.split(","))
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} must be a comma-separated list") from None
 
@@ -318,9 +329,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     an_sec = _Section("analysis", parser["analysis"] if parser.has_section("analysis") else {})
     analysis = AnalysisOptions(
-        safety=an_sec.float("safety", 0.8),
-        window_lo_frac=an_sec.float("window_lo_frac", 0.2),
-        window_hi_frac=an_sec.float("window_hi_frac", 0.9),
+        safety=an_sec.float("safety", DEFAULT_SAFETY),
+        window_lo_frac=an_sec.float("window_lo_frac", DEFAULT_FIT_WINDOW[0]),
+        window_hi_frac=an_sec.float("window_hi_frac", DEFAULT_FIT_WINDOW[1]),
         window_lo=an_sec.float("window_lo"),
         window_hi=an_sec.float("window_hi"),
     )

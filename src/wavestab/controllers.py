@@ -16,6 +16,7 @@ certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -23,12 +24,17 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .grid import BoundaryCondition, Field, Grid1D, State
-from .spectral import EigenBasis, Subdomain, mode_matrix, mu_zero, complement_eigenvalue
+from .spectral import Subdomain, complement_eigenvalue, dirichlet_eigenvalue, mode_matrix, mu_zero
 
 
 # ---------------------------------------------------------------------------
 # controller specifications
 # ---------------------------------------------------------------------------
+
+def _check_gain(mu: float) -> None:
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"gain must be finite and >= 0, got mu={mu}")
+
 
 @dataclass(frozen=True)
 class NoControl:
@@ -47,8 +53,7 @@ class VolumeElements:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one element, got N={self.N}")
-        if self.mu < 0.0:
-            raise ValueError(f"gain must be >= 0, got mu={self.mu}")
+        _check_gain(self.mu)
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,7 @@ class FourierModes:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one mode, got N={self.N}")
-        if self.mu < 0.0:
-            raise ValueError(f"gain must be >= 0, got mu={self.mu}")
+        _check_gain(self.mu)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class Nodal:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one node, got N={self.N}")
-        if self.mu < 0.0:
-            raise ValueError(f"gain must be >= 0, got mu={self.mu}")
+        _check_gain(self.mu)
         for name in ("obs_points", "act_points"):
             pts = getattr(self, name)
             if pts is not None:
@@ -119,8 +122,7 @@ class SubdomainControl:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError(f"gain must be >= 0, got mu={self.mu}")
+        _check_gain(self.mu)
 
 
 ControllerSpec = Union[NoControl, VolumeElements, FourierModes, Nodal, SubdomainControl]
@@ -220,8 +222,7 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
-        basis = EigenBasis(grid.L, spec.N)
-        W = mode_matrix(basis, grid, spec.N)
+        W = mode_matrix(grid, spec.N)
         Wq = W * grid.quad_weights
         return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
 
@@ -368,7 +369,7 @@ def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: in
 
 def check_fourier_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
     """Modal feedback on the linearly damped wave; certified rate b/2."""
-    lam_next = ((N + 1) * np.pi / L) ** 2
+    lam_next = dirichlet_eigenvalue(L, N + 1)
     margins = [
         Margin("stiffness", nu, (2.0 * a + 0.75 * b**2) / lam_next),
         Margin("gain", mu, a + 0.75 * b**2),
@@ -384,7 +385,7 @@ def check_nonlinear_gains(L: float, nu: float, a: float, mu: float, N: int, m: f
     """
     if m <= 2.0:
         raise ValueError(f"nonlinear damping exponent must exceed 2, got {m}")
-    lam_next = ((N + 1) * np.pi / L) ** 2
+    lam_next = dirichlet_eigenvalue(L, N + 1)
     margins = [
         Margin("stiffness", nu, 2.0 * a / lam_next, strict=True),
         Margin("gain", mu, a, strict=True),
@@ -403,7 +404,7 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     the printed conditions are posed at unit stiffness and do not use it.
     """
     del nu
-    lam1 = (np.pi / L) ** 2
+    lam1 = dirichlet_eigenvalue(L, 1)
     h = L / N
     margins = [
         Margin("gain", mu, 4.0 * (a + lam1**2 * b**2 / 4.0), strict=True),
@@ -427,8 +428,8 @@ def check_strong_fourier_gains(
     L: float, nu: float, a: float, b: float, mu: float, N: int
 ) -> GainReport:
     """Modal feedback on the strongly damped wave; rate from the viscous gap."""
-    lam1 = (np.pi / L) ** 2
-    lam_next = ((N + 1) * np.pi / L) ** 2
+    lam1 = dirichlet_eigenvalue(L, 1)
+    lam_next = dirichlet_eigenvalue(L, N + 1)
     delta0 = b * lam1 * nu / (2.0 * nu + b**2 * lam1)
     threshold = 2.0 * a + 0.25 * delta0 * lam1 * b
     margins = [
@@ -438,9 +439,7 @@ def check_strong_fourier_gains(
     return _report("strong_fourier", "exponential", delta0, margins)
 
 
-def check_subdomain_gains(
-    L: float, a: float, b: float, mu: float, omega: Subdomain, grid: Grid1D
-) -> GainReport:
+def check_subdomain_gains(a: float, b: float, mu: float, omega: Subdomain, grid: Grid1D) -> GainReport:
     """Localized damping: geometric gap condition plus the gain threshold.
 
     The complement of omega must be spectrally stiff enough
@@ -448,9 +447,9 @@ def check_subdomain_gains(
     bisection threshold mu_zero computed at half the complement gap.
     Certified rate b/2.
     """
-    lam_c = complement_eigenvalue(L, omega)
+    lam_c = complement_eigenvalue(omega)
     d = 0.5 * lam_c
-    mu0 = mu_zero(L, omega, d, grid)
+    mu0 = mu_zero(omega, d, grid)
     margins = [
         Margin("complement_gap", lam_c, 4.0 * a + 1.5 * b**2),
         Margin("gain", mu, mu0, strict=True),

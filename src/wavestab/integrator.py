@@ -46,6 +46,7 @@ from .controllers import (
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, h1_seminorm, l2_inner
 from .models import EnergyRecord, Family, ModelSpec, energy_record, source
+from .spectral import dirichlet_eigenvalue
 
 __all__ = [
     "Scheme",
@@ -285,7 +286,7 @@ def lyapunov_eb(state: State, model: ModelSpec, ctrl: ControllerSpec, variant: s
         raise TypeError(f"no certified functional for {pair}")
     b, a, nu = model.b, model.a, model.nu
     if variant == "strong":
-        eps = 0.5 * b * (np.pi / state.grid.L) ** 2
+        eps = 0.5 * b * dirichlet_eigenvalue(state.grid.L, 1)
         return _perturbed_energy(state, model, ctrl, eps, nu + eps * b, -0.5 * a)
     eps = 0.5 * b
     return _perturbed_energy(state, model, ctrl, eps, nu, 0.5 * (eps * b - a))
@@ -326,7 +327,7 @@ CERTIFIED: dict[tuple[type, Family], Certificate] = {
         lambda g, m, c: check_nodal_gains(g.L, m.nu, m.a, m.b, c.mu, c.N)
     ),
     (SubdomainControl, Family.DAMPED_WAVE): Certificate(
-        lambda g, m, c: check_subdomain_gains(g.L, m.a, m.b, c.mu, c.omega, g),
+        lambda g, m, c: check_subdomain_gains(m.a, m.b, c.mu, c.omega, g),
         lambda st, m, c: lyapunov_eb(st, m, c, "subdomain"),
     ),
 }

@@ -18,6 +18,7 @@ time steppers share.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,8 +60,8 @@ class Nonlinearity:
     @staticmethod
     def power_law(p: float) -> "Nonlinearity":
         """f(u) = |u|^(p-2) u with F(u) = |u|^p / p, p >= 2."""
-        if p < 2.0:
-            raise ValueError(f"power law needs p >= 2, got {p}")
+        if not (math.isfinite(p) and p >= 2.0):
+            raise ValueError(f"power law needs a finite p >= 2, got {p}")
 
         def f(u: np.ndarray) -> np.ndarray:
             return np.abs(u) ** (p - 2.0) * u
@@ -112,9 +113,12 @@ class ModelSpec:
     bc: BoundaryCondition
     nonlinearity: Nonlinearity
     m: Optional[float] = None  # damping exponent, NONLINEAR_DAMPING only
-    p: Optional[float] = None  # power-law exponent where hard-wired
 
     def __post_init__(self):
+        for name in ("nu", "a", "b", "m"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"coefficient {name} must be finite, got {value}")
         if self.nu <= 0.0:
             raise ValueError(f"diffusion coefficient nu must be > 0, got {self.nu}")
         if self.a < 0.0:
@@ -129,10 +133,8 @@ class ModelSpec:
         else:
             if self.bc is not BoundaryCondition.DIRICHLET:
                 raise ValueError(f"{self.family.value} is posed with Dirichlet boundaries")
-            if self.nonlinearity.kind != "power" or self.p is None:
+            if self.nonlinearity.kind != "power":
                 raise ValueError(f"{self.family.value} hard-wires a power-law source")
-            if self.p != self.nonlinearity.p:
-                raise ValueError("p disagrees with the attached power law")
         if self.family is Family.NONLINEAR_DAMPING:
             if self.b <= 0.0:
                 raise ValueError(f"damping coefficient b must be > 0, got {self.b}")
@@ -165,7 +167,7 @@ def damped_wave(
     if isinstance(bc, str):
         bc = BoundaryCondition(bc)
     nl = nonlinearity if nonlinearity is not None else Nonlinearity.zero()
-    return ModelSpec(Family.DAMPED_WAVE, nu, a, b, bc, nl, p=nl.p)
+    return ModelSpec(Family.DAMPED_WAVE, nu, a, b, bc, nl)
 
 
 def nonlinear_damping_wave(nu: float, a: float, b: float, m: float, p: float) -> ModelSpec:
@@ -177,7 +179,6 @@ def nonlinear_damping_wave(nu: float, a: float, b: float, m: float, p: float) ->
         BoundaryCondition.DIRICHLET,
         Nonlinearity.power_law(p),
         m=m,
-        p=p,
     )
 
 
@@ -189,7 +190,6 @@ def strongly_damped_wave(nu: float, a: float, b: float, p: float) -> ModelSpec:
         b,
         BoundaryCondition.DIRICHLET,
         Nonlinearity.power_law(p),
-        p=p,
     )
 
 

@@ -1,10 +1,11 @@
-"""Dirichlet sine eigenbasis, subdomain geometry, and spectral certificates.
+"""Dirichlet spectrum, subdomain geometry, and spectral certificates.
 
 On (0, L) with zero boundary values, the Laplacian eigenpairs are
-``w_k(x) = sqrt(2/L) sin(k pi x / L)`` with ``lambda_k = (k pi / L)^2``.
-Low-mode projections against this basis drive the spectral feedback laws;
-the tail bound and the indicator-gain threshold ``mu_zero`` supply the
-quantitative certificates the gain checkers rely on.
+``w_k(x) = sqrt(2/L) sin(k pi x / L)`` with ``lambda_k = (k pi / L)^2``;
+:func:`dirichlet_eigenvalue` and :func:`mode_matrix` are the one place each
+is written.  Low-mode projections against the sampled modes drive the
+spectral feedback laws; the tail bound and the indicator-gain threshold
+``mu_zero`` supply the quantitative certificates the gain checkers rely on.
 """
 
 from __future__ import annotations
@@ -21,73 +22,39 @@ MU_BISECTION_MAX = 1.0e6
 MU_BISECTION_RTOL = 1.0e-3
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """First ``count`` Dirichlet sine modes on (0, L).
-
-    Eigenvalues are available for k = 1 .. count+1 — one index past the
-    stored modes, because the tail bound needs ``lambda_{N+1}``.
-    """
-
-    L: float
-    count: int
-
-    def __post_init__(self):
-        if self.L <= 0.0:
-            raise ValueError(f"interval length must be positive, got {self.L}")
-        if self.count < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.count}")
-
-    def eigenvalue(self, k: int) -> float:
-        if not 1 <= k <= self.count + 1:
-            raise ValueError(f"eigenvalue index {k} outside 1..{self.count + 1}")
-        return (k * np.pi / self.L) ** 2
-
-    def sample_mode(self, k: int, grid: Grid1D) -> np.ndarray:
-        """Values of w_k at the grid nodes."""
-        if not 1 <= k <= self.count:
-            raise ValueError(f"mode index {k} outside 1..{self.count}")
-        if abs(grid.L - self.L) > 1e-12 * self.L:
-            raise ValueError("grid and basis are built on different intervals")
-        return np.sqrt(2.0 / self.L) * np.sin(k * np.pi * grid.nodes / self.L)
+def dirichlet_eigenvalue(L: float, k: int) -> float:
+    """lambda_k = (k pi / L)^2, the k-th eigenvalue of -d^2/dx^2 on (0, L) with zero ends."""
+    return (k * np.pi / L) ** 2
 
 
 @lru_cache(maxsize=64)
-def _mode_matrix(L: float, n_cells: int, bc_value: str, count: int) -> np.ndarray:
-    grid = Grid1D(L, n_cells, BoundaryCondition(bc_value))
-    basis = EigenBasis(L, count)
-    W = np.vstack([basis.sample_mode(k, grid) for k in range(1, count + 1)])
+def mode_matrix(grid: Grid1D, N: int) -> np.ndarray:
+    """Rows w_1 .. w_N sampled at the nodes of a Dirichlet grid (cached, read-only)."""
+    if grid.bc is not BoundaryCondition.DIRICHLET:
+        raise ValueError("the sine modes are sampled on a Dirichlet grid")
+    if N < 1:
+        raise ValueError(f"need at least one mode, got N={N}")
+    k = np.arange(1, N + 1)[:, None]
+    W = np.sqrt(2.0 / grid.L) * np.sin(k * np.pi * grid.nodes / grid.L)
     W.flags.writeable = False
     return W
 
 
-def mode_matrix(basis: EigenBasis, grid: Grid1D, N: int) -> np.ndarray:
-    """Rows 1..N of the sampled sine basis on ``grid`` (cached)."""
-    if not 1 <= N <= basis.count:
-        raise ValueError(f"need 1 <= N <= {basis.count}, got {N}")
-    return _mode_matrix(grid.L, grid.n_cells, grid.bc.value, basis.count)[:N]
-
-
-def project_modes(f: Field, basis: EigenBasis, N: int) -> np.ndarray:
+def project_modes(f: Field, N: int) -> np.ndarray:
     """First N modal coefficients (f, w_k) under the grid quadrature."""
-    if f.grid.bc is not BoundaryCondition.DIRICHLET:
-        raise ValueError("modal projection requires a Dirichlet grid")
-    W = mode_matrix(basis, f.grid, N)
-    return W @ (f.grid.quad_weights * f.values)
+    return mode_matrix(f.grid, N) @ (f.grid.quad_weights * f.values)
 
 
-def tail_bound_check(f: Field, basis: EigenBasis, N: int) -> tuple[float, float, bool]:
+def tail_bound_check(f: Field, N: int) -> tuple[float, float, bool]:
     """Spectral tail bound after removing the first N modes.
 
     Returns ``(lhs, rhs, ok)`` with ``lhs = ||f - P_N f||^2``,
     ``rhs = ||f'||^2 / lambda_{N+1}`` and ``ok = lhs <= 1.01 * rhs``
     (the 1.01 covers quadrature slack on the discretized integrals).
     """
-    coeffs = project_modes(f, basis, N)
-    W = mode_matrix(basis, f.grid, N)
-    residual = Field(f.grid, f.values - coeffs @ W)
+    residual = Field(f.grid, f.values - project_modes(f, N) @ mode_matrix(f.grid, N))
     lhs = l2_norm(residual) ** 2
-    rhs = h1_seminorm(f) ** 2 / basis.eigenvalue(N + 1)
+    rhs = h1_seminorm(f) ** 2 / dirichlet_eigenvalue(f.grid.L, N + 1)
     return lhs, rhs, bool(lhs <= 1.01 * rhs)
 
 
@@ -110,18 +77,16 @@ class Subdomain:
         return ((x >= self.lo) & (x < self.hi)).astype(np.float64)
 
 
-def complement_eigenvalue(L: float, omega: Subdomain) -> float:
+def complement_eigenvalue(omega: Subdomain) -> float:
     """Smallest Dirichlet eigenvalue over the components of (0,L) \\ omega.
 
     Each component is an interval; the smallest eigenvalue comes from the
     longest one, so the value is ``(pi / max(lo, L - hi))^2``.
     """
-    if abs(omega.L - L) > 1e-12 * max(L, 1.0):
-        raise ValueError("subdomain was built for a different interval length")
-    ell = max(omega.lo, L - omega.hi)
+    ell = max(omega.lo, omega.L - omega.hi)
     if ell <= 0.0:
         raise ValueError("omega touches both ends: complement has no interior component")
-    return (np.pi / ell) ** 2
+    return dirichlet_eigenvalue(ell, 1)
 
 
 def _min_eig_shifted(grid: Grid1D, indicator: np.ndarray, mu: float) -> float:
@@ -133,7 +98,7 @@ def _min_eig_shifted(grid: Grid1D, indicator: np.ndarray, mu: float) -> float:
     return float(vals[0])
 
 
-def mu_zero(L: float, omega: Subdomain, d: float, grid: Grid1D) -> float:
+def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
     """Smallest indicator gain whose shifted operator clears the gap target.
 
     Bisects mu in [0, 1e6] for the smallest value with
@@ -146,17 +111,17 @@ def mu_zero(L: float, omega: Subdomain, d: float, grid: Grid1D) -> float:
     ------
     ValueError
         If ``d`` is outside (0, complement_eigenvalue) or the grid is not
-        Dirichlet on (0, L).
+        Dirichlet on the subdomain's interval (0, L).
     RuntimeError
         If the target is not reached at mu = 1e6 (no convergence).
     """
-    lam_c = complement_eigenvalue(L, omega)
+    lam_c = complement_eigenvalue(omega)
     if not 0.0 < d < lam_c:
         raise ValueError(f"need 0 < d < {lam_c:.6g}, got d={d}")
     if grid.bc is not BoundaryCondition.DIRICHLET:
         raise ValueError("mu_zero requires a Dirichlet grid")
-    if abs(grid.L - L) > 1e-12 * max(L, 1.0):
-        raise ValueError("grid covers a different interval")
+    if abs(grid.L - omega.L) > 1e-12 * max(omega.L, 1.0):
+        raise ValueError("grid and subdomain cover different intervals")
 
     target = lam_c - d
     chi = omega.indicator(grid.nodes)

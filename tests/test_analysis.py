@@ -11,7 +11,6 @@ from wavestab import (
     EnergyRecord,
     SuiteConfig,
     fit_exponential,
-    make_grid,
     run_inequality_suite,
     verify_exponential,
     verify_polynomial,
@@ -235,13 +234,10 @@ class TestInequalitySuite:
         emp = reports["mean_plus_gradient_corrected"].empirical_constant
         assert 1.0 / (4 * np.pi**2) < emp <= 1.0 / np.pi**2 * 1.01
 
-    def test_grid_must_be_neumann(self):
-        with pytest.raises(ValueError):
-            run_inequality_suite(1, 5, grid=make_grid(np.pi, 512, "dirichlet"))
-
     def test_element_counts_must_divide(self):
-        with pytest.raises(ValueError):
-            run_inequality_suite(1, 5, grid=make_grid(np.pi, 500, "neumann"))
+        # the suite's Neumann grid has 512 cells
+        with pytest.raises(ValueError, match="must divide"):
+            run_inequality_suite(1, 5, config=SuiteConfig(element_counts=(3,)))
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):

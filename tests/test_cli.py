@@ -177,6 +177,16 @@ class TestCheck:
     def test_missing_file_exits_two(self):
         assert main(["check", "--config", "/no/such/file.ini"]) == 2
 
+    @pytest.mark.parametrize(
+        "old,new", [("mu = 4.0", "mu = inf"), ("mu = 4.0", "mu = nan"), ("nu = 1.0", "nu = inf")]
+    )
+    def test_non_finite_coefficient_exits_two(self, tmp_path, capsys, old, new):
+        p = tmp_path / "inf.ini"
+        p.write_text(VOLUME_INI.replace(old, new))
+        assert main(["check", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and new.split(" ")[0] in captured.err
+
 
 @pytest.mark.parametrize("pair", sorted(UNCERTIFIED))
 def test_uncertified_pair_has_no_report(pair, tmp_path, capsys):
@@ -211,6 +221,13 @@ class TestRun:
         assert report["n_steps"] == 1200
         assert report["dt"] == 0.005
         assert report["t_reached"] == pytest.approx(6.0, rel=1e-12)
+
+    def test_nan_gain_writes_no_report(self, tmp_path):
+        ini = tmp_path / "nan.ini"
+        ini.write_text(VOLUME_INI.replace("mu = 4.0", "mu = nan"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_dt_that_does_not_divide_t_end_exits_two(self, tmp_path, capsys):
         ini = tmp_path / "dt.ini"
@@ -394,6 +411,23 @@ class TestSweep:
             + ["--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("param,values", [("N", "2,nan"), ("mu", "1,inf"), ("mu", "nan")])
+    def test_non_finite_values_rejected(self, volume_ini, tmp_path, capsys, param, values):
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", volume_ini, "--param", param, "--values", values]
+                    + ["--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_must_be_positive(self, volume_ini, tmp_path, jobs):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", volume_ini, "--param", "mu", "--values", "4"]
+                 + ["--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_non_numeric_values_rejected(self, volume_ini, tmp_path):
         code = main(

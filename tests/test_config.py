@@ -91,6 +91,11 @@ class TestParseProfile:
         with pytest.raises(ConfigError):
             parse_profile(bad)
 
+    @pytest.mark.parametrize("bad", ["mode inf", "random(inf, 3)", "random(nan, 3)", "bump(0.5, inf)"])
+    def test_rejects_non_finite_arguments(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_profile(bad)
+
 
 class TestBuildProfile:
     def test_dirichlet_mode_is_normalized_sine(self):
@@ -108,6 +113,13 @@ class TestBuildProfile:
         g = make_grid(np.pi, 64, "dirichlet")
         with pytest.raises(ConfigError):
             build_profile(g, "mode 0")
+
+    @pytest.mark.parametrize("bc,highest", [("dirichlet", 63), ("neumann", 64)])
+    def test_modes_the_grid_cannot_resolve_rejected(self, bc, highest):
+        g = make_grid(np.pi, 64, bc)
+        assert np.any(build_profile(g, f"mode {highest}").values)
+        with pytest.raises(ConfigError, match="mode index"):
+            build_profile(g, f"mode {highest + 1}")
 
     def test_bump_amplitude(self):
         g = make_grid(1.0, 64, "neumann")
@@ -278,6 +290,22 @@ t_end = 1.0
         with pytest.raises(ConfigError, match="scheme"):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("nu = 1.0", "nu = inf", r"\[model\] nu = 'inf'"),
+            ("a = 1.0", "a = nan", r"\[model\] a = 'nan'"),
+            ("b = 2.0", "b = -inf", r"\[model\] b = '-inf'"),
+            ("n_cells = 128", "n_cells = inf", r"\[model\] n_cells = 'inf'"),
+            ("mu = 4.0", "mu = inf", r"\[controller\] mu = 'inf'"),
+            ("mu = 4.0", "mu = nan", r"\[controller\] mu = 'nan'"),
+            ("u0 = bump(1.5707963267948966, 0.5)", "u0 = mode inf", "finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, old, new, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write(tmp_path, BASE.replace(old, new)))
+
     def test_bad_safety(self, tmp_path):
         text = BASE + "\n[analysis]\nsafety = 1.2\n"
         with pytest.raises(ConfigError, match="safety"):
@@ -346,7 +374,7 @@ CERTIFIED_CASES = {
     "subdomain-damped": (
         Family.DAMPED_WAVE,
         SubdomainControl(Subdomain(1.0, 2.0, np.pi), 35.0),
-        lambda g, m, c: check_subdomain_gains(g.L, m.a, m.b, c.mu, c.omega, g),
+        lambda g, m, c: check_subdomain_gains(m.a, m.b, c.mu, c.omega, g),
         lambda st, m, c: lyapunov_eb(st, m, c, "subdomain"),
     ),
 }

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavestab import (
-    EigenBasis,
     Field,
     FourierModes,
     Nodal,
@@ -33,6 +32,7 @@ from wavestab import (
     make_control_operator,
     make_energy_operator,
     make_grid,
+    mode_matrix,
     mu_zero,
     zeros,
 )
@@ -101,15 +101,13 @@ class TestControlFields:
 
     def test_fourier_projects_low_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        basis = EigenBasis(PI, 4)
-        u = Field(g, 5.0 * basis.sample_mode(1, g))
+        u = Field(g, 5.0 * mode_matrix(g, 1)[0])
         out = control_field(FourierModes(2, 3.0), State(u, zeros(g)))
         np.testing.assert_allclose(out.values, -3.0 * u.values, atol=1e-6)
 
     def test_fourier_ignores_tail_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        basis = EigenBasis(PI, 4)
-        u = Field(g, basis.sample_mode(3, g))
+        u = Field(g, mode_matrix(g, 3)[2])
         out = control_field(FourierModes(2, 3.0), State(u, zeros(g)))
         np.testing.assert_allclose(out.values, 0.0, atol=1e-10)
 
@@ -205,8 +203,7 @@ class TestControllerEnergy:
 
     def test_fourier_energy_of_unit_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        basis = EigenBasis(PI, 2)
-        st_ = State(Field(g, basis.sample_mode(1, g)), zeros(g))
+        st_ = State(Field(g, mode_matrix(g, 1)[0]), zeros(g))
         assert controller_energy(FourierModes(2, 5.0), st_) == pytest.approx(2.5, abs=1e-9)
 
     def test_no_control_energy_is_zero(self):
@@ -242,6 +239,13 @@ def law_specs(mu):
         (SubdomainControl(Subdomain(0.5, 1.7, PI), mu), "dirichlet"),
         (NoControl(mu), "neumann"),
     ]
+
+
+@pytest.mark.parametrize("mu", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("spec, bc", law_specs(1.0)[:4], ids=LAW_IDS[:4])
+def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        dataclasses.replace(spec, mu=mu)
 
 
 def uncached_operators(spec, grid):
@@ -454,14 +458,14 @@ def setup():
     omega = Subdomain(0.5, 0.9, L)
     grid = make_grid(L, 256, "dirichlet")
     lam_c = (PI / 0.5) ** 2
-    mu0 = mu_zero(L, omega, lam_c / 2, grid)
-    return L, omega, grid, mu0
+    mu0 = mu_zero(omega, lam_c / 2, grid)
+    return omega, grid, mu0
 
 
 class TestSubdomainGains:
     def test_reference_config(self, setup):
-        L, omega, grid, mu0 = setup
-        rep = check_subdomain_gains(L, 1.0, 2.0, 1.1 * mu0, omega, grid)
+        omega, grid, mu0 = setup
+        rep = check_subdomain_gains(1.0, 2.0, 1.1 * mu0, omega, grid)
         assert rep.satisfied
         assert rep.predicted_rate == pytest.approx(1.0)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
@@ -469,20 +473,20 @@ class TestSubdomainGains:
         assert gap.rhs == pytest.approx(10.0)  # 4a + 3b^2/2
 
     def test_below_mu0_fails(self, setup):
-        L, omega, grid, mu0 = setup
-        assert not check_subdomain_gains(L, 1.0, 2.0, 0.9 * mu0, omega, grid).satisfied
+        omega, grid, mu0 = setup
+        assert not check_subdomain_gains(1.0, 2.0, 0.9 * mu0, omega, grid).satisfied
 
     def test_large_a_unsatisfiable(self, setup):
-        L, omega, grid, _ = setup
+        omega, grid, _ = setup
         # 4a + 3b^2/2 > lambda_c: first condition fails for any mu
-        rep = check_subdomain_gains(L, 12.0, 2.0, 1e5, omega, grid)
+        rep = check_subdomain_gains(12.0, 2.0, 1e5, omega, grid)
         assert not rep.satisfied
 
     def test_wide_subdomain_easy(self):
         L = 1.0
         omega = Subdomain(0.01, 0.99, L)
         grid = make_grid(L, 500, "dirichlet")
-        rep = check_subdomain_gains(L, 1.0, 2.0, 50.0, omega, grid)
+        rep = check_subdomain_gains(1.0, 2.0, 50.0, omega, grid)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
         assert gap.lhs == pytest.approx((PI / 0.01) ** 2)
         assert gap.ok

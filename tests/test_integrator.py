@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import solve_banded
 
 from wavestab import (
-    EigenBasis,
     Field,
     FourierModes,
     NoControl,
@@ -24,6 +23,7 @@ from wavestab import (
     lyapunov_eb,
     lyapunov_volume,
     make_grid,
+    mode_matrix,
     nonlinear_damping_wave,
     run,
     sample,
@@ -42,8 +42,7 @@ def modal_solution(lam_h, b, t):
 
 
 def first_mode_state(grid, amplitude=1.0):
-    basis = EigenBasis(grid.L, 1)
-    return Field(grid, amplitude * basis.sample_mode(1, grid))
+    return Field(grid, amplitude * mode_matrix(grid, 1)[0])
 
 
 def discrete_lambda1(grid):
@@ -137,8 +136,7 @@ class TestLinearAccuracy:
 def test_undamped_energy_conserved():
     g = make_grid(PI, 128, "dirichlet")
     model = damped_wave(1.0, 0.0, 0.0, "dirichlet")
-    basis = EigenBasis(PI, 3)
-    u0 = Field(g, basis.sample_mode(1, g) + 0.5 * basis.sample_mode(3, g))
+    u0 = Field(g, mode_matrix(g, 1)[0] + 0.5 * mode_matrix(g, 3)[2])
     res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=1e-3, t_end=10.0, record_every=500))
     E = [r.total for r in res.records]
     assert abs(E[-1] - E[0]) <= 1e-8 * E[0]

@@ -1,11 +1,12 @@
 """Model families, nonlinearities, accelerations, and energy records."""
 
+import math
+
 import numpy as np
 import pytest
 
 from wavestab import (
     BoundaryCondition,
-    EigenBasis,
     Family,
     Field,
     Nonlinearity,
@@ -15,6 +16,7 @@ from wavestab import (
     damped_wave,
     energy_record,
     make_grid,
+    mode_matrix,
     nonlinear_damping_wave,
     sample,
     strongly_damped_wave,
@@ -116,10 +118,27 @@ def test_invalid_coefficients_rejected(ctor, kwargs):
         ctor(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "ctor,kwargs,name",
+    [
+        (damped_wave, dict(nu=1.0, a=1.0, b=1.0, bc="dirichlet"), "nu"),
+        (damped_wave, dict(nu=1.0, a=1.0, b=1.0, bc="dirichlet"), "a"),
+        (damped_wave, dict(nu=1.0, a=1.0, b=1.0, bc="dirichlet"), "b"),
+        (nonlinear_damping_wave, dict(nu=1.0, a=1.0, b=1.0, m=3.0, p=4.0), "m"),
+        (nonlinear_damping_wave, dict(nu=1.0, a=1.0, b=1.0, m=3.0, p=4.0), "p"),
+        (strongly_damped_wave, dict(nu=1.0, a=1.0, b=1.0, p=4.0), "p"),
+    ],
+)
+def test_non_finite_coefficients_rejected(ctor, kwargs, name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        ctor(**{**kwargs, name: bad})
+
+
 def test_nonlinear_damping_is_dirichlet_power_law():
     m = nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)
     assert m.bc is BoundaryCondition.DIRICHLET
-    assert m.m == 3.0 and m.p == 4.0
+    assert m.m == 3.0 and m.nonlinearity.p == 4.0
     assert m.nonlinearity.kind == "power"
 
 
@@ -135,7 +154,6 @@ def test_strongly_damped_rejects_m():
             BoundaryCondition.DIRICHLET,
             Nonlinearity.power_law(4.0),
             m=3.0,
-            p=4.0,
         )
 
 
@@ -152,8 +170,7 @@ class TestAcceleration:
 
     def test_eigenmode_acceleration(self):
         g = make_grid(PI, 256, "dirichlet")
-        basis = EigenBasis(PI, 2)
-        u = Field(g, basis.sample_mode(1, g))
+        u = Field(g, mode_matrix(g, 1)[0])
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
         acc = acceleration(State(u, zeros(g)), m, zeros(g))
         assert np.max(np.abs(acc.values + u.values)) <= 1e-4
@@ -190,8 +207,7 @@ class TestAcceleration:
 
     def test_strong_damping_adds_velocity_laplacian(self):
         g = make_grid(PI, 256, "dirichlet")
-        basis = EigenBasis(PI, 1)
-        w = basis.sample_mode(1, g)
+        w = mode_matrix(g, 1)[0]
         m = strongly_damped_wave(1.0, 0.0, 2.0, 2.0)
         st = make_state(g, np.zeros(g.n_nodes), w)
         acc = acceleration(st, m, zeros(g))
@@ -218,8 +234,7 @@ class TestEnergyRecord:
 
     def test_pure_mode_partition(self):
         g = make_grid(PI, 512, "dirichlet")
-        basis = EigenBasis(PI, 1)
-        u = Field(g, basis.sample_mode(1, g))
+        u = Field(g, mode_matrix(g, 1)[0])
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet", Nonlinearity.power_law(2.0))
         r = energy_record(State(u, zeros(g)), m)
         assert r.kinetic == 0.0
@@ -229,8 +244,7 @@ class TestEnergyRecord:
 
     def test_stab_norm_of_equal_mode_pair(self):
         g = make_grid(PI, 512, "dirichlet")
-        basis = EigenBasis(PI, 1)
-        w = basis.sample_mode(1, g)
+        w = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
         r = energy_record(make_state(g, w, w), m)
         assert r.stab_norm == pytest.approx(2.0, rel=1e-4)

@@ -1,13 +1,13 @@
-"""Sine eigenbasis, projections, tail bound, and the indicator-gain bisection."""
+"""Dirichlet spectrum, projections, tail bound, and the indicator-gain bisection."""
 
 import numpy as np
 import pytest
 
 from wavestab import (
-    EigenBasis,
     Field,
     Subdomain,
     complement_eigenvalue,
+    dirichlet_eigenvalue,
     l2_inner,
     make_grid,
     mode_matrix,
@@ -20,71 +20,65 @@ from wavestab.spectral import MU_BISECTION_RTOL
 
 
 @pytest.fixture(scope="module")
-def basis():
-    return EigenBasis(np.pi, 8)
-
-
-@pytest.fixture(scope="module")
 def grid():
     return make_grid(np.pi, 256, "dirichlet")
 
 
-def test_eigenvalues(basis):
-    assert basis.eigenvalue(1) == pytest.approx(1.0)
-    assert basis.eigenvalue(3) == pytest.approx(9.0)
-    b = EigenBasis(2.0, 4)
-    assert b.eigenvalue(2) == pytest.approx(np.pi**2)
+def test_eigenvalues():
+    assert dirichlet_eigenvalue(np.pi, 1) == pytest.approx(1.0)
+    assert dirichlet_eigenvalue(np.pi, 3) == pytest.approx(9.0)
+    assert dirichlet_eigenvalue(2.0, 2) == pytest.approx(np.pi**2)
 
 
-def test_modes_orthonormal_under_quadrature(basis, grid):
+def test_modes_orthonormal_under_quadrature(grid):
     # trapezoid quadrature diagonalizes sampled sines exactly
-    W = mode_matrix(basis, grid, 8)
+    W = mode_matrix(grid, 8)
     gram = (W * grid.quad_weights) @ W.T
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-12)
 
 
-def test_project_pure_mode(basis, grid):
-    f = Field(grid, basis.sample_mode(1, grid))
-    np.testing.assert_allclose(project_modes(f, basis, 5), [1, 0, 0, 0, 0], atol=1e-6)
+def test_project_pure_mode(grid):
+    f = Field(grid, mode_matrix(grid, 1)[0])
+    np.testing.assert_allclose(project_modes(f, 5), [1, 0, 0, 0, 0], atol=1e-6)
 
 
-def test_project_mixture(basis, grid):
-    f = Field(grid, 3.0 * basis.sample_mode(2, grid) + 0.5 * basis.sample_mode(5, grid))
-    np.testing.assert_allclose(project_modes(f, basis, 5), [0, 3, 0, 0, 0.5], atol=1e-6)
+def test_project_mixture(grid):
+    W = mode_matrix(grid, 5)
+    f = Field(grid, 3.0 * W[1] + 0.5 * W[4])
+    np.testing.assert_allclose(project_modes(f, 5), [0, 3, 0, 0, 0.5], atol=1e-6)
 
 
-def test_project_zero(basis, grid):
-    assert not project_modes(zeros(grid), basis, 4).any()
+def test_project_zero(grid):
+    assert not project_modes(zeros(grid), 4).any()
 
 
-def test_project_requires_dirichlet(basis):
+def test_project_requires_dirichlet():
     g = make_grid(np.pi, 64, "neumann")
     with pytest.raises(ValueError):
-        project_modes(zeros(g), basis, 2)
+        project_modes(zeros(g), 2)
 
 
 class TestTailBound:
-    def test_residual_of_low_mode_vanishes(self, basis, grid):
-        f = Field(grid, basis.sample_mode(1, grid))
-        lhs, rhs, ok = tail_bound_check(f, basis, 1)
+    def test_residual_of_low_mode_vanishes(self, grid):
+        f = Field(grid, mode_matrix(grid, 1)[0])
+        lhs, rhs, ok = tail_bound_check(f, 1)
         assert ok
         assert lhs == pytest.approx(0.0, abs=1e-12)
 
-    def test_third_mode_against_second_eigenvalue(self, basis, grid):
-        f = Field(grid, basis.sample_mode(3, grid))
-        lhs, rhs, ok = tail_bound_check(f, basis, 1)
+    def test_third_mode_against_second_eigenvalue(self, grid):
+        f = Field(grid, mode_matrix(grid, 3)[2])
+        lhs, rhs, ok = tail_bound_check(f, 1)
         assert ok
         assert lhs == pytest.approx(1.0, rel=1e-3)
         assert rhs == pytest.approx(9.0 / 4.0, rel=1e-3)
 
     def test_random_trig_sweep(self, grid):
-        wide = EigenBasis(np.pi, 20)
-        W = mode_matrix(wide, grid, 12)
+        W = mode_matrix(grid, 12)
         for i in range(200):
             rng = np.random.default_rng([99, i])
             f = Field(grid, rng.uniform(-1, 1, 12) @ W)
             N = int(rng.integers(1, 7))
-            _, _, ok = tail_bound_check(f, wide, N)
+            _, _, ok = tail_bound_check(f, N)
             assert ok
 
 
@@ -98,12 +92,12 @@ class TestComplementEigenvalue:
         ],
     )
     def test_longest_component_rules(self, L, lo, hi, expected):
-        assert complement_eigenvalue(L, Subdomain(lo, hi, L)) == pytest.approx(expected)
+        assert complement_eigenvalue(Subdomain(lo, hi, L)) == pytest.approx(expected)
 
     def test_matches_dense_eigensolve(self):
         # discrete eigenvalue of the longest complement component, resolved
         L, lo, hi, n = 1.0, 0.35, 0.55, 2048
-        lam = complement_eigenvalue(L, Subdomain(lo, hi, L))
+        lam = complement_eigenvalue(Subdomain(lo, hi, L))
         ell = max(lo, L - hi)
         sub = make_grid(ell, n, "dirichlet")
         inv_dx2 = 1.0 / sub.dx**2
@@ -138,9 +132,9 @@ class TestMuZero:
         L = 1.0
         om = Subdomain(0.4, 0.6, L)
         g = make_grid(L, 256, "dirichlet")
-        lam_c = complement_eigenvalue(L, om)
+        lam_c = complement_eigenvalue(om)
         d = lam_c - np.pi**2 * 0.5  # target 0.5*lambda_1 < lambda_1^h
-        assert mu_zero(L, om, d, g) == 0.0
+        assert mu_zero(om, d, g) == 0.0
 
     def test_certificate_at_mu0_and_failure_below(self):
         from wavestab.spectral import _min_eig_shifted
@@ -148,9 +142,9 @@ class TestMuZero:
         L = 1.0
         om = Subdomain(0.4, 0.6, L)
         g = make_grid(L, 512, "dirichlet")
-        lam_c = complement_eigenvalue(L, om)
+        lam_c = complement_eigenvalue(om)
         d = lam_c / 2
-        mu0 = mu_zero(L, om, d, g)
+        mu0 = mu_zero(om, d, g)
         chi = om.indicator(g.nodes)
         assert _min_eig_shifted(g, chi, mu0) >= lam_c - d
         assert _min_eig_shifted(g, chi, 0.9 * mu0) < lam_c - d
@@ -161,25 +155,30 @@ class TestMuZero:
         L = 1.0
         om = Subdomain(0.5, 0.9, L)
         g = make_grid(L, 256, "dirichlet")
-        lam_c = complement_eigenvalue(L, om)
+        lam_c = complement_eigenvalue(om)
         gaps = [0.3 * lam_c, 0.5 * lam_c, 0.7 * lam_c]
-        mus = [mu_zero(L, om, d, g) for d in gaps]
+        mus = [mu_zero(om, d, g) for d in gaps]
         assert mus[0] >= mus[1] >= mus[2]
 
     def test_rejects_bad_gap(self):
         L = 1.0
         om = Subdomain(0.5, 0.9, L)
         g = make_grid(L, 128, "dirichlet")
-        lam_c = complement_eigenvalue(L, om)
+        lam_c = complement_eigenvalue(om)
         with pytest.raises(ValueError):
-            mu_zero(L, om, 0.0, g)
+            mu_zero(om, 0.0, g)
         with pytest.raises(ValueError):
-            mu_zero(L, om, lam_c * 1.5, g)
+            mu_zero(om, lam_c * 1.5, g)
 
     def test_rejects_neumann_grid(self):
         om = Subdomain(0.5, 0.9, 1.0)
         with pytest.raises(ValueError):
-            mu_zero(1.0, om, 10.0, make_grid(1.0, 128, "neumann"))
+            mu_zero(om, 10.0, make_grid(1.0, 128, "neumann"))
+
+    def test_rejects_grid_on_another_interval(self):
+        om = Subdomain(0.5, 0.9, 1.0)
+        with pytest.raises(ValueError, match="different intervals"):
+            mu_zero(om, 10.0, make_grid(2.0, 128, "dirichlet"))
 
     def test_unreachable_target_raises(self):
         # indicator over a sliver cannot lift the bottom eigenvalue near
@@ -187,17 +186,35 @@ class TestMuZero:
         L = 1.0
         om = Subdomain(0.998, 0.999, L)
         g = make_grid(L, 1000, "dirichlet")
-        lam_c = complement_eigenvalue(L, om)
+        lam_c = complement_eigenvalue(om)
         with pytest.raises(RuntimeError):
-            mu_zero(L, om, 0.001 * lam_c, g)
+            mu_zero(om, 0.001 * lam_c, g)
 
 
-def test_mode_matrix_requires_enough_modes(basis, grid):
+def test_mode_matrix_requires_enough_modes(grid):
     with pytest.raises(ValueError):
-        mode_matrix(basis, grid, 9)
+        mode_matrix(grid, 0)
 
 
-def test_sampled_modes_have_unit_norm(basis, grid):
+def test_mode_matrix_is_cached_and_read_only(grid):
+    W = mode_matrix(grid, 6)
+    assert mode_matrix(grid, 6) is W
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("L,n_cells", [(np.pi, 8), (1.0, 64), (2.5, 256), (np.pi, 2048)])
+def test_mode_rows_equal_the_single_mode_formula(L, n_cells):
+    # each row is bit for bit sqrt(2/L) sin(k pi x / L) evaluated on its own
+    g = make_grid(L, n_cells, "dirichlet")
+    W = mode_matrix(g, 18)
+    for k in range(1, 19):
+        row = np.sqrt(2.0 / g.L) * np.sin(k * np.pi * g.nodes / g.L)
+        np.testing.assert_array_equal(W[k - 1], row)
+
+
+def test_sampled_modes_have_unit_norm(grid):
+    W = mode_matrix(grid, 8)
     for k in (1, 4, 8):
-        f = Field(grid, basis.sample_mode(k, grid))
+        f = Field(grid, W[k - 1])
         assert l2_inner(f, f) == pytest.approx(1.0, rel=1e-12)
