@@ -24,7 +24,8 @@ from .analysis import (
     verify_exponential,
     verify_polynomial,
 )
-from .config import ConfigError, ExperimentConfig, finite_float, gain_report_for, load_config
+from .config import ConfigError, ExperimentConfig, check_law, finite_float
+from .config import gain_report_for, load_config
 from .controllers import NoControl
 from .integrator import RunResult, run
 
@@ -182,6 +183,7 @@ def _apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> Exper
         if not hasattr(ctrl, "N"):
             raise ConfigError(f"controller variant {cfg.variant!r} has no N to sweep")
         new_ctrl = dataclasses.replace(ctrl, N=int(value))
+    check_law(new_ctrl, cfg.grid)
     # echo the member's own value in its report.json, not the base config's
     echoed = {**cfg.raw["controller"], param.lower(): _format_value(param, value)}
     raw = {**cfg.raw, "controller": echoed}

@@ -284,6 +284,14 @@ def _build_controller(sec: _Section, grid: Grid1D) -> ControllerSpec:
         raise ConfigError(f"[controller] {exc}") from None
 
 
+def check_law(controller: ControllerSpec, grid: Grid1D) -> None:
+    """Build the law now, so a bc, alignment or resolution problem is a config error."""
+    try:
+        make_control_operator(controller, grid)
+    except ValueError as exc:
+        raise ConfigError(f"[controller] {exc}") from None
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     parser = _load_ini(path)
@@ -298,10 +306,7 @@ def load_config(path: str) -> ExperimentConfig:
         "controller", parser["controller"] if parser.has_section("controller") else {}
     )
     controller = _build_controller(ctrl_sec, grid)
-    try:
-        make_control_operator(controller, grid)  # surfaces bc/alignment problems now
-    except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}") from None
+    check_law(controller, grid)
 
     init_sec = _Section("initial", parser["initial"] if parser.has_section("initial") else {})
     u0 = build_profile(grid, init_sec.str("u0", "zero"), init_sec.float("u0_amplitude", 1.0))

@@ -222,6 +222,8 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
+        if spec.N >= grid.n_cells:  # mode n_cells vanishes at the nodes; higher ones alias
+            raise ValueError(f"modal feedback needs N < n_cells={grid.n_cells}, got N={spec.N}")
         W = mode_matrix(grid, spec.N)
         Wq = W * grid.quad_weights
         return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)

@@ -32,7 +32,6 @@ from wavestab import (
     h1_seminorm,
     l2_norm,
     lyapunov_eb,
-    lyapunov_volume,
     make_grid,
     mu_zero,
     nonlinear_damping_wave,
@@ -343,13 +342,13 @@ def test_criterion_9_energy_functionals(volume_loop, fourier_loop, strong_loop):
     for _ in range(500):
         st = random_state(vgrid, cos_tab)
         bound = 0.25 * l2_norm(st.v) ** 2 + d0 * h1_seminorm(st.u) ** 2
-        worst = min(worst, lyapunov_volume(st, vmodel, vctrl) - bound)
+        worst = min(worst, lyapunov_eb(st, vmodel, vctrl) - bound)
 
         st = random_state(fgrid, sin_tab)
         quartic = 0.25 * float(np.dot(fgrid.quad_weights, np.abs(st.u.values) ** 4))
         bound = 0.25 * l2_norm(st.v) ** 2 + 0.25 * h1_seminorm(st.u) ** 2 + quartic
-        worst = min(worst, lyapunov_eb(st, fmodel, fctrl, "fourier") - bound)
-        worst = min(worst, lyapunov_eb(st, smodel, sctrl, "strong") - bound)
+        worst = min(worst, lyapunov_eb(st, fmodel, fctrl) - bound)
+        worst = min(worst, lyapunov_eb(st, smodel, sctrl) - bound)
     bounds_ok = worst >= -1e-12
 
     runs = (

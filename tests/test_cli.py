@@ -130,6 +130,7 @@ dt = 0.01
 t_end = 0.5
 """
 
+FOURIER = "variant = fourier\nN = 2\nmu = 4.0"
 NODAL = "variant = nodal\nN = 4\nmu = 1.0"
 SUBDOMAIN = "variant = subdomain\nmu = 5.0\nomega_lo = 1.0\nomega_hi = 2.0"
 
@@ -205,6 +206,22 @@ def test_uncertified_pair_has_no_report(pair, tmp_path, capsys):
     assert report["gain"] is None and report["verify"] is None
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert len(rows) == 51 and all(row.endswith(",") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["check", "run", "sweep"])
+def test_unresolved_mode_count_is_config_error(command, tmp_path, capsys):
+    """Mode n_cells vanishes at every node and higher ones alias, so N < n_cells."""
+    p = tmp_path / "fourier.ini"
+    out = tmp_path / "out"
+    argv = {"check": [], "run": ["--out", str(out)],
+            "sweep": ["--param", "mu", "--values", "4", "--out", str(out)]}[command]
+    p.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER.replace("N = 2", "N = 300")))
+    assert main([command, "--config", str(p), *argv]) == 2
+    assert "[controller] modal feedback needs N < n_cells=64" in capsys.readouterr().err
+    assert not out.exists()
+
+    p.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER.replace("N = 2", "N = 63")))
+    assert main([command, "--config", str(p), *argv]) in (0, 1)
 
 
 class TestRun:
@@ -404,6 +421,23 @@ class TestSweep:
         )
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines == ["value,gain_satisfied,fitted_rate,verified,blew_up"]
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            (VOLUME_INI, "1,3,4"),  # 3 elements do not divide 128 cells
+            (PAIR_INI.format(family="damped_wave", controller=FOURIER), "2,300"),  # 300 >= 64 cells
+        ],
+        ids=["volume", "fourier"],
+    )
+    def test_every_member_law_checked_before_any_runs(self, tmp_path, capsys, text, values):
+        p = tmp_path / "base.ini"
+        p.write_text(text)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(p), "--param", "N", "--values", values]
+                    + ["--out", str(out)]) == 2
+        assert "[controller]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_n_rejected(self, volume_ini, tmp_path):
         code = main(

@@ -21,7 +21,6 @@ from wavestab import (
     check_volume_gains,
     damped_wave,
     lyapunov_eb,
-    lyapunov_volume,
     nonlinear_damping_wave,
     run,
     sample,
@@ -339,25 +338,36 @@ def _pair_config(family, ctrl):
     return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, AnalysisOptions(), {})
 
 
-# each certified pair with the gain check and functional its proof uses
+def E_B(m, g):
+    """E_b's weights (eps, grad, quad) on the damped wave."""
+    return m.b / 2, m.nu, (m.b * m.b / 2 - m.a) / 2
+
+
+def E_EPS(m, g):
+    """E_eps's weights on the strongly damped wave, with lam1 = (pi/L)^2."""
+    lam1 = (np.pi / g.L) ** 2
+    return m.b * lam1 / 2, m.nu + m.b * m.b * lam1 / 2, -m.a / 2
+
+
+# each certified pair with the gain check and functional weights its proof uses
 CERTIFIED_CASES = {
     "volume-damped": (
         Family.DAMPED_WAVE,
         VolumeElements(2, 4.0),
         lambda g, m, c: check_volume_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        lambda st, m, c: lyapunov_volume(st, m, c),
+        E_B,
     ),
     "fourier-damped": (
         Family.DAMPED_WAVE,
         FourierModes(2, 4.0),
         lambda g, m, c: check_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        lambda st, m, c: lyapunov_eb(st, m, c, "fourier"),
+        E_B,
     ),
     "fourier-strong": (
         Family.STRONGLY_DAMPED,
         FourierModes(1, 4.0),
         lambda g, m, c: check_strong_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        lambda st, m, c: lyapunov_eb(st, m, c, "strong"),
+        E_EPS,
     ),
     "fourier-nonlinear": (
         Family.NONLINEAR_DAMPING,
@@ -375,7 +385,7 @@ CERTIFIED_CASES = {
         Family.DAMPED_WAVE,
         SubdomainControl(Subdomain(1.0, 2.0, np.pi), 35.0),
         lambda g, m, c: check_subdomain_gains(m.a, m.b, c.mu, c.omega, g),
-        lambda st, m, c: lyapunov_eb(st, m, c, "subdomain"),
+        E_B,
     ),
 }
 
@@ -386,12 +396,18 @@ class TestCertifiedPairs:
 
     @pytest.mark.parametrize("pair", sorted(CERTIFIED_CASES))
     def test_report_and_functional_match_direct_calls(self, pair):
-        family, ctrl, check, functional = CERTIFIED_CASES[pair]
+        family, ctrl, check, weights = CERTIFIED_CASES[pair]
         cfg = _pair_config(family, ctrl)
         assert gain_report_for(cfg) == check(cfg.grid, cfg.model, ctrl)
+        table_weights = CERTIFIED[(type(ctrl), family)].weights
+        if weights is None:
+            assert table_weights is None
+        else:
+            expected = weights(cfg.model, cfg.grid)
+            assert table_weights(cfg.model, cfg.grid) == pytest.approx(expected, rel=1e-15)
 
         res = run(cfg.model, ctrl, cfg.u0, cfg.u1, cfg.stepper, snapshot_every=5)
         assert len(res.records) == len(res.snapshots) == 11
         for rec, st in zip(res.records, res.snapshots):
-            expected = None if functional is None else functional(st, cfg.model, ctrl)
+            expected = None if weights is None else lyapunov_eb(st, cfg.model, ctrl)
             assert rec.lyapunov == expected

@@ -150,6 +150,13 @@ class TestControlFields:
         with pytest.raises(ValueError):
             control_field(FourierModes(2, 1.0), State(zeros(gn), zeros(gn)))
 
+    def test_modal_count_must_be_resolved(self):
+        g = make_grid(PI, 64, "dirichlet")
+        for n_modes in (64, 65, 300):
+            with pytest.raises(ValueError, match="N < n_cells=64"):
+                make_control_operator(FourierModes(n_modes, 1.0), g)
+        assert make_control_operator(FourierModes(63, 1.0), g)(np.zeros(g.n_nodes)).shape == (g.n_nodes,)
+
     @pytest.mark.parametrize(
         "spec, bc",
         [

@@ -365,14 +365,11 @@ class TestLyapunov:
         md = damped_wave(1.0, 1.0, 2.0, "dirichlet", None)
         zn = State(zeros(gn), zeros(gn))
         zd = State(zeros(gd), zeros(gd))
-        assert lyapunov_volume(zn, mn, VolumeElements(2, 4.0)) == 0.0
-        assert lyapunov_eb(zd, md, FourierModes(2, 4.0), "fourier") == 0.0
+        assert lyapunov_eb(zn, mn, VolumeElements(2, 4.0)) == 0.0
+        assert lyapunov_eb(zd, md, FourierModes(2, 4.0)) == 0.0
 
-    def test_unknown_variant_rejected(self):
-        gd = make_grid(PI, 64, "dirichlet")
-        md = damped_wave(1.0, 1.0, 2.0, "dirichlet", None)
-        with pytest.raises(ValueError):
-            lyapunov_eb(State(zeros(gd), zeros(gd)), md, FourierModes(2, 4.0), "volume")
+    def test_volume_name_is_an_alias(self):
+        assert lyapunov_volume is lyapunov_eb
 
     @pytest.mark.parametrize(
         "model",
@@ -383,7 +380,7 @@ class TestLyapunov:
         gd = make_grid(PI, 64, "dirichlet")
         ctrl = SubdomainControl(Subdomain(1.0, 2.0, PI), 5.0)
         with pytest.raises(TypeError, match="SubdomainControl feedback"):
-            lyapunov_eb(State(zeros(gd), zeros(gd)), model, ctrl, "subdomain")
+            lyapunov_eb(State(zeros(gd), zeros(gd)), model, ctrl)
 
     def test_volume_requires_volume_controller(self):
         gn = make_grid(PI, 64, "neumann")

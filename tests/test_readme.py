@@ -1,0 +1,29 @@
+"""The README's examples, run as written, so an API change cannot leave them stale."""
+
+import pathlib
+import re
+
+from wavestab.cli import main
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block(lang: str, after: str) -> str:
+    """The first fenced ``lang`` block that follows the heading or text ``after``."""
+    start = README.index(after)
+    match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(README, start)
+    assert match is not None, f"no {lang} block after {after!r}"
+    return match.group(1)
+
+
+def test_library_sketch_verifies(capsys):
+    namespace: dict = {}
+    exec(compile(_block("python", "## Library sketch"), "README.md", "exec"), namespace)
+    assert namespace["check"].ok
+    assert capsys.readouterr().out.startswith("True ")
+
+
+def test_ini_example_runs(tmp_path):
+    p = tmp_path / "exp.ini"
+    p.write_text(_block("ini", "Configs are flat INI files"))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "results")]) == 0
