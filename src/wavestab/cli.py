@@ -171,8 +171,9 @@ def cmd_run(args) -> int:
     return code
 
 
-def _apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    ctrl = cfg.controller
+def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str, ExperimentConfig]:
+    """The member's label and config: ``base`` with ``param`` set to ``value``, law checked."""
+    ctrl = base.controller
     if isinstance(ctrl, NoControl):
         raise ConfigError("cannot sweep a config with no controller")
     if param == "mu":
@@ -181,29 +182,25 @@ def _apply_sweep_value(cfg: ExperimentConfig, param: str, value: float) -> Exper
         if value != int(value) or int(value) < 1:
             raise ConfigError(f"swept N values must be positive integers, got {value}")
         if not hasattr(ctrl, "N"):
-            raise ConfigError(f"controller variant {cfg.variant!r} has no N to sweep")
+            raise ConfigError(f"controller variant {base.variant!r} has no N to sweep")
         new_ctrl = dataclasses.replace(ctrl, N=int(value))
-    check_law(new_ctrl, cfg.grid)
+    check_law(new_ctrl, base.grid)
     # echo the member's own value in its report.json, not the base config's
-    echoed = {**cfg.raw["controller"], param.lower(): _format_value(param, value)}
-    raw = {**cfg.raw, "controller": echoed}
-    return dataclasses.replace(cfg, controller=new_ctrl, raw=raw)
+    label = _format_value(param, value)
+    raw = {**base.raw, "controller": {**base.raw["controller"], param.lower(): label}}
+    return label, dataclasses.replace(base, controller=new_ctrl, raw=raw)
 
 
-def _sweep_worker(config_path: str, param: str, value: float, out_dir: str) -> dict:
-    cfg = _apply_sweep_value(load_config(config_path), param, value)
+def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+    """Run one member; return its ``summary.csv`` cells after the label."""
     doc, _code = _execute(cfg, out_dir)
-    fit = doc["fit"]
-    rate = fit.get("rate") if isinstance(fit, dict) else None
-    verified = bool(doc["verify"]["ok"]) if doc["verify"] is not None else False
-    gain = doc["gain"]
-    return {
-        "value": value,
-        "gain_satisfied": bool(gain["satisfied"]) if gain else False,
-        "fitted_rate": rate,
-        "verified": verified,
-        "blew_up": doc["blowup"]["blew_up"],
-    }
+    fit, verify, gain = doc["fit"], doc["verify"], doc["gain"]
+    return [
+        str(bool(gain and gain["satisfied"])).lower(),
+        _fmt(fit.get("rate") if isinstance(fit, dict) else None),
+        str(bool(verify and verify["ok"])).lower(),
+        str(doc["blowup"]["blew_up"]).lower(),
+    ]
 
 
 def _format_value(param: str, value: float) -> str:
@@ -222,45 +219,33 @@ def cmd_sweep(args) -> int:
         except ValueError:
             print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
             return 2
-    # Validate the base config and the overrides before launching anything.
+    # Read the INI once and build every member, in ascending order, before
+    # launching anything; the members run from these configs, not the file.
     base = load_config(args.config)
-    for v in values:
-        _apply_sweep_value(base, args.param, v)
-    labels = [_format_value(args.param, v) for v in values]
-    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    members = [_sweep_member(base, args.param, v) for v in sorted(values)]
+    repeated = sorted({v for v in values if values.count(v) > 1})  # as numbers: 0 == -0
     if repeated:
-        print(f"error: --values repeats {args.param} = {', '.join(repeated)}", file=sys.stderr)
+        shown = ", ".join(_format_value(args.param, v) for v in repeated)
+        print(f"error: --values repeats {args.param} = {shown}", file=sys.stderr)
         return 2
 
     os.makedirs(args.out, exist_ok=True)
-    jobs = []
-    for v in values:
-        sub = os.path.join(args.out, f"{args.param}={_format_value(args.param, v)}")
-        jobs.append((args.config, args.param, v, sub))
-
-    if args.jobs > 1 and len(jobs) > 1:
+    labels = [label for label, _cfg in members]
+    cfgs = [cfg for _label, cfg in members]
+    subs = [os.path.join(args.out, f"{args.param}={label}") for label in labels]
+    if args.jobs > 1 and len(members) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, *zip(*jobs)))
+            rows = list(pool.map(_sweep_worker, cfgs, subs))
     else:
-        rows = [_sweep_worker(*j) for j in jobs]
+        rows = list(map(_sweep_worker, cfgs, subs))
 
-    rows.sort(key=lambda r: r["value"])
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "gain_satisfied", "fitted_rate", "verified", "blew_up"])
-        for r in rows:
-            writer.writerow(
-                [
-                    _format_value(args.param, r["value"]),
-                    str(r["gain_satisfied"]).lower(),
-                    "" if r["fitted_rate"] is None else repr(float(r["fitted_rate"])),
-                    str(r["verified"]).lower(),
-                    str(r["blew_up"]).lower(),
-                ]
-            )
+        writer.writerows([label, *row] for label, row in zip(labels, rows))
     print(f"wrote {summary} ({len(rows)} rows)")
-    blown = [_format_value(args.param, r["value"]) for r in rows if r["blew_up"]]
+    blown = [label for label, row in zip(labels, rows) if row[-1] == "true"]
     if blown:
         print(f"solution blew up for {args.param} = {', '.join(blown)}")
         return 3

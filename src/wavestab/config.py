@@ -342,6 +342,11 @@ def load_config(path: str) -> ExperimentConfig:
     )
     if not 0.0 < analysis.safety <= 1.0:
         raise ConfigError(f"[analysis] safety must be in (0, 1], got {analysis.safety}")
+    lo, hi = analysis.window(t_end)
+    if t_end > 0.0 and not (0.0 <= lo < hi and lo < t_end):
+        raise ConfigError(
+            f"[analysis] fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}"
+        )
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,21 +56,14 @@ class Nonlinearity:
 
     @staticmethod
     def zero() -> "Nonlinearity":
-        return Nonlinearity("zero", lambda u: np.zeros_like(u), lambda u: np.zeros_like(u))
+        return Nonlinearity("zero", np.zeros_like, np.zeros_like)
 
     @staticmethod
     def power_law(p: float) -> "Nonlinearity":
         """f(u) = |u|^(p-2) u with F(u) = |u|^p / p, p >= 2."""
         if not (math.isfinite(p) and p >= 2.0):
             raise ValueError(f"power law needs a finite p >= 2, got {p}")
-
-        def f(u: np.ndarray) -> np.ndarray:
-            return np.abs(u) ** (p - 2.0) * u
-
-        def F(u: np.ndarray) -> np.ndarray:
-            return np.abs(u) ** p / p
-
-        return Nonlinearity("power", f, F, p=p)
+        return Nonlinearity("power", partial(_power_f, p), partial(_power_F, p), p=p)
 
     @staticmethod
     def custom(f: Callable, F: Callable) -> "Nonlinearity":
@@ -78,6 +72,15 @@ class Nonlinearity:
         if not ok:
             raise ValueError(f"inadmissible nonlinearity: {why}")
         return nl
+
+
+# module-level, so a power law pickles into a sweep's worker processes
+def _power_f(p: float, u: np.ndarray) -> np.ndarray:
+    return np.abs(u) ** (p - 2.0) * u
+
+
+def _power_F(p: float, u: np.ndarray) -> np.ndarray:
+    return np.abs(u) ** p / p
 
 
 def condition_f_ok(

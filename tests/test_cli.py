@@ -2,12 +2,14 @@
 
 import csv
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from wavestab import __version__
+from wavestab import __version__, cli
 from wavestab.cli import CSV_HEADER, main
+from wavestab.config import gain_report_for, load_config
 
 VOLUME_INI = """\
 [model]
@@ -130,6 +132,7 @@ dt = 0.01
 t_end = 0.5
 """
 
+VOLUME = "variant = volume\nN = 2\nmu = 4.0"
 FOURIER = "variant = fourier\nN = 2\nmu = 4.0"
 NODAL = "variant = nodal\nN = 4\nmu = 1.0"
 SUBDOMAIN = "variant = subdomain\nmu = 5.0\nomega_lo = 1.0\nomega_hi = 2.0"
@@ -141,6 +144,26 @@ UNCERTIFIED = {
     "subdomain-strongly_damped": ("strongly_damped", SUBDOMAIN),
     "subdomain-nonlinear_damping": ("nonlinear_damping", SUBDOMAIN),
 }
+
+
+# the six certified (law, family) pairs
+CERTIFIED_PAIRS = {
+    "volume-damped_wave": ("damped_wave", VOLUME),
+    "fourier-damped_wave": ("damped_wave", FOURIER),
+    "fourier-strongly_damped": ("strongly_damped", FOURIER),
+    "fourier-nonlinear_damping": ("nonlinear_damping", FOURIER),
+    "nodal-strongly_damped": ("strongly_damped", NODAL),
+    "subdomain-damped_wave": ("damped_wave", SUBDOMAIN),
+}
+
+
+def pair_ini(pair):
+    """PAIR_INI for a certified pair, with a nonzero u1; volume elements need a Neumann grid."""
+    family, controller = CERTIFIED_PAIRS[pair]
+    text = PAIR_INI.format(family=family, controller=controller)
+    if pair.startswith("volume"):
+        text = text.replace("bc = dirichlet", "bc = neumann")
+    return text.replace("u0 = mode 1", "u0 = mode 1\nu1 = random(3, 2)")
 
 
 @pytest.fixture
@@ -222,6 +245,28 @@ def test_unresolved_mode_count_is_config_error(command, tmp_path, capsys):
 
     p.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER.replace("N = 2", "N = 63")))
     assert main([command, "--config", str(p), *argv]) in (0, 1)
+
+
+@pytest.mark.parametrize("pair", sorted(CERTIFIED_PAIRS))
+def test_loaded_config_survives_pickle(pair, tmp_path):
+    """A sweep's worker processes receive their member configs by pickle."""
+    ini = tmp_path / "pair.ini"
+    ini.write_text(pair_ini(pair))
+    cfg = load_config(str(ini))
+    copy = pickle.loads(pickle.dumps(cfg))
+    for name in ("u0", "u1"):
+        field, copied = getattr(cfg, name), getattr(copy, name)
+        assert np.array_equal(copied.values, field.values)
+        assert not copied.values.flags.writeable
+    assert np.any(copy.u1.values != 0.0)
+    s = np.linspace(-2.0, 2.0, 9)
+    nl, copied_nl = cfg.model.nonlinearity, copy.model.nonlinearity
+    assert np.array_equal(copied_nl.f(s), nl.f(s)) and np.array_equal(copied_nl.F(s), nl.F(s))
+    assert not copy.grid.nodes.flags.writeable and not copy.grid.quad_weights.flags.writeable
+    assert (copy.grid, copy.controller, copy.stepper, copy.raw) == (
+        cfg.grid, cfg.controller, cfg.stepper, cfg.raw
+    )
+    assert gain_report_for(copy) == gain_report_for(cfg)
 
 
 class TestRun:
@@ -403,7 +448,7 @@ class TestSweep:
             assert report["gain"]["margins"][0]["lhs"] == float(label)
 
     @pytest.mark.parametrize(
-        "param,values", [("mu", "4,4.0"), ("mu", "1,0.25,1e0"), ("N", "2,2.0")]
+        "param,values", [("mu", "4,4.0"), ("mu", "1,0.25,1e0"), ("N", "2,2.0"), ("mu", "0,-0")]
     )
     def test_repeated_values_rejected(self, volume_ini, tmp_path, capsys, param, values):
         out = tmp_path / "x"
@@ -438,6 +483,64 @@ class TestSweep:
                     + ["--out", str(out)]) == 2
         assert "[controller]" in capsys.readouterr().err
         assert not out.exists()
+
+    # an edit made after the first member ran; 3 elements do not divide 128 cells
+    @pytest.mark.parametrize(
+        "old,new", [("b = 2.0", "b = 0.5"), ("N = 2", "N = 3")], ids=["valid_b", "invalid_N"]
+    )
+    def test_members_run_the_config_read_once(self, tmp_path, monkeypatch, old, new):
+        ini = tmp_path / "base.ini"
+        text = VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5")
+        ini.write_text(text)
+        original = load_config(str(ini)).raw
+        loads = []
+        real_load, real_run = cli.load_config, cli.run
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        def run_then_edit(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            ini.write_text(text.replace(old, new))
+            return result
+
+        monkeypatch.setattr(cli, "load_config", counting_load)
+        monkeypatch.setattr(cli, "run", run_then_edit)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", "4,2,8"]
+                    + ["--out", str(out)]) == 0
+        assert loads == [str(ini)]
+        for label in ("2", "4", "8"):
+            report = json.loads((out / f"mu={label}" / "report.json").read_text())
+            expected = {**original, "controller": {**original["controller"], "mu": label}}
+            assert report["config"] == expected
+
+    @pytest.mark.parametrize(
+        "text,param,values",
+        [
+            (VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5"), "mu", "4,0,2"),
+            (PAIR_INI.format(family="nonlinear_damping", controller=FOURIER), "N", "3,1,2"),
+        ],
+        ids=["volume", "power_law"],
+    )
+    def test_pool_writes_what_the_serial_loop_writes(self, tmp_path, text, param, values):
+        ini = tmp_path / "base.ini"
+        ini.write_text(text)
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert main(["sweep", "--config", str(ini), "--param", param, "--values", values]
+                        + ["--out", str(out), "--jobs", jobs]) == 0
+        serial, pool = outs["1"], outs["2"]
+        assert (pool / "summary.csv").read_bytes() == (serial / "summary.csv").read_bytes()
+        for v in values.split(","):
+            member = f"{param}={v}"
+            traj = "trajectory.csv"
+            assert (pool / member / traj).read_bytes() == (serial / member / traj).read_bytes()
+            reports = [json.loads((o / member / "report.json").read_text()) for o in (serial, pool)]
+            for r in reports:
+                del r["wall_time_s"]
+            assert reports[0] == reports[1]
 
     def test_fractional_n_rejected(self, volume_ini, tmp_path):
         code = main(

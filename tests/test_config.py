@@ -310,6 +310,20 @@ t_end = 1.0
         with pytest.raises(ConfigError, match="safety"):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            "window_lo_frac = 0.9\nwindow_hi_frac = 0.2",  # (5.4, 1.2): starts after it ends
+            "window_lo_frac = -3\nwindow_hi_frac = 7",  # (-18, 42): starts before t = 0
+            "window_lo = 6.0\nwindow_hi = 8.0",  # starts at t_end = 6, no record inside
+        ],
+        ids=["reversed", "negative_start", "start_at_t_end"],
+    )
+    def test_bad_fit_window(self, tmp_path, keys):
+        text = BASE + f"\n[analysis]\n{keys}\n"
+        with pytest.raises(ConfigError, match=r"\[analysis\] fit window"):
+            load_config(write(tmp_path, text))
+
     def test_none_controller_has_no_report(self, tmp_path):
         text = BASE.replace("variant = volume", "variant = none")
         cfg = load_config(write(tmp_path, text))
