@@ -33,7 +33,6 @@ from .controllers import (
     check_strong_fourier_gains,
     check_subdomain_gains,
     check_volume_gains,
-    control_field,
     controller_energy,
     element_layout,
     make_control_operator,
@@ -48,8 +47,7 @@ from .grid import (
     h1_seminorm,
     l2_inner,
     l2_norm,
-    laplacian_apply,
-    lp_norm,
+    laplacian_stencil,
     make_grid,
     sample,
     zeros,
@@ -99,10 +97,9 @@ __all__ = [
     "zeros",
     "l2_inner",
     "l2_norm",
-    "lp_norm",
     "cell_differences",
     "h1_seminorm",
-    "laplacian_apply",
+    "laplacian_stencil",
     # spectral
     "Subdomain",
     "dirichlet_eigenvalue",
@@ -132,7 +129,6 @@ __all__ = [
     "element_layout",
     "make_control_operator",
     "make_energy_operator",
-    "control_field",
     "controller_energy",
     "Margin",
     "GainReport",

@@ -39,6 +39,10 @@ SUITE_SLACK = 1.01
 # fractions of the final time, and the share of the certified rate to reach
 DEFAULT_FIT_WINDOW = (0.2, 0.9)
 DEFAULT_SAFETY = 0.8
+# the fewest records a check needs in its window: the exponential fit (which
+# the exponential and qualitative checks use) and the power-law check
+MIN_FIT_RECORDS = 20
+MIN_POWER_RECORDS = 8
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,18 @@ def _default_window(records: Sequence[EnergyRecord]) -> tuple[float, float]:
     return (DEFAULT_FIT_WINDOW[0] * t_end, DEFAULT_FIT_WINDOW[1] * t_end)
 
 
+def power_law_window(window: tuple[float, float]) -> tuple[float, float]:
+    """The part of a fit window the power-law check reads: from t = 1 on."""
+    return (max(1.0, window[0]), window[1])
+
+
 def fit_exponential(
     records: Sequence[EnergyRecord], window: Optional[tuple[float, float]] = None
 ) -> DecayFit:
     """Fit stab_norm ~ amplitude * exp(-rate * t) on the window.
 
     Records with ``stab_norm <= 1e-13`` (double-precision decay floor for a
-    squared quantity) are excluded; at least 20 usable records are required.
+    squared quantity) are excluded; ``MIN_FIT_RECORDS`` usable records are required.
     """
     if not records:
         raise ValueError("no records to fit")
@@ -95,9 +104,9 @@ def fit_exponential(
         if win[0] <= r.t <= win[1] and r.stab_norm > STAB_FLOOR:
             ts.append(r.t)
             logs.append(math.log(r.stab_norm))
-    if len(ts) < 20:
+    if len(ts) < MIN_FIT_RECORDS:
         raise ValueError(
-            f"only {len(ts)} usable records in window {win}; need at least 20"
+            f"only {len(ts)} usable records in window {win}; need at least {MIN_FIT_RECORDS}"
         )
     t = np.asarray(ts)
     y = np.asarray(logs)
@@ -175,8 +184,10 @@ def verify_polynomial(
     if window[0] >= window[1]:
         raise ValueError(f"empty window {window}")
     pts = [(r.t, r.total * r.t**alpha) for r in records if window[0] <= r.t <= window[1]]
-    if len(pts) < 8:
-        raise ValueError(f"only {len(pts)} records in window {window}; need at least 8")
+    if len(pts) < MIN_POWER_RECORDS:
+        raise ValueError(
+            f"only {len(pts)} records in window {window}; need at least {MIN_POWER_RECORDS}"
+        )
     span = window[1] - window[0]
     first = [v for t, v in pts if t <= window[0] + 0.25 * span]
     last = [v for t, v in pts if t >= window[0] + 0.75 * span]
@@ -244,16 +255,13 @@ class _Tally:
         if lhs > slack * rhs:
             self.violations += 1
 
-    def report(self, fallback_empirical: bool = True) -> InequalityReport:
-        emp = self.empirical if self.empirical > 0.0 else (
-            self.worst_ratio if fallback_empirical else 0.0
-        )
+    def report(self) -> InequalityReport:
         return InequalityReport(
             name=self.name,
             samples=self.samples,
             violations=self.violations,
             worst_ratio=self.worst_ratio,
-            empirical_constant=emp,
+            empirical_constant=self.empirical if self.empirical > 0.0 else self.worst_ratio,
         )
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 from . import __version__
 from .analysis import (
     fit_exponential,
+    power_law_window,
     run_inequality_suite,
     verify_exponential,
     verify_polynomial,
@@ -89,8 +90,7 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     records, rate = result.records, report.predicted_rate
     try:
         if report.kind == "polynomial":
-            # the power law is checked from t = 1 on
-            res = verify_polynomial(records, rate, window=(max(1.0, window[0]), window[1]))
+            res = verify_polynomial(records, rate, window=power_law_window(window))
         else:
             res = verify_exponential(records, rate, safety=cfg.analysis.safety, window=window)
     except ValueError as exc:

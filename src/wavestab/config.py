@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import DEFAULT_FIT_WINDOW, DEFAULT_SAFETY
+from .analysis import DEFAULT_FIT_WINDOW, DEFAULT_SAFETY, MIN_FIT_RECORDS, MIN_POWER_RECORDS, power_law_window
 from .controllers import (
     ControllerSpec,
     FourierModes,
@@ -141,9 +141,9 @@ def build_profile(grid: Grid1D, text: str, amplitude: float = 1.0) -> Field:
             raise ConfigError(f"bump width must be positive, got {width}")
         return sample(grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2)))
     # random trigonometric polynomial
+    if any(x != int(x) for x in args) or args[0] < 0 or args[1] < 1:
+        raise ConfigError(f"profile {text!r} needs an integer seed >= 0 and an integer degree >= 1")
     seed, degree = int(args[0]), int(args[1])
-    if degree < 1:
-        raise ConfigError(f"random profile degree must be >= 1, got {degree}")
     rng = np.random.default_rng([seed, 0])
     x = grid.nodes
     vals = np.zeros_like(x)
@@ -292,6 +292,22 @@ def check_law(controller: ControllerSpec, grid: Grid1D) -> None:
         raise ConfigError(f"[controller] {exc}") from None
 
 
+def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_law: bool) -> None:
+    """Refuse a record cadence that leaves the verifier's window fewer records than it needs."""
+    if power_law:
+        window, need, check = power_law_window(window), MIN_POWER_RECORDS, "power-law check"
+    else:
+        need, check = MIN_FIT_RECORDS, "decay fit"
+    n = stepper.n_steps
+    t = np.union1d(np.arange(0, n, stepper.record_every), [n]) * stepper.dt  # as run times them
+    count = int(np.count_nonzero((window[0] <= t) & (t <= window[1])))
+    if count < need:
+        raise ConfigError(
+            f"[time] only {count} of the {t.size} records (record_every = {stepper.record_every}) "
+            f"fall in the {check}'s window ({window[0]!r}, {window[1]!r}); need at least {need}"
+        )
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     parser = _load_ini(path)
@@ -347,6 +363,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"[analysis] fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}"
         )
+    if t_end > 0.0 and certificate(model, controller) is not None:
+        # a run too sparse to verify is refused before it runs; nonlinear
+        # damping's certificate (check_nonlinear_gains) is the one power law
+        _check_cadence(stepper, (lo, hi), model.family is Family.NONLINEAR_DAMPING)
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(

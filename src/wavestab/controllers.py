@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import BoundaryCondition, Field, Grid1D, State
+from .grid import BoundaryCondition, Grid1D, State
 from .spectral import Subdomain, complement_eigenvalue, dirichlet_eigenvalue, mode_matrix, mu_zero
 
 
@@ -266,12 +266,6 @@ def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.nd
     return lambda u: actuate(observe(u), gain)
 
 
-def control_field(spec: ControllerSpec, state: State) -> Field:
-    """The feedback forcing evaluated at the current state."""
-    op = make_control_operator(spec, state.grid)
-    return Field(state.grid, op(state.u.values))
-
-
 def make_energy_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], float]:
     """Controller's quadratic contribution to the energy ledger, as a closure."""
     observe, _, s = _feedback_law(spec, grid)
@@ -402,10 +396,10 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     h = L/N; note the gain appears on the unfavorable side of the last
     two, so raising mu alone can break them.  The certified conclusion is
     qualitative (exponential decay, no explicit rate), hence
-    ``predicted_rate=None``.  ``nu`` is accepted for signature symmetry;
-    the printed conditions are posed at unit stiffness and do not use it.
+    ``predicted_rate=None``.  The printed conditions are posed at unit
+    stiffness, so the certificate also needs ``nu >= 1``: below it the
+    linearized closed loop can grow while the three conditions hold.
     """
-    del nu
     lam1 = dirichlet_eigenvalue(L, 1)
     h = L / N
     margins = [
@@ -422,6 +416,7 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
             0.0,
             strict=True,
         ),
+        Margin("stiffness", nu, 1.0),
     ]
     return _report("nodal", "exponential", None, margins)
 

@@ -165,14 +165,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(max(l2_inner(f, f), 0.0)))
 
 
-def lp_norm(f: Field, p: float) -> float:
-    """Trapezoid approximation of the L^p norm, p >= 2."""
-    if p < 2.0:
-        raise ValueError(f"lp_norm requires p >= 2, got {p}")
-    acc = float(np.dot(f.grid.quad_weights, np.abs(f.values) ** p))
-    return float(acc ** (1.0 / p))
-
-
 def cell_differences(f: Field) -> np.ndarray:
     """First differences across each of the ``n_cells`` cells.
 
@@ -192,23 +184,21 @@ def cell_differences(f: Field) -> np.ndarray:
 def h1_seminorm(f: Field) -> float:
     """Discrete H1 seminorm ||f'||: one first difference per cell.
 
-    Chosen so that ``l2_inner(-laplacian_apply(f), f) == h1_seminorm(f)**2``
-    holds exactly, which in turn makes the undamped discrete wave energy a
+    Chosen so that ``(-lap f, f) == h1_seminorm(f)**2`` holds exactly for the
+    :func:`laplacian_stencil`, which makes the undamped discrete wave energy a
     conserved quantity of the Crank--Nicolson step.
     """
     d = cell_differences(f)
     return float(np.sqrt(np.dot(d, d) / f.grid.dx))
 
 
-def laplacian_apply(f: Field) -> Field:
-    """Second-order FD Laplacian with the grid's boundary treatment.
+def laplacian_stencil(bc: BoundaryCondition) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The second-order FD Laplacian ``(values, dx) -> values`` for a boundary type.
 
     Dirichlet uses zero ghost values; Neumann reflects the first interior
     node across the boundary (f[-1] = f[1]), the standard second-order
-    treatment of a zero-flux condition.
+    treatment of a zero-flux condition.  Read from ``kernels`` at each call.
     """
-    if f.grid.bc is BoundaryCondition.DIRICHLET:
-        out = kernels.laplacian_dirichlet(f.values, f.grid.dx)
-    else:
-        out = kernels.laplacian_neumann(f.values, f.grid.dx)
-    return Field(f.grid, out)
+    if bc is BoundaryCondition.DIRICHLET:
+        return kernels.laplacian_dirichlet
+    return kernels.laplacian_neumann

@@ -44,8 +44,8 @@ from .controllers import (
     make_control_operator,
     make_energy_operator,
 )
-from .grid import BoundaryCondition, Field, Grid1D, State, h1_seminorm, l2_inner
-from .models import EnergyRecord, Family, ModelSpec, energy_record, source
+from .grid import BoundaryCondition, Field, Grid1D, State, h1_seminorm, l2_inner, laplacian_stencil
+from .models import EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
 from .spectral import dirichlet_eigenvalue
 
 __all__ = [
@@ -130,12 +130,6 @@ class RunResult:
 # steppers
 # ---------------------------------------------------------------------------
 
-def _lap_for(bc: BoundaryCondition):
-    if bc is BoundaryCondition.DIRICHLET:
-        return kernels.laplacian_dirichlet
-    return kernels.laplacian_neumann
-
-
 class _ImexStepper:
     """One assembled IMEX Crank--Nicolson update u,v -> u,v."""
 
@@ -144,7 +138,7 @@ class _ImexStepper:
         self.grid = grid
         self.dt = dt
         self.ctl = ctl
-        self.lap = _lap_for(grid.bc)
+        self.lap = laplacian_stencil(grid.bc)
         self.c_lin = model.linear_damping
         self.beta = model.viscosity
         kappa = 0.5 * dt * self.beta + 0.25 * dt * dt * model.nu
@@ -198,23 +192,15 @@ class _RK4Stepper:
             raise ValueError(
                 f"dt={dt:.6g} exceeds the RK4 stability budget 0.5*dx/sqrt(nu)={budget:.6g}"
             )
-        self.model = model
-        self.grid = grid
         self.dt = dt
-        self.ctl = ctl
-        self.lap = _lap_for(grid.bc)
-
-    def _accel(self, u, v):
-        mdl = self.model
-        stiff = mdl.nu * self.lap(u, self.grid.dx) - mdl.linear_damping * v
-        return source(mdl, u, v, stiff) + self.ctl(u)
+        self.accel = lambda u, v: acceleration(model, grid, u, v, ctl(u))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dt = self.dt
-        k1u, k1v = v, self._accel(u, v)
-        k2u, k2v = v + 0.5 * dt * k1v, self._accel(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = v + 0.5 * dt * k2v, self._accel(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = v + dt * k3v, self._accel(u + dt * k3u, v + dt * k3v)
+        dt, accel = self.dt, self.accel
+        k1u, k1v = v, accel(u, v)
+        k2u, k2v = v + 0.5 * dt * k1v, accel(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = v + 0.5 * dt * k2v, accel(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = v + dt * k3v, accel(u + dt * k3u, v + dt * k3v)
         u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return u_new, v_new

@@ -12,7 +12,7 @@ nonlinearity is hard-wired for the second and third family; the first
 admits any monotone source term satisfying the sign condition below.
 Each right-hand side splits into linear stiff terms (the Laplacians and
 the linear damping ``b*v``) and the explicit :func:`source`, which all
-time steppers share.
+time steppers share; :func:`acceleration` sums the two for explicit steppers.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (
-    BoundaryCondition,
-    Field,
-    State,
-    h1_seminorm,
-    l2_inner,
-    laplacian_apply,
-)
+from .grid import BoundaryCondition, Grid1D, State, h1_seminorm, l2_inner, laplacian_stencil
 
 
 class Family(str, enum.Enum):
@@ -211,21 +204,15 @@ def source(
     return s
 
 
-def acceleration(state: State, model: ModelSpec, control: Field) -> Field:
-    """Right-hand side of v_t for the model, including the control term."""
-    grid = state.grid
-    if grid.bc is not model.bc:
-        raise ValueError(f"model is posed with {model.bc.value} boundaries, grid has {grid.bc.value}")
-    if control.grid != grid:
-        raise ValueError("control field lives on a different grid")
-    u = state.u.values
-    v = state.v.values
-    stiff = (
-        model.nu * laplacian_apply(state.u).values
-        - model.linear_damping * v
-        + model.viscosity * laplacian_apply(state.v).values
-    )
-    return Field(grid, source(model, u, v, stiff) + control.values)
+def acceleration(
+    model: ModelSpec, grid: Grid1D, u: np.ndarray, v: np.ndarray, control: np.ndarray
+) -> np.ndarray:
+    """v_t on nodal arrays: the stiff nu*u_xx - c*v + beta*v_xx, then :func:`source`, then control."""
+    lap = laplacian_stencil(grid.bc)
+    stiff = model.nu * lap(u, grid.dx) - model.linear_damping * v
+    if model.viscosity != 0.0:
+        stiff += model.viscosity * lap(v, grid.dx)
+    return source(model, u, v, stiff) + control
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """INI experiment parsing and profile construction."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
+from wavestab.analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, fit_exponential, power_law_window
+from wavestab.cli import main
 from wavestab.config import (
     AnalysisOptions,
     ConfigError,
@@ -139,6 +143,15 @@ class TestBuildProfile:
         f = build_profile(g, "random(3, 8)")
         full = np.concatenate(([0.0], f.values, [0.0]))
         assert abs(full[0]) == 0.0 and abs(full[-1]) == 0.0
+
+    @pytest.mark.parametrize(
+        "text", ["random(1.5, 3.7)", "random(1, 3.7)", "random(1.5, 3)", "random(-1, 3)", "random(2, 0)"]
+    )
+    def test_random_needs_integer_seed_and_degree(self, text):
+        # 1.5 and 3.7 were truncated to 1 and 3; -1 reached numpy's seeding
+        g = make_grid(np.pi, 64, "dirichlet")
+        with pytest.raises(ConfigError, match=re.escape(f"profile {text!r} needs an integer seed")):
+            build_profile(g, text)
 
 
 class TestLoadConfig:
@@ -330,6 +343,92 @@ t_end = 1.0
         assert gain_report_for(cfg) is None
 
 
+NONLINEAR = """\
+[model]
+family = nonlinear_damping
+nu = 1.0
+a = 1.0
+b = 1.0
+m = 3.0
+p = 4.0
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = fourier
+N = 1
+mu = 2.0
+
+[initial]
+u0 = mode 1
+
+[time]
+dt = 0.01
+t_end = 4.0
+"""
+
+
+def _thinned(records, every):
+    """The records a run with ``record_every = every`` keeps, from a run that kept every step."""
+    last = len(records) - 1
+    return [r for k, r in enumerate(records) if k % every == 0 or k == last]
+
+
+class TestRecordCadence:
+    """load_config refuses a certified run whose verifier would find too few records."""
+
+    @staticmethod
+    def loads(tmp_path, text, every):
+        try:
+            load_config(write(tmp_path, text.replace("t_end =", f"record_every = {every}\nt_end =")))
+        except ConfigError as exc:
+            assert str(exc).startswith("[time] only ")
+            return False
+        return True
+
+    def test_exponential_fit_needs_twenty(self, tmp_path):
+        cfg = load_config(write(tmp_path, BASE))
+        records = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).records
+        window = cfg.analysis.window(cfg.stepper.t_end)  # (1.2, 5.4)
+        verdicts = set()
+        for every in range(36, 49):
+            try:
+                fitted = fit_exponential(_thinned(records, every), window).n_points >= MIN_FIT_RECORDS
+            except ValueError as exc:
+                assert "need at least 20" in str(exc)
+                fitted = False
+            assert self.loads(tmp_path, BASE, every) == fitted, every
+            verdicts.add(fitted)
+        assert verdicts == {True, False}
+
+    def test_power_law_needs_eight_from_t_one(self, tmp_path):
+        cfg = load_config(write(tmp_path, NONLINEAR))
+        records = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).records
+        lo, hi = power_law_window(cfg.analysis.window(cfg.stepper.t_end))  # (1.0, 3.6)
+        verdicts = set()
+        for every in range(28, 40):
+            enough = sum(lo <= r.t <= hi for r in _thinned(records, every)) >= MIN_POWER_RECORDS
+            assert self.loads(tmp_path, NONLINEAR, every) == enough, every
+            verdicts.add(enough)
+        assert verdicts == {True, False}
+        # the window (0.1, 0.45) ends before the power-law check starts
+        assert not self.loads(tmp_path, NONLINEAR.replace("t_end = 4.0", "t_end = 0.5"), 1)
+
+    def test_sparse_run_is_a_config_error(self, tmp_path, capsys):
+        # a 256-cell run_fine of the benchmark, cut to t_end = 4: 21 records, 15 in (0.8, 3.6)
+        text = NONLINEAR.replace("nonlinear_damping", "damped_wave").replace("n_cells = 64", "n_cells = 256")
+        text = text.replace("N = 1\nmu = 2.0", "N = 2\nmu = 2.0").replace("b = 1.0", "b = 0.5")
+        text = text.replace("dt = 0.01", "dt = 0.002\nrecord_every = 100")
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        assert "only 15 of the 21 records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_uncertified_pair_is_not_counted(self, tmp_path):
+        text = BASE.replace("variant = volume", "variant = none")
+        assert self.loads(tmp_path, text, 600)  # three records
+
+
 def test_analysis_window_fractions_and_overrides():
     opts = AnalysisOptions()
     assert opts.window(10.0) == (2.0, 9.0)
@@ -407,6 +506,12 @@ CERTIFIED_CASES = {
 class TestCertifiedPairs:
     def test_table_holds_exactly_the_six_pairs(self):
         assert set(CERTIFIED) == {(type(c[1]), c[0]) for c in CERTIFIED_CASES.values()}
+
+    def test_only_nonlinear_damping_is_checked_as_a_power_law(self):
+        # load_config picks the power-law record count by this family
+        for family, ctrl, _, _ in CERTIFIED_CASES.values():
+            kind = gain_report_for(_pair_config(family, ctrl)).kind
+            assert (kind == "polynomial") == (family is Family.NONLINEAR_DAMPING)
 
     @pytest.mark.parametrize("pair", sorted(CERTIFIED_CASES))
     def test_report_and_functional_match_direct_calls(self, pair):

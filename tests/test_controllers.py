@@ -26,9 +26,9 @@ from wavestab import (
     check_strong_fourier_gains,
     check_subdomain_gains,
     check_volume_gains,
-    control_field,
     controller_energy,
     element_layout,
+    laplacian_stencil,
     make_control_operator,
     make_energy_operator,
     make_grid,
@@ -80,49 +80,47 @@ class TestControlFields:
     def test_zero_gain_gives_zero_field(self):
         g = make_grid(PI, 64, "neumann")
         rng = np.random.default_rng(0)
-        st_ = State(random_trig_field(g, rng), zeros(g))
+        u = random_trig_field(g, rng).values
         for spec in (VolumeElements(2, 0.0), NoControl()):
-            assert not control_field(spec, st_).values.any()
+            assert not make_control_operator(spec, g)(u).any()
         gd = make_grid(PI, 64, "dirichlet")
-        std = State(random_trig_field(gd, rng), zeros(gd))
+        ud = random_trig_field(gd, rng).values
         for spec in (
             FourierModes(2, 0.0),
             Nodal(4, 0.0),
             SubdomainControl(Subdomain(0.5, 1.5, PI), 0.0),
         ):
-            assert not control_field(spec, std).values.any()
+            assert not make_control_operator(spec, gd)(ud).any()
 
     def test_volume_constant_input(self):
         g = make_grid(PI, 60, "neumann")
         c = 1.7
-        st_ = State(Field(g, np.full(g.n_nodes, c)), zeros(g))
-        out = control_field(VolumeElements(3, 2.0), st_)
-        np.testing.assert_allclose(out.values, -2.0 * c)
+        out = make_control_operator(VolumeElements(3, 2.0), g)(np.full(g.n_nodes, c))
+        np.testing.assert_allclose(out, -2.0 * c)
 
     def test_fourier_projects_low_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        u = Field(g, 5.0 * mode_matrix(g, 1)[0])
-        out = control_field(FourierModes(2, 3.0), State(u, zeros(g)))
-        np.testing.assert_allclose(out.values, -3.0 * u.values, atol=1e-6)
+        u = 5.0 * mode_matrix(g, 1)[0]
+        out = make_control_operator(FourierModes(2, 3.0), g)(u)
+        np.testing.assert_allclose(out, -3.0 * u, atol=1e-6)
 
     def test_fourier_ignores_tail_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        u = Field(g, mode_matrix(g, 3)[2])
-        out = control_field(FourierModes(2, 3.0), State(u, zeros(g)))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-10)
+        out = make_control_operator(FourierModes(2, 3.0), g)(mode_matrix(g, 3)[2])
+        np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
     def test_nodal_support_and_scale(self):
         g = make_grid(PI, 270, "dirichlet")
         spec = Nodal(27, 4.3)
         u = random_trig_field(g, np.random.default_rng(1))
-        out = control_field(spec, State(u, zeros(g)))
-        assert np.count_nonzero(out.values) <= 27
+        out = make_control_operator(spec, g)(u.values)
+        assert np.count_nonzero(out) <= 27
         # actuation weight: mu * h / dx at the nearest node to each x_k
         obs, act = spec.points(PI)
         k = int(np.rint(act[0] / g.dx)) - 1
         u_obs = np.interp(obs[0], np.concatenate(([0], g.nodes, [PI])), np.concatenate(([0], u.values, [0])))
         h = PI / 27
-        assert out.values[k] == pytest.approx(-4.3 * h / g.dx * u_obs)
+        assert out[k] == pytest.approx(-4.3 * h / g.dx * u_obs)
 
     def test_nodal_explicit_points_roundtrip(self):
         spec = Nodal(3, 1.0, obs_points=(0.5, 1.5, 2.5), act_points=(0.6, 1.6, 2.6))
@@ -136,19 +134,18 @@ class TestControlFields:
 
     def test_subdomain_masks_sharply(self):
         g = make_grid(1.0, 100, "dirichlet")
-        u = Field(g, np.ones(g.n_nodes))
-        out = control_field(SubdomainControl(Subdomain(0.25, 0.5, 1.0), 2.0), State(u, zeros(g)))
+        out = make_control_operator(SubdomainControl(Subdomain(0.25, 0.5, 1.0), 2.0), g)(np.ones(g.n_nodes))
         inside = (g.nodes >= 0.25) & (g.nodes < 0.5)
-        np.testing.assert_allclose(out.values[inside], -2.0)
-        np.testing.assert_allclose(out.values[~inside], 0.0)
+        np.testing.assert_allclose(out[inside], -2.0)
+        np.testing.assert_allclose(out[~inside], 0.0)
 
     def test_bc_mismatch_rejected(self):
         g = make_grid(PI, 64, "dirichlet")
         with pytest.raises(ValueError):
-            control_field(VolumeElements(2, 1.0), State(zeros(g), zeros(g)))
+            make_control_operator(VolumeElements(2, 1.0), g)
         gn = make_grid(PI, 64, "neumann")
         with pytest.raises(ValueError):
-            control_field(FourierModes(2, 1.0), State(zeros(gn), zeros(gn)))
+            make_control_operator(FourierModes(2, 1.0), gn)
 
     def test_modal_count_must_be_resolved(self):
         g = make_grid(PI, 64, "dirichlet")
@@ -423,6 +420,29 @@ class TestNodalGains:
         assert m["gain"].lhs == pytest.approx(4.3) and m["gain"].rhs == pytest.approx(4.25)
         assert m["sampling"].lhs == pytest.approx(0.030675457753569807)
         assert m["sampling_quad"].lhs == pytest.approx(0.0008995884431322668)
+        assert (m["stiffness"].lhs, m["stiffness"].rhs, m["stiffness"].ok) == (1.0, 1.0, True)
+
+    @staticmethod
+    def linearized_abscissa(nu, a, b, N, mu, n_cells):
+        """Largest real part of the spectrum of the linearized, discretized closed loop."""
+        g = make_grid(PI, n_cells, "dirichlet")
+        eye = np.eye(g.n_nodes)
+        lap = laplacian_stencil(g.bc)(eye, g.dx)  # columns: the stencil of each unit vector
+        ctl = make_control_operator(Nodal(N, mu), g)
+        feedback = np.column_stack([ctl(col) for col in eye.T])
+        A = np.block([[np.zeros_like(eye), eye], [nu * lap + a * eye + feedback, b * lap]])
+        return np.max(np.linalg.eigvals(A).real)
+
+    def test_stiffness_below_one_fails(self):
+        # the printed conditions hold at any nu, but they are posed at nu = 1:
+        # at nu = 0.0005 the linearized closed loop grows
+        rep = check_nodal_gains(PI, 0.0005, 1.0, 0.5, 4.3, 27)
+        assert not rep.satisfied
+        assert [m.name for m in rep.margins if not m.ok] == ["stiffness"]
+        assert self.linearized_abscissa(0.0005, 1.0, 0.5, 27, 4.3, 108) > 0.0
+        for nu in (1.0, 2.0):
+            assert check_nodal_gains(PI, nu, 1.0, 0.5, 4.3, 27).satisfied
+            assert self.linearized_abscissa(nu, 1.0, 0.5, 27, 4.3, 108) < -0.2
 
     def test_coarse_sampling_fails(self):
         rep = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 20)

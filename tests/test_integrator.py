@@ -427,3 +427,10 @@ def test_grid_mismatch_rejected():
     model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
     with pytest.raises(ValueError):
         run(model, NoControl(), zeros(g), zeros(g2), StepperConfig(dt=0.01, t_end=0.1))
+
+
+def test_bc_mismatch_rejected():
+    g = make_grid(PI, 64, "neumann")
+    model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
+    with pytest.raises(ValueError, match="posed with dirichlet boundaries, grid has neumann"):
+        run(model, NoControl(), zeros(g), zeros(g), StepperConfig(dt=0.01, t_end=0.1))

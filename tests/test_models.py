@@ -165,60 +165,52 @@ class TestAcceleration:
     def test_zero_state_zero_control(self):
         g = make_grid(PI, 64, "dirichlet")
         m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0))
-        acc = acceleration(State(zeros(g), zeros(g)), m, zeros(g))
-        assert not acc.values.any()
+        z = np.zeros(g.n_nodes)
+        assert not acceleration(m, g, z, z, z).any()
 
     def test_eigenmode_acceleration(self):
         g = make_grid(PI, 256, "dirichlet")
-        u = Field(g, mode_matrix(g, 1)[0])
+        u = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        acc = acceleration(State(u, zeros(g)), m, zeros(g))
-        assert np.max(np.abs(acc.values + u.values)) <= 1e-4
+        z = np.zeros(g.n_nodes)
+        assert np.max(np.abs(acceleration(m, g, u, z, z) + u)) <= 1e-4
 
     def test_nonlinear_damping_unit_velocity(self):
         # |v|^{m-2} v with v=1, b=2: acceleration -2 away from the boundary rows
         g = make_grid(PI, 64, "dirichlet")
         m = nonlinear_damping_wave(1.0, 0.0, 2.0, 3.0, 2.0)
-        st = make_state(g, np.zeros(g.n_nodes), np.ones(g.n_nodes))
-        acc = acceleration(st, m, zeros(g))
-        np.testing.assert_allclose(acc.values, -2.0)
+        z = np.zeros(g.n_nodes)
+        np.testing.assert_allclose(acceleration(m, g, z, np.ones(g.n_nodes), z), -2.0)
 
     def test_damping_term_sign(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 0.0, 3.0, "neumann")
-        st = make_state(g, np.zeros(g.n_nodes), np.full(g.n_nodes, 2.0))
-        acc = acceleration(st, m, zeros(g))
-        np.testing.assert_allclose(acc.values, -6.0, atol=1e-12)
+        z = np.zeros(g.n_nodes)
+        acc = acceleration(m, g, z, np.full(g.n_nodes, 2.0), z)
+        np.testing.assert_allclose(acc, -6.0, atol=1e-12)
 
     def test_destabilizing_term_sign(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 2.0, 1.0, "neumann")
-        st = make_state(g, np.full(g.n_nodes, 1.5), np.zeros(g.n_nodes))
-        acc = acceleration(st, m, zeros(g))
-        np.testing.assert_allclose(acc.values, 3.0, atol=1e-12)
+        z = np.zeros(g.n_nodes)
+        acc = acceleration(m, g, np.full(g.n_nodes, 1.5), z, z)
+        np.testing.assert_allclose(acc, 3.0, atol=1e-12)
 
     def test_control_enters_additively(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 0.0, 1.0, "neumann")
-        ctrl = Field(g, np.full(g.n_nodes, -0.25))
-        st = State(zeros(g), zeros(g))
-        acc = acceleration(st, m, ctrl)
-        np.testing.assert_allclose(acc.values, -0.25)
+        z = np.zeros(g.n_nodes)
+        acc = acceleration(m, g, z, z, np.full(g.n_nodes, -0.25))
+        np.testing.assert_allclose(acc, -0.25)
 
     def test_strong_damping_adds_velocity_laplacian(self):
         g = make_grid(PI, 256, "dirichlet")
         w = mode_matrix(g, 1)[0]
         m = strongly_damped_wave(1.0, 0.0, 2.0, 2.0)
-        st = make_state(g, np.zeros(g.n_nodes), w)
-        acc = acceleration(st, m, zeros(g))
+        z = np.zeros(g.n_nodes)
+        acc = acceleration(m, g, z, w, z)
         # nu*lap(0) + b*lap(w1) = -2 w1
-        assert np.max(np.abs(acc.values + 2.0 * w)) <= 2e-4
-
-    def test_bc_mismatch_rejected(self):
-        g = make_grid(PI, 64, "neumann")
-        m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        with pytest.raises(ValueError):
-            acceleration(State(zeros(g), zeros(g)), m, zeros(g))
+        assert np.max(np.abs(acc + 2.0 * w)) <= 2e-4
 
 
 # --------------------------------------------------------------------------
