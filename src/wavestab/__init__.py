@@ -10,7 +10,6 @@ resulting decay against the predicted rates.
 from .analysis import (
     DecayFit,
     InequalityReport,
-    SuiteConfig,
     VerifyExponential,
     VerifyPolynomial,
     fit_exponential,
@@ -67,7 +66,6 @@ from .models import (
     ModelSpec,
     Nonlinearity,
     acceleration,
-    condition_f_ok,
     damped_wave,
     energy_record,
     nonlinear_damping_wave,
@@ -116,7 +114,6 @@ __all__ = [
     "nonlinear_damping_wave",
     "strongly_damped_wave",
     "acceleration",
-    "condition_f_ok",
     "EnergyRecord",
     "energy_record",
     # controllers
@@ -154,6 +151,5 @@ __all__ = [
     "verify_exponential",
     "verify_polynomial",
     "InequalityReport",
-    "SuiteConfig",
     "run_inequality_suite",
 ]

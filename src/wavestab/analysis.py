@@ -35,10 +35,11 @@ from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check
 
 STAB_FLOOR = 1.0e-13
 SUITE_SLACK = 1.01
-# what a decay check uses when its caller sets nothing: the fit window as
-# fractions of the final time, and the share of the certified rate to reach
-DEFAULT_FIT_WINDOW = (0.2, 0.9)
-DEFAULT_SAFETY = 0.8
+# the inequality suite's sample space: polynomial degree, element counts
+# (each divides the suite's 512 cells) and mode counts
+SUITE_DEGREE = 12
+SUITE_ELEMENT_COUNTS = (2, 4, 8)
+SUITE_MODE_COUNTS = (1, 2, 3, 4, 5, 6)
 # the fewest records a check needs in its window: the exponential fit (which
 # the exponential and qualitative checks use) and the power-law check
 MIN_FIT_RECORDS = 20
@@ -76,19 +77,12 @@ class VerifyPolynomial:
     window: tuple[float, float]
 
 
-def _default_window(records: Sequence[EnergyRecord]) -> tuple[float, float]:
-    t_end = records[-1].t
-    return (DEFAULT_FIT_WINDOW[0] * t_end, DEFAULT_FIT_WINDOW[1] * t_end)
-
-
 def power_law_window(window: tuple[float, float]) -> tuple[float, float]:
     """The part of a fit window the power-law check reads: from t = 1 on."""
     return (max(1.0, window[0]), window[1])
 
 
-def fit_exponential(
-    records: Sequence[EnergyRecord], window: Optional[tuple[float, float]] = None
-) -> DecayFit:
+def fit_exponential(records: Sequence[EnergyRecord], window: tuple[float, float]) -> DecayFit:
     """Fit stab_norm ~ amplitude * exp(-rate * t) on the window.
 
     Records with ``stab_norm <= 1e-13`` (double-precision decay floor for a
@@ -96,17 +90,16 @@ def fit_exponential(
     """
     if not records:
         raise ValueError("no records to fit")
-    win = window if window is not None else _default_window(records)
-    if win[0] >= win[1]:
-        raise ValueError(f"empty fit window {win}")
+    if window[0] >= window[1]:
+        raise ValueError(f"empty fit window {window}")
     ts, logs = [], []
     for r in records:
-        if win[0] <= r.t <= win[1] and r.stab_norm > STAB_FLOOR:
+        if window[0] <= r.t <= window[1] and r.stab_norm > STAB_FLOOR:
             ts.append(r.t)
             logs.append(math.log(r.stab_norm))
     if len(ts) < MIN_FIT_RECORDS:
         raise ValueError(
-            f"only {len(ts)} usable records in window {win}; need at least {MIN_FIT_RECORDS}"
+            f"only {len(ts)} usable records in window {window}; need at least {MIN_FIT_RECORDS}"
         )
     t = np.asarray(ts)
     y = np.asarray(logs)
@@ -119,7 +112,7 @@ def fit_exponential(
         rate=float(-slope),
         amplitude=float(np.exp(intercept)),
         r_squared=r2,
-        window=(float(win[0]), float(win[1])),
+        window=(float(window[0]), float(window[1])),
         n_points=len(ts),
     )
 
@@ -127,8 +120,8 @@ def fit_exponential(
 def verify_exponential(
     records: Sequence[EnergyRecord],
     delta_target: float,
-    safety: float = DEFAULT_SAFETY,
-    window: Optional[tuple[float, float]] = None,
+    safety: float,
+    window: tuple[float, float],
 ) -> VerifyExponential:
     """Check exponential decay of stab_norm against a certified rate.
 
@@ -142,15 +135,14 @@ def verify_exponential(
         raise ValueError(f"target rate must be positive, got {delta_target}")
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must be in (0, 1], got {safety}")
-    win = window if window is not None else _default_window(records)
-    fit = fit_exponential(records, win)
+    fit = fit_exponential(records, window)
     target = safety * delta_target
     rate_ok = fit.rate >= target
-    head = [r for r in records if r.t <= win[0]]
+    head = [r for r in records if r.t <= window[0]]
     const = max(r.stab_norm * math.exp(target * r.t) for r in head) if head else 0.0
     envelope_ok = True
     for r in records:
-        if win[0] <= r.t <= win[1] and r.stab_norm > STAB_FLOOR:
+        if window[0] <= r.t <= window[1] and r.stab_norm > STAB_FLOOR:
             if r.stab_norm > const * math.exp(-target * r.t) * (1.0 + 1e-9):
                 envelope_ok = False
                 break
@@ -229,14 +221,6 @@ class InequalityReport:
     empirical_constant: float
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    degree: int = 12
-    element_counts: tuple[int, ...] = (2, 4, 8)
-    mode_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    slack: float = SUITE_SLACK
-
-
 class _Tally:
     def __init__(self, name: str):
         self.name = name
@@ -245,14 +229,14 @@ class _Tally:
         self.worst_ratio = 0.0
         self.empirical = 0.0
 
-    def add(self, lhs: float, rhs: float, slack: float, empirical: Optional[float] = None):
+    def add(self, lhs: float, rhs: float, empirical: Optional[float] = None):
         self.samples += 1
         ratio = lhs / rhs if rhs > 0.0 else math.inf
         if ratio > self.worst_ratio:
             self.worst_ratio = ratio
         if empirical is not None and empirical > self.empirical:
             self.empirical = empirical
-        if lhs > slack * rhs:
+        if lhs > SUITE_SLACK * rhs:
             self.violations += 1
 
     def report(self) -> InequalityReport:
@@ -275,14 +259,12 @@ def _trig_tables(grid: Grid1D, degree: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def run_inequality_suite(
-    seed: int, samples: int, config: Optional[SuiteConfig] = None
-) -> dict[str, InequalityReport]:
+def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]:
     """Randomized verification of the finite-parameter inequalities.
 
     The samples live on 512 cells over (0, pi): full trigonometric
     polynomials on the Neumann grid, sine polynomials on the Dirichlet one.
-    Each sample draws a trigonometric polynomial of degree <= config.degree
+    Each sample draws a trigonometric polynomial of degree <= SUITE_DEGREE
     with uniform[-1,1] coefficients from a per-sample RNG stream
     (seed + index), plus random element/mode counts and random in-element
     sampling points.  Violations are counted against the 1.01 slack.
@@ -302,14 +284,13 @@ def run_inequality_suite(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    cfg = config or SuiteConfig()
     ngrid = make_grid(np.pi, 512, BoundaryCondition.NEUMANN)
     dgrid = make_grid(ngrid.L, ngrid.n_cells, BoundaryCondition.DIRICHLET)
 
-    table = _trig_tables(ngrid, cfg.degree)
-    W = mode_matrix(dgrid, cfg.degree)
+    table = _trig_tables(ngrid, SUITE_DEGREE)
+    W = mode_matrix(dgrid, SUITE_DEGREE)
     lam1 = dirichlet_eigenvalue(dgrid.L, 1)
-    layouts = {N: element_layout(ngrid, N) for N in cfg.element_counts}
+    layouts = {N: element_layout(ngrid, N) for N in SUITE_ELEMENT_COUNTS}
 
     tallies = {
         key: _Tally(key)
@@ -331,26 +312,22 @@ def run_inequality_suite(
         sem2 = h1_seminorm(f) ** 2
         emp = (norm2 - means2) / (h * h * sem2) if sem2 > 1e-12 else None
         tallies["mean_plus_gradient_printed"].add(
-            norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, cfg.slack, emp
+            norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, emp
         )
-        tallies["mean_plus_gradient_corrected"].add(
-            norm2, means2 + (h / np.pi) ** 2 * sem2, cfg.slack, emp
-        )
+        tallies["mean_plus_gradient_corrected"].add(norm2, means2 + (h / np.pi) ** 2 * sem2, emp)
 
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         coeffs = rng.uniform(-1.0, 1.0, table.shape[0])
         f = Field(ngrid, coeffs @ table)
         sem = h1_seminorm(f)
-        N = int(cfg.element_counts[rng.integers(len(cfg.element_counts))])
+        N = int(SUITE_ELEMENT_COUNTS[rng.integers(len(SUITE_ELEMENT_COUNTS))])
         avg, owner, _ = layouts[N]
         h = ngrid.L / N
 
         # distance to the piecewise-constant element averages
         interp = (avg @ f.values)[owner]
-        tallies["element_mean_approx"].add(
-            l2_norm(Field(ngrid, f.values - interp)), h * sem, cfg.slack
-        )
+        tallies["element_mean_approx"].add(l2_norm(Field(ngrid, f.values - interp)), h * sem)
 
         mean_plus_gradient(f, N, avg)
 
@@ -360,23 +337,19 @@ def run_inequality_suite(
         yk = lo + h * rng.random(N)
         fx = np.interp(xk, ngrid.nodes, f.values)
         fy = np.interp(yk, ngrid.nodes, f.values)
-        tallies["paired_point_differences"].add(
-            float(np.sum((fx - fy) ** 2)), h * sem * sem, cfg.slack
-        )
+        tallies["paired_point_differences"].add(float(np.sum((fx - fy) ** 2)), h * sem * sem)
         tallies["point_sampling_norm"].add(
-            l2_norm(f) ** 2,
-            2.0 * (h * float(np.sum(fx**2)) + h * h * sem * sem),
-            cfg.slack,
+            l2_norm(f) ** 2, 2.0 * (h * float(np.sum(fx**2)) + h * h * sem * sem)
         )
 
         # Dirichlet-side spectral bounds
-        dcoeffs = rng.uniform(-1.0, 1.0, cfg.degree)
+        dcoeffs = rng.uniform(-1.0, 1.0, SUITE_DEGREE)
         g = Field(dgrid, dcoeffs @ W)
         gsem2 = h1_seminorm(g) ** 2
-        Nq = int(cfg.mode_counts[rng.integers(len(cfg.mode_counts))])
+        Nq = int(SUITE_MODE_COUNTS[rng.integers(len(SUITE_MODE_COUNTS))])
         tail, tail_bound, _ = tail_bound_check(g, Nq)
-        tallies["spectral_tail"].add(tail, tail_bound, cfg.slack)
-        tallies["poincare"].add(l2_norm(g) ** 2, gsem2 / lam1, cfg.slack)
+        tallies["spectral_tail"].add(tail, tail_bound)
+        tallies["poincare"].add(l2_norm(g) ** 2, gsem2 / lam1)
 
     # deterministic counterexample: the linear ramp against one element
     ramp = Field(ngrid, ngrid.nodes.copy())

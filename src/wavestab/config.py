@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import DEFAULT_FIT_WINDOW, DEFAULT_SAFETY, MIN_FIT_RECORDS, MIN_POWER_RECORDS, power_law_window
+from .analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, power_law_window
 from .controllers import (
     ControllerSpec,
     FourierModes,
@@ -41,6 +41,12 @@ from .models import (
 from .spectral import Subdomain, mode_matrix
 
 
+# the [analysis] defaults: the fit window as fractions of t_end, and the
+# share of the certified rate a run must reach
+DEFAULT_FIT_WINDOW = (0.2, 0.9)
+DEFAULT_SAFETY = 0.8
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
@@ -55,11 +61,11 @@ def finite_float(text: str) -> float:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    safety: float = DEFAULT_SAFETY
-    window_lo_frac: float = DEFAULT_FIT_WINDOW[0]
-    window_hi_frac: float = DEFAULT_FIT_WINDOW[1]
-    window_lo: Optional[float] = None  # absolute overrides
-    window_hi: Optional[float] = None
+    safety: float
+    window_lo_frac: float
+    window_hi_frac: float
+    window_lo: Optional[float]  # absolute overrides
+    window_hi: Optional[float]
 
     def window(self, t_end: float) -> tuple[float, float]:
         lo = self.window_lo if self.window_lo is not None else self.window_lo_frac * t_end
@@ -119,7 +125,7 @@ def parse_profile(text: str) -> tuple[str, tuple[float, ...]]:
     return (kind, args)
 
 
-def build_profile(grid: Grid1D, text: str, amplitude: float = 1.0) -> Field:
+def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
     """Realize a named profile on the grid, scaled by ``amplitude``."""
     kind, args = parse_profile(text)
     if kind == "zero" or amplitude == 0.0:

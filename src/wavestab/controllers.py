@@ -9,9 +9,9 @@ the full signed forcing term that is *added* to the acceleration:
 * subdomain         -mu * chi_omega(x) * u(x)
 
 Each law comes with a checker that evaluates the printed sufficient gain /
-resolution conditions verbatim and reports per-condition margins plus the
-predicted decay rate, so a simulation can be compared against its
-certificate.
+resolution conditions (those printed at unit stiffness on the problem
+rescaled to nu = 1) and reports per-condition margins plus the predicted
+decay rate, so a simulation can be compared against its certificate.
 """
 
 from __future__ import annotations
@@ -397,9 +397,10 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     two, so raising mu alone can break them.  The certified conclusion is
     qualitative (exponential decay, no explicit rate), hence
     ``predicted_rate=None``.  The printed conditions are posed at unit
-    stiffness, so the certificate also needs ``nu >= 1``: below it the
-    linearized closed loop can grow while the three conditions hold.
+    stiffness, so they are applied to the problem rescaled by tau =
+    sqrt(nu)*t, whose coefficients are (a/nu, b/sqrt(nu), mu/nu).
     """
+    a, b, mu = a / nu, b / math.sqrt(nu), mu / nu
     lam1 = dirichlet_eigenvalue(L, 1)
     h = L / N
     margins = [
@@ -416,7 +417,6 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
             0.0,
             strict=True,
         ),
-        Margin("stiffness", nu, 1.0),
     ]
     return _report("nodal", "exponential", None, margins)
 
@@ -436,20 +436,24 @@ def check_strong_fourier_gains(
     return _report("strong_fourier", "exponential", delta0, margins)
 
 
-def check_subdomain_gains(a: float, b: float, mu: float, omega: Subdomain, grid: Grid1D) -> GainReport:
+def check_subdomain_gains(
+    nu: float, a: float, b: float, mu: float, omega: Subdomain, grid: Grid1D
+) -> GainReport:
     """Localized damping: geometric gap condition plus the gain threshold.
 
-    The complement of omega must be spectrally stiff enough
-    (lambda_1(complement) >= 4a + 3b^2/2), and the gain must exceed the
-    bisection threshold mu_zero computed at half the complement gap.
-    Certified rate b/2.
+    The printed conditions are posed at unit stiffness; on the problem
+    rescaled by tau = sqrt(nu)*t (coefficients a/nu, b/sqrt(nu), mu/nu)
+    they read: the complement of omega must be spectrally stiff enough
+    (nu * lambda_1(complement) >= 4a + 3b^2/2), and the gain must exceed
+    nu times the bisection threshold mu_zero computed at half the
+    complement gap.  Certified rate b/2 (in t).
     """
     lam_c = complement_eigenvalue(omega)
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
     margins = [
-        Margin("complement_gap", lam_c, 4.0 * a + 1.5 * b**2),
-        Margin("gain", mu, mu0, strict=True),
+        Margin("complement_gap", nu * lam_c, 4.0 * a + 1.5 * b**2),
+        Margin("gain", mu, nu * mu0, strict=True),
     ]
     notes = (f"mu_zero={mu0:.6g} at gap target d={d:.6g}",)
     return _report("subdomain", "exponential", 0.5 * b, margins, notes)

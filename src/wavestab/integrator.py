@@ -119,7 +119,6 @@ class RunResult:
     records: list[EnergyRecord]
     final_state: State
     blowup_time: Optional[float] = None
-    snapshots: Optional[list[State]] = None
 
     @property
     def blew_up(self) -> bool:
@@ -260,7 +259,7 @@ CERTIFIED: dict[tuple[type, Family], Certificate] = {
         lambda g, m, c: check_nodal_gains(g.L, m.nu, m.a, m.b, c.mu, c.N)
     ),
     (SubdomainControl, Family.DAMPED_WAVE): Certificate(
-        lambda g, m, c: check_subdomain_gains(m.a, m.b, c.mu, c.omega, g), _damped_weights
+        lambda g, m, c: check_subdomain_gains(m.nu, m.a, m.b, c.mu, c.omega, g), _damped_weights
     ),
 }
 
@@ -305,8 +304,6 @@ def run(
     u0: Field,
     u1: Field,
     cfg: StepperConfig,
-    *,
-    snapshot_every: Optional[int] = None,
 ) -> RunResult:
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
@@ -339,11 +336,6 @@ def run(
     u = u0.values.copy()
     v = u1.values.copy()
     records = [make_record(u, v, 0.0)]
-    snapshots = None
-    if snapshot_every is not None:
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        snapshots = [State(Field(grid, u), Field(grid, v), 0.0)]
 
     n_steps = cfg.n_steps
     blowup_time = None
@@ -358,17 +350,10 @@ def run(
             break
         if k % cfg.record_every == 0 or k == n_steps:
             records.append(make_record(u, v, t))
-        if snapshots is not None and (k % snapshot_every == 0 or k == n_steps):
-            snapshots.append(State(Field(grid, u), Field(grid, v), t))
 
     if blowup_time is not None:
         # the aborting step may hold non-finite values; keep the last good state
         final = State(Field(grid, u_prev), Field(grid, v_prev), t_prev)
     else:
         final = State(Field(grid, u), Field(grid, v), t)
-    return RunResult(
-        records=records,
-        final_state=final,
-        blowup_time=blowup_time,
-        snapshots=snapshots,
-    )
+    return RunResult(records=records, final_state=final, blowup_time=blowup_time)

@@ -9,7 +9,7 @@ Three families share the first-order form u_t = v, v_t = acceleration:
 The linear ``a*u`` term is destabilizing (it is what the feedback has to
 beat); damping and the monotone nonlinearity dissipate.  The power-law
 nonlinearity is hard-wired for the second and third family; the first
-admits any monotone source term satisfying the sign condition below.
+also admits f = 0.
 Each right-hand side splits into linear stiff terms (the Laplacians and
 the linear damping ``b*v``) and the explicit :func:`source`, which all
 time steppers share; :func:`acceleration` sums the two for explicit steppers.
@@ -38,8 +38,8 @@ class Family(str, enum.Enum):
 class Nonlinearity:
     """Monotone source term f with antiderivative F (F(0) = 0).
 
-    Admissibility (checked by :func:`condition_f_ok` and enforced for
-    custom terms): f(s)*s - F(s) >= 0 and f'(s) >= 0 on the sampled range.
+    Both kinds meet the admissibility the certificates need:
+    f(s)*s - F(s) >= 0 and f'(s) >= 0.
     """
 
     kind: str
@@ -58,14 +58,6 @@ class Nonlinearity:
             raise ValueError(f"power law needs a finite p >= 2, got {p}")
         return Nonlinearity("power", partial(_power_f, p), partial(_power_F, p), p=p)
 
-    @staticmethod
-    def custom(f: Callable, F: Callable) -> "Nonlinearity":
-        nl = Nonlinearity("custom", f, F)
-        ok, why = condition_f_ok(nl)
-        if not ok:
-            raise ValueError(f"inadmissible nonlinearity: {why}")
-        return nl
-
 
 # module-level, so a power law pickles into a sweep's worker processes
 def _power_f(p: float, u: np.ndarray) -> np.ndarray:
@@ -74,28 +66,6 @@ def _power_f(p: float, u: np.ndarray) -> np.ndarray:
 
 def _power_F(p: float, u: np.ndarray) -> np.ndarray:
     return np.abs(u) ** p / p
-
-
-def condition_f_ok(
-    nl: Nonlinearity, lo: float = -10.0, hi: float = 10.0, samples: int = 10_000
-) -> tuple[bool, str]:
-    """Sampled admissibility check for a source term.
-
-    Tests f(s)*s - F(s) >= -1e-12 and a finite-difference f'(s) >= -1e-8
-    on a uniform grid of ``samples`` points in [lo, hi].
-    """
-    s = np.linspace(lo, hi, samples)
-    fs = np.asarray(nl.f(s), dtype=float)
-    Fs = np.asarray(nl.F(s), dtype=float)
-    gap = fs * s - Fs
-    if np.min(gap) < -1e-12:
-        i = int(np.argmin(gap))
-        return False, f"f(s)s - F(s) = {gap[i]:.3e} < 0 at s = {s[i]:.4g}"
-    slopes = np.diff(fs) / np.diff(s)
-    if np.min(slopes) < -1e-8:
-        i = int(np.argmin(slopes))
-        return False, f"f'(s) ~ {slopes[i]:.3e} < 0 near s = {s[i]:.4g}"
-    return True, "ok"
 
 
 @dataclass(frozen=True)
@@ -236,7 +206,7 @@ class EnergyRecord:
     lyapunov: Optional[float] = None
 
 
-def energy_record(state: State, model: ModelSpec, controller_term: float = 0.0) -> EnergyRecord:
+def energy_record(state: State, model: ModelSpec, controller_term: float) -> EnergyRecord:
     """Evaluate the energy ledger for one state.
 
     ``controller_term`` is the controller's quadratic energy contribution

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavestab import BoundaryCondition, Field, State, make_grid
+from wavestab import BoundaryCondition, Field, State, laplacian_stencil, make_control_operator, make_grid
 
 L_PI = float(np.pi)
 
@@ -34,3 +34,23 @@ def random_trig_field(grid, rng, degree=12):
 
 def random_state(grid, rng, degree=12):
     return State(random_trig_field(grid, rng, degree), random_trig_field(grid, rng, degree))
+
+
+def closed_loop_abscissa(model, ctrl, grid):
+    """Largest real part of the spectrum of the discretized closed loop, linearized at zero.
+
+    The stencil's and the feedback's matrices are their images of the unit
+    vectors.  Linearizing replaces a by a - f'(0): f'(0) is 1 for the power
+    law at p = 2 and 0 for f = 0 or p > 2.
+    """
+    eye = np.eye(grid.n_nodes)
+    lap = laplacian_stencil(grid.bc)
+    ctl = make_control_operator(ctrl, grid)
+    stencil = np.column_stack([lap(e, grid.dx) for e in eye])
+    feedback = np.column_stack([ctl(e) for e in eye])
+    a_lin = model.a - (1.0 if model.nonlinearity.p == 2.0 else 0.0)
+    A = np.block([
+        [np.zeros_like(eye), eye],
+        [model.nu * stencil + a_lin * eye + feedback, model.viscosity * stencil - model.linear_damping * eye],
+    ])
+    return float(np.max(np.linalg.eigvals(A).real))

@@ -159,7 +159,7 @@ def test_criterion_3_localized_damping():
     lam_c = (math.pi / 0.5) ** 2  # longest complement component has length 0.5
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
-    report = check_subdomain_gains(1.0, 2.0, 1.1 * mu0, omega, grid)
+    report = check_subdomain_gains(1.0, 1.0, 2.0, 1.1 * mu0, omega, grid)
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
 
     # post-hoc certificate: the shifted operator clears the gap at mu0 and

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from wavestab import (
     EnergyRecord,
-    SuiteConfig,
     fit_exponential,
     run_inequality_suite,
     verify_exponential,
     verify_polynomial,
 )
+from wavestab.analysis import SUITE_ELEMENT_COUNTS
 
 MANDATORY = (
     "element_mean_approx",
@@ -60,7 +60,7 @@ class TestFitExponential:
 
     def test_constant_records(self):
         ts = np.linspace(0, 5, 100)
-        fit = fit_exponential(synth(np.full_like(ts, 3.0), ts))
+        fit = fit_exponential(synth(np.full_like(ts, 3.0), ts), window=(1.0, 4.5))
         assert fit.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_floor_excludes_noise_tail(self):
@@ -73,7 +73,7 @@ class TestFitExponential:
     def test_needs_twenty_usable_records(self):
         ts = np.linspace(0, 5, 10)
         with pytest.raises(ValueError, match="20"):
-            fit_exponential(synth(np.exp(-ts), ts))
+            fit_exponential(synth(np.exp(-ts), ts), window=(1.0, 4.5))
 
     def test_empty_window_rejected(self):
         ts = np.linspace(0, 5, 100)
@@ -82,8 +82,12 @@ class TestFitExponential:
 
     def test_window_recorded(self):
         ts = np.linspace(0, 10, 100)
-        fit = fit_exponential(synth(np.exp(-ts), ts))
-        assert fit.window == (2.0, 9.0)  # default 20%-90%
+        fit = fit_exponential(synth(np.exp(-ts), ts), window=(2, 9))
+        assert fit.window == (2.0, 9.0)
+        assert all(isinstance(end, float) for end in fit.window)
+
+
+WINDOW = (2.0, 9.0)  # 20%-90% of the synthetic records' span
 
 
 class TestVerifyExponential:
@@ -92,16 +96,16 @@ class TestVerifyExponential:
         return synth(5.0 * np.exp(-rate * ts), ts)
 
     def test_passes_at_certified_rate(self):
-        res = verify_exponential(self.setup_records(1.0), 1.0, safety=0.8)
+        res = verify_exponential(self.setup_records(1.0), 1.0, safety=0.8, window=WINDOW)
         assert res.ok and res.rate_ok and res.envelope_ok
 
     def test_fails_when_decay_too_slow(self):
-        res = verify_exponential(self.setup_records(0.5), 1.0, safety=0.8)
+        res = verify_exponential(self.setup_records(0.5), 1.0, safety=0.8, window=WINDOW)
         assert not res.ok and not res.rate_ok
 
     def test_growth_fails(self):
         ts = np.linspace(0, 10, 400)
-        res = verify_exponential(synth(np.exp(+0.3 * ts), ts), 1.0)
+        res = verify_exponential(synth(np.exp(+0.3 * ts), ts), 1.0, safety=0.8, window=WINDOW)
         assert not res.ok
         assert res.fit.rate < 0
 
@@ -123,12 +127,12 @@ class TestVerifyExponential:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive_target(self, bad):
         with pytest.raises(ValueError):
-            verify_exponential(self.setup_records(1.0), bad)
+            verify_exponential(self.setup_records(1.0), bad, safety=0.8, window=WINDOW)
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.2])
     def test_rejects_bad_safety(self, bad):
         with pytest.raises(ValueError):
-            verify_exponential(self.setup_records(1.0), 1.0, safety=bad)
+            verify_exponential(self.setup_records(1.0), 1.0, safety=bad, window=WINDOW)
 
     @given(
         rate=st.floats(0.3, 3.0),
@@ -141,8 +145,8 @@ class TestVerifyExponential:
         """Passing at a safety factor implies passing at any smaller one."""
         ts = np.linspace(0, 10, 300)
         recs = synth(3.0 * np.exp(-rate * ts) * (1.5 + np.sin(7 * ts) / 3), ts)
-        hi = verify_exponential(recs, target, safety=s_hi)
-        lo = verify_exponential(recs, target, safety=s_hi * shrink)
+        hi = verify_exponential(recs, target, safety=s_hi, window=WINDOW)
+        lo = verify_exponential(recs, target, safety=s_hi * shrink, window=WINDOW)
         if hi.ok:
             assert lo.ok
 
@@ -235,16 +239,9 @@ class TestInequalitySuite:
         assert 1.0 / (4 * np.pi**2) < emp <= 1.0 / np.pi**2 * 1.01
 
     def test_element_counts_must_divide(self):
-        # the suite's Neumann grid has 512 cells
-        with pytest.raises(ValueError, match="must divide"):
-            run_inequality_suite(1, 5, config=SuiteConfig(element_counts=(3,)))
+        # the suite's Neumann grid has 512 cells; element_layout refuses the rest
+        assert all(512 % N == 0 for N in SUITE_ELEMENT_COUNTS)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             run_inequality_suite(1, 0)
-
-    def test_custom_config_respected(self):
-        cfg = SuiteConfig(degree=4, element_counts=(2,), mode_counts=(1, 2))
-        reports = run_inequality_suite(5, 12, config=cfg)
-        for key in MANDATORY:
-            assert reports[key].violations == 0

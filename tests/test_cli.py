@@ -59,6 +59,32 @@ dt = 0.005
 t_end = 30.0
 """
 
+# localized damping at nu = 0.1: its linearization grows (abscissa +0.138),
+# and the complement-gap condition, read on the rescaled problem, fails
+SUBDOMAIN_LOW_NU_INI = """\
+[model]
+family = damped_wave
+nu = 0.1
+a = 1.0
+b = 1.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = subdomain
+omega_lo = 1.0
+omega_hi = 2.5
+mu = 20.0
+
+[initial]
+u0 = random(3, 6)
+
+[time]
+dt = 0.01
+t_end = 20.0
+"""
+
 BLOWUP_INI = """\
 [model]
 family = damped_wave
@@ -193,6 +219,16 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         margins = {m["name"]: m for m in doc["margins"]}
         assert margins["elements"]["slack"] <= 0
+
+    def test_growing_subdomain_config_is_not_certified(self, tmp_path, capsys):
+        p = tmp_path / "subdomain.ini"
+        p.write_text(SUBDOMAIN_LOW_NU_INI)
+        assert main(["check", "--config", str(p)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [m["name"] for m in doc["margins"] if not m["ok"]] == ["complement_gap"]
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["fit"]["rate"] < 0.0  # the run grows
 
     def test_no_controller_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "none.ini"

@@ -12,6 +12,7 @@ from wavestab import (
     Family,
     FourierModes,
     Nodal,
+    State,
     StepperConfig,
     SubdomainControl,
     VolumeElements,
@@ -103,7 +104,7 @@ class TestParseProfile:
 class TestBuildProfile:
     def test_dirichlet_mode_is_normalized_sine(self):
         g = make_grid(np.pi, 128, "dirichlet")
-        f = build_profile(g, "mode 1")
+        f = build_profile(g, "mode 1", 1.0)
         expected = np.sqrt(2 / np.pi) * np.sin(g.nodes)
         np.testing.assert_allclose(f.values, expected, atol=1e-12)
 
@@ -115,14 +116,14 @@ class TestBuildProfile:
     def test_dirichlet_rejects_mode_zero(self):
         g = make_grid(np.pi, 64, "dirichlet")
         with pytest.raises(ConfigError):
-            build_profile(g, "mode 0")
+            build_profile(g, "mode 0", 1.0)
 
     @pytest.mark.parametrize("bc,highest", [("dirichlet", 63), ("neumann", 64)])
     def test_modes_the_grid_cannot_resolve_rejected(self, bc, highest):
         g = make_grid(np.pi, 64, bc)
-        assert np.any(build_profile(g, f"mode {highest}").values)
+        assert np.any(build_profile(g, f"mode {highest}", 1.0).values)
         with pytest.raises(ConfigError, match="mode index"):
-            build_profile(g, f"mode {highest + 1}")
+            build_profile(g, f"mode {highest + 1}", 1.0)
 
     def test_bump_amplitude(self):
         g = make_grid(1.0, 64, "neumann")
@@ -132,15 +133,15 @@ class TestBuildProfile:
 
     def test_random_reproducible(self):
         g = make_grid(np.pi, 64, "dirichlet")
-        a = build_profile(g, "random(11, 6)")
-        b = build_profile(g, "random(11, 6)")
+        a = build_profile(g, "random(11, 6)", 1.0)
+        b = build_profile(g, "random(11, 6)", 1.0)
         np.testing.assert_array_equal(a.values, b.values)
-        c = build_profile(g, "random(12, 6)")
+        c = build_profile(g, "random(12, 6)", 1.0)
         assert not np.array_equal(a.values, c.values)
 
     def test_random_respects_dirichlet_boundary(self):
         g = make_grid(np.pi, 64, "dirichlet")
-        f = build_profile(g, "random(3, 8)")
+        f = build_profile(g, "random(3, 8)", 1.0)
         full = np.concatenate(([0.0], f.values, [0.0]))
         assert abs(full[0]) == 0.0 and abs(full[-1]) == 0.0
 
@@ -151,7 +152,7 @@ class TestBuildProfile:
         # 1.5 and 3.7 were truncated to 1 and 3; -1 reached numpy's seeding
         g = make_grid(np.pi, 64, "dirichlet")
         with pytest.raises(ConfigError, match=re.escape(f"profile {text!r} needs an integer seed")):
-            build_profile(g, text)
+            build_profile(g, text, 1.0)
 
 
 class TestLoadConfig:
@@ -429,10 +430,10 @@ class TestRecordCadence:
         assert self.loads(tmp_path, text, 600)  # three records
 
 
-def test_analysis_window_fractions_and_overrides():
-    opts = AnalysisOptions()
-    assert opts.window(10.0) == (2.0, 9.0)
-    opts = AnalysisOptions(window_lo=5.0, window_hi=50.0)
+def test_analysis_window_fractions_and_overrides(tmp_path):
+    opts = load_config(write(tmp_path, BASE.replace("t_end = 6.0", "t_end = 10.0"))).analysis
+    assert opts.window(10.0) == (2.0, 9.0)  # default 20%-90%
+    opts = AnalysisOptions(0.8, 0.2, 0.9, window_lo=5.0, window_hi=50.0)
     assert opts.window(55.0) == (5.0, 50.0)
 
 
@@ -448,7 +449,8 @@ def _pair_config(family, ctrl):
     grid = make_grid(np.pi, 64, bc)
     u0 = sample(grid, lambda x: np.exp(-(((x - 1.3) / 0.5) ** 2)))
     stepper = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
-    return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, AnalysisOptions(), {})
+    analysis = AnalysisOptions(0.8, 0.2, 0.9, None, None)
+    return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, analysis, {})
 
 
 def E_B(m, g):
@@ -497,7 +499,7 @@ CERTIFIED_CASES = {
     "subdomain-damped": (
         Family.DAMPED_WAVE,
         SubdomainControl(Subdomain(1.0, 2.0, np.pi), 35.0),
-        lambda g, m, c: check_subdomain_gains(m.a, m.b, c.mu, c.omega, g),
+        lambda g, m, c: check_subdomain_gains(m.nu, m.a, m.b, c.mu, c.omega, g),
         E_B,
     ),
 }
@@ -525,8 +527,9 @@ class TestCertifiedPairs:
             expected = weights(cfg.model, cfg.grid)
             assert table_weights(cfg.model, cfg.grid) == pytest.approx(expected, rel=1e-15)
 
-        res = run(cfg.model, ctrl, cfg.u0, cfg.u1, cfg.stepper, snapshot_every=5)
-        assert len(res.records) == len(res.snapshots) == 11
-        for rec, st in zip(res.records, res.snapshots):
+        res = run(cfg.model, ctrl, cfg.u0, cfg.u1, cfg.stepper)
+        assert len(res.records) == 11
+        start = State(cfg.u0, cfg.u1, 0.0)
+        for rec, st in ((res.records[0], start), (res.records[-1], res.final_state)):
             expected = None if weights is None else lyapunov_eb(st, cfg.model, ctrl)
             assert rec.lyapunov == expected

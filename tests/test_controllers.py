@@ -28,17 +28,17 @@ from wavestab import (
     check_volume_gains,
     controller_energy,
     element_layout,
-    laplacian_stencil,
     make_control_operator,
     make_energy_operator,
     make_grid,
     mode_matrix,
     mu_zero,
+    strongly_damped_wave,
     zeros,
 )
 from wavestab import controllers
 
-from conftest import random_trig_field
+from conftest import closed_loop_abscissa, random_trig_field
 
 PI = np.pi
 
@@ -420,29 +420,36 @@ class TestNodalGains:
         assert m["gain"].lhs == pytest.approx(4.3) and m["gain"].rhs == pytest.approx(4.25)
         assert m["sampling"].lhs == pytest.approx(0.030675457753569807)
         assert m["sampling_quad"].lhs == pytest.approx(0.0008995884431322668)
-        assert (m["stiffness"].lhs, m["stiffness"].rhs, m["stiffness"].ok) == (1.0, 1.0, True)
+        assert list(m) == ["gain", "sampling", "sampling_quad"]
 
     @staticmethod
     def linearized_abscissa(nu, a, b, N, mu, n_cells):
-        """Largest real part of the spectrum of the linearized, discretized closed loop."""
+        """The closed loop's abscissa for the p = 4 strongly damped wave."""
         g = make_grid(PI, n_cells, "dirichlet")
-        eye = np.eye(g.n_nodes)
-        lap = laplacian_stencil(g.bc)(eye, g.dx)  # columns: the stencil of each unit vector
-        ctl = make_control_operator(Nodal(N, mu), g)
-        feedback = np.column_stack([ctl(col) for col in eye.T])
-        A = np.block([[np.zeros_like(eye), eye], [nu * lap + a * eye + feedback, b * lap]])
-        return np.max(np.linalg.eigvals(A).real)
+        return closed_loop_abscissa(strongly_damped_wave(nu, a, b, 4.0), Nodal(N, mu), g)
 
     def test_stiffness_below_one_fails(self):
-        # the printed conditions hold at any nu, but they are posed at nu = 1:
-        # at nu = 0.0005 the linearized closed loop grows
+        # the printed conditions, read at unit stiffness, hold for a = 1,
+        # b = 0.5, mu = 4.3 at any nu; at nu = 0.0005 the linearized closed
+        # loop grows, and the rescaled coefficients break the sampling bound
         rep = check_nodal_gains(PI, 0.0005, 1.0, 0.5, 4.3, 27)
         assert not rep.satisfied
-        assert [m.name for m in rep.margins if not m.ok] == ["stiffness"]
+        assert [m.name for m in rep.margins if not m.ok] == ["sampling_quad"]
         assert self.linearized_abscissa(0.0005, 1.0, 0.5, 27, 4.3, 108) > 0.0
         for nu in (1.0, 2.0):
             assert check_nodal_gains(PI, nu, 1.0, 0.5, 4.3, 27).satisfied
             assert self.linearized_abscissa(nu, 1.0, 0.5, 27, 4.3, 108) < -0.2
+
+    def test_conditions_read_on_the_rescaled_problem(self):
+        # tau = sqrt(nu) t maps (nu, a, b, mu) to (1, a/nu, b/sqrt(nu), mu/nu):
+        # the unit-stiffness worked example, posed at nu = 0.5, is certified
+        nu = 0.5
+        rep = check_nodal_gains(PI, nu, nu * 1.0, np.sqrt(nu) * 0.5, nu * 4.3, 27)
+        unit = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 27)
+        assert rep.satisfied
+        for m, ref in zip(rep.margins, unit.margins):
+            assert (m.lhs, m.rhs) == pytest.approx((ref.lhs, ref.rhs), rel=1e-12)
+        assert self.linearized_abscissa(nu, nu * 1.0, np.sqrt(nu) * 0.5, 27, nu * 4.3, 108) < 0.0
 
     def test_coarse_sampling_fails(self):
         rep = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 20)
@@ -492,7 +499,7 @@ def setup():
 class TestSubdomainGains:
     def test_reference_config(self, setup):
         omega, grid, mu0 = setup
-        rep = check_subdomain_gains(1.0, 2.0, 1.1 * mu0, omega, grid)
+        rep = check_subdomain_gains(1.0, 1.0, 2.0, 1.1 * mu0, omega, grid)
         assert rep.satisfied
         assert rep.predicted_rate == pytest.approx(1.0)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
@@ -501,19 +508,35 @@ class TestSubdomainGains:
 
     def test_below_mu0_fails(self, setup):
         omega, grid, mu0 = setup
-        assert not check_subdomain_gains(1.0, 2.0, 0.9 * mu0, omega, grid).satisfied
+        assert not check_subdomain_gains(1.0, 1.0, 2.0, 0.9 * mu0, omega, grid).satisfied
+
+    def test_conditions_scale_with_nu(self, setup):
+        # on the problem rescaled by tau = sqrt(nu) t: nu*lam_c >= 4a + 3b^2/2
+        # and mu > nu*mu_zero; the certified rate b/2 does not change
+        omega, grid, mu0 = setup
+        lam_c = (PI / 0.5) ** 2
+        rep = check_subdomain_gains(0.3, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        m = {m.name: m for m in rep.margins}
+        assert m["complement_gap"].lhs == pytest.approx(0.3 * lam_c)
+        assert m["gain"].rhs == pytest.approx(0.3 * mu0)
+        assert rep.satisfied and rep.predicted_rate == pytest.approx(1.0)
+        # 0.25 * lam_c < 10 = 4a + 3b^2/2, and 0.35 * mu0 < 0.4 * mu0
+        rep = check_subdomain_gains(0.25, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        assert [m.name for m in rep.margins if not m.ok] == ["complement_gap"]
+        rep = check_subdomain_gains(0.4, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        assert [m.name for m in rep.margins if not m.ok] == ["gain"]
 
     def test_large_a_unsatisfiable(self, setup):
         omega, grid, _ = setup
         # 4a + 3b^2/2 > lambda_c: first condition fails for any mu
-        rep = check_subdomain_gains(12.0, 2.0, 1e5, omega, grid)
+        rep = check_subdomain_gains(1.0, 12.0, 2.0, 1e5, omega, grid)
         assert not rep.satisfied
 
     def test_wide_subdomain_easy(self):
         L = 1.0
         omega = Subdomain(0.01, 0.99, L)
         grid = make_grid(L, 500, "dirichlet")
-        rep = check_subdomain_gains(1.0, 2.0, 50.0, omega, grid)
+        rep = check_subdomain_gains(1.0, 1.0, 2.0, 50.0, omega, grid)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
         assert gap.lhs == pytest.approx((PI / 0.01) ** 2)
         assert gap.ok

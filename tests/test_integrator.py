@@ -19,6 +19,7 @@ from wavestab import (
     VolumeElements,
     damped_wave,
     default_dt,
+    energy_record,
     l2_norm,
     lyapunov_eb,
     lyapunov_volume,
@@ -268,16 +269,19 @@ class TestPrefactoredSolve:
     def test_matches_banded_solve_reference(self, model, bc, ctrl, monkeypatch):
         g = make_grid(PI, 128, bc)
         u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x) * (bc == "neumann"))
-        cfg = StepperConfig(dt=0.005, t_end=1.0)
+        cfg = StepperConfig(dt=0.005, t_end=1.0, record_every=20)
         assert cfg.n_steps == 200
-        fast = run(model, ctrl, u0, zeros(g), cfg, snapshot_every=20)
+        fast = run(model, ctrl, u0, zeros(g), cfg)
         ab = banded_imex_matrix(model, g, cfg.dt)
         monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: solve_banded((1, 1), ab, rhs))
-        ref = run(model, ctrl, u0, zeros(g), cfg, snapshot_every=20)
-        assert len(fast.snapshots) == len(ref.snapshots) == 11
-        for a, b in zip(fast.snapshots, ref.snapshots):
-            for fa, fb in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
-                np.testing.assert_allclose(fa, fb, rtol=0.0, atol=1e-14 * np.max(np.abs(fb)))
+        ref = run(model, ctrl, u0, zeros(g), cfg)
+        a, b = fast.final_state, ref.final_state
+        for fa, fb in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
+            np.testing.assert_allclose(fa, fb, rtol=0.0, atol=1e-14 * np.max(np.abs(fb)))
+        assert len(fast.records) == len(ref.records) == 11
+        for ra, rb in zip(fast.records, ref.records):
+            assert ra.t == rb.t
+            assert ra.stab_norm == pytest.approx(rb.stab_norm, rel=1e-13)
 
     def test_one_factorisation_per_run(self, monkeypatch):
         calls = {"factor": 0, "solve": 0}
@@ -405,20 +409,15 @@ class TestLyapunov:
         assert all(r.lyapunov is None for r in res.records)
 
 
-def test_snapshots_optional():
+def test_final_state_matches_last_record():
     g = make_grid(PI, 64, "dirichlet")
     model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-    res = run(
-        model,
-        NoControl(),
-        first_mode_state(g),
-        zeros(g),
-        StepperConfig(dt=0.01, t_end=0.5),
-        snapshot_every=25,
-    )
-    assert res.snapshots is not None and len(res.snapshots) >= 2
-    snap = res.snapshots[0]
-    assert snap.t == 0.0 and snap.u.values.shape == (g.n_nodes,)
+    u0 = first_mode_state(g)
+    res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=0.5))
+    final = res.final_state
+    assert final.t == 0.5 and final.u.grid == g and final.u.values.shape == (g.n_nodes,)
+    assert not np.shares_memory(final.u.values, u0.values)
+    assert energy_record(final, model, 0.0) == res.records[-1]
 
 
 def test_grid_mismatch_rejected():
