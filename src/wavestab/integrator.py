@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,8 +44,8 @@ from .controllers import (
     make_control_operator,
     make_energy_operator,
 )
-from .grid import BoundaryCondition, Field, Grid1D, State, h1_seminorm, l2_inner, laplacian_stencil
-from .models import EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
+from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
+from .models import RECORD_ROWS, EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
 from .spectral import dirichlet_eigenvalue
 
 __all__ = [
@@ -112,13 +112,36 @@ def default_dt(grid: Grid1D) -> float:
     return min(0.25 * grid.dx, 1.0e-2)
 
 
+# What a run keeps per record: EnergyRecord's columns after t, less total,
+# which ``RunResult.ledger`` sums again in energy_record's order, bit for bit.
+STORED_COLUMNS = ("kinetic", "grad", "quadratic", "lp", "controller", "stab_norm", "lyapunov")
+
+
 @dataclass
 class RunResult:
-    """Trajectory summary: energy ledger plus blow-up bookkeeping."""
+    """One trajectory's energy ledger plus blow-up bookkeeping.
 
-    records: list[EnergyRecord]
+    ``times`` are the record times and ``stored`` holds the
+    ``STORED_COLUMNS`` at those times, without ``lyapunov`` when the
+    (law, family) pair has no perturbed-energy functional.  ``ledger``
+    assembles EnergyRecord's columns from them, and ``records`` the
+    ``EnergyRecord`` objects, on each access.
+    """
+
+    times: np.ndarray
+    stored: np.ndarray
     final_state: State
     blowup_time: Optional[float] = None
+
+    @property
+    def ledger(self) -> np.ndarray:
+        s = self.stored
+        total = s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3] + s[:, 4]
+        return np.column_stack((self.times, s[:, :5], total, s[:, 5:]))
+
+    @property
+    def records(self) -> list[EnergyRecord]:
+        return [EnergyRecord(*row) for row in self.ledger.tolist()]
 
     @property
     def blew_up(self) -> bool:
@@ -130,7 +153,7 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 class _ImexStepper:
-    """One assembled IMEX Crank--Nicolson update u,v -> u,v."""
+    """One assembled IMEX Crank--Nicolson update u,v -> u,v, on (n, B) columns alike."""
 
     def __init__(self, model: ModelSpec, grid: Grid1D, dt: float, ctl: Callable):
         self.model = model
@@ -192,7 +215,8 @@ class _RK4Stepper:
                 f"dt={dt:.6g} exceeds the RK4 stability budget 0.5*dx/sqrt(nu)={budget:.6g}"
             )
         self.dt = dt
-        self.accel = lambda u, v: acceleration(model, grid, u, v, ctl(u))
+        self.ctl = ctl
+        self.accel = lambda u, v: acceleration(model, grid, u, v, self.ctl(u))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt, accel = self.dt, self.accel
@@ -269,25 +293,37 @@ def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]
     return CERTIFIED.get((type(ctrl), model.family))
 
 
-def lyapunov_eb(state: State, model: ModelSpec, ctrl: ControllerSpec) -> float:
+def lyapunov_eb(state, model: ModelSpec, ctrl):
     """Phi = 1/2||v||^2 + grad/2||u_x||^2 + quad||u||^2 + int F(u) + E_ctrl(u) + eps*(u, v),
-    weighted as ``CERTIFIED`` says for the pair; a pair with no functional is a TypeError."""
-    cert = certificate(model, ctrl)
+    weighted as ``CERTIFIED`` says for the pair; a pair with no functional is a TypeError.
+
+    ``state`` is one :class:`State`, which gives a float.  The stepping loop
+    passes a batch record instead, ``(grid, u, rows)``: the ``(n, B)``
+    displacements and the rows :func:`energy_record` computed for them,
+    whose norms are reused; ``ctrl`` is then the batch's laws and Phi a
+    length-B row.
+    """
+    law = ctrl[0] if isinstance(ctrl, (list, tuple)) else ctrl
+    cert = certificate(model, law)
     if cert is None or cert.weights is None:
-        pair = f"{type(ctrl).__name__} feedback on the {model.family.value} family"
+        pair = f"{type(law).__name__} feedback on the {model.family.value} family"
         raise TypeError(f"no certified functional for {pair}")
-    eps, grad, quad = cert.weights(model, state.grid)
-    u, v = state.u, state.v
-    gx = h1_seminorm(u)
-    potential = float(np.dot(state.grid.quad_weights, model.nonlinearity.F(u.values)))
-    return (
-        0.5 * l2_inner(v, v)
-        + 0.5 * grad * gx * gx
-        + quad * l2_inner(u, u)
-        + potential
-        + controller_energy(ctrl, state)
-        + eps * l2_inner(u, v)
+    if isinstance(state, State):
+        grid, u = state.grid, state.u.values
+        rows = energy_record(model, grid, u, state.v.values, 0.0)
+    else:
+        grid, u, rows = state
+    eps, grad, quad = cert.weights(model, grid)
+    kin, _, _, lp, _, _, _, h1_sq, l2_sq, cross = rows
+    phi = (
+        kin
+        + 0.5 * grad * h1_sq
+        + quad * l2_sq
+        + lp
+        + controller_energy(ctrl, grid, u)
+        + eps * cross
     )
+    return float(phi) if isinstance(state, State) else phi
 
 
 # kept as an alias: perfbench's layer tracer getattr()s both names at install
@@ -300,19 +336,31 @@ lyapunov_volume = lyapunov_eb
 
 def run(
     model: ModelSpec,
-    ctrl: ControllerSpec,
+    ctrl: Union[ControllerSpec, Sequence[ControllerSpec]],
     u0: Field,
     u1: Field,
     cfg: StepperConfig,
-) -> RunResult:
+) -> Union[RunResult, list[RunResult]]:
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
+
+    ``ctrl`` is one law, which gives one :class:`RunResult`, or a sequence
+    of laws that differ only in mu, which gives one result per law, in
+    order.  The laws of a sequence are stepped together as one batch: the
+    nodal values are ``(n, B)`` arrays with one column per law, and one
+    tridiagonal solve per step serves every column.  A single law is the
+    batch of one.
 
     Each record carries the perturbed energy of the (law, family) pair's
     certificate, when it has one (see ``CERTIFIED``).  Blow-up (any nodal
-    magnitude above 1e12, or non-finite values) aborts the loop and is
-    reported through ``RunResult.blowup_time``; the records collected so
-    far are kept.  Identical inputs produce bit-identical trajectories.
+    magnitude above 1e12, or non-finite values) stops a member: its
+    ``blowup_time`` is set, the records collected so far are kept, and the
+    rest of the batch goes on.  Identical inputs produce bit-identical
+    trajectories.
     """
+    batch = isinstance(ctrl, (list, tuple))
+    ctrls = tuple(ctrl) if batch else (ctrl,)
+    if not ctrls:
+        raise ValueError("a batch needs at least one law")
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
     grid = u0.grid
@@ -320,40 +368,61 @@ def run(
         raise ValueError(
             f"model is posed with {model.bc.value} boundaries, grid has {grid.bc.value}"
         )
-    ctl = make_control_operator(ctrl, grid)
-    energy_op = make_energy_operator(ctrl, grid)
+    ctl = make_control_operator(ctrls, grid)
+    energy_op = make_energy_operator(ctrls, grid)
     stepper = _make_stepper(model, grid, cfg, ctl)
-    cert = certificate(model, ctrl)
+    cert = certificate(model, ctrls[0])
     has_functional = cert is not None and cert.weights is not None
 
-    def make_record(u: np.ndarray, v: np.ndarray, t: float) -> EnergyRecord:
-        st = State(Field(grid, u), Field(grid, v), t)
-        rec = energy_record(st, model, energy_op(u))
+    n_steps, every = cfg.n_steps, cfg.record_every
+    n_records = len({0, n_steps} | set(range(every, n_steps + 1, every)))
+    # one row per record, in STORED_COLUMNS, one plane per member
+    times = np.empty(n_records)
+    stored = np.empty((n_records, 7 if has_functional else 6, len(ctrls)))
+    live = np.arange(len(ctrls))  # the members still stepping, in column order
+    members = ctrls
+    kept = [RECORD_ROWS.index(name) for name in STORED_COLUMNS[:6]]
+
+    def record(r: int, u: np.ndarray, v: np.ndarray, t: float) -> None:
+        rows = energy_record(model, grid, u, v, energy_op(u))
+        times[r] = t
+        out = stored[r]
+        out[:6, live] = rows[kept]
         if has_functional:
-            rec = replace(rec, lyapunov=lyapunov_eb(st, model, ctrl))
-        return rec
+            out[6, live] = lyapunov_eb((grid, u, rows), model, members)
 
-    u = u0.values.copy()
-    v = u1.values.copy()
-    records = [make_record(u, v, 0.0)]
-
-    n_steps = cfg.n_steps
-    blowup_time = None
-    t = 0.0
+    u = np.repeat(u0.values[:, None], len(ctrls), axis=1)
+    v = np.repeat(u1.values[:, None], len(ctrls), axis=1)
+    record(0, u, v, 0.0)
+    ends = {}  # member -> (records kept, final u, final v, final t, blow-up time)
+    r, t = 1, 0.0
     for k in range(1, n_steps + 1):
-        u_prev, v_prev, t_prev = u, v, t
-        u, v = stepper.advance(u, v)
-        t = k * cfg.dt
-        peak = max(np.max(np.abs(u)), np.max(np.abs(v)))
-        if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
-            blowup_time = t
-            break
-        if k % cfg.record_every == 0 or k == n_steps:
-            records.append(make_record(u, v, t))
+        u_new, v_new = stepper.advance(u, v)
+        t_new = k * cfg.dt
+        peak = np.maximum(np.abs(u_new).max(axis=0), np.abs(v_new).max(axis=0))
+        bad = ~(peak <= BLOWUP_LIMIT)  # also catches NaN
+        if bad.any():
+            # the aborting step may hold non-finite values; keep the last good state
+            for j in np.flatnonzero(bad):
+                ends[live[j]] = (r, u[:, j], v[:, j], t, t_new)
+            keep = ~bad
+            live = live[keep]
+            if not live.size:
+                break
+            u_new, v_new = u_new[:, keep], v_new[:, keep]
+            members = tuple(ctrls[m] for m in live)
+            stepper.ctl = make_control_operator(members, grid)
+            energy_op = make_energy_operator(members, grid)
+        u, v, t = u_new, v_new, t_new
+        if k % every == 0 or k == n_steps:
+            record(r, u, v, t)
+            r += 1
+    for j, m in enumerate(live):
+        ends[m] = (r, u[:, j], v[:, j], t, None)
 
-    if blowup_time is not None:
-        # the aborting step may hold non-finite values; keep the last good state
-        final = State(Field(grid, u_prev), Field(grid, v_prev), t_prev)
-    else:
-        final = State(Field(grid, u), Field(grid, v), t)
-    return RunResult(records=records, final_state=final, blowup_time=blowup_time)
+    results = []
+    for m in range(len(ctrls)):
+        n, fu, fv, ft, blowup_time = ends[m]
+        final = State(Field(grid, fu), Field(grid, fv), ft)
+        results.append(RunResult(times[:n], stored[:n, :, m], final, blowup_time))
+    return results if batch else results[0]

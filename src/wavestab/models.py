@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BoundaryCondition, Grid1D, State, h1_seminorm, l2_inner, laplacian_stencil
+from .grid import BoundaryCondition, Grid1D, laplacian_stencil
 
 
 class Family(str, enum.Enum):
@@ -185,14 +185,14 @@ def acceleration(
     return source(model, u, v, stiff) + control
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyRecord:
     """One sampled row of the energy ledger along a trajectory.
 
     ``total = kinetic + grad + quadratic + lp + controller`` and
     ``stab_norm = ||v||^2 + ||u_x||^2`` (the quantity the decay
-    certificates control).  ``lyapunov`` is filled only when a run attaches a
-    perturbed-energy functional.
+    certificates control).  ``lyapunov`` is filled only when the run's
+    (law, family) pair has a perturbed-energy functional.
     """
 
     t: float
@@ -206,28 +206,35 @@ class EnergyRecord:
     lyapunov: Optional[float] = None
 
 
-def energy_record(state: State, model: ModelSpec, controller_term: float) -> EnergyRecord:
-    """Evaluate the energy ledger for one state.
+# The rows of energy_record, in order: the ledger's columns between t and
+# lyapunov, then the three norms a perturbed energy weighs (|u|_H1^2,
+# ||u||^2 and (u, v)).
+RECORD_ROWS = (
+    "kinetic", "grad", "quadratic", "lp", "controller", "total", "stab_norm", "h1_sq", "l2_sq", "cross",
+)
 
-    ``controller_term`` is the controller's quadratic energy contribution
-    (variant-specific; see ``controllers.controller_energy``).
+
+def energy_record(
+    model: ModelSpec, grid: Grid1D, u: np.ndarray, v: np.ndarray, controller: float | np.ndarray
+) -> np.ndarray:
+    """The energy ledger of nodal arrays, each norm computed once, as :data:`RECORD_ROWS`.
+
+    ``u`` and ``v`` are ``(n,)`` for one state or ``(n, B)`` for a batch of
+    B states, one per column; each row is then a number or a length-B
+    column.  ``controller`` is the controller's quadratic energy (see
+    ``controllers.make_energy_operator``), of the same shape as a row.
     """
-    vn2 = l2_inner(state.v, state.v)
-    kin = 0.5 * vn2
-    gx = h1_seminorm(state.u)
-    grad = 0.5 * model.nu * gx * gx
-    quad = -0.5 * model.a * l2_inner(state.u, state.u)
-    w = state.grid.quad_weights
-    lp = float(np.dot(w, model.nonlinearity.F(state.u.values)))
-    stab = vn2 + gx * gx
-    total = kin + grad + quad + lp + controller_term
-    return EnergyRecord(
-        t=state.t,
-        kinetic=kin,
-        grad=grad,
-        quadratic=quad,
-        lp=lp,
-        controller=controller_term,
-        total=total,
-        stab_norm=stab,
-    )
+    w = grid.quad_weights
+    vv = np.dot(w, v * v)
+    uu = np.dot(w, u * u)
+    du = u[1:] - u[:-1]
+    h1 = np.sum(du * du, axis=0)
+    if grid.bc is BoundaryCondition.DIRICHLET:  # the first and last cells end at a zero value
+        h1 = h1 + u[0] * u[0] + u[-1] * u[-1]
+    h1 = h1 / grid.dx
+    kin = 0.5 * vv
+    grad = 0.5 * model.nu * h1
+    quad = -0.5 * model.a * uu
+    lp = np.dot(w, model.nonlinearity.F(u))
+    total = kin + grad + quad + lp + controller
+    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, np.dot(w, u * v)])

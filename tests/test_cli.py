@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from wavestab import __version__, cli
+from wavestab import __version__, cli, controllers
 from wavestab.cli import CSV_HEADER, main
 from wavestab.config import gain_report_for, load_config
 
@@ -57,6 +57,31 @@ u0 = random(7, 3)
 [time]
 dt = 0.005
 t_end = 30.0
+"""
+
+# five low modes grow at rate ~4.9 without feedback: in a sweep over
+# mu = 0, 40, 60 only mu = 0 blows up (near t = 5.4)
+BATCH_BLOWUP_INI = """\
+[model]
+family = damped_wave
+nu = 1.0
+a = 30.0
+b = 1.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = fourier
+N = 5
+mu = 40.0
+
+[initial]
+u0 = random(3, 2)
+
+[time]
+dt = 0.01
+t_end = 8.0
 """
 
 # localized damping at nu = 0.1: its linearization grows (abscissa +0.138),
@@ -472,6 +497,43 @@ class TestSweep:
         assert rows[2]["verified"] == "true"
         report = json.loads((out / "mu=0" / "report.json").read_text())
         assert report["blowup"]["blew_up"] is True
+
+    def test_a_blown_up_member_leaves_its_batch(self, tmp_path, capsys):
+        ini = tmp_path / "batch.ini"
+        ini.write_text(BATCH_BLOWUP_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", "60,0,40"]
+                    + ["--out", str(out)]) == 3
+        assert "blew up for mu = 0\n" in capsys.readouterr().out
+        with open(out / "summary.csv") as fh:
+            rows = {r["value"]: r["blew_up"] for r in csv.DictReader(fh)}
+        assert rows == {"0": "true", "40": "false", "60": "false"}
+        reports = {v: json.loads((out / f"mu={v}" / "report.json").read_text()) for v in rows}
+        assert 5.0 < reports["0"]["blowup"]["time"] < 6.0
+        assert {r["batch_size"] for r in reports.values()} == {3}
+        assert len({r["wall_time_s"] for r in reports.values()}) == 1  # the batch's
+        for v in ("40", "60"):
+            assert reports[v]["t_reached"] == 8.0 and reports[v]["records"] == 801
+            assert len((out / f"mu={v}" / "trajectory.csv").read_text().splitlines()) == 802
+
+    def test_mu_sweep_builds_its_law_once(self, tmp_path, monkeypatch):
+        built = []
+        real = controllers.mode_matrix
+        monkeypatch.setattr(controllers, "mode_matrix", lambda *a: built.append(a) or real(*a))
+        controllers._feedback_law.cache_clear()
+        ini = tmp_path / "fourier.ini"
+        ini.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER))
+        values = ",".join(repr(8.5 * k / 32) for k in range(33))
+        assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", values]
+                    + ["--out", str(tmp_path / "sweep")]) == 0
+        assert len(built) <= 1
+
+    def test_n_sweep_runs_each_member_alone(self, volume_ini, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", volume_ini, "--param", "N", "--values", "1,2"]
+                    + ["--out", str(out)]) == 0
+        for n in ("1", "2"):
+            assert json.loads((out / f"N={n}" / "report.json").read_text())["batch_size"] == 1
 
     def test_close_values_get_their_own_members(self, tmp_path):
         out = tmp_path / "sweep"

@@ -1,5 +1,6 @@
-"""Time stepping: accuracy, conservation, blow-up handling, Lyapunov hooks."""
+"""Time stepping: accuracy, conservation, blow-up handling, Lyapunov hooks, batches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.linalg import solve_banded
 from wavestab import (
     Field,
     FourierModes,
+    Nodal,
     NoControl,
     Nonlinearity,
     Scheme,
@@ -417,7 +419,8 @@ def test_final_state_matches_last_record():
     final = res.final_state
     assert final.t == 0.5 and final.u.grid == g and final.u.values.shape == (g.n_nodes,)
     assert not np.shares_memory(final.u.values, u0.values)
-    assert energy_record(final, model, 0.0) == res.records[-1]
+    last = energy_record(model, g, final.u.values[:, None], final.v.values[:, None], np.zeros(1))
+    np.testing.assert_array_equal(res.ledger[-1], [final.t, *last[:7, 0]])
 
 
 def test_grid_mismatch_rejected():
@@ -433,3 +436,94 @@ def test_bc_mismatch_rejected():
     model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
     with pytest.raises(ValueError, match="posed with dirichlet boundaries, grid has neumann"):
         run(model, NoControl(), zeros(g), zeros(g), StepperConfig(dt=0.01, t_end=0.1))
+
+
+# ---------------------------------------------------------------------------
+# batches: laws that differ only in mu, stepped as the columns of one run
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = {
+    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 0.0)),
+    "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 0.0)),
+    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7, PI), 0.0)),
+    "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 0.0)),
+}
+BATCH_GAINS = (0.0, 1.5, 4.0, 9.0)
+
+
+def assert_member_matches_single(member, single, u0):
+    """Same records and blow-up time; total, lyapunov and the final u within 1e-12 of
+    E(0) and max|u0|, or, for a member that blew up, within 1e-12 of their own size."""
+    assert member.blowup_time == single.blowup_time
+    np.testing.assert_array_equal(member.times, single.times)
+    a, b = member.ledger, single.ledger
+    assert a.shape == b.shape
+    rtol = 1e-12 if single.blew_up else 0.0
+    e0 = abs(b[0, 6])  # the total at t = 0
+    for col in (6, 8)[: b.shape[1] - 7]:  # total, then lyapunov when the pair has one
+        np.testing.assert_allclose(a[:, col], b[:, col], rtol=rtol, atol=1e-12 * e0)
+    assert member.final_state.t == single.final_state.t
+    np.testing.assert_allclose(member.final_state.u.values, single.final_state.u.values,
+                               rtol=rtol, atol=1e-12 * np.max(np.abs(u0.values)))
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [(name, Scheme.IMEX_CN) for name in sorted(BATCH_CASES)]
+    + [(name, Scheme.RK4) for name in ("fourier", "subdomain", "volume")],  # RK4 refuses nodal's family
+)
+def test_batch_members_match_their_single_runs(name, scheme):
+    model, law = BATCH_CASES[name]
+    g = make_grid(PI, 64, model.bc)
+    u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
+    cfg = StepperConfig(dt=0.01, t_end=1.0, scheme=scheme, record_every=5)
+    laws = [dataclasses.replace(law, mu=mu) for mu in BATCH_GAINS]
+    batch = run(model, laws, u0, zeros(g), cfg)
+    assert len(batch) == len(laws)
+    assert all(len(member.times) == 21 and not member.blew_up for member in batch)
+    for spec, member in zip(laws, batch):
+        single = run(model, spec, u0, zeros(g), cfg)
+        assert_member_matches_single(member, single, u0)
+
+
+# a linear wave whose five low modes grow at rate ~4.9 without feedback:
+# mu = 0 passes 1e12 near t = 5.4, while mu = 40 and 60 hold every mode
+BLOWUP_MODEL = damped_wave(1.0, 30.0, 1.0, "dirichlet")
+
+
+def test_a_member_that_blows_up_leaves_the_batch():
+    g = make_grid(PI, 64, "dirichlet")
+    u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.sin(2.0 * x))
+    cfg = StepperConfig(dt=0.01, t_end=8.0, record_every=10)
+    laws = [FourierModes(5, mu) for mu in (0.0, 40.0, 60.0)]
+    batch = run(BLOWUP_MODEL, laws, u0, zeros(g), cfg)
+    assert [m.blew_up for m in batch] == [True, False, False]
+    assert 5.0 < batch[0].blowup_time < 6.0
+    assert batch[0].final_state.t == pytest.approx(batch[0].blowup_time - 0.01)
+    assert len(batch[1].times) == len(batch[2].times) == 81
+    for spec, member in zip(laws, batch):
+        single = run(BLOWUP_MODEL, spec, u0, zeros(g), cfg)
+        assert_member_matches_single(member, single, u0)
+
+
+def test_one_law_is_the_batch_of_one():
+    model, law = BATCH_CASES["fourier"]
+    g = make_grid(PI, 64, "dirichlet")
+    u0 = sample(g, np.sin)
+    cfg = StepperConfig(dt=0.01, t_end=0.5)
+    one = run(model, dataclasses.replace(law, mu=4.0), u0, zeros(g), cfg)
+    [listed] = run(model, [dataclasses.replace(law, mu=4.0)], u0, zeros(g), cfg)
+    np.testing.assert_array_equal(one.ledger, listed.ledger)
+    np.testing.assert_array_equal(one.final_state.u.values, listed.final_state.u.values)
+
+
+@pytest.mark.parametrize(
+    "laws",
+    [[], [FourierModes(2, 1.0), FourierModes(3, 1.0)], [FourierModes(2, 1.0), NoControl()]],
+    ids=["empty", "two_shapes", "two_kinds"],
+)
+def test_a_batch_shares_one_law_shape(laws):
+    g = make_grid(PI, 64, "dirichlet")
+    model = damped_wave(1.0, 1.0, 2.0, "dirichlet")
+    with pytest.raises(ValueError):
+        run(model, laws, sample(g, np.sin), zeros(g), StepperConfig(dt=0.01, t_end=0.1))

@@ -14,6 +14,8 @@ from wavestab import (
     acceleration,
     damped_wave,
     energy_record,
+    h1_seminorm,
+    l2_inner,
     make_grid,
     mode_matrix,
     nonlinear_damping_wave,
@@ -21,6 +23,8 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
+
+from wavestab.models import RECORD_ROWS
 
 PI = np.pi
 
@@ -194,40 +198,73 @@ class TestAcceleration:
 # energy records
 # --------------------------------------------------------------------------
 
+def record(st, m, controller=0.0):
+    """The ledger rows of one State, by name."""
+    rows = energy_record(m, st.grid, st.u.values, st.v.values, controller)
+    return dict(zip(RECORD_ROWS, rows))
+
+
 class TestEnergyRecord:
     def test_zero_state(self):
         g = make_grid(PI, 64, "dirichlet")
         m = damped_wave(1.0, 1.0, 1.0, "dirichlet")
-        r = energy_record(State(zeros(g), zeros(g)), m, 0.0)
-        assert (r.kinetic, r.grad, r.quadratic, r.lp, r.total, r.stab_norm) == (0,) * 6
+        r = record(State(zeros(g), zeros(g)), m)
+        assert all(r[k] == 0.0 for k in ("kinetic", "grad", "quadratic", "lp", "total", "stab_norm"))
 
     def test_pure_mode_partition(self):
         g = make_grid(PI, 512, "dirichlet")
         u = Field(g, mode_matrix(g, 1)[0])
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet", Nonlinearity.power_law(2.0))
-        r = energy_record(State(u, zeros(g)), m, 0.0)
-        assert r.kinetic == 0.0
-        assert r.grad == pytest.approx(0.5, rel=1e-4)
-        assert r.lp == pytest.approx(0.5, rel=1e-6)
-        assert r.quadratic == 0.0
+        r = record(State(u, zeros(g)), m)
+        assert r["kinetic"] == 0.0
+        assert r["grad"] == pytest.approx(0.5, rel=1e-4)
+        assert r["lp"] == pytest.approx(0.5, rel=1e-6)
+        assert r["quadratic"] == 0.0
 
     def test_stab_norm_of_equal_mode_pair(self):
         g = make_grid(PI, 512, "dirichlet")
         w = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        r = energy_record(make_state(g, w, w), m, 0.0)
-        assert r.stab_norm == pytest.approx(2.0, rel=1e-4)
+        r = record(make_state(g, w, w), m)
+        assert r["stab_norm"] == pytest.approx(2.0, rel=1e-4)
 
     def test_controller_term_passthrough(self):
         g = make_grid(PI, 64, "dirichlet")
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        r = energy_record(State(zeros(g), zeros(g)), m, controller_term=0.75)
-        assert r.controller == 0.75
-        assert r.total == 0.75
+        r = record(State(zeros(g), zeros(g)), m, controller=0.75)
+        assert r["controller"] == 0.75
+        assert r["total"] == 0.75
 
     def test_quadratic_term_is_negative(self):
         g = make_grid(PI, 128, "neumann")
         m = damped_wave(1.0, 2.0, 1.0, "neumann")
         st = make_state(g, np.ones(g.n_nodes), np.zeros(g.n_nodes))
-        r = energy_record(st, m, 0.0)
-        assert r.quadratic == pytest.approx(-PI, rel=1e-12)  # -(a/2)*||1||^2 = -pi
+        assert record(st, m)["quadratic"] == pytest.approx(-PI, rel=1e-12)  # -(a/2)*||1||^2 = -pi
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_norms_match_the_field_norms(self, bc):
+        g = make_grid(PI, 96, bc)
+        rng = np.random.default_rng(4)
+        m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity.power_law(4.0))
+        u, v = Field(g, rng.standard_normal(g.n_nodes)), Field(g, rng.standard_normal(g.n_nodes))
+        r = record(State(u, v), m)
+        gx = h1_seminorm(u)
+        assert r["h1_sq"] == pytest.approx(gx * gx, rel=1e-13)
+        assert r["l2_sq"] == pytest.approx(l2_inner(u, u), rel=1e-13)
+        assert r["cross"] == pytest.approx(l2_inner(u, v), rel=1e-13)
+        assert r["kinetic"] == pytest.approx(0.5 * l2_inner(v, v), rel=1e-13)
+        assert r["grad"] == pytest.approx(0.5 * m.nu * gx * gx, rel=1e-13)
+        assert r["quadratic"] == pytest.approx(-0.5 * m.a * l2_inner(u, u), rel=1e-13)
+        assert r["stab_norm"] == pytest.approx(l2_inner(v, v) + gx * gx, rel=1e-13)
+
+    def test_batch_columns_match_single_records(self):
+        g = make_grid(PI, 64, "dirichlet")
+        rng = np.random.default_rng(8)
+        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0))
+        u, v = rng.standard_normal((g.n_nodes, 5)), rng.standard_normal((g.n_nodes, 5))
+        ctrl = rng.uniform(0.0, 2.0, 5)
+        batch = energy_record(m, g, u, v, ctrl)
+        assert batch.shape == (len(RECORD_ROWS), 5)
+        for j in range(5):
+            single = energy_record(m, g, u[:, j], v[:, j], ctrl[j])
+            np.testing.assert_allclose(batch[:, j], single, rtol=1e-13, atol=1e-13)
