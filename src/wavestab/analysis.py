@@ -103,12 +103,7 @@ def fit_exponential(records: Sequence[EnergyRecord], window: tuple[float, float]
         )
     t = np.asarray(ts)
     y = np.asarray(logs)
-    # the least-squares line from centered sums: no call into LAPACK, whose
-    # least-squares routine costs a process 1.4 MB of resident memory on first use
-    t_mean, y_mean = t.mean(), y.mean()
-    tc = t - t_mean
-    slope = np.dot(tc, y - y_mean) / np.dot(tc, tc)
-    intercept = y_mean - slope * t_mean
+    slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import __version__
@@ -56,7 +57,7 @@ def write_trajectory(path: str, result: RunResult) -> None:
         fh.writelines(",".join(map(repr, row)) + blank + "\n" for row in ledger.tolist())
 
 
-def _verify(cfg: ExperimentConfig, report, records: list) -> tuple[Optional[dict], Optional[dict], bool]:
+def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[dict], Optional[dict], bool]:
     """Fit the recorded decay and test it against the predicted rate.
 
     Returns (fit_dict, verify_dict, ok).  Verification runs whenever the
@@ -67,6 +68,7 @@ def _verify(cfg: ExperimentConfig, report, records: list) -> tuple[Optional[dict
     power law, and an exponential rate against its envelope.
     """
     window = cfg.analysis.window(cfg.stepper.t_end)
+    records = result.records
     try:
         fit = fit_exponential(records, window=window)
         fit_dict = dataclasses.asdict(fit)
@@ -97,48 +99,41 @@ def _verify(cfg: ExperimentConfig, report, records: list) -> tuple[Optional[dict
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
 
 
-def _execute(cfgs: list[ExperimentConfig], out_dirs: list[str]) -> list[tuple[dict, int]]:
-    """Shared run pipeline: simulate one batch, then write each member's artifacts and exit code.
-
-    The members share everything but the gain, so one ``run`` call steps
-    them all; ``wall_time_s`` is that call's, with ``batch_size`` members.
-    """
-    reports = [gain_report_for(cfg) for cfg in cfgs]
-    base = cfgs[0]
+def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
+    """Shared run pipeline: simulate, write artifacts, decide the exit code."""
+    os.makedirs(out_dir, exist_ok=True)
+    report = gain_report_for(cfg)
     t0 = time.perf_counter()
-    results = run(base.model, [cfg.controller for cfg in cfgs], base.u0, base.u1, base.stepper)
+    result = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper)
     wall = time.perf_counter() - t0
 
-    out = []
-    for cfg, out_dir, report, result in zip(cfgs, out_dirs, reports, results):
-        os.makedirs(out_dir, exist_ok=True)
-        write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
-        if result.blew_up:
-            fit_dict, verify, code = None, None, 3
-        else:
-            fit_dict, verify, verify_ok = _verify(cfg, report, result.records)
-            satisfied = report.satisfied if report else True
-            code = 0 if (satisfied and verify_ok) else 1
-        doc = {
-            "version": __version__,
-            "variant": cfg.variant,
-            "config": cfg.raw,
-            "gain": report.to_dict() if report else None,
-            "blowup": {"blew_up": result.blew_up, "time": result.blowup_time},
-            "n_steps": cfg.stepper.n_steps,
-            "dt": cfg.stepper.dt,
-            "t_reached": result.final_state.t,
-            "records": len(result.times),
-            "fit": fit_dict,
-            "verify": verify,
-            "wall_time_s": wall,
-            "batch_size": len(cfgs),
-        }
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        out.append((doc, code))
-    return out
+    write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
+
+    if result.blew_up:
+        fit_dict, verify, code = None, None, 3
+    else:
+        fit_dict, verify, verify_ok = _verify(cfg, report, result)
+        satisfied = report.satisfied if report else True
+        code = 0 if (satisfied and verify_ok) else 1
+    doc = {
+        "version": __version__,
+        "variant": cfg.variant,
+        "config": cfg.raw,
+        "gain": report.to_dict() if report else None,
+        "blowup": {"blew_up": result.blew_up, "time": result.blowup_time},
+        "n_steps": cfg.stepper.n_steps,
+        "dt": cfg.stepper.dt,
+        "t_reached": result.final_state.t,
+        "records": len(result.ledger),
+        "fit": fit_dict,
+        "verify": verify,
+        "wall_time_s": wall,
+    }
+
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return doc, code
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    [(doc, code)] = _execute([cfg], [args.out])
+    doc, code = _execute(cfg, args.out)
     gain = doc["gain"]
     if gain is not None:
         state = "satisfied" if gain["satisfied"] else "NOT satisfied"
@@ -197,18 +192,16 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     return label, dataclasses.replace(base, controller=new_ctrl, raw=raw)
 
 
-def _sweep_batch(cfgs: list[ExperimentConfig], out_dirs: list[str]) -> list[list[str]]:
-    """Run one batch of members; return each member's ``summary.csv`` cells after the label."""
-    rows = []
-    for doc, _code in _execute(cfgs, out_dirs):
-        fit, verify, gain = doc["fit"], doc["verify"], doc["gain"]
-        rows.append([
-            str(bool(gain and gain["satisfied"])).lower(),
-            _fmt(fit.get("rate") if isinstance(fit, dict) else None),
-            str(bool(verify and verify["ok"])).lower(),
-            str(doc["blowup"]["blew_up"]).lower(),
-        ])
-    return rows
+def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
+    """Run one member; return its ``summary.csv`` cells after the label."""
+    doc, _code = _execute(cfg, out_dir)
+    fit, verify, gain = doc["fit"], doc["verify"], doc["gain"]
+    return [
+        str(bool(gain and gain["satisfied"])).lower(),
+        _fmt(fit.get("rate") if isinstance(fit, dict) else None),
+        str(bool(verify and verify["ok"])).lower(),
+        str(doc["blowup"]["blew_up"]).lower(),
+    ]
 
 
 def _format_value(param: str, value: float) -> str:
@@ -241,20 +234,11 @@ def cmd_sweep(args) -> int:
     labels = [label for label, _cfg in members]
     cfgs = [cfg for _label, cfg in members]
     subs = [os.path.join(args.out, f"{args.param}={label}") for label in labels]
-    # a mu sweep's members differ only in the gain, so they run as one batch;
-    # an N sweep changes the law's shape, so each member is a batch of one
-    if args.param == "mu" and cfgs:
-        batches = [(cfgs, subs)]
-    else:
-        batches = [([cfg], [sub]) for cfg, sub in zip(cfgs, subs)]
-    if args.jobs > 1 and len(batches) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for its import
-
+    if args.jobs > 1 and len(members) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            done = list(pool.map(_sweep_batch, *zip(*batches)))
+            rows = list(pool.map(_sweep_worker, cfgs, subs))
     else:
-        done = [_sweep_batch(*batch) for batch in batches]
-    rows = [row for batch_rows in done for row in batch_rows]
+        rows = list(map(_sweep_worker, cfgs, subs))
 
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:

@@ -193,25 +193,21 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
 
     ``observe(u)`` gives the finitely many observed numbers y,
     ``actuate(y, gain)`` spreads ``gain * y`` back onto the nodes, and the
-    controller energy is ``1/2 * mu * sum(s * y**2)``.  Nodal values are
-    ``(n,)`` for one field or ``(n, B)`` for a batch of B fields, one per
-    column; y is then ``(N,)`` or ``(N, B)`` and ``gain`` a number or a
-    length-B row.  Except for the nodal law, whose observation and actuation
-    points differ, the actuation is the adjoint of the observation (weights s
-    on y, trapezoid weights on the nodes), so the feedback
-    ``actuate(observe(u), -mu)`` is minus the weighted gradient of that
-    energy.  The actuation takes the gain itself so that each law multiplies
-    it in where rounding matches the direct formula (the nodal law folds it
-    into its ``h/dx`` scale).
+    controller energy is ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
+    law, whose observation and actuation points differ, the actuation is
+    the adjoint of the observation (weights s on y, trapezoid weights on
+    the nodes), so the feedback ``actuate(observe(u), -mu)`` is minus the
+    weighted gradient of that energy.  The actuation takes the gain itself
+    so that each law multiplies it in where rounding matches the direct
+    formula (the nodal law folds it into its ``h/dx`` scale).
 
-    No law reads ``spec.mu``; callers key the cache on :func:`_law_shape`,
-    so the members of a gain sweep share one build.  The arrays the laws
-    hold are read-only.
+    No law reads ``spec.mu``: callers key the cache on :func:`_law_shape`,
+    so the members of a gain sweep share one build, and the ledger's energy
+    calls cost a lookup, not a rebuild.  The arrays the laws hold are
+    read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(
-            lambda u: u[:0], lambda y, gain: np.zeros((grid.n_nodes,) + y.shape[1:]), np.zeros(0)
-        )
+        return _frozen_law(lambda u: u[:0], lambda y, gain: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
         avg, owner, m = element_layout(grid, spec.N)
@@ -231,37 +227,31 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             raise ValueError(f"modal feedback needs N < n_cells={grid.n_cells}, got N={spec.N}")
         W = mode_matrix(grid, spec.N)
         Wq = W * grid.quad_weights
-        return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (W.T @ c), np.ones(spec.N), Wq)
+        return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
         obs, act = spec.points(grid.L)
         act_idx = _nearest_interior_index(grid, act)
         h = grid.L / spec.N
-        # linear interpolation through the implicit zero boundary values, as
-        # a matrix on the stored nodes: row k holds the two weights of obs[k]
+        # interpolation with the implicit zero boundary values
         xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
-        left = np.clip(np.searchsorted(xs, obs, side="right") - 1, 0, len(xs) - 2)
-        frac = (obs - xs[left]) / (xs[left + 1] - xs[left])
-        interp = np.zeros((spec.N, len(xs)))
-        rows = np.arange(spec.N)
-        interp[rows, left] = 1.0 - frac
-        interp[rows, left + 1] = frac
-        interp = np.ascontiguousarray(interp[:, 1:-1])
+
+        def observe_nodal(u):
+            return np.interp(obs, xs, np.concatenate(([0.0], u, [0.0])))
 
         def actuate_nodal(y, gain):
-            out = np.zeros((grid.n_nodes,) + y.shape[1:])
+            out = np.zeros(grid.n_nodes)
             np.add.at(out, act_idx, gain * h / grid.dx * y)
             return out
 
-        return _frozen_law(lambda u: interp @ u, actuate_nodal, np.full(spec.N, h), interp, act_idx)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), obs, act_idx, xs)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
         chi = spec.omega.indicator(grid.nodes)
         s = grid.quad_weights * chi
-        # chi weights axis 0 of y, which is (n,) or (n, B)
-        return _frozen_law(lambda u: u, lambda y, gain: gain * (y.T * chi).T, s, chi)
+        return _frozen_law(lambda u: u, lambda y, gain: gain * chi * y, s, chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
 
@@ -271,55 +261,39 @@ def _law_shape(spec: ControllerSpec) -> ControllerSpec:
     return replace(spec, mu=0.0)
 
 
-def _shape_and_gain(ctrl) -> tuple[ControllerSpec, Union[float, np.ndarray]]:
-    """The law shape of ``ctrl`` and its gain mu.
-
-    ``ctrl`` is one law, whose gain is a number, or a sequence of laws that
-    differ only in mu (a batch), whose gain is the length-B row of their mu.
-    """
-    if isinstance(ctrl, (list, tuple)):
-        return _batch_shape_and_gain(tuple(ctrl))
-    return _law_shape(ctrl), ctrl.mu
-
-
-@lru_cache(maxsize=16)
-def _batch_shape_and_gain(ctrls: tuple) -> tuple[ControllerSpec, np.ndarray]:
-    """A batch's shape and read-only gain row, checked once per batch: the loop asks every record."""
-    shape = _law_shape(ctrls[0])
-    if any(_law_shape(c) != shape for c in ctrls[1:]):
-        raise ValueError("the laws of a batch must differ only in mu")
-    gain = np.array([c.mu for c in ctrls])
-    gain.flags.writeable = False
-    return shape, gain
-
-
-def make_control_operator(spec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
+def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the feedback law into an array-in/array-out closure.
 
-    ``spec`` is one law, or a batch of laws that differ only in mu, whose
-    closure maps ``(n, B)`` nodal columns to their B feedback fields.
     Validation (boundary type, alignment, point placement) happens once
     here; the returned closure is what a time stepper should call.
     """
-    shape, mu = _shape_and_gain(spec)
-    observe, actuate, _ = _feedback_law(shape, grid)
-    gain = -mu
+    observe, actuate, _ = _feedback_law(_law_shape(spec), grid)
+    gain = -spec.mu
     return lambda u: actuate(observe(u), gain)
 
 
-def make_energy_operator(spec, grid: Grid1D) -> Callable[[np.ndarray], Union[float, np.ndarray]]:
+def make_energy_operator(
+    spec: ControllerSpec, grid: Grid1D
+) -> Callable[[np.ndarray], Union[float, np.ndarray]]:
     """Controller's quadratic contribution to the energy ledger, as a closure.
 
-    For a batch of laws (see :func:`make_control_operator`) the closure maps
-    ``(n, B)`` nodal columns to the length-B row of their energies.
+    The closure maps nodal values ``(n,)`` to their energy, and a block of
+    K states ``(K, n)``, one per row, to the length-K row of their energies.
+    The block is evaluated a row at a time, so each state gets the number
+    it gets alone, bit for bit.
     """
-    shape, mu = _shape_and_gain(spec)
-    observe, _, s = _feedback_law(shape, grid)
-    half_mu = 0.5 * mu
-    return lambda u: half_mu * np.dot(s, observe(u) ** 2)
+    observe, _, s = _feedback_law(_law_shape(spec), grid)
+    half_mu = 0.5 * spec.mu
+
+    def energy(u):
+        if u.ndim == 2:
+            return np.array([half_mu * float(np.dot(s, observe(x) ** 2)) for x in u])
+        return half_mu * float(np.dot(s, observe(u) ** 2))
+
+    return energy
 
 
-def controller_energy(spec, grid: Grid1D, u: np.ndarray) -> Union[float, np.ndarray]:
+def controller_energy(spec: ControllerSpec, grid: Grid1D, u: np.ndarray) -> Union[float, np.ndarray]:
     """The controller energy of nodal values ``u``: :func:`make_energy_operator` applied once."""
     return make_energy_operator(spec, grid)(u)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .controllers import (
     make_energy_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
-from .models import RECORD_ROWS, EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
+from .models import EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
 from .spectral import dirichlet_eigenvalue
 
 __all__ = [
@@ -112,32 +112,24 @@ def default_dt(grid: Grid1D) -> float:
     return min(0.25 * grid.dx, 1.0e-2)
 
 
-# What a run keeps per record: EnergyRecord's columns after t, less total,
-# which ``RunResult.ledger`` sums again in energy_record's order, bit for bit.
-STORED_COLUMNS = ("kinetic", "grad", "quadratic", "lp", "controller", "stab_norm", "lyapunov")
+# nodal values each of the loop's two record buffers holds (128 KB); a block
+# of records is that many over the node count, so it stays small on fine grids
+LEDGER_BLOCK_VALUES = 1 << 14
 
 
 @dataclass
 class RunResult:
     """One trajectory's energy ledger plus blow-up bookkeeping.
 
-    ``times`` are the record times and ``stored`` holds the
-    ``STORED_COLUMNS`` at those times, without ``lyapunov`` when the
-    (law, family) pair has no perturbed-energy functional.  ``ledger``
-    assembles EnergyRecord's columns from them, and ``records`` the
-    ``EnergyRecord`` objects, on each access.
+    ``ledger`` has one row per record and ``EnergyRecord``'s columns,
+    without ``lyapunov`` when the (law, family) pair has no perturbed-energy
+    functional; ``records`` builds the ``EnergyRecord`` objects from it on
+    each access.
     """
 
-    times: np.ndarray
-    stored: np.ndarray
+    ledger: np.ndarray
     final_state: State
     blowup_time: Optional[float] = None
-
-    @property
-    def ledger(self) -> np.ndarray:
-        s = self.stored
-        total = s[:, 0] + s[:, 1] + s[:, 2] + s[:, 3] + s[:, 4]
-        return np.column_stack((self.times, s[:, :5], total, s[:, 5:]))
 
     @property
     def records(self) -> list[EnergyRecord]:
@@ -153,7 +145,7 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 class _ImexStepper:
-    """One assembled IMEX Crank--Nicolson update u,v -> u,v, on (n, B) columns alike."""
+    """One assembled IMEX Crank--Nicolson update u,v -> u,v."""
 
     def __init__(self, model: ModelSpec, grid: Grid1D, dt: float, ctl: Callable):
         self.model = model
@@ -163,6 +155,8 @@ class _ImexStepper:
         self.lap = laplacian_stencil(grid.bc)
         self.c_lin = model.linear_damping
         self.beta = model.viscosity
+        self.v_weight = 1.0 - 0.5 * dt * self.c_lin  # v's share of the trapezoid on -c*v
+        self.half_dt_nu = 0.5 * dt * model.nu
         kappa = 0.5 * dt * self.beta + 0.25 * dt * dt * model.nu
         inv_dx2 = 1.0 / grid.dx**2
         n = grid.n_nodes
@@ -177,25 +171,21 @@ class _ImexStepper:
         # the matrix is fixed for the run: factor once, back-substitute per step
         self.factors = kernels.factor_tridiagonal(lower, diag, upper)
 
-    def _explicit_half(self, u, v, lap_u):
-        """Source terms at the predicted half step."""
-        mdl = self.model
-        dt = self.dt
-        u_star = u + 0.5 * dt * v
-        if mdl.m is not None:
-            # only nonlinear damping reads v: predict it at the half step
-            v = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * lap_u) + self.ctl(u))
-        return u_star, source(mdl, u_star, v) + self.ctl(u_star)
-
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mdl = self.model
-        dt = self.dt
-        lap_u = self.lap(u, self.grid.dx)
-        u_star, g_half = self._explicit_half(u, v, lap_u)
-        r_v = v + 0.5 * dt * (mdl.nu * lap_u - self.c_lin * v) + dt * g_half
+        dt, dx = self.dt, self.grid.dx
+        u_star = u + 0.5 * dt * v
+        v_half = v
+        if mdl.m is not None:
+            # only nonlinear damping reads v: predict it at the half step
+            v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
+        g_half = source(mdl, u_star, v_half) + self.ctl(u_star)
+        # the trapezoid on nu*u_xx is nu/2 (lap u + lap u_new), and lap u_new =
+        # lap u_star + dt/2 lap v_new: the v_new part is in the matrix, and
+        # lap u + lap u_star is one stencil of u + u_star
+        rhs = self.v_weight * v + dt * g_half + self.half_dt_nu * self.lap(u + u_star, dx)
         if self.beta != 0.0:
-            r_v += 0.5 * dt * self.beta * self.lap(v, self.grid.dx)
-        rhs = r_v + 0.5 * dt * mdl.nu * self.lap(u_star, self.grid.dx)
+            rhs += 0.5 * dt * self.beta * self.lap(v, dx)
         v_new = kernels.thomas_solve(self.factors, rhs)
         u_new = u_star + 0.5 * dt * v_new
         return u_new, v_new
@@ -215,8 +205,7 @@ class _RK4Stepper:
                 f"dt={dt:.6g} exceeds the RK4 stability budget 0.5*dx/sqrt(nu)={budget:.6g}"
             )
         self.dt = dt
-        self.ctl = ctl
-        self.accel = lambda u, v: acceleration(model, grid, u, v, self.ctl(u))
+        self.accel = lambda u, v: acceleration(model, grid, u, v, ctl(u))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt, accel = self.dt, self.accel
@@ -293,20 +282,18 @@ def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]
     return CERTIFIED.get((type(ctrl), model.family))
 
 
-def lyapunov_eb(state, model: ModelSpec, ctrl):
+def lyapunov_eb(state, model: ModelSpec, ctrl: ControllerSpec):
     """Phi = 1/2||v||^2 + grad/2||u_x||^2 + quad||u||^2 + int F(u) + E_ctrl(u) + eps*(u, v),
     weighted as ``CERTIFIED`` says for the pair; a pair with no functional is a TypeError.
 
     ``state`` is one :class:`State`, which gives a float.  The stepping loop
-    passes a batch record instead, ``(grid, u, rows)``: the ``(n, B)``
+    passes a block of records instead, ``(grid, u, rows)``: the ``(K, n)``
     displacements and the rows :func:`energy_record` computed for them,
-    whose norms are reused; ``ctrl`` is then the batch's laws and Phi a
-    length-B row.
+    whose norms are reused; Phi is then a length-K row.
     """
-    law = ctrl[0] if isinstance(ctrl, (list, tuple)) else ctrl
-    cert = certificate(model, law)
+    cert = certificate(model, ctrl)
     if cert is None or cert.weights is None:
-        pair = f"{type(law).__name__} feedback on the {model.family.value} family"
+        pair = f"{type(ctrl).__name__} feedback on the {model.family.value} family"
         raise TypeError(f"no certified functional for {pair}")
     if isinstance(state, State):
         grid, u = state.grid, state.u.values
@@ -336,31 +323,23 @@ lyapunov_volume = lyapunov_eb
 
 def run(
     model: ModelSpec,
-    ctrl: Union[ControllerSpec, Sequence[ControllerSpec]],
+    ctrl: ControllerSpec,
     u0: Field,
     u1: Field,
     cfg: StepperConfig,
-) -> Union[RunResult, list[RunResult]]:
+) -> RunResult:
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
-    ``ctrl`` is one law, which gives one :class:`RunResult`, or a sequence
-    of laws that differ only in mu, which gives one result per law, in
-    order.  The laws of a sequence are stepped together as one batch: the
-    nodal values are ``(n, B)`` arrays with one column per law, and one
-    tridiagonal solve per step serves every column.  A single law is the
-    batch of one.
-
     Each record carries the perturbed energy of the (law, family) pair's
-    certificate, when it has one (see ``CERTIFIED``).  Blow-up (any nodal
-    magnitude above 1e12, or non-finite values) stops a member: its
-    ``blowup_time`` is set, the records collected so far are kept, and the
-    rest of the batch goes on.  Identical inputs produce bit-identical
-    trajectories.
+    certificate, when it has one (see ``CERTIFIED``).  The loop copies each
+    recorded state into a block buffer and evaluates the ledger of a full
+    block in one pass over its rows, so each norm costs one array operation
+    per block, not per record, and each record still gets the numbers its
+    state gets alone (see :func:`energy_record`).  Blow-up (any nodal magnitude
+    above 1e12, or non-finite values) aborts the loop and is reported
+    through ``RunResult.blowup_time``; the records collected so far are
+    kept.  Identical inputs produce bit-identical trajectories.
     """
-    batch = isinstance(ctrl, (list, tuple))
-    ctrls = tuple(ctrl) if batch else (ctrl,)
-    if not ctrls:
-        raise ValueError("a batch needs at least one law")
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 live on different grids")
     grid = u0.grid
@@ -368,61 +347,54 @@ def run(
         raise ValueError(
             f"model is posed with {model.bc.value} boundaries, grid has {grid.bc.value}"
         )
-    ctl = make_control_operator(ctrls, grid)
-    energy_op = make_energy_operator(ctrls, grid)
+    ctl = make_control_operator(ctrl, grid)
+    energy_op = make_energy_operator(ctrl, grid)
     stepper = _make_stepper(model, grid, cfg, ctl)
-    cert = certificate(model, ctrls[0])
+    cert = certificate(model, ctrl)
     has_functional = cert is not None and cert.weights is not None
 
     n_steps, every = cfg.n_steps, cfg.record_every
-    n_records = len({0, n_steps} | set(range(every, n_steps + 1, every)))
-    # one row per record, in STORED_COLUMNS, one plane per member
-    times = np.empty(n_records)
-    stored = np.empty((n_records, 7 if has_functional else 6, len(ctrls)))
-    live = np.arange(len(ctrls))  # the members still stepping, in column order
-    members = ctrls
-    kept = [RECORD_ROWS.index(name) for name in STORED_COLUMNS[:6]]
+    n_records = n_steps // every + 1 + (n_steps % every > 0)  # t = 0, each cadence step, the last
+    # t, EnergyRecord's seven energy columns, then lyapunov if the pair has one
+    ledger = np.empty((n_records, 9 if has_functional else 8))
+    width = max(1, min(n_records, LEDGER_BLOCK_VALUES // grid.n_nodes))
+    # one recorded state per row, so each copy is contiguous
+    ts, us, vs = np.empty(width), np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
+    done = 0  # ledger rows written
 
-    def record(r: int, u: np.ndarray, v: np.ndarray, t: float) -> None:
+    def flush(k: int) -> None:
+        """Write the ledger rows of the first k buffered records."""
+        nonlocal done
+        u, v = us[:k], vs[:k]
         rows = energy_record(model, grid, u, v, energy_op(u))
-        times[r] = t
-        out = stored[r]
-        out[:6, live] = rows[kept]
+        out = ledger[done:done + k]
+        out[:, 0] = ts[:k]
+        out[:, 1:8] = rows[:7].T  # energy_record's first seven rows are the ledger's next columns
         if has_functional:
-            out[6, live] = lyapunov_eb((grid, u, rows), model, members)
+            out[:, 8] = lyapunov_eb((grid, u, rows), model, ctrl)
+        done += k
 
-    u = np.repeat(u0.values[:, None], len(ctrls), axis=1)
-    v = np.repeat(u1.values[:, None], len(ctrls), axis=1)
-    record(0, u, v, 0.0)
-    ends = {}  # member -> (records kept, final u, final v, final t, blow-up time)
-    r, t = 1, 0.0
+    u = u0.values.copy()
+    v = u1.values.copy()
+    ts[0], us[0], vs[0] = 0.0, u, v
+    held = 1  # records in the buffers
+    blowup_time = None
+    t = 0.0
     for k in range(1, n_steps + 1):
         u_new, v_new = stepper.advance(u, v)
         t_new = k * cfg.dt
-        peak = np.maximum(np.abs(u_new).max(axis=0), np.abs(v_new).max(axis=0))
-        bad = ~(peak <= BLOWUP_LIMIT)  # also catches NaN
-        if bad.any():
+        peak = max(abs(u_new).max(), abs(v_new).max())
+        if not peak <= BLOWUP_LIMIT:  # also catches NaN
             # the aborting step may hold non-finite values; keep the last good state
-            for j in np.flatnonzero(bad):
-                ends[live[j]] = (r, u[:, j], v[:, j], t, t_new)
-            keep = ~bad
-            live = live[keep]
-            if not live.size:
-                break
-            u_new, v_new = u_new[:, keep], v_new[:, keep]
-            members = tuple(ctrls[m] for m in live)
-            stepper.ctl = make_control_operator(members, grid)
-            energy_op = make_energy_operator(members, grid)
+            blowup_time = t_new
+            break
         u, v, t = u_new, v_new, t_new
         if k % every == 0 or k == n_steps:
-            record(r, u, v, t)
-            r += 1
-    for j, m in enumerate(live):
-        ends[m] = (r, u[:, j], v[:, j], t, None)
-
-    results = []
-    for m in range(len(ctrls)):
-        n, fu, fv, ft, blowup_time = ends[m]
-        final = State(Field(grid, fu), Field(grid, fv), ft)
-        results.append(RunResult(times[:n], stored[:n, :, m], final, blowup_time))
-    return results if batch else results[0]
+            if held == width:
+                flush(held)
+                held = 0
+            ts[held], us[held], vs[held] = t, u, v
+            held += 1
+    flush(held)
+    final = State(Field(grid, u), Field(grid, v), t)
+    return RunResult(ledger[:done], final, blowup_time)

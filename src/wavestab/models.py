@@ -185,7 +185,7 @@ def acceleration(
     return source(model, u, v, stiff) + control
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EnergyRecord:
     """One sampled row of the energy ledger along a trajectory.
 
@@ -219,22 +219,28 @@ def energy_record(
 ) -> np.ndarray:
     """The energy ledger of nodal arrays, each norm computed once, as :data:`RECORD_ROWS`.
 
-    ``u`` and ``v`` are ``(n,)`` for one state or ``(n, B)`` for a batch of
-    B states, one per column; each row is then a number or a length-B
-    column.  ``controller`` is the controller's quadratic energy (see
+    ``u`` and ``v`` are ``(n,)`` for one state or ``(K, n)`` for a block of
+    K states, one per row; each row of the result is then a number or a
+    length-K row.  ``controller`` is the controller's quadratic energy (see
     ``controllers.make_energy_operator``), of the same shape as a row.
+    Every sum runs along one state's nodes, without BLAS, so a state gets
+    the same numbers, bit for bit, alone or in a block.
     """
     w = grid.quad_weights
-    vv = np.dot(w, v * v)
-    uu = np.dot(w, u * u)
-    du = u[1:] - u[:-1]
-    h1 = np.sum(du * du, axis=0)
+
+    def integral(f):
+        return np.sum(w * f, axis=-1)
+
+    vv = integral(v * v)
+    uu = integral(u * u)
+    du = u[..., 1:] - u[..., :-1]
+    h1 = np.sum(du * du, axis=-1)
     if grid.bc is BoundaryCondition.DIRICHLET:  # the first and last cells end at a zero value
-        h1 = h1 + u[0] * u[0] + u[-1] * u[-1]
+        h1 = h1 + u[..., 0] * u[..., 0] + u[..., -1] * u[..., -1]
     h1 = h1 / grid.dx
     kin = 0.5 * vv
     grad = 0.5 * model.nu * h1
     quad = -0.5 * model.a * uu
-    lp = np.dot(w, model.nonlinearity.F(u))
+    lp = integral(model.nonlinearity.F(u))
     total = kin + grad + quad + lp + controller
-    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, np.dot(w, u * v)])
+    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(u * v)])

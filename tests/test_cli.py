@@ -61,7 +61,7 @@ t_end = 30.0
 
 # five low modes grow at rate ~4.9 without feedback: in a sweep over
 # mu = 0, 40, 60 only mu = 0 blows up (near t = 5.4)
-BATCH_BLOWUP_INI = """\
+MU_BLOWUP_INI = """\
 [model]
 family = damped_wave
 nu = 1.0
@@ -498,9 +498,9 @@ class TestSweep:
         report = json.loads((out / "mu=0" / "report.json").read_text())
         assert report["blowup"]["blew_up"] is True
 
-    def test_a_blown_up_member_leaves_its_batch(self, tmp_path, capsys):
-        ini = tmp_path / "batch.ini"
-        ini.write_text(BATCH_BLOWUP_INI)
+    def test_a_blown_up_member_leaves_the_others_whole(self, tmp_path, capsys):
+        ini = tmp_path / "blowup.ini"
+        ini.write_text(MU_BLOWUP_INI)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", "60,0,40"]
                     + ["--out", str(out)]) == 3
@@ -510,8 +510,6 @@ class TestSweep:
         assert rows == {"0": "true", "40": "false", "60": "false"}
         reports = {v: json.loads((out / f"mu={v}" / "report.json").read_text()) for v in rows}
         assert 5.0 < reports["0"]["blowup"]["time"] < 6.0
-        assert {r["batch_size"] for r in reports.values()} == {3}
-        assert len({r["wall_time_s"] for r in reports.values()}) == 1  # the batch's
         for v in ("40", "60"):
             assert reports[v]["t_reached"] == 8.0 and reports[v]["records"] == 801
             assert len((out / f"mu={v}" / "trajectory.csv").read_text().splitlines()) == 802
@@ -527,13 +525,6 @@ class TestSweep:
         assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", values]
                     + ["--out", str(tmp_path / "sweep")]) == 0
         assert len(built) <= 1
-
-    def test_n_sweep_runs_each_member_alone(self, volume_ini, tmp_path):
-        out = tmp_path / "sweep"
-        assert main(["sweep", "--config", volume_ini, "--param", "N", "--values", "1,2"]
-                    + ["--out", str(out)]) == 0
-        for n in ("1", "2"):
-            assert json.loads((out / f"N={n}" / "report.json").read_text())["batch_size"] == 1
 
     def test_close_values_get_their_own_members(self, tmp_path):
         out = tmp_path / "sweep"

@@ -1,6 +1,5 @@
-"""Time stepping: accuracy, conservation, blow-up handling, Lyapunov hooks, batches."""
+"""Time stepping: accuracy, conservation, blow-up handling, Lyapunov hooks, the block ledger."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from wavestab import (
+    EnergyRecord,
     Field,
     FourierModes,
     Nodal,
@@ -19,12 +19,14 @@ from wavestab import (
     Subdomain,
     SubdomainControl,
     VolumeElements,
+    controller_energy,
     damped_wave,
     default_dt,
     energy_record,
     l2_norm,
     lyapunov_eb,
     lyapunov_volume,
+    make_control_operator,
     make_grid,
     mode_matrix,
     nonlinear_damping_wave,
@@ -33,7 +35,8 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
-from wavestab import kernels
+from wavestab import integrator, kernels
+from wavestab.models import source
 
 PI = np.pi
 
@@ -419,8 +422,8 @@ def test_final_state_matches_last_record():
     final = res.final_state
     assert final.t == 0.5 and final.u.grid == g and final.u.values.shape == (g.n_nodes,)
     assert not np.shares_memory(final.u.values, u0.values)
-    last = energy_record(model, g, final.u.values[:, None], final.v.values[:, None], np.zeros(1))
-    np.testing.assert_array_equal(res.ledger[-1], [final.t, *last[:7, 0]])
+    last = energy_record(model, g, final.u.values, final.v.values, 0.0)
+    assert res.records[-1] == EnergyRecord(final.t, *last[:7])
 
 
 def test_grid_mismatch_rejected():
@@ -438,92 +441,89 @@ def test_bc_mismatch_rejected():
         run(model, NoControl(), zeros(g), zeros(g), StepperConfig(dt=0.01, t_end=0.1))
 
 
+def two_stencil_step(stepper, u, v):
+    """The IMEX step with separate stencils of u and u_star, as the scheme is derived."""
+    mdl, dt, dx, lap = stepper.model, stepper.dt, stepper.grid.dx, stepper.lap
+    lap_u = lap(u, dx)
+    u_star = u + 0.5 * dt * v
+    v_half = v
+    if mdl.m is not None:
+        v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * lap_u) + stepper.ctl(u))
+    r_v = v + 0.5 * dt * (mdl.nu * lap_u - mdl.linear_damping * v)
+    r_v += dt * (source(mdl, u_star, v_half) + stepper.ctl(u_star))
+    r_v += 0.5 * dt * mdl.viscosity * lap(v, dx)
+    v_new = kernels.thomas_solve(stepper.factors, r_v + 0.5 * dt * mdl.nu * lap(u_star, dx))
+    return u_star + 0.5 * dt * v_new, v_new
+
+
+@pytest.mark.parametrize("model, law", [
+    (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 3.0)),
+    (damped_wave(0.7, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
+    (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
+    (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
+], ids=["damped", "neumann", "strong", "nonlinear"])
+def test_one_stencil_step_matches_the_two_stencil_form(model, law):
+    g = make_grid(PI, 64, model.bc)
+    stepper = integrator._make_stepper(
+        model, g, StepperConfig(dt=0.01, t_end=1.0), make_control_operator(law, g)
+    )
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
+    for got, want in zip(stepper.advance(u, v), two_stencil_step(stepper, u, v)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+
 # ---------------------------------------------------------------------------
-# batches: laws that differ only in mu, stepped as the columns of one run
+# the block ledger: records are evaluated a buffer at a time
 # ---------------------------------------------------------------------------
 
-BATCH_CASES = {
-    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 0.0)),
-    "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 0.0)),
-    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7, PI), 0.0)),
-    "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 0.0)),
+LEDGER_CASES = {
+    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 3.0)),
+    "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
+    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7, PI), 4.0)),
+    "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
 }
-BATCH_GAINS = (0.0, 1.5, 4.0, 9.0)
 
 
-def assert_member_matches_single(member, single, u0):
-    """Same records and blow-up time; total, lyapunov and the final u within 1e-12 of
-    E(0) and max|u0|, or, for a member that blew up, within 1e-12 of their own size."""
-    assert member.blowup_time == single.blowup_time
-    np.testing.assert_array_equal(member.times, single.times)
-    a, b = member.ledger, single.ledger
-    assert a.shape == b.shape
-    rtol = 1e-12 if single.blew_up else 0.0
-    e0 = abs(b[0, 6])  # the total at t = 0
-    for col in (6, 8)[: b.shape[1] - 7]:  # total, then lyapunov when the pair has one
-        np.testing.assert_allclose(a[:, col], b[:, col], rtol=rtol, atol=1e-12 * e0)
-    assert member.final_state.t == single.final_state.t
-    np.testing.assert_allclose(member.final_state.u.values, single.final_state.u.values,
-                               rtol=rtol, atol=1e-12 * np.max(np.abs(u0.values)))
+def alone(model, law, st):
+    """The EnergyRecord of one state, evaluated by itself."""
+    u = st.u.values
+    rows = energy_record(model, st.grid, u, st.v.values, controller_energy(law, st.grid, u))
+    cert = integrator.certificate(model, law)
+    lyapunov = None if cert is None or cert.weights is None else lyapunov_eb(st, model, law)
+    return EnergyRecord(st.t, *rows[:7], lyapunov)
 
 
-@pytest.mark.parametrize(
-    "name, scheme",
-    [(name, Scheme.IMEX_CN) for name in sorted(BATCH_CASES)]
-    + [(name, Scheme.RK4) for name in ("fourier", "subdomain", "volume")],  # RK4 refuses nodal's family
-)
-def test_batch_members_match_their_single_runs(name, scheme):
-    model, law = BATCH_CASES[name]
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_the_ledger_does_not_depend_on_the_block_width(name, monkeypatch):
+    model, law = LEDGER_CASES[name]
     g = make_grid(PI, 64, model.bc)
     u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
-    cfg = StepperConfig(dt=0.01, t_end=1.0, scheme=scheme, record_every=5)
-    laws = [dataclasses.replace(law, mu=mu) for mu in BATCH_GAINS]
-    batch = run(model, laws, u0, zeros(g), cfg)
-    assert len(batch) == len(laws)
-    assert all(len(member.times) == 21 and not member.blew_up for member in batch)
-    for spec, member in zip(laws, batch):
-        single = run(model, spec, u0, zeros(g), cfg)
-        assert_member_matches_single(member, single, u0)
+    cfg = StepperConfig(dt=0.01, t_end=1.0)
+    default = run(model, law, u0, zeros(g), cfg)
+    assert len(default.records) == 101
+    for width in (1, 7):  # a record per block, and blocks that leave a partial one at the end
+        monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
+        res = run(model, law, u0, zeros(g), cfg)
+        np.testing.assert_array_equal(res.ledger, default.ledger)
+    assert default.records[0] == alone(model, law, State(u0, zeros(g)))
+    assert default.records[-1] == alone(model, law, default.final_state)
 
 
 # a linear wave whose five low modes grow at rate ~4.9 without feedback:
-# mu = 0 passes 1e12 near t = 5.4, while mu = 40 and 60 hold every mode
+# with mu = 0 it passes 1e12 near t = 5.4
 BLOWUP_MODEL = damped_wave(1.0, 30.0, 1.0, "dirichlet")
 
 
-def test_a_member_that_blows_up_leaves_the_batch():
+@pytest.mark.parametrize("width", [1, 7, None])
+def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
     g = make_grid(PI, 64, "dirichlet")
+    if width is not None:
+        monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
     u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.sin(2.0 * x))
-    cfg = StepperConfig(dt=0.01, t_end=8.0, record_every=10)
-    laws = [FourierModes(5, mu) for mu in (0.0, 40.0, 60.0)]
-    batch = run(BLOWUP_MODEL, laws, u0, zeros(g), cfg)
-    assert [m.blew_up for m in batch] == [True, False, False]
-    assert 5.0 < batch[0].blowup_time < 6.0
-    assert batch[0].final_state.t == pytest.approx(batch[0].blowup_time - 0.01)
-    assert len(batch[1].times) == len(batch[2].times) == 81
-    for spec, member in zip(laws, batch):
-        single = run(BLOWUP_MODEL, spec, u0, zeros(g), cfg)
-        assert_member_matches_single(member, single, u0)
-
-
-def test_one_law_is_the_batch_of_one():
-    model, law = BATCH_CASES["fourier"]
-    g = make_grid(PI, 64, "dirichlet")
-    u0 = sample(g, np.sin)
-    cfg = StepperConfig(dt=0.01, t_end=0.5)
-    one = run(model, dataclasses.replace(law, mu=4.0), u0, zeros(g), cfg)
-    [listed] = run(model, [dataclasses.replace(law, mu=4.0)], u0, zeros(g), cfg)
-    np.testing.assert_array_equal(one.ledger, listed.ledger)
-    np.testing.assert_array_equal(one.final_state.u.values, listed.final_state.u.values)
-
-
-@pytest.mark.parametrize(
-    "laws",
-    [[], [FourierModes(2, 1.0), FourierModes(3, 1.0)], [FourierModes(2, 1.0), NoControl()]],
-    ids=["empty", "two_shapes", "two_kinds"],
-)
-def test_a_batch_shares_one_law_shape(laws):
-    g = make_grid(PI, 64, "dirichlet")
-    model = damped_wave(1.0, 1.0, 2.0, "dirichlet")
-    with pytest.raises(ValueError):
-        run(model, laws, sample(g, np.sin), zeros(g), StepperConfig(dt=0.01, t_end=0.1))
+    res = run(BLOWUP_MODEL, FourierModes(5, 0.0), u0, zeros(g), StepperConfig(dt=0.01, t_end=8.0))
+    assert res.blew_up and 5.0 < res.blowup_time < 6.0
+    final = res.final_state
+    assert final.t == pytest.approx(res.blowup_time - 0.01)
+    assert len(res.records) == round(final.t / 0.01) + 1
+    assert res.records[-1] == alone(BLOWUP_MODEL, FourierModes(5, 0.0), final)
