@@ -42,10 +42,8 @@ from .grid import (
     Field,
     Grid1D,
     State,
-    cell_differences,
-    h1_seminorm,
-    l2_inner,
-    l2_norm,
+    h1_seminorm_sq,
+    integral,
     laplacian_stencil,
     make_grid,
     sample,
@@ -61,7 +59,7 @@ from .integrator import (
     run,
 )
 from .models import (
-    EnergyRecord,
+    LEDGER_COLUMNS,
     Family,
     ModelSpec,
     Nonlinearity,
@@ -93,10 +91,8 @@ __all__ = [
     "make_grid",
     "sample",
     "zeros",
-    "l2_inner",
-    "l2_norm",
-    "cell_differences",
-    "h1_seminorm",
+    "integral",
+    "h1_seminorm_sq",
     "laplacian_stencil",
     # spectral
     "Subdomain",
@@ -114,7 +110,7 @@ __all__ = [
     "nonlinear_damping_wave",
     "strongly_damped_wave",
     "acceleration",
-    "EnergyRecord",
+    "LEDGER_COLUMNS",
     "energy_record",
     # controllers
     "NoControl",

@@ -17,20 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .controllers import element_layout
-from .grid import (
-    BoundaryCondition,
-    Field,
-    Grid1D,
-    h1_seminorm,
-    l2_norm,
-    make_grid,
-)
-from .models import EnergyRecord
+from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral, make_grid
+from .models import ledger_column
 from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check
 
 STAB_FLOOR = 1.0e-13
@@ -82,27 +75,33 @@ def power_law_window(window: tuple[float, float]) -> tuple[float, float]:
     return (max(1.0, window[0]), window[1])
 
 
-def fit_exponential(records: Sequence[EnergyRecord], window: tuple[float, float]) -> DecayFit:
-    """Fit stab_norm ~ amplitude * exp(-rate * t) on the window.
+def _in_window(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    return (window[0] <= t) & (t <= window[1])
+
+
+def _usable(ledger: np.ndarray, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and stab_norm of the records in the window above the decay floor."""
+    t, s = ledger_column(ledger, "t"), ledger_column(ledger, "stab_norm")
+    keep = _in_window(t, window) & (s > STAB_FLOOR)
+    return t[keep], s[keep]
+
+
+def fit_exponential(ledger: np.ndarray, window: tuple[float, float]) -> DecayFit:
+    """Fit stab_norm ~ amplitude * exp(-rate * t) on the window of a run's ledger.
 
     Records with ``stab_norm <= 1e-13`` (double-precision decay floor for a
     squared quantity) are excluded; ``MIN_FIT_RECORDS`` usable records are required.
     """
-    if not records:
+    if not len(ledger):
         raise ValueError("no records to fit")
     if window[0] >= window[1]:
         raise ValueError(f"empty fit window {window}")
-    ts, logs = [], []
-    for r in records:
-        if window[0] <= r.t <= window[1] and r.stab_norm > STAB_FLOOR:
-            ts.append(r.t)
-            logs.append(math.log(r.stab_norm))
-    if len(ts) < MIN_FIT_RECORDS:
+    t, s = _usable(ledger, window)
+    if len(t) < MIN_FIT_RECORDS:
         raise ValueError(
-            f"only {len(ts)} usable records in window {window}; need at least {MIN_FIT_RECORDS}"
+            f"only {len(t)} usable records in window {window}; need at least {MIN_FIT_RECORDS}"
         )
-    t = np.asarray(ts)
-    y = np.asarray(logs)
+    y = np.log(s)
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (slope * t + intercept)
     ss_res = float(np.dot(resid, resid))
@@ -113,12 +112,12 @@ def fit_exponential(records: Sequence[EnergyRecord], window: tuple[float, float]
         amplitude=float(np.exp(intercept)),
         r_squared=r2,
         window=(float(window[0]), float(window[1])),
-        n_points=len(ts),
+        n_points=len(t),
     )
 
 
 def verify_exponential(
-    records: Sequence[EnergyRecord],
+    ledger: np.ndarray,
     delta_target: float,
     safety: float,
     window: tuple[float, float],
@@ -135,17 +134,14 @@ def verify_exponential(
         raise ValueError(f"target rate must be positive, got {delta_target}")
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must be in (0, 1], got {safety}")
-    fit = fit_exponential(records, window)
+    fit = fit_exponential(ledger, window)
     target = safety * delta_target
     rate_ok = fit.rate >= target
-    head = [r for r in records if r.t <= window[0]]
-    const = max(r.stab_norm * math.exp(target * r.t) for r in head) if head else 0.0
-    envelope_ok = True
-    for r in records:
-        if window[0] <= r.t <= window[1] and r.stab_norm > STAB_FLOOR:
-            if r.stab_norm > const * math.exp(-target * r.t) * (1.0 + 1e-9):
-                envelope_ok = False
-                break
+    t, s = ledger_column(ledger, "t"), ledger_column(ledger, "stab_norm")
+    head = t <= window[0]
+    const = float(np.max(s[head] * np.exp(target * t[head]))) if head.any() else 0.0
+    t, s = _usable(ledger, window)
+    envelope_ok = not np.any(s > const * np.exp(-target * t) * (1.0 + 1e-9))
     return VerifyExponential(
         ok=bool(rate_ok and envelope_ok),
         fit=fit,
@@ -157,7 +153,7 @@ def verify_exponential(
 
 
 def verify_polynomial(
-    records: Sequence[EnergyRecord],
+    ledger: np.ndarray,
     alpha: float,
     window: tuple[float, float],
 ) -> VerifyPolynomial:
@@ -175,18 +171,21 @@ def verify_polynomial(
         raise ValueError(f"window must start at t >= 1, got {window[0]}")
     if window[0] >= window[1]:
         raise ValueError(f"empty window {window}")
-    pts = [(r.t, r.total * r.t**alpha) for r in records if window[0] <= r.t <= window[1]]
-    if len(pts) < MIN_POWER_RECORDS:
+    t = ledger_column(ledger, "t")
+    keep = _in_window(t, window)
+    t = t[keep]
+    compensated = ledger_column(ledger, "total")[keep] * t**alpha
+    if len(t) < MIN_POWER_RECORDS:
         raise ValueError(
-            f"only {len(pts)} records in window {window}; need at least {MIN_POWER_RECORDS}"
+            f"only {len(t)} records in window {window}; need at least {MIN_POWER_RECORDS}"
         )
     span = window[1] - window[0]
-    first = [v for t, v in pts if t <= window[0] + 0.25 * span]
-    last = [v for t, v in pts if t >= window[0] + 0.75 * span]
-    if not first or not last:
+    first = compensated[t <= window[0] + 0.25 * span]
+    last = compensated[t >= window[0] + 0.75 * span]
+    if not len(first) or not len(last):
         raise ValueError("window quarters contain no records; record more densely")
-    sup_first = max(first)
-    sup_last = max(last)
+    sup_first = float(np.max(first))
+    sup_last = float(np.max(last))
     if sup_first <= 0.0:
         raise ValueError("compensated energy is not positive on the first quarter")
     ratio = sup_last / sup_first
@@ -305,11 +304,11 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         )
     }
 
-    def mean_plus_gradient(f: Field, N: int, avg: np.ndarray):
-        h = f.grid.L / N
-        norm2 = l2_norm(f) ** 2
-        means2 = h * float(np.sum((avg @ f.values) ** 2))
-        sem2 = h1_seminorm(f) ** 2
+    def mean_plus_gradient(f: np.ndarray, N: int, avg: np.ndarray):
+        h = ngrid.L / N
+        norm2 = integral(ngrid, f * f)
+        means2 = h * float(np.sum((avg @ f) ** 2))
+        sem2 = h1_seminorm_sq(ngrid, f)
         emp = (norm2 - means2) / (h * h * sem2) if sem2 > 1e-12 else None
         tallies["mean_plus_gradient_printed"].add(
             norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, emp
@@ -319,15 +318,15 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         coeffs = rng.uniform(-1.0, 1.0, table.shape[0])
-        f = Field(ngrid, coeffs @ table)
-        sem = h1_seminorm(f)
+        f = coeffs @ table
+        sem2 = h1_seminorm_sq(ngrid, f)
         N = int(SUITE_ELEMENT_COUNTS[rng.integers(len(SUITE_ELEMENT_COUNTS))])
         avg, owner, _ = layouts[N]
         h = ngrid.L / N
 
         # distance to the piecewise-constant element averages
-        interp = (avg @ f.values)[owner]
-        tallies["element_mean_approx"].add(l2_norm(Field(ngrid, f.values - interp)), h * sem)
+        gap = f - (avg @ f)[owner]
+        tallies["element_mean_approx"].add(math.sqrt(integral(ngrid, gap * gap)), h * math.sqrt(sem2))
 
         mean_plus_gradient(f, N, avg)
 
@@ -335,25 +334,21 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         lo = np.arange(N) * h
         xk = lo + h * rng.random(N)
         yk = lo + h * rng.random(N)
-        fx = np.interp(xk, ngrid.nodes, f.values)
-        fy = np.interp(yk, ngrid.nodes, f.values)
-        tallies["paired_point_differences"].add(float(np.sum((fx - fy) ** 2)), h * sem * sem)
+        fx = np.interp(xk, ngrid.nodes, f)
+        fy = np.interp(yk, ngrid.nodes, f)
+        tallies["paired_point_differences"].add(float(np.sum((fx - fy) ** 2)), h * sem2)
         tallies["point_sampling_norm"].add(
-            l2_norm(f) ** 2, 2.0 * (h * float(np.sum(fx**2)) + h * h * sem * sem)
+            integral(ngrid, f * f), 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
         )
 
         # Dirichlet-side spectral bounds
-        dcoeffs = rng.uniform(-1.0, 1.0, SUITE_DEGREE)
-        g = Field(dgrid, dcoeffs @ W)
-        gsem2 = h1_seminorm(g) ** 2
+        g = rng.uniform(-1.0, 1.0, SUITE_DEGREE) @ W
         Nq = int(SUITE_MODE_COUNTS[rng.integers(len(SUITE_MODE_COUNTS))])
-        tail, tail_bound, _ = tail_bound_check(g, Nq)
+        tail, tail_bound, _ = tail_bound_check(Field(dgrid, g), Nq)
         tallies["spectral_tail"].add(tail, tail_bound)
-        tallies["poincare"].add(l2_norm(g) ** 2, gsem2 / lam1)
+        tallies["poincare"].add(integral(dgrid, g * g), h1_seminorm_sq(dgrid, g) / lam1)
 
     # deterministic counterexample: the linear ramp against one element
-    ramp = Field(ngrid, ngrid.nodes.copy())
-    one = element_layout(ngrid, 1)[0]
-    mean_plus_gradient(ramp, 1, one)
+    mean_plus_gradient(ngrid.nodes, 1, element_layout(ngrid, 1)[0])
 
     return {key: tally.report() for key, tally in tallies.items()}

@@ -28,6 +28,7 @@ from .config import ConfigError, ExperimentConfig, check_law, finite_float
 from .config import gain_report_for, load_config
 from .controllers import NoControl
 from .integrator import RunResult, run
+from .models import LEDGER_COLUMNS
 
 # Inequality-suite keys that must hold; the remaining key records the
 # stated-but-unprovable variant of the mean-plus-gradient bound and is
@@ -41,8 +42,6 @@ MANDATORY_LEMMAS = (
     "poincare",
 )
 
-CSV_HEADER = "t,kinetic,grad,quadratic,lp,controller,total,stab_norm,lyapunov"
-
 
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else repr(float(x))
@@ -51,9 +50,9 @@ def _fmt(x: Optional[float]) -> str:
 def write_trajectory(path: str, result: RunResult) -> None:
     """``trajectory.csv``: one line per ledger row; a blank lyapunov cell when the pair has none."""
     ledger = result.ledger
-    blank = "" if ledger.shape[1] == len(CSV_HEADER.split(",")) else ","
+    blank = "" if ledger.shape[1] == len(LEDGER_COLUMNS) else ","
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(",".join(LEDGER_COLUMNS) + "\n")
         fh.writelines(",".join(map(repr, row)) + blank + "\n" for row in ledger.tolist())
 
 
@@ -68,9 +67,8 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     power law, and an exponential rate against its envelope.
     """
     window = cfg.analysis.window(cfg.stepper.t_end)
-    records = result.records
     try:
-        fit = fit_exponential(records, window=window)
+        fit = fit_exponential(result.ledger, window=window)
         fit_dict = dataclasses.asdict(fit)
     except ValueError as exc:
         fit = None
@@ -91,9 +89,9 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     rate = report.predicted_rate
     try:
         if report.kind == "polynomial":
-            res = verify_polynomial(records, rate, window=power_law_window(window))
+            res = verify_polynomial(result.ledger, rate, window=power_law_window(window))
         else:
-            res = verify_exponential(records, rate, safety=cfg.analysis.safety, window=window)
+            res = verify_exponential(result.ledger, rate, safety=cfg.analysis.safety, window=window)
     except ValueError as exc:
         return fit_dict, {"kind": report.kind, "ok": False, "error": str(exc)}, False
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
@@ -213,13 +211,11 @@ def _format_value(param: str, value: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    values: list[float] = []
-    if args.values.strip():
-        try:
-            values = [finite_float(s) for s in args.values.split(",")]
-        except ValueError:
-            print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
-            return 2
+    try:
+        values = [finite_float(s) for s in args.values.split(",")]
+    except ValueError:
+        print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
+        return 2
     # Read the INI once and build every member, in ascending order, before
     # launching anything; the members run from these configs, not the file.
     base = load_config(args.config)

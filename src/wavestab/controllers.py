@@ -367,9 +367,11 @@ def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: in
     """Cell-average feedback: gain and element-resolution conditions.
 
     delta0 = (b/2) min(1, nu) is the certified exponential rate of the
-    squared stabilization norm.  The resolution threshold uses the sharper
-    printed mean-oscillation constant; a conservative reading of that
-    constant doubles the required N (noted in the report).
+    squared stabilization norm.  The ``elements`` threshold uses the printed
+    (h/2pi)^2 mean-oscillation constant, which the linear ramp falsifies
+    (see ``analysis.run_inequality_suite``); with it the check reports some
+    configs as satisfied whose linearization grows.  The corrected (h/pi)^2
+    quadruples the threshold on N^2 (noted in the report).
     """
     delta0 = 0.5 * b * min(1.0, nu)
     load = a + 0.5 * delta0 * b

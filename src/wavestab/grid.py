@@ -150,46 +150,29 @@ def zeros(grid: Grid1D) -> Field:
     return Field(grid, np.zeros(grid.n_nodes))
 
 
-def _check_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
+def integral(grid: Grid1D, f: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over (0, L) of nodal values along the last axis.
 
-
-def l2_inner(f: Field, g: Field) -> float:
-    """Trapezoid approximation of the L2 inner product on (0, L)."""
-    _check_same_grid(f, g)
-    return float(np.dot(f.grid.quad_weights, f.values * g.values))
-
-
-def l2_norm(f: Field) -> float:
-    return float(np.sqrt(max(l2_inner(f, f), 0.0)))
-
-
-def cell_differences(f: Field) -> np.ndarray:
-    """First differences across each of the ``n_cells`` cells.
-
-    Dirichlet grids include the implicit zero boundary values, so the
-    result always has length ``n_cells``.
+    The sum runs along one state's nodes, without BLAS, so a row of a
+    ``(K, n)`` block gets the same number, bit for bit, as the row alone.
     """
-    v = f.values
-    if f.grid.bc is BoundaryCondition.DIRICHLET:
-        d = np.empty(f.grid.n_cells)
-        d[0] = v[0]
-        d[1:-1] = v[1:] - v[:-1]
-        d[-1] = -v[-1]
-        return d
-    return np.diff(v)
+    return np.sum(grid.quad_weights * f, axis=-1)
 
 
-def h1_seminorm(f: Field) -> float:
-    """Discrete H1 seminorm ||f'||: one first difference per cell.
+def h1_seminorm_sq(grid: Grid1D, u: np.ndarray) -> np.ndarray:
+    """Discrete ||u'||^2 along the last axis: one first difference per cell.
 
-    Chosen so that ``(-lap f, f) == h1_seminorm(f)**2`` holds exactly for the
-    :func:`laplacian_stencil`, which makes the undamped discrete wave energy a
-    conserved quantity of the Crank--Nicolson step.
+    Dirichlet grids count the first and last cells, which end at the
+    implicit zero boundary values.  Chosen so that ``(-lap u, u) ==
+    h1_seminorm_sq(u)`` holds exactly for the :func:`laplacian_stencil`,
+    which makes the undamped discrete wave energy a conserved quantity of
+    the Crank--Nicolson step.
     """
-    d = cell_differences(f)
-    return float(np.sqrt(np.dot(d, d) / f.grid.dx))
+    du = u[..., 1:] - u[..., :-1]
+    h1 = np.sum(du * du, axis=-1)
+    if grid.bc is BoundaryCondition.DIRICHLET:
+        h1 = h1 + u[..., 0] * u[..., 0] + u[..., -1] * u[..., -1]
+    return h1 / grid.dx
 
 
 def laplacian_stencil(bc: BoundaryCondition) -> Callable[[np.ndarray, float], np.ndarray]:

@@ -45,7 +45,7 @@ from .controllers import (
     make_energy_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
-from .models import EnergyRecord, Family, ModelSpec, acceleration, energy_record, source
+from .models import LEDGER_COLUMNS, Family, ModelSpec, acceleration, energy_record, source
 from .spectral import dirichlet_eigenvalue
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "default_dt",
     "lyapunov_volume",
     "lyapunov_eb",
-    "EnergyRecord",
 ]
 
 BLOWUP_LIMIT = 1.0e12
@@ -121,19 +120,14 @@ LEDGER_BLOCK_VALUES = 1 << 14
 class RunResult:
     """One trajectory's energy ledger plus blow-up bookkeeping.
 
-    ``ledger`` has one row per record and ``EnergyRecord``'s columns,
-    without ``lyapunov`` when the (law, family) pair has no perturbed-energy
-    functional; ``records`` builds the ``EnergyRecord`` objects from it on
-    each access.
+    ``ledger`` has one row per record and ``models.LEDGER_COLUMNS``'s
+    columns, without ``lyapunov`` when the (law, family) pair has no
+    perturbed-energy functional.
     """
 
     ledger: np.ndarray
     final_state: State
     blowup_time: Optional[float] = None
-
-    @property
-    def records(self) -> list[EnergyRecord]:
-        return [EnergyRecord(*row) for row in self.ledger.tolist()]
 
     @property
     def blew_up(self) -> bool:
@@ -282,27 +276,23 @@ def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]
     return CERTIFIED.get((type(ctrl), model.family))
 
 
-def lyapunov_eb(state, model: ModelSpec, ctrl: ControllerSpec):
+def lyapunov_eb(
+    model: ModelSpec, ctrl: ControllerSpec, grid: Grid1D, u: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
     """Phi = 1/2||v||^2 + grad/2||u_x||^2 + quad||u||^2 + int F(u) + E_ctrl(u) + eps*(u, v),
     weighted as ``CERTIFIED`` says for the pair; a pair with no functional is a TypeError.
 
-    ``state`` is one :class:`State`, which gives a float.  The stepping loop
-    passes a block of records instead, ``(grid, u, rows)``: the ``(K, n)``
-    displacements and the rows :func:`energy_record` computed for them,
-    whose norms are reused; Phi is then a length-K row.
+    ``u`` is one state's displacement, ``(n,)``, or a block of them,
+    ``(K, n)``, and ``rows`` are the rows :func:`energy_record` computed for
+    them, whose norms are reused; Phi is then a number or a length-K row.
     """
     cert = certificate(model, ctrl)
     if cert is None or cert.weights is None:
         pair = f"{type(ctrl).__name__} feedback on the {model.family.value} family"
         raise TypeError(f"no certified functional for {pair}")
-    if isinstance(state, State):
-        grid, u = state.grid, state.u.values
-        rows = energy_record(model, grid, u, state.v.values, 0.0)
-    else:
-        grid, u, rows = state
     eps, grad, quad = cert.weights(model, grid)
     kin, _, _, lp, _, _, _, h1_sq, l2_sq, cross = rows
-    phi = (
+    return (
         kin
         + 0.5 * grad * h1_sq
         + quad * l2_sq
@@ -310,7 +300,6 @@ def lyapunov_eb(state, model: ModelSpec, ctrl: ControllerSpec):
         + controller_energy(ctrl, grid, u)
         + eps * cross
     )
-    return float(phi) if isinstance(state, State) else phi
 
 
 # kept as an alias: perfbench's layer tracer getattr()s both names at install
@@ -355,8 +344,8 @@ def run(
 
     n_steps, every = cfg.n_steps, cfg.record_every
     n_records = n_steps // every + 1 + (n_steps % every > 0)  # t = 0, each cadence step, the last
-    # t, EnergyRecord's seven energy columns, then lyapunov if the pair has one
-    ledger = np.empty((n_records, 9 if has_functional else 8))
+    n_energy = len(LEDGER_COLUMNS) - 2  # the columns between t and lyapunov
+    ledger = np.empty((n_records, 1 + n_energy + has_functional))
     width = max(1, min(n_records, LEDGER_BLOCK_VALUES // grid.n_nodes))
     # one recorded state per row, so each copy is contiguous
     ts, us, vs = np.empty(width), np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
@@ -369,9 +358,9 @@ def run(
         rows = energy_record(model, grid, u, v, energy_op(u))
         out = ledger[done:done + k]
         out[:, 0] = ts[:k]
-        out[:, 1:8] = rows[:7].T  # energy_record's first seven rows are the ledger's next columns
+        out[:, 1:1 + n_energy] = rows[:n_energy].T  # energy_record's first rows are those columns
         if has_functional:
-            out[:, 8] = lyapunov_eb((grid, u, rows), model, ctrl)
+            out[:, -1] = lyapunov_eb(model, ctrl, grid, u, rows)
         done += k
 
     u = u0.values.copy()

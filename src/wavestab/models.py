@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BoundaryCondition, Grid1D, laplacian_stencil
+from .grid import BoundaryCondition, Grid1D, h1_seminorm_sq, integral, laplacian_stencil
 
 
 class Family(str, enum.Enum):
@@ -185,62 +185,39 @@ def acceleration(
     return source(model, u, v, stiff) + control
 
 
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One sampled row of the energy ledger along a trajectory.
-
-    ``total = kinetic + grad + quadratic + lp + controller`` and
-    ``stab_norm = ||v||^2 + ||u_x||^2`` (the quantity the decay
-    certificates control).  ``lyapunov`` is filled only when the run's
-    (law, family) pair has a perturbed-energy functional.
-    """
-
-    t: float
-    kinetic: float
-    grad: float
-    quadratic: float
-    lp: float
-    controller: float
-    total: float
-    stab_norm: float
-    lyapunov: Optional[float] = None
-
-
-# The rows of energy_record, in order: the ledger's columns between t and
-# lyapunov, then the three norms a perturbed energy weighs (|u|_H1^2,
-# ||u||^2 and (u, v)).
-RECORD_ROWS = (
-    "kinetic", "grad", "quadratic", "lp", "controller", "total", "stab_norm", "h1_sq", "l2_sq", "cross",
+# The energy ledger's columns: the record's time, the energy terms with
+# total = kinetic + grad + quadratic + lp + controller, stab_norm =
+# ||v||^2 + ||u_x||^2 (the quantity the decay certificates control), and
+# the pair's perturbed energy, a column only when the pair has one.
+LEDGER_COLUMNS = (
+    "t", "kinetic", "grad", "quadratic", "lp", "controller", "total", "stab_norm", "lyapunov",
 )
+
+
+def ledger_column(ledger: np.ndarray, name: str) -> np.ndarray:
+    """The column of a ledger (one row per record) named in :data:`LEDGER_COLUMNS`."""
+    return ledger[:, LEDGER_COLUMNS.index(name)]
 
 
 def energy_record(
     model: ModelSpec, grid: Grid1D, u: np.ndarray, v: np.ndarray, controller: float | np.ndarray
 ) -> np.ndarray:
-    """The energy ledger of nodal arrays, each norm computed once, as :data:`RECORD_ROWS`.
+    """The energy ledger of nodal arrays, each norm computed once.
 
-    ``u`` and ``v`` are ``(n,)`` for one state or ``(K, n)`` for a block of
-    K states, one per row; each row of the result is then a number or a
-    length-K row.  ``controller`` is the controller's quadratic energy (see
-    ``controllers.make_energy_operator``), of the same shape as a row.
-    Every sum runs along one state's nodes, without BLAS, so a state gets
-    the same numbers, bit for bit, alone or in a block.
+    The rows are the ledger's columns from ``kinetic`` to ``stab_norm``,
+    then the three norms a perturbed energy weighs: |u|_H1^2, ||u||^2 and
+    (u, v).  ``u`` and ``v`` are ``(n,)`` for one state or ``(K, n)`` for a
+    block of K states, one per row; each row of the result is then a number
+    or a length-K row.  ``controller`` is the controller's quadratic energy
+    (see ``controllers.make_energy_operator``), of the same shape as a row.
+    A state gets the same numbers, bit for bit, alone or in a block.
     """
-    w = grid.quad_weights
-
-    def integral(f):
-        return np.sum(w * f, axis=-1)
-
-    vv = integral(v * v)
-    uu = integral(u * u)
-    du = u[..., 1:] - u[..., :-1]
-    h1 = np.sum(du * du, axis=-1)
-    if grid.bc is BoundaryCondition.DIRICHLET:  # the first and last cells end at a zero value
-        h1 = h1 + u[..., 0] * u[..., 0] + u[..., -1] * u[..., -1]
-    h1 = h1 / grid.dx
+    vv = integral(grid, v * v)
+    uu = integral(grid, u * u)
+    h1 = h1_seminorm_sq(grid, u)
     kin = 0.5 * vv
     grad = 0.5 * model.nu * h1
     quad = -0.5 * model.a * uu
-    lp = integral(model.nonlinearity.F(u))
+    lp = integral(grid, model.nonlinearity.F(u))
     total = kin + grad + quad + lp + controller
-    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(u * v)])
+    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(grid, u * v)])

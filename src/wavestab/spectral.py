@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm, l2_norm
+from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral
 
 MU_BISECTION_MAX = 1.0e6
 MU_BISECTION_RTOL = 1.0e-3
@@ -52,9 +52,9 @@ def tail_bound_check(f: Field, N: int) -> tuple[float, float, bool]:
     ``rhs = ||f'||^2 / lambda_{N+1}`` and ``ok = lhs <= 1.01 * rhs``
     (the 1.01 covers quadrature slack on the discretized integrals).
     """
-    residual = Field(f.grid, f.values - project_modes(f, N) @ mode_matrix(f.grid, N))
-    lhs = l2_norm(residual) ** 2
-    rhs = h1_seminorm(f) ** 2 / dirichlet_eigenvalue(f.grid.L, N + 1)
+    residual = f.values - project_modes(f, N) @ mode_matrix(f.grid, N)
+    lhs = integral(f.grid, residual * residual)
+    rhs = h1_seminorm_sq(f.grid, f.values) / dirichlet_eigenvalue(f.grid.L, N + 1)
     return lhs, rhs, bool(lhs <= 1.01 * rhs)
 
 

@@ -16,7 +16,6 @@ from wavestab import (
     FourierModes,
     Nodal,
     Nonlinearity,
-    State,
     StepperConfig,
     Subdomain,
     SubdomainControl,
@@ -28,9 +27,10 @@ from wavestab import (
     check_subdomain_gains,
     check_volume_gains,
     damped_wave,
+    energy_record,
     fit_exponential,
-    h1_seminorm,
-    l2_norm,
+    h1_seminorm_sq,
+    integral,
     lyapunov_eb,
     make_grid,
     mu_zero,
@@ -41,6 +41,7 @@ from wavestab import (
     verify_exponential,
     verify_polynomial,
 )
+from wavestab.models import ledger_column
 from wavestab.spectral import _min_eig_shifted
 
 L = math.pi
@@ -62,6 +63,11 @@ def _mode(grid, k: int, amplitude: float = 1.0) -> Field:
 
 def _zero(grid) -> Field:
     return Field(grid, np.zeros(grid.n_nodes))
+
+
+def _lyapunov_pairs(result) -> list[tuple[float, float]]:
+    """(t, lyapunov) of each record of a run."""
+    return list(zip(ledger_column(result.ledger, "t"), ledger_column(result.ledger, "lyapunov")))
 
 
 def _log_fit(pairs: list[tuple[float, float]]) -> float:
@@ -129,11 +135,11 @@ def test_criterion_1_volume_element_decay(volume_loop):
     grid, model, _, report, cfg, result = volume_loop
     window = (1.2, 5.4)
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
-    ver = verify_exponential(result.records, report.predicted_rate, 0.8, window)
+    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, window)
 
     # negative control: zero gain leaves the anti-damping term winning
     off = run(model, VolumeElements(N=2, mu=0.0), _bump(grid, L / 2, 0.5), _zero(grid), cfg)
-    neg = fit_exponential(off.records, window)
+    neg = fit_exponential(off.ledger, window)
 
     ok = ver.ok and ver.fit.rate >= 0.8 and neg.rate < 0.0
     _verdict(
@@ -148,7 +154,7 @@ def test_criterion_2_modal_feedback_decay(fourier_loop):
     """First two Dirichlet modes at mu=4 on the quartic model: fit >= 0.8."""
     _, _, _, report, _, result = fourier_loop
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
-    ver = verify_exponential(result.records, report.predicted_rate, 0.8, (1.2, 5.4))
+    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (1.2, 5.4))
     _verdict(2, "modal feedback", ver.ok, f"fit={ver.fit.rate:.3f} target=0.8")
 
 
@@ -174,7 +180,7 @@ def test_criterion_3_localized_damping():
     )
     cfg = StepperConfig(dt=0.002, t_end=6.0, record_every=10)
     result = run(model, SubdomainControl(omega, 1.1 * mu0), _bump(grid, 0.3, 0.15), _zero(grid), cfg)
-    ver = verify_exponential(result.records, report.predicted_rate, 0.8, (1.2, 5.4))
+    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (1.2, 5.4))
 
     ok = certificate and ver.ok
     _verdict(
@@ -196,7 +202,7 @@ def test_criterion_4_degenerate_damping_power_law():
 
     cfg = StepperConfig(dt=0.005, t_end=55.0, record_every=20)
     result = run(model, FourierModes(N=1, mu=2.0), _mode(grid, 1, 2.0), _zero(grid), cfg)
-    ver = verify_polynomial(result.records, report.predicted_rate, (5.0, 50.0))
+    ver = verify_polynomial(result.ledger, report.predicted_rate, (5.0, 50.0))
     _verdict(
         4,
         "degenerate damping",
@@ -209,7 +215,7 @@ def test_criterion_5_strong_damping_decay(strong_loop):
     """Viscous damping bDv_t with one controlled mode: fit >= 0.8*(1/3)."""
     _, _, _, report, _, result = strong_loop
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0 / 3.0)
-    ver = verify_exponential(result.records, report.predicted_rate, 0.8, (5.0, 22.5))
+    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (5.0, 22.5))
     _verdict(
         5,
         "strong damping",
@@ -231,7 +237,7 @@ def test_criterion_6_point_feedback():
     model = strongly_damped_wave(nu=1.0, a=1.0, b=0.5, p=4.0)
     cfg = StepperConfig(dt=0.0025, t_end=35.0, record_every=20)
     result = run(model, Nodal(N=27, mu=4.3), _bump(grid, L / 2, 0.5), _zero(grid), cfg)
-    fit = fit_exponential(result.records, (7.0, 31.5))
+    fit = fit_exponential(result.ledger, (7.0, 31.5))
 
     ok = fit.rate > 0.0 and fit.r_squared >= 0.95
     _verdict(6, "point feedback", ok, f"fit={fit.rate:.3f} r2={fit.r_squared:.4f}")
@@ -255,10 +261,10 @@ def test_criterion_7_inequality_suite():
     # the ramp counterexample, computed from scratch: phi(x) = x against a
     # single element of (0, L) with the sharp (h/2pi)^2 gradient coefficient
     grid = make_grid(L, 512, "neumann")
-    ramp = Field(grid, grid.nodes.copy())
-    lhs = l2_norm(ramp) ** 2
-    mean = float(np.dot(grid.quad_weights, ramp.values)) / L
-    sem2 = h1_seminorm(ramp) ** 2
+    ramp = grid.nodes
+    lhs = integral(grid, ramp * ramp)
+    mean = float(np.dot(grid.quad_weights, ramp)) / L
+    sem2 = h1_seminorm_sq(grid, ramp)
     rhs_printed = L * mean**2 + (L / (2 * math.pi)) ** 2 * sem2
     rhs_corrected = L * mean**2 + (L / math.pi) ** 2 * sem2
     assert lhs / L**3 == pytest.approx(1.0 / 3.0, rel=1e-4)
@@ -298,13 +304,14 @@ def test_criterion_8_integrator_fidelity():
     free = damped_wave(nu=1.0, a=0.0, b=0.0, bc="dirichlet")
     cons = run(free, FourierModes(1, 0.0), _mode(grid, 1), _zero(grid),
                StepperConfig(dt=1e-3, t_end=10.0, record_every=100))
-    drift = abs(cons.records[-1].total - cons.records[0].total) / cons.records[0].total
+    total = ledger_column(cons.ledger, "total")
+    drift = abs(total[-1] - total[0]) / total[0]
     cons_ok = drift <= 1e-8
 
     again = run(free, FourierModes(1, 0.0), _mode(grid, 1), _zero(grid),
                 StepperConfig(dt=1e-3, t_end=10.0, record_every=100))
-    same = np.array_equal(again.final_state.u.values, cons.final_state.u.values) and all(
-        ra == rb for ra, rb in zip(again.records, cons.records)
+    same = np.array_equal(again.final_state.u.values, cons.final_state.u.values) and np.array_equal(
+        again.ledger, cons.ledger
     )
 
     ok = order_ok and cons_ok and same
@@ -331,7 +338,10 @@ def test_criterion_9_energy_functionals(volume_loop, fourier_loop, strong_loop):
         amp = rng.uniform(0.1, 3.0)
         u = amp * (rng.uniform(-1.0, 1.0, len(ks)) @ table)
         v = amp * (rng.uniform(-1.0, 1.0, len(ks)) @ table)
-        return State(Field(grid, u), Field(grid, v), 0.0)
+        return u, v
+
+    def phi(model, ctrl, grid, u, v):
+        return lyapunov_eb(model, ctrl, grid, u, energy_record(model, grid, u, v, 0.0))
 
     # gradient coefficient in the volume functional's lower bound
     delta0 = vreport.predicted_rate
@@ -340,15 +350,15 @@ def test_criterion_9_energy_functionals(volume_loop, fourier_loop, strong_loop):
 
     worst = math.inf
     for _ in range(500):
-        st = random_state(vgrid, cos_tab)
-        bound = 0.25 * l2_norm(st.v) ** 2 + d0 * h1_seminorm(st.u) ** 2
-        worst = min(worst, lyapunov_eb(st, vmodel, vctrl) - bound)
+        u, v = random_state(vgrid, cos_tab)
+        bound = 0.25 * integral(vgrid, v * v) + d0 * h1_seminorm_sq(vgrid, u)
+        worst = min(worst, phi(vmodel, vctrl, vgrid, u, v) - bound)
 
-        st = random_state(fgrid, sin_tab)
-        quartic = 0.25 * float(np.dot(fgrid.quad_weights, np.abs(st.u.values) ** 4))
-        bound = 0.25 * l2_norm(st.v) ** 2 + 0.25 * h1_seminorm(st.u) ** 2 + quartic
-        worst = min(worst, lyapunov_eb(st, fmodel, fctrl) - bound)
-        worst = min(worst, lyapunov_eb(st, smodel, sctrl) - bound)
+        u, v = random_state(fgrid, sin_tab)
+        quartic = 0.25 * float(np.dot(fgrid.quad_weights, np.abs(u) ** 4))
+        bound = 0.25 * integral(fgrid, v * v) + 0.25 * h1_seminorm_sq(fgrid, u) + quartic
+        worst = min(worst, phi(fmodel, fctrl, fgrid, u, v) - bound)
+        worst = min(worst, phi(smodel, sctrl, fgrid, u, v) - bound)
     bounds_ok = worst >= -1e-12
 
     runs = (
@@ -358,11 +368,9 @@ def test_criterion_9_energy_functionals(volume_loop, fourier_loop, strong_loop):
     )
     violations = 0
     for result, delta in runs:
-        pairs = [(r.t, r.lyapunov) for r in result.records]
-        assert all(v is not None for _, v in pairs)
-        violations += _monotone_violations(pairs, delta)
+        violations += _monotone_violations(_lyapunov_pairs(result), delta)
 
-    eb_fit = _log_fit([(r.t, r.lyapunov) for r in fresult.records if 1.2 <= r.t <= 5.4])
+    eb_fit = _log_fit([(t, v) for t, v in _lyapunov_pairs(fresult) if 1.2 <= t <= 5.4])
     fit_ok = eb_fit >= 0.9 * freport.predicted_rate
 
     ok = bounds_ok and violations == 0 and fit_ok

@@ -1,6 +1,7 @@
 """Decay fitting, decay-law verification, and the inequality suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavestab import (
-    EnergyRecord,
+    LEDGER_COLUMNS,
     fit_exponential,
     run_inequality_suite,
     verify_exponential,
@@ -27,20 +28,11 @@ MANDATORY = (
 
 
 def synth(values, ts):
-    """EnergyRecord list with only t/total/stab_norm populated."""
-    return [
-        EnergyRecord(
-            t=float(t),
-            kinetic=0.0,
-            grad=0.0,
-            quadratic=0.0,
-            lp=0.0,
-            controller=0.0,
-            total=float(v),
-            stab_norm=float(v),
-        )
-        for t, v in zip(ts, values)
-    ]
+    """A ledger without lyapunov whose t, total and stab_norm columns alone are filled."""
+    ledger = np.zeros((len(ts), len(LEDGER_COLUMNS) - 1))
+    for name, column in (("t", ts), ("total", values), ("stab_norm", values)):
+        ledger[:, LEDGER_COLUMNS.index(name)] = column
+    return ledger
 
 
 class TestFitExponential:
@@ -184,6 +176,33 @@ class TestVerifyPolynomial:
         ts = np.linspace(1, 50, 5)
         with pytest.raises(ValueError):
             verify_polynomial(synth(ts ** (-1.0), ts), 1.0, window=(1.0, 50.0))
+
+
+def test_masked_checks_match_the_per_record_loops():
+    """The array checks against the per-record loops they replaced, on a noisy ledger with a dead tail."""
+    rng = np.random.default_rng(5)
+    ts = np.linspace(0.0, 12.0, 600)
+    vals = 3.0 * np.exp(-0.9 * ts) * (1.2 + np.sin(5.0 * ts) / 4.0) * rng.uniform(0.98, 1.02, ts.size)
+    vals[-50:] = 1e-15  # under the decay floor
+    recs = list(zip(ts.tolist(), vals.tolist()))
+    window, target = (float(ts[100]), 11.5), 0.8  # a record sits on the window's start
+
+    usable = [(t, v) for t, v in recs if window[0] <= t <= window[1] and v > 1e-13]
+    slope, _ = np.polyfit([t for t, _ in usable], [math.log(v) for _, v in usable], 1)
+    const = max(v * math.exp(target * t) for t, v in recs if t <= window[0])
+    envelope_ok = all(v <= const * math.exp(-target * t) * (1.0 + 1e-9) for t, v in usable)
+    res = verify_exponential(synth(vals, ts), 1.0, safety=target, window=window)
+    assert res.fit.n_points == len(usable)
+    assert res.fit.rate == pytest.approx(-slope, rel=1e-13)
+    assert res.envelope_constant == pytest.approx(const, rel=1e-13)
+    assert res.envelope_ok == envelope_ok
+
+    lo, hi = 1.0, 8.0
+    pts = [(t, v * t**0.5) for t, v in recs if lo <= t <= hi]
+    first = max(v for t, v in pts if t <= lo + 0.25 * (hi - lo))
+    last = max(v for t, v in pts if t >= lo + 0.75 * (hi - lo))
+    poly = verify_polynomial(synth(vals, ts), 0.5, window=(lo, hi))
+    assert (poly.sup_first, poly.sup_last) == (first, last)
 
 
 class TestInequalitySuite:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wavestab import __version__, cli, controllers
-from wavestab.cli import CSV_HEADER, main
+from wavestab import LEDGER_COLUMNS, run
+from wavestab.cli import main
 from wavestab.config import gain_report_for, load_config
 
 VOLUME_INI = """\
@@ -367,16 +368,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "does not divide" in err and repr(1.0 / 3.0) in err
 
+    @staticmethod
+    def read_back(config, out):
+        """The written trajectory.csv's rows as a ledger, checked against a library run's ledger."""
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0].split(",") == list(LEDGER_COLUMNS)
+        cfg = load_config(config)
+        ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper).ledger
+        cells = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == len(LEDGER_COLUMNS) for row in cells)
+        # a pair without a functional writes a blank lyapunov cell in every row
+        written = np.array([[float(c) for c in row if c != ""] for row in cells])
+        np.testing.assert_array_equal(written, ledger)  # repr reads back bit for bit
+        return ledger
+
     def test_trajectory_header_exact(self, volume_ini, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", volume_ini, "--out", str(out)])
         lines = (out / "trajectory.csv").read_text().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert CSV_HEADER == "t,kinetic,grad,quadratic,lp,controller,total,stab_norm,lyapunov"
-        first = lines[1].split(",")
-        assert len(first) == 9
-        assert float(first[0]) == 0.0
-        float(first[8])  # volume runs carry a Lyapunov column
+        assert lines[0] == "t,kinetic,grad,quadratic,lp,controller,total,stab_norm,lyapunov"
+        ledger = self.read_back(volume_ini, out)
+        assert ledger.shape == (len(lines) - 1, 9)  # volume runs carry a Lyapunov column
+        assert ledger[0, 0] == 0.0
 
     def test_lyapunov_empty_when_unavailable(self, tmp_path):
         ini = tmp_path / "nodal.ini"
@@ -391,6 +404,7 @@ class TestRun:
         main(["run", "--config", str(ini), "--out", str(out)])
         row = (out / "trajectory.csv").read_text().splitlines()[1]
         assert row.endswith(",")  # trailing empty lyapunov cell
+        assert self.read_back(str(ini), out).shape[1] == len(LEDGER_COLUMNS) - 1
 
     def test_negative_control_fails_verification(self, tmp_path):
         ini = tmp_path / "mu0.ini"
@@ -552,15 +566,14 @@ class TestSweep:
         assert "repeats" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_values_header_only(self, volume_ini, tmp_path):
+    def test_empty_values_rejected(self, volume_ini, tmp_path, capsys):
+        # an empty list is an unparsable one: exit 2 before any output
         out = tmp_path / "empty"
-        assert (
-            main(["sweep", "--config", volume_ini, "--param", "mu", "--values", ""]
-                 + ["--out", str(out)])
-            == 0
-        )
-        lines = (out / "summary.csv").read_text().splitlines()
-        assert lines == ["value,gain_satisfied,fitted_rate,verified,blew_up"]
+        for values in ("", "  "):
+            assert main(["sweep", "--config", volume_ini, "--param", "mu", "--values", values]
+                        + ["--out", str(out)]) == 2
+            assert "comma-separated list of finite numbers" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, values",

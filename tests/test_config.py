@@ -12,7 +12,6 @@ from wavestab import (
     Family,
     FourierModes,
     Nodal,
-    State,
     StepperConfig,
     SubdomainControl,
     VolumeElements,
@@ -43,6 +42,7 @@ from wavestab.config import (
 )
 from wavestab.grid import make_grid
 from wavestab.integrator import CERTIFIED
+from wavestab.models import LEDGER_COLUMNS, energy_record, ledger_column
 from wavestab.spectral import Subdomain
 
 BASE = """\
@@ -369,10 +369,10 @@ t_end = 4.0
 """
 
 
-def _thinned(records, every):
-    """The records a run with ``record_every = every`` keeps, from a run that kept every step."""
-    last = len(records) - 1
-    return [r for k, r in enumerate(records) if k % every == 0 or k == last]
+def _thinned(ledger, every):
+    """The ledger a run with ``record_every = every`` keeps, from a run that kept every step."""
+    k = np.arange(len(ledger))
+    return ledger[(k % every == 0) | (k == k[-1])]
 
 
 class TestRecordCadence:
@@ -389,12 +389,12 @@ class TestRecordCadence:
 
     def test_exponential_fit_needs_twenty(self, tmp_path):
         cfg = load_config(write(tmp_path, BASE))
-        records = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).records
+        ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).ledger
         window = cfg.analysis.window(cfg.stepper.t_end)  # (1.2, 5.4)
         verdicts = set()
         for every in range(36, 49):
             try:
-                fitted = fit_exponential(_thinned(records, every), window).n_points >= MIN_FIT_RECORDS
+                fitted = fit_exponential(_thinned(ledger, every), window).n_points >= MIN_FIT_RECORDS
             except ValueError as exc:
                 assert "need at least 20" in str(exc)
                 fitted = False
@@ -404,11 +404,12 @@ class TestRecordCadence:
 
     def test_power_law_needs_eight_from_t_one(self, tmp_path):
         cfg = load_config(write(tmp_path, NONLINEAR))
-        records = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).records
+        ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).ledger
         lo, hi = power_law_window(cfg.analysis.window(cfg.stepper.t_end))  # (1.0, 3.6)
         verdicts = set()
         for every in range(28, 40):
-            enough = sum(lo <= r.t <= hi for r in _thinned(records, every)) >= MIN_POWER_RECORDS
+            t = ledger_column(_thinned(ledger, every), "t")
+            enough = np.count_nonzero((lo <= t) & (t <= hi)) >= MIN_POWER_RECORDS
             assert self.loads(tmp_path, NONLINEAR, every) == enough, every
             verdicts.add(enough)
         assert verdicts == {True, False}
@@ -528,8 +529,12 @@ class TestCertifiedPairs:
             assert table_weights(cfg.model, cfg.grid) == pytest.approx(expected, rel=1e-15)
 
         res = run(cfg.model, ctrl, cfg.u0, cfg.u1, cfg.stepper)
-        assert len(res.records) == 11
-        start = State(cfg.u0, cfg.u1, 0.0)
-        for rec, st in ((res.records[0], start), (res.records[-1], res.final_state)):
-            expected = None if weights is None else lyapunov_eb(st, cfg.model, ctrl)
-            assert rec.lyapunov == expected
+        assert len(res.ledger) == 11
+        if weights is None:
+            assert res.ledger.shape[1] == len(LEDGER_COLUMNS) - 1  # no lyapunov column
+            return
+        final = res.final_state
+        for row, u, v in ((res.ledger[0], cfg.u0, cfg.u1), (res.ledger[-1], final.u, final.v)):
+            rows = energy_record(cfg.model, cfg.grid, u.values, v.values, 0.0)
+            phi = lyapunov_eb(cfg.model, ctrl, cfg.grid, u.values, rows)
+            assert row[LEDGER_COLUMNS.index("lyapunov")] == phi

@@ -9,10 +9,8 @@ from wavestab import (
     BoundaryCondition,
     Field,
     State,
-    cell_differences,
-    h1_seminorm,
-    l2_inner,
-    l2_norm,
+    h1_seminorm_sq,
+    integral,
     laplacian_stencil,
     make_grid,
     sample,
@@ -72,29 +70,30 @@ class TestQuadrature:
     def test_sine_squared_integrates_exactly(self):
         # trapezoid is exact for sin^2(kx) on (0, pi) by discrete orthogonality
         g = make_grid(np.pi, 400, "dirichlet")
-        f = sample(g, np.sin)
-        assert l2_norm(f) ** 2 == pytest.approx(np.pi / 2, abs=1e-12)
+        f = sample(g, np.sin).values
+        assert integral(g, f * f) == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_ramp_norms(self):
         g = make_grid(1.0, 400, "neumann")
-        f = sample(g, lambda x: x)
-        assert l2_norm(f) ** 2 == pytest.approx(1.0 / 3.0, abs=1e-3)
-        assert h1_seminorm(f) ** 2 == pytest.approx(1.0, abs=1e-3)
+        f = g.nodes
+        assert integral(g, f * f) == pytest.approx(1.0 / 3.0, abs=1e-3)
+        assert h1_seminorm_sq(g, f) == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_field_has_zero_norms(self, dirichlet_grid):
-        z = zeros(dirichlet_grid)
-        assert l2_norm(z) == 0.0
-        assert h1_seminorm(z) == 0.0
+        z = zeros(dirichlet_grid).values
+        assert integral(dirichlet_grid, z * z) == 0.0
+        assert h1_seminorm_sq(dirichlet_grid, z) == 0.0
 
 
 @given(scale=st.floats(-8.0, 8.0, allow_nan=False), seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
 def test_norm_homogeneity(scale, seed):
     g = make_grid(np.pi, 64, "neumann")
-    f = random_trig_field(g, np.random.default_rng(seed), degree=6)
-    scaled = Field(g, scale * f.values)
-    assert l2_norm(scaled) == pytest.approx(abs(scale) * l2_norm(f), rel=1e-9, abs=1e-12)
-    assert h1_seminorm(scaled) == pytest.approx(abs(scale) * h1_seminorm(f), rel=1e-9, abs=1e-12)
+    f = random_trig_field(g, np.random.default_rng(seed), degree=6).values
+    scaled = scale * f
+    square = scale * scale
+    assert integral(g, scaled * scaled) == pytest.approx(square * integral(g, f * f), rel=1e-9, abs=1e-12)
+    assert h1_seminorm_sq(g, scaled) == pytest.approx(square * h1_seminorm_sq(g, f), rel=1e-9, abs=1e-12)
 
 
 def laplacian(f):
@@ -128,18 +127,18 @@ class TestLaplacian:
         rng = np.random.default_rng(11)
         f = Field(g, rng.standard_normal(g.n_nodes))
         h = Field(g, rng.standard_normal(g.n_nodes))
-        assert l2_inner(laplacian(f), h) == pytest.approx(
-            l2_inner(f, laplacian(h)), rel=1e-10
+        assert integral(g, laplacian(f).values * h.values) == pytest.approx(
+            integral(g, f.values * laplacian(h).values), rel=1e-10
         )
 
     def test_seminorm_is_laplacian_quadratic_form(self):
-        # h1_seminorm(f)^2 == (-lap f, f) exactly: one first difference per
+        # h1_seminorm_sq(f) == (-lap f, f) exactly: one first difference per
         # cell with zero Dirichlet ghosts. This identity is what makes the
         # undamped Crank-Nicolson step conserve the discrete energy.
         g = make_grid(np.pi, 64, "dirichlet")
-        f = random_trig_field(g, np.random.default_rng(3))
-        lap = laplacian(f)
-        assert h1_seminorm(f) ** 2 == pytest.approx(-l2_inner(lap, f), rel=1e-12)
+        f = random_trig_field(g, np.random.default_rng(3)).values
+        lap = laplacian_stencil(g.bc)(f, g.dx)
+        assert h1_seminorm_sq(g, f) == pytest.approx(-integral(g, lap * f), rel=1e-12)
 
     def test_stencil_is_read_from_kernels(self, monkeypatch):
         # a wrapper set on the kernels module sees every stepper built afterwards
@@ -170,9 +169,12 @@ class TestFieldState:
         with pytest.raises(ValueError):
             State(zeros(neumann_grid), zeros(dirichlet_grid))
 
-    def test_cell_differences_count(self):
-        g = make_grid(1.0, 16, "dirichlet")
-        d = cell_differences(zeros(g))
-        assert d.shape == (16,)
-        gn = make_grid(1.0, 16, "neumann")
-        assert cell_differences(zeros(gn)).shape == (16,)
+    def test_seminorm_counts_one_difference_per_cell(self):
+        # a unit spike at one node: two cells change, on either boundary type,
+        # and on Dirichlet grids the end node's outer cell ends at zero
+        for bc in ("dirichlet", "neumann"):
+            g = make_grid(1.0, 16, bc)
+            spike = np.zeros((2, g.n_nodes))
+            spike[0, 3] = spike[1, 0] = 1.0
+            edge = 2.0 if bc == "dirichlet" else 1.0
+            np.testing.assert_array_equal(h1_seminorm_sq(g, spike), np.array([2.0, edge]) / g.dx)

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import solve_banded
 
 from wavestab import (
-    EnergyRecord,
     Field,
     FourierModes,
     Nodal,
@@ -23,7 +22,7 @@ from wavestab import (
     damped_wave,
     default_dt,
     energy_record,
-    l2_norm,
+    integral,
     lyapunov_eb,
     lyapunov_volume,
     make_control_operator,
@@ -35,8 +34,8 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
-from wavestab import integrator, kernels
-from wavestab.models import source
+from wavestab import LEDGER_COLUMNS, integrator, kernels
+from wavestab.models import ledger_column, source
 
 PI = np.pi
 
@@ -53,6 +52,10 @@ def first_mode_state(grid, amplitude=1.0):
 
 def discrete_lambda1(grid):
     return 4.0 / grid.dx**2 * math.sin(PI * grid.dx / (2 * grid.L)) ** 2
+
+
+def l2_error(grid, got, want):
+    return math.sqrt(integral(grid, (got - want) ** 2))
 
 
 class TestStepperConfig:
@@ -119,7 +122,7 @@ class TestLinearAccuracy:
                 model, NoControl(), u0, zeros(g), StepperConfig(dt=dt, t_end=1.0, scheme=scheme)
             )
             expected = modal_solution(lam, 1.0, 1.0) * u0.values
-            errs.append(l2_norm(Field(g, res.final_state.u.values - expected)))
+            errs.append(l2_error(g, res.final_state.u.values, expected))
         order = math.log(errs[0] / errs[-1]) / math.log(4)
         lo = 1.8 if scheme == "imex_cn" else 1.8
         assert lo <= order, f"{scheme} observed order {order:.3f} from errors {errs}"
@@ -135,7 +138,7 @@ class TestLinearAccuracy:
         for dt in (0.02, 0.01):
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=dt, t_end=1.0))
             expected = modal_solution(lam, 1.0, 1.0) * u0.values
-            errs.append(l2_norm(Field(g, res.final_state.u.values - expected)))
+            errs.append(l2_error(g, res.final_state.u.values, expected))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 
@@ -144,9 +147,9 @@ def test_undamped_energy_conserved():
     model = damped_wave(1.0, 0.0, 0.0, "dirichlet")
     u0 = Field(g, mode_matrix(g, 1)[0] + 0.5 * mode_matrix(g, 3)[2])
     res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=1e-3, t_end=10.0, record_every=500))
-    E = [r.total for r in res.records]
+    E = ledger_column(res.ledger, "total")
     assert abs(E[-1] - E[0]) <= 1e-8 * E[0]
-    assert max(abs(e - E[0]) for e in E) <= 1e-8 * E[0]
+    assert np.max(np.abs(E - E[0])) <= 1e-8 * E[0]
 
 
 def test_zero_state_stays_zero():
@@ -162,7 +165,7 @@ def test_t_end_zero_single_record():
     model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
     u0 = first_mode_state(g, 2.0)
     res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=0.0))
-    assert len(res.records) == 1
+    assert len(res.ledger) == 1
     np.testing.assert_array_equal(res.final_state.u.values, u0.values)
 
 
@@ -175,7 +178,7 @@ def test_deterministic_reruns():
     b = run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
     assert np.array_equal(a.final_state.u.values, b.final_state.u.values)
     assert np.array_equal(a.final_state.v.values, b.final_state.v.values)
-    assert [r.total for r in a.records] == [r.total for r in b.records]
+    np.testing.assert_array_equal(a.ledger, b.ledger)
 
 
 def test_records_thinned_by_record_every():
@@ -189,7 +192,7 @@ def test_records_thinned_by_record_every():
         StepperConfig(dt=0.01, t_end=1.0, record_every=25),
     )
     # t=0, t=0.25, 0.5, 0.75, 1.0
-    assert [round(r.t, 10) for r in res.records] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    np.testing.assert_allclose(ledger_column(res.ledger, "t"), [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-10)
 
 
 def test_final_partial_interval_recorded():
@@ -202,7 +205,7 @@ def test_final_partial_interval_recorded():
         zeros(g),
         StepperConfig(dt=0.01, t_end=1.0, record_every=30),
     )
-    assert res.records[-1].t == pytest.approx(1.0)
+    assert ledger_column(res.ledger, "t")[-1] == pytest.approx(1.0)
 
 
 class TestBlowup:
@@ -213,7 +216,7 @@ class TestBlowup:
         res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=60.0))
         assert res.blew_up
         assert res.blowup_time is not None and 0 < res.blowup_time < 60.0
-        assert len(res.records) > 0
+        assert len(res.ledger) > 0
         assert np.all(np.isfinite(res.final_state.u.values))
 
     def test_constant_mode_growth_flagged(self):
@@ -223,9 +226,8 @@ class TestBlowup:
         u0 = Field(g, np.ones(g.n_nodes))
         res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=40.0))
         # |quadratic| = (a/2)||u||^2 tracks the growing constant mode
-        assert res.blew_up or abs(res.records[-1].quadratic) > 100 * abs(
-            res.records[0].quadratic
-        )
+        quadratic = ledger_column(res.ledger, "quadratic")
+        assert res.blew_up or abs(quadratic[-1]) > 100 * abs(quadratic[0])
 
 
     def test_overflowing_source_is_a_blowup_not_a_crash(self):
@@ -283,10 +285,11 @@ class TestPrefactoredSolve:
         a, b = fast.final_state, ref.final_state
         for fa, fb in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
             np.testing.assert_allclose(fa, fb, rtol=0.0, atol=1e-14 * np.max(np.abs(fb)))
-        assert len(fast.records) == len(ref.records) == 11
-        for ra, rb in zip(fast.records, ref.records):
-            assert ra.t == rb.t
-            assert ra.stab_norm == pytest.approx(rb.stab_norm, rel=1e-13)
+        assert len(fast.ledger) == len(ref.ledger) == 11
+        np.testing.assert_array_equal(ledger_column(fast.ledger, "t"), ledger_column(ref.ledger, "t"))
+        np.testing.assert_allclose(
+            ledger_column(fast.ledger, "stab_norm"), ledger_column(ref.ledger, "stab_norm"), rtol=1e-13
+        )
 
     def test_one_factorisation_per_run(self, monkeypatch):
         calls = {"factor": 0, "solve": 0}
@@ -363,7 +366,14 @@ def test_nonlinear_damping_stable_at_default_dt():
     dt = 5.0 / math.ceil(5.0 / default_dt(g))  # the largest dt <= default that divides t_end
     res = run(model, FourierModes(1, 2.0), u0, zeros(g), StepperConfig(dt=dt, t_end=5.0))
     assert not res.blew_up
-    assert res.records[-1].total < res.records[0].total
+    total = ledger_column(res.ledger, "total")
+    assert total[-1] < total[0]
+
+
+def phi(model, law, grid, u, v):
+    """The pair's perturbed energy of the states (u, v), from their energy_record rows."""
+    rows = energy_record(model, grid, u, v, np.zeros(u.shape[:-1]))  # a row of zero controller energy
+    return lyapunov_eb(model, law, grid, u, rows)
 
 
 class TestLyapunov:
@@ -372,10 +382,11 @@ class TestLyapunov:
         gd = make_grid(PI, 64, "dirichlet")
         mn = damped_wave(1.0, 1.0, 2.0, "neumann")
         md = damped_wave(1.0, 1.0, 2.0, "dirichlet", None)
-        zn = State(zeros(gn), zeros(gn))
-        zd = State(zeros(gd), zeros(gd))
-        assert lyapunov_eb(zn, mn, VolumeElements(2, 4.0)) == 0.0
-        assert lyapunov_eb(zd, md, FourierModes(2, 4.0)) == 0.0
+        zn, zd = np.zeros(gn.n_nodes), np.zeros(gd.n_nodes)
+        assert phi(mn, VolumeElements(2, 4.0), gn, zn, zn) == 0.0
+        assert phi(md, FourierModes(2, 4.0), gd, zd, zd) == 0.0
+        block = np.zeros((3, gd.n_nodes))
+        np.testing.assert_array_equal(phi(md, FourierModes(2, 4.0), gd, block, block), np.zeros(3))
 
     def test_volume_name_is_an_alias(self):
         assert lyapunov_volume is lyapunov_eb
@@ -388,21 +399,24 @@ class TestLyapunov:
     def test_subdomain_functional_only_on_damped_wave(self, model):
         gd = make_grid(PI, 64, "dirichlet")
         ctrl = SubdomainControl(Subdomain(1.0, 2.0, PI), 5.0)
+        z = np.zeros(gd.n_nodes)
         with pytest.raises(TypeError, match="SubdomainControl feedback"):
-            lyapunov_eb(State(zeros(gd), zeros(gd)), model, ctrl)
+            phi(model, ctrl, gd, z, z)
 
     def test_volume_requires_volume_controller(self):
         gn = make_grid(PI, 64, "neumann")
         mn = damped_wave(1.0, 1.0, 2.0, "neumann")
+        z = np.zeros(gn.n_nodes)
         with pytest.raises(TypeError):
-            lyapunov_volume(State(zeros(gn), zeros(gn)), mn, NoControl())
+            lyapunov_volume(mn, NoControl(), gn, z, energy_record(mn, gn, z, z, 0.0))
 
     def test_auto_lyapunov_in_records(self):
         gn = make_grid(PI, 64, "neumann")
         mn = damped_wave(1.0, 1.0, 2.0, "neumann")
         u0 = sample(gn, lambda x: np.exp(-((x - 1.5) / 0.4) ** 2))
         res = run(mn, VolumeElements(2, 4.0), u0, zeros(gn), StepperConfig(dt=0.01, t_end=0.5))
-        assert all(r.lyapunov is not None for r in res.records)
+        assert res.ledger.shape[1] == len(LEDGER_COLUMNS)
+        assert np.all(np.isfinite(ledger_column(res.ledger, "lyapunov")))
 
     def test_no_lyapunov_for_nodal(self):
         gd = make_grid(PI, 270, "dirichlet")
@@ -411,7 +425,7 @@ class TestLyapunov:
 
         u0 = sample(gd, lambda x: np.sin(x))
         res = run(md, Nodal(27, 4.3), u0, zeros(gd), StepperConfig(dt=0.01, t_end=0.2))
-        assert all(r.lyapunov is None for r in res.records)
+        assert res.ledger.shape[1] == len(LEDGER_COLUMNS) - 1  # no lyapunov column
 
 
 def test_final_state_matches_last_record():
@@ -423,7 +437,7 @@ def test_final_state_matches_last_record():
     assert final.t == 0.5 and final.u.grid == g and final.u.values.shape == (g.n_nodes,)
     assert not np.shares_memory(final.u.values, u0.values)
     last = energy_record(model, g, final.u.values, final.v.values, 0.0)
-    assert res.records[-1] == EnergyRecord(final.t, *last[:7])
+    np.testing.assert_array_equal(res.ledger[-1], [final.t, *last[:7]])
 
 
 def test_grid_mismatch_rejected():
@@ -486,12 +500,12 @@ LEDGER_CASES = {
 
 
 def alone(model, law, st):
-    """The EnergyRecord of one state, evaluated by itself."""
-    u = st.u.values
-    rows = energy_record(model, st.grid, u, st.v.values, controller_energy(law, st.grid, u))
+    """The ledger row of one state, evaluated by itself."""
+    g, u, v = st.grid, st.u.values, st.v.values
+    rows = energy_record(model, g, u, v, controller_energy(law, g, u))
     cert = integrator.certificate(model, law)
-    lyapunov = None if cert is None or cert.weights is None else lyapunov_eb(st, model, law)
-    return EnergyRecord(st.t, *rows[:7], lyapunov)
+    lyapunov = [] if cert is None or cert.weights is None else [phi(model, law, g, u, v)]
+    return np.array([st.t, *rows[:7], *lyapunov])
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_CASES))
@@ -501,13 +515,13 @@ def test_the_ledger_does_not_depend_on_the_block_width(name, monkeypatch):
     u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
     cfg = StepperConfig(dt=0.01, t_end=1.0)
     default = run(model, law, u0, zeros(g), cfg)
-    assert len(default.records) == 101
+    assert len(default.ledger) == 101
     for width in (1, 7):  # a record per block, and blocks that leave a partial one at the end
         monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
         res = run(model, law, u0, zeros(g), cfg)
         np.testing.assert_array_equal(res.ledger, default.ledger)
-    assert default.records[0] == alone(model, law, State(u0, zeros(g)))
-    assert default.records[-1] == alone(model, law, default.final_state)
+    np.testing.assert_array_equal(default.ledger[0], alone(model, law, State(u0, zeros(g))))
+    np.testing.assert_array_equal(default.ledger[-1], alone(model, law, default.final_state))
 
 
 # a linear wave whose five low modes grow at rate ~4.9 without feedback:
@@ -525,5 +539,5 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
     assert res.blew_up and 5.0 < res.blowup_time < 6.0
     final = res.final_state
     assert final.t == pytest.approx(res.blowup_time - 0.01)
-    assert len(res.records) == round(final.t / 0.01) + 1
-    assert res.records[-1] == alone(BLOWUP_MODEL, FourierModes(5, 0.0), final)
+    assert len(res.ledger) == round(final.t / 0.01) + 1
+    np.testing.assert_array_equal(res.ledger[-1], alone(BLOWUP_MODEL, FourierModes(5, 0.0), final))

@@ -14,8 +14,8 @@ from wavestab import (
     acceleration,
     damped_wave,
     energy_record,
-    h1_seminorm,
-    l2_inner,
+    h1_seminorm_sq,
+    integral,
     make_grid,
     mode_matrix,
     nonlinear_damping_wave,
@@ -24,7 +24,11 @@ from wavestab import (
     zeros,
 )
 
-from wavestab.models import RECORD_ROWS
+from wavestab.models import LEDGER_COLUMNS
+
+# energy_record's rows: the ledger's columns between t and lyapunov, then
+# the three norms a perturbed energy weighs
+ROW_NAMES = LEDGER_COLUMNS[1:-1] + ("h1_sq", "l2_sq", "cross")
 
 PI = np.pi
 
@@ -201,7 +205,7 @@ class TestAcceleration:
 def record(st, m, controller=0.0):
     """The ledger rows of one State, by name."""
     rows = energy_record(m, st.grid, st.u.values, st.v.values, controller)
-    return dict(zip(RECORD_ROWS, rows))
+    return dict(zip(ROW_NAMES, rows))
 
 
 class TestEnergyRecord:
@@ -242,20 +246,23 @@ class TestEnergyRecord:
         assert record(st, m)["quadratic"] == pytest.approx(-PI, rel=1e-12)  # -(a/2)*||1||^2 = -pi
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_norms_match_the_field_norms(self, bc):
+    def test_rows_are_the_grid_norms(self, bc):
         g = make_grid(PI, 96, bc)
         rng = np.random.default_rng(4)
         m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity.power_law(4.0))
-        u, v = Field(g, rng.standard_normal(g.n_nodes)), Field(g, rng.standard_normal(g.n_nodes))
-        r = record(State(u, v), m)
-        gx = h1_seminorm(u)
-        assert r["h1_sq"] == pytest.approx(gx * gx, rel=1e-13)
-        assert r["l2_sq"] == pytest.approx(l2_inner(u, u), rel=1e-13)
-        assert r["cross"] == pytest.approx(l2_inner(u, v), rel=1e-13)
-        assert r["kinetic"] == pytest.approx(0.5 * l2_inner(v, v), rel=1e-13)
-        assert r["grad"] == pytest.approx(0.5 * m.nu * gx * gx, rel=1e-13)
-        assert r["quadratic"] == pytest.approx(-0.5 * m.a * l2_inner(u, u), rel=1e-13)
-        assert r["stab_norm"] == pytest.approx(l2_inner(v, v) + gx * gx, rel=1e-13)
+        u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
+        r = record(make_state(g, u, v), m)
+        h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u * u), integral(g, v * v)
+        # the trapezoid weights against a BLAS dot product
+        assert vv == pytest.approx(float(np.dot(g.quad_weights, v * v)), rel=1e-13)
+        assert r["h1_sq"] == h1
+        assert r["l2_sq"] == uu
+        assert r["cross"] == integral(g, u * v)
+        assert r["kinetic"] == 0.5 * vv
+        assert r["grad"] == 0.5 * m.nu * h1
+        assert r["quadratic"] == -0.5 * m.a * uu
+        assert r["lp"] == integral(g, u**4 / 4.0)
+        assert r["stab_norm"] == vv + h1
 
     def test_block_rows_match_single_records(self):
         g = make_grid(PI, 64, "dirichlet")
@@ -264,6 +271,6 @@ class TestEnergyRecord:
         u, v = rng.standard_normal((5, g.n_nodes)), rng.standard_normal((5, g.n_nodes))
         ctrl = rng.uniform(0.0, 2.0, 5)
         block = energy_record(m, g, u, v, ctrl)
-        assert block.shape == (len(RECORD_ROWS), 5)
+        assert block.shape == (len(ROW_NAMES), 5)
         for j in range(5):  # bit for bit: a state's numbers do not depend on its block
             np.testing.assert_array_equal(block[:, j], energy_record(m, g, u[j], v[j], ctrl[j]))
