@@ -79,11 +79,10 @@ def _in_window(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return (window[0] <= t) & (t <= window[1])
 
 
-def _usable(ledger: np.ndarray, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Times and stab_norm of the records in the window above the decay floor."""
+def _decay(ledger: np.ndarray, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t and stab_norm columns, and which records are usable: in the window, above the floor."""
     t, s = ledger_column(ledger, "t"), ledger_column(ledger, "stab_norm")
-    keep = _in_window(t, window) & (s > STAB_FLOOR)
-    return t[keep], s[keep]
+    return t, s, _in_window(t, window) & (s > STAB_FLOOR)
 
 
 def fit_exponential(ledger: np.ndarray, window: tuple[float, float]) -> DecayFit:
@@ -96,7 +95,8 @@ def fit_exponential(ledger: np.ndarray, window: tuple[float, float]) -> DecayFit
         raise ValueError("no records to fit")
     if window[0] >= window[1]:
         raise ValueError(f"empty fit window {window}")
-    t, s = _usable(ledger, window)
+    t, s, usable = _decay(ledger, window)
+    t, s = t[usable], s[usable]
     if len(t) < MIN_FIT_RECORDS:
         raise ValueError(
             f"only {len(t)} usable records in window {window}; need at least {MIN_FIT_RECORDS}"
@@ -137,10 +137,10 @@ def verify_exponential(
     fit = fit_exponential(ledger, window)
     target = safety * delta_target
     rate_ok = fit.rate >= target
-    t, s = ledger_column(ledger, "t"), ledger_column(ledger, "stab_norm")
+    t, s, usable = _decay(ledger, window)
     head = t <= window[0]
     const = float(np.max(s[head] * np.exp(target * t[head]))) if head.any() else 0.0
-    t, s = _usable(ledger, window)
+    t, s = t[usable], s[usable]
     envelope_ok = not np.any(s > const * np.exp(-target * t) * (1.0 + 1e-9))
     return VerifyExponential(
         ok=bool(rate_ok and envelope_ok),
