@@ -99,8 +99,8 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
 
 def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     """Shared run pipeline: simulate, write artifacts, decide the exit code."""
-    os.makedirs(out_dir, exist_ok=True)
     report = gain_report_for(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper)
     wall = time.perf_counter() - t0

@@ -38,13 +38,22 @@ from .models import (
     nonlinear_damping_wave,
     strongly_damped_wave,
 )
-from .spectral import Subdomain, mode_matrix
+from .spectral import Subdomain, sine_mode
 
 
 # the [analysis] defaults: the fit window as fractions of t_end, and the
 # share of the certified rate a run must reach
 DEFAULT_FIT_WINDOW = (0.2, 0.9)
 DEFAULT_SAFETY = 0.8
+
+# the [controller] variant names of the feedback laws
+LAWS = {
+    "none": NoControl,
+    "volume": VolumeElements,
+    "fourier": FourierModes,
+    "nodal": Nodal,
+    "subdomain": SubdomainControl,
+}
 
 
 class ConfigError(ValueError):
@@ -86,13 +95,7 @@ class ExperimentConfig:
 
     @property
     def variant(self) -> str:
-        return {
-            NoControl: "none",
-            VolumeElements: "volume",
-            FourierModes: "fourier",
-            Nodal: "nodal",
-            SubdomainControl: "subdomain",
-        }[type(self.controller)]
+        return next(name for name, law in LAWS.items() if law is type(self.controller))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
         if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
             raise ConfigError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
         if grid.bc is BoundaryCondition.DIRICHLET:
-            vals = mode_matrix(grid, k)[k - 1]
+            vals = sine_mode(grid, k)
         else:
             vals = np.cos(k * np.pi * grid.nodes / grid.L)
         return Field(grid, amplitude * vals)
@@ -147,8 +150,10 @@ def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
             raise ConfigError(f"bump width must be positive, got {width}")
         return sample(grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2)))
     # random trigonometric polynomial
-    if any(x != int(x) for x in args) or args[0] < 0 or args[1] < 1:
-        raise ConfigError(f"profile {text!r} needs an integer seed >= 0 and an integer degree >= 1")
+    # a degree of n_cells or more aliases onto lower modes
+    if any(x != int(x) for x in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
+        need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
+        raise ConfigError(f"profile {text!r} needs {need}")
     seed, degree = int(args[0]), int(args[1])
     rng = np.random.default_rng([seed, 0])
     x = grid.nodes
@@ -234,15 +239,12 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
         if family == Family.DAMPED_WAVE.value:
             bc = sec.str("bc", "dirichlet").lower()
             nl_kind = sec.str("nonlinearity", "zero").lower()
-            if nl_kind == "zero":
-                nl = Nonlinearity.zero()
-            elif nl_kind == "power":
-                nl = Nonlinearity.power_law(sec.float("p", required=True))
-            else:
+            if nl_kind not in ("zero", "power"):
                 raise ConfigError(
                     f"[model] nonlinearity must be 'zero' or 'power', got {nl_kind!r}"
                 )
-            model = damped_wave(nu, a, b, bc, nl)
+            p = sec.float("p", required=True) if nl_kind == "power" else None
+            model = damped_wave(nu, a, b, bc, Nonlinearity(p))
         elif family == Family.NONLINEAR_DAMPING.value:
             model = nonlinear_damping_wave(
                 nu, a, b, sec.float("m", required=True), sec.float("p", required=True)
@@ -259,31 +261,26 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
     return model, grid
 
 
-def _build_controller(sec: _Section, grid: Grid1D) -> ControllerSpec:
+def _build_controller(sec: _Section) -> ControllerSpec:
     variant = sec.str("variant", "none").lower()
+    law = LAWS.get(variant)
+    if law is None:
+        raise ConfigError(f"[controller] unknown variant {variant!r}")
     try:
-        if variant == "none":
+        if law is NoControl:
             return NoControl()
         mu = sec.float("mu", required=True)
-        if variant == "volume":
-            return VolumeElements(sec.int("n", required=True), mu)
-        if variant == "fourier":
-            return FourierModes(sec.int("n", required=True), mu)
-        if variant == "nodal":
+        if law is Nodal:
             return Nodal(
                 sec.int("n", required=True),
                 mu,
                 obs_points=sec.floats("obs_points"),
                 act_points=sec.floats("act_points"),
             )
-        if variant == "subdomain":
-            omega = Subdomain(
-                sec.float("omega_lo", required=True),
-                sec.float("omega_hi", required=True),
-                grid.L,
-            )
-            return SubdomainControl(omega, mu)
-        raise ConfigError(f"[controller] unknown variant {variant!r}")
+        if law is SubdomainControl:
+            lo, hi = sec.float("omega_lo", required=True), sec.float("omega_hi", required=True)
+            return SubdomainControl(Subdomain(lo, hi), mu)
+        return law(sec.int("n", required=True), mu)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -304,8 +301,7 @@ def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_la
         window, need, check = power_law_window(window), MIN_POWER_RECORDS, "power-law check"
     else:
         need, check = MIN_FIT_RECORDS, "decay fit"
-    n = stepper.n_steps
-    t = np.union1d(np.arange(0, n, stepper.record_every), [n]) * stepper.dt  # as run times them
+    t = stepper.record_steps * stepper.dt
     count = int(np.count_nonzero((window[0] <= t) & (t <= window[1])))
     if count < need:
         raise ConfigError(
@@ -327,7 +323,7 @@ def load_config(path: str) -> ExperimentConfig:
     ctrl_sec = _Section(
         "controller", parser["controller"] if parser.has_section("controller") else {}
     )
-    controller = _build_controller(ctrl_sec, grid)
+    controller = _build_controller(ctrl_sec)
     check_law(controller, grid)
 
     init_sec = _Section("initial", parser["initial"] if parser.has_section("initial") else {})

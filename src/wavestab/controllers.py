@@ -162,17 +162,15 @@ def element_layout(grid: Grid1D, N: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _nearest_interior_index(grid: Grid1D, x: np.ndarray) -> np.ndarray:
-    """Index into the stored nodes of the full-line node nearest each x."""
+    """Index into the stored nodes of a Dirichlet grid of the full-line node nearest each x."""
     full = np.rint(x / grid.dx).astype(int)
-    if grid.bc is BoundaryCondition.DIRICHLET:
-        if np.any(full <= 0) or np.any(full >= grid.n_cells):
-            bad = x[(full <= 0) | (full >= grid.n_cells)][0]
-            raise ValueError(
-                f"actuation point {bad:.6g} is nearest to a boundary node, where "
-                "a Dirichlet field cannot carry a delta; move it inward or refine"
-            )
-        return full - 1
-    return np.clip(full, 0, grid.n_cells)
+    if np.any(full <= 0) or np.any(full >= grid.n_cells):
+        bad = x[(full <= 0) | (full >= grid.n_cells)][0]
+        raise ValueError(
+            f"actuation point {bad:.6g} is nearest to a boundary node, where "
+            "a Dirichlet field cannot carry a delta; move it inward or refine"
+        )
+    return full - 1
 
 
 def _require_dirichlet(grid: Grid1D, what: str) -> None:
@@ -249,6 +247,8 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
+        if spec.omega.hi > grid.L:
+            raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
         s = grid.quad_weights * chi
         return _frozen_law(lambda u: u, lambda y, gain: gain * chi * y, s, chi)
@@ -325,11 +325,14 @@ class GainReport:
     """Outcome of evaluating a controller's sufficient conditions."""
 
     variant: str
-    satisfied: bool
     kind: str  # "exponential" | "polynomial"
     predicted_rate: Optional[float]
     margins: tuple[Margin, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def satisfied(self) -> bool:
+        return all(m.ok for m in self.margins)
 
     def to_dict(self) -> dict:
         return {
@@ -352,17 +355,6 @@ class GainReport:
         }
 
 
-def _report(variant, kind, rate, margins, notes=()):
-    return GainReport(
-        variant=variant,
-        satisfied=all(m.ok for m in margins),
-        kind=kind,
-        predicted_rate=rate,
-        margins=tuple(margins),
-        notes=tuple(notes),
-    )
-
-
 def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
     """Cell-average feedback: gain and element-resolution conditions.
 
@@ -375,25 +367,25 @@ def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: in
     """
     delta0 = 0.5 * b * min(1.0, nu)
     load = a + 0.5 * delta0 * b
-    margins = [
+    margins = (
         Margin("gain", mu, 2.0 * load),
         Margin("elements", float(N) ** 2, L**2 / (2.0 * nu * np.pi**2) * load, strict=True),
-    ]
+    )
     notes = (
         "conservative mean-oscillation constant would double the required "
         "element count N (threshold on N^2 x4)",
     )
-    return _report("volume", "exponential", delta0, margins, notes)
+    return GainReport("volume", "exponential", delta0, margins, notes)
 
 
 def check_fourier_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
     """Modal feedback on the linearly damped wave; certified rate b/2."""
     lam_next = dirichlet_eigenvalue(L, N + 1)
-    margins = [
+    margins = (
         Margin("stiffness", nu, (2.0 * a + 0.75 * b**2) / lam_next),
         Margin("gain", mu, a + 0.75 * b**2),
-    ]
-    return _report("fourier", "exponential", 0.5 * b, margins)
+    )
+    return GainReport("fourier", "exponential", 0.5 * b, margins)
 
 
 def check_nonlinear_gains(L: float, nu: float, a: float, mu: float, N: int, m: float) -> GainReport:
@@ -405,11 +397,11 @@ def check_nonlinear_gains(L: float, nu: float, a: float, mu: float, N: int, m: f
     if m <= 2.0:
         raise ValueError(f"nonlinear damping exponent must exceed 2, got {m}")
     lam_next = dirichlet_eigenvalue(L, N + 1)
-    margins = [
+    margins = (
         Margin("stiffness", nu, 2.0 * a / lam_next, strict=True),
         Margin("gain", mu, a, strict=True),
-    ]
-    return _report("nonlinear", "polynomial", (m - 1.0) / m, margins)
+    )
+    return GainReport("nonlinear", "polynomial", (m - 1.0) / m, margins)
 
 
 def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
@@ -426,7 +418,7 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     a, b, mu = a / nu, b / math.sqrt(nu), mu / nu
     lam1 = dirichlet_eigenvalue(L, 1)
     h = L / N
-    margins = [
+    margins = (
         Margin("gain", mu, 4.0 * (a + lam1**2 * b**2 / 4.0), strict=True),
         Margin(
             "sampling",
@@ -440,8 +432,8 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
             0.0,
             strict=True,
         ),
-    ]
-    return _report("nodal", "exponential", None, margins)
+    )
+    return GainReport("nodal", "exponential", None, margins)
 
 
 def check_strong_fourier_gains(
@@ -452,11 +444,11 @@ def check_strong_fourier_gains(
     lam_next = dirichlet_eigenvalue(L, N + 1)
     delta0 = b * lam1 * nu / (2.0 * nu + b**2 * lam1)
     threshold = 2.0 * a + 0.25 * delta0 * lam1 * b
-    margins = [
+    margins = (
         Margin("gain", mu, threshold, strict=True),
         Margin("stiffness", nu, threshold / lam_next),
-    ]
-    return _report("strong_fourier", "exponential", delta0, margins)
+    )
+    return GainReport("strong_fourier", "exponential", delta0, margins)
 
 
 def check_subdomain_gains(
@@ -471,12 +463,12 @@ def check_subdomain_gains(
     nu times the bisection threshold mu_zero computed at half the
     complement gap.  Certified rate b/2 (in t).
     """
-    lam_c = complement_eigenvalue(omega)
+    lam_c = complement_eigenvalue(omega, grid)
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
-    margins = [
+    margins = (
         Margin("complement_gap", nu * lam_c, 4.0 * a + 1.5 * b**2),
         Margin("gain", mu, nu * mu0, strict=True),
-    ]
+    )
     notes = (f"mu_zero={mu0:.6g} at gap target d={d:.6g}",)
-    return _report("subdomain", "exponential", 0.5 * b, margins, notes)
+    return GainReport("subdomain", "exponential", 0.5 * b, margins, notes)

@@ -74,9 +74,9 @@ class StepperConfig:
     """Time-stepping parameters.
 
     ``record_every`` controls energy-ledger cadence in steps; the initial
-    state and the final step are always recorded.  ``dt`` must divide
-    ``t_end`` (to 1e-9 relative), so a run takes ``n_steps`` equal steps and
-    ends at ``t_end``; there is no partial last step.
+    state and the final step are always recorded (:attr:`record_steps`).
+    ``dt`` must divide ``t_end`` (to 1e-9 relative), so a run takes
+    ``n_steps`` equal steps and ends at ``t_end``; there is no partial last step.
     """
 
     dt: float
@@ -104,6 +104,11 @@ class StepperConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.dt) if self.t_end > 0.0 else 0
+
+    @property
+    def record_steps(self) -> np.ndarray:
+        """The steps a run records: 0, each multiple of ``record_every``, and ``n_steps``."""
+        return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps)
 
 
 def default_dt(grid: Grid1D) -> float:
@@ -342,13 +347,14 @@ def run(
     cert = certificate(model, ctrl)
     has_functional = cert is not None and cert.weights is not None
 
-    n_steps, every = cfg.n_steps, cfg.record_every
-    n_records = n_steps // every + 1 + (n_steps % every > 0)  # t = 0, each cadence step, the last
+    record_steps = cfg.record_steps
+    record_at = record_steps.tolist()  # as ints, so the per-step test indexes no array
+    n_records = len(record_at)
     n_energy = len(LEDGER_COLUMNS) - 2  # the columns between t and lyapunov
     ledger = np.empty((n_records, 1 + n_energy + has_functional))
     width = max(1, min(n_records, LEDGER_BLOCK_VALUES // grid.n_nodes))
     # one recorded state per row, so each copy is contiguous
-    ts, us, vs = np.empty(width), np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
+    us, vs = np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
     done = 0  # ledger rows written
 
     def flush(k: int) -> None:
@@ -357,7 +363,7 @@ def run(
         u, v = us[:k], vs[:k]
         rows = energy_record(model, grid, u, v, energy_op(u))
         out = ledger[done:done + k]
-        out[:, 0] = ts[:k]
+        out[:, 0] = record_steps[done:done + k] * cfg.dt
         out[:, 1:1 + n_energy] = rows[:n_energy].T  # energy_record's first rows are those columns
         if has_functional:
             out[:, -1] = lyapunov_eb(model, ctrl, grid, u, rows)
@@ -365,11 +371,11 @@ def run(
 
     u = u0.values.copy()
     v = u1.values.copy()
-    ts[0], us[0], vs[0] = 0.0, u, v
+    us[0], vs[0] = u, v
     held = 1  # records in the buffers
     blowup_time = None
     t = 0.0
-    for k in range(1, n_steps + 1):
+    for k in range(1, cfg.n_steps + 1):
         u_new, v_new = stepper.advance(u, v)
         t_new = k * cfg.dt
         peak = max(abs(u_new).max(), abs(v_new).max())
@@ -378,11 +384,11 @@ def run(
             blowup_time = t_new
             break
         u, v, t = u_new, v_new, t_new
-        if k % every == 0 or k == n_steps:
+        if k == record_at[done + held]:  # the next record's step
             if held == width:
                 flush(held)
                 held = 0
-            ts[held], us[held], vs[held] = t, u, v
+            us[held], vs[held] = u, v
             held += 1
     flush(held)
     final = State(Field(grid, u), Field(grid, v), t)

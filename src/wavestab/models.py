@@ -20,8 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,36 +35,32 @@ class Family(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Monotone source term f with antiderivative F (F(0) = 0).
+    """Monotone source term f with antiderivative F (F(0) = 0), held as its exponent.
 
-    Both kinds meet the admissibility the certificates need:
-    f(s)*s - F(s) >= 0 and f'(s) >= 0.
+    ``p = None`` is f = 0; a number p >= 2 is the power law
+    f(u) = |u|^(p-2) u with F(u) = |u|^p / p.  Both meet the admissibility
+    the certificates need: f(s)*s - F(s) >= 0 and f'(s) >= 0.
     """
 
-    kind: str
-    f: Callable[[np.ndarray], np.ndarray]
-    F: Callable[[np.ndarray], np.ndarray]
     p: Optional[float] = None
+
+    def __post_init__(self):
+        if self.p is not None and not (math.isfinite(self.p) and self.p >= 2.0):
+            raise ValueError(f"power law needs a finite p >= 2, got {self.p}")
 
     @staticmethod
     def zero() -> "Nonlinearity":
-        return Nonlinearity("zero", np.zeros_like, np.zeros_like)
+        return Nonlinearity()
 
     @staticmethod
     def power_law(p: float) -> "Nonlinearity":
-        """f(u) = |u|^(p-2) u with F(u) = |u|^p / p, p >= 2."""
-        if not (math.isfinite(p) and p >= 2.0):
-            raise ValueError(f"power law needs a finite p >= 2, got {p}")
-        return Nonlinearity("power", partial(_power_f, p), partial(_power_F, p), p=p)
+        return Nonlinearity(p)
 
+    def f(self, u: np.ndarray) -> np.ndarray:
+        return np.zeros_like(u) if self.p is None else np.abs(u) ** (self.p - 2.0) * u
 
-# module-level, so a power law pickles into a sweep's worker processes
-def _power_f(p: float, u: np.ndarray) -> np.ndarray:
-    return np.abs(u) ** (p - 2.0) * u
-
-
-def _power_F(p: float, u: np.ndarray) -> np.ndarray:
-    return np.abs(u) ** p / p
+    def F(self, u: np.ndarray) -> np.ndarray:
+        return np.zeros_like(u) if self.p is None else np.abs(u) ** self.p / self.p
 
 
 @dataclass(frozen=True)
@@ -94,23 +89,18 @@ class ModelSpec:
             # for this family only; the stabilization theory itself needs b > 0.
             if self.b < 0.0:
                 raise ValueError(f"damping coefficient b must be >= 0, got {self.b}")
-            if self.m is not None:
-                raise ValueError("damping exponent m only applies to nonlinear damping")
         else:
             if self.bc is not BoundaryCondition.DIRICHLET:
                 raise ValueError(f"{self.family.value} is posed with Dirichlet boundaries")
-            if self.nonlinearity.kind != "power":
+            if self.nonlinearity.p is None:
                 raise ValueError(f"{self.family.value} hard-wires a power-law source")
-        if self.family is Family.NONLINEAR_DAMPING:
             if self.b <= 0.0:
                 raise ValueError(f"damping coefficient b must be > 0, got {self.b}")
+        if self.family is Family.NONLINEAR_DAMPING:
             if self.m is None or self.m <= 2.0:
                 raise ValueError(f"nonlinear damping needs exponent m > 2, got {self.m}")
-        elif self.family is Family.STRONGLY_DAMPED:
-            if self.b <= 0.0:
-                raise ValueError(f"damping coefficient b must be > 0, got {self.b}")
-            if self.m is not None:
-                raise ValueError("damping exponent m only applies to nonlinear damping")
+        elif self.m is not None:
+            raise ValueError("damping exponent m only applies to nonlinear damping")
 
     @property
     def linear_damping(self) -> float:

@@ -2,7 +2,7 @@
 
 On (0, L) with zero boundary values, the Laplacian eigenpairs are
 ``w_k(x) = sqrt(2/L) sin(k pi x / L)`` with ``lambda_k = (k pi / L)^2``;
-:func:`dirichlet_eigenvalue` and :func:`mode_matrix` are the one place each
+:func:`dirichlet_eigenvalue` and :func:`sine_mode` are the one place each
 is written.  Low-mode projections against the sampled modes drive the
 spectral feedback laws; the tail bound and the indicator-gain threshold
 ``mu_zero`` supply the quantitative certificates the gain checkers rely on.
@@ -27,6 +27,11 @@ def dirichlet_eigenvalue(L: float, k: int) -> float:
     return (k * np.pi / L) ** 2
 
 
+def sine_mode(grid: Grid1D, k) -> np.ndarray:
+    """w_k sampled at the nodes; ``k`` is one index, or a column of them for one row each."""
+    return np.sqrt(2.0 / grid.L) * np.sin(k * np.pi * grid.nodes / grid.L)
+
+
 @lru_cache(maxsize=64)
 def mode_matrix(grid: Grid1D, N: int) -> np.ndarray:
     """Rows w_1 .. w_N sampled at the nodes of a Dirichlet grid (cached, read-only)."""
@@ -34,8 +39,7 @@ def mode_matrix(grid: Grid1D, N: int) -> np.ndarray:
         raise ValueError("the sine modes are sampled on a Dirichlet grid")
     if N < 1:
         raise ValueError(f"need at least one mode, got N={N}")
-    k = np.arange(1, N + 1)[:, None]
-    W = np.sqrt(2.0 / grid.L) * np.sin(k * np.pi * grid.nodes / grid.L)
+    W = sine_mode(grid, np.arange(1, N + 1)[:, None])
     W.flags.writeable = False
     return W
 
@@ -60,30 +64,27 @@ def tail_bound_check(f: Field, N: int) -> tuple[float, float, bool]:
 
 @dataclass(frozen=True)
 class Subdomain:
-    """Open actuation subinterval (lo, hi) strictly inside (0, L)."""
+    """Actuation subinterval (lo, hi) of a grid's (0, L); the law checks hi <= L when built."""
 
     lo: float
     hi: float
-    L: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lo < self.hi <= self.L:
-            raise ValueError(
-                f"need 0 <= lo < hi <= L, got lo={self.lo}, hi={self.hi}, L={self.L}"
-            )
+        if not 0.0 <= self.lo < self.hi:
+            raise ValueError(f"need 0 <= lo < hi, got lo={self.lo}, hi={self.hi}")
 
     def indicator(self, x: np.ndarray) -> np.ndarray:
         """Sharp indicator sampled at nodes: 1 where lo <= x < hi."""
         return ((x >= self.lo) & (x < self.hi)).astype(np.float64)
 
 
-def complement_eigenvalue(omega: Subdomain) -> float:
-    """Smallest Dirichlet eigenvalue over the components of (0,L) \\ omega.
+def complement_eigenvalue(omega: Subdomain, grid: Grid1D) -> float:
+    """Smallest Dirichlet eigenvalue over the components of (0,L) \\ omega, L the grid's.
 
     Each component is an interval; the smallest eigenvalue comes from the
     longest one, so the value is ``(pi / max(lo, L - hi))^2``.
     """
-    ell = max(omega.lo, omega.L - omega.hi)
+    ell = max(omega.lo, grid.L - omega.hi)
     if ell <= 0.0:
         raise ValueError("omega touches both ends: complement has no interior component")
     return dirichlet_eigenvalue(ell, 1)
@@ -110,18 +111,14 @@ def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
     Raises
     ------
     ValueError
-        If ``d`` is outside (0, complement_eigenvalue) or the grid is not
-        Dirichlet on the subdomain's interval (0, L).
-    RuntimeError
-        If the target is not reached at mu = 1e6 (no convergence).
+        If ``d`` is outside (0, complement_eigenvalue), the grid is not
+        Dirichlet, or the target is not reached at mu = 1e6.
     """
-    lam_c = complement_eigenvalue(omega)
+    lam_c = complement_eigenvalue(omega, grid)
     if not 0.0 < d < lam_c:
         raise ValueError(f"need 0 < d < {lam_c:.6g}, got d={d}")
     if grid.bc is not BoundaryCondition.DIRICHLET:
         raise ValueError("mu_zero requires a Dirichlet grid")
-    if abs(grid.L - omega.L) > 1e-12 * max(omega.L, 1.0):
-        raise ValueError("grid and subdomain cover different intervals")
 
     target = lam_c - d
     chi = omega.indicator(grid.nodes)
@@ -132,8 +129,9 @@ def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
         return 0.0
     hi = MU_BISECTION_MAX
     if _min_eig_shifted(grid, chi, hi) < target:
-        raise RuntimeError(
-            f"gap target {target:.6g} unreachable with gains up to {hi:.1e}"
+        raise ValueError(
+            f"gap target {target:.6g} unreachable with gains up to {hi:.1e}; "
+            "refine the grid or move omega"
         )
     lo = 0.0
     while hi - lo > MU_BISECTION_RTOL * hi:

@@ -161,7 +161,7 @@ def test_criterion_2_modal_feedback_decay(fourier_loop):
 def test_criterion_3_localized_damping():
     """Static damping on (0.5, 0.9) of (0,1) at mu = 1.1*mu_zero."""
     grid = make_grid(1.0, 256, "dirichlet")
-    omega = Subdomain(0.5, 0.9, 1.0)
+    omega = Subdomain(0.5, 0.9)
     lam_c = (math.pi / 0.5) ** 2  # longest complement component has length 0.5
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)

@@ -23,6 +23,7 @@ from wavestab import (
     check_volume_gains,
     damped_wave,
     lyapunov_eb,
+    mode_matrix,
     nonlinear_damping_wave,
     run,
     sample,
@@ -124,6 +125,26 @@ class TestBuildProfile:
         assert np.any(build_profile(g, f"mode {highest}", 1.0).values)
         with pytest.raises(ConfigError, match="mode index"):
             build_profile(g, f"mode {highest + 1}", 1.0)
+
+    @pytest.mark.parametrize("n_cells,k", [(64, 1), (256, 255), (2048, 700)])
+    def test_dirichlet_mode_builds_only_its_row(self, n_cells, k):
+        g = make_grid(np.pi, n_cells, "dirichlet")
+        before = mode_matrix.cache_info()
+        f = build_profile(g, f"mode {k}", 1.0)
+        after = mode_matrix.cache_info()
+        assert after.currsize == before.currsize
+        assert after.hits + after.misses == before.hits + before.misses
+        np.testing.assert_array_equal(f.values, mode_matrix(g, k)[k - 1])
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_random_degree_below_the_cell_count(self, bc):
+        # degree n_cells and higher alias onto lower modes
+        g = make_grid(np.pi, 64, bc)
+        assert np.any(build_profile(g, "random(3, 63)", 1.0).values)
+        for text in ("random(3, 64)", "random(3, 200000)"):
+            rule = re.escape(f"profile {text!r} needs") + r".*\[1, n_cells = 64\)"
+            with pytest.raises(ConfigError, match=rule):
+                build_profile(g, text, 1.0)
 
     def test_bump_amplitude(self):
         g = make_grid(1.0, 64, "neumann")
@@ -499,7 +520,7 @@ CERTIFIED_CASES = {
     ),
     "subdomain-damped": (
         Family.DAMPED_WAVE,
-        SubdomainControl(Subdomain(1.0, 2.0, np.pi), 35.0),
+        SubdomainControl(Subdomain(1.0, 2.0), 35.0),
         lambda g, m, c: check_subdomain_gains(m.nu, m.a, m.b, c.mu, c.omega, g),
         E_B,
     ),

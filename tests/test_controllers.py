@@ -88,7 +88,7 @@ class TestControlFields:
         for spec in (
             FourierModes(2, 0.0),
             Nodal(4, 0.0),
-            SubdomainControl(Subdomain(0.5, 1.5, PI), 0.0),
+            SubdomainControl(Subdomain(0.5, 1.5), 0.0),
         ):
             assert not make_control_operator(spec, gd)(ud).any()
 
@@ -134,7 +134,7 @@ class TestControlFields:
 
     def test_subdomain_masks_sharply(self):
         g = make_grid(1.0, 100, "dirichlet")
-        out = make_control_operator(SubdomainControl(Subdomain(0.25, 0.5, 1.0), 2.0), g)(np.ones(g.n_nodes))
+        out = make_control_operator(SubdomainControl(Subdomain(0.25, 0.5), 2.0), g)(np.ones(g.n_nodes))
         inside = (g.nodes >= 0.25) & (g.nodes < 0.5)
         np.testing.assert_allclose(out[inside], -2.0)
         np.testing.assert_allclose(out[~inside], 0.0)
@@ -160,7 +160,7 @@ class TestControlFields:
             (VolumeElements(2, 1.0), "dirichlet"),
             (FourierModes(2, 1.0), "neumann"),
             (Nodal(4, 1.0), "neumann"),
-            (SubdomainControl(Subdomain(0.5, 1.5, PI), 1.0), "neumann"),
+            (SubdomainControl(Subdomain(0.5, 1.5), 1.0), "neumann"),
         ],
         ids=["volume", "fourier", "nodal", "subdomain"],
     )
@@ -177,7 +177,7 @@ class TestControlFields:
             (VolumeElements(1, 3.0), "neumann"),
             (VolumeElements(8, 3.0), "neumann"),
             (FourierModes(3, 3.0), "dirichlet"),
-            (SubdomainControl(Subdomain(0.5, 1.7, PI), 3.0), "dirichlet"),
+            (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet"),
         ],
         ids=["volume1", "volume8", "fourier", "subdomain"],
     )
@@ -223,7 +223,7 @@ class TestControllerEnergy:
             for spec in (
                 FourierModes(3, 1.3),
                 Nodal(6, 0.7),
-                SubdomainControl(Subdomain(0.2, 0.7, 1.0), 2.0),
+                SubdomainControl(Subdomain(0.2, 0.7), 2.0),
             ):
                 assert controller_energy(spec, gd, st_.u.values) >= 0.0
 
@@ -240,7 +240,7 @@ def law_specs(mu):
         (VolumeElements(4, mu), "neumann"),
         (FourierModes(3, mu), "dirichlet"),
         (Nodal(4, mu), "dirichlet"),
-        (SubdomainControl(Subdomain(0.5, 1.7, PI), mu), "dirichlet"),
+        (SubdomainControl(Subdomain(0.5, 1.7), mu), "dirichlet"),
         (NoControl(mu), "neumann"),
     ]
 
@@ -293,8 +293,8 @@ class TestLawCache:
             (FourierModes(3, 1.0), make_grid(PI, 64, "dirichlet")),
             (Nodal(4, 1.0), make_grid(PI, 64, "dirichlet")),
             (Nodal(4, 1.0, obs_points=(0.3, 1.0, 1.9, 2.8)), make_grid(PI, 64, "dirichlet")),
-            (SubdomainControl(Subdomain(0.5, 1.7, PI), 1.0), make_grid(PI, 64, "dirichlet")),
-            (SubdomainControl(Subdomain(0.5, 2.0, PI), 1.0), make_grid(PI, 64, "dirichlet")),
+            (SubdomainControl(Subdomain(0.5, 1.7), 1.0), make_grid(PI, 64, "dirichlet")),
+            (SubdomainControl(Subdomain(0.5, 2.0), 1.0), make_grid(PI, 64, "dirichlet")),
             (NoControl(), make_grid(PI, 64, "dirichlet")),
             (NoControl(), make_grid(PI, 64, "neumann")),
         ]
@@ -490,7 +490,7 @@ class TestStrongGains:
 @pytest.fixture(scope="module")
 def setup():
     L = 1.0
-    omega = Subdomain(0.5, 0.9, L)
+    omega = Subdomain(0.5, 0.9)
     grid = make_grid(L, 256, "dirichlet")
     lam_c = (PI / 0.5) ** 2
     mu0 = mu_zero(omega, lam_c / 2, grid)
@@ -535,7 +535,7 @@ class TestSubdomainGains:
 
     def test_wide_subdomain_easy(self):
         L = 1.0
-        omega = Subdomain(0.01, 0.99, L)
+        omega = Subdomain(0.01, 0.99)
         grid = make_grid(L, 500, "dirichlet")
         rep = check_subdomain_gains(1.0, 1.0, 2.0, 50.0, omega, grid)
         gap = {m.name: m for m in rep.margins}["complement_gap"]

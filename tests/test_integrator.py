@@ -208,6 +208,19 @@ def test_final_partial_interval_recorded():
     assert ledger_column(res.ledger, "t")[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "t_end,every,steps",
+    [(1.0, 1, list(range(101))), (1.0, 25, [0, 25, 50, 75, 100]), (1.0, 30, [0, 30, 60, 90, 100]),
+     (1.0, 100, [0, 100]), (1.0, 250, [0, 100]), (0.0, 5, [0])],
+)
+def test_run_records_exactly_the_record_steps(t_end, every, steps):
+    g = make_grid(PI, 32, "dirichlet")
+    cfg = StepperConfig(dt=0.01, t_end=t_end, record_every=every)
+    assert cfg.record_steps.tolist() == steps
+    res = run(damped_wave(1.0, 0.0, 1.0, "dirichlet"), NoControl(), first_mode_state(g), zeros(g), cfg)
+    np.testing.assert_array_equal(res.ledger[:, 0], cfg.record_steps * cfg.dt)
+
+
 class TestBlowup:
     def test_unstable_baseline_aborts(self):
         g = make_grid(PI, 64, "dirichlet")
@@ -398,7 +411,7 @@ class TestLyapunov:
     )
     def test_subdomain_functional_only_on_damped_wave(self, model):
         gd = make_grid(PI, 64, "dirichlet")
-        ctrl = SubdomainControl(Subdomain(1.0, 2.0, PI), 5.0)
+        ctrl = SubdomainControl(Subdomain(1.0, 2.0), 5.0)
         z = np.zeros(gd.n_nodes)
         with pytest.raises(TypeError, match="SubdomainControl feedback"):
             phi(model, ctrl, gd, z, z)
@@ -494,7 +507,7 @@ def test_one_stencil_step_matches_the_two_stencil_form(model, law):
 LEDGER_CASES = {
     "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 3.0)),
     "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
-    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7, PI), 4.0)),
+    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7), 4.0)),
     "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
 }
 

@@ -70,7 +70,7 @@ def volume_damped(rng):
 def subdomain_damped(rng):
     nu, a, b, mu = _log_uniform(rng, 0.03, 5.0), rng.uniform(0, 3), rng.uniform(0.2, 2), _log_uniform(rng, 1, 300)
     lo = rng.uniform(0.2, 1.4)
-    omega = Subdomain(lo, lo + rng.uniform(1.0, 1.7), PI)
+    omega = Subdomain(lo, lo + rng.uniform(1.0, 1.7))
     return damped_wave(nu, a, b, "dirichlet"), SubdomainControl(omega, mu), make_grid(PI, 64, "dirichlet")
 
 

@@ -1,6 +1,7 @@
 """Model families, nonlinearities, accelerations, and energy records."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_power_law_rejects_p_below_two():
         Nonlinearity.power_law(1.5)
 
 
+def test_models_built_alike_compare_equal():
+    # a nonlinearity is its exponent, so equal inputs give equal models, pickled or not
+    model, twin = (damped_wave(1, 1, 2, "dirichlet", Nonlinearity.power_law(4.0)) for _ in range(2))
+    assert model == twin and pickle.loads(pickle.dumps(model)) == model
+    assert model != damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(3.0))
+
+
 def test_condition_f_ok_for_power_laws():
     # the certificates' admissibility: f(s)s - F(s) >= 0 and f nondecreasing
     s = np.linspace(-10.0, 10.0, 10_001)
@@ -79,7 +87,7 @@ def test_condition_f_ok_for_power_laws():
 def test_damped_wave_defaults_to_zero_f():
     m = damped_wave(1.0, 0.5, 2.0, "neumann")
     assert m.family is Family.DAMPED_WAVE
-    assert m.nonlinearity.kind == "zero"
+    assert m.nonlinearity == Nonlinearity.zero() and m.nonlinearity.p is None
     assert m.bc is BoundaryCondition.NEUMANN
 
 
@@ -123,8 +131,7 @@ def test_non_finite_coefficients_rejected(ctor, kwargs, name, bad):
 def test_nonlinear_damping_is_dirichlet_power_law():
     m = nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)
     assert m.bc is BoundaryCondition.DIRICHLET
-    assert m.m == 3.0 and m.nonlinearity.p == 4.0
-    assert m.nonlinearity.kind == "power"
+    assert m.m == 3.0 and m.nonlinearity == Nonlinearity.power_law(4.0)
 
 
 def test_strongly_damped_rejects_m():

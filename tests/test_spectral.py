@@ -6,9 +6,11 @@ import pytest
 from wavestab import (
     Field,
     Subdomain,
+    SubdomainControl,
     complement_eigenvalue,
     dirichlet_eigenvalue,
     integral,
+    make_control_operator,
     make_grid,
     mode_matrix,
     mu_zero,
@@ -92,12 +94,13 @@ class TestComplementEigenvalue:
         ],
     )
     def test_longest_component_rules(self, L, lo, hi, expected):
-        assert complement_eigenvalue(Subdomain(lo, hi, L)) == pytest.approx(expected)
+        grid = make_grid(L, 64, "dirichlet")
+        assert complement_eigenvalue(Subdomain(lo, hi), grid) == pytest.approx(expected)
 
     def test_matches_dense_eigensolve(self):
         # discrete eigenvalue of the longest complement component, resolved
         L, lo, hi, n = 1.0, 0.35, 0.55, 2048
-        lam = complement_eigenvalue(Subdomain(lo, hi, L))
+        lam = complement_eigenvalue(Subdomain(lo, hi), make_grid(L, n, "dirichlet"))
         ell = max(lo, L - hi)
         sub = make_grid(ell, n, "dirichlet")
         inv_dx2 = 1.0 / sub.dx**2
@@ -114,14 +117,16 @@ class TestComplementEigenvalue:
 
     def test_subdomain_validation(self):
         with pytest.raises(ValueError):
-            Subdomain(0.6, 0.4, 1.0)
+            Subdomain(0.6, 0.4)
         with pytest.raises(ValueError):
-            Subdomain(-0.1, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            Subdomain(0.2, 1.3, 1.0)
+            Subdomain(-0.1, 0.5)
+        # the interval's right end is checked against the grid's L when the law is built
+        with pytest.raises(ValueError, match="beyond the grid's L=1.0"):
+            law = SubdomainControl(Subdomain(0.2, 1.3), 1.0)
+            make_control_operator(law, make_grid(1.0, 64, "dirichlet"))
 
     def test_indicator_half_open(self):
-        om = Subdomain(0.25, 0.5, 1.0)
+        om = Subdomain(0.25, 0.5)
         x = np.array([0.2, 0.25, 0.4, 0.5, 0.6])
         np.testing.assert_array_equal(om.indicator(x), [0.0, 1.0, 1.0, 0.0, 0.0])
 
@@ -130,9 +135,9 @@ class TestMuZero:
     def test_already_satisfied_returns_zero(self):
         # d close to lambda_c - lambda_1: bare operator already clears target
         L = 1.0
-        om = Subdomain(0.4, 0.6, L)
+        om = Subdomain(0.4, 0.6)
         g = make_grid(L, 256, "dirichlet")
-        lam_c = complement_eigenvalue(om)
+        lam_c = complement_eigenvalue(om, g)
         d = lam_c - np.pi**2 * 0.5  # target 0.5*lambda_1 < lambda_1^h
         assert mu_zero(om, d, g) == 0.0
 
@@ -140,9 +145,9 @@ class TestMuZero:
         from wavestab.spectral import _min_eig_shifted
 
         L = 1.0
-        om = Subdomain(0.4, 0.6, L)
+        om = Subdomain(0.4, 0.6)
         g = make_grid(L, 512, "dirichlet")
-        lam_c = complement_eigenvalue(om)
+        lam_c = complement_eigenvalue(om, g)
         d = lam_c / 2
         mu0 = mu_zero(om, d, g)
         chi = om.indicator(g.nodes)
@@ -153,41 +158,36 @@ class TestMuZero:
 
     def test_monotone_in_gap(self):
         L = 1.0
-        om = Subdomain(0.5, 0.9, L)
+        om = Subdomain(0.5, 0.9)
         g = make_grid(L, 256, "dirichlet")
-        lam_c = complement_eigenvalue(om)
+        lam_c = complement_eigenvalue(om, g)
         gaps = [0.3 * lam_c, 0.5 * lam_c, 0.7 * lam_c]
         mus = [mu_zero(om, d, g) for d in gaps]
         assert mus[0] >= mus[1] >= mus[2]
 
     def test_rejects_bad_gap(self):
         L = 1.0
-        om = Subdomain(0.5, 0.9, L)
+        om = Subdomain(0.5, 0.9)
         g = make_grid(L, 128, "dirichlet")
-        lam_c = complement_eigenvalue(om)
+        lam_c = complement_eigenvalue(om, g)
         with pytest.raises(ValueError):
             mu_zero(om, 0.0, g)
         with pytest.raises(ValueError):
             mu_zero(om, lam_c * 1.5, g)
 
     def test_rejects_neumann_grid(self):
-        om = Subdomain(0.5, 0.9, 1.0)
+        om = Subdomain(0.5, 0.9)
         with pytest.raises(ValueError):
             mu_zero(om, 10.0, make_grid(1.0, 128, "neumann"))
-
-    def test_rejects_grid_on_another_interval(self):
-        om = Subdomain(0.5, 0.9, 1.0)
-        with pytest.raises(ValueError, match="different intervals"):
-            mu_zero(om, 10.0, make_grid(2.0, 128, "dirichlet"))
 
     def test_unreachable_target_raises(self):
         # indicator over a sliver cannot lift the bottom eigenvalue near
         # lambda_c when the complement target is demanding
         L = 1.0
-        om = Subdomain(0.998, 0.999, L)
+        om = Subdomain(0.998, 0.999)
         g = make_grid(L, 1000, "dirichlet")
-        lam_c = complement_eigenvalue(om)
-        with pytest.raises(RuntimeError):
+        lam_c = complement_eigenvalue(om, g)
+        with pytest.raises(ValueError, match="unreachable .* refine the grid or move omega"):
             mu_zero(om, 0.001 * lam_c, g)
 
 
