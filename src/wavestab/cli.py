@@ -66,7 +66,7 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     test: no rate is qualitative, a polynomial exponent is checked as a
     power law, and an exponential rate against its envelope.
     """
-    window = cfg.analysis.window(cfg.stepper.t_end)
+    window = cfg.window
     try:
         fit = fit_exponential(result.ledger, window=window)
         fit_dict = dataclasses.asdict(fit)
@@ -91,7 +91,7 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
         if report.kind == "polynomial":
             res = verify_polynomial(result.ledger, rate, window=power_law_window(window))
         else:
-            res = verify_exponential(result.ledger, rate, safety=cfg.analysis.safety, window=window)
+            res = verify_exponential(result.ledger, rate, safety=cfg.safety, window=window)
     except ValueError as exc:
         return fit_dict, {"kind": report.kind, "ok": False, "error": str(exc)}, False
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
@@ -331,10 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

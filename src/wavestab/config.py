@@ -3,8 +3,9 @@
 Sections: ``[model]`` (family, coefficients, grid), ``[controller]``
 (variant and its parameters), ``[initial]`` (named profiles), ``[time]``
 (stepper), ``[analysis]`` (fit window and safety factor).  Anything
-malformed raises :class:`ConfigError` carrying the section/key context so
-the CLI can exit with a usage error.
+malformed, and any section or key not in :data:`KEYS`, raises
+:class:`ConfigError` carrying the section/key context so the CLI can exit
+with a usage error.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ from .spectral import Subdomain, sine_mode
 DEFAULT_FIT_WINDOW = (0.2, 0.9)
 DEFAULT_SAFETY = 0.8
 
+# the keys each section knows (lower case, as configparser reads them); a key
+# another family or law does not use is accepted, any other is an error
+KEYS = {
+    "model": ("family", "l", "n_cells", "nu", "a", "b", "bc", "nonlinearity", "p", "m"),
+    "controller": ("variant", "mu", "n", "obs_points", "act_points", "omega_lo", "omega_hi"),
+    "initial": ("u0", "u1", "u0_amplitude", "u1_amplitude"),
+    "time": ("t_end", "dt", "scheme", "record_every"),
+    "analysis": ("safety", "window_lo_frac", "window_hi_frac", "window_lo", "window_hi"),
+}
+
 # the [controller] variant names of the feedback laws
 LAWS = {
     "none": NoControl,
@@ -69,20 +80,6 @@ def finite_float(text: str) -> float:
 
 
 @dataclass(frozen=True)
-class AnalysisOptions:
-    safety: float
-    window_lo_frac: float
-    window_hi_frac: float
-    window_lo: Optional[float]  # absolute overrides
-    window_hi: Optional[float]
-
-    def window(self, t_end: float) -> tuple[float, float]:
-        lo = self.window_lo if self.window_lo is not None else self.window_lo_frac * t_end
-        hi = self.window_hi if self.window_hi is not None else self.window_hi_frac * t_end
-        return (lo, hi)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     grid: Grid1D
     model: ModelSpec
@@ -90,7 +87,8 @@ class ExperimentConfig:
     u0: Field
     u1: Field
     stepper: StepperConfig
-    analysis: AnalysisOptions
+    window: tuple[float, float]  # the fit window (lo, hi), resolved against t_end
+    safety: float
     raw: dict
 
     @property
@@ -225,6 +223,12 @@ def _load_ini(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
+    for name in parser.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in KEYS[name]:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
     return parser
 
 
@@ -235,9 +239,9 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
     nu = sec.float("nu", 1.0)
     a = sec.float("a", 0.0)
     b = sec.float("b", required=True)
+    bc = sec.str("bc", "dirichlet").lower()
     try:
         if family == Family.DAMPED_WAVE.value:
-            bc = sec.str("bc", "dirichlet").lower()
             nl_kind = sec.str("nonlinearity", "zero").lower()
             if nl_kind not in ("zero", "power"):
                 raise ConfigError(
@@ -253,6 +257,8 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
             model = strongly_damped_wave(nu, a, b, sec.float("p", required=True))
         else:
             raise ConfigError(f"[model] unknown family {family!r}")
+        if bc != model.bc.value:
+            raise ConfigError(f"[model] {family} is posed with Dirichlet boundaries, got bc = {bc!r}")
         grid = make_grid(L, n_cells, model.bc)
     except ConfigError:
         raise
@@ -351,24 +357,21 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[time] {exc}") from None
 
     an_sec = _Section("analysis", parser["analysis"] if parser.has_section("analysis") else {})
-    analysis = AnalysisOptions(
-        safety=an_sec.float("safety", DEFAULT_SAFETY),
-        window_lo_frac=an_sec.float("window_lo_frac", DEFAULT_FIT_WINDOW[0]),
-        window_hi_frac=an_sec.float("window_hi_frac", DEFAULT_FIT_WINDOW[1]),
-        window_lo=an_sec.float("window_lo"),
-        window_hi=an_sec.float("window_hi"),
-    )
-    if not 0.0 < analysis.safety <= 1.0:
-        raise ConfigError(f"[analysis] safety must be in (0, 1], got {analysis.safety}")
-    lo, hi = analysis.window(t_end)
+    safety = an_sec.float("safety", DEFAULT_SAFETY)
+    if not 0.0 < safety <= 1.0:
+        raise ConfigError(f"[analysis] safety must be in (0, 1], got {safety}")
+    # an absolute end overrides its fraction of t_end
+    lo = an_sec.float("window_lo", an_sec.float("window_lo_frac", DEFAULT_FIT_WINDOW[0]) * t_end)
+    hi = an_sec.float("window_hi", an_sec.float("window_hi_frac", DEFAULT_FIT_WINDOW[1]) * t_end)
     if t_end > 0.0 and not (0.0 <= lo < hi and lo < t_end):
         raise ConfigError(
             f"[analysis] fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}"
         )
-    if t_end > 0.0 and certificate(model, controller) is not None:
-        # a run too sparse to verify is refused before it runs; nonlinear
-        # damping's certificate (check_nonlinear_gains) is the one power law
-        _check_cadence(stepper, (lo, hi), model.family is Family.NONLINEAR_DAMPING)
+    cert = certificate(model, controller)
+    if t_end > 0.0 and cert is not None:
+        # a run too sparse to verify is refused before it runs
+        power_law = cert.gains(grid, model, controller).kind == "polynomial"
+        _check_cadence(stepper, (lo, hi), power_law)
 
     raw = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(
@@ -378,7 +381,8 @@ def load_config(path: str) -> ExperimentConfig:
         u0=u0,
         u1=u1,
         stepper=stepper,
-        analysis=analysis,
+        window=(lo, hi),
+        safety=safety,
         raw=raw,
     )
 

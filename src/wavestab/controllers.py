@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .grid import BoundaryCondition, Grid1D
+from .models import ModelSpec
 from .spectral import Subdomain, complement_eigenvalue, dirichlet_eigenvalue, mode_matrix, mu_zero
 
 
@@ -355,7 +356,7 @@ class GainReport:
         }
 
 
-def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
+def check_volume_gains(grid: Grid1D, model: ModelSpec, ctrl: VolumeElements) -> GainReport:
     """Cell-average feedback: gain and element-resolution conditions.
 
     delta0 = (b/2) min(1, nu) is the certified exponential rate of the
@@ -365,11 +366,12 @@ def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: in
     configs as satisfied whose linearization grows.  The corrected (h/pi)^2
     quadruples the threshold on N^2 (noted in the report).
     """
+    L, nu, a, b = grid.L, model.nu, model.a, model.b
     delta0 = 0.5 * b * min(1.0, nu)
     load = a + 0.5 * delta0 * b
     margins = (
-        Margin("gain", mu, 2.0 * load),
-        Margin("elements", float(N) ** 2, L**2 / (2.0 * nu * np.pi**2) * load, strict=True),
+        Margin("gain", ctrl.mu, 2.0 * load),
+        Margin("elements", float(ctrl.N) ** 2, L**2 / (2.0 * nu * np.pi**2) * load, strict=True),
     )
     notes = (
         "conservative mean-oscillation constant would double the required "
@@ -378,33 +380,32 @@ def check_volume_gains(L: float, nu: float, a: float, b: float, mu: float, N: in
     return GainReport("volume", "exponential", delta0, margins, notes)
 
 
-def check_fourier_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
+def check_fourier_gains(grid: Grid1D, model: ModelSpec, ctrl: FourierModes) -> GainReport:
     """Modal feedback on the linearly damped wave; certified rate b/2."""
-    lam_next = dirichlet_eigenvalue(L, N + 1)
+    a, b = model.a, model.b
+    lam_next = dirichlet_eigenvalue(grid.L, ctrl.N + 1)
     margins = (
-        Margin("stiffness", nu, (2.0 * a + 0.75 * b**2) / lam_next),
-        Margin("gain", mu, a + 0.75 * b**2),
+        Margin("stiffness", model.nu, (2.0 * a + 0.75 * b**2) / lam_next),
+        Margin("gain", ctrl.mu, a + 0.75 * b**2),
     )
     return GainReport("fourier", "exponential", 0.5 * b, margins)
 
 
-def check_nonlinear_gains(L: float, nu: float, a: float, mu: float, N: int, m: float) -> GainReport:
+def check_nonlinear_gains(grid: Grid1D, model: ModelSpec, ctrl: FourierModes) -> GainReport:
     """Modal feedback under nonlinear velocity damping; polynomial decay.
 
     The certified envelope is t^{-(m-1)/m} for the energy, reported as the
     exponent in ``predicted_rate`` with ``kind="polynomial"``.
     """
-    if m <= 2.0:
-        raise ValueError(f"nonlinear damping exponent must exceed 2, got {m}")
-    lam_next = dirichlet_eigenvalue(L, N + 1)
+    lam_next = dirichlet_eigenvalue(grid.L, ctrl.N + 1)
     margins = (
-        Margin("stiffness", nu, 2.0 * a / lam_next, strict=True),
-        Margin("gain", mu, a, strict=True),
+        Margin("stiffness", model.nu, 2.0 * model.a / lam_next, strict=True),
+        Margin("gain", ctrl.mu, model.a, strict=True),
     )
-    return GainReport("nonlinear", "polynomial", (m - 1.0) / m, margins)
+    return GainReport("nonlinear", "polynomial", (model.m - 1.0) / model.m, margins)
 
 
-def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int) -> GainReport:
+def check_nodal_gains(grid: Grid1D, model: ModelSpec, ctrl: Nodal) -> GainReport:
     """Point observation/actuation on the strongly damped wave.
 
     Three printed conditions trade the gain against the sampling width
@@ -415,9 +416,9 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     stiffness, so they are applied to the problem rescaled by tau =
     sqrt(nu)*t, whose coefficients are (a/nu, b/sqrt(nu), mu/nu).
     """
-    a, b, mu = a / nu, b / math.sqrt(nu), mu / nu
-    lam1 = dirichlet_eigenvalue(L, 1)
-    h = L / N
+    a, b, mu = model.a / model.nu, model.b / math.sqrt(model.nu), ctrl.mu / model.nu
+    lam1 = dirichlet_eigenvalue(grid.L, 1)
+    h = grid.L / ctrl.N
     margins = (
         Margin("gain", mu, 4.0 * (a + lam1**2 * b**2 / 4.0), strict=True),
         Margin(
@@ -436,24 +437,21 @@ def check_nodal_gains(L: float, nu: float, a: float, b: float, mu: float, N: int
     return GainReport("nodal", "exponential", None, margins)
 
 
-def check_strong_fourier_gains(
-    L: float, nu: float, a: float, b: float, mu: float, N: int
-) -> GainReport:
+def check_strong_fourier_gains(grid: Grid1D, model: ModelSpec, ctrl: FourierModes) -> GainReport:
     """Modal feedback on the strongly damped wave; rate from the viscous gap."""
-    lam1 = dirichlet_eigenvalue(L, 1)
-    lam_next = dirichlet_eigenvalue(L, N + 1)
+    nu, b = model.nu, model.b
+    lam1 = dirichlet_eigenvalue(grid.L, 1)
+    lam_next = dirichlet_eigenvalue(grid.L, ctrl.N + 1)
     delta0 = b * lam1 * nu / (2.0 * nu + b**2 * lam1)
-    threshold = 2.0 * a + 0.25 * delta0 * lam1 * b
+    threshold = 2.0 * model.a + 0.25 * delta0 * lam1 * b
     margins = (
-        Margin("gain", mu, threshold, strict=True),
+        Margin("gain", ctrl.mu, threshold, strict=True),
         Margin("stiffness", nu, threshold / lam_next),
     )
     return GainReport("strong_fourier", "exponential", delta0, margins)
 
 
-def check_subdomain_gains(
-    nu: float, a: float, b: float, mu: float, omega: Subdomain, grid: Grid1D
-) -> GainReport:
+def check_subdomain_gains(grid: Grid1D, model: ModelSpec, ctrl: SubdomainControl) -> GainReport:
     """Localized damping: geometric gap condition plus the gain threshold.
 
     The printed conditions are posed at unit stiffness; on the problem
@@ -463,12 +461,12 @@ def check_subdomain_gains(
     nu times the bisection threshold mu_zero computed at half the
     complement gap.  Certified rate b/2 (in t).
     """
-    lam_c = complement_eigenvalue(omega, grid)
+    lam_c = complement_eigenvalue(ctrl.omega, grid)
     d = 0.5 * lam_c
-    mu0 = mu_zero(omega, d, grid)
+    mu0 = mu_zero(ctrl.omega, d, grid)
     margins = (
-        Margin("complement_gap", nu * lam_c, 4.0 * a + 1.5 * b**2),
-        Margin("gain", mu, nu * mu0, strict=True),
+        Margin("complement_gap", model.nu * lam_c, 4.0 * model.a + 1.5 * model.b**2),
+        Margin("gain", ctrl.mu, model.nu * mu0, strict=True),
     )
     notes = (f"mu_zero={mu0:.6g} at gap target d={d:.6g}",)
-    return GainReport("subdomain", "exponential", 0.5 * b, margins, notes)
+    return GainReport("subdomain", "exponential", 0.5 * model.b, margins, notes)

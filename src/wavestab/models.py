@@ -158,7 +158,8 @@ def source(
     assembling the whole acceleration gets it in one fixed summation order.
     """
     s = model.a * u if base is None else base + model.a * u
-    s = s - model.nonlinearity.f(u)
+    if model.nonlinearity.p is not None:
+        s = s - model.nonlinearity.f(u)
     if model.family is Family.NONLINEAR_DAMPING:
         s = s - model.b * np.abs(v) ** (model.m - 2.0) * v
     return s

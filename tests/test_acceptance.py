@@ -96,7 +96,7 @@ def volume_loop():
     grid = make_grid(L, 128, "neumann")
     model = damped_wave(nu=1.0, a=1.0, b=2.0, bc="neumann")
     ctrl = VolumeElements(N=2, mu=4.0)
-    report = check_volume_gains(L, 1.0, 1.0, 2.0, 4.0, 2)
+    report = check_volume_gains(grid, model, ctrl)
     cfg = StepperConfig(dt=0.005, t_end=6.0, record_every=5)
     result = run(model, ctrl, _bump(grid, L / 2, 0.5), _zero(grid), cfg)
     return grid, model, ctrl, report, cfg, result
@@ -109,7 +109,7 @@ def fourier_loop():
         nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity.power_law(4.0)
     )
     ctrl = FourierModes(N=2, mu=4.0)
-    report = check_fourier_gains(L, 1.0, 1.0, 2.0, 4.0, 2)
+    report = check_fourier_gains(grid, model, ctrl)
     cfg = StepperConfig(dt=0.005, t_end=6.0, record_every=5)
     result = run(model, ctrl, _bump(grid, L / 2, 0.5), _zero(grid), cfg)
     return grid, model, ctrl, report, cfg, result
@@ -120,7 +120,7 @@ def strong_loop():
     grid = make_grid(L, 128, "dirichlet")
     model = strongly_damped_wave(nu=1.0, a=1.0, b=1.0, p=4.0)
     ctrl = FourierModes(N=1, mu=2.5)
-    report = check_strong_fourier_gains(L, 1.0, 1.0, 1.0, 2.5, 1)
+    report = check_strong_fourier_gains(grid, model, ctrl)
     cfg = StepperConfig(dt=0.005, t_end=25.0, record_every=10)
     result = run(model, ctrl, _bump(grid, L / 2, 0.5), _zero(grid), cfg)
     return grid, model, ctrl, report, cfg, result
@@ -165,7 +165,11 @@ def test_criterion_3_localized_damping():
     lam_c = (math.pi / 0.5) ** 2  # longest complement component has length 0.5
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
-    report = check_subdomain_gains(1.0, 1.0, 2.0, 1.1 * mu0, omega, grid)
+    model = damped_wave(
+        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity.power_law(4.0)
+    )
+    ctrl = SubdomainControl(omega, 1.1 * mu0)
+    report = check_subdomain_gains(grid, model, ctrl)
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
 
     # post-hoc certificate: the shifted operator clears the gap at mu0 and
@@ -175,11 +179,8 @@ def test_criterion_3_localized_damping():
     eig_below = _min_eig_shifted(grid, indicator, 0.9 * mu0)
     certificate = eig_at >= lam_c - d and eig_below < lam_c - d
 
-    model = damped_wave(
-        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity.power_law(4.0)
-    )
     cfg = StepperConfig(dt=0.002, t_end=6.0, record_every=10)
-    result = run(model, SubdomainControl(omega, 1.1 * mu0), _bump(grid, 0.3, 0.15), _zero(grid), cfg)
+    result = run(model, ctrl, _bump(grid, 0.3, 0.15), _zero(grid), cfg)
     ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (1.2, 5.4))
 
     ok = certificate and ver.ok
@@ -196,12 +197,13 @@ def test_criterion_4_degenerate_damping_power_law():
     """|v|v damping, one controlled mode: E(t) t^{2/3} stops growing on [5,50]."""
     grid = make_grid(L, 128, "dirichlet")
     model = nonlinear_damping_wave(nu=1.0, a=1.0, b=1.0, m=3.0, p=4.0)
-    report = check_nonlinear_gains(L, 1.0, 1.0, 2.0, 1, 3.0)
+    ctrl = FourierModes(N=1, mu=2.0)
+    report = check_nonlinear_gains(grid, model, ctrl)
     assert report.satisfied and report.kind == "polynomial"
     assert report.predicted_rate == pytest.approx(2.0 / 3.0)
 
     cfg = StepperConfig(dt=0.005, t_end=55.0, record_every=20)
-    result = run(model, FourierModes(N=1, mu=2.0), _mode(grid, 1, 2.0), _zero(grid), cfg)
+    result = run(model, ctrl, _mode(grid, 1, 2.0), _zero(grid), cfg)
     ver = verify_polynomial(result.ledger, report.predicted_rate, (5.0, 50.0))
     _verdict(
         4,
@@ -226,17 +228,18 @@ def test_criterion_5_strong_damping_decay(strong_loop):
 
 def test_criterion_6_point_feedback():
     """27 nodal observations at mu=4.3: gains clear exactly, decay is clean."""
-    report = check_nodal_gains(L, 1.0, 1.0, 0.5, 4.3, 27)
+    grid = make_grid(L, 270, "dirichlet")
+    model = strongly_damped_wave(nu=1.0, a=1.0, b=0.5, p=4.0)
+    ctrl = Nodal(N=27, mu=4.3)
+    report = check_nodal_gains(grid, model, ctrl)
     margins = {m.name: m for m in report.margins}
     assert report.satisfied and report.predicted_rate is None
     assert margins["gain"].slack == pytest.approx(0.05, rel=1e-9)
     assert margins["sampling"].lhs == pytest.approx(0.030675457753569807, rel=1e-12)
     assert margins["sampling_quad"].lhs == pytest.approx(0.0008995884431322668, rel=1e-12)
 
-    grid = make_grid(L, 270, "dirichlet")
-    model = strongly_damped_wave(nu=1.0, a=1.0, b=0.5, p=4.0)
     cfg = StepperConfig(dt=0.0025, t_end=35.0, record_every=20)
-    result = run(model, Nodal(N=27, mu=4.3), _bump(grid, L / 2, 0.5), _zero(grid), cfg)
+    result = run(model, ctrl, _bump(grid, L / 2, 0.5), _zero(grid), cfg)
     fit = fit_exponential(result.ledger, (7.0, 31.5))
 
     ok = fit.rate > 0.0 and fit.r_squared >= 0.95

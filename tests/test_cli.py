@@ -303,12 +303,13 @@ t_end = 1.0
 """
 
 
-@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("command", ["check", "run", "sweep"])
 def test_unreachable_subdomain_gap_is_config_error(command, tmp_path, capsys):
     p = tmp_path / "unreachable.ini"
     p.write_text(UNREACHABLE_GAP_INI)
     out = tmp_path / "out"
-    argv = ["--out", str(out)] if command == "run" else []
+    argv = {"check": [], "run": ["--out", str(out)],
+            "sweep": ["--param", "mu", "--values", "5", "--out", str(out)]}[command]
     assert main([command, "--config", str(p), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -322,6 +323,31 @@ def test_subdomain_beyond_the_grid_is_config_error(tmp_path, capsys):
     p.write_text(PAIR_INI.format(family="damped_wave", controller=SUBDOMAIN.replace("2.0", "3.5")))
     assert main(["check", "--config", str(p)]) == 2
     assert "[controller] omega_hi=3.5 lies beyond the grid's L=3.14159" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[time]", "[time]\nrecord_evry = 1", "[time] unknown key 'record_evry'"),
+        ("[time]", "[analysys]\nsafety = 0.1\n\n[time]", "unknown section [analysys]"),
+        (
+            "bc = dirichlet",
+            "bc = neumann",
+            "[model] strongly_damped is posed with Dirichlet boundaries, got bc = 'neumann'",
+        ),
+    ],
+    ids=["misspelt_key", "unknown_section", "neumann_off_the_damped_wave"],
+)
+def test_ini_text_nothing_reads_is_config_error(old, new, message, tmp_path, capsys):
+    """A key or section nothing reads, or a bc the family ignores, is not silently dropped."""
+    p = tmp_path / "strict.ini"
+    p.write_text(PAIR_INI.format(family="strongly_damped", controller=FOURIER).replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pair", sorted(UNCERTIFIED))

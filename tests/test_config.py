@@ -33,7 +33,6 @@ from wavestab import (
 from wavestab.analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, fit_exponential, power_law_window
 from wavestab.cli import main
 from wavestab.config import (
-    AnalysisOptions,
     ConfigError,
     ExperimentConfig,
     build_profile,
@@ -185,7 +184,7 @@ class TestLoadConfig:
         assert cfg.controller.mu == 4.0
         assert cfg.stepper.dt == 0.005
         assert cfg.variant == "volume"
-        assert cfg.analysis.safety == 0.8  # default
+        assert cfg.safety == 0.8  # default
 
     def test_missing_section(self, tmp_path):
         with pytest.raises(ConfigError, match="time"):
@@ -411,7 +410,7 @@ class TestRecordCadence:
     def test_exponential_fit_needs_twenty(self, tmp_path):
         cfg = load_config(write(tmp_path, BASE))
         ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).ledger
-        window = cfg.analysis.window(cfg.stepper.t_end)  # (1.2, 5.4)
+        window = cfg.window  # (1.2, 5.4)
         verdicts = set()
         for every in range(36, 49):
             try:
@@ -426,7 +425,7 @@ class TestRecordCadence:
     def test_power_law_needs_eight_from_t_one(self, tmp_path):
         cfg = load_config(write(tmp_path, NONLINEAR))
         ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).ledger
-        lo, hi = power_law_window(cfg.analysis.window(cfg.stepper.t_end))  # (1.0, 3.6)
+        lo, hi = power_law_window(cfg.window)  # (1.0, 3.6)
         verdicts = set()
         for every in range(28, 40):
             t = ledger_column(_thinned(ledger, every), "t")
@@ -453,11 +452,13 @@ class TestRecordCadence:
 
 
 def test_analysis_window_fractions_and_overrides(tmp_path):
-    opts = load_config(write(tmp_path, BASE.replace("t_end = 6.0", "t_end = 10.0"))).analysis
-    assert opts.window(10.0) == (2.0, 9.0)  # default 20%-90%
-    opts = AnalysisOptions(0.8, 0.2, 0.9, window_lo=5.0, window_hi=50.0)
-    assert opts.window(55.0) == (5.0, 50.0)
-
+    text = BASE.replace("t_end = 6.0", "t_end = 10.0")
+    assert load_config(write(tmp_path, text)).window == (2.0, 9.0)  # default 20%-90%
+    text += "\n[analysis]\nwindow_lo_frac = 0.5\nwindow_hi = 50.0\n"
+    assert load_config(write(tmp_path, text)).window == (5.0, 50.0)
+    # an absolute end overrides its fraction
+    text = text.replace("window_lo_frac = 0.5", "window_lo_frac = 0.5\nwindow_lo = 3.0")
+    assert load_config(write(tmp_path, text)).window == (3.0, 50.0)
 
 
 def _pair_config(family, ctrl):
@@ -471,8 +472,7 @@ def _pair_config(family, ctrl):
     grid = make_grid(np.pi, 64, bc)
     u0 = sample(grid, lambda x: np.exp(-(((x - 1.3) / 0.5) ** 2)))
     stepper = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
-    analysis = AnalysisOptions(0.8, 0.2, 0.9, None, None)
-    return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, analysis, {})
+    return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, (0.1, 0.45), 0.8, {})
 
 
 def E_B(m, g):
@@ -488,41 +488,17 @@ def E_EPS(m, g):
 
 # each certified pair with the gain check and functional weights its proof uses
 CERTIFIED_CASES = {
-    "volume-damped": (
-        Family.DAMPED_WAVE,
-        VolumeElements(2, 4.0),
-        lambda g, m, c: check_volume_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        E_B,
-    ),
-    "fourier-damped": (
-        Family.DAMPED_WAVE,
-        FourierModes(2, 4.0),
-        lambda g, m, c: check_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        E_B,
-    ),
+    "volume-damped": (Family.DAMPED_WAVE, VolumeElements(2, 4.0), check_volume_gains, E_B),
+    "fourier-damped": (Family.DAMPED_WAVE, FourierModes(2, 4.0), check_fourier_gains, E_B),
     "fourier-strong": (
-        Family.STRONGLY_DAMPED,
-        FourierModes(1, 4.0),
-        lambda g, m, c: check_strong_fourier_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        E_EPS,
+        Family.STRONGLY_DAMPED, FourierModes(1, 4.0), check_strong_fourier_gains, E_EPS
     ),
     "fourier-nonlinear": (
-        Family.NONLINEAR_DAMPING,
-        FourierModes(1, 2.0),
-        lambda g, m, c: check_nonlinear_gains(g.L, m.nu, m.a, c.mu, c.N, m.m),
-        None,
+        Family.NONLINEAR_DAMPING, FourierModes(1, 2.0), check_nonlinear_gains, None
     ),
-    "nodal-strong": (
-        Family.STRONGLY_DAMPED,
-        Nodal(4, 1.0),
-        lambda g, m, c: check_nodal_gains(g.L, m.nu, m.a, m.b, c.mu, c.N),
-        None,
-    ),
+    "nodal-strong": (Family.STRONGLY_DAMPED, Nodal(4, 1.0), check_nodal_gains, None),
     "subdomain-damped": (
-        Family.DAMPED_WAVE,
-        SubdomainControl(Subdomain(1.0, 2.0), 35.0),
-        lambda g, m, c: check_subdomain_gains(m.nu, m.a, m.b, c.mu, c.omega, g),
-        E_B,
+        Family.DAMPED_WAVE, SubdomainControl(Subdomain(1.0, 2.0), 35.0), check_subdomain_gains, E_B
     ),
 }
 
@@ -531,8 +507,12 @@ class TestCertifiedPairs:
     def test_table_holds_exactly_the_six_pairs(self):
         assert set(CERTIFIED) == {(type(c[1]), c[0]) for c in CERTIFIED_CASES.values()}
 
+    def test_table_holds_the_checks_themselves(self):
+        for family, ctrl, check, _ in CERTIFIED_CASES.values():
+            assert CERTIFIED[(type(ctrl), family)].gains is check
+
     def test_only_nonlinear_damping_is_checked_as_a_power_law(self):
-        # load_config picks the power-law record count by this family
+        # load_config picks the power-law record count by the report's kind
         for family, ctrl, _, _ in CERTIFIED_CASES.values():
             kind = gain_report_for(_pair_config(family, ctrl)).kind
             assert (kind == "polynomial") == (family is Family.NONLINEAR_DAMPING)

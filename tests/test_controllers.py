@@ -27,12 +27,14 @@ from wavestab import (
     check_subdomain_gains,
     check_volume_gains,
     controller_energy,
+    damped_wave,
     element_layout,
     make_control_operator,
     make_energy_operator,
     make_grid,
     mode_matrix,
     mu_zero,
+    nonlinear_damping_wave,
     strongly_damped_wave,
     zeros,
 )
@@ -342,9 +344,16 @@ class TestLawCache:
 # gain conditions: worked numbers frozen per variant
 # ---------------------------------------------------------------------------
 
+# the checks read L from the grid, and the subdomain check its nodes too
+NEUMANN = make_grid(PI, 64, "neumann")
+DIRICHLET = make_grid(PI, 64, "dirichlet")
+
+
 class TestVolumeGains:
+    model = damped_wave(1.0, 1.0, 2.0, "neumann")
+
     def test_reference_config(self):
-        rep = check_volume_gains(PI, 1.0, 1.0, 2.0, 4.0, 2)
+        rep = check_volume_gains(NEUMANN, self.model, VolumeElements(2, 4.0))
         assert rep.satisfied
         assert rep.kind == "exponential"
         assert rep.predicted_rate == pytest.approx(1.0)  # delta0 = (b/2)min(1,nu)
@@ -353,23 +362,26 @@ class TestVolumeGains:
         assert not gain.strict  # inclusive: equality passes
 
     def test_single_element_fails_resolution(self):
-        rep = check_volume_gains(PI, 1.0, 1.0, 2.0, 4.0, 1)
+        rep = check_volume_gains(NEUMANN, self.model, VolumeElements(1, 4.0))
         assert not rep.satisfied
         elements = {m.name: m for m in rep.margins}["elements"]
         assert elements.strict and elements.lhs == pytest.approx(elements.rhs)
 
     def test_delta0_formula(self):
-        rep = check_volume_gains(PI, 0.5, 1.0, 1.0, 10.0, 4)
+        model = damped_wave(0.5, 1.0, 1.0, "neumann")
+        rep = check_volume_gains(NEUMANN, model, VolumeElements(4, 10.0))
         assert rep.predicted_rate == pytest.approx(0.25)  # (b/2)*min(1,nu) = 0.5*0.5
 
     def test_conservative_constant_note_present(self):
-        rep = check_volume_gains(PI, 1.0, 1.0, 2.0, 4.0, 2)
+        rep = check_volume_gains(NEUMANN, self.model, VolumeElements(2, 4.0))
         assert any("element count" in n for n in rep.notes)
 
 
 class TestFourierGains:
+    model = damped_wave(1.0, 1.0, 2.0, "dirichlet")
+
     def test_reference_config(self):
-        rep = check_fourier_gains(PI, 1.0, 1.0, 2.0, 4.0, 2)
+        rep = check_fourier_gains(DIRICHLET, self.model, FourierModes(2, 4.0))
         assert rep.satisfied
         assert rep.predicted_rate == pytest.approx(1.0)  # b/2
         m = {m.name: m for m in rep.margins}
@@ -377,43 +389,49 @@ class TestFourierGains:
         assert m["gain"].rhs == pytest.approx(4.0)
 
     def test_single_mode_fails_stiffness(self):
-        rep = check_fourier_gains(PI, 1.0, 1.0, 2.0, 4.0, 1)
+        rep = check_fourier_gains(DIRICHLET, self.model, FourierModes(1, 4.0))
         assert not rep.satisfied  # lambda_2 = 4 < 5
 
     def test_weak_gain_fails(self):
-        rep = check_fourier_gains(PI, 1.0, 1.0, 2.0, 3.9, 2)
+        rep = check_fourier_gains(DIRICHLET, self.model, FourierModes(2, 3.9))
         assert not rep.satisfied
         gain = {m.name: m for m in rep.margins}["gain"]
         assert gain.slack == pytest.approx(-0.1)
 
 
+def _nonlinear(m=3.0):
+    """The nonlinearly damped wave at nu = a = b = 1, p = 4, damping exponent ``m``."""
+    return nonlinear_damping_wave(1.0, 1.0, 1.0, m, 4.0)
+
+
 class TestNonlinearGains:
     def test_reference_config(self):
-        rep = check_nonlinear_gains(PI, 1.0, 1.0, 2.0, 1, 3.0)
+        rep = check_nonlinear_gains(DIRICHLET, _nonlinear(), FourierModes(1, 2.0))
         assert rep.satisfied
         assert rep.kind == "polynomial"
         assert rep.predicted_rate == pytest.approx(2.0 / 3.0)
 
     @pytest.mark.parametrize("m,expected", [(3.0, 2 / 3), (4.0, 3 / 4), (6.0, 5 / 6)])
     def test_exponent_formula(self, m, expected):
-        rep = check_nonlinear_gains(PI, 1.0, 1.0, 2.0, 1, m)
+        rep = check_nonlinear_gains(DIRICHLET, _nonlinear(m), FourierModes(1, 2.0))
         assert rep.predicted_rate == pytest.approx(expected)
 
     def test_boundary_mu_fails_strict(self):
-        rep = check_nonlinear_gains(PI, 1.0, 1.0, 1.0, 1, 3.0)
+        rep = check_nonlinear_gains(DIRICHLET, _nonlinear(), FourierModes(1, 1.0))
         assert not rep.satisfied
-
-    def test_rejects_m_not_above_two(self):
-        with pytest.raises(ValueError):
-            check_nonlinear_gains(PI, 1.0, 1.0, 2.0, 1, 2.0)
 
 
 class TestNodalGains:
     """Three simultaneous conditions; gain appears on both sides, so there
     is deliberately no claim of monotonicity in mu."""
 
+    @staticmethod
+    def check(nu, a, b, mu, N):
+        """The nodal check for the p = 4 strongly damped wave."""
+        return check_nodal_gains(DIRICHLET, strongly_damped_wave(nu, a, b, 4.0), Nodal(N, mu))
+
     def test_worked_example(self):
-        rep = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 27)
+        rep = self.check(1.0, 1.0, 0.5, 4.3, 27)
         assert rep.satisfied
         assert rep.predicted_rate is None
         assert rep.kind == "exponential"
@@ -433,45 +451,47 @@ class TestNodalGains:
         # the printed conditions, read at unit stiffness, hold for a = 1,
         # b = 0.5, mu = 4.3 at any nu; at nu = 0.0005 the linearized closed
         # loop grows, and the rescaled coefficients break the sampling bound
-        rep = check_nodal_gains(PI, 0.0005, 1.0, 0.5, 4.3, 27)
+        rep = self.check(0.0005, 1.0, 0.5, 4.3, 27)
         assert not rep.satisfied
         assert [m.name for m in rep.margins if not m.ok] == ["sampling_quad"]
         assert self.linearized_abscissa(0.0005, 1.0, 0.5, 27, 4.3, 108) > 0.0
         for nu in (1.0, 2.0):
-            assert check_nodal_gains(PI, nu, 1.0, 0.5, 4.3, 27).satisfied
+            assert self.check(nu, 1.0, 0.5, 4.3, 27).satisfied
             assert self.linearized_abscissa(nu, 1.0, 0.5, 27, 4.3, 108) < -0.2
 
     def test_conditions_read_on_the_rescaled_problem(self):
         # tau = sqrt(nu) t maps (nu, a, b, mu) to (1, a/nu, b/sqrt(nu), mu/nu):
         # the unit-stiffness worked example, posed at nu = 0.5, is certified
         nu = 0.5
-        rep = check_nodal_gains(PI, nu, nu * 1.0, np.sqrt(nu) * 0.5, nu * 4.3, 27)
-        unit = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 27)
+        rep = self.check(nu, nu * 1.0, np.sqrt(nu) * 0.5, nu * 4.3, 27)
+        unit = self.check(1.0, 1.0, 0.5, 4.3, 27)
         assert rep.satisfied
         for m, ref in zip(rep.margins, unit.margins):
             assert (m.lhs, m.rhs) == pytest.approx((ref.lhs, ref.rhs), rel=1e-12)
         assert self.linearized_abscissa(nu, nu * 1.0, np.sqrt(nu) * 0.5, 27, nu * 4.3, 108) < 0.0
 
     def test_coarse_sampling_fails(self):
-        rep = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 20)
+        rep = self.check(1.0, 1.0, 0.5, 4.3, 20)
         assert not rep.satisfied
         m = {m.name: m for m in rep.margins}
         assert m["gain"].ok and not m["sampling_quad"].ok
 
     def test_boundary_gain_fails_strict(self):
-        rep = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.25, 27)
+        rep = self.check(1.0, 1.0, 0.5, 4.25, 27)
         assert not rep.satisfied
 
     def test_excess_gain_can_break_sampling(self):
         # raising mu eventually violates the h^2-weighted conditions
-        ok = check_nodal_gains(PI, 1.0, 1.0, 0.5, 4.3, 27).satisfied
-        broken = check_nodal_gains(PI, 1.0, 1.0, 0.5, 100.0, 27).satisfied
+        ok = self.check(1.0, 1.0, 0.5, 4.3, 27).satisfied
+        broken = self.check(1.0, 1.0, 0.5, 100.0, 27).satisfied
         assert ok and not broken
 
 
 class TestStrongGains:
+    model = strongly_damped_wave(1.0, 1.0, 1.0, 4.0)
+
     def test_reference_config(self):
-        rep = check_strong_fourier_gains(PI, 1.0, 1.0, 1.0, 2.5, 1)
+        rep = check_strong_fourier_gains(DIRICHLET, self.model, FourierModes(1, 2.5))
         assert rep.satisfied
         assert rep.predicted_rate == pytest.approx(1.0 / 3.0)  # delta0
         m = {m.name: m for m in rep.margins}
@@ -479,11 +499,13 @@ class TestStrongGains:
         assert m["stiffness"].rhs == pytest.approx((2.0 + 1.0 / 12.0) / 4.0)
 
     def test_delta0_saturates_for_large_b(self):
-        rep = check_strong_fourier_gains(PI, 1.0, 1.0, 10.0, 100.0, 1)
+        rep = check_strong_fourier_gains(
+            DIRICHLET, strongly_damped_wave(1.0, 1.0, 10.0, 4.0), FourierModes(1, 100.0)
+        )
         assert rep.predicted_rate == pytest.approx(10.0 / 102.0)
 
     def test_boundary_mu_fails_strict(self):
-        rep = check_strong_fourier_gains(PI, 1.0, 1.0, 1.0, 2.0 + 1.0 / 12.0, 1)
+        rep = check_strong_fourier_gains(DIRICHLET, self.model, FourierModes(1, 2.0 + 1.0 / 12.0))
         assert not rep.satisfied
 
 
@@ -497,10 +519,15 @@ def setup():
     return omega, grid, mu0
 
 
+def _subdomain(grid, nu, a, mu, omega):
+    """The subdomain check for the damped wave at b = 2."""
+    return check_subdomain_gains(grid, damped_wave(nu, a, 2.0, "dirichlet"), SubdomainControl(omega, mu))
+
+
 class TestSubdomainGains:
     def test_reference_config(self, setup):
         omega, grid, mu0 = setup
-        rep = check_subdomain_gains(1.0, 1.0, 2.0, 1.1 * mu0, omega, grid)
+        rep = _subdomain(grid, 1.0, 1.0, 1.1 * mu0, omega)
         assert rep.satisfied
         assert rep.predicted_rate == pytest.approx(1.0)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
@@ -509,35 +536,35 @@ class TestSubdomainGains:
 
     def test_below_mu0_fails(self, setup):
         omega, grid, mu0 = setup
-        assert not check_subdomain_gains(1.0, 1.0, 2.0, 0.9 * mu0, omega, grid).satisfied
+        assert not _subdomain(grid, 1.0, 1.0, 0.9 * mu0, omega).satisfied
 
     def test_conditions_scale_with_nu(self, setup):
         # on the problem rescaled by tau = sqrt(nu) t: nu*lam_c >= 4a + 3b^2/2
         # and mu > nu*mu_zero; the certified rate b/2 does not change
         omega, grid, mu0 = setup
         lam_c = (PI / 0.5) ** 2
-        rep = check_subdomain_gains(0.3, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        rep = _subdomain(grid, 0.3, 1.0, 0.35 * mu0, omega)
         m = {m.name: m for m in rep.margins}
         assert m["complement_gap"].lhs == pytest.approx(0.3 * lam_c)
         assert m["gain"].rhs == pytest.approx(0.3 * mu0)
         assert rep.satisfied and rep.predicted_rate == pytest.approx(1.0)
         # 0.25 * lam_c < 10 = 4a + 3b^2/2, and 0.35 * mu0 < 0.4 * mu0
-        rep = check_subdomain_gains(0.25, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        rep = _subdomain(grid, 0.25, 1.0, 0.35 * mu0, omega)
         assert [m.name for m in rep.margins if not m.ok] == ["complement_gap"]
-        rep = check_subdomain_gains(0.4, 1.0, 2.0, 0.35 * mu0, omega, grid)
+        rep = _subdomain(grid, 0.4, 1.0, 0.35 * mu0, omega)
         assert [m.name for m in rep.margins if not m.ok] == ["gain"]
 
     def test_large_a_unsatisfiable(self, setup):
         omega, grid, _ = setup
         # 4a + 3b^2/2 > lambda_c: first condition fails for any mu
-        rep = check_subdomain_gains(1.0, 12.0, 2.0, 1e5, omega, grid)
+        rep = _subdomain(grid, 1.0, 12.0, 1e5, omega)
         assert not rep.satisfied
 
     def test_wide_subdomain_easy(self):
         L = 1.0
         omega = Subdomain(0.01, 0.99)
         grid = make_grid(L, 500, "dirichlet")
-        rep = check_subdomain_gains(1.0, 1.0, 2.0, 50.0, omega, grid)
+        rep = _subdomain(grid, 1.0, 1.0, 50.0, omega)
         gap = {m.name: m for m in rep.margins}["complement_gap"]
         assert gap.lhs == pytest.approx((PI / 0.01) ** 2)
         assert gap.ok
@@ -546,17 +573,18 @@ class TestSubdomainGains:
 @pytest.mark.parametrize(
     "checker,args",
     [
-        (check_volume_gains, (PI, 1.0, 1.0, 2.0)),
-        (check_fourier_gains, (PI, 1.0, 1.0, 2.0)),
-        (check_strong_fourier_gains, (PI, 1.0, 1.0, 1.0)),
+        (check_volume_gains, (NEUMANN, damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements)),
+        (check_fourier_gains, (DIRICHLET, damped_wave(1.0, 1.0, 2.0, "dirichlet"), FourierModes)),
+        (check_strong_fourier_gains, (DIRICHLET, strongly_damped_wave(1.0, 1.0, 1.0, 4.0), FourierModes)),
     ],
 )
 @given(mu=st.floats(0.0, 50.0), bump=st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
 def test_gain_monotone_in_mu(checker, args, mu, bump):
     """For every variant except nodal, satisfaction is monotone in mu."""
-    lo = checker(*args, mu, 2)
-    hi = checker(*args, mu + bump, 2)
+    grid, model, law = args
+    lo = checker(grid, model, law(2, mu))
+    hi = checker(grid, model, law(2, mu + bump))
     if lo.satisfied:
         assert hi.satisfied
 
@@ -564,14 +592,15 @@ def test_gain_monotone_in_mu(checker, args, mu, bump):
 @given(mu=st.floats(1.0, 30.0), bump=st.floats(0.0, 30.0))
 @settings(max_examples=40, deadline=None)
 def test_nonlinear_gain_monotone_in_mu(mu, bump):
-    lo = check_nonlinear_gains(PI, 1.0, 1.0, mu, 1, 3.0)
-    hi = check_nonlinear_gains(PI, 1.0, 1.0, mu + bump, 1, 3.0)
+    lo = check_nonlinear_gains(DIRICHLET, _nonlinear(), FourierModes(1, mu))
+    hi = check_nonlinear_gains(DIRICHLET, _nonlinear(), FourierModes(1, mu + bump))
     if lo.satisfied:
         assert hi.satisfied
 
 
 def test_report_to_dict_shape():
-    d = check_volume_gains(PI, 1.0, 1.0, 2.0, 4.0, 2).to_dict()
+    d = check_volume_gains(NEUMANN, damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(2, 4.0))
+    d = d.to_dict()
     assert set(d) >= {"variant", "satisfied", "kind", "predicted_rate", "margins", "notes"}
     assert {m["name"] for m in d["margins"]} == {"gain", "elements"}
     for m in d["margins"]:

@@ -25,7 +25,7 @@ from wavestab import (
     zeros,
 )
 
-from wavestab.models import LEDGER_COLUMNS
+from wavestab.models import LEDGER_COLUMNS, source
 
 # energy_record's rows: the ledger's columns between t and lyapunov, then
 # the three norms a perturbed energy weighs
@@ -203,6 +203,15 @@ class TestAcceleration:
         acc = acceleration(m, g, z, w, z)
         # nu*lap(0) + b*lap(w1) = -2 w1
         assert np.max(np.abs(acc + 2.0 * w)) <= 2e-4
+
+
+def test_linear_source_is_a_times_u():
+    # with f = 0 the source is a*u (after the base), bit for bit
+    rng = np.random.default_rng(5)
+    u, v, base = rng.standard_normal((3, 65))
+    m = damped_wave(1.0, 0.7, 1.0, "dirichlet")
+    assert np.array_equal(source(m, u, v), 0.7 * u)
+    assert np.array_equal(source(m, u, v, base), base + 0.7 * u)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pathlib
 import re
 
 from wavestab.cli import main
+from wavestab.config import KEYS
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -27,3 +28,14 @@ def test_ini_example_runs(tmp_path):
     p = tmp_path / "exp.ini"
     p.write_text(_block("ini", "Configs are flat INI files"))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "results")]) == 0
+
+
+def test_key_table_lists_the_keys_config_knows():
+    start = README.index("Every key, with its default")
+    table = README[start:].split("\n\n")[1]
+    keys, section = {}, None
+    for row in table.splitlines()[2:]:
+        sec_cell, key_cell = row.split("|")[1:3]
+        section = re.findall(r"`\[(\w+)\]`", sec_cell)[0] if sec_cell.strip() else section
+        keys.setdefault(section, set()).update(k.lower() for k in re.findall(r"`(\w+)`", key_cell))
+    assert keys == {name: set(known) for name, known in KEYS.items()}
