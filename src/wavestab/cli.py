@@ -16,6 +16,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .analysis import (
     fit_exponential,
@@ -115,6 +118,8 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         code = 0 if (satisfied and verify_ok) else 1
     doc = {
         "version": __version__,
+        # trajectories depend at round-off on which LAPACK build runs
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "variant": cfg.variant,
         "config": cfg.raw,
         "gain": report.to_dict() if report else None,

@@ -1,19 +1,22 @@
 """Hot numerical kernels: FD Laplacian stencils and a tridiagonal solve.
 
 Plain numpy stencils and a prefactored LAPACK tridiagonal solve.  The IMEX
-matrix is fixed for a whole run, so it is LU-factored once with ``dgttrf``
-(:func:`factor_tridiagonal`) and each step only back-substitutes with
-``dgttrs`` (:func:`thomas_solve`).  The solve does not check its input for
-non-finite values: a NaN or inf in the right-hand side comes back as NaN,
-and the stepping loop reports it as a blow-up.  ``perfbench/README.md``
-describes the benchmark that times these kernels on the CLI's real
-workloads.
+matrix is fixed for a whole run, so it is factored once as LDL^T with
+``dpttrf`` (:func:`factor_tridiagonal`) and each step only substitutes with
+``dpttrs`` (:func:`thomas_solve`), without pivoting.  The matrix
+s*I - kappa*Lap_h is symmetric positive definite once its two Neumann end
+rows are halved, because the Laplacian is self-adjoint under the trapezoid
+weights, which are one half at the ends.  The solve does not check its
+input for non-finite values: a NaN or inf in the right-hand side comes back
+non-finite, and the stepping loop reports it as a blow-up.
+``perfbench/README.md`` describes the benchmark that times these kernels on
+the CLI's real workloads.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 # ---------------------------------------------------------------------------
@@ -40,23 +43,42 @@ def laplacian_neumann(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal solve (LAPACK LU with partial pivoting)
+# tridiagonal solve (LAPACK LDL^T of a symmetric positive definite matrix)
 # ---------------------------------------------------------------------------
-# Convention: lower[i] multiplies x[i-1] (lower[0] unused), diag[i] x[i],
-# upper[i] multiplies x[i+1] (upper[-1] unused).
+# M has diagonal ``diag`` and off-diagonal ``off`` (n and n - 1 entries), and
+# is symmetric except that, with ``doubled_ends``, its first and last rows
+# couple to their neighbours by 2*off, as reflected Neumann ghosts make them.
+# Halving those two rows gives W*M, which is symmetric; it is the matrix
+# factored, and the solve halves the same two entries of the right-hand side.
 
-def factor_tridiagonal(lower, diag, upper) -> tuple:
-    """LU factors of the tridiagonal matrix, to be passed to :func:`thomas_solve`.
+def factor_tridiagonal(diag, off, doubled_ends: bool) -> tuple:
+    """LDL^T factors of W*M, to be passed to :func:`thomas_solve`.
 
-    Raises ``ValueError`` if the matrix is exactly singular.
+    Raises ``ValueError`` if W*M is not positive definite.
     """
-    *factors, info = dgttrf(lower[1:], diag, upper[:-1])
+    if doubled_ends:
+        diag = np.array(diag, dtype=float)
+        diag[[0, -1]] *= 0.5
+    d, e, info = dpttrf(diag, off)
     if info != 0:
-        raise ValueError(f"tridiagonal matrix is singular (dgttrf info={info})")
-    return tuple(factors)
+        raise ValueError(f"tridiagonal matrix is not positive definite (dpttrf info={info})")
+    return d, e, doubled_ends
 
 
 def thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from :func:`factor_tridiagonal`; ``rhs`` is not modified."""
-    x, _ = dgttrs(*factors, rhs)
+    """M^-1 rhs with factors from :func:`factor_tridiagonal`; ``rhs`` is not modified.
+
+    The name is kept from the solve it replaced: it is the seam that
+    perfbench's layer tracer patches, and the stepper looks it up through
+    this module at each call.
+    """
+    d, e, doubled_ends = factors
+    if doubled_ends:
+        # W*M x = W*rhs: halve the end entries of a copy, then solve in place
+        b = rhs.copy()
+        b[0] *= 0.5
+        b[-1] *= 0.5
+        x, _ = dpttrs(d, e, b, overwrite_b=True)
+    else:
+        x, _ = dpttrs(d, e, rhs)
     return x

@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy
 
 from wavestab import __version__, cli, controllers
 from wavestab import LEDGER_COLUMNS, run
@@ -415,6 +416,7 @@ class TestRun:
         assert report["fit"]["rate"] >= 0.8
         assert report["blowup"]["blew_up"] is False
         assert report["version"] == __version__
+        assert report["versions"] == {"numpy": np.__version__, "scipy": scipy.__version__}
         assert report["n_steps"] == 1200
         assert report["dt"] == 0.005
         assert report["t_reached"] == pytest.approx(6.0, rel=1e-12)

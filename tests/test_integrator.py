@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from wavestab import (
     Field,
@@ -257,8 +258,43 @@ class TestBlowup:
         np.testing.assert_array_equal(res.final_state.u.values, u0.values)
 
 
+class TestBlowupLimit:
+    """The loop's per-step test: every node finite and within BLOWUP_LIMIT."""
+
+    LIMIT = integrator.BLOWUP_LIMIT
+
+    @staticmethod
+    def state(peak, n=255):
+        u = np.linspace(-1.0, 1.0, n)
+        v = 0.5 * u
+        u[n // 3] = peak
+        return u, v
+
+    def test_a_node_at_the_limit_is_not_a_blow_up(self):
+        u, v = self.state(self.LIMIT)
+        assert integrator._within_limit(u, v)
+        assert integrator._within_limit(v, -u)
+
+    def test_the_next_float_above_the_limit_is_a_blow_up(self):
+        u, v = self.state(np.nextafter(self.LIMIT, np.inf))
+        assert not integrator._within_limit(u, v)
+        assert not integrator._within_limit(v, -u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes_are_a_blow_up(self, bad):
+        u, v = self.state(bad)
+        assert not integrator._within_limit(u, v)
+        assert not integrator._within_limit(v, u)
+
+    def test_every_node_at_nine_tenths_of_the_limit_is_not_a_blow_up(self):
+        # the sum of squares fails the screen; the exact test passes
+        u = np.full(255, 0.9 * self.LIMIT)
+        assert u @ u + u @ u > 0.25 * self.LIMIT**2
+        assert integrator._within_limit(u, -u)
+
+
 def banded_imex_matrix(model, grid, dt):
-    """The IMEX matrix in ``solve_banded``'s (1, 1) storage, written from the scheme."""
+    """The IMEX matrix M in ``solve_banded``'s (1, 1) storage, written from the scheme."""
     kappa = 0.5 * dt * model.viscosity + 0.25 * dt * dt * model.nu
     inv_dx2 = 1.0 / grid.dx**2
     ab = np.empty((3, grid.n_nodes))
@@ -267,6 +303,22 @@ def banded_imex_matrix(model, grid, dt):
     if grid.bc.value == "neumann":  # reflected ghosts double the end couplings
         ab[0, 1] = ab[2, -2] = -2.0 * kappa * inv_dx2
     return ab
+
+
+def symmetric_imex_system(model, grid, dt):
+    """W*M in ``solveh_banded``'s upper storage, and W's diagonal.
+
+    W halves M's two Neumann end rows and is 1 elsewhere; W*M is symmetric.
+    """
+    ab = banded_imex_matrix(model, grid, dt)
+    w = np.ones(grid.n_nodes)
+    if grid.bc.value == "neumann":
+        w[[0, -1]] = 0.5
+    sym = np.zeros((2, grid.n_nodes))
+    sym[0, 1:] = w[:-1] * ab[0, 1:]  # row i's coupling to i + 1
+    sym[1] = w * ab[1]
+    np.testing.assert_array_equal(w[1:] * ab[2, :-1], sym[0, 1:])  # row i + 1's coupling to i
+    return sym, w
 
 
 class TestPrefactoredSolve:
@@ -292,17 +344,40 @@ class TestPrefactoredSolve:
         cfg = StepperConfig(dt=0.005, t_end=1.0, record_every=20)
         assert cfg.n_steps == 200
         fast = run(model, ctrl, u0, zeros(g), cfg)
-        ab = banded_imex_matrix(model, g, cfg.dt)
-        monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: solve_banded((1, 1), ab, rhs))
+        # LAPACK's ptsv on W*M x = W*rhs: the same LDL^T algorithm, unfactored each step
+        sym, w = symmetric_imex_system(model, g, cfg.dt)
+        monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: solveh_banded(sym, w * rhs))
         ref = run(model, ctrl, u0, zeros(g), cfg)
         a, b = fast.final_state, ref.final_state
-        for fa, fb in ((a.u.values, b.u.values), (a.v.values, b.v.values)):
-            np.testing.assert_allclose(fa, fb, rtol=0.0, atol=1e-14 * np.max(np.abs(fb)))
+        np.testing.assert_array_equal(a.u.values, b.u.values)
+        np.testing.assert_array_equal(a.v.values, b.v.values)
         assert len(fast.ledger) == len(ref.ledger) == 11
-        np.testing.assert_array_equal(ledger_column(fast.ledger, "t"), ledger_column(ref.ledger, "t"))
-        np.testing.assert_allclose(
-            ledger_column(fast.ledger, "stab_norm"), ledger_column(ref.ledger, "stab_norm"), rtol=1e-13
-        )
+        np.testing.assert_array_equal(fast.ledger, ref.ledger)
+
+    @pytest.mark.parametrize("model, law", [
+        (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4)), FourierModes(2, 4.0)),
+        (damped_wave(1.0, 1.0, 2.0, "neumann", Nonlinearity.power_law(4)), VolumeElements(4, 6.0)),
+        (damped_wave(1.0, 0.0, 0.0, "neumann"), NoControl()),
+        (strongly_damped_wave(1.0, 1.0, 0.5, 4.0), Nodal(4, 2.0)),
+        (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
+    ], ids=["damped", "neumann", "undamped_neumann", "strong", "nonlinear"])
+    def test_matches_the_pivoted_lu_solve_it_replaced(self, model, law, monkeypatch):
+        # the family fixes the boundary type of all but the damped wave
+        g = make_grid(PI, 128, model.bc)
+        u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x))
+        cfg = StepperConfig(dt=0.005, t_end=1.25, record_every=25)
+        assert cfg.n_steps == 250
+        fast = run(model, law, u0, zeros(g), cfg)
+        ab = banded_imex_matrix(model, g, cfg.dt)
+        *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        assert info == 0
+        monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: dgttrs(*lu, rhs)[0])
+        ref = run(model, law, u0, zeros(g), cfg)
+        for got, want in ((fast.final_state.u, ref.final_state.u), (fast.final_state.v, ref.final_state.v)):
+            np.testing.assert_allclose(
+                got.values, want.values, rtol=0.0, atol=1e-12 * np.max(np.abs(want.values))
+            )
+        np.testing.assert_allclose(fast.ledger, ref.ledger, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.ledger)))
 
     def test_one_factorisation_per_run(self, monkeypatch):
         calls = {"factor": 0, "solve": 0}

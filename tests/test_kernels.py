@@ -38,51 +38,70 @@ def test_neumann_matches_dense(n):
     np.testing.assert_allclose(got, dense_laplacian(n, dx, "neumann") @ f, rtol=1e-12)
 
 
-def random_tridiagonal(n, seed):
+def stepper_like_matrix(n, bc, seed):
+    """A random matrix of the IMEX matrix's shape: symmetric, diagonally dominant
+    tridiagonal, with both end couplings doubled on Neumann grids as reflected
+    ghosts double them.  Returns its diagonal, its off-diagonal before the
+    doubling, the dense matrix and the generator.
+    """
     rng = np.random.default_rng(seed)
-    lower = rng.uniform(-1, 0, n)
-    upper = rng.uniform(-1, 0, n)
-    diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
-    A = np.diag(diag)
-    for i in range(1, n):
-        A[i, i - 1] = lower[i]
-        A[i - 1, i] = upper[i - 1]
-    return lower, diag, upper, A, rng
+    off = rng.uniform(-1, 0, n - 1)
+    diag = 3.0 + rng.uniform(0, 1, n)
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if bc == "neumann":
+        A[0, 1] *= 2.0
+        A[-1, -2] *= 2.0
+    return diag, off, A, rng
+
+
+def factor(diag, off, bc):
+    return kernels.factor_tridiagonal(diag, off, bc == "neumann")
+
+
+BCS = ("dirichlet", "neumann")
 
 
 @pytest.mark.parametrize("n", [3, 17, 256])
 def test_thomas_matches_dense_solve(n):
-    lower, diag, upper, A, rng = random_tridiagonal(n, n + 2)
-    rhs = rng.standard_normal(n)
-    x = kernels.thomas_solve(kernels.factor_tridiagonal(lower, diag, upper), rhs)
-    np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=1e-10)
+    for bc in BCS:
+        diag, off, A, rng = stepper_like_matrix(n, bc, n + 2)
+        rhs = rng.standard_normal(n)
+        kept = diag.copy()
+        x = kernels.thomas_solve(factor(diag, off, bc), rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=1e-10)
+        np.testing.assert_array_equal(diag, kept)  # the matrix is left alone too
 
 
 def test_one_factorisation_serves_many_solves():
-    lower, diag, upper, A, rng = random_tridiagonal(64, 7)
-    factors = kernels.factor_tridiagonal(lower, diag, upper)
-    for _ in range(5):
-        rhs = rng.standard_normal(64)
-        kept = rhs.copy()
-        x = kernels.thomas_solve(factors, rhs)
-        np.testing.assert_allclose(A @ x, rhs, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(rhs, kept)  # the right-hand side is left alone
+    for bc in BCS:
+        diag, off, A, rng = stepper_like_matrix(64, bc, 7)
+        factors = factor(diag, off, bc)
+        for _ in range(5):
+            rhs = rng.standard_normal(64)
+            kept = rhs.copy()
+            x = kernels.thomas_solve(factors, rhs)
+            np.testing.assert_allclose(A @ x, rhs, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(rhs, kept)  # the right-hand side is left alone
 
 
-def test_singular_matrix_raises():
+def test_matrix_that_is_not_positive_definite_raises():
     n = 6
-    with pytest.raises(ValueError, match="singular"):
-        kernels.factor_tridiagonal(np.zeros(n), np.zeros(n), np.zeros(n))
-    # two equal rows: [1 1 0 ...], [1 1 0 ...]
-    lower, diag, upper = np.zeros(n), np.ones(n), np.zeros(n)
-    upper[0], lower[1] = 1.0, 1.0
-    with pytest.raises(ValueError, match="singular"):
-        kernels.factor_tridiagonal(lower, diag, upper)
+    with pytest.raises(ValueError, match="not positive definite"):
+        kernels.factor_tridiagonal(np.zeros(n), np.zeros(n - 1), False)
+    # symmetric and nonsingular, but indefinite: the block [[1, 2], [2, 1]]
+    # has eigenvalues 3 and -1, so the second pivot is negative
+    diag, off = np.ones(n), np.zeros(n - 1)
+    off[0] = 2.0
+    assert np.linalg.det(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) != 0.0
+    with pytest.raises(ValueError, match=r"not positive definite \(dpttrf info=2\)"):
+        kernels.factor_tridiagonal(diag, off, False)
 
 
 def test_non_finite_rhs_gives_nan_not_an_error():
-    lower, diag, upper, _, _ = random_tridiagonal(8, 3)
-    rhs = np.ones(8)
-    rhs[2] = np.inf
-    x = kernels.thomas_solve(kernels.factor_tridiagonal(lower, diag, upper), rhs)
-    assert not np.all(np.isfinite(x))
+    for bc in BCS:
+        diag, off, _, _ = stepper_like_matrix(8, bc, 3)
+        for bad in (np.inf, -np.inf, np.nan):
+            rhs = np.ones(8)
+            rhs[2] = bad
+            x = kernels.thomas_solve(factor(diag, off, bc), rhs)
+            assert not np.all(np.isfinite(x))
