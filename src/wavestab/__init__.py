@@ -33,6 +33,7 @@ from .controllers import (
     check_subdomain_gains,
     check_volume_gains,
     controller_energy,
+    element_averages,
     element_layout,
     make_control_operator,
     make_energy_operator,
@@ -119,6 +120,7 @@ __all__ = [
     "Nodal",
     "SubdomainControl",
     "ControllerSpec",
+    "element_averages",
     "element_layout",
     "make_control_operator",
     "make_energy_operator",

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controllers import element_layout
+from .controllers import element_averages, element_layout
 from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral, make_grid
 from .models import ledger_column
 from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check
@@ -304,10 +304,10 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         )
     }
 
-    def mean_plus_gradient(f: np.ndarray, N: int, avg: np.ndarray):
+    def mean_plus_gradient(f: np.ndarray, N: int, means: np.ndarray):
         h = ngrid.L / N
-        norm2 = integral(ngrid, f * f)
-        means2 = h * float(np.sum((avg @ f) ** 2))
+        norm2 = integral(ngrid, f, f)
+        means2 = h * float(np.sum(means**2))
         sem2 = h1_seminorm_sq(ngrid, f)
         emp = (norm2 - means2) / (h * h * sem2) if sem2 > 1e-12 else None
         tallies["mean_plus_gradient_printed"].add(
@@ -321,14 +321,15 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         f = coeffs @ table
         sem2 = h1_seminorm_sq(ngrid, f)
         N = int(SUITE_ELEMENT_COUNTS[rng.integers(len(SUITE_ELEMENT_COUNTS))])
-        avg, owner, _ = layouts[N]
+        weights, bounds, owner, _ = layouts[N]
+        means = element_averages(weights, bounds, f)
         h = ngrid.L / N
 
         # distance to the piecewise-constant element averages
-        gap = f - (avg @ f)[owner]
-        tallies["element_mean_approx"].add(math.sqrt(integral(ngrid, gap * gap)), h * math.sqrt(sem2))
+        gap = f - means[owner]
+        tallies["element_mean_approx"].add(math.sqrt(integral(ngrid, gap, gap)), h * math.sqrt(sem2))
 
-        mean_plus_gradient(f, N, avg)
+        mean_plus_gradient(f, N, means)
 
         # paired random points within each element
         lo = np.arange(N) * h
@@ -338,7 +339,7 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         fy = np.interp(yk, ngrid.nodes, f)
         tallies["paired_point_differences"].add(float(np.sum((fx - fy) ** 2)), h * sem2)
         tallies["point_sampling_norm"].add(
-            integral(ngrid, f * f), 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
+            integral(ngrid, f, f), 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
         )
 
         # Dirichlet-side spectral bounds
@@ -346,9 +347,10 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         Nq = int(SUITE_MODE_COUNTS[rng.integers(len(SUITE_MODE_COUNTS))])
         tail, tail_bound, _ = tail_bound_check(Field(dgrid, g), Nq)
         tallies["spectral_tail"].add(tail, tail_bound)
-        tallies["poincare"].add(integral(dgrid, g * g), h1_seminorm_sq(dgrid, g) / lam1)
+        tallies["poincare"].add(integral(dgrid, g, g), h1_seminorm_sq(dgrid, g) / lam1)
 
     # deterministic counterexample: the linear ramp against one element
-    mean_plus_gradient(ngrid.nodes, 1, element_layout(ngrid, 1)[0])
+    ramp_means = element_averages(*element_layout(ngrid, 1)[:2], ngrid.nodes)
+    mean_plus_gradient(ngrid.nodes, 1, ramp_means)
 
     return {key: tally.report() for key, tally in tallies.items()}

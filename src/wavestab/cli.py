@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -106,9 +105,9 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper)
-    wall = time.perf_counter() - t0
-
+    t1 = time.perf_counter()
     write_trajectory(os.path.join(out_dir, "trajectory.csv"), result)
+    t2 = time.perf_counter()
 
     if result.blew_up:
         fit_dict, verify, code = None, None, 3
@@ -116,6 +115,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         fit_dict, verify, verify_ok = _verify(cfg, report, result)
         satisfied = report.satisfied if report else True
         code = 0 if (satisfied and verify_ok) else 1
+    t3 = time.perf_counter()
     doc = {
         "version": __version__,
         # trajectories depend at round-off on which LAPACK build runs
@@ -130,7 +130,13 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         "records": len(result.ledger),
         "fit": fit_dict,
         "verify": verify,
-        "wall_time_s": wall,
+        "wall_time_s": t1 - t0,
+        "seconds": {
+            "stepping": t1 - t0 - result.ledger_seconds,
+            "ledger": result.ledger_seconds,
+            "write": t2 - t1,
+            "verify": t3 - t2,
+        },
     }
 
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -236,6 +242,8 @@ def cmd_sweep(args) -> int:
     cfgs = [cfg for _label, cfg in members]
     subs = [os.path.join(args.out, f"{args.param}={label}") for label in labels]
     if args.jobs > 1 and len(members) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ms to import; only a pool needs it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_worker, cfgs, subs))
     else:

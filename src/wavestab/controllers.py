@@ -133,12 +133,13 @@ ControllerSpec = Union[NoControl, VolumeElements, FourierModes, Nodal, Subdomain
 # feedback field assembly
 # ---------------------------------------------------------------------------
 
-def element_layout(grid: Grid1D, N: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Trapezoid cell-average matrix, node->element owner map, and stride.
+def element_layout(grid: Grid1D, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Trapezoid cell-average weights and segment bounds, node->element owner map, and stride.
 
     Elements J_k are half-open on the left (the terminal node belongs to
     the last, closed element); N must divide n_cells so element boundaries
-    sit on grid nodes and the averages are exact trapezoid integrals.
+    sit on grid nodes and the averages are exact trapezoid integrals.  The
+    averages are :func:`element_averages` of ``weights`` and ``bounds``.
     """
     if grid.bc is not BoundaryCondition.NEUMANN:
         raise ValueError("volume-element feedback is posed with Neumann boundaries")
@@ -148,18 +149,27 @@ def element_layout(grid: Grid1D, N: int) -> tuple[np.ndarray, np.ndarray, int]:
             "element boundaries fall on grid nodes"
         )
     m = grid.n_cells // N
-    # trapezoid average over each element: matrix row per element
-    avg = np.zeros((N, grid.n_nodes))
-    for k in range(N):
-        sl = slice(k * m, k * m + m + 1)
-        avg[k, sl] = 1.0
-        avg[k, k * m] = 0.5
-        avg[k, k * m + m] = 0.5
-    avg *= grid.dx / (m * grid.dx)
+    weights = np.full(grid.n_nodes, grid.dx / (m * grid.dx))
+    weights[::m] *= 0.5
+    starts = np.arange(N) * m
+    bounds = np.stack((starts, starts + m + 1), axis=-1).ravel()[:-1]
     # node -> element assignment (elements are half-open on the left to match
     # chi_{J_k}; the terminal node belongs to the last, closed element)
     owner = np.minimum(np.arange(grid.n_nodes) // m, N - 1)
-    return avg, owner, m
+    return weights, bounds, owner, m
+
+
+def element_averages(weights: np.ndarray, bounds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The element averages of nodal values ``u`` along the last axis, O(n) per state.
+
+    ``weights`` are the trapezoid weights over the element width, halved at
+    each shared node, and ``bounds`` pairs each element's first node with
+    the node past its right end (the last segment runs to the end), as
+    :func:`element_layout` builds them.  The odd segments, one shared node
+    each, are dropped.  A row of a ``(K, n)`` block gets the same numbers,
+    bit for bit, as the row alone.
+    """
+    return np.add.reduceat(weights * u, bounds, axis=-1)[..., ::2]
 
 
 def _nearest_interior_index(grid: Grid1D, x: np.ndarray) -> np.ndarray:
@@ -190,9 +200,11 @@ def _frozen_law(observe: Callable, actuate: Callable, s: np.ndarray, *held: np.n
 def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
     """The law as (observe, actuate, s), validated and built once per (law shape, grid).
 
-    ``observe(u)`` gives the finitely many observed numbers y,
-    ``actuate(y, gain)`` spreads ``gain * y`` back onto the nodes, and the
-    controller energy is ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
+    ``observe(u)`` gives the finitely many observed numbers y along the
+    last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
+    block bit for bit as that row alone; ``actuate(y, gain)`` spreads
+    ``gain * y`` back onto the nodes, and the controller energy is
+    ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
     law, whose observation and actuation points differ, the actuation is
     the adjoint of the observation (weights s on y, trapezoid weights on
     the nodes), so the feedback ``actuate(observe(u), -mu)`` is minus the
@@ -206,19 +218,22 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(lambda u: u[:0], lambda y, gain: np.zeros(grid.n_nodes), np.zeros(0))
+        return _frozen_law(lambda u: u[..., :0], lambda y, gain: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
-        avg, owner, m = element_layout(grid, spec.N)
+        weights, bounds, owner, m = element_layout(grid, spec.N)
         # elements on the left and right of each node; they differ only at
         # the nodes two elements share, which get the mean of both averages
         left = np.concatenate((owner[:1], owner[:-1]))
+
+        def observe_volume(u):
+            return element_averages(weights, bounds, u)
 
         def actuate_volume(y, gain):
             return gain * (0.5 * (y[left] + y[owner]))
 
         s = np.full(spec.N, m * grid.dx)
-        return _frozen_law(lambda u: avg @ u, actuate_volume, s, avg, owner, left)
+        return _frozen_law(observe_volume, actuate_volume, s, weights, bounds, owner, left)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -226,25 +241,37 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             raise ValueError(f"modal feedback needs N < n_cells={grid.n_cells}, got N={spec.N}")
         W = mode_matrix(grid, spec.N)
         Wq = W * grid.quad_weights
-        return _frozen_law(lambda u: Wq @ u, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
+
+        def observe_modes(u):  # one matrix-vector product per state, a block or not
+            return np.matmul(Wq, u[..., None])[..., 0]
+
+        return _frozen_law(observe_modes, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
         obs, act = spec.points(grid.L)
         act_idx = _nearest_interior_index(grid, act)
         h = grid.L / spec.N
-        # interpolation with the implicit zero boundary values
+        # two-point interpolation between the full line's nodes, whose ends
+        # hold the implicit zero boundary values: stored node j is full node j + 1
         xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
+        cell = np.clip(np.searchsorted(xs, obs, side="right") - 1, 0, grid.n_cells - 1)
+        frac = (obs - xs[cell]) / (xs[cell + 1] - xs[cell])
+        lo, hi = cell - 1, cell
+        w_lo = np.where(lo >= 0, 1.0 - frac, 0.0)
+        w_hi = np.where(hi < grid.n_nodes, frac, 0.0)
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, grid.n_nodes - 1)
 
-        def observe_nodal(u):
-            return np.interp(obs, xs, np.concatenate(([0.0], u, [0.0])))
+        def observe_nodal(u):  # gathers the last axis through u.T, cheaper than u[..., lo]
+            return w_lo * u.T[lo].T + w_hi * u.T[hi].T
 
         def actuate_nodal(y, gain):
             out = np.zeros(grid.n_nodes)
             np.add.at(out, act_idx, gain * h / grid.dx * y)
             return out
 
-        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), obs, act_idx, xs)
+        held = (act_idx, lo, hi, w_lo, w_hi)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -278,18 +305,19 @@ def make_energy_operator(
 ) -> Callable[[np.ndarray], Union[float, np.ndarray]]:
     """Controller's quadratic contribution to the energy ledger, as a closure.
 
-    The closure maps nodal values ``(n,)`` to their energy, and a block of
-    K states ``(K, n)``, one per row, to the length-K row of their energies.
-    The block is evaluated a row at a time, so each state gets the number
+    The closure maps nodal values ``(n,)`` to their energy, 1/2 mu sum(s y^2)
+    of the observation y, and a block of K states ``(K, n)``, one per row,
+    to the length-K row of their energies.  The block is one observation
+    and one weighted sum along its last axis, and each law observes a row
+    of a block as it observes the row alone, so each state gets the number
     it gets alone, bit for bit.
     """
     observe, _, s = _feedback_law(_law_shape(spec), grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):
-        if u.ndim == 2:
-            return np.array([half_mu * float(np.dot(s, observe(x) ** 2)) for x in u])
-        return half_mu * float(np.dot(s, observe(u) ** 2))
+        y = observe(u)
+        return half_mu * np.einsum("i,...i,...i->...", s, y, y)
 
     return energy
 

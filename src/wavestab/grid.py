@@ -150,13 +150,14 @@ def zeros(grid: Grid1D) -> Field:
     return Field(grid, np.zeros(grid.n_nodes))
 
 
-def integral(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Trapezoid integral over (0, L) of nodal values along the last axis.
+def integral(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Trapezoid integral over (0, L) of the product f*g, along the last axis.
 
-    The sum runs along one state's nodes, without BLAS, so a row of a
-    ``(K, n)`` block gets the same number, bit for bit, as the row alone.
+    The weighted product is summed in one pass, without temporaries and
+    without BLAS, so a row of a ``(K, n)`` block gets the same number, bit
+    for bit, as the row alone.
     """
-    return np.sum(grid.quad_weights * f, axis=-1)
+    return np.einsum("i,...i,...i->...", grid.quad_weights, f, g)
 
 
 def h1_seminorm_sq(grid: Grid1D, u: np.ndarray) -> np.ndarray:
@@ -166,10 +167,10 @@ def h1_seminorm_sq(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     implicit zero boundary values.  Chosen so that ``(-lap u, u) ==
     h1_seminorm_sq(u)`` holds exactly for the :func:`laplacian_stencil`,
     which makes the undamped discrete wave energy a conserved quantity of
-    the Crank--Nicolson step.
+    the Crank--Nicolson step.  Summed like :func:`integral`.
     """
     du = u[..., 1:] - u[..., :-1]
-    h1 = np.sum(du * du, axis=-1)
+    h1 = np.einsum("...i,...i->...", du, du)
     if grid.bc is BoundaryCondition.DIRICHLET:
         h1 = h1 + u[..., 0] * u[..., 0] + u[..., -1] * u[..., -1]
     return h1 / grid.dx

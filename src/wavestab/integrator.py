@@ -13,7 +13,13 @@ self-adjoint under the trapezoid weights, which are one half at the ends.
 On the undamped linear wave the scheme reduces to plain Crank--Nicolson
 and conserves the discrete energy to round-off, because the discrete
 Laplacian is exactly self-adjoint under the trapezoid weights and the H1
-seminorm is its associated quadratic form.
+seminorm is its associated quadratic form.  The step writes its
+intermediate arrays into a workspace built with the stepper, so each step
+allocates little besides the new state it returns.
+
+The loop records the energy ledger a block of states at a time: each norm
+of :func:`energy_record`, and the controller energy, is one pass over the
+block, and a record holds the numbers its state gets alone, bit for bit.
 
 An explicit RK4 stepper is provided for cross-checks; it refuses the
 strongly damped family (the viscous term makes the problem parabolic-stiff)
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -139,6 +146,7 @@ class RunResult:
     ledger: np.ndarray
     final_state: State
     blowup_time: Optional[float] = None
+    ledger_seconds: float = 0.0  # wall time spent evaluating the ledger
 
     @property
     def blew_up(self) -> bool:
@@ -150,18 +158,29 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 class _ImexStepper:
-    """One assembled IMEX Crank--Nicolson update u,v -> u,v."""
+    """One assembled IMEX Crank--Nicolson update u,v -> u,v.
+
+    :meth:`advance` returns a fresh new u and v.  Its intermediate arrays
+    live in a workspace built once and overwritten in place at each step,
+    so a step allocates only the two arrays it returns, besides the results
+    of the feedback, the stencils and the solve (and, for nonlinear damping,
+    the predicted half-step velocity).
+    """
 
     def __init__(self, model: ModelSpec, grid: Grid1D, dt: float, ctl: Callable):
         self.model = model
         self.grid = grid
         self.dt = dt
+        self.dx = grid.dx
         self.ctl = ctl
         self.lap = laplacian_stencil(grid.bc)
         self.c_lin = model.linear_damping
         self.beta = model.viscosity
+        # the trapezoid's weights, as the step multiplies by them
+        self.half_dt = 0.5 * dt
         self.v_weight = 1.0 - 0.5 * dt * self.c_lin  # v's share of the trapezoid on -c*v
         self.half_dt_nu = 0.5 * dt * model.nu
+        self.half_dt_beta = 0.5 * dt * self.beta
         kappa = 0.5 * dt * self.beta + 0.25 * dt * dt * model.nu
         inv_dx2 = 1.0 / grid.dx**2
         n = grid.n_nodes
@@ -172,24 +191,37 @@ class _ImexStepper:
         # reflected Neumann ghosts double the coupling at both ends
         doubled_ends = grid.bc is BoundaryCondition.NEUMANN
         self.factors = kernels.factor_tridiagonal(diag, off, doubled_ends)
+        # the workspace: u_star, the explicit term, the nonlinear term and
+        # w = u + u_star, which then holds the solve's right-hand side
+        self.u_star, self.g, self.nonlinear, self.w = np.empty((4, n))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mdl = self.model
-        dt, dx = self.dt, self.grid.dx
-        u_star = u + 0.5 * dt * v
+        mdl, dx, half_dt = self.model, self.dx, self.half_dt
+        u_star, g, w = self.u_star, self.g, self.w
+        np.multiply(v, half_dt, out=u_star)
+        u_star += u
         v_half = v
         if mdl.m is not None:
             # only nonlinear damping reads v: predict it at the half step
-            v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
-        g_half = source(mdl, u_star, v_half) + self.ctl(u_star)
+            v_half = v + half_dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
+        source(mdl, u_star, v_half, out=g, work=self.nonlinear)
+        g += self.ctl(u_star)
         # the trapezoid on nu*u_xx is nu/2 (lap u + lap u_new), and lap u_new =
         # lap u_star + dt/2 lap v_new: the v_new part is in the matrix, and
         # lap u + lap u_star is one stencil of u + u_star
-        rhs = self.v_weight * v + dt * g_half + self.half_dt_nu * self.lap(u + u_star, dx)
+        lap_w = self.lap(np.add(u, u_star, out=w), dx)
+        lap_w *= self.half_dt_nu
+        rhs = np.multiply(v, self.v_weight, out=w)
+        g *= self.dt
+        rhs += g
+        rhs += lap_w
         if self.beta != 0.0:
-            rhs += 0.5 * dt * self.beta * self.lap(v, dx)
+            lap_v = self.lap(v, dx)
+            lap_v *= self.half_dt_beta
+            rhs += lap_v
         v_new = kernels.thomas_solve(self.factors, rhs)
-        u_new = u_star + 0.5 * dt * v_new
+        u_new = np.multiply(v_new, half_dt)
+        u_new += u_star
         return u_new, v_new
 
 
@@ -278,6 +310,11 @@ def lyapunov_eb(
     ``u`` is one state's displacement, ``(n,)``, or a block of them,
     ``(K, n)``, and ``rows`` are the rows :func:`energy_record` computed for
     them, whose norms are reused; Phi is then a number or a length-K row.
+    The controller energy is evaluated again here, although ``rows[4]``
+    holds it: perfbench's layer tracer patches :func:`controller_energy`
+    and counts this call, so it stays until the benchmark stops patching
+    library internals (ROADMAP, "Unpin the benchmark from library
+    internals").
     """
     cert = certificate(model, ctrl)
     if cert is None or cert.weights is None:
@@ -355,10 +392,12 @@ def run(
     # one recorded state per row, so each copy is contiguous
     us, vs = np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
     done = 0  # ledger rows written
+    ledger_s = 0.0  # seconds spent in flush()
 
     def flush(k: int) -> None:
-        """Write the ledger rows of the first k buffered records."""
-        nonlocal done
+        """Write the ledger rows of the first k buffered records, and time them."""
+        nonlocal done, ledger_s
+        t0 = time.perf_counter()
         u, v = us[:k], vs[:k]
         rows = energy_record(model, grid, u, v, energy_op(u))
         out = ledger[done:done + k]
@@ -367,6 +406,7 @@ def run(
         if has_functional:
             out[:, -1] = lyapunov_eb(model, ctrl, grid, u, rows)
         done += k
+        ledger_s += time.perf_counter() - t0
 
     u = u0.values.copy()
     v = u1.values.copy()
@@ -390,4 +430,4 @@ def run(
             held += 1
     flush(held)
     final = State(Field(grid, u), Field(grid, v), t)
-    return RunResult(ledger[:done], final, blowup_time)
+    return RunResult(ledger[:done], final, blowup_time, ledger_s)

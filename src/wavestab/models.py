@@ -56,11 +56,23 @@ class Nonlinearity:
     def power_law(p: float) -> "Nonlinearity":
         return Nonlinearity(p)
 
-    def f(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u) if self.p is None else np.abs(u) ** (self.p - 2.0) * u
+    def f(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """f(u), written into ``out`` (an array shaped like ``u``) when it is given."""
+        if self.p is None:
+            r = np.empty_like(u) if out is None else out
+            r[...] = 0.0
+            return r
+        if self.p == 4.0:  # |u|^2 is u*u, bit for bit, and far cheaper than a power
+            r = np.multiply(u, u, out=out)
+        else:
+            r = np.abs(u, out=out)
+            r **= self.p - 2.0
+        r *= u
+        return r
 
     def F(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u) if self.p is None else np.abs(u) ** self.p / self.p
+        """F(u) = f(u)*u/p, which :func:`energy_record` integrates as the pair (f(u), u)."""
+        return np.zeros_like(u) if self.p is None else self.f(u) * u / self.p
 
 
 @dataclass(frozen=True)
@@ -150,18 +162,28 @@ def strongly_damped_wave(nu: float, a: float, b: float, p: float) -> ModelSpec:
 
 
 def source(
-    model: ModelSpec, u: np.ndarray, v: np.ndarray, base: Optional[np.ndarray] = None
+    model: ModelSpec,
+    u: np.ndarray,
+    v: np.ndarray,
+    base: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
 
     ``base`` (typically the stiff terms) is added first, so a caller
     assembling the whole acceleration gets it in one fixed summation order.
+    The sum is written into ``out`` and f(u) into ``work``, arrays shaped
+    like ``u`` that alias neither ``u`` nor ``v``, when they are given: a
+    time step passes both from its workspace.
     """
-    s = model.a * u if base is None else base + model.a * u
+    s = np.multiply(model.a, u, out=out)
+    if base is not None:
+        s += base
     if model.nonlinearity.p is not None:
-        s = s - model.nonlinearity.f(u)
+        s -= model.nonlinearity.f(u, out=work)
     if model.family is Family.NONLINEAR_DAMPING:
-        s = s - model.b * np.abs(v) ** (model.m - 2.0) * v
+        s -= model.b * np.abs(v) ** (model.m - 2.0) * v
     return s
 
 
@@ -201,14 +223,17 @@ def energy_record(
     block of K states, one per row; each row of the result is then a number
     or a length-K row.  ``controller`` is the controller's quadratic energy
     (see ``controllers.make_energy_operator``), of the same shape as a row.
+    Each norm is one :func:`grid.integral` of its two factors, a pass over
+    the block with no temporary; ``lp`` integrates F(u) as (f(u), u)/p.
     A state gets the same numbers, bit for bit, alone or in a block.
     """
-    vv = integral(grid, v * v)
-    uu = integral(grid, u * u)
+    vv = integral(grid, v, v)
+    uu = integral(grid, u, u)
     h1 = h1_seminorm_sq(grid, u)
     kin = 0.5 * vv
     grad = 0.5 * model.nu * h1
     quad = -0.5 * model.a * uu
-    lp = integral(grid, model.nonlinearity.F(u))
+    nl = model.nonlinearity
+    lp = np.zeros(np.shape(vv)) if nl.p is None else integral(grid, nl.f(u), u) / nl.p
     total = kin + grad + quad + lp + controller
-    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(grid, u * v)])
+    return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(grid, u, v)])

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from wavestab import BoundaryCondition, Field, State, laplacian_stencil, make_control_operator, make_grid
+from wavestab import (
+    BoundaryCondition,
+    Field,
+    FourierModes,
+    Nodal,
+    NoControl,
+    State,
+    SubdomainControl,
+    VolumeElements,
+    laplacian_stencil,
+    make_control_operator,
+    make_grid,
+    mode_matrix,
+)
 
 L_PI = float(np.pi)
 
@@ -54,3 +67,34 @@ def closed_loop_abscissa(model, ctrl, grid):
         [model.nu * stencil + a_lin * eye + feedback, model.viscosity * stencil - model.linear_damping * eye],
     ])
     return float(np.max(np.linalg.eigvals(A).real))
+
+
+def one_state_observation(spec, grid):
+    """The law's observation as it was written for one state ``(n,)``, before laws took blocks.
+
+    Volume averages with a dense trapezoid matrix, Fourier with a BLAS
+    matrix-vector product, nodal with ``np.interp``: the paths the block
+    observations replaced, kept as references.
+    """
+    if isinstance(spec, NoControl):
+        return lambda u: u[:0]
+    if isinstance(spec, VolumeElements):
+        m = grid.n_cells // spec.N
+        avg = np.zeros((spec.N, grid.n_nodes))
+        for k in range(spec.N):
+            sl = slice(k * m, k * m + m + 1)
+            avg[k, sl] = 1.0
+            avg[k, k * m] = 0.5
+            avg[k, k * m + m] = 0.5
+        avg *= grid.dx / (m * grid.dx)
+        return lambda u: avg @ u
+    if isinstance(spec, FourierModes):
+        Wq = mode_matrix(grid, spec.N) * grid.quad_weights
+        return lambda u: Wq @ u
+    if isinstance(spec, Nodal):
+        obs, _ = spec.points(grid.L)
+        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
+        return lambda u: np.interp(obs, xs, np.concatenate(([0.0], u, [0.0])))
+    if isinstance(spec, SubdomainControl):
+        return lambda u: u
+    raise TypeError(type(spec).__name__)

@@ -265,7 +265,7 @@ def test_criterion_7_inequality_suite():
     # single element of (0, L) with the sharp (h/2pi)^2 gradient coefficient
     grid = make_grid(L, 512, "neumann")
     ramp = grid.nodes
-    lhs = integral(grid, ramp * ramp)
+    lhs = integral(grid, ramp, ramp)
     mean = float(np.dot(grid.quad_weights, ramp)) / L
     sem2 = h1_seminorm_sq(grid, ramp)
     rhs_printed = L * mean**2 + (L / (2 * math.pi)) ** 2 * sem2
@@ -354,12 +354,12 @@ def test_criterion_9_energy_functionals(volume_loop, fourier_loop, strong_loop):
     worst = math.inf
     for _ in range(500):
         u, v = random_state(vgrid, cos_tab)
-        bound = 0.25 * integral(vgrid, v * v) + d0 * h1_seminorm_sq(vgrid, u)
+        bound = 0.25 * integral(vgrid, v, v) + d0 * h1_seminorm_sq(vgrid, u)
         worst = min(worst, phi(vmodel, vctrl, vgrid, u, v) - bound)
 
         u, v = random_state(fgrid, sin_tab)
         quartic = 0.25 * float(np.dot(fgrid.quad_weights, np.abs(u) ** 4))
-        bound = 0.25 * integral(fgrid, v * v) + 0.25 * h1_seminorm_sq(fgrid, u) + quartic
+        bound = 0.25 * integral(fgrid, v, v) + 0.25 * h1_seminorm_sq(fgrid, u) + quartic
         worst = min(worst, phi(fmodel, fctrl, fgrid, u, v) - bound)
         worst = min(worst, phi(smodel, sctrl, fgrid, u, v) - bound)
     bounds_ok = worst >= -1e-12

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -421,6 +425,19 @@ class TestRun:
         assert report["dt"] == 0.005
         assert report["t_reached"] == pytest.approx(6.0, rel=1e-12)
 
+    def test_report_says_where_the_time_went(self, volume_ini, tmp_path):
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert main(["run", "--config", volume_ini, "--out", str(out)]) == 0
+        member = time.perf_counter() - t0
+        report = json.loads((out / "report.json").read_text())
+        seconds = report["seconds"]
+        assert sorted(seconds) == ["ledger", "stepping", "verify", "write"]
+        assert all(s >= 0.0 for s in seconds.values())
+        assert sum(seconds.values()) <= member
+        # run() is stepping plus ledger
+        assert seconds["stepping"] + seconds["ledger"] == pytest.approx(report["wall_time_s"], rel=1e-9)
+
     def test_nan_gain_writes_no_report(self, tmp_path):
         ini = tmp_path / "nan.ini"
         ini.write_text(VOLUME_INI.replace("mu = 4.0", "mu = nan"))
@@ -693,6 +710,14 @@ class TestSweep:
             expected = {**original, "controller": {**original["controller"], "mu": label}}
             assert report["config"] == expected
 
+    def test_only_a_pool_imports_the_process_pool(self):
+        # importing it costs milliseconds per process, which only --jobs > 1 needs
+        probe = "import sys, wavestab.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "text,param,values",
         [
@@ -715,8 +740,8 @@ class TestSweep:
             traj = "trajectory.csv"
             assert (pool / member / traj).read_bytes() == (serial / member / traj).read_bytes()
             reports = [json.loads((o / member / "report.json").read_text()) for o in (serial, pool)]
-            for r in reports:
-                del r["wall_time_s"]
+            for r in reports:  # timings differ from run to run
+                del r["wall_time_s"], r["seconds"]
             assert reports[0] == reports[1]
 
     def test_fractional_n_rejected(self, volume_ini, tmp_path):

@@ -28,6 +28,7 @@ from wavestab import (
     check_volume_gains,
     controller_energy,
     damped_wave,
+    element_averages,
     element_layout,
     make_control_operator,
     make_energy_operator,
@@ -40,7 +41,7 @@ from wavestab import (
 )
 from wavestab import controllers
 
-from conftest import closed_loop_abscissa, random_trig_field
+from conftest import closed_loop_abscissa, one_state_observation, random_trig_field
 
 PI = np.pi
 
@@ -52,18 +53,18 @@ PI = np.pi
 class TestElementLayout:
     def test_averages_partition_constant(self):
         g = make_grid(PI, 64, "neumann")
-        avg, owner, stride = element_layout(g, 4)
-        assert avg.shape == (4, g.n_nodes)
+        weights, bounds, owner, stride = element_layout(g, 4)
         assert stride == 16
         c = np.full(g.n_nodes, 2.5)
-        np.testing.assert_allclose(avg @ c, 2.5)
+        means = element_averages(weights, bounds, c)
+        assert means.shape == (4,)
+        np.testing.assert_allclose(means, 2.5)
         # each node owned by exactly one element
         assert owner.min() == 0 and owner.max() == 3
 
     def test_average_of_linear_ramp(self):
         g = make_grid(1.0, 100, "neumann")
-        avg, _, _ = element_layout(g, 2)
-        means = avg @ g.nodes
+        means = element_averages(*element_layout(g, 2)[:2], g.nodes)
         # trapezoid cell averages are exact on linear functions
         np.testing.assert_allclose(means, [0.25, 0.75], atol=1e-12)
 
@@ -259,7 +260,7 @@ def uncached_operators(spec, grid):
     observe, actuate, s = controllers._feedback_law.__wrapped__(spec, grid)
     return (
         lambda u: actuate(observe(u), -spec.mu),
-        lambda u: 0.5 * spec.mu * float(np.dot(s, observe(u) ** 2)),
+        lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
     )
 
 
@@ -338,6 +339,87 @@ class TestLawCache:
         for arr in held:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# block observation: every law observes a (K, n) block in one pass
+# ---------------------------------------------------------------------------
+
+BLOCK_LAWS = law_specs(2.5) + [
+    (VolumeElements(1, 2.5), "neumann"),
+    (VolumeElements(32, 2.5), "neumann"),  # n_cells / 2: two cells per element
+    (Nodal(4, 2.5, obs_points=(0.0, 1.0, 2.0, PI)), "dirichlet"),  # samples at both ends
+]
+BLOCK_IDS = LAW_IDS + ["volume_N1", "volume_half", "nodal_ends"]
+
+
+def per_row_energy_operator(spec, grid):
+    """The controller energy as it was evaluated before laws took blocks: one
+    state at a time, each by a BLAS dot product of the one-state observation."""
+    observe = one_state_observation(spec, grid)
+    _, _, s = controllers._feedback_law(controllers._law_shape(spec), grid)
+    half_mu = 0.5 * spec.mu
+
+    def energy(u):
+        if u.ndim == 2:
+            return np.array([half_mu * float(np.dot(s, observe(x) ** 2)) for x in u])
+        return half_mu * float(np.dot(s, observe(u) ** 2))
+
+    return energy
+
+
+def random_block(grid, K, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_trig_field(grid, rng).values for _ in range(K)])
+
+
+@pytest.mark.parametrize("K", [1, 7, 64])
+@pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
+def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
+    g = make_grid(PI, 64, bc)
+    observe, _, _ = controllers._feedback_law(controllers._law_shape(spec), g)
+    energy = make_energy_operator(spec, g)
+    u = np.random.default_rng(K).standard_normal((K, g.n_nodes))
+    y, e = observe(u), energy(u)
+    assert y.shape[0] == K and e.shape == (K,)
+    for k in range(K):  # bit for bit
+        np.testing.assert_array_equal(y[k], observe(u[k]))
+        assert e[k] == energy(u[k])
+
+
+@pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
+def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
+    g = make_grid(PI, 64, bc)
+    observe, actuate, _ = controllers._feedback_law(controllers._law_shape(spec), g)
+    reference = one_state_observation(spec, g)
+    control = make_control_operator(spec, g)
+    u = random_block(g, 64, 17)
+    y = observe(u)
+    for k in range(len(u)):
+        want = reference(u[k])
+        if isinstance(spec, (SubdomainControl, NoControl)):  # the same arithmetic
+            np.testing.assert_array_equal(y[k], want)
+        else:
+            np.testing.assert_allclose(y[k], want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        feedback = actuate(want, -spec.mu)
+        np.testing.assert_allclose(
+            control(u[k]), feedback, rtol=0.0, atol=1e-13 * max(np.max(np.abs(feedback), initial=0.0), 1.0)
+        )
+    want = per_row_energy_operator(spec, g)(u)
+    np.testing.assert_allclose(make_energy_operator(spec, g)(u), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32, 64])
+def test_element_averages_match_the_dense_matrix_they_replaced(N):
+    g = make_grid(PI, 64, "neumann")
+    u = random_block(g, 7, N)
+    weights, bounds, owner, m = element_layout(g, N)
+    dense = one_state_observation(VolumeElements(N, 1.0), g)
+    means = element_averages(weights, bounds, u)
+    assert means.shape == (7, N)
+    for row, x in zip(means, u):
+        want = dense(x)
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

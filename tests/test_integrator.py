@@ -35,8 +35,10 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
-from wavestab import LEDGER_COLUMNS, integrator, kernels
+from wavestab import LEDGER_COLUMNS, controllers, integrator, kernels
 from wavestab.models import ledger_column, source
+
+from conftest import one_state_observation
 
 PI = np.pi
 
@@ -56,7 +58,8 @@ def discrete_lambda1(grid):
 
 
 def l2_error(grid, got, want):
-    return math.sqrt(integral(grid, (got - want) ** 2))
+    gap = got - want
+    return math.sqrt(integral(grid, gap, gap))
 
 
 class TestStepperConfig:
@@ -576,6 +579,101 @@ def test_one_stencil_step_matches_the_two_stencil_form(model, law):
 
 
 # ---------------------------------------------------------------------------
+# the workspace step and the one-pass ledger against the paths they replaced
+# ---------------------------------------------------------------------------
+
+def allocating_advance(self, u, v):
+    """The IMEX step before it had a workspace, verbatim: every term a fresh array."""
+    mdl = self.model
+    dt, dx = self.dt, self.grid.dx
+    u_star = u + 0.5 * dt * v
+    v_half = v
+    if mdl.m is not None:
+        # only nonlinear damping reads v: predict it at the half step
+        v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
+    g_half = source(mdl, u_star, v_half) + self.ctl(u_star)
+    # the trapezoid on nu*u_xx is nu/2 (lap u + lap u_new), and lap u_new =
+    # lap u_star + dt/2 lap v_new: the v_new part is in the matrix, and
+    # lap u + lap u_star is one stencil of u + u_star
+    rhs = self.v_weight * v + dt * g_half + self.half_dt_nu * self.lap(u + u_star, dx)
+    if self.beta != 0.0:
+        rhs += 0.5 * dt * self.beta * self.lap(v, dx)
+    v_new = kernels.thomas_solve(self.factors, rhs)
+    u_new = u_star + 0.5 * dt * v_new
+    return u_new, v_new
+
+
+def per_state_ledger_row(model, law, grid, t, u, v):
+    """One record as the ledger computed it before its norms took one pass each:
+    weighted temporaries summed along the nodes, F(u) = |u|^p/p, and the law's
+    one-state observation in a BLAS dot product."""
+    w = grid.quad_weights
+
+    def integral_of(f):
+        return np.sum(w * f, axis=-1)
+
+    du = u[1:] - u[:-1]
+    h1 = np.sum(du * du)
+    if grid.bc.value == "dirichlet":
+        h1 = h1 + u[0] * u[0] + u[-1] * u[-1]
+    h1 = h1 / grid.dx
+    p = model.nonlinearity.p
+    vv, uu = integral_of(v * v), integral_of(u * u)
+    kin, grad, quad = 0.5 * vv, 0.5 * model.nu * h1, -0.5 * model.a * uu
+    lp = 0.0 if p is None else integral_of(np.abs(u) ** p / p)
+    _, _, s = controllers._feedback_law(controllers._law_shape(law), grid)
+    ctrl = 0.5 * law.mu * float(np.dot(s, one_state_observation(law, grid)(u) ** 2))
+    row = [t, kin, grad, quad, lp, ctrl, kin + grad + quad + lp + ctrl, vv + h1]
+    cert = integrator.certificate(model, law)
+    if cert is not None and cert.weights is not None:
+        eps, g1, q = cert.weights(model, grid)
+        row.append(kin + 0.5 * g1 * h1 + q * uu + lp + ctrl + eps * integral_of(u * v))
+    return np.array(row)
+
+
+REPLACED_PATH_CASES = {
+    "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
+    "volume_N1": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(1, 6.0)),
+    "volume_N2": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(2, 6.0)),
+    "volume_half": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(32, 6.0)),
+    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0)), FourierModes(2, 3.0)),
+    "strong_fourier": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), FourierModes(2, 3.0)),
+    "nonlinear": (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
+    "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
+    "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7), 4.0)),
+}
+
+
+def test_replaced_path_cases_cover_every_certified_pair():
+    pairs = {(type(law), model.family) for model, law in REPLACED_PATH_CASES.values()}
+    assert pairs == set(integrator.CERTIFIED)
+
+
+@pytest.mark.parametrize("name", sorted(REPLACED_PATH_CASES))
+def test_workspace_step_and_ledger_match_the_paths_they_replaced(name):
+    model, law = REPLACED_PATH_CASES[name]
+    g = make_grid(PI, 64, model.bc)
+    u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
+    cfg = StepperConfig(dt=0.01, t_end=2.0)
+    assert cfg.n_steps == 200
+    res = run(model, law, u0, zeros(g), cfg)
+    stepper = integrator._ImexStepper(model, g, cfg.dt, make_control_operator(law, g))
+    u, v = u0.values, np.zeros(g.n_nodes)
+    ref = [per_state_ledger_row(model, law, g, 0.0, u, v)]
+    for k in range(1, cfg.n_steps + 1):
+        got = stepper.advance(u, v)
+        u, v = allocating_advance(stepper, u, v)
+        # the step's arithmetic is unchanged, term for term: the same bits
+        np.testing.assert_array_equal(got[0], u)
+        np.testing.assert_array_equal(got[1], v)
+        ref.append(per_state_ledger_row(model, law, g, k * cfg.dt, u, v))
+    np.testing.assert_array_equal(res.final_state.u.values, u)
+    ref = np.array(ref)
+    scale = np.max(np.abs(ref[0, 1:]))  # E(0): the largest energy term of the first record
+    np.testing.assert_allclose(res.ledger, ref, rtol=0.0, atol=1e-13 * scale)
+
+
+# ---------------------------------------------------------------------------
 # the block ledger: records are evaluated a buffer at a time
 # ---------------------------------------------------------------------------
 
@@ -584,6 +682,10 @@ LEDGER_CASES = {
     "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
     "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7), 4.0)),
     "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
+    "nodal_ends": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0, obs_points=(0.0, 1.0, 2.0, PI))),
+    "volume_N1": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(1, 6.0)),
+    "volume_half": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(32, 6.0)),  # n_cells / 2
+    "nonlinear": (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
 }
 
 
@@ -604,7 +706,7 @@ def test_the_ledger_does_not_depend_on_the_block_width(name, monkeypatch):
     cfg = StepperConfig(dt=0.01, t_end=1.0)
     default = run(model, law, u0, zeros(g), cfg)
     assert len(default.ledger) == 101
-    for width in (1, 7):  # a record per block, and blocks that leave a partial one at the end
+    for width in (1, 7, 64):  # a record per block, then blocks that leave a partial one at the end
         monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
         res = run(model, law, u0, zeros(g), cfg)
         np.testing.assert_array_equal(res.ledger, default.ledger)

@@ -268,16 +268,18 @@ class TestEnergyRecord:
         m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity.power_law(4.0))
         u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
         r = record(make_state(g, u, v), m)
-        h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u * u), integral(g, v * v)
+        h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u, u), integral(g, v, v)
         # the trapezoid weights against a BLAS dot product
         assert vv == pytest.approx(float(np.dot(g.quad_weights, v * v)), rel=1e-13)
         assert r["h1_sq"] == h1
         assert r["l2_sq"] == uu
-        assert r["cross"] == integral(g, u * v)
+        assert r["cross"] == integral(g, u, v)
         assert r["kinetic"] == 0.5 * vv
         assert r["grad"] == 0.5 * m.nu * h1
         assert r["quadratic"] == -0.5 * m.a * uu
-        assert r["lp"] == integral(g, u**4 / 4.0)
+        assert r["lp"] == integral(g, m.nonlinearity.f(u), u) / 4.0
+        # the pair (f(u), u) against the integrand F(u) = u^4/4 it replaced
+        assert r["lp"] == pytest.approx(float(np.sum(g.quad_weights * u**4 / 4.0)), rel=1e-13)
         assert r["stab_norm"] == vv + h1
 
     def test_block_rows_match_single_records(self):

@@ -216,4 +216,4 @@ def test_mode_rows_equal_the_single_mode_formula(L, n_cells):
 def test_sampled_modes_have_unit_norm(grid):
     W = mode_matrix(grid, 8)
     for k in (1, 4, 8):
-        assert integral(grid, W[k - 1] ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert integral(grid, W[k - 1], W[k - 1]) == pytest.approx(1.0, rel=1e-12)
