@@ -162,9 +162,9 @@ class _ImexStepper:
 
     :meth:`advance` returns a fresh new u and v.  Its intermediate arrays
     live in a workspace built once and overwritten in place at each step,
-    so a step allocates only the two arrays it returns, besides the results
-    of the feedback, the stencils and the solve (and, for nonlinear damping,
-    the predicted half-step velocity).
+    so a step allocates only the two arrays it returns, besides f(u) and the
+    results of the feedback, the stencils and the solve (and, for nonlinear
+    damping, the predicted half-step velocity).
     """
 
     def __init__(self, model: ModelSpec, grid: Grid1D, dt: float, ctl: Callable):
@@ -191,9 +191,9 @@ class _ImexStepper:
         # reflected Neumann ghosts double the coupling at both ends
         doubled_ends = grid.bc is BoundaryCondition.NEUMANN
         self.factors = kernels.factor_tridiagonal(diag, off, doubled_ends)
-        # the workspace: u_star, the explicit term, the nonlinear term and
-        # w = u + u_star, which then holds the solve's right-hand side
-        self.u_star, self.g, self.nonlinear, self.w = np.empty((4, n))
+        # the workspace: u_star, the explicit term and w = u + u_star, which
+        # then holds the solve's right-hand side
+        self.u_star, self.g, self.w = np.empty((3, n))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mdl, dx, half_dt = self.model, self.dx, self.half_dt
@@ -204,7 +204,7 @@ class _ImexStepper:
         if mdl.m is not None:
             # only nonlinear damping reads v: predict it at the half step
             v_half = v + half_dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
-        source(mdl, u_star, v_half, out=g, work=self.nonlinear)
+        source(mdl, u_star, v_half, out=g)
         g += self.ctl(u_star)
         # the trapezoid on nu*u_xx is nu/2 (lap u + lap u_new), and lap u_new =
         # lap u_star + dt/2 lap v_new: the v_new part is in the matrix, and

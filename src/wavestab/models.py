@@ -56,23 +56,11 @@ class Nonlinearity:
     def power_law(p: float) -> "Nonlinearity":
         return Nonlinearity(p)
 
-    def f(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """f(u), written into ``out`` (an array shaped like ``u``) when it is given."""
-        if self.p is None:
-            r = np.empty_like(u) if out is None else out
-            r[...] = 0.0
-            return r
-        if self.p == 4.0:  # |u|^2 is u*u, bit for bit, and far cheaper than a power
-            r = np.multiply(u, u, out=out)
-        else:
-            r = np.abs(u, out=out)
-            r **= self.p - 2.0
-        r *= u
-        return r
+    def f(self, u: np.ndarray) -> np.ndarray:
+        return np.zeros_like(u) if self.p is None else np.abs(u) ** (self.p - 2.0) * u
 
     def F(self, u: np.ndarray) -> np.ndarray:
-        """F(u) = f(u)*u/p, which :func:`energy_record` integrates as the pair (f(u), u)."""
-        return np.zeros_like(u) if self.p is None else self.f(u) * u / self.p
+        return np.zeros_like(u) if self.p is None else np.abs(u) ** self.p / self.p
 
 
 @dataclass(frozen=True)
@@ -167,21 +155,20 @@ def source(
     v: np.ndarray,
     base: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
-    work: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
 
     ``base`` (typically the stiff terms) is added first, so a caller
     assembling the whole acceleration gets it in one fixed summation order.
-    The sum is written into ``out`` and f(u) into ``work``, arrays shaped
-    like ``u`` that alias neither ``u`` nor ``v``, when they are given: a
-    time step passes both from its workspace.
+    The sum is written into ``out``, an array shaped like ``u`` that
+    aliases neither ``u`` nor ``v``, when it is given: a time step passes
+    one from its workspace.
     """
     s = np.multiply(model.a, u, out=out)
     if base is not None:
         s += base
     if model.nonlinearity.p is not None:
-        s -= model.nonlinearity.f(u, out=work)
+        s -= model.nonlinearity.f(u)
     if model.family is Family.NONLINEAR_DAMPING:
         s -= model.b * np.abs(v) ** (model.m - 2.0) * v
     return s
