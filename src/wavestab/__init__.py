@@ -52,7 +52,6 @@ from .grid import (
 )
 from .integrator import (
     RunResult,
-    Scheme,
     StepperConfig,
     default_dt,
     lyapunov_eb,
@@ -64,7 +63,6 @@ from .models import (
     Family,
     ModelSpec,
     Nonlinearity,
-    acceleration,
     damped_wave,
     energy_record,
     nonlinear_damping_wave,
@@ -110,7 +108,6 @@ __all__ = [
     "damped_wave",
     "nonlinear_damping_wave",
     "strongly_damped_wave",
-    "acceleration",
     "LEDGER_COLUMNS",
     "energy_record",
     # controllers
@@ -134,7 +131,6 @@ __all__ = [
     "check_strong_fourier_gains",
     "check_subdomain_gains",
     # integrator
-    "Scheme",
     "StepperConfig",
     "RunResult",
     "default_dt",

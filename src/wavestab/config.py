@@ -30,7 +30,7 @@ from .controllers import (
     make_control_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, sample, zeros
-from .integrator import Scheme, StepperConfig, certificate, default_dt
+from .integrator import StepperConfig, certificate, default_dt
 from .models import (
     Family,
     ModelSpec,
@@ -53,7 +53,7 @@ KEYS = {
     "model": ("family", "l", "n_cells", "nu", "a", "b", "bc", "nonlinearity", "p", "m"),
     "controller": ("variant", "mu", "n", "obs_points", "act_points", "omega_lo", "omega_hi"),
     "initial": ("u0", "u1", "u0_amplitude", "u1_amplitude"),
-    "time": ("t_end", "dt", "scheme", "record_every"),
+    "time": ("t_end", "dt", "record_every"),
     "analysis": ("safety", "window_lo_frac", "window_hi_frac", "window_lo", "window_hi"),
 }
 
@@ -344,14 +344,9 @@ def load_config(path: str) -> ExperimentConfig:
         dt = default_dt(grid)
         if math.isfinite(t_end) and t_end > 0.0:
             dt = t_end / math.ceil(t_end / dt)
-    scheme_name = time_sec.str("scheme", "imex_cn").lower()
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(f"[time] unknown scheme {scheme_name!r}") from None
     record_every = time_sec.int("record_every", 0)
     try:
-        stepper = StepperConfig(dt=dt, t_end=t_end, scheme=scheme)
+        stepper = StepperConfig(dt=dt, t_end=t_end)
         stepper = replace(stepper, record_every=record_every or max(1, stepper.n_steps // 2000))
     except ValueError as exc:
         raise ConfigError(f"[time] {exc}") from None

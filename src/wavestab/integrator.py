@@ -1,34 +1,32 @@
 """Time integration and the perturbed-energy (Lyapunov) functional.
 
-The workhorse is an IMEX Crank--Nicolson step: the linear stiff terms
-(nu*u_xx, the viscous b*v_xx, and linear damping b*v) are advanced with the
-trapezoidal rule, while the source terms (a*u, the monotone nonlinearity,
-nonlinear velocity damping, and the feedback) are evaluated explicitly at
-the half step.  Eliminating the displacement update leaves one tridiagonal
-solve per step.  The matrix depends only on dt, nu, b and the boundary
-type, so it is factored once per run as LDL^T (LAPACK ``dpttrf``) and each
-step substitutes (``dpttrs``).  It is symmetric positive definite once its
-two Neumann end rows are halved, because the discrete Laplacian is
-self-adjoint under the trapezoid weights, which are one half at the ends.
-On the undamped linear wave the scheme reduces to plain Crank--Nicolson
-and conserves the discrete energy to round-off, because the discrete
-Laplacian is exactly self-adjoint under the trapezoid weights and the H1
-seminorm is its associated quadratic form.  The step writes its
-intermediate arrays into a workspace built with the stepper, so each step
-allocates little besides the new state it returns.
+Every run takes the one time stepper, an IMEX Crank--Nicolson step: the
+linear stiff terms (nu*u_xx, the viscous b*v_xx, and linear damping b*v)
+are advanced with the trapezoidal rule, while the source terms (a*u, the
+monotone nonlinearity, nonlinear velocity damping, and the feedback) are
+evaluated explicitly at the half step.  Eliminating the displacement
+update leaves one tridiagonal solve per step.  The matrix depends only on
+dt, nu, b and the boundary type, so it is factored once per run as LDL^T
+(LAPACK ``dpttrf``) and each step substitutes (``dpttrs``).  It is
+symmetric positive definite once its two Neumann end rows are halved,
+because the discrete Laplacian is self-adjoint under the trapezoid
+weights, which are one half at the ends.  On the undamped linear wave the
+scheme reduces to plain Crank--Nicolson and conserves the discrete energy
+to round-off, because the discrete Laplacian is exactly self-adjoint under
+the trapezoid weights and the H1 seminorm is its associated quadratic
+form.  The step writes its intermediate arrays into a workspace built with
+the stepper, so each step allocates little besides the new state it
+returns.  The tests check the step at order 2 against a
+``scipy.integrate.solve_ivp`` reference of the same semi-discrete system,
+written independently, on every family.
 
 The loop records the energy ledger a block of states at a time: each norm
 of :func:`energy_record`, and the controller energy, is one pass over the
 block, and a record holds the numbers its state gets alone, bit for bit.
-
-An explicit RK4 stepper is provided for cross-checks; it refuses the
-strongly damped family (the viscous term makes the problem parabolic-stiff)
-and enforces the wave CFL budget dt <= 0.5*dx/sqrt(nu).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass
@@ -55,11 +53,10 @@ from .controllers import (
     make_energy_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
-from .models import LEDGER_COLUMNS, Family, ModelSpec, acceleration, energy_record, source
+from .models import LEDGER_COLUMNS, Family, ModelSpec, energy_record, source
 from .spectral import dirichlet_eigenvalue
 
 __all__ = [
-    "Scheme",
     "StepperConfig",
     "RunResult",
     "Certificate",
@@ -77,11 +74,6 @@ BLOWUP_LIMIT = 1.0e12
 _SCREEN_LIMIT = 0.25 * BLOWUP_LIMIT**2
 
 
-class Scheme(str, enum.Enum):
-    IMEX_CN = "imex_cn"
-    RK4 = "rk4"
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Time-stepping parameters.
@@ -94,7 +86,6 @@ class StepperConfig:
 
     dt: float
     t_end: float
-    scheme: Scheme = Scheme.IMEX_CN
     record_every: int = 1
 
     def __post_init__(self):
@@ -111,8 +102,6 @@ class StepperConfig:
             )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if not isinstance(self.scheme, Scheme):
-            object.__setattr__(self, "scheme", Scheme(self.scheme))
 
     @property
     def n_steps(self) -> int:
@@ -154,7 +143,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# steppers
+# the IMEX step
 # ---------------------------------------------------------------------------
 
 class _ImexStepper:
@@ -223,39 +212,6 @@ class _ImexStepper:
         u_new = np.multiply(v_new, half_dt)
         u_new += u_star
         return u_new, v_new
-
-
-class _RK4Stepper:
-    """Classical explicit RK4 on the first-order system."""
-
-    def __init__(self, model: ModelSpec, grid: Grid1D, dt: float, ctl: Callable):
-        if model.family is Family.STRONGLY_DAMPED:
-            raise ValueError(
-                "explicit RK4 cannot integrate the strongly damped family; use imex_cn"
-            )
-        budget = 0.5 * grid.dx / math.sqrt(model.nu)
-        if dt > budget:
-            raise ValueError(
-                f"dt={dt:.6g} exceeds the RK4 stability budget 0.5*dx/sqrt(nu)={budget:.6g}"
-            )
-        self.dt = dt
-        self.accel = lambda u, v: acceleration(model, grid, u, v, ctl(u))
-
-    def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dt, accel = self.dt, self.accel
-        k1u, k1v = v, accel(u, v)
-        k2u, k2v = v + 0.5 * dt * k1v, accel(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = v + 0.5 * dt * k2v, accel(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = v + dt * k3v, accel(u + dt * k3u, v + dt * k3v)
-        u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return u_new, v_new
-
-
-def _make_stepper(model: ModelSpec, grid: Grid1D, cfg: StepperConfig, ctl: Callable):
-    if cfg.scheme is Scheme.IMEX_CN:
-        return _ImexStepper(model, grid, cfg.dt, ctl)
-    return _RK4Stepper(model, grid, cfg.dt, ctl)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +335,7 @@ def run(
         )
     ctl = make_control_operator(ctrl, grid)
     energy_op = make_energy_operator(ctrl, grid)
-    stepper = _make_stepper(model, grid, cfg, ctl)
+    stepper = _ImexStepper(model, grid, cfg.dt, ctl)
     cert = certificate(model, ctrl)
     has_functional = cert is not None and cert.weights is not None
 

@@ -1,6 +1,6 @@
 """Wave-equation families on (0, L) and their energy bookkeeping.
 
-Three families share the first-order form u_t = v, v_t = acceleration:
+Three families share the first-order form u_t = v; they differ in v_t:
 
 * ``DAMPED_WAVE``:      v_t = nu*u_xx - b*v + a*u - f(u) + control
 * ``NONLINEAR_DAMPING``: v_t = nu*u_xx - b*|v|^(m-2)*v + a*u - |u|^(p-2)*u + control
@@ -11,8 +11,10 @@ beat); damping and the monotone nonlinearity dissipate.  The power-law
 nonlinearity is hard-wired for the second and third family; the first
 also admits f = 0.
 Each right-hand side splits into linear stiff terms (the Laplacians and
-the linear damping ``b*v``) and the explicit :func:`source`, which all
-time steppers share; :func:`acceleration` sums the two for explicit steppers.
+the linear damping ``b*v``), which the IMEX step treats implicitly, and the
+explicit :func:`source`, which it evaluates at the half step.  The tests
+write these three right-hand sides out again, from the lines above, as the
+reference the step is checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import BoundaryCondition, Grid1D, h1_seminorm_sq, integral, laplacian_stencil
+from .grid import BoundaryCondition, Grid1D, h1_seminorm_sq, integral
 
 
 class Family(str, enum.Enum):
@@ -47,14 +49,6 @@ class Nonlinearity:
     def __post_init__(self):
         if self.p is not None and not (math.isfinite(self.p) and self.p >= 2.0):
             raise ValueError(f"power law needs a finite p >= 2, got {self.p}")
-
-    @staticmethod
-    def zero() -> "Nonlinearity":
-        return Nonlinearity()
-
-    @staticmethod
-    def power_law(p: float) -> "Nonlinearity":
-        return Nonlinearity(p)
 
     def f(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u) if self.p is None else np.abs(u) ** (self.p - 2.0) * u
@@ -122,7 +116,7 @@ def damped_wave(
 ) -> ModelSpec:
     if isinstance(bc, str):
         bc = BoundaryCondition(bc)
-    nl = nonlinearity if nonlinearity is not None else Nonlinearity.zero()
+    nl = nonlinearity if nonlinearity is not None else Nonlinearity()
     return ModelSpec(Family.DAMPED_WAVE, nu, a, b, bc, nl)
 
 
@@ -133,7 +127,7 @@ def nonlinear_damping_wave(nu: float, a: float, b: float, m: float, p: float) ->
         a,
         b,
         BoundaryCondition.DIRICHLET,
-        Nonlinearity.power_law(p),
+        Nonlinearity(p),
         m=m,
     )
 
@@ -145,7 +139,7 @@ def strongly_damped_wave(nu: float, a: float, b: float, p: float) -> ModelSpec:
         a,
         b,
         BoundaryCondition.DIRICHLET,
-        Nonlinearity.power_law(p),
+        Nonlinearity(p),
     )
 
 
@@ -158,8 +152,8 @@ def source(
 ) -> np.ndarray:
     """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
 
-    ``base`` (typically the stiff terms) is added first, so a caller
-    assembling the whole acceleration gets it in one fixed summation order.
+    ``base`` is added first, in one fixed summation order: the IMEX step's
+    half-step predictor for nonlinear damping passes the stiff term nu*u_xx.
     The sum is written into ``out``, an array shaped like ``u`` that
     aliases neither ``u`` nor ``v``, when it is given: a time step passes
     one from its workspace.
@@ -172,17 +166,6 @@ def source(
     if model.family is Family.NONLINEAR_DAMPING:
         s -= model.b * np.abs(v) ** (model.m - 2.0) * v
     return s
-
-
-def acceleration(
-    model: ModelSpec, grid: Grid1D, u: np.ndarray, v: np.ndarray, control: np.ndarray
-) -> np.ndarray:
-    """v_t on nodal arrays: the stiff nu*u_xx - c*v + beta*v_xx, then :func:`source`, then control."""
-    lap = laplacian_stencil(grid.bc)
-    stiff = model.nu * lap(u, grid.dx) - model.linear_damping * v
-    if model.viscosity != 0.0:
-        stiff += model.viscosity * lap(v, grid.dx)
-    return source(model, u, v, stiff) + control
 
 
 # The energy ledger's columns: the record's time, the energy terms with

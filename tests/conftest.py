@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from wavestab import (
     BoundaryCondition,
+    Family,
     Field,
     FourierModes,
     Nodal,
@@ -98,3 +100,45 @@ def one_state_observation(spec, grid):
     if isinstance(spec, SubdomainControl):
         return lambda u: u
     raise TypeError(type(spec).__name__)
+
+
+def reference_acceleration(model, grid, u, v, control):
+    """v_t of the semi-discrete model, written straight from the PDEs in the ``models`` docstring.
+
+    An independent reference for the time stepper: the Laplacian pads the
+    nodal values with their ghosts (zeros beyond Dirichlet ends, reflections
+    beyond Neumann ones) and takes one second difference, and the power laws
+    are spelled out here, so neither ``models.source`` nor ``kernels`` is
+    called.  ``control`` is the feedback's forcing, added last.
+    """
+    ghosts = "reflect" if grid.bc is BoundaryCondition.NEUMANN else "constant"
+
+    def lap(w):
+        padded = np.pad(w, 1, mode=ghosts)
+        return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / grid.dx**2
+
+    p, b = model.nonlinearity.p, model.b
+    f = 0.0 if p is None else np.abs(u) ** (p - 2.0) * u
+    common = model.nu * lap(u) + model.a * u - f + control
+    if model.family is Family.DAMPED_WAVE:
+        return common - b * v
+    if model.family is Family.NONLINEAR_DAMPING:
+        return common - b * np.abs(v) ** (model.m - 2.0) * v
+    return common + b * lap(v)  # STRONGLY_DAMPED
+
+
+def reference_solution(model, law, u0, v0, t_end):
+    """(u, v) at ``t_end`` from :func:`reference_acceleration` under ``law``,
+    integrated by ``solve_ivp``'s DOP853 with rtol = atol = 1e-12."""
+    grid = u0.grid
+    ctl = make_control_operator(law, grid)
+    n = grid.n_nodes
+
+    def rhs(t, y):
+        u, v = y[:n], y[n:]
+        return np.concatenate((v, reference_acceleration(model, grid, u, v, ctl(u))))
+
+    y0 = np.concatenate((u0.values, v0.values))
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success, sol.message
+    return sol.y[:n, -1], sol.y[n:, -1]

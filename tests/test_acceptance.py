@@ -106,7 +106,7 @@ def volume_loop():
 def fourier_loop():
     grid = make_grid(L, 128, "dirichlet")
     model = damped_wave(
-        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity.power_law(4.0)
+        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity(4.0)
     )
     ctrl = FourierModes(N=2, mu=4.0)
     report = check_fourier_gains(grid, model, ctrl)
@@ -166,7 +166,7 @@ def test_criterion_3_localized_damping():
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
     model = damped_wave(
-        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity.power_law(4.0)
+        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity(4.0)
     )
     ctrl = SubdomainControl(omega, 1.1 * mu0)
     report = check_subdomain_gains(grid, model, ctrl)

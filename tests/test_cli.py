@@ -334,6 +334,7 @@ def test_subdomain_beyond_the_grid_is_config_error(tmp_path, capsys):
     "old,new,message",
     [
         ("[time]", "[time]\nrecord_evry = 1", "[time] unknown key 'record_evry'"),
+        ("[time]", "[time]\nscheme = rk4", "[time] unknown key 'scheme'"),
         ("[time]", "[analysys]\nsafety = 0.1\n\n[time]", "unknown section [analysys]"),
         (
             "bc = dirichlet",
@@ -341,7 +342,7 @@ def test_subdomain_beyond_the_grid_is_config_error(tmp_path, capsys):
             "[model] strongly_damped is posed with Dirichlet boundaries, got bc = 'neumann'",
         ),
     ],
-    ids=["misspelt_key", "unknown_section", "neumann_off_the_damped_wave"],
+    ids=["misspelt_key", "retired_scheme_key", "unknown_section", "neumann_off_the_damped_wave"],
 )
 def test_ini_text_nothing_reads_is_config_error(old, new, message, tmp_path, capsys):
     """A key or section nothing reads, or a bc the family ignores, is not silently dropped."""

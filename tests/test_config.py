@@ -319,9 +319,11 @@ t_end = 1.0
             load_config(write(tmp_path, text))
 
     def test_bad_scheme(self, tmp_path):
-        text = BASE + "scheme = leapfrog\n"
-        with pytest.raises(ConfigError, match="scheme"):
-            load_config(write(tmp_path, text))
+        # IMEX is the one time stepper: no scheme is chosen, not even the old default
+        for scheme in ("imex_cn", "rk4"):
+            text = BASE + f"scheme = {scheme}\n"
+            with pytest.raises(ConfigError, match=r"^\[time\] unknown key 'scheme'$"):
+                load_config(write(tmp_path, text))
 
     @pytest.mark.parametrize(
         "old,new,match",

@@ -1,4 +1,4 @@
-"""Model families, nonlinearities, accelerations, and energy records."""
+"""Model families, nonlinearities, the reference right-hand side, and energy records."""
 
 import math
 import pickle
@@ -12,7 +12,6 @@ from wavestab import (
     Field,
     Nonlinearity,
     State,
-    acceleration,
     damped_wave,
     energy_record,
     h1_seminorm_sq,
@@ -26,6 +25,8 @@ from wavestab import (
 )
 
 from wavestab.models import LEDGER_COLUMNS, source
+
+from conftest import reference_acceleration
 
 # energy_record's rows: the ledger's columns between t and lyapunov, then
 # the three norms a perturbed energy weighs
@@ -43,7 +44,7 @@ def make_state(grid, u_vals, v_vals):
 # --------------------------------------------------------------------------
 
 def test_zero_nonlinearity():
-    nl = Nonlinearity.zero()
+    nl = Nonlinearity()
     x = np.linspace(-3, 3, 7)
     assert not nl.f(x).any()
     assert not nl.F(x).any()
@@ -51,7 +52,7 @@ def test_zero_nonlinearity():
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
 def test_power_law_values(p):
-    nl = Nonlinearity.power_law(p)
+    nl = Nonlinearity(p)
     s = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(nl.f(s), np.abs(s) ** (p - 2) * s)
     np.testing.assert_allclose(nl.F(s), np.abs(s) ** p / p)
@@ -60,21 +61,21 @@ def test_power_law_values(p):
 
 def test_power_law_rejects_p_below_two():
     with pytest.raises(ValueError):
-        Nonlinearity.power_law(1.5)
+        Nonlinearity(1.5)
 
 
 def test_models_built_alike_compare_equal():
     # a nonlinearity is its exponent, so equal inputs give equal models, pickled or not
-    model, twin = (damped_wave(1, 1, 2, "dirichlet", Nonlinearity.power_law(4.0)) for _ in range(2))
+    model, twin = (damped_wave(1, 1, 2, "dirichlet", Nonlinearity(4.0)) for _ in range(2))
     assert model == twin and pickle.loads(pickle.dumps(model)) == model
-    assert model != damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(3.0))
+    assert model != damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(3.0))
 
 
 def test_condition_f_ok_for_power_laws():
     # the certificates' admissibility: f(s)s - F(s) >= 0 and f nondecreasing
     s = np.linspace(-10.0, 10.0, 10_001)
     for p in (2.0, 4.0, 5.0):
-        nl = Nonlinearity.power_law(p)
+        nl = Nonlinearity(p)
         f = nl.f(s)
         assert np.min(f * s - nl.F(s)) >= 0.0
         assert np.min(np.diff(f)) >= 0.0
@@ -87,7 +88,7 @@ def test_condition_f_ok_for_power_laws():
 def test_damped_wave_defaults_to_zero_f():
     m = damped_wave(1.0, 0.5, 2.0, "neumann")
     assert m.family is Family.DAMPED_WAVE
-    assert m.nonlinearity == Nonlinearity.zero() and m.nonlinearity.p is None
+    assert m.nonlinearity == Nonlinearity() and m.nonlinearity.p is None
     assert m.bc is BoundaryCondition.NEUMANN
 
 
@@ -131,7 +132,7 @@ def test_non_finite_coefficients_rejected(ctor, kwargs, name, bad):
 def test_nonlinear_damping_is_dirichlet_power_law():
     m = nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)
     assert m.bc is BoundaryCondition.DIRICHLET
-    assert m.m == 3.0 and m.nonlinearity == Nonlinearity.power_law(4.0)
+    assert m.m == 3.0 and m.nonlinearity == Nonlinearity(4.0)
 
 
 def test_strongly_damped_rejects_m():
@@ -144,55 +145,55 @@ def test_strongly_damped_rejects_m():
             1.0,
             1.0,
             BoundaryCondition.DIRICHLET,
-            Nonlinearity.power_law(4.0),
+            Nonlinearity(4.0),
             m=3.0,
         )
 
 
 # --------------------------------------------------------------------------
-# acceleration
+# the reference right-hand side (conftest), which the time stepper is checked against
 # --------------------------------------------------------------------------
 
 class TestAcceleration:
     def test_zero_state_zero_control(self):
         g = make_grid(PI, 64, "dirichlet")
-        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0))
+        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0))
         z = np.zeros(g.n_nodes)
-        assert not acceleration(m, g, z, z, z).any()
+        assert not reference_acceleration(m, g, z, z, z).any()
 
     def test_eigenmode_acceleration(self):
         g = make_grid(PI, 256, "dirichlet")
         u = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
         z = np.zeros(g.n_nodes)
-        assert np.max(np.abs(acceleration(m, g, u, z, z) + u)) <= 1e-4
+        assert np.max(np.abs(reference_acceleration(m, g, u, z, z) + u)) <= 1e-4
 
     def test_nonlinear_damping_unit_velocity(self):
-        # |v|^{m-2} v with v=1, b=2: acceleration -2 away from the boundary rows
+        # |v|^{m-2} v with v=1, b=2: v_t = -2 away from the boundary rows
         g = make_grid(PI, 64, "dirichlet")
         m = nonlinear_damping_wave(1.0, 0.0, 2.0, 3.0, 2.0)
         z = np.zeros(g.n_nodes)
-        np.testing.assert_allclose(acceleration(m, g, z, np.ones(g.n_nodes), z), -2.0)
+        np.testing.assert_allclose(reference_acceleration(m, g, z, np.ones(g.n_nodes), z), -2.0)
 
     def test_damping_term_sign(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 0.0, 3.0, "neumann")
         z = np.zeros(g.n_nodes)
-        acc = acceleration(m, g, z, np.full(g.n_nodes, 2.0), z)
+        acc = reference_acceleration(m, g, z, np.full(g.n_nodes, 2.0), z)
         np.testing.assert_allclose(acc, -6.0, atol=1e-12)
 
     def test_destabilizing_term_sign(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 2.0, 1.0, "neumann")
         z = np.zeros(g.n_nodes)
-        acc = acceleration(m, g, np.full(g.n_nodes, 1.5), z, z)
+        acc = reference_acceleration(m, g, np.full(g.n_nodes, 1.5), z, z)
         np.testing.assert_allclose(acc, 3.0, atol=1e-12)
 
     def test_control_enters_additively(self):
         g = make_grid(PI, 64, "neumann")
         m = damped_wave(1.0, 0.0, 1.0, "neumann")
         z = np.zeros(g.n_nodes)
-        acc = acceleration(m, g, z, z, np.full(g.n_nodes, -0.25))
+        acc = reference_acceleration(m, g, z, z, np.full(g.n_nodes, -0.25))
         np.testing.assert_allclose(acc, -0.25)
 
     def test_strong_damping_adds_velocity_laplacian(self):
@@ -200,7 +201,7 @@ class TestAcceleration:
         w = mode_matrix(g, 1)[0]
         m = strongly_damped_wave(1.0, 0.0, 2.0, 2.0)
         z = np.zeros(g.n_nodes)
-        acc = acceleration(m, g, z, w, z)
+        acc = reference_acceleration(m, g, z, w, z)
         # nu*lap(0) + b*lap(w1) = -2 w1
         assert np.max(np.abs(acc + 2.0 * w)) <= 2e-4
 
@@ -234,7 +235,7 @@ class TestEnergyRecord:
     def test_pure_mode_partition(self):
         g = make_grid(PI, 512, "dirichlet")
         u = Field(g, mode_matrix(g, 1)[0])
-        m = damped_wave(1.0, 0.0, 1.0, "dirichlet", Nonlinearity.power_law(2.0))
+        m = damped_wave(1.0, 0.0, 1.0, "dirichlet", Nonlinearity(2.0))
         r = record(State(u, zeros(g)), m)
         assert r["kinetic"] == 0.0
         assert r["grad"] == pytest.approx(0.5, rel=1e-4)
@@ -265,7 +266,7 @@ class TestEnergyRecord:
     def test_rows_are_the_grid_norms(self, bc):
         g = make_grid(PI, 96, bc)
         rng = np.random.default_rng(4)
-        m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity.power_law(4.0))
+        m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity(4.0))
         u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
         r = record(make_state(g, u, v), m)
         h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u, u), integral(g, v, v)
@@ -285,7 +286,7 @@ class TestEnergyRecord:
     def test_block_rows_match_single_records(self):
         g = make_grid(PI, 64, "dirichlet")
         rng = np.random.default_rng(8)
-        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity.power_law(4.0))
+        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0))
         u, v = rng.standard_normal((5, g.n_nodes)), rng.standard_normal((5, g.n_nodes))
         ctrl = rng.uniform(0.0, 2.0, 5)
         block = energy_record(m, g, u, v, ctrl)
