@@ -101,7 +101,9 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
 
 def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     """Shared run pipeline: simulate, write artifacts, decide the exit code."""
+    tg = time.perf_counter()
     report = gain_report_for(cfg)
+    gain_s = time.perf_counter() - tg
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
     result = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper)
@@ -116,6 +118,9 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         satisfied = report.satisfied if report else True
         code = 0 if (satisfied and verify_ok) else 1
     t3 = time.perf_counter()
+    stepping = t1 - t0 - result.setup_seconds - result.ledger_seconds
+    # the steps taken: all of them, or up to the one that blew up
+    steps = round((result.blowup_time or result.final_state.t) / cfg.stepper.dt)
     doc = {
         "version": __version__,
         # trajectories depend at round-off on which LAPACK build runs
@@ -131,8 +136,11 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         "fit": fit_dict,
         "verify": verify,
         "wall_time_s": t1 - t0,
+        "steps_per_second": steps / stepping if steps else None,
         "seconds": {
-            "stepping": t1 - t0 - result.ledger_seconds,
+            "gain_check": gain_s,
+            "setup": result.setup_seconds,
+            "stepping": stepping,
             "ledger": result.ledger_seconds,
             "write": t2 - t1,
             "verify": t3 - t2,

@@ -189,28 +189,29 @@ def _require_dirichlet(grid: Grid1D, what: str) -> None:
         raise ValueError(f"{what} feedback is posed with Dirichlet boundaries")
 
 
-def _frozen_law(observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray):
+def _frozen_law(observe: Callable, actuator: Callable, s: np.ndarray, *held: np.ndarray):
     """The law triple, with ``s`` and the arrays its closures hold made read-only."""
     for arr in (s, *held):
         arr.flags.writeable = False
-    return observe, actuate, s
+    return observe, actuator, s
 
 
 @lru_cache(maxsize=16)
 def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
-    """The law as (observe, actuate, s), validated and built once per (law shape, grid).
+    """The law as (observe, actuator, s), validated and built once per (law shape, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y along the
     last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
-    block bit for bit as that row alone; ``actuate(y, gain)`` spreads
-    ``gain * y`` back onto the nodes, and the controller energy is
+    block bit for bit as that row alone; ``actuator(gain)`` is the
+    actuation ``y -> gain * A y``, which spreads y back onto the nodes with
+    the gain folded once into the law's arrays: the modal matrix, the
+    subdomain's indicator, the nodal ``h/dx`` scale, or the element values
+    before their two gathers.  The controller energy is
     ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
     law, whose observation and actuation points differ, the actuation is
     the adjoint of the observation (weights s on y, trapezoid weights on
-    the nodes), so the feedback ``actuate(observe(u), -mu)`` is minus the
-    weighted gradient of that energy.  The actuation takes the gain itself
-    so that each law multiplies it in where rounding matches the direct
-    formula (the nodal law folds it into its ``h/dx`` scale).
+    the nodes), so the feedback ``actuator(-mu)(observe(u))`` is minus the
+    weighted gradient of that energy.
 
     No law reads ``spec.mu``: callers key the cache on :func:`_law_shape`,
     so the members of a gain sweep share one build, and the ledger's energy
@@ -218,7 +219,7 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(lambda u: u[..., :0], lambda y, gain: np.zeros(grid.n_nodes), np.zeros(0))
+        return _frozen_law(lambda u: u[..., :0], lambda gain: lambda y: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
         weights, bounds, owner, m = element_layout(grid, spec.N)
@@ -229,11 +230,17 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def observe_volume(u):
             return element_averages(weights, bounds, u)
 
-        def actuate_volume(y, gain):
-            return gain * (0.5 * (y[left] + y[owner]))
+        def actuator_volume(gain):
+            half_gain = 0.5 * gain
+
+            def actuate(y):
+                z = half_gain * y  # N values, scaled before the two n-node gathers
+                return z[left] + z[owner]
+
+            return actuate
 
         s = np.full(spec.N, m * grid.dx)
-        return _frozen_law(observe_volume, actuate_volume, s, weights, bounds, owner, left)
+        return _frozen_law(observe_volume, actuator_volume, s, weights, bounds, owner, left)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -245,7 +252,11 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def observe_modes(u):  # one matrix-vector product per state, a block or not
             return np.matmul(Wq, u[..., None])[..., 0]
 
-        return _frozen_law(observe_modes, lambda c, gain: gain * (c @ W), np.ones(spec.N), Wq)
+        def actuator_modes(gain):
+            gW = gain * W
+            return lambda c: np.dot(c, gW)  # one state's coefficients: dot costs less than @
+
+        return _frozen_law(observe_modes, actuator_modes, np.ones(spec.N), Wq)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
@@ -265,13 +276,18 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def observe_nodal(u):  # gathers the last axis through u.T, cheaper than u[..., lo]
             return w_lo * u.T[lo].T + w_hi * u.T[hi].T
 
-        def actuate_nodal(y, gain):
-            out = np.zeros(grid.n_nodes)
-            np.add.at(out, act_idx, gain * h / grid.dx * y)
-            return out
+        def actuator_nodal(gain):
+            scale = gain * h / grid.dx
+
+            def actuate(y):
+                out = np.zeros(grid.n_nodes)
+                np.add.at(out, act_idx, scale * y)
+                return out
+
+            return actuate
 
         held = (act_idx, lo, hi, w_lo, w_hi)
-        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
+        return _frozen_law(observe_nodal, actuator_nodal, np.full(spec.N, h), *held)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -279,7 +295,12 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
         s = grid.quad_weights * chi
-        return _frozen_law(lambda u: u, lambda y, gain: gain * chi * y, s, chi)
+
+        def actuator_subdomain(gain):
+            g_chi = gain * chi
+            return lambda y: g_chi * y
+
+        return _frozen_law(lambda u: u, actuator_subdomain, s, chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
 
@@ -293,11 +314,12 @@ def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.nd
     """Compile the feedback law into an array-in/array-out closure.
 
     Validation (boundary type, alignment, point placement) happens once
-    here; the returned closure is what a time stepper should call.
+    here, and so does folding the gain -mu into the law's arrays; the
+    returned closure is what a time stepper should call.
     """
-    observe, actuate, _ = _feedback_law(_law_shape(spec), grid)
-    gain = -spec.mu
-    return lambda u: actuate(observe(u), gain)
+    observe, actuator, _ = _feedback_law(_law_shape(spec), grid)
+    actuate = actuator(-spec.mu)
+    return lambda u: actuate(observe(u))
 
 
 def make_energy_operator(

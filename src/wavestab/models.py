@@ -50,8 +50,17 @@ class Nonlinearity:
         if self.p is not None and not (math.isfinite(self.p) and self.p >= 2.0):
             raise ValueError(f"power law needs a finite p >= 2, got {self.p}")
 
+    def power(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """|u|^(p-2) of a power law, written into ``out`` when it is given.
+
+        ``**=`` keeps numpy's fast paths for its exponents, a square at p = 4.
+        """
+        w = np.abs(u, out=out)
+        w **= self.p - 2.0
+        return w
+
     def f(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u) if self.p is None else np.abs(u) ** (self.p - 2.0) * u
+        return np.zeros_like(u) if self.p is None else self.power(u) * u
 
     def F(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u) if self.p is None else np.abs(u) ** self.p / self.p
@@ -152,17 +161,22 @@ def source(
 ) -> np.ndarray:
     """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
 
-    ``base`` is added first, in one fixed summation order: the IMEX step's
-    half-step predictor for nonlinear damping passes the stiff term nu*u_xx.
-    The sum is written into ``out``, an array shaped like ``u`` that
-    aliases neither ``u`` nor ``v``, when it is given: a time step passes
-    one from its workspace.
+    a*u - f(u) is written as u*(a - |u|^(p-2)) (a*u when f = 0), then
+    ``base`` is added, in one fixed summation order: the IMEX step passes
+    the stiff term nu*u_xx.  The sum is written into ``out``, an array
+    shaped like ``u`` that aliases neither ``u``, ``v`` nor ``base``, when
+    it is given: a time step passes one from its workspace, and the terms
+    of every family but nonlinear damping then take no temporary array.
     """
-    s = np.multiply(model.a, u, out=out)
+    nl = model.nonlinearity
+    if nl.p is None:
+        s = np.multiply(model.a, u, out=out)
+    else:
+        s = nl.power(u, out=out)
+        np.subtract(model.a, s, out=s)
+        s *= u
     if base is not None:
         s += base
-    if model.nonlinearity.p is not None:
-        s -= model.nonlinearity.f(u)
     if model.family is Family.NONLINEAR_DAMPING:
         s -= model.b * np.abs(v) ** (model.m - 2.0) * v
     return s

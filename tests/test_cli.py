@@ -433,11 +433,15 @@ class TestRun:
         member = time.perf_counter() - t0
         report = json.loads((out / "report.json").read_text())
         seconds = report["seconds"]
-        assert sorted(seconds) == ["ledger", "stepping", "verify", "write"]
+        assert sorted(seconds) == ["gain_check", "ledger", "setup", "stepping", "verify", "write"]
         assert all(s >= 0.0 for s in seconds.values())
+        assert seconds["setup"] > 0.0 and seconds["gain_check"] > 0.0  # each phase is timed
         assert sum(seconds.values()) <= member
-        # run() is stepping plus ledger
-        assert seconds["stepping"] + seconds["ledger"] == pytest.approx(report["wall_time_s"], rel=1e-9)
+        # run() is set-up, stepping and ledger
+        run_s = seconds["setup"] + seconds["stepping"] + seconds["ledger"]
+        assert run_s == pytest.approx(report["wall_time_s"], rel=1e-9)
+        assert report["steps_per_second"] == pytest.approx(report["n_steps"] / seconds["stepping"], rel=1e-12)
+        assert report["steps_per_second"] > 0.0
 
     def test_nan_gain_writes_no_report(self, tmp_path):
         ini = tmp_path / "nan.ini"
@@ -527,6 +531,8 @@ class TestRun:
         assert report["blowup"] == {"blew_up": True, "time": 0.01}
         assert report["n_steps"] == 500
         assert report["t_reached"] == 0.0
+        # one step was taken, the one that blew up
+        assert report["steps_per_second"] == pytest.approx(1.0 / report["seconds"]["stepping"], rel=1e-12)
         assert "blew up at t = 0.01" in capsys.readouterr().out
 
     def test_t_end_zero_single_row(self, tmp_path):
@@ -536,6 +542,9 @@ class TestRun:
         main(["run", "--config", str(ini), "--out", str(out)])
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 2  # header + t=0
+        report = json.loads((out / "report.json").read_text())
+        assert report["steps_per_second"] is None  # no step taken
+        assert all(s >= 0.0 for s in report["seconds"].values())
 
 
 class TestSweep:
@@ -742,7 +751,7 @@ class TestSweep:
             assert (pool / member / traj).read_bytes() == (serial / member / traj).read_bytes()
             reports = [json.loads((o / member / "report.json").read_text()) for o in (serial, pool)]
             for r in reports:  # timings differ from run to run
-                del r["wall_time_s"], r["seconds"]
+                del r["wall_time_s"], r["seconds"], r["steps_per_second"]
             assert reports[0] == reports[1]
 
     def test_fractional_n_rejected(self, volume_ini, tmp_path):

@@ -232,7 +232,7 @@ class TestControllerEnergy:
 
 
 # ---------------------------------------------------------------------------
-# the law cache: one (observe, actuate, s) per (spec, grid)
+# the law cache: one (observe, actuator, s) per (spec, grid)
 # ---------------------------------------------------------------------------
 
 LAW_IDS = ["volume", "fourier", "nodal", "subdomain", "none"]
@@ -257,9 +257,10 @@ def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
 
 def uncached_operators(spec, grid):
     """Control and energy closures from a fresh build of the law, bypassing the cache."""
-    observe, actuate, s = controllers._feedback_law.__wrapped__(spec, grid)
+    observe, actuator, s = controllers._feedback_law.__wrapped__(spec, grid)
+    actuate = actuator(-spec.mu)  # the gain folded in, as make_control_operator folds it
     return (
-        lambda u: actuate(observe(u), -spec.mu),
+        lambda u: actuate(observe(u)),
         lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
     )
 
@@ -329,10 +330,10 @@ class TestLawCache:
     @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
     def test_cached_arrays_are_read_only(self, spec, bc):
         g = make_grid(PI, 64, bc)
-        observe, actuate, s = controllers._feedback_law(spec, g)
+        observe, actuator, s = controllers._feedback_law(spec, g)
         held = [s] + [
             c.cell_contents
-            for fn in (observe, actuate)
+            for fn in (observe, actuator)
             for c in fn.__closure__ or ()
             if isinstance(c.cell_contents, np.ndarray)
         ]
@@ -390,7 +391,8 @@ def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
     g = make_grid(PI, 64, bc)
-    observe, actuate, _ = controllers._feedback_law(controllers._law_shape(spec), g)
+    observe, actuator, _ = controllers._feedback_law(controllers._law_shape(spec), g)
+    actuate = actuator(-spec.mu)
     reference = one_state_observation(spec, g)
     control = make_control_operator(spec, g)
     u = random_block(g, 64, 17)
@@ -401,7 +403,7 @@ def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
             np.testing.assert_array_equal(y[k], want)
         else:
             np.testing.assert_allclose(y[k], want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
-        feedback = actuate(want, -spec.mu)
+        feedback = actuate(want)
         np.testing.assert_allclose(
             control(u[k]), feedback, rtol=0.0, atol=1e-13 * max(np.max(np.abs(feedback), initial=0.0), 1.0)
         )

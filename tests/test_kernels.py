@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavestab import kernels
+from wavestab import kernels, make_grid
 
 
 def dense_laplacian(n, dx, bc):
@@ -38,6 +38,18 @@ def test_neumann_matches_dense(n):
     np.testing.assert_allclose(got, dense_laplacian(n, dx, "neumann") @ f, rtol=1e-12)
 
 
+@pytest.mark.parametrize("bc, n_nodes", [("dirichlet", 3), ("neumann", 5)])
+def test_stencils_on_the_smallest_grid(bc, n_nodes):
+    # np.convolve swaps its arguments on an array shorter than the kernel;
+    # the coarsest grid, 4 cells, still gives each stencil 3 or more nodes
+    g = make_grid(np.pi, 4, bc)
+    assert g.n_nodes == n_nodes
+    f = np.random.default_rng(n_nodes).standard_normal(n_nodes)
+    got = getattr(kernels, f"laplacian_{bc}")(f, g.dx)
+    assert got.shape == (n_nodes,)
+    np.testing.assert_allclose(got, dense_laplacian(n_nodes, g.dx, bc) @ f, rtol=1e-12)
+
+
 def stepper_like_matrix(n, bc, seed):
     """A random matrix of the IMEX matrix's shape: symmetric, diagonally dominant
     tridiagonal, with both end couplings doubled on Neumann grids as reflected
@@ -67,9 +79,11 @@ def test_thomas_matches_dense_solve(n):
         diag, off, A, rng = stepper_like_matrix(n, bc, n + 2)
         rhs = rng.standard_normal(n)
         kept = diag.copy()
-        x = kernels.thomas_solve(factor(diag, off, bc), rhs)
+        b = rhs.copy()  # the solve consumes its right-hand side
+        x = kernels.thomas_solve(factor(diag, off, bc), b)
+        assert np.shares_memory(x, b)  # solved in place
         np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=1e-10)
-        np.testing.assert_array_equal(diag, kept)  # the matrix is left alone too
+        np.testing.assert_array_equal(diag, kept)  # the matrix is left alone
 
 
 def test_one_factorisation_serves_many_solves():
@@ -78,10 +92,10 @@ def test_one_factorisation_serves_many_solves():
         factors = factor(diag, off, bc)
         for _ in range(5):
             rhs = rng.standard_normal(64)
-            kept = rhs.copy()
-            x = kernels.thomas_solve(factors, rhs)
+            b = rhs.copy()  # the solve consumes its right-hand side
+            x = kernels.thomas_solve(factors, b)
+            assert np.shares_memory(x, b)  # solved in place
             np.testing.assert_allclose(A @ x, rhs, rtol=1e-12, atol=1e-12)
-            np.testing.assert_array_equal(rhs, kept)  # the right-hand side is left alone
 
 
 def test_matrix_that_is_not_positive_definite_raises():
