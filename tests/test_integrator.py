@@ -49,6 +49,14 @@ def modal_solution(lam_h, b, t):
     return math.exp(-b * t / 2) * (math.cos(omega * t) + b / (2 * omega) * math.sin(omega * t))
 
 
+def counted(calls, key, fn):
+    """``fn``, counting its calls in ``calls[key]``."""
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
+
+
 def first_mode_state(grid, amplitude=1.0):
     return Field(grid, amplitude * mode_matrix(grid, 1)[0])
 
@@ -374,15 +382,8 @@ class TestPrefactoredSolve:
     def test_one_factorisation_per_run(self, monkeypatch):
         calls = {"factor": 0, "solve": 0}
         factor, solve = kernels.factor_tridiagonal, kernels.thomas_solve
-
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(kernels, "factor_tridiagonal", counted("factor", factor))
-        monkeypatch.setattr(kernels, "thomas_solve", counted("solve", solve))
+        monkeypatch.setattr(kernels, "factor_tridiagonal", counted(calls, "factor", factor))
+        monkeypatch.setattr(kernels, "thomas_solve", counted(calls, "solve", solve))
         g = make_grid(PI, 64, "neumann")
         model = damped_wave(1.0, 1.0, 2.0, "neumann")
         u0 = sample(g, lambda x: np.cos(x))
@@ -556,16 +557,9 @@ def test_one_stencil_step_matches_the_two_stencil_form(model, law):
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_one_stencil_and_one_solve_per_step(name, monkeypatch):
     calls = {"stencil": 0, "solve": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
     for stencil in ("laplacian_dirichlet", "laplacian_neumann"):
-        monkeypatch.setattr(kernels, stencil, counted("stencil", getattr(kernels, stencil)))
-    monkeypatch.setattr(kernels, "thomas_solve", counted("solve", kernels.thomas_solve))
+        monkeypatch.setattr(kernels, stencil, counted(calls, "stencil", getattr(kernels, stencil)))
+    monkeypatch.setattr(kernels, "thomas_solve", counted(calls, "solve", kernels.thomas_solve))
     model, law = REFERENCE_CASES[name]
     g = make_grid(PI, 32, model.bc)
     cfg = StepperConfig(dt=0.01, t_end=0.5, record_every=7)
