@@ -209,15 +209,24 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     return label, dataclasses.replace(base, controller=new_ctrl, raw=raw)
 
 
+# ``summary.csv``'s header; CI and perfbench read the first five by position or name
+SUMMARY_COLUMNS = (
+    "value", "gain_satisfied", "fitted_rate", "verified", "blew_up", "blowup_time", "certified_rate",
+)
+
+
 def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     """Run one member; return its ``summary.csv`` cells after the label."""
     doc, _code = _execute(cfg, out_dir)
-    fit, verify, gain = doc["fit"], doc["verify"], doc["gain"]
+    fit, verify, gain, blowup = doc["fit"], doc["verify"], doc["gain"], doc["blowup"]
+    exponential = gain is not None and gain["kind"] == "exponential"
     return [
         str(bool(gain and gain["satisfied"])).lower(),
         _fmt(fit.get("rate") if isinstance(fit, dict) else None),
         str(bool(verify and verify["ok"])).lower(),
-        str(doc["blowup"]["blew_up"]).lower(),
+        str(blowup["blew_up"]).lower(),
+        _fmt(blowup["time"]),
+        _fmt(gain["predicted_rate"] if exponential else None),
     ]
 
 
@@ -257,13 +266,15 @@ def cmd_sweep(args) -> int:
     else:
         rows = list(map(_sweep_worker, cfgs, subs))
 
+    table = [[label, *row] for label, row in zip(labels, rows)]
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["value", "gain_satisfied", "fitted_rate", "verified", "blew_up"])
-        writer.writerows([label, *row] for label, row in zip(labels, rows))
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows(table)
     print(f"wrote {summary} ({len(rows)} rows)")
-    blown = [label for label, row in zip(labels, rows) if row[-1] == "true"]
+    blew_up = SUMMARY_COLUMNS.index("blew_up")
+    blown = [row[0] for row in table if row[blew_up] == "true"]
     if blown:
         print(f"solution blew up for {args.param} = {', '.join(blown)}")
         return 3

@@ -17,12 +17,24 @@ at the ends.  The solve does not check its input for non-finite values: a
 NaN or inf in the right-hand side comes back non-finite, and the stepping
 loop reports it as a blow-up.  ``perfbench/README.md`` describes the
 benchmark that times these kernels on the CLI's real workloads.
+
+``dpttrf`` and ``dpttrs`` are loaded straight from scipy's f2py LAPACK
+extension, ``scipy/linalg/_flapack``: they are the compiled functions that
+``scipy.linalg.lapack`` re-exports, but importing that package runs
+``scipy.linalg``'s ``__init__``, which pulls in scipy's array-API layer,
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, about 0.2 s and 24 MB
+of every process's start-up.  Only the subdomain certificate imports
+``scipy.linalg`` (``spectral._min_eig_shifted``).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +58,46 @@ def laplacian_neumann(values: np.ndarray, dx: float) -> np.ndarray:
     out[-1] += values[-2]
     out /= dx * dx
     return out
+
+
+# ---------------------------------------------------------------------------
+# LAPACK's dpttrf and dpttrs without importing scipy.linalg
+# ---------------------------------------------------------------------------
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_pt_routines(linalg_dir: str) -> tuple:
+    """``(dpttrf, dpttrs)`` from the ``_flapack`` extension in ``linalg_dir``.
+
+    An already imported ``scipy.linalg._flapack`` is reused.  When the
+    directory has no such file, or it will not load on its own, the two
+    functions come from ``scipy.linalg.lapack`` as usual.  A module loaded
+    here is dropped from ``sys.modules`` again, so that a later import of
+    ``scipy.linalg`` loads it as its own submodule; the extension is
+    initialised once per process, so both hold the same function objects.
+    """
+    module = sys.modules.get(_FLAPACK)
+    paths = [os.path.join(linalg_dir, "_flapack" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if module is None and path is not None:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:  # e.g. a library path that only scipy's __init__ sets up
+            module = None
+        sys.modules.pop(_FLAPACK, None)
+    if module is None:
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        return dpttrf, dpttrs
+    return module.dpttrf, module.dpttrs
+
+
+dpttrf, dpttrs = _load_pt_routines(
+    os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg")
+)
 
 
 # ---------------------------------------------------------------------------

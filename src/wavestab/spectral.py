@@ -6,6 +6,10 @@ On (0, L) with zero boundary values, the Laplacian eigenpairs are
 is written.  Low-mode projections against the sampled modes drive the
 spectral feedback laws; the tail bound and the indicator-gain threshold
 ``mu_zero`` supply the quantitative certificates the gain checkers rely on.
+
+``scipy.linalg`` is imported only inside :func:`_min_eig_shifted`, so only
+the subdomain certificate pays its start-up (about 0.2 s); the tridiagonal
+solve loads its LAPACK routines without it (see :mod:`wavestab.kernels`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral
 
@@ -92,6 +95,8 @@ def complement_eigenvalue(omega: Subdomain, grid: Grid1D) -> float:
 
 def _min_eig_shifted(grid: Grid1D, indicator: np.ndarray, mu: float) -> float:
     """Smallest eigenvalue of -Laplacian + mu*indicator on the Dirichlet grid."""
+    from scipy.linalg import eigh_tridiagonal  # the subdomain certificate's alone
+
     inv_dx2 = 1.0 / grid.dx**2
     d = np.full(grid.n_nodes, 2.0 * inv_dx2) + mu * indicator
     e = np.full(grid.n_nodes - 1, -inv_dx2)

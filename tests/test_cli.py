@@ -229,6 +229,15 @@ def pair_ini(pair):
     return text.replace("u0 = mode 1", "u0 = mode 1\nu1 = random(3, 2)")
 
 
+def fresh_python(code, cwd):
+    """Standard output of ``python -c code`` in a new interpreter, run in ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.fixture
 def volume_ini(tmp_path):
     p = tmp_path / "volume.ini"
@@ -601,7 +610,8 @@ class TestSweep:
         assert "blew up for mu = 0, 0.5" in capsys.readouterr().out
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["value", "gain_satisfied", "fitted_rate", "verified", "blew_up"]
+        assert list(rows[0]) == ["value", "gain_satisfied", "fitted_rate", "verified", "blew_up",
+                                 "blowup_time", "certified_rate"]
         assert [r["blew_up"] for r in rows] == ["true", "true", "false"]
         assert [r["fitted_rate"] == "" for r in rows] == [True, True, False]
         assert rows[2]["verified"] == "true"
@@ -623,6 +633,45 @@ class TestSweep:
         for v in ("40", "60"):
             assert reports[v]["t_reached"] == 8.0 and reports[v]["records"] == 801
             assert len((out / f"mu={v}" / "trajectory.csv").read_text().splitlines()) == 802
+
+    def test_blowup_time_column_is_the_reports_blowup_time(self, tmp_path):
+        ini = tmp_path / "blowup.ini"
+        ini.write_text(MU_BLOWUP_INI)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", "0,40"]
+                    + ["--out", str(out)]) == 3
+        with open(out / "summary.csv") as fh:
+            times = {r["value"]: r["blowup_time"] for r in csv.DictReader(fh)}
+        report = json.loads((out / "mu=0" / "report.json").read_text())
+        assert times == {"0": repr(report["blowup"]["time"]), "40": ""}
+        assert 5.0 < float(times["0"]) < 6.0
+
+    @pytest.mark.parametrize(
+        "text,param,values,rate",
+        [
+            (VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5"), "mu", "0,4", "1.0"),  # (b/2) min(1, nu)
+            (pair_ini("fourier-damped_wave"), "mu", "0,4", "0.25"),  # b/2
+            (pair_ini("fourier-nonlinear_damping"), "N", "1,2", ""),  # an exponent, not a rate
+            (pair_ini("nodal-strongly_damped"), "mu", "1", ""),  # qualitative: no rate
+            (PAIR_INI.format(family="damped_wave", controller=NODAL), "mu", "1", ""),  # no certificate
+        ],
+        ids=["volume", "fourier", "power_law", "qualitative", "uncertified"],
+    )
+    def test_certified_rate_column_is_the_reports_exponential_rate(
+        self, tmp_path, text, param, values, rate
+    ):
+        ini = tmp_path / "base.ini"
+        ini.write_text(text)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(ini), "--param", param, "--values", values]
+                    + ["--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["certified_rate"] for r in rows] == [rate] * len(values.split(","))
+        for r in rows:
+            gain = json.loads((out / f"{param}={r['value']}" / "report.json").read_text())["gain"]
+            if rate:  # the member's own report, written as repr writes it
+                assert rate == repr(gain["predicted_rate"]) and gain["kind"] == "exponential"
 
     def test_mu_sweep_builds_its_law_once(self, tmp_path, monkeypatch):
         built = []
@@ -720,13 +769,10 @@ class TestSweep:
             expected = {**original, "controller": {**original["controller"], "mu": label}}
             assert report["config"] == expected
 
-    def test_only_a_pool_imports_the_process_pool(self):
+    def test_only_a_pool_imports_the_process_pool(self, tmp_path):
         # importing it costs milliseconds per process, which only --jobs > 1 needs
         probe = "import sys, wavestab.cli; print('concurrent.futures.process' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert fresh_python(probe, tmp_path).strip() == "False"
 
     @pytest.mark.parametrize(
         "text,param,values",
@@ -792,6 +838,56 @@ class TestSweep:
                 + ["--out", str(tmp_path / "x")]
             )
         assert exc.value.code == 2
+
+
+class TestStartup:
+    """What a fresh process loads: scipy.linalg's start-up is the subdomain check's alone."""
+
+    def test_check_run_sweep_and_lemmas_never_import_scipy_linalg(self, tmp_path):
+        volume, fourier = tmp_path / "volume.ini", tmp_path / "fourier.ini"
+        volume.write_text(pair_ini("volume-damped_wave"))
+        fourier.write_text(pair_ini("fourier-damped_wave"))
+
+        def commands(out):
+            return [
+                ["check", "--config", str(volume)],
+                ["run", "--config", str(fourier), "--out", str(out / "run")],
+                ["sweep", "--config", str(volume), "--param", "mu", "--values", "0,4"]
+                + ["--out", str(out / "sweep")],
+                ["lemmas", "--samples", "20"],
+            ]
+
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from wavestab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {commands(tmp_path / 'cold')!r}]\n"
+            "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))\n"
+        )
+        codes, imported = json.loads(fresh_python(probe, tmp_path))
+        assert not imported
+        assert codes == [main(argv) for argv in commands(tmp_path / "warm")]
+
+    def test_subdomain_check_imports_scipy_linalg_when_it_needs_it(self, tmp_path, capsys):
+        ini = tmp_path / "subdomain.ini"
+        ini.write_text(pair_ini("subdomain-damped_wave"))
+        probe = (
+            "import json, sys\n"
+            "from wavestab import cli, kernels\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            f"code = cli.main(['check', '--config', {str(ini)!r}])\n"
+            "import scipy.linalg, scipy.linalg.lapack as lapack\n"
+            "flapack = sys.modules['scipy.linalg._flapack']\n"
+            "print(json.dumps([code, lapack.dpttrf is kernels.dpttrf,"
+            " lapack.dpttrs is kernels.dpttrs,"
+            " getattr(scipy.linalg, '_flapack', None) is flapack]))\n"
+        )
+        *report, last = fresh_python(probe, tmp_path).splitlines()
+        code, *same_functions = json.loads(last)
+        assert code == main(["check", "--config", str(ini)])
+        assert "\n".join(report) + "\n" == capsys.readouterr().out
+        # one extension, bound as scipy.linalg's own submodule
+        assert same_functions == [True, True, True]
 
 
 class TestLemmas:

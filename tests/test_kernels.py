@@ -1,7 +1,12 @@
 """The Laplacian stencils and the tridiagonal solve against dense matrices."""
 
+import importlib.machinery
+import os
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 
 from wavestab import kernels, make_grid
 
@@ -119,3 +124,40 @@ def test_non_finite_rhs_gives_nan_not_an_error():
             rhs[2] = bad
             x = kernels.thomas_solve(factor(diag, off, bc), rhs)
             assert not np.all(np.isfinite(x))
+
+
+LINALG_DIR = os.path.dirname(lapack.__file__)
+
+
+def factor_and_solve(routines, diag, off, rhs):
+    dpttrf, dpttrs = routines
+    d, e, info = dpttrf(diag, off)
+    assert info == 0
+    x, info = dpttrs(d, e, rhs)
+    assert info == 0
+    return d, e, x
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("n", [5, 64, 257])
+def test_loaded_routines_solve_bit_for_bit_like_scipy_linalg(n, bc, monkeypatch):
+    diag, off, _, rng = stepper_like_matrix(n, bc, n + 5)
+    rhs = rng.standard_normal(n)
+    if bc == "neumann":  # W*M and W*rhs, the doubled ends halved as the solve halves them
+        diag[[0, -1]] *= 0.5
+        rhs[[0, -1]] *= 0.5
+    want = factor_and_solve((lapack.dpttrf, lapack.dpttrs), diag, off, rhs)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    from_file = kernels._load_pt_routines(LINALG_DIR)  # loads the extension, not the cached module
+    for routines in ((kernels.dpttrf, kernels.dpttrs), from_file):
+        for got, ref in zip(factor_and_solve(routines, diag, off, rhs), want):
+            np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("present", [False, True], ids=["missing", "unloadable"])
+def test_loader_without_the_extension_falls_back_to_scipy_linalg(present, tmp_path, monkeypatch):
+    if present:  # a file by the extension's name that is not one
+        (tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    dpttrf, dpttrs = kernels._load_pt_routines(str(tmp_path))
+    assert dpttrf is lapack.dpttrf and dpttrs is lapack.dpttrs
