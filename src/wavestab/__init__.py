@@ -55,7 +55,6 @@ from .integrator import (
     StepperConfig,
     default_dt,
     lyapunov_eb,
-    lyapunov_volume,
     run,
 )
 from .models import (
@@ -135,7 +134,6 @@ __all__ = [
     "RunResult",
     "default_dt",
     "run",
-    "lyapunov_volume",
     "lyapunov_eb",
     # analysis
     "DecayFit",

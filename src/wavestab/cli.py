@@ -26,7 +26,7 @@ from .analysis import (
     verify_exponential,
     verify_polynomial,
 )
-from .config import ConfigError, ExperimentConfig, check_law, finite_float
+from .config import ConfigError, ExperimentConfig, build_controller, finite_float
 from .config import gain_report_for, load_config
 from .controllers import NoControl
 from .integrator import RunResult, run
@@ -190,23 +190,18 @@ def cmd_run(args) -> int:
 
 
 def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str, ExperimentConfig]:
-    """The member's label and config: ``base`` with ``param`` set to ``value``, law checked."""
-    ctrl = base.controller
-    if isinstance(ctrl, NoControl):
-        raise ConfigError("cannot sweep a config with no controller")
-    if param == "mu":
-        new_ctrl = dataclasses.replace(ctrl, mu=float(value))
-    else:  # param == "N"
-        if value != int(value) or int(value) < 1:
-            raise ConfigError(f"swept N values must be positive integers, got {value}")
-        if not hasattr(ctrl, "N"):
-            raise ConfigError(f"controller variant {base.variant!r} has no N to sweep")
-        new_ctrl = dataclasses.replace(ctrl, N=int(value))
-    check_law(new_ctrl, base.grid)
-    # echo the member's own value in its report.json, not the base config's
-    label = _format_value(param, value)
-    raw = {**base.raw, "controller": {**base.raw["controller"], param.lower(): label}}
-    return label, dataclasses.replace(base, controller=new_ctrl, raw=raw)
+    """The member's label and config: ``base``'s controller text with ``param`` set to the label.
+
+    The member's law is parsed from that text, so its ``report.json``
+    echoes the text it ran.
+    """
+    if isinstance(base.controller, NoControl) or not hasattr(base.controller, param):
+        raise ConfigError(f"controller variant {base.variant!r} has no {param} to sweep")
+    label = _format_value(value)
+    section = {**base.raw["controller"], param.lower(): label}
+    controller = build_controller(section, base.grid)
+    raw = {**base.raw, "controller": section}
+    return label, dataclasses.replace(base, controller=controller, raw=raw)
 
 
 # ``summary.csv``'s header; CI and perfbench read the first five by position or name
@@ -230,10 +225,8 @@ def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     ]
 
 
-def _format_value(param: str, value: float) -> str:
+def _format_value(value: float) -> str:
     """The member's label: short ``g`` form when it reads back exactly, else ``repr``."""
-    if param == "N":
-        return str(int(value))
     short = format(value, "g")
     return short if float(short) == value else repr(value)
 
@@ -247,12 +240,12 @@ def cmd_sweep(args) -> int:
     # Read the INI once and build every member, in ascending order, before
     # launching anything; the members run from these configs, not the file.
     base = load_config(args.config)
-    members = [_sweep_member(base, args.param, v) for v in sorted(values)]
     repeated = sorted({v for v in values if values.count(v) > 1})  # as numbers: 0 == -0
     if repeated:
-        shown = ", ".join(_format_value(args.param, v) for v in repeated)
+        shown = ", ".join(map(_format_value, repeated))
         print(f"error: --values repeats {args.param} = {shown}", file=sys.stderr)
         return 2
+    members = [_sweep_member(base, args.param, v) for v in sorted(values)]
 
     os.makedirs(args.out, exist_ok=True)
     labels = [label for label, _cfg in members]

@@ -174,16 +174,16 @@ def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
 class _Section:
     """Typed accessors over one INI section with error context."""
 
-    def __init__(self, name: str, proxy):
+    def __init__(self, name: str, section: dict):
         self.name = name
-        self.proxy = proxy
+        self.section = section
 
     def _get(self, key, conv, default, required):
-        if key not in self.proxy:
+        if key not in self.section:
             if required:
                 raise ConfigError(f"[{self.name}] missing required key {key!r}")
             return default
-        raw = self.proxy[key]
+        raw = self.section[key]
         try:
             return conv(raw)
         except (TypeError, ValueError):
@@ -214,22 +214,24 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} must be a comma-separated list") from None
 
 
-def _load_ini(path: str) -> configparser.ConfigParser:
+def _load_ini(path: str) -> dict:
+    """The file's sections, each a dict of its keys' (interpolated) text."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        raw = {name: dict(parser[name]) for name in parser.sections()}  # interpolation can fail
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
-    for name in parser.sections():
+    for name, section in raw.items():
         if name not in KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        for key in parser[name]:
+        for key in section:
             if key not in KEYS[name]:
                 raise ConfigError(f"[{name}] unknown key {key!r}")
-    return parser
+    return raw
 
 
 def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
@@ -267,38 +269,41 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
     return model, grid
 
 
-def _build_controller(sec: _Section) -> ControllerSpec:
+def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
+    """The law a ``[controller]`` section's text names, built on ``grid``.
+
+    The law is built now, so a bc, alignment or resolution problem is a
+    config error.  ``load_config`` and each sweep member parse their
+    section here.
+    """
+    sec = _Section("controller", section)
     variant = sec.str("variant", "none").lower()
     law = LAWS.get(variant)
     if law is None:
         raise ConfigError(f"[controller] unknown variant {variant!r}")
     try:
         if law is NoControl:
-            return NoControl()
-        mu = sec.float("mu", required=True)
-        if law is Nodal:
-            return Nodal(
-                sec.int("n", required=True),
-                mu,
-                obs_points=sec.floats("obs_points"),
-                act_points=sec.floats("act_points"),
-            )
-        if law is SubdomainControl:
-            lo, hi = sec.float("omega_lo", required=True), sec.float("omega_hi", required=True)
-            return SubdomainControl(Subdomain(lo, hi), mu)
-        return law(sec.int("n", required=True), mu)
+            controller = NoControl()
+        else:
+            mu = sec.float("mu", required=True)
+            if law is Nodal:
+                controller = Nodal(
+                    sec.int("n", required=True),
+                    mu,
+                    obs_points=sec.floats("obs_points"),
+                    act_points=sec.floats("act_points"),
+                )
+            elif law is SubdomainControl:
+                lo, hi = sec.float("omega_lo", required=True), sec.float("omega_hi", required=True)
+                controller = SubdomainControl(Subdomain(lo, hi), mu)
+            else:
+                controller = law(sec.int("n", required=True), mu)
+        make_control_operator(controller, grid)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"[controller] {exc}") from None
-
-
-def check_law(controller: ControllerSpec, grid: Grid1D) -> None:
-    """Build the law now, so a bc, alignment or resolution problem is a config error."""
-    try:
-        make_control_operator(controller, grid)
-    except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}") from None
+    return controller
 
 
 def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_law: bool) -> None:
@@ -318,25 +323,19 @@ def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_la
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
-    parser = _load_ini(path)
+    raw = _load_ini(path)
     for required in ("model", "time"):
-        if not parser.has_section(required):
+        if required not in raw:
             raise ConfigError(f"config is missing the [{required}] section")
 
-    model_sec = _Section("model", parser["model"])
-    model, grid = _build_model(model_sec)
+    model, grid = _build_model(_Section("model", raw["model"]))
+    controller = build_controller(raw.get("controller", {}), grid)
 
-    ctrl_sec = _Section(
-        "controller", parser["controller"] if parser.has_section("controller") else {}
-    )
-    controller = _build_controller(ctrl_sec)
-    check_law(controller, grid)
-
-    init_sec = _Section("initial", parser["initial"] if parser.has_section("initial") else {})
+    init_sec = _Section("initial", raw.get("initial", {}))
     u0 = build_profile(grid, init_sec.str("u0", "zero"), init_sec.float("u0_amplitude", 1.0))
     u1 = build_profile(grid, init_sec.str("u1", "zero"), init_sec.float("u1_amplitude", 1.0))
 
-    time_sec = _Section("time", parser["time"])
+    time_sec = _Section("time", raw["time"])
     t_end = time_sec.float("t_end", required=True)
     dt = time_sec.float("dt")
     if dt is None:
@@ -351,7 +350,7 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[time] {exc}") from None
 
-    an_sec = _Section("analysis", parser["analysis"] if parser.has_section("analysis") else {})
+    an_sec = _Section("analysis", raw.get("analysis", {}))
     safety = an_sec.float("safety", DEFAULT_SAFETY)
     if not 0.0 < safety <= 1.0:
         raise ConfigError(f"[analysis] safety must be in (0, 1], got {safety}")
@@ -368,7 +367,6 @@ def load_config(path: str) -> ExperimentConfig:
         power_law = cert.gains(grid, model, controller).kind == "polynomial"
         _check_cadence(stepper, (lo, hi), power_law)
 
-    raw = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(
         grid=grid,
         model=model,

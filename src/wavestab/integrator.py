@@ -67,7 +67,6 @@ __all__ = [
     "certificate",
     "run",
     "default_dt",
-    "lyapunov_volume",
     "lyapunov_eb",
 ]
 

@@ -23,8 +23,9 @@ extension, ``scipy/linalg/_flapack``: they are the compiled functions that
 ``scipy.linalg.lapack`` re-exports, but importing that package runs
 ``scipy.linalg``'s ``__init__``, which pulls in scipy's array-API layer,
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, about 0.2 s and 24 MB
-of every process's start-up.  Only the subdomain certificate imports
-``scipy.linalg`` (``spectral._min_eig_shifted``).
+of every process's start-up.  No command imports ``scipy.linalg``: the
+subdomain certificate's threshold is also found with ``dpttrf``
+(``spectral.mu_zero``).
 """
 
 from __future__ import annotations

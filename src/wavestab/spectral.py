@@ -7,9 +7,8 @@ is written.  Low-mode projections against the sampled modes drive the
 spectral feedback laws; the tail bound and the indicator-gain threshold
 ``mu_zero`` supply the quantitative certificates the gain checkers rely on.
 
-``scipy.linalg`` is imported only inside :func:`_min_eig_shifted`, so only
-the subdomain certificate pays its start-up (about 0.2 s); the tridiagonal
-solve loads its LAPACK routines without it (see :mod:`wavestab.kernels`).
+``mu_zero`` needs no eigenvalue: it tests definiteness with the LDL^T
+factorization that the IMEX solve uses (:func:`wavestab.kernels.dpttrf`).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral
 
 MU_BISECTION_MAX = 1.0e6
@@ -93,25 +93,27 @@ def complement_eigenvalue(omega: Subdomain, grid: Grid1D) -> float:
     return dirichlet_eigenvalue(ell, 1)
 
 
-def _min_eig_shifted(grid: Grid1D, indicator: np.ndarray, mu: float) -> float:
-    """Smallest eigenvalue of -Laplacian + mu*indicator on the Dirichlet grid."""
-    from scipy.linalg import eigh_tridiagonal  # the subdomain certificate's alone
-
+def _clears(grid: Grid1D, chi: np.ndarray, mu: float, target: float) -> bool:
+    """Whether -Laplacian + mu*chi - target*I is positive definite on the Dirichlet grid."""
     inv_dx2 = 1.0 / grid.dx**2
-    d = np.full(grid.n_nodes, 2.0 * inv_dx2) + mu * indicator
+    d = 2.0 * inv_dx2 + mu * chi - target
     e = np.full(grid.n_nodes - 1, -inv_dx2)
-    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))
-    return float(vals[0])
+    _, _, info = kernels.dpttrf(d, e)  # info > 0: a pivot is not positive
+    return info == 0
 
 
 def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
     """Smallest indicator gain whose shifted operator clears the gap target.
 
-    Bisects mu in [0, 1e6] for the smallest value with
-    ``min eig(-Laplacian + mu * indicator) >= complement_eigenvalue - d``,
+    Bisects mu in [0, 1e6] for the smallest value at which
+    ``-Laplacian + mu * indicator - (complement_eigenvalue - d) * I`` is
+    positive definite, that is, its smallest eigenvalue exceeds the target,
     to relative tolerance 1e-3, returning the certified (satisfying) upper
-    endpoint.  The minimum eigenvalue is nondecreasing in mu, so bisection
-    on the predicate is exact.
+    endpoint.  The matrix is symmetric tridiagonal, so it is positive
+    definite exactly when its LDL^T factorization has only positive pivots
+    (Sylvester's law of inertia: the negative pivots count the negative
+    eigenvalues).  The smallest eigenvalue is nondecreasing in mu, so
+    bisection on the predicate is exact.
 
     Raises
     ------
@@ -130,10 +132,10 @@ def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
     if not chi.any():
         raise ValueError("omega contains no grid nodes; refine the grid")
 
-    if _min_eig_shifted(grid, chi, 0.0) >= target:
+    if _clears(grid, chi, 0.0, target):
         return 0.0
     hi = MU_BISECTION_MAX
-    if _min_eig_shifted(grid, chi, hi) < target:
+    if not _clears(grid, chi, hi, target):
         raise ValueError(
             f"gap target {target:.6g} unreachable with gains up to {hi:.1e}; "
             "refine the grid or move omega"
@@ -141,7 +143,7 @@ def mu_zero(omega: Subdomain, d: float, grid: Grid1D) -> float:
     lo = 0.0
     while hi - lo > MU_BISECTION_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if _min_eig_shifted(grid, chi, mid) >= target:
+        if _clears(grid, chi, mid, target):
             hi = mid
         else:
             lo = mid

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from wavestab import (
     BoundaryCondition,
@@ -49,6 +50,18 @@ def random_trig_field(grid, rng, degree=12):
 
 def random_state(grid, rng, degree=12):
     return State(random_trig_field(grid, rng, degree), random_trig_field(grid, rng, degree))
+
+
+def min_eig_shifted(grid, chi, mu):
+    """Smallest eigenvalue of -Laplacian + mu*chi on a Dirichlet grid, by scipy's eigensolver.
+
+    An independent reference for ``spectral.mu_zero``, which tests
+    definiteness by an LDL^T factorization instead of solving for eigenvalues.
+    """
+    inv_dx2 = 1.0 / grid.dx**2
+    d = np.full(grid.n_nodes, 2.0 * inv_dx2) + mu * chi
+    e = np.full(grid.n_nodes - 1, -inv_dx2)
+    return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
 
 def closed_loop_abscissa(model, ctrl, grid):

@@ -42,7 +42,8 @@ from wavestab import (
     verify_polynomial,
 )
 from wavestab.models import ledger_column
-from wavestab.spectral import _min_eig_shifted
+
+from conftest import min_eig_shifted
 
 L = math.pi
 
@@ -175,8 +176,8 @@ def test_criterion_3_localized_damping():
     # post-hoc certificate: the shifted operator clears the gap at mu0 and
     # falls short 10% below it
     indicator = omega.indicator(grid.nodes)
-    eig_at = _min_eig_shifted(grid, indicator, mu0)
-    eig_below = _min_eig_shifted(grid, indicator, 0.9 * mu0)
+    eig_at = min_eig_shifted(grid, indicator, mu0)
+    eig_below = min_eig_shifted(grid, indicator, 0.9 * mu0)
     certificate = eig_at >= lam_c - d and eig_below < lam_c - d
 
     cfg = StepperConfig(dt=0.002, t_end=6.0, record_every=10)

@@ -18,7 +18,9 @@ from wavestab import (
     tail_bound_check,
     zeros,
 )
-from wavestab.spectral import MU_BISECTION_RTOL
+from wavestab.spectral import MU_BISECTION_MAX, MU_BISECTION_RTOL
+
+from conftest import min_eig_shifted
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +144,6 @@ class TestMuZero:
         assert mu_zero(om, d, g) == 0.0
 
     def test_certificate_at_mu0_and_failure_below(self):
-        from wavestab.spectral import _min_eig_shifted
-
         L = 1.0
         om = Subdomain(0.4, 0.6)
         g = make_grid(L, 512, "dirichlet")
@@ -151,10 +151,10 @@ class TestMuZero:
         d = lam_c / 2
         mu0 = mu_zero(om, d, g)
         chi = om.indicator(g.nodes)
-        assert _min_eig_shifted(g, chi, mu0) >= lam_c - d
-        assert _min_eig_shifted(g, chi, 0.9 * mu0) < lam_c - d
+        assert min_eig_shifted(g, chi, mu0) >= lam_c - d
+        assert min_eig_shifted(g, chi, 0.9 * mu0) < lam_c - d
         # bisection returns the certified endpoint to relative tolerance
-        assert _min_eig_shifted(g, chi, (1 - 2 * MU_BISECTION_RTOL) * mu0) < lam_c - d
+        assert min_eig_shifted(g, chi, (1 - 2 * MU_BISECTION_RTOL) * mu0) < lam_c - d
 
     def test_monotone_in_gap(self):
         L = 1.0
@@ -189,6 +189,60 @@ class TestMuZero:
         lam_c = complement_eigenvalue(om, g)
         with pytest.raises(ValueError, match="unreachable .* refine the grid or move omega"):
             mu_zero(om, 0.001 * lam_c, g)
+
+    def test_ldlt_bisection_equals_the_eigenvalue_bisection(self):
+        # the eigenvalue bisection mu_zero used to run, with its errors
+        def by_eigenvalues(om, d, g):
+            lam_c = complement_eigenvalue(om, g)
+            if not 0.0 < d < lam_c:
+                raise ValueError(f"need 0 < d < {lam_c:.6g}, got d={d}")
+            target = lam_c - d
+            chi = om.indicator(g.nodes)
+            if not chi.any():
+                raise ValueError("omega contains no grid nodes; refine the grid")
+            if min_eig_shifted(g, chi, 0.0) >= target:
+                return 0.0
+            lo, hi = 0.0, MU_BISECTION_MAX
+            if min_eig_shifted(g, chi, hi) < target:
+                raise ValueError(
+                    f"gap target {target:.6g} unreachable with gains up to {hi:.1e}; "
+                    "refine the grid or move omega"
+                )
+            while hi - lo > MU_BISECTION_RTOL * hi:
+                mid = 0.5 * (lo + hi)
+                if min_eig_shifted(g, chi, mid) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        rng = np.random.default_rng(22)
+        errors, n_zero = [], 0
+        for _ in range(600):
+            L = float(rng.choice([1.0, np.pi, 5.0]))
+            g = make_grid(L, int(rng.integers(16, 257)), "dirichlet")
+            # omega from a sliver that may hold no node up to most of (0, L)
+            width = L * 10.0 ** rng.uniform(-2.0, -0.1)
+            lo = rng.uniform(0.0, L - width)
+            om = Subdomain(lo, lo + width)
+            # gaps from a sliver of lambda_c, whose target no gain may reach, to all of it
+            d = complement_eigenvalue(om, g) * 10.0 ** rng.uniform(-2.0, 0.0)
+            try:
+                expected = by_eigenvalues(om, d, g)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    mu_zero(om, d, g)
+                assert str(got.value) == str(exc)
+                errors.append(str(exc))
+            else:
+                assert mu_zero(om, d, g) == expected
+                n_zero += expected == 0.0
+        # both failures and the bare operator's success are among the draws,
+        # and 500 or more draws return a gain
+        assert any("no grid nodes" in e for e in errors)
+        assert any("unreachable" in e for e in errors)
+        assert n_zero > 0
+        assert len(errors) <= 100
 
 
 def test_mode_matrix_requires_enough_modes(grid):
