@@ -99,12 +99,19 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
 
 
+def _make_out(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # an --out the CLI cannot create is a usage error: exit 2
+        raise ValueError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+
+
 def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     """Shared run pipeline: simulate, write artifacts, decide the exit code."""
     tg = time.perf_counter()
     report = gain_report_for(cfg)
     gain_s = time.perf_counter() - tg
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     t0 = time.perf_counter()
     result = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, cfg.stepper)
     t1 = time.perf_counter()
@@ -247,9 +254,8 @@ def cmd_sweep(args) -> int:
         return 2
     members = [_sweep_member(base, args.param, v) for v in sorted(values)]
 
-    os.makedirs(args.out, exist_ok=True)
-    labels = [label for label, _cfg in members]
-    cfgs = [cfg for _label, cfg in members]
+    _make_out(args.out)
+    labels, cfgs = zip(*members)
     subs = [os.path.join(args.out, f"{args.param}={label}") for label in labels]
     if args.jobs > 1 and len(members) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs ms to import; only a pool needs it
@@ -277,6 +283,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    if args.out:
+        _make_out(args.out)
     reports = run_inequality_suite(args.seed, args.samples)
     name_w = max(len(k) for k in reports)
     print(f"{'inequality':<{name_w}}  samples  violations  worst_ratio  empirical")
@@ -291,7 +299,6 @@ def cmd_lemmas(args) -> int:
             f"  {rep.worst_ratio:>11.6f}  {rep.empirical_constant:>9.6f}{tag}"
         )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         doc = {
             "seed": args.seed,
             "samples": args.samples,

@@ -29,7 +29,7 @@ from .controllers import (
     VolumeElements,
     make_control_operator,
 )
-from .grid import BoundaryCondition, Field, Grid1D, make_grid, sample, zeros
+from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
 from .integrator import StepperConfig, certificate, default_dt
 from .models import (
     Family,
@@ -127,10 +127,11 @@ def parse_profile(text: str) -> tuple[str, tuple[float, ...]]:
 
 
 def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
-    """Realize a named profile on the grid, scaled by ``amplitude``."""
+    """Realize a named profile on the grid, scaled by ``amplitude``; the text is checked at any amplitude."""
     kind, args = parse_profile(text)
-    if kind == "zero" or amplitude == 0.0:
+    if kind == "zero":
         return zeros(grid)
+    x = grid.nodes
     if kind == "mode":
         k = int(args[0])
         lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
@@ -140,31 +141,29 @@ def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
         if grid.bc is BoundaryCondition.DIRICHLET:
             vals = sine_mode(grid, k)
         else:
-            vals = np.cos(k * np.pi * grid.nodes / grid.L)
-        return Field(grid, amplitude * vals)
-    if kind == "bump":
+            vals = np.cos(k * np.pi * x / grid.L)
+    elif kind == "bump":
         center, width = args
         if width <= 0.0:
             raise ConfigError(f"bump width must be positive, got {width}")
-        return sample(grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2)))
-    # random trigonometric polynomial
-    # a degree of n_cells or more aliases onto lower modes
-    if any(x != int(x) for x in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
-        need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
-        raise ConfigError(f"profile {text!r} needs {need}")
-    seed, degree = int(args[0]), int(args[1])
-    rng = np.random.default_rng([seed, 0])
-    x = grid.nodes
-    vals = np.zeros_like(x)
-    if grid.bc is BoundaryCondition.DIRICHLET:
-        for j in range(1, degree + 1):
-            vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
-    else:
-        vals += rng.uniform(-1.0, 1.0)
-        for j in range(1, degree + 1):
-            vals += rng.uniform(-1.0, 1.0) * np.cos(j * np.pi * x / grid.L)
-            vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
-    return Field(grid, amplitude * vals)
+        vals = np.exp(-(((x - center) / width) ** 2))
+    else:  # random trigonometric polynomial
+        # a degree of n_cells or more aliases onto lower modes
+        if any(a != int(a) for a in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
+            need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
+            raise ConfigError(f"profile {text!r} needs {need}")
+        seed, degree = int(args[0]), int(args[1])
+        rng = np.random.default_rng([seed, 0])
+        vals = np.zeros_like(x)
+        if grid.bc is BoundaryCondition.DIRICHLET:
+            for j in range(1, degree + 1):
+                vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
+        else:
+            vals += rng.uniform(-1.0, 1.0)
+            for j in range(1, degree + 1):
+                vals += rng.uniform(-1.0, 1.0) * np.cos(j * np.pi * x / grid.L)
+                vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
+    return zeros(grid) if amplitude == 0.0 else Field(grid, amplitude * vals)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ decay rate, so a simulation can be compared against its certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -189,58 +189,49 @@ def _require_dirichlet(grid: Grid1D, what: str) -> None:
         raise ValueError(f"{what} feedback is posed with Dirichlet boundaries")
 
 
-def _frozen_law(observe: Callable, actuator: Callable, s: np.ndarray, *held: np.ndarray):
+def _frozen_law(observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray):
     """The law triple, with ``s`` and the arrays its closures hold made read-only."""
     for arr in (s, *held):
         arr.flags.writeable = False
-    return observe, actuator, s
+    return observe, actuate, s
 
 
 @lru_cache(maxsize=16)
 def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
-    """The law as (observe, actuator, s), validated and built once per (law shape, grid).
+    """The law as (observe, actuate, s), validated and built once per (controller, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y along the
     last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
-    block bit for bit as that row alone; ``actuator(gain)`` is the
-    actuation ``y -> gain * A y``, which spreads y back onto the nodes with
-    the gain folded once into the law's arrays: the modal matrix, the
-    subdomain's indicator, the nodal ``h/dx`` scale, or the element values
-    before their two gathers.  The controller energy is
-    ``1/2 * mu * sum(s * y**2)``.  Except for the nodal
-    law, whose observation and actuation points differ, the actuation is
-    the adjoint of the observation (weights s on y, trapezoid weights on
-    the nodes), so the feedback ``actuator(-mu)(observe(u))`` is minus the
-    weighted gradient of that energy.
+    block bit for bit as that row alone; ``actuate(y)`` is ``-mu * A y``,
+    which spreads y back onto the nodes with -mu folded once into the law's
+    arrays: the modal matrix, the subdomain's indicator, the nodal ``h/dx``
+    scale, or the element values before their two gathers.  The controller
+    energy is ``1/2 * mu * sum(s * y**2)``.  Except for the nodal law, whose
+    observation and actuation points differ, the actuation is the adjoint of
+    the observation (weights s on y, trapezoid weights on the nodes), so the
+    feedback ``actuate(observe(u))`` is minus the weighted gradient of that
+    energy.
 
-    No law reads ``spec.mu``: callers key the cache on :func:`_law_shape`,
-    so the members of a gain sweep share one build, and the ledger's energy
-    calls cost a lookup, not a rebuild.  The arrays the laws hold are
-    read-only.
+    The cache makes the ledger's energy calls a lookup, not a rebuild.  The
+    arrays the laws hold are read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(lambda u: u[..., :0], lambda gain: lambda y: np.zeros(grid.n_nodes), np.zeros(0))
+        return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
         weights, bounds, owner, m = element_layout(grid, spec.N)
         # elements on the left and right of each node; they differ only at
         # the nodes two elements share, which get the mean of both averages
         left = np.concatenate((owner[:1], owner[:-1]))
+        half_gain = 0.5 * -spec.mu
 
-        def observe_volume(u):
-            return element_averages(weights, bounds, u)
-
-        def actuator_volume(gain):
-            half_gain = 0.5 * gain
-
-            def actuate(y):
-                z = half_gain * y  # N values, scaled before the two n-node gathers
-                return z[left] + z[owner]
-
-            return actuate
+        def actuate_volume(y):
+            z = half_gain * y  # N values, scaled before the two n-node gathers
+            return z[left] + z[owner]
 
         s = np.full(spec.N, m * grid.dx)
-        return _frozen_law(observe_volume, actuator_volume, s, weights, bounds, owner, left)
+        held = (weights, bounds, owner, left)
+        return _frozen_law(lambda u: element_averages(weights, bounds, u), actuate_volume, s, *held)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -248,21 +239,20 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             raise ValueError(f"modal feedback needs N < n_cells={grid.n_cells}, got N={spec.N}")
         W = mode_matrix(grid, spec.N)
         Wq = W * grid.quad_weights
+        gW = -spec.mu * W
 
         def observe_modes(u):  # one matrix-vector product per state, a block or not
             return np.matmul(Wq, u[..., None])[..., 0]
 
-        def actuator_modes(gain):
-            gW = gain * W
-            return lambda c: np.dot(c, gW)  # one state's coefficients: dot costs less than @
-
-        return _frozen_law(observe_modes, actuator_modes, np.ones(spec.N), Wq)
+        # one state's coefficients: dot costs less than @
+        return _frozen_law(observe_modes, lambda c: np.dot(c, gW), np.ones(spec.N), Wq, gW)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
         obs, act = spec.points(grid.L)
         act_idx = _nearest_interior_index(grid, act)
         h = grid.L / spec.N
+        scale = -spec.mu * h / grid.dx
         # two-point interpolation between the full line's nodes, whose ends
         # hold the implicit zero boundary values: stored node j is full node j + 1
         xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
@@ -276,49 +266,33 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def observe_nodal(u):  # gathers the last axis through u.T, cheaper than u[..., lo]
             return w_lo * u.T[lo].T + w_hi * u.T[hi].T
 
-        def actuator_nodal(gain):
-            scale = gain * h / grid.dx
-
-            def actuate(y):
-                out = np.zeros(grid.n_nodes)
-                np.add.at(out, act_idx, scale * y)
-                return out
-
-            return actuate
+        def actuate_nodal(y):
+            out = np.zeros(grid.n_nodes)
+            np.add.at(out, act_idx, scale * y)
+            return out
 
         held = (act_idx, lo, hi, w_lo, w_hi)
-        return _frozen_law(observe_nodal, actuator_nodal, np.full(spec.N, h), *held)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
         if spec.omega.hi > grid.L:
             raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
-        s = grid.quad_weights * chi
-
-        def actuator_subdomain(gain):
-            g_chi = gain * chi
-            return lambda y: g_chi * y
-
-        return _frozen_law(lambda u: u, actuator_subdomain, s, chi)
+        g_chi = -spec.mu * chi
+        return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, chi, g_chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
-
-
-def _law_shape(spec: ControllerSpec) -> ControllerSpec:
-    """The law without its gain (``mu = 0``): what a gain sweep's members share."""
-    return replace(spec, mu=0.0)
 
 
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the feedback law into an array-in/array-out closure.
 
-    Validation (boundary type, alignment, point placement) happens once
-    here, and so does folding the gain -mu into the law's arrays; the
-    returned closure is what a time stepper should call.
+    :func:`_feedback_law` validates the law (boundary type, alignment, point
+    placement) and folds -mu into its arrays once per (controller, grid);
+    the returned closure is what a time stepper should call.
     """
-    observe, actuator, _ = _feedback_law(_law_shape(spec), grid)
-    actuate = actuator(-spec.mu)
+    observe, actuate, _ = _feedback_law(spec, grid)
     return lambda u: actuate(observe(u))
 
 
@@ -334,7 +308,7 @@ def make_energy_operator(
     of a block as it observes the row alone, so each state gets the number
     it gets alone, bit for bit.
     """
-    observe, _, s = _feedback_law(_law_shape(spec), grid)
+    observe, _, s = _feedback_law(spec, grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):

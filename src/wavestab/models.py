@@ -156,7 +156,7 @@ def source(
     model: ModelSpec,
     u: np.ndarray,
     v: np.ndarray,
-    base: Optional[np.ndarray] = None,
+    base: np.ndarray,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Explicit source terms of v_t: a*u - f(u), less b*|v|^(m-2)*v for nonlinear damping.
@@ -175,8 +175,7 @@ def source(
         s = nl.power(u, out=out)
         np.subtract(model.a, s, out=s)
         s *= u
-    if base is not None:
-        s += base
+    s += base
     if model.family is Family.NONLINEAR_DAMPING:
         s -= model.b * np.abs(v) ** (model.m - 2.0) * v
     return s

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavestab import __version__, cli, controllers
+from wavestab import __version__, cli, mode_matrix
 from wavestab import LEDGER_COLUMNS, run
 from wavestab.cli import main
 from wavestab.config import gain_report_for, load_config
@@ -289,6 +289,21 @@ class TestCheck:
 
     def test_missing_file_exits_two(self):
         assert main(["check", "--config", "/no/such/file.ini"]) == 2
+
+    @pytest.mark.parametrize(
+        "initial,message",
+        [
+            ("u0 = mode 9999\nu0_amplitude = 0", "invalid mode index 9999.0 on 128 cells"),
+            ("u1 = bump(0.5, -1)\nu1_amplitude = 0", "bump width must be positive"),
+        ],
+        ids=["u0_mode", "u1_bump"],
+    )
+    def test_an_invalid_profile_at_amplitude_zero_exits_two(self, tmp_path, capsys, initial, message):
+        p = tmp_path / "silent.ini"
+        p.write_text(VOLUME_INI.replace("u0 = bump(1.5707963267948966, 0.5)", initial))
+        assert main(["check", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize(
         "old,new", [("mu = 4.0", "mu = inf"), ("mu = 4.0", "mu = nan"), ("nu = 1.0", "nu = inf")]
@@ -680,17 +695,15 @@ class TestSweep:
             if rate:  # the member's own report, written as repr writes it
                 assert rate == repr(gain["predicted_rate"]) and gain["kind"] == "exponential"
 
-    def test_mu_sweep_builds_its_law_once(self, tmp_path, monkeypatch):
-        built = []
-        real = controllers.mode_matrix
-        monkeypatch.setattr(controllers, "mode_matrix", lambda *a: built.append(a) or real(*a))
-        controllers._feedback_law.cache_clear()
+    def test_mu_sweep_computes_its_sine_table_once(self, tmp_path):
+        # each member builds its own law, its -mu folded in, from one cached sine table
+        mode_matrix.cache_clear()
         ini = tmp_path / "fourier.ini"
         ini.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER))
         values = ",".join(repr(8.5 * k / 32) for k in range(33))
         assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", values]
                     + ["--out", str(tmp_path / "sweep")]) == 0
-        assert len(built) <= 1
+        assert mode_matrix.cache_info().misses == 1
 
     def test_close_values_get_their_own_members(self, tmp_path):
         out = tmp_path / "sweep"
@@ -954,6 +967,26 @@ class TestLemmas:
         main(["lemmas", "--seed", "5", "--samples", "15", "--out", str(a_dir)])
         main(["lemmas", "--seed", "5", "--samples", "15", "--out", str(b_dir)])
         assert (a_dir / "lemmas.json").read_text() == (b_dir / "lemmas.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "lemmas"])
+def test_an_out_path_that_cannot_be_created_exits_two(command, volume_ini, tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *a: started.append(a))
+    monkeypatch.setattr(cli, "run_inequality_suite", lambda *a: started.append(a))
+    args = {
+        "run": ["run", "--config", volume_ini],
+        "sweep": ["sweep", "--config", volume_ini, "--param", "mu", "--values", "1,4"],
+        "lemmas": ["lemmas", "--samples", "5"],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):  # a file, and a path through one
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
+        assert err.count("\n") == 1
+    assert started == []  # the path is checked before anything is simulated or sampled
 
 
 def test_missing_subcommand_exits_two():

@@ -115,15 +115,17 @@ class TestBuildProfile:
 
     def test_dirichlet_rejects_mode_zero(self):
         g = make_grid(np.pi, 64, "dirichlet")
-        with pytest.raises(ConfigError):
-            build_profile(g, "mode 0", 1.0)
+        for amplitude in (1.0, 0.0):  # the text is checked at any amplitude
+            with pytest.raises(ConfigError):
+                build_profile(g, "mode 0", amplitude)
 
     @pytest.mark.parametrize("bc,highest", [("dirichlet", 63), ("neumann", 64)])
     def test_modes_the_grid_cannot_resolve_rejected(self, bc, highest):
         g = make_grid(np.pi, 64, bc)
         assert np.any(build_profile(g, f"mode {highest}", 1.0).values)
-        with pytest.raises(ConfigError, match="mode index"):
-            build_profile(g, f"mode {highest + 1}", 1.0)
+        for amplitude in (1.0, 0.0):
+            with pytest.raises(ConfigError, match="mode index"):
+                build_profile(g, f"mode {highest + 1}", amplitude)
 
     @pytest.mark.parametrize("n_cells,k", [(64, 1), (256, 255), (2048, 700)])
     def test_dirichlet_mode_builds_only_its_row(self, n_cells, k):
@@ -142,8 +144,9 @@ class TestBuildProfile:
         assert np.any(build_profile(g, "random(3, 63)", 1.0).values)
         for text in ("random(3, 64)", "random(3, 200000)"):
             rule = re.escape(f"profile {text!r} needs") + r".*\[1, n_cells = 64\)"
-            with pytest.raises(ConfigError, match=rule):
-                build_profile(g, text, 1.0)
+            for amplitude in (1.0, 0.0):
+                with pytest.raises(ConfigError, match=rule):
+                    build_profile(g, text, amplitude)
 
     def test_bump_amplitude(self):
         g = make_grid(1.0, 64, "neumann")
@@ -171,8 +174,23 @@ class TestBuildProfile:
     def test_random_needs_integer_seed_and_degree(self, text):
         # 1.5 and 3.7 were truncated to 1 and 3; -1 reached numpy's seeding
         g = make_grid(np.pi, 64, "dirichlet")
-        with pytest.raises(ConfigError, match=re.escape(f"profile {text!r} needs an integer seed")):
-            build_profile(g, text, 1.0)
+        for amplitude in (1.0, 0.0):
+            with pytest.raises(ConfigError, match=re.escape(f"profile {text!r} needs an integer seed")):
+                build_profile(g, text, amplitude)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0])
+    def test_bump_needs_a_positive_width(self, amplitude):
+        g = make_grid(1.0, 64, "neumann")
+        with pytest.raises(ConfigError, match="bump width must be positive, got -1.0"):
+            build_profile(g, "bump(0.5, -1)", amplitude)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_a_valid_profile_at_amplitude_zero_is_exact_zeros(self, bc):
+        g = make_grid(np.pi, 64, bc)
+        for text in ("zero", "mode 1", "mode 63", "bump(0.5, 0.2)", "random(3, 8)", "random(3, 63)"):
+            f = build_profile(g, text, 0.0)
+            assert f.values.tolist() == [0.0] * g.n_nodes
+            assert not np.signbit(f.values).any()  # +0.0, not the -0.0 of 0 * a negative value
 
 
 class TestLoadConfig:

@@ -232,7 +232,7 @@ class TestControllerEnergy:
 
 
 # ---------------------------------------------------------------------------
-# the law cache: one (observe, actuator, s) per (spec, grid)
+# the law cache: one (observe, actuate, s) per (spec, grid)
 # ---------------------------------------------------------------------------
 
 LAW_IDS = ["volume", "fourier", "nodal", "subdomain", "none"]
@@ -257,8 +257,7 @@ def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
 
 def uncached_operators(spec, grid):
     """Control and energy closures from a fresh build of the law, bypassing the cache."""
-    observe, actuator, s = controllers._feedback_law.__wrapped__(spec, grid)
-    actuate = actuator(-spec.mu)  # the gain folded in, as make_control_operator folds it
+    observe, actuate, s = controllers._feedback_law.__wrapped__(spec, grid)
     return (
         lambda u: actuate(observe(u)),
         lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
@@ -324,16 +323,18 @@ class TestLawCache:
                 u = st_.u.values
                 assert controller_energy(spec, g, u) == energy(u)
                 np.testing.assert_array_equal(make_control_operator(spec, g)(u), control(u))
-        # the law is keyed on its shape, not its gain: both gains share one build
-        assert controllers._feedback_law.cache_info().currsize == 1
+        # the gain is folded into the law's arrays: each gain has its own build,
+        # and the second pass reuses both
+        info = controllers._feedback_law.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
 
     @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
     def test_cached_arrays_are_read_only(self, spec, bc):
         g = make_grid(PI, 64, bc)
-        observe, actuator, s = controllers._feedback_law(spec, g)
+        observe, actuate, s = controllers._feedback_law(spec, g)
         held = [s] + [
             c.cell_contents
-            for fn in (observe, actuator)
+            for fn in (observe, actuate)
             for c in fn.__closure__ or ()
             if isinstance(c.cell_contents, np.ndarray)
         ]
@@ -358,7 +359,7 @@ def per_row_energy_operator(spec, grid):
     """The controller energy as it was evaluated before laws took blocks: one
     state at a time, each by a BLAS dot product of the one-state observation."""
     observe = one_state_observation(spec, grid)
-    _, _, s = controllers._feedback_law(controllers._law_shape(spec), grid)
+    _, _, s = controllers._feedback_law(spec, grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):
@@ -378,7 +379,7 @@ def random_block(grid, K, seed):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
     g = make_grid(PI, 64, bc)
-    observe, _, _ = controllers._feedback_law(controllers._law_shape(spec), g)
+    observe, _, _ = controllers._feedback_law(spec, g)
     energy = make_energy_operator(spec, g)
     u = np.random.default_rng(K).standard_normal((K, g.n_nodes))
     y, e = observe(u), energy(u)
@@ -391,8 +392,7 @@ def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
     g = make_grid(PI, 64, bc)
-    observe, actuator, _ = controllers._feedback_law(controllers._law_shape(spec), g)
-    actuate = actuator(-spec.mu)
+    observe, actuate, _ = controllers._feedback_law(spec, g)
     reference = one_state_observation(spec, g)
     control = make_control_operator(spec, g)
     u = random_block(g, 64, 17)

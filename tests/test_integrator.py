@@ -529,7 +529,7 @@ def two_stencil_step(stepper, u, v):
     if mdl.m is not None:
         v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * lap_u) + stepper.ctl(u))
     r_v = v + 0.5 * dt * (mdl.nu * lap_u - mdl.linear_damping * v)
-    r_v += dt * (source(mdl, u_star, v_half) + stepper.ctl(u_star))
+    r_v += dt * (source(mdl, u_star, v_half, np.zeros_like(u_star)) + stepper.ctl(u_star))
     r_v += 0.5 * dt * mdl.viscosity * lap(v, dx)
     v_new = kernels.thomas_solve(stepper.factors, r_v + 0.5 * dt * mdl.nu * lap(u_star, dx))
     return u_star + 0.5 * dt * v_new, v_new
@@ -586,7 +586,7 @@ def allocating_advance(self, u, v):
     if mdl.m is not None:
         # only nonlinear damping reads v: predict it at the half step
         v_half = v + 0.5 * dt * (source(mdl, u, v, mdl.nu * self.lap(u, dx)) + self.ctl(u))
-    g_half = source(mdl, u_star, v_half) + self.ctl(u_star)
+    g_half = source(mdl, u_star, v_half, np.zeros_like(u_star)) + self.ctl(u_star)
     # the trapezoid on nu*u_xx is nu/2 (lap u + lap u_new), and lap u_new =
     # lap u_star + dt/2 lap v_new: the v_new part is in the matrix, and
     # lap u + lap u_star is one stencil of u + u_star
@@ -616,7 +616,7 @@ def per_state_ledger_row(model, law, grid, t, u, v):
     vv, uu = integral_of(v * v), integral_of(u * u)
     kin, grad, quad = 0.5 * vv, 0.5 * model.nu * h1, -0.5 * model.a * uu
     lp = 0.0 if p is None else integral_of(np.abs(u) ** p / p)
-    _, _, s = controllers._feedback_law(controllers._law_shape(law), grid)
+    _, _, s = controllers._feedback_law(law, grid)
     ctrl = 0.5 * law.mu * float(np.dot(s, one_state_observation(law, grid)(u) ** 2))
     row = [t, kin, grad, quad, lp, ctrl, kin + grad + quad + lp + ctrl, vv + h1]
     cert = integrator.certificate(model, law)

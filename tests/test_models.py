@@ -211,7 +211,7 @@ def test_linear_source_is_a_times_u():
     rng = np.random.default_rng(5)
     u, v, base = rng.standard_normal((3, 65))
     m = damped_wave(1.0, 0.7, 1.0, "dirichlet")
-    assert np.array_equal(source(m, u, v), 0.7 * u)
+    assert np.array_equal(source(m, u, v, np.zeros_like(u)), 0.7 * u)
     assert np.array_equal(source(m, u, v, base), base + 0.7 * u)
 
 
