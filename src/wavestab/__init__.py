@@ -47,7 +47,6 @@ from .grid import (
     integral,
     laplacian_stencil,
     make_grid,
-    sample,
     zeros,
 )
 from .integrator import (
@@ -87,7 +86,6 @@ __all__ = [
     "Field",
     "State",
     "make_grid",
-    "sample",
     "zeros",
     "integral",
     "h1_seminorm_sq",

@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -99,6 +100,31 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
 
 
+def _warn_step(cfg: ExperimentConfig, member: str) -> None:
+    """Print one ``warning:`` line, led by ``member``, when r = ``cfg.step_ratio`` > 0.9.
+
+    The line names the largest stable dt.  The exit code is left alone: r < 1 is sufficient for a stable step, but
+    whether strong damping needs it is unverified.
+    """
+    r, n_steps = cfg.step_ratio, cfg.stepper.n_steps
+    if r <= 0.9 or n_steps == 0:
+        return
+    if r >= 1.0:
+        state = " >= 1, past the explicit feedback's limit: the step is unstable"
+    else:
+        state = (
+            f", near the explicit feedback's limit r = 1: the energy can exceed the step's"
+            f" modified energy by the factor 1/(1 - r) = {1.0 / (1.0 - r):.6g}"
+        )
+    stable = math.floor(n_steps * math.sqrt(r)) + 1  # r scales as dt^2
+    t_end = cfg.stepper.t_end
+    print(
+        f"warning: {member}dt = {cfg.stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state};"
+        f" the largest dt that divides t_end with r < 1 is dt = {t_end:g}/{stable} = {t_end / stable!r}",
+        file=sys.stderr,
+    )
+
+
 def _make_out(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -138,6 +164,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         "blowup": {"blew_up": result.blew_up, "time": result.blowup_time},
         "n_steps": cfg.stepper.n_steps,
         "dt": cfg.stepper.dt,
+        "step_ratio": cfg.step_ratio,
         "t_reached": result.final_state.t,
         "records": len(result.ledger),
         "fit": fit_dict,
@@ -178,6 +205,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    _warn_step(cfg, "")
     doc, code = _execute(cfg, args.out)
     gain = doc["gain"]
     if gain is not None:
@@ -253,6 +281,8 @@ def cmd_sweep(args) -> int:
         print(f"error: --values repeats {args.param} = {shown}", file=sys.stderr)
         return 2
     members = [_sweep_member(base, args.param, v) for v in sorted(values)]
+    for label, cfg in members:
+        _warn_step(cfg, f"{args.param}={label}: ")
 
     _make_out(args.out)
     labels, cfgs = zip(*members)

@@ -27,6 +27,7 @@ from .controllers import (
     Nodal,
     SubdomainControl,
     VolumeElements,
+    feedback_stiffness,
     make_control_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
@@ -90,6 +91,17 @@ class ExperimentConfig:
     window: tuple[float, float]  # the fit window (lo, hi), resolved against t_end
     safety: float
     raw: dict
+
+    @property
+    def step_ratio(self) -> float:
+        """r = dt^2 (lambda - a)/4, with lambda bounding the feedback's stiffness.
+
+        The IMEX step takes the feedback and ``a*u`` explicitly; it is
+        stable, and its modified energy positive, while r < 1, and the
+        physical energy can exceed the modified one by 1/(1 - r).
+        """
+        lam = feedback_stiffness(self.controller, self.grid)
+        return self.stepper.dt**2 * (lam - self.model.a) / 4.0
 
     @property
     def variant(self) -> str:

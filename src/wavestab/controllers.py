@@ -172,16 +172,19 @@ def element_averages(weights: np.ndarray, bounds: np.ndarray, u: np.ndarray) -> 
     return np.add.reduceat(weights * u, bounds, axis=-1)[..., ::2]
 
 
-def _nearest_interior_index(grid: Grid1D, x: np.ndarray) -> np.ndarray:
-    """Index into the stored nodes of a Dirichlet grid of the full-line node nearest each x."""
-    full = np.rint(x / grid.dx).astype(int)
-    if np.any(full <= 0) or np.any(full >= grid.n_cells):
-        bad = x[(full <= 0) | (full >= grid.n_cells)][0]
-        raise ValueError(
-            f"actuation point {bad:.6g} is nearest to a boundary node, where "
-            "a Dirichlet field cannot carry a delta; move it inward or refine"
-        )
-    return full - 1
+def _interpolation(grid: Grid1D, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi, w_lo, w_hi): u(x) = w_lo * u[lo] + w_hi * u[hi] on a Dirichlet grid's stored nodes.
+
+    The full line's end nodes hold the implicit zero boundary values, so a
+    weight on one is zero (and its index is clamped to a stored node).
+    """
+    xs = np.concatenate(([0.0], grid.nodes, [grid.L]))  # stored node j is full node j + 1
+    cell = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, grid.n_cells - 1)
+    frac = (x - xs[cell]) / (xs[cell + 1] - xs[cell])
+    lo, hi = cell - 1, cell
+    w_lo = np.where(lo >= 0, 1.0 - frac, 0.0)
+    w_hi = np.where(hi < grid.n_nodes, frac, 0.0)
+    return np.maximum(lo, 0), np.minimum(hi, grid.n_nodes - 1), w_lo, w_hi
 
 
 def _require_dirichlet(grid: Grid1D, what: str) -> None:
@@ -206,11 +209,12 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     which spreads y back onto the nodes with -mu folded once into the law's
     arrays: the modal matrix, the subdomain's indicator, the nodal ``h/dx``
     scale, or the element values before their two gathers.  The controller
-    energy is ``1/2 * mu * sum(s * y**2)``.  Except for the nodal law, whose
-    observation and actuation points differ, the actuation is the adjoint of
+    energy is ``1/2 * mu * sum(s * y**2)``.  The actuation is the adjoint of
     the observation (weights s on y, trapezoid weights on the nodes), so the
     feedback ``actuate(observe(u))`` is minus the weighted gradient of that
-    energy.
+    energy; the nodal law interpolates at its observation points and
+    actuates with that interpolation's transpose at its actuation points,
+    so for it this holds when the two agree, as the default midpoints do.
 
     The cache makes the ledger's energy calls a lookup, not a rebuild.  The
     arrays the laws hold are read-only.
@@ -250,28 +254,23 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
         obs, act = spec.points(grid.L)
-        act_idx = _nearest_interior_index(grid, act)
+        lo, hi, w_lo, w_hi = _interpolation(grid, obs)
+        act_lo, act_hi, *act_w = _interpolation(grid, act)
+        dead = act_w[0] + act_w[1] == 0.0  # a point at 0 or L: both weights fall on boundary nodes
+        if dead.any():
+            raise ValueError(f"actuation point {act[dead][0]:.6g} lies on the boundary, where u = 0")
         h = grid.L / spec.N
-        scale = -spec.mu * h / grid.dx
-        # two-point interpolation between the full line's nodes, whose ends
-        # hold the implicit zero boundary values: stored node j is full node j + 1
-        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
-        cell = np.clip(np.searchsorted(xs, obs, side="right") - 1, 0, grid.n_cells - 1)
-        frac = (obs - xs[cell]) / (xs[cell + 1] - xs[cell])
-        lo, hi = cell - 1, cell
-        w_lo = np.where(lo >= 0, 1.0 - frac, 0.0)
-        w_hi = np.where(hi < grid.n_nodes, frac, 0.0)
-        lo, hi = np.maximum(lo, 0), np.minimum(hi, grid.n_nodes - 1)
+        # the interpolation's transpose: -mu * h/dx * w * y onto the two nodes around each x_k
+        act_idx = np.concatenate((act_lo, act_hi))
+        gw = -spec.mu * h / grid.dx * np.stack(act_w)
 
         def observe_nodal(u):  # gathers the last axis through u.T, cheaper than u[..., lo]
             return w_lo * u.T[lo].T + w_hi * u.T[hi].T
 
         def actuate_nodal(y):
-            out = np.zeros(grid.n_nodes)
-            np.add.at(out, act_idx, scale * y)
-            return out
+            return np.bincount(act_idx, (gw * y).ravel(), grid.n_nodes)
 
-        held = (act_idx, lo, hi, w_lo, w_hi)
+        held = (act_idx, gw, lo, hi, w_lo, w_hi)
         return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
 
     if isinstance(spec, SubdomainControl):
@@ -283,6 +282,18 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, chi, g_chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
+
+
+def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
+    """An upper bound on the largest eigenvalue of the feedback's stiffness mu * AC.
+
+    AC's largest eigenvalue is 1 for the modal, volume and subdomain laws,
+    and at most h/dx for the nodal law while no two of its points share a
+    node (the default midpoints share none on two or more cells per element).
+    """
+    if isinstance(spec, Nodal):
+        return spec.mu * (grid.L / spec.N) / grid.dx
+    return spec.mu
 
 
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:

@@ -141,11 +141,6 @@ class State:
         return self.u.grid
 
 
-def sample(grid: Grid1D, fn: Callable[[np.ndarray], np.ndarray]) -> Field:
-    """Sample a function of x at the grid nodes."""
-    return Field(grid, np.asarray(fn(grid.nodes), dtype=np.float64))
-
-
 def zeros(grid: Grid1D) -> Field:
     return Field(grid, np.zeros(grid.n_nodes))
 

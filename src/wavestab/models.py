@@ -62,9 +62,6 @@ class Nonlinearity:
     def f(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u) if self.p is None else self.power(u) * u
 
-    def F(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u) if self.p is None else np.abs(u) ** self.p / self.p
-
 
 @dataclass(frozen=True)
 class ModelSpec:

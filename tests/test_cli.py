@@ -361,6 +361,16 @@ def test_subdomain_beyond_the_grid_is_config_error(tmp_path, capsys):
     assert "[controller] omega_hi=3.5 lies beyond the grid's L=3.14159" in capsys.readouterr().err
 
 
+def test_nodal_actuation_on_the_boundary_is_config_error(tmp_path, capsys):
+    # a point at 0 or L has both interpolation weights zero: it would actuate nothing
+    p = tmp_path / "end.ini"
+    p.write_text(PAIR_INI.format(family="damped_wave", controller=NODAL + "\nact_points = 0, 1.2, 2, 3"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [controller] actuation point 0 lies on the boundary, where u = 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "old,new,message",
     [
@@ -576,6 +586,69 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["steps_per_second"] is None  # no step taken
         assert all(s >= 0.0 for s in report["seconds"].values())
+
+
+# modal feedback at dt = 0.01, where r = dt^2 (mu - a)/4 reaches 1 just above mu = 4e4
+STEP_INI = """\
+[model]
+family = damped_wave
+a = 1.0
+b = 2.0
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = fourier
+N = 2
+mu = {mu}
+
+[initial]
+u0 = random(3, 3)
+
+[time]
+dt = 0.01
+t_end = 4.0
+"""
+
+
+class TestStepRatio:
+    def run_mu(self, mu, tmp_path, capsys):
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu=mu))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        return code, capsys.readouterr().err, report
+
+    def test_a_small_ratio_is_recorded_without_a_warning(self, tmp_path, capsys):
+        code, err, report = self.run_mu("1e4", tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert report["step_ratio"] == pytest.approx(1e-4 * (1e4 - 1.0) / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, expected, factor", [("3.9e4", 0, "39.96"), ("4e4", 1, "40000")])
+    def test_a_ratio_near_one_warns(self, mu, expected, factor, tmp_path, capsys):
+        # the exit code is the run's own: the warning only names the step
+        code, err, report = self.run_mu(mu, tmp_path, capsys)
+        assert code == expected
+        (line,) = err.splitlines()
+        assert line.startswith(f"warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = {report['step_ratio']:.6g}")
+        assert f"by the factor 1/(1 - r) = {factor};" in line
+
+    def test_a_ratio_past_one_warns_that_the_step_is_unstable(self, tmp_path, capsys):
+        code, err, report = self.run_mu("4.05e4", tmp_path, capsys)
+        assert code == 3 and report["step_ratio"] > 1.0
+        (line,) = err.splitlines()
+        assert "the step is unstable" in line
+        assert line.endswith(f"the largest dt that divides t_end with r < 1 is dt = 4/403 = {4 / 403!r}")
+
+    def test_a_sweep_warns_for_each_member_past_the_bound(self, tmp_path, capsys):
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="1e4"))
+        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "out"), "--param", "mu",
+                     "--values", "1e4,3.9e4,4.05e4"])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines] == [["warning", " mu=39000"], ["warning", " mu=40500"]]
 
 
 class TestSweep:

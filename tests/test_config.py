@@ -10,6 +10,7 @@ import pytest
 from wavestab import (
     BoundaryCondition,
     Family,
+    Field,
     FourierModes,
     Nodal,
     StepperConfig,
@@ -26,7 +27,6 @@ from wavestab import (
     mode_matrix,
     nonlinear_damping_wave,
     run,
-    sample,
     strongly_damped_wave,
     zeros,
 )
@@ -490,7 +490,7 @@ def _pair_config(family, ctrl):
         Family.NONLINEAR_DAMPING: lambda: nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0),
     }[family]()
     grid = make_grid(np.pi, 64, bc)
-    u0 = sample(grid, lambda x: np.exp(-(((x - 1.3) / 0.5) ** 2)))
+    u0 = Field(grid, np.exp(-(((grid.nodes - 1.3) / 0.5) ** 2)))
     stepper = StepperConfig(dt=0.01, t_end=0.5, record_every=5)
     return ExperimentConfig(grid, model, ctrl, u0, zeros(grid), stepper, (0.1, 0.45), 0.8, {})
 

@@ -118,12 +118,51 @@ class TestControlFields:
         u = random_trig_field(g, np.random.default_rng(1))
         out = make_control_operator(spec, g)(u.values)
         assert np.count_nonzero(out) <= 27
-        # actuation weight: mu * h / dx at the nearest node to each x_k
+        # the midpoints sit on nodes: weight mu * h / dx at the node x_k, bit for bit
         obs, act = spec.points(PI)
         k = int(np.rint(act[0] / g.dx)) - 1
+        assert g.nodes[k] == act[0]
         u_obs = np.interp(obs[0], np.concatenate(([0], g.nodes, [PI])), np.concatenate(([0], u.values, [0])))
         h = PI / 27
-        assert out[k] == pytest.approx(-4.3 * h / g.dx * u_obs)
+        assert out[k] == -4.3 * h / g.dx * u_obs
+
+    def test_nodal_actuation_next_to_the_boundary(self):
+        # 0.4 dx lies between the implicit zero at 0 and stored node 0,
+        # so the point's whole weight, 0.4, goes to node 0
+        g = make_grid(PI, 64, "dirichlet")
+        _, actuate, _ = controllers._feedback_law(Nodal(3, 2.0, act_points=(0.4 * g.dx, 1.5, 2.5)), g)
+        out = actuate(np.array([1.0, 0.0, 0.0]))
+        assert np.flatnonzero(out).tolist() == [0]
+        assert out[0] == pytest.approx(-2.0 * (PI / 3) / g.dx * 0.4, rel=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, PI])
+    def test_nodal_actuation_on_the_boundary_rejected(self, x):
+        g = make_grid(PI, 64, "dirichlet")
+        points = (x, 1.5, 2.5) if x == 0.0 else (0.5, 1.5, x)
+        with pytest.raises(ValueError, match="on the boundary"):
+            make_control_operator(Nodal(3, 2.0, act_points=points), g)
+
+    @pytest.mark.parametrize(
+        "spec, bc, sharp",
+        [
+            (VolumeElements(4, 3.0), "neumann", True),
+            (FourierModes(3, 3.0), "dirichlet", True),
+            (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet", True),
+            (Nodal(4, 3.0), "dirichlet", True),
+            (Nodal(3, 3.0), "dirichlet", False),
+            (NoControl(), "dirichlet", True),
+        ],
+        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "none"],
+    )
+    def test_feedback_stiffness_bounds_the_largest_eigenvalue(self, spec, bc, sharp):
+        g = make_grid(PI, 64, bc)
+        control = make_control_operator(spec, g)
+        stiffness = -np.stack([control(e) for e in np.eye(g.n_nodes)], axis=-1)  # mu * AC
+        top = np.max(np.linalg.eigvals(stiffness).real)
+        bound = controllers.feedback_stiffness(spec, g)
+        assert top <= bound * (1.0 + 1e-12) + 1e-12
+        if sharp:
+            assert top == pytest.approx(bound, rel=1e-9, abs=1e-12)
 
     def test_nodal_explicit_points_roundtrip(self):
         spec = Nodal(3, 1.0, obs_points=(0.5, 1.5, 2.5), act_points=(0.6, 1.6, 2.6))
@@ -186,8 +225,7 @@ class TestControlFields:
     )
     def test_feedback_is_minus_energy_gradient(self, spec, bc):
         # <control(u), e>_W = -[E(u+e) - E(u-e)]/2 holds exactly for a
-        # quadratic E when the feedback is -W^{-1} grad E; nodal feedback is
-        # left out because it observes and actuates at different points
+        # quadratic E when the feedback is -W^{-1} grad E
         g = make_grid(PI, 64, bc)
         rng = np.random.default_rng(11)
         u = rng.standard_normal(g.n_nodes)
@@ -196,6 +234,27 @@ class TestControlFields:
         energy = make_energy_operator(spec, g)
         work = float(np.dot(g.quad_weights, control(u) * e))
         assert work == pytest.approx(-0.5 * (energy(u + e) - energy(u - e)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, bc",
+        [
+            (VolumeElements(4, 3.0), "neumann"),
+            (FourierModes(3, 3.0), "dirichlet"),
+            (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet"),
+            (Nodal(4, 3.0), "dirichlet"),
+            (Nodal(3, 3.0), "dirichlet"),
+            (Nodal(3, 3.0, obs_points=(0.1, 1.2, 3.0), act_points=(0.1, 1.2, 3.0)), "dirichlet"),
+        ],
+        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "nodal_points"],
+    )
+    def test_actuation_is_the_adjoint_of_the_observation(self, spec, bc):
+        # sum(w_q * control(u) * w) = -mu * sum(s * y(u) * y(w)), trapezoid weights w_q
+        g = make_grid(PI, 64, bc)
+        rng = np.random.default_rng(12)
+        u, w = rng.standard_normal((2, g.n_nodes))
+        observe, _, s = controllers._feedback_law(spec, g)
+        work = np.sum(g.quad_weights * make_control_operator(spec, g)(u) * w)
+        assert work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13)
 
 
 class TestControllerEnergy:

@@ -30,7 +30,6 @@ from wavestab import (
     mode_matrix,
     nonlinear_damping_wave,
     run,
-    sample,
     strongly_damped_wave,
     zeros,
 )
@@ -152,6 +151,19 @@ def test_undamped_energy_conserved():
     assert np.max(np.abs(E - E[0])) <= 1e-8 * E[0]
 
 
+def test_off_node_nodal_feedback_never_raises_the_energy():
+    # 64 cells over N = 3 elements put the midpoints between nodes; actuating
+    # through the interpolation's transpose makes the feedback dissipative there
+    g = make_grid(PI, 64, "dirichlet")
+    model = damped_wave(1.0, 1.0, 0.5, "dirichlet")
+    x = g.nodes
+    u0 = Field(g, np.sin(x) + 0.5 * np.sin(3.0 * x) + 0.3 * np.sin(5.0 * x))
+    res = run(model, Nodal(3, 5.0), u0, zeros(g), StepperConfig(dt=0.002, t_end=4.0, record_every=1))
+    E = ledger_column(res.ledger, "total")
+    assert len(E) == 2001
+    assert np.max(np.diff(E)) <= 1e-9 * E[0]
+
+
 def test_zero_state_stays_zero():
     g = make_grid(PI, 64, "neumann")
     model = damped_wave(1.0, 1.0, 2.0, "neumann")
@@ -172,7 +184,7 @@ def test_t_end_zero_single_record():
 def test_deterministic_reruns():
     g = make_grid(PI, 96, "neumann")
     model = damped_wave(1.0, 1.0, 2.0, "neumann")
-    u0 = sample(g, lambda x: np.exp(-((x - 1.5) / 0.4) ** 2))
+    u0 = Field(g, np.exp(-((g.nodes - 1.5) / 0.4) ** 2))
     cfg = StepperConfig(dt=0.004, t_end=2.0)
     a = run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
     b = run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
@@ -248,7 +260,7 @@ class TestBlowup:
         # before |u| reaches the 1e12 limit; the solve passes it on as NaN
         g = make_grid(PI, 64, "dirichlet")
         model = damped_wave(1.0, 1.0, 0.5, "dirichlet", Nonlinearity(40))
-        u0 = sample(g, lambda x: 1e10 * np.sin(x))
+        u0 = Field(g, 1e10 * np.sin(g.nodes))
         with np.errstate(over="ignore", invalid="ignore"):
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=5.0))
         assert res.blew_up
@@ -339,7 +351,7 @@ class TestPrefactoredSolve:
     @pytest.mark.parametrize("model, bc, ctrl", CASES)
     def test_matches_banded_solve_reference(self, model, bc, ctrl, monkeypatch):
         g = make_grid(PI, 128, bc)
-        u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x) * (bc == "neumann"))
+        u0 = Field(g, np.sin(g.nodes) + 0.5 * np.cos(3 * g.nodes) * (bc == "neumann"))
         cfg = StepperConfig(dt=0.005, t_end=1.0, record_every=20)
         assert cfg.n_steps == 200
         fast = run(model, ctrl, u0, zeros(g), cfg)
@@ -363,7 +375,7 @@ class TestPrefactoredSolve:
     def test_matches_the_pivoted_lu_solve_it_replaced(self, model, law, monkeypatch):
         # the family fixes the boundary type of all but the damped wave
         g = make_grid(PI, 128, model.bc)
-        u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.cos(3 * x))
+        u0 = Field(g, np.sin(g.nodes) + 0.5 * np.cos(3 * g.nodes))
         cfg = StepperConfig(dt=0.005, t_end=1.25, record_every=25)
         assert cfg.n_steps == 250
         fast = run(model, law, u0, zeros(g), cfg)
@@ -385,7 +397,7 @@ class TestPrefactoredSolve:
         monkeypatch.setattr(kernels, "thomas_solve", counted(calls, "solve", solve))
         g = make_grid(PI, 64, "neumann")
         model = damped_wave(1.0, 1.0, 2.0, "neumann")
-        u0 = sample(g, lambda x: np.cos(x))
+        u0 = Field(g, np.cos(g.nodes))
         cfg = StepperConfig(dt=0.01, t_end=1.5, record_every=7)
         run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
         assert calls == {"factor": 1, "solve": cfg.n_steps}
@@ -413,8 +425,8 @@ def test_imex_converges_to_the_reference_at_order_two(name):
     # system, so what separates the two is the step's time error alone
     model, law = REFERENCE_CASES[name]
     g = make_grid(PI, 32, model.bc)
-    u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x))
-    v0 = sample(g, lambda x: 0.5 * np.sin(2.0 * x))
+    u0 = Field(g, np.sin(g.nodes) + 0.4 * np.sin(3.0 * g.nodes))
+    v0 = Field(g, 0.5 * np.sin(2.0 * g.nodes))
     u_ref, v_ref = reference_solution(model, law, u0, v0, 1.0)
     errs = []
     for dt in (0.004, 0.002, 0.001):
@@ -478,7 +490,7 @@ class TestLyapunov:
     def test_auto_lyapunov_in_records(self):
         gn = make_grid(PI, 64, "neumann")
         mn = damped_wave(1.0, 1.0, 2.0, "neumann")
-        u0 = sample(gn, lambda x: np.exp(-((x - 1.5) / 0.4) ** 2))
+        u0 = Field(gn, np.exp(-((gn.nodes - 1.5) / 0.4) ** 2))
         res = run(mn, VolumeElements(2, 4.0), u0, zeros(gn), StepperConfig(dt=0.01, t_end=0.5))
         assert res.ledger.shape[1] == len(LEDGER_COLUMNS)
         assert np.all(np.isfinite(ledger_column(res.ledger, "lyapunov")))
@@ -488,7 +500,7 @@ class TestLyapunov:
         md = damped_wave(1.0, 1.0, 0.5, "dirichlet", None)
         from wavestab import Nodal
 
-        u0 = sample(gd, lambda x: np.sin(x))
+        u0 = Field(gd, np.sin(gd.nodes))
         res = run(md, Nodal(27, 4.3), u0, zeros(gd), StepperConfig(dt=0.01, t_end=0.2))
         assert res.ledger.shape[1] == len(LEDGER_COLUMNS) - 1  # no lyapunov column
 
@@ -562,7 +574,7 @@ def test_one_stencil_and_one_solve_per_step(name, monkeypatch):
     model, law = REFERENCE_CASES[name]
     g = make_grid(PI, 32, model.bc)
     cfg = StepperConfig(dt=0.01, t_end=0.5, record_every=7)
-    res = run(model, law, sample(g, np.sin), zeros(g), cfg)
+    res = run(model, law, Field(g, np.sin(g.nodes)), zeros(g), cfg)
     assert not res.blew_up
     assert calls == {"stencil": cfg.n_steps, "solve": cfg.n_steps}
 
@@ -648,7 +660,8 @@ def test_replaced_path_cases_cover_every_certified_pair():
 def test_workspace_step_and_ledger_match_the_paths_they_replaced(name):
     model, law = REPLACED_PATH_CASES[name]
     g = make_grid(PI, 64, model.bc)
-    u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
+    x = g.nodes
+    u0 = Field(g, np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
     cfg = StepperConfig(dt=0.01, t_end=2.0)
     assert cfg.n_steps == 200
     res = run(model, law, u0, zeros(g), cfg)
@@ -697,7 +710,8 @@ def alone(model, law, st):
 def test_the_ledger_does_not_depend_on_the_block_width(name, monkeypatch):
     model, law = LEDGER_CASES[name]
     g = make_grid(PI, 64, model.bc)
-    u0 = sample(g, lambda x: np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
+    x = g.nodes
+    u0 = Field(g, np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
     cfg = StepperConfig(dt=0.01, t_end=1.0)
     default = run(model, law, u0, zeros(g), cfg)
     assert len(default.ledger) == 101
@@ -719,7 +733,7 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
     g = make_grid(PI, 64, "dirichlet")
     if width is not None:
         monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
-    u0 = sample(g, lambda x: np.sin(x) + 0.5 * np.sin(2.0 * x))
+    u0 = Field(g, np.sin(g.nodes) + 0.5 * np.sin(2.0 * g.nodes))
     res = run(BLOWUP_MODEL, FourierModes(5, 0.0), u0, zeros(g), StepperConfig(dt=0.01, t_end=8.0))
     assert res.blew_up and 5.0 < res.blowup_time < 6.0
     final = res.final_state

@@ -19,7 +19,6 @@ from wavestab import (
     make_grid,
     mode_matrix,
     nonlinear_damping_wave,
-    sample,
     strongly_damped_wave,
     zeros,
 )
@@ -47,7 +46,6 @@ def test_zero_nonlinearity():
     nl = Nonlinearity()
     x = np.linspace(-3, 3, 7)
     assert not nl.f(x).any()
-    assert not nl.F(x).any()
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
@@ -55,7 +53,6 @@ def test_power_law_values(p):
     nl = Nonlinearity(p)
     s = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     np.testing.assert_allclose(nl.f(s), np.abs(s) ** (p - 2) * s)
-    np.testing.assert_allclose(nl.F(s), np.abs(s) ** p / p)
     assert nl.p == p
 
 
@@ -77,7 +74,7 @@ def test_condition_f_ok_for_power_laws():
     for p in (2.0, 4.0, 5.0):
         nl = Nonlinearity(p)
         f = nl.f(s)
-        assert np.min(f * s - nl.F(s)) >= 0.0
+        assert np.min(f * s - np.abs(s) ** p / p) >= 0.0  # F(s) = |s|^p / p
         assert np.min(np.diff(f)) >= 0.0
 
 
