@@ -10,21 +10,21 @@ the running supremum of ``total_energy(t) * t^alpha`` stabilizes.
 spectral inequalities with seeded random trigonometric polynomials and
 counts violations against a 1.01 discretization slack.  The printed
 mean-plus-gradient constant is checked both as printed and in corrected
-form, with the linear-ramp counterexample injected deterministically.
+form; the printed one fails on random samples and on the linear ramp,
+which is injected deterministically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .controllers import element_averages, element_layout
-from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral, make_grid
+from .grid import BoundaryCondition, Field, h1_seminorm_sq, integral, make_grid
 from .models import ledger_column
-from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check
+from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check, trig_table
 
 STAB_FLOOR = 1.0e-13
 SUITE_SLACK = 1.01
@@ -33,6 +33,18 @@ SUITE_SLACK = 1.01
 SUITE_DEGREE = 12
 SUITE_ELEMENT_COUNTS = (2, 4, 8)
 SUITE_MODE_COUNTS = (1, 2, 3, 4, 5, 6)
+# the suite's inequalities, in report order; every one must hold but the
+# printed mean-plus-gradient constant, which is reported for information only
+SUITE_INEQUALITIES = (
+    "element_mean_approx",
+    "mean_plus_gradient_printed",
+    "mean_plus_gradient_corrected",
+    "paired_point_differences",
+    "point_sampling_norm",
+    "spectral_tail",
+    "poincare",
+)
+SUITE_INFORMATIONAL = "mean_plus_gradient_printed"
 # the fewest records a check needs in its window: the exponential fit (which
 # the exponential and qualitative checks use) and the power-law check
 MIN_FIT_RECORDS = 20
@@ -220,42 +232,17 @@ class InequalityReport:
     empirical_constant: float
 
 
-class _Tally:
-    def __init__(self, name: str):
-        self.name = name
-        self.samples = 0
-        self.violations = 0
-        self.worst_ratio = 0.0
-        self.empirical = 0.0
-
-    def add(self, lhs: float, rhs: float, empirical: Optional[float] = None):
-        self.samples += 1
-        ratio = lhs / rhs if rhs > 0.0 else math.inf
-        if ratio > self.worst_ratio:
-            self.worst_ratio = ratio
-        if empirical is not None and empirical > self.empirical:
-            self.empirical = empirical
-        if lhs > SUITE_SLACK * rhs:
-            self.violations += 1
-
-    def report(self) -> InequalityReport:
-        return InequalityReport(
-            name=self.name,
-            samples=self.samples,
-            violations=self.violations,
-            worst_ratio=self.worst_ratio,
-            empirical_constant=self.empirical if self.empirical > 0.0 else self.worst_ratio,
-        )
-
-
-def _trig_tables(grid: Grid1D, degree: int) -> np.ndarray:
-    """Rows: [1, cos(j pi x / L), sin(j pi x / L)] for j = 1..degree."""
-    x = grid.nodes
-    rows = [np.ones_like(x)]
-    for j in range(1, degree + 1):
-        rows.append(np.cos(j * np.pi * x / grid.L))
-        rows.append(np.sin(j * np.pi * x / grid.L))
-    return np.vstack(rows)
+def _report(name: str, rows: list) -> InequalityReport:
+    """One inequality's samples (lhs, rhs, empirical or None), reduced; a ratio with rhs <= 0 is inf."""
+    worst = max([0.0] + [lhs / rhs if rhs > 0.0 else math.inf for lhs, rhs, _ in rows])
+    empirical = max([0.0] + [e for _, _, e in rows if e is not None])
+    return InequalityReport(
+        name=name,
+        samples=len(rows),
+        violations=sum(1 for lhs, rhs, _ in rows if lhs > SUITE_SLACK * rhs),
+        worst_ratio=worst,
+        empirical_constant=empirical if empirical > 0.0 else worst,
+    )
 
 
 def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]:
@@ -266,15 +253,19 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
     Each sample draws a trigonometric polynomial of degree <= SUITE_DEGREE
     with uniform[-1,1] coefficients from a per-sample RNG stream
     (seed + index), plus random element/mode counts and random in-element
-    sampling points.  Violations are counted against the 1.01 slack.
+    sampling points.  Violations are counted against the 1.01 slack; each
+    inequality's samples are reduced to its report once, at the end.
 
     Returns reports keyed by:
 
     - ``element_mean_approx``: distance to element averages vs h ||f'||
     - ``mean_plus_gradient_printed`` / ``_corrected``: nodal-mean plus
       gradient bound on ||f||^2 with the printed (h/2pi)^2 and corrected
-      (h/pi)^2 coefficients; the linear ramp f(x) = x (one element) is
-      injected deterministically and falsifies the printed form
+      (h/pi)^2 coefficients.  The printed form fails on random samples,
+      not only on the linear ramp f(x) = x (one element) that is injected
+      deterministically: at seed 42 with 1000 samples it has 400
+      violations out of 1001, worst ratio 2.48, and empirical constant
+      0.0903 against 0.0253 printed and 0.1013 corrected
     - ``paired_point_differences``: summed squared differences of paired
       in-element point values vs h ||f'||^2
     - ``point_sampling_norm``: ||f||^2 vs 2[h sum f(x_k)^2 + h^2 ||f'||^2]
@@ -286,23 +277,12 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
     ngrid = make_grid(np.pi, 512, BoundaryCondition.NEUMANN)
     dgrid = make_grid(ngrid.L, ngrid.n_cells, BoundaryCondition.DIRICHLET)
 
-    table = _trig_tables(ngrid, SUITE_DEGREE)
+    table = trig_table(ngrid, SUITE_DEGREE)
     W = mode_matrix(dgrid, SUITE_DEGREE)
     lam1 = dirichlet_eigenvalue(dgrid.L, 1)
     layouts = {N: element_layout(ngrid, N) for N in SUITE_ELEMENT_COUNTS}
 
-    tallies = {
-        key: _Tally(key)
-        for key in (
-            "element_mean_approx",
-            "mean_plus_gradient_printed",
-            "mean_plus_gradient_corrected",
-            "paired_point_differences",
-            "point_sampling_norm",
-            "spectral_tail",
-            "poincare",
-        )
-    }
+    rows = {key: [] for key in SUITE_INEQUALITIES}
 
     def mean_plus_gradient(f: np.ndarray, N: int, means: np.ndarray):
         h = ngrid.L / N
@@ -310,10 +290,8 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         means2 = h * float(np.sum(means**2))
         sem2 = h1_seminorm_sq(ngrid, f)
         emp = (norm2 - means2) / (h * h * sem2) if sem2 > 1e-12 else None
-        tallies["mean_plus_gradient_printed"].add(
-            norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, emp
-        )
-        tallies["mean_plus_gradient_corrected"].add(norm2, means2 + (h / np.pi) ** 2 * sem2, emp)
+        rows["mean_plus_gradient_printed"].append((norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, emp))
+        rows["mean_plus_gradient_corrected"].append((norm2, means2 + (h / np.pi) ** 2 * sem2, emp))
 
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
@@ -327,7 +305,8 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
 
         # distance to the piecewise-constant element averages
         gap = f - means[owner]
-        tallies["element_mean_approx"].add(math.sqrt(integral(ngrid, gap, gap)), h * math.sqrt(sem2))
+        distance = math.sqrt(integral(ngrid, gap, gap))
+        rows["element_mean_approx"].append((distance, h * math.sqrt(sem2), None))
 
         mean_plus_gradient(f, N, means)
 
@@ -337,20 +316,19 @@ def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]
         yk = lo + h * rng.random(N)
         fx = np.interp(xk, ngrid.nodes, f)
         fy = np.interp(yk, ngrid.nodes, f)
-        tallies["paired_point_differences"].add(float(np.sum((fx - fy) ** 2)), h * sem2)
-        tallies["point_sampling_norm"].add(
-            integral(ngrid, f, f), 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
-        )
+        rows["paired_point_differences"].append((float(np.sum((fx - fy) ** 2)), h * sem2, None))
+        sampled = 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
+        rows["point_sampling_norm"].append((integral(ngrid, f, f), sampled, None))
 
         # Dirichlet-side spectral bounds
         g = rng.uniform(-1.0, 1.0, SUITE_DEGREE) @ W
         Nq = int(SUITE_MODE_COUNTS[rng.integers(len(SUITE_MODE_COUNTS))])
         tail, tail_bound, _ = tail_bound_check(Field(dgrid, g), Nq)
-        tallies["spectral_tail"].add(tail, tail_bound)
-        tallies["poincare"].add(integral(dgrid, g, g), h1_seminorm_sq(dgrid, g) / lam1)
+        rows["spectral_tail"].append((tail, tail_bound, None))
+        rows["poincare"].append((integral(dgrid, g, g), h1_seminorm_sq(dgrid, g) / lam1, None))
 
     # deterministic counterexample: the linear ramp against one element
     ramp_means = element_averages(*element_layout(ngrid, 1)[:2], ngrid.nodes)
     mean_plus_gradient(ngrid.nodes, 1, ramp_means)
 
-    return {key: tally.report() for key, tally in tallies.items()}
+    return {key: _report(key, rows[key]) for key in SUITE_INEQUALITIES}

@@ -40,7 +40,7 @@ from .models import (
     nonlinear_damping_wave,
     strongly_damped_wave,
 )
-from .spectral import Subdomain, sine_mode
+from .spectral import Subdomain, sine_mode, trig_table
 
 
 # the [analysis] defaults: the fit window as fractions of t_end, and the
@@ -167,14 +167,8 @@ def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
         seed, degree = int(args[0]), int(args[1])
         rng = np.random.default_rng([seed, 0])
         vals = np.zeros_like(x)
-        if grid.bc is BoundaryCondition.DIRICHLET:
-            for j in range(1, degree + 1):
-                vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
-        else:
-            vals += rng.uniform(-1.0, 1.0)
-            for j in range(1, degree + 1):
-                vals += rng.uniform(-1.0, 1.0) * np.cos(j * np.pi * x / grid.L)
-                vals += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / grid.L)
+        for row in trig_table(grid, degree):  # one coefficient per row, summed in row order
+            vals += rng.uniform(-1.0, 1.0) * row
     return zeros(grid) if amplitude == 0.0 else Field(grid, amplitude * vals)
 
 

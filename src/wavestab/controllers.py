@@ -287,12 +287,16 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
 def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
     """An upper bound on the largest eigenvalue of the feedback's stiffness mu * AC.
 
-    AC's largest eigenvalue is 1 for the modal, volume and subdomain laws,
-    and at most h/dx for the nodal law while no two of its points share a
-    node (the default midpoints share none on two or more cells per element).
+    AC's largest eigenvalue is 1 for the modal, volume and subdomain laws.
+    For the nodal law, mu * AC has the nonzero eigenvalues of the N x N
+    matrix whose k-th row is ``-observe(actuate(e_k))``, so its largest
+    absolute row sum bounds them (Gershgorin).  The bound is exact while no
+    two points share a node, and mu h/dx when each point sits on its own.
     """
     if isinstance(spec, Nodal):
-        return spec.mu * (grid.L / spec.N) / grid.dx
+        observe, actuate, _ = _feedback_law(spec, grid)
+        coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
+        return float(np.max(np.sum(np.abs(coupling), axis=1)))
     return spec.mu
 
 

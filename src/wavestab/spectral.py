@@ -47,6 +47,17 @@ def mode_matrix(grid: Grid1D, N: int) -> np.ndarray:
     return W
 
 
+def trig_table(grid: Grid1D, degree: int) -> np.ndarray:
+    """Rows 1, cos(j pi x/L), sin(j pi x/L), j = 1..degree, at the nodes; sines alone on Dirichlet."""
+    theta = np.arange(1, degree + 1)[:, None] * np.pi * grid.nodes / grid.L
+    if grid.bc is BoundaryCondition.DIRICHLET:
+        return np.sin(theta)
+    rows = np.ones((2 * degree + 1, grid.n_nodes))
+    rows[1::2] = np.cos(theta)
+    rows[2::2] = np.sin(theta)
+    return rows
+
+
 def project_modes(f: Field, N: int) -> np.ndarray:
     """First N modal coefficients (f, w_k) under the grid quadrature."""
     return mode_matrix(f.grid, N) @ (f.grid.quad_weights * f.values)

@@ -611,6 +611,76 @@ t_end = 4.0
 """
 
 
+# certified runs the CLI verifies: the two families whose step takes no
+# stencil of v, and nodal points off the nodes (N = 3 on 64 cells), which
+# actuate through the transpose of their interpolation
+STRONG_INI = """\
+[model]
+family = strongly_damped
+a = 1.0
+b = 1.0
+p = 4.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = fourier
+N = 2
+mu = 4.0
+
+[initial]
+u0 = random(3, 3)
+
+[time]
+dt = 0.01
+t_end = 6.0
+"""
+
+OFF_NODE_INI = """\
+[model]
+family = damped_wave
+nu = 1.0
+a = 1.0
+b = 0.5
+bc = dirichlet
+nonlinearity = zero
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = nodal
+N = 3
+mu = 5.0
+
+[initial]
+u0 = random(3, 5)
+
+[time]
+dt = 0.002
+t_end = 4.0
+record_every = 1
+"""
+
+VERIFIED_RUNS = {
+    "strong": STRONG_INI,
+    "nonlinear": STRONG_INI.replace("family = strongly_damped", "family = nonlinear_damping\nm = 3.0"),
+    "off_node": OFF_NODE_INI,
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFIED_RUNS))
+def test_certified_run_verifies(name, tmp_path):
+    p = tmp_path / f"{name}.ini"
+    p.write_text(VERIFIED_RUNS[name])
+    out = tmp_path / name
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    if name == "off_node":  # the energy never rises between records
+        with open(out / "trajectory.csv", newline="") as fh:
+            total = [float(row["total"]) for row in csv.DictReader(fh)]
+        assert max(b - a for a, b in zip(total, total[1:])) <= 1e-9 * total[0]
+
+
 class TestStepRatio:
     def run_mu(self, mu, tmp_path, capsys):
         p = tmp_path / "step.ini"
@@ -1033,6 +1103,14 @@ class TestLemmas:
         assert doc["reports"]["mean_plus_gradient_printed"]["violations"] >= 1
         for key in doc["mandatory"]:
             assert doc["reports"][key]["violations"] == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_are_a_usage_error(self, samples, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--samples", samples, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_same_seed_identical_json(self, tmp_path):
         a_dir = tmp_path / "a"

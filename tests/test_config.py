@@ -162,6 +162,23 @@ class TestBuildProfile:
         c = build_profile(g, "random(12, 6)", 1.0)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n_cells, seed, degree", [(64, 3, 63), (256, 1, 3), (2048, 7, 12)])
+    def test_random_is_its_formula_term_by_term(self, bc, n_cells, seed, degree):
+        # c_0 + sum_j (a_j cos(j pi x/L) + b_j sin(j pi x/L)), sines alone on Dirichlet,
+        # each coefficient one uniform(-1, 1) draw in the order c_0, a_1, b_1, a_2, ...
+        g = make_grid(np.pi, n_cells, bc)
+        x = g.nodes
+        rng = np.random.default_rng([seed, 0])
+        expected = np.zeros(g.n_nodes)
+        if bc == "neumann":
+            expected += rng.uniform(-1.0, 1.0)
+        for j in range(1, degree + 1):
+            if bc == "neumann":
+                expected += rng.uniform(-1.0, 1.0) * np.cos(j * np.pi * x / g.L)
+            expected += rng.uniform(-1.0, 1.0) * np.sin(j * np.pi * x / g.L)
+        np.testing.assert_array_equal(build_profile(g, f"random({seed}, {degree})", 1.0).values, expected)
+
     def test_random_respects_dirichlet_boundary(self):
         g = make_grid(np.pi, 64, "dirichlet")
         f = build_profile(g, "random(3, 8)", 1.0)

@@ -149,10 +149,15 @@ class TestControlFields:
             (FourierModes(3, 3.0), "dirichlet", True),
             (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet", True),
             (Nodal(4, 3.0), "dirichlet", True),
-            (Nodal(3, 3.0), "dirichlet", False),
+            (Nodal(3, 3.0), "dirichlet", True),
+            # two points between the same pair of nodes (eigenvalue 25.29), and
+            # midpoints closer than dx (1.006 at N = 100): Gershgorin stays above
+            (Nodal(3, 1.0, obs_points=(1.04, 1.05, 2.5), act_points=(1.04, 1.05, 2.5)), "dirichlet", False),
+            (Nodal(100, 1.0), "dirichlet", False),
             (NoControl(), "dirichlet", True),
         ],
-        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "none"],
+        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "nodal_shared_node",
+             "nodal_denser_than_nodes", "none"],
     )
     def test_feedback_stiffness_bounds_the_largest_eigenvalue(self, spec, bc, sharp):
         g = make_grid(PI, 64, bc)
@@ -163,6 +168,10 @@ class TestControlFields:
         assert top <= bound * (1.0 + 1e-12) + 1e-12
         if sharp:
             assert top == pytest.approx(bound, rel=1e-9, abs=1e-12)
+
+    def test_nodal_stiffness_with_each_point_on_its_own_node_is_mu_h_over_dx(self):
+        g = make_grid(PI, 64, "dirichlet")
+        assert controllers.feedback_stiffness(Nodal(4, 3.0), g) == 3.0 * (PI / 4) / g.dx
 
     def test_nodal_explicit_points_roundtrip(self):
         spec = Nodal(3, 1.0, obs_points=(0.5, 1.5, 2.5), act_points=(0.6, 1.6, 2.6))
