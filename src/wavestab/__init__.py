@@ -13,7 +13,7 @@ from .analysis import (
     VerifyExponential,
     VerifyPolynomial,
     fit_exponential,
-    run_inequality_suite,
+    inequality_constants,
     verify_exponential,
     verify_polynomial,
 )
@@ -73,7 +73,6 @@ from .spectral import (
     mode_matrix,
     mu_zero,
     project_modes,
-    tail_bound_check,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "dirichlet_eigenvalue",
     "mode_matrix",
     "project_modes",
-    "tail_bound_check",
     "complement_eigenvalue",
     "mu_zero",
     # models
@@ -141,5 +139,5 @@ __all__ = [
     "verify_exponential",
     "verify_polynomial",
     "InequalityReport",
-    "run_inequality_suite",
+    "inequality_constants",
 ]

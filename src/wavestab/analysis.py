@@ -1,4 +1,4 @@
-"""Decay-rate estimation and the random-sample inequality suite.
+"""Decay-rate estimation and the sharp constants of the inequality suite.
 
 ``fit_exponential`` regresses log stabilization norm against time over a
 trimmed window; ``verify_exponential`` compares the fitted rate against a
@@ -6,44 +6,45 @@ certified target with a safety factor and additionally checks a pointwise
 envelope.  ``verify_polynomial`` tests algebraic decay by watching whether
 the running supremum of ``total_energy(t) * t^alpha`` stabilizes.
 
-``run_inequality_suite`` hammers the finite-parameter interpolation and
-spectral inequalities with seeded random trigonometric polynomials and
-counts violations against a 1.01 discretization slack.  The printed
-mean-plus-gradient constant is checked both as printed and in corrected
-form; the printed one fails on random samples and on the linear ramp,
-which is injected deterministically.
+``inequality_constants`` computes, for each finite-parameter
+interpolation and spectral inequality, the least constant that makes it
+hold for every function on the grid, and compares it with the constant the
+inequality states, within a 1.01 discretization slack.  The printed
+mean-plus-gradient constant is reported both as printed and in corrected
+form; the printed one is four times too small.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controllers import element_averages, element_layout
-from .grid import BoundaryCondition, Field, h1_seminorm_sq, integral, make_grid
+from .grid import BoundaryCondition, Grid1D, make_grid
 from .models import ledger_column
-from .spectral import dirichlet_eigenvalue, mode_matrix, tail_bound_check, trig_table
+from .spectral import dirichlet_eigenvalue, grid_eigenvalue
 
 STAB_FLOOR = 1.0e-13
 SUITE_SLACK = 1.01
-# the inequality suite's sample space: polynomial degree, element counts
-# (each divides the suite's 512 cells) and mode counts
-SUITE_DEGREE = 12
+# the inequality suite's grid, element counts (each divides its cells), mode
+# counts, and sampling offsets into an element in units of its width
+SUITE_CELLS = 512
 SUITE_ELEMENT_COUNTS = (2, 4, 8)
 SUITE_MODE_COUNTS = (1, 2, 3, 4, 5, 6)
-# the suite's inequalities, in report order; every one must hold but the
+SUITE_OFFSETS = {"0": 0.0, "h/4": 0.25, "h/2": 0.5, "3h/4": 0.75, "h": 1.0}
+# the suite's inequalities in report order, each with its stated constant and
+# its PDE constant where that is classical; every one must hold but the
 # printed mean-plus-gradient constant, which is reported for information only
-SUITE_INEQUALITIES = (
-    "element_mean_approx",
-    "mean_plus_gradient_printed",
-    "mean_plus_gradient_corrected",
-    "paired_point_differences",
-    "point_sampling_norm",
-    "spectral_tail",
-    "poincare",
-)
+SUITE_INEQUALITIES = {
+    "element_mean_approx": (1.0, 1.0 / np.pi**2),
+    "mean_plus_gradient_printed": (1.0 / (4.0 * np.pi**2), 1.0 / np.pi**2),
+    "mean_plus_gradient_corrected": (1.0 / np.pi**2, 1.0 / np.pi**2),
+    "paired_point_differences": (1.0, 1.0),
+    "point_sampling_norm": (1.0, None),
+    "spectral_tail": (1.0, 1.0),
+    "poincare": (1.0, 1.0),
+}
 SUITE_INFORMATIONAL = "mean_plus_gradient_printed"
 # the fewest records a check needs in its window: the exponential fit (which
 # the exponential and qualitative checks use) and the power-law check
@@ -212,123 +213,115 @@ def verify_polynomial(
 
 
 # ---------------------------------------------------------------------------
-# inequality suite
+# inequality constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Violation count for one inequality over the random sample set.
+    """One inequality's sharp constant on the grid, against the constant it states.
 
-    ``worst_ratio`` is the largest observed lhs/rhs (violation iff
-    > 1.01); ``empirical_constant`` is, for the mean-plus-gradient pair,
-    the smallest gradient coefficient (in units of h^2 ||f'||^2) that
-    would cover every sample, and otherwise simply repeats worst_ratio.
+    The inequality reads lhs(f) <= C rhs(f) for every grid function f.
+    ``cases`` maps each element count, mode count or sampling offset to the
+    least C that makes it hold there, the largest generalized eigenvalue of
+    the two quadratic forms; ``sharp`` is the largest case.  ``pde`` is the
+    sharp constant of the continuous inequality where it is classical, and
+    ``holds`` is ``sharp <= SUITE_SLACK * stated``.
     """
 
     name: str
-    samples: int
-    violations: int
-    worst_ratio: float
-    empirical_constant: float
+    stated: float
+    sharp: float
+    pde: float | None
+    holds: bool
+    cases: dict[str, float]
 
 
-def _report(name: str, rows: list) -> InequalityReport:
-    """One inequality's samples (lhs, rhs, empirical or None), reduced; a ratio with rhs <= 0 is inf."""
-    worst = max([0.0] + [lhs / rhs if rhs > 0.0 else math.inf for lhs, rhs, _ in rows])
-    empirical = max([0.0] + [e for _, _, e in rows if e is not None])
-    return InequalityReport(
-        name=name,
-        samples=len(rows),
-        violations=sum(1 for lhs, rhs, _ in rows if lhs > SUITE_SLACK * rhs),
-        worst_ratio=worst,
-        empirical_constant=empirical if empirical > 0.0 else worst,
+def _hat(grid: Grid1D, x: np.ndarray) -> np.ndarray:
+    """Rows of linear interpolation at the points x: f(x) = _hat(grid, x) @ f."""
+    return np.maximum(0.0, 1.0 - np.abs(x[:, None] - grid.nodes) / grid.dx)
+
+
+def _largest(form: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(form)[-1])
+
+
+def _element_constants(grid: Grid1D, N: int) -> tuple[float, float, float, list[float]]:
+    """Sharp constants on N elements of a Neumann grid: mean oscillation, element-mean
+    distance, end-pair differences, and point sampling at each of ``SUITE_OFFSETS``.
+
+    The first three forms vanish on constants.  Writing f = f_0 + S d, with d
+    the first differences and |f|^2_H1 = |d|^2 / dx, each constant is the
+    largest eigenvalue of its form in d times dx, over h^2 or h.  Point
+    sampling's right-hand side B is positive definite; with the diagonal
+    quadrature W its constant is 1 / lambda_min(W^-1/2 B W^-1/2).
+    """
+    h, dx, w = grid.L / N, grid.dx, grid.quad_weights
+    S = np.tril(np.ones((grid.n_nodes, grid.n_cells)), -1)
+    weights, bounds, owner, _ = element_layout(grid, N)
+    means = element_averages(weights, bounds, S.T).T  # the element means of f - f_0, as rows in d
+    oscillation = (S.T * w) @ S - h * means.T @ means  # ||f||^2 - h sum_k mean_k^2
+    gap = S - means[owner]  # f minus the mean of the element that owns each node
+    lo = np.arange(N) * h
+    ends = (_hat(grid, lo + h) - _hat(grid, lo)) @ S  # f(x_k + h) - f(x_k), an N-rank form
+    diff = np.diff(np.eye(grid.n_nodes), axis=0)
+    stiffness = 2.0 * h * h / dx * diff.T @ diff  # 2 h^2 |f|^2_H1
+    scale = 1.0 / np.sqrt(w)
+    sampling = []
+    for offset in SUITE_OFFSETS.values():
+        at = _hat(grid, lo + offset * h)
+        rhs = 2.0 * h * at.T @ at + stiffness  # 2[h sum_k f(x_k)^2 + h^2 |f|^2_H1]
+        sampling.append(1.0 / float(np.linalg.eigvalsh(rhs * scale[:, None] * scale)[0]))
+    return (
+        _largest(oscillation) * dx / h**2,
+        _largest((gap.T * w) @ gap) * dx / h**2,
+        _largest(ends @ ends.T) * dx / h,
+        sampling,
     )
 
 
-def run_inequality_suite(seed: int, samples: int) -> dict[str, InequalityReport]:
-    """Randomized verification of the finite-parameter inequalities.
+def inequality_constants(n_cells: int = SUITE_CELLS) -> dict[str, InequalityReport]:
+    """Sharp discrete constants of the finite-parameter inequalities on (0, pi).
 
-    The samples live on 512 cells over (0, pi): full trigonometric
-    polynomials on the Neumann grid, sine polynomials on the Dirichlet one.
-    Each sample draws a trigonometric polynomial of degree <= SUITE_DEGREE
-    with uniform[-1,1] coefficients from a per-sample RNG stream
-    (seed + index), plus random element/mode counts and random in-element
-    sampling points.  Violations are counted against the 1.01 slack; each
-    inequality's samples are reduced to its report once, at the end.
+    Neumann-side inequalities, for each of N = ``SUITE_ELEMENT_COUNTS``
+    elements of width h (each count must divide ``n_cells``):
 
-    Returns reports keyed by:
+    - ``element_mean_approx``: ||f - m||^2 <= C h^2 |f|^2_H1, where m is the
+      mean of the element that owns each node;
+    - ``mean_plus_gradient_printed`` / ``_corrected``: ||f||^2 <= h sum_k
+      mean_k^2 + C h^2 |f|^2_H1, stated with the printed 1/(4 pi^2) and the
+      corrected 1/pi^2 (Payne-Weinberger).  The printed one is reported for
+      information only: its sharp constant is four times larger;
+    - ``paired_point_differences``: sum_k (f(x_k + h) - f(x_k))^2 <= C h
+      |f|^2_H1, for the end pair of each element, the widest pair;
+    - ``point_sampling_norm``: ||f||^2 <= C 2[h sum_k f(x_k)^2 + h^2
+      |f|^2_H1], for x_k at each offset of ``SUITE_OFFSETS`` into its element.
 
-    - ``element_mean_approx``: distance to element averages vs h ||f'||
-    - ``mean_plus_gradient_printed`` / ``_corrected``: nodal-mean plus
-      gradient bound on ||f||^2 with the printed (h/2pi)^2 and corrected
-      (h/pi)^2 coefficients.  The printed form fails on random samples,
-      not only on the linear ramp f(x) = x (one element) that is injected
-      deterministically: at seed 42 with 1000 samples it has 400
-      violations out of 1001, worst ratio 2.48, and empirical constant
-      0.0903 against 0.0253 printed and 0.1013 corrected
-    - ``paired_point_differences``: summed squared differences of paired
-      in-element point values vs h ||f'||^2
-    - ``point_sampling_norm``: ||f||^2 vs 2[h sum f(x_k)^2 + h^2 ||f'||^2]
-    - ``spectral_tail``: post-projection residual vs ||f'||^2 / lambda_{N+1}
-    - ``poincare``: ||f||^2 vs ||f'||^2 / lambda_1 on the Dirichlet grid
+    Dirichlet-side inequalities, in closed form: the sampled sines are the
+    grid Laplacian's eigenvectors, orthonormal under the quadrature, with
+    eigenvalues lambda_{h,k} (``grid_eigenvalue``):
+
+    - ``spectral_tail``: ||f - P_N f||^2 <= C |f|^2_H1 / lambda_{N+1}, for N
+      in ``SUITE_MODE_COUNTS``; C = lambda_{N+1} / lambda_{h,N+1};
+    - ``poincare``: ||f||^2 <= C |f|^2_H1 / lambda_1; C = lambda_1 / lambda_{h,1}.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    ngrid = make_grid(np.pi, 512, BoundaryCondition.NEUMANN)
-    dgrid = make_grid(ngrid.L, ngrid.n_cells, BoundaryCondition.DIRICHLET)
+    ngrid = make_grid(np.pi, n_cells, BoundaryCondition.NEUMANN)
+    dgrid = make_grid(ngrid.L, n_cells, BoundaryCondition.DIRICHLET)
+    cases = {name: {} for name in SUITE_INEQUALITIES}
+    for N in SUITE_ELEMENT_COUNTS:
+        oscillation, distance, paired, sampling = _element_constants(ngrid, N)
+        cases["element_mean_approx"][f"N={N}"] = distance
+        cases["mean_plus_gradient_printed"][f"N={N}"] = oscillation
+        cases["mean_plus_gradient_corrected"][f"N={N}"] = oscillation
+        cases["paired_point_differences"][f"N={N}"] = paired
+        for offset, constant in zip(SUITE_OFFSETS, sampling):
+            cases["point_sampling_norm"][f"N={N} x={offset}"] = constant
+    for N in SUITE_MODE_COUNTS:
+        tail = dirichlet_eigenvalue(dgrid.L, N + 1) / grid_eigenvalue(dgrid, N + 1)
+        cases["spectral_tail"][f"N={N}"] = tail
+    cases["poincare"]["k=1"] = dirichlet_eigenvalue(dgrid.L, 1) / grid_eigenvalue(dgrid, 1)
 
-    table = trig_table(ngrid, SUITE_DEGREE)
-    W = mode_matrix(dgrid, SUITE_DEGREE)
-    lam1 = dirichlet_eigenvalue(dgrid.L, 1)
-    layouts = {N: element_layout(ngrid, N) for N in SUITE_ELEMENT_COUNTS}
-
-    rows = {key: [] for key in SUITE_INEQUALITIES}
-
-    def mean_plus_gradient(f: np.ndarray, N: int, means: np.ndarray):
-        h = ngrid.L / N
-        norm2 = integral(ngrid, f, f)
-        means2 = h * float(np.sum(means**2))
-        sem2 = h1_seminorm_sq(ngrid, f)
-        emp = (norm2 - means2) / (h * h * sem2) if sem2 > 1e-12 else None
-        rows["mean_plus_gradient_printed"].append((norm2, means2 + (h / (2.0 * np.pi)) ** 2 * sem2, emp))
-        rows["mean_plus_gradient_corrected"].append((norm2, means2 + (h / np.pi) ** 2 * sem2, emp))
-
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        coeffs = rng.uniform(-1.0, 1.0, table.shape[0])
-        f = coeffs @ table
-        sem2 = h1_seminorm_sq(ngrid, f)
-        N = int(SUITE_ELEMENT_COUNTS[rng.integers(len(SUITE_ELEMENT_COUNTS))])
-        weights, bounds, owner, _ = layouts[N]
-        means = element_averages(weights, bounds, f)
-        h = ngrid.L / N
-
-        # distance to the piecewise-constant element averages
-        gap = f - means[owner]
-        distance = math.sqrt(integral(ngrid, gap, gap))
-        rows["element_mean_approx"].append((distance, h * math.sqrt(sem2), None))
-
-        mean_plus_gradient(f, N, means)
-
-        # paired random points within each element
-        lo = np.arange(N) * h
-        xk = lo + h * rng.random(N)
-        yk = lo + h * rng.random(N)
-        fx = np.interp(xk, ngrid.nodes, f)
-        fy = np.interp(yk, ngrid.nodes, f)
-        rows["paired_point_differences"].append((float(np.sum((fx - fy) ** 2)), h * sem2, None))
-        sampled = 2.0 * (h * float(np.sum(fx**2)) + h * h * sem2)
-        rows["point_sampling_norm"].append((integral(ngrid, f, f), sampled, None))
-
-        # Dirichlet-side spectral bounds
-        g = rng.uniform(-1.0, 1.0, SUITE_DEGREE) @ W
-        Nq = int(SUITE_MODE_COUNTS[rng.integers(len(SUITE_MODE_COUNTS))])
-        tail, tail_bound, _ = tail_bound_check(Field(dgrid, g), Nq)
-        rows["spectral_tail"].append((tail, tail_bound, None))
-        rows["poincare"].append((integral(dgrid, g, g), h1_seminorm_sq(dgrid, g) / lam1, None))
-
-    # deterministic counterexample: the linear ramp against one element
-    ramp_means = element_averages(*element_layout(ngrid, 1)[:2], ngrid.nodes)
-    mean_plus_gradient(ngrid.nodes, 1, ramp_means)
-
-    return {key: _report(key, rows[key]) for key in SUITE_INEQUALITIES}
+    reports = {}
+    for name, (stated, pde) in SUITE_INEQUALITIES.items():
+        sharp = max(cases[name].values())
+        reports[name] = InequalityReport(name, stated, sharp, pde, sharp <= SUITE_SLACK * stated, cases[name])
+    return reports

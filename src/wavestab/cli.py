@@ -21,10 +21,12 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    SUITE_CELLS,
     SUITE_INFORMATIONAL,
+    SUITE_SLACK,
     fit_exponential,
+    inequality_constants,
     power_law_window,
-    run_inequality_suite,
     verify_exponential,
     verify_polynomial,
 )
@@ -304,20 +306,19 @@ def cmd_sweep(args) -> int:
 def cmd_lemmas(args) -> int:
     if args.out:
         _make_out(args.out)
-    reports = run_inequality_suite(args.seed, args.samples)
+    reports = inequality_constants()
     name_w = max(len(k) for k in reports)
-    print(f"{'inequality':<{name_w}}  samples  violations  worst_ratio  empirical")
+    print(f"{'inequality':<{name_w}}  {'stated':>9}  {'sharp':>9}  {'pde':>9}  worst case")
     mandatory = [name for name in reports if name != SUITE_INFORMATIONAL]
     for name, rep in reports.items():
-        tag = "" if name in mandatory else "  (informational)"
-        print(
-            f"{name:<{name_w}}  {rep.samples:>7d}  {rep.violations:>10d}"
-            f"  {rep.worst_ratio:>11.6f}  {rep.empirical_constant:>9.6f}{tag}"
-        )
+        pde = "" if rep.pde is None else f"{rep.pde:.6f}"
+        worst = max(rep.cases, key=rep.cases.get)
+        tag = ("" if rep.holds else "  exceeds stated") + ("" if name in mandatory else "  (informational)")
+        print(f"{name:<{name_w}}  {rep.stated:>9.6f}  {rep.sharp:>9.6f}  {pde:>9}  {worst}{tag}")
     if args.out:
         doc = {
-            "seed": args.seed,
-            "samples": args.samples,
+            "cells": SUITE_CELLS,
+            "slack": SUITE_SLACK,
             "mandatory": mandatory,
             "reports": {k: dataclasses.asdict(v) for k, v in reports.items()},
         }
@@ -326,7 +327,7 @@ def cmd_lemmas(args) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"wrote {path}")
-    return 1 if any(reports[name].violations for name in mandatory) else 0
+    return 0 if all(reports[name].holds for name in mandatory) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_lem = sub.add_parser("lemmas", help="randomized checks of the discrete inequalities")
-    p_lem.add_argument("--seed", type=int, default=42, help="base RNG seed")
-    p_lem.add_argument("--samples", type=_positive_int, default=1000, help="samples per inequality")
+    p_lem = sub.add_parser("lemmas", help="sharp constants of the discrete inequalities")
     p_lem.add_argument("--out", default=None, help="optional directory for lemmas.json")
     p_lem.set_defaults(func=cmd_lemmas)
 

@@ -400,10 +400,11 @@ def check_volume_gains(grid: Grid1D, model: ModelSpec, ctrl: VolumeElements) -> 
 
     delta0 = (b/2) min(1, nu) is the certified exponential rate of the
     squared stabilization norm.  The ``elements`` threshold uses the printed
-    (h/2pi)^2 mean-oscillation constant, which the linear ramp falsifies
-    (see ``analysis.run_inequality_suite``); with it the check reports some
-    configs as satisfied whose linearization grows.  The corrected (h/pi)^2
-    quadruples the threshold on N^2 (noted in the report).
+    (h/2pi)^2 mean-oscillation constant, four times below the sharp one
+    (``mean_plus_gradient_printed`` in ``analysis.inequality_constants``);
+    with it the check reports some configs as satisfied whose linearization
+    grows.  The corrected (h/pi)^2 quadruples the threshold on N^2 (noted in
+    the report).
     """
     L, nu, a, b = grid.L, model.nu, model.a, model.b
     delta0 = 0.5 * b * min(1.0, nu)

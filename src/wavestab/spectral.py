@@ -4,8 +4,9 @@ On (0, L) with zero boundary values, the Laplacian eigenpairs are
 ``w_k(x) = sqrt(2/L) sin(k pi x / L)`` with ``lambda_k = (k pi / L)^2``;
 :func:`dirichlet_eigenvalue` and :func:`sine_mode` are the one place each
 is written.  Low-mode projections against the sampled modes drive the
-spectral feedback laws; the tail bound and the indicator-gain threshold
-``mu_zero`` supply the quantitative certificates the gain checkers rely on.
+spectral feedback laws; the indicator-gain threshold ``mu_zero`` supplies
+the subdomain certificate.  :func:`grid_eigenvalue` is the spectrum of the
+grid's own Laplacian, whose eigenvectors are the sampled modes.
 
 ``mu_zero`` needs no eigenvalue: it tests definiteness with the LDL^T
 factorization that the IMEX solve uses (:func:`wavestab.kernels.dpttrf`).
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .grid import BoundaryCondition, Field, Grid1D, h1_seminorm_sq, integral
+from .grid import BoundaryCondition, Field, Grid1D
 
 MU_BISECTION_MAX = 1.0e6
 MU_BISECTION_RTOL = 1.0e-3
@@ -28,6 +29,15 @@ MU_BISECTION_RTOL = 1.0e-3
 def dirichlet_eigenvalue(L: float, k: int) -> float:
     """lambda_k = (k pi / L)^2, the k-th eigenvalue of -d^2/dx^2 on (0, L) with zero ends."""
     return (k * np.pi / L) ** 2
+
+
+def grid_eigenvalue(grid: Grid1D, k: int) -> float:
+    """lambda_{h,k} = (4 / dx^2) sin^2(k pi dx / 2L), the k-th eigenvalue of a Dirichlet grid's Laplacian.
+
+    Its eigenvector is w_k sampled at the nodes, so ``h1_seminorm_sq`` of that
+    sample is lambda_{h,k} times its squared norm.
+    """
+    return float(2.0 / grid.dx * np.sin(k * np.pi * grid.dx / (2.0 * grid.L))) ** 2
 
 
 def sine_mode(grid: Grid1D, k) -> np.ndarray:
@@ -61,19 +71,6 @@ def trig_table(grid: Grid1D, degree: int) -> np.ndarray:
 def project_modes(f: Field, N: int) -> np.ndarray:
     """First N modal coefficients (f, w_k) under the grid quadrature."""
     return mode_matrix(f.grid, N) @ (f.grid.quad_weights * f.values)
-
-
-def tail_bound_check(f: Field, N: int) -> tuple[float, float, bool]:
-    """Spectral tail bound after removing the first N modes.
-
-    Returns ``(lhs, rhs, ok)`` with ``lhs = ||f - P_N f||^2``,
-    ``rhs = ||f'||^2 / lambda_{N+1}`` and ``ok = lhs <= 1.01 * rhs``
-    (the 1.01 covers quadrature slack on the discretized integrals).
-    """
-    residual = f.values - project_modes(f, N) @ mode_matrix(f.grid, N)
-    lhs = integral(f.grid, residual, residual)
-    rhs = h1_seminorm_sq(f.grid, f.values) / dirichlet_eigenvalue(f.grid.L, N + 1)
-    return lhs, rhs, bool(lhs <= 1.01 * rhs)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Decay fitting, decay-law verification, and the inequality suite."""
+"""Decay fitting, decay-law verification, and the inequality suite's sharp constants."""
 
 import dataclasses
 import math
@@ -10,12 +10,25 @@ from hypothesis import strategies as st
 
 from wavestab import (
     LEDGER_COLUMNS,
+    element_averages,
+    element_layout,
     fit_exponential,
-    run_inequality_suite,
+    h1_seminorm_sq,
+    inequality_constants,
+    integral,
+    make_grid,
+    mode_matrix,
     verify_exponential,
     verify_polynomial,
 )
-from wavestab.analysis import SUITE_ELEMENT_COUNTS
+from wavestab.analysis import (
+    SUITE_CELLS,
+    SUITE_ELEMENT_COUNTS,
+    SUITE_MODE_COUNTS,
+    SUITE_OFFSETS,
+    SUITE_SLACK,
+)
+from wavestab.spectral import dirichlet_eigenvalue, grid_eigenvalue, trig_table
 
 MANDATORY = (
     "element_mean_approx",
@@ -205,62 +218,146 @@ def test_masked_checks_match_the_per_record_loops():
     assert (poly.sup_first, poly.sup_last) == (first, last)
 
 
+@pytest.fixture(scope="module")
+def suite():
+    return inequality_constants()
+
+
+def _dirichlet_stiffness(grid) -> np.ndarray:
+    """The matrix of h1_seminorm_sq on a Dirichlet grid: u @ K @ u == h1_seminorm_sq(grid, u)."""
+    diff = np.diff(np.eye(grid.n_nodes + 2), axis=0)[:, 1:-1]  # the end nodes hold zero
+    return diff.T @ diff / grid.dx
+
+
+def _one_element_oscillation(m: int) -> float:
+    """The mean-oscillation constant of one element of m cells, built without the suite's forms."""
+    h = 1.0
+    dx = h / m
+    w = np.full(m + 1, dx)
+    w[[0, -1]] *= 0.5
+    centred = np.eye(m + 1) - w / h  # f minus its trapezoid mean over the element
+    diff = np.diff(np.eye(m + 1), axis=0)
+    stiffness = diff.T @ diff / dx + np.outer(w, w)  # + (mean f)^2 makes it definite; the lhs ignores it
+    factor = np.linalg.cholesky(stiffness)
+    lhs = np.linalg.solve(factor, (centred.T * w) @ centred)
+    lhs = np.linalg.solve(factor, lhs.T)
+    return float(np.linalg.eigvalsh(lhs)[-1]) / h**2
+
+
 class TestInequalitySuite:
-    def test_deterministic_per_seed(self):
-        a = run_inequality_suite(7, 30)
-        b = run_inequality_suite(7, 30)
-        assert a == b
+    def test_deterministic(self, suite):
+        assert inequality_constants() == suite
 
-    def test_seed_changes_samples(self):
-        a = run_inequality_suite(7, 30)
-        b = run_inequality_suite(8, 30)
-        assert any(
-            a[k].worst_ratio != b[k].worst_ratio for k in a if a[k].samples == b[k].samples
-        )
-
-    def test_mandatory_keys_clean_on_modest_sample(self):
-        reports = run_inequality_suite(42, 120)
+    def test_mandatory_keys_hold(self, suite):
         for key in MANDATORY:
-            assert reports[key].violations == 0, key
+            assert suite[key].holds, key
+            assert suite[key].sharp <= SUITE_SLACK * suite[key].stated
 
-    def test_printed_variant_always_flagged(self):
-        # the deterministic ramp injection falsifies the stated constant
-        # even when every random sample happens to satisfy it
-        reports = run_inequality_suite(0, 1)
-        assert reports["mean_plus_gradient_printed"].violations >= 1
-        assert reports["mean_plus_gradient_corrected"].violations == 0
+    def test_printed_variant_always_flagged(self, suite):
+        printed = suite["mean_plus_gradient_printed"]
+        assert not printed.holds
+        assert printed.sharp / printed.stated == pytest.approx(4.0, rel=1e-3)
+        assert suite["mean_plus_gradient_corrected"].holds
 
-    def test_report_fields(self):
-        reports = run_inequality_suite(3, 10)
-        assert set(reports) == set(MANDATORY) | {"mean_plus_gradient_printed"}
-        for rep in reports.values():
-            assert rep.samples >= 10
-            assert rep.worst_ratio > 0
-            d = dataclasses.asdict(rep)
-            assert set(d) == {
-                "name",
-                "samples",
-                "violations",
-                "worst_ratio",
-                "empirical_constant",
+    def test_report_fields(self, suite):
+        assert list(suite) == [
+            "element_mean_approx",
+            "mean_plus_gradient_printed",
+            "mean_plus_gradient_corrected",
+            "paired_point_differences",
+            "point_sampling_norm",
+            "spectral_tail",
+            "poincare",
+        ]
+        for name, rep in suite.items():
+            assert rep.name == name
+            assert rep.sharp == max(rep.cases.values())
+            assert all(type(c) is float for c in rep.cases.values())
+            assert set(dataclasses.asdict(rep)) == {"name", "stated", "sharp", "pde", "holds", "cases"}
+        assert list(suite["element_mean_approx"].cases) == [f"N={N}" for N in SUITE_ELEMENT_COUNTS]
+        assert list(suite["spectral_tail"].cases) == [f"N={N}" for N in SUITE_MODE_COUNTS]
+        assert len(suite["point_sampling_norm"].cases) == len(SUITE_ELEMENT_COUNTS) * len(SUITE_OFFSETS)
+
+    def test_empirical_gradient_constant_between_bounds(self, suite):
+        # the least coefficient (units h^2 ||f'||^2) that covers every grid
+        # function separates the printed 1/(4 pi^2) from the corrected 1/pi^2
+        for constant in suite["mean_plus_gradient_corrected"].cases.values():
+            assert 1.0 / (4 * np.pi**2) < constant <= 1.0 / np.pi**2 * SUITE_SLACK
+
+    def test_constants_on_the_suite_grid(self, suite):
+        assert suite["poincare"].sharp == pytest.approx(1.0000031, abs=1e-7)
+        assert suite["spectral_tail"].cases["N=1"] == pytest.approx(1.0000125, abs=1e-7)
+        assert suite["spectral_tail"].sharp == pytest.approx(1.000154, abs=1e-6)
+        assert suite["paired_point_differences"].sharp == pytest.approx(1.0, abs=1e-12)
+        cases = suite["mean_plus_gradient_corrected"].cases
+        for N, expected in zip(SUITE_ELEMENT_COUNTS, (0.101322, 0.101326, 0.101342)):
+            assert cases[f"N={N}"] == pytest.approx(expected, abs=1e-6)
+            # elements decouple: one element of the same cells, built with a Cholesky factor
+            assert cases[f"N={N}"] == pytest.approx(_one_element_oscillation(SUITE_CELLS // N), rel=1e-10)
+        assert suite["mean_plus_gradient_corrected"].pde == 1.0 / np.pi**2
+
+    def test_mean_oscillation_converges_at_second_order(self):
+        errors = [
+            inequality_constants(n)["mean_plus_gradient_corrected"].cases["N=8"] - 1.0 / np.pi**2
+            for n in (128, 256, 512)
+        ]
+        assert all(e > 0.0 for e in errors)  # the grid exceeds the PDE's (h/pi)^2
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.01)
+
+    def test_closed_forms_equal_the_eigvalsh_path(self):
+        report = inequality_constants(64)
+        grid = make_grid(np.pi, 64, "dirichlet")
+        stiffness = _dirichlet_stiffness(grid)
+        u = np.random.default_rng(5).standard_normal(grid.n_nodes)
+        assert u @ stiffness @ u == pytest.approx(h1_seminorm_sq(grid, u), rel=1e-12)
+        lam_h = np.linalg.eigvalsh(stiffness) / grid.dx  # the quadrature weighs each stored node by dx
+        k = np.arange(1, grid.n_nodes + 1)
+        np.testing.assert_allclose([grid_eigenvalue(grid, j) for j in k], lam_h, rtol=1e-12)
+        # the tail past N modes: its least constant is lambda_{N+1} times the
+        # largest eigenvalue of the residual form relative to h1_seminorm_sq
+        factor = np.linalg.cholesky(stiffness)
+        for N in [0, *SUITE_MODE_COUNTS]:
+            residual = np.eye(grid.n_nodes)
+            if N:
+                W = mode_matrix(grid, N)
+                residual = residual - W.T @ (W * grid.quad_weights)
+            form = (residual.T * grid.quad_weights) @ residual
+            form = np.linalg.solve(factor, np.linalg.solve(factor, form).T)
+            sharp = dirichlet_eigenvalue(grid.L, N + 1) * float(np.linalg.eigvalsh(form)[-1])
+            closed = report["spectral_tail"].cases[f"N={N}"] if N else report["poincare"].cases["k=1"]
+            assert closed == pytest.approx(sharp, rel=1e-12)
+
+    def test_no_grid_function_exceeds_a_sharp_constant(self, suite):
+        # trigonometric sums and the ramp f(x) = x, each at every element
+        # count and sampling offset of the suite
+        grid = make_grid(np.pi, SUITE_CELLS, "neumann")
+        rng = np.random.default_rng(11)
+        fs = np.vstack([rng.uniform(-1, 1, (20, 25)) @ trig_table(grid, 12), grid.nodes])
+        norm, sem = integral(grid, fs, fs), h1_seminorm_sq(grid, fs)
+
+        def covered(ratios, name, case):
+            return np.all(ratios <= suite[name].cases[case] * (1.0 + 1e-12))
+
+        for N in SUITE_ELEMENT_COUNTS:
+            h, lo = grid.L / N, np.arange(N) * grid.L / N
+            weights, bounds, owner, _ = element_layout(grid, N)
+            means = element_averages(weights, bounds, fs)
+            gap = fs - means[:, owner]
+            oscillation = (norm - h * np.sum(means**2, axis=1)) / (h * h * sem)
+            assert covered(oscillation, "mean_plus_gradient_corrected", f"N={N}")
+            assert covered(integral(grid, gap, gap) / (h * h * sem), "element_mean_approx", f"N={N}")
+            at = {
+                name: np.array([np.interp(lo + s * h, grid.nodes, f) for f in fs])
+                for name, s in SUITE_OFFSETS.items()
             }
-
-    def test_ramp_counts_as_extra_sample(self):
-        reports = run_inequality_suite(1, 15)
-        assert reports["mean_plus_gradient_printed"].samples == 16
-        assert reports["element_mean_approx"].samples == 15
-
-    def test_empirical_gradient_constant_between_bounds(self):
-        # smallest covering coefficient (units h^2 ||f'||^2) must separate the
-        # printed 1/(4 pi^2) from the corrected 1/pi^2
-        reports = run_inequality_suite(42, 200)
-        emp = reports["mean_plus_gradient_corrected"].empirical_constant
-        assert 1.0 / (4 * np.pi**2) < emp <= 1.0 / np.pi**2 * 1.01
+            paired = np.sum((at["h"] - at["0"]) ** 2, axis=1) / (h * sem)
+            assert covered(paired, "paired_point_differences", f"N={N}")
+            for name in SUITE_OFFSETS:
+                sampled = 2.0 * (h * np.sum(at[name] ** 2, axis=1) + h * h * sem)
+                assert covered(norm / sampled, "point_sampling_norm", f"N={N} x={name}")
+        assert oscillation[-1] > suite["mean_plus_gradient_printed"].stated  # the ramp refutes the printed one
 
     def test_element_counts_must_divide(self):
         # the suite's Neumann grid has 512 cells; element_layout refuses the rest
-        assert all(512 % N == 0 for N in SUITE_ELEMENT_COUNTS)
-
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            run_inequality_suite(1, 0)
+        assert all(SUITE_CELLS % N == 0 for N in SUITE_ELEMENT_COUNTS)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavestab import __version__, cli, mode_matrix
+from wavestab import __version__, analysis, cli, mode_matrix
 from wavestab import LEDGER_COLUMNS, run
 from wavestab.cli import main
 from wavestab.config import gain_report_for, load_config
@@ -1040,7 +1040,7 @@ class TestStartup:
                 ["run", "--config", str(subdomain), "--out", str(out / "subdomain")],
                 ["sweep", "--config", str(volume), "--param", "mu", "--values", "0,4"]
                 + ["--out", str(out / "sweep")],
-                ["lemmas", "--samples", "20"],
+                ["lemmas"],
             ]
 
         probe = (
@@ -1081,16 +1081,17 @@ class TestStartup:
 
 
 class TestLemmas:
-    def test_clean_seed_exits_zero(self, capsys):
-        assert main(["lemmas", "--seed", "42", "--samples", "25"]) == 0
+    def test_exits_zero_when_every_mandatory_constant_holds(self, capsys):
+        assert main(["lemmas"]) == 0
         out = capsys.readouterr().out
         assert "element_mean_approx" in out
-        assert "(informational)" in out
+        assert "exceeds stated  (informational)" in out
+        assert out.count("exceeds stated") == 1
 
     def test_json_artifact(self, tmp_path):
-        assert main(["lemmas", "--seed", "3", "--samples", "10", "--out", str(tmp_path)]) == 0
+        assert main(["lemmas", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "lemmas.json").read_text())
-        assert doc["seed"] == 3
+        assert (doc["cells"], doc["slack"]) == (512, 1.01)
         assert set(doc["reports"]) == {
             "element_mean_approx",
             "mean_plus_gradient_printed",
@@ -1100,35 +1101,45 @@ class TestLemmas:
             "spectral_tail",
             "poincare",
         }
-        assert doc["reports"]["mean_plus_gradient_printed"]["violations"] >= 1
+        assert doc["mandatory"] == [k for k in doc["reports"] if k != "mean_plus_gradient_printed"]
+        assert doc["reports"]["mean_plus_gradient_printed"]["holds"] is False
+        assert doc["reports"]["point_sampling_norm"]["pde"] is None
         for key in doc["mandatory"]:
-            assert doc["reports"][key]["violations"] == 0
+            assert doc["reports"][key]["holds"] is True
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_samples_below_one_are_a_usage_error(self, samples, tmp_path):
+    def test_a_mandatory_constant_past_its_bound_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(analysis.SUITE_INEQUALITIES, "poincare", (0.5, 1.0))
+        assert main(["lemmas", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.count("exceeds stated") == 2
+        doc = json.loads((tmp_path / "lemmas.json").read_text())
+        assert doc["reports"]["poincare"]["holds"] is False
+        assert doc["reports"]["poincare"]["stated"] == 0.5
+
+    @pytest.mark.parametrize("refused", ["--seed -1", "--samples 1000", "--bogus"])
+    def test_a_refused_argument_leaves_no_directory(self, refused, tmp_path):
         out = tmp_path / "d"
         with pytest.raises(SystemExit) as exc:
-            main(["lemmas", "--samples", samples, "--out", str(out)])
+            main(["lemmas", *refused.split(), "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 
-    def test_same_seed_identical_json(self, tmp_path):
+    def test_two_runs_write_identical_json(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
-        main(["lemmas", "--seed", "5", "--samples", "15", "--out", str(a_dir)])
-        main(["lemmas", "--seed", "5", "--samples", "15", "--out", str(b_dir)])
-        assert (a_dir / "lemmas.json").read_text() == (b_dir / "lemmas.json").read_text()
+        main(["lemmas", "--out", str(a_dir)])
+        main(["lemmas", "--out", str(b_dir)])
+        assert (a_dir / "lemmas.json").read_bytes() == (b_dir / "lemmas.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "lemmas"])
 def test_an_out_path_that_cannot_be_created_exits_two(command, volume_ini, tmp_path, capsys, monkeypatch):
     started = []
     monkeypatch.setattr(cli, "run", lambda *a: started.append(a))
-    monkeypatch.setattr(cli, "run_inequality_suite", lambda *a: started.append(a))
+    monkeypatch.setattr(cli, "inequality_constants", lambda *a: started.append(a))
     args = {
         "run": ["run", "--config", volume_ini],
         "sweep": ["sweep", "--config", volume_ini, "--param", "mu", "--values", "1,4"],
-        "lemmas": ["lemmas", "--samples", "5"],
+        "lemmas": ["lemmas"],
     }[command]
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -1137,7 +1148,7 @@ def test_an_out_path_that_cannot_be_created_exits_two(command, volume_ini, tmp_p
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
         assert err.count("\n") == 1
-    assert started == []  # the path is checked before anything is simulated or sampled
+    assert started == []  # the path is checked before anything is simulated or computed
 
 
 def test_missing_subcommand_exits_two():

@@ -1,4 +1,4 @@
-"""Dirichlet spectrum, projections, tail bound, and the indicator-gain bisection."""
+"""Dirichlet spectrum, projections, the tail bound at its sharp constant, and the indicator-gain bisection."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,16 @@ from wavestab import (
     SubdomainControl,
     complement_eigenvalue,
     dirichlet_eigenvalue,
+    h1_seminorm_sq,
     integral,
     make_control_operator,
     make_grid,
     mode_matrix,
     mu_zero,
     project_modes,
-    tail_bound_check,
     zeros,
 )
-from wavestab.spectral import MU_BISECTION_MAX, MU_BISECTION_RTOL
+from wavestab.spectral import MU_BISECTION_MAX, MU_BISECTION_RTOL, grid_eigenvalue
 
 from conftest import min_eig_shifted
 
@@ -62,28 +62,41 @@ def test_project_requires_dirichlet():
         project_modes(zeros(g), 2)
 
 
+def _tail_ratio(f: Field, N: int) -> float:
+    """||f - P_N f||^2 over ||f'||^2 / lambda_{N+1}: the least constant of the tail bound at f."""
+    residual = f.values - project_modes(f, N) @ mode_matrix(f.grid, N)
+    tail = integral(f.grid, residual, residual)
+    return tail * dirichlet_eigenvalue(f.grid.L, N + 1) / h1_seminorm_sq(f.grid, f.values)
+
+
+def _sharp_tail(grid, N: int) -> float:
+    return dirichlet_eigenvalue(grid.L, N + 1) / grid_eigenvalue(grid, N + 1)
+
+
 class TestTailBound:
+    """The spectral tail bound against its sharp grid constant lambda_{N+1} / lambda_{h,N+1}."""
+
     def test_residual_of_low_mode_vanishes(self, grid):
-        f = Field(grid, mode_matrix(grid, 1)[0])
-        lhs, rhs, ok = tail_bound_check(f, 1)
-        assert ok
-        assert lhs == pytest.approx(0.0, abs=1e-12)
+        W = mode_matrix(grid, 1)
+        residual = W[0] - project_modes(Field(grid, W[0]), 1) @ W
+        assert integral(grid, residual, residual) == pytest.approx(0.0, abs=1e-12)
 
     def test_third_mode_against_second_eigenvalue(self, grid):
-        f = Field(grid, mode_matrix(grid, 3)[2])
-        lhs, rhs, ok = tail_bound_check(f, 1)
-        assert ok
-        assert lhs == pytest.approx(1.0, rel=1e-3)
-        assert rhs == pytest.approx(9.0 / 4.0, rel=1e-3)
+        ratio = _tail_ratio(Field(grid, mode_matrix(grid, 3)[2]), 1)
+        assert ratio == pytest.approx(dirichlet_eigenvalue(grid.L, 2) / grid_eigenvalue(grid, 3), rel=1e-12)
+        assert ratio == pytest.approx(4.0 / 9.0, rel=1e-3)
 
     def test_random_trig_sweep(self, grid):
+        # no sum of sines exceeds the sharp constant, and the mode N + 1 attains it
         W = mode_matrix(grid, 12)
         for i in range(200):
             rng = np.random.default_rng([99, i])
             f = Field(grid, rng.uniform(-1, 1, 12) @ W)
             N = int(rng.integers(1, 7))
-            _, _, ok = tail_bound_check(f, N)
-            assert ok
+            assert _tail_ratio(f, N) <= _sharp_tail(grid, N) * (1.0 + 1e-12)
+        for N in range(1, 7):
+            attained = _tail_ratio(Field(grid, W[N]), N)
+            assert attained == pytest.approx(_sharp_tail(grid, N), rel=1e-12)
 
 
 class TestComplementEigenvalue:
