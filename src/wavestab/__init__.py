@@ -60,7 +60,6 @@ from .models import (
     LEDGER_COLUMNS,
     Family,
     ModelSpec,
-    Nonlinearity,
     damped_wave,
     energy_record,
     nonlinear_damping_wave,
@@ -72,7 +71,6 @@ from .spectral import (
     dirichlet_eigenvalue,
     mode_matrix,
     mu_zero,
-    project_modes,
 )
 
 __version__ = "0.1.0"
@@ -93,12 +91,10 @@ __all__ = [
     "Subdomain",
     "dirichlet_eigenvalue",
     "mode_matrix",
-    "project_modes",
     "complement_eigenvalue",
     "mu_zero",
     # models
     "Family",
-    "Nonlinearity",
     "ModelSpec",
     "damped_wave",
     "nonlinear_damping_wave",

@@ -230,7 +230,7 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     return label, dataclasses.replace(base, controller=controller, raw=raw)
 
 
-# ``summary.csv``'s header; CI and perfbench read the first five by position or name
+# ``summary.csv``'s header; perfbench reads value, gain_satisfied and verified by name
 SUMMARY_COLUMNS = (
     "value", "gain_satisfied", "fitted_rate", "verified", "blew_up", "blowup_time", "certified_rate",
 )

@@ -32,14 +32,7 @@ from .controllers import (
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
 from .integrator import StepperConfig, certificate, default_dt
-from .models import (
-    Family,
-    ModelSpec,
-    Nonlinearity,
-    damped_wave,
-    nonlinear_damping_wave,
-    strongly_damped_wave,
-)
+from .models import Family, ModelSpec
 from .spectral import Subdomain, sine_mode, trig_table
 
 
@@ -248,27 +241,18 @@ def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
     b = sec.float("b", required=True)
     bc = sec.str("bc", "dirichlet").lower()
     try:
-        if family == Family.DAMPED_WAVE.value:
-            nl_kind = sec.str("nonlinearity", "zero").lower()
-            if nl_kind not in ("zero", "power"):
-                raise ConfigError(
-                    f"[model] nonlinearity must be 'zero' or 'power', got {nl_kind!r}"
-                )
-            p = sec.float("p", required=True) if nl_kind == "power" else None
-            model = damped_wave(nu, a, b, bc, Nonlinearity(p))
-        elif family == Family.NONLINEAR_DAMPING.value:
-            model = nonlinear_damping_wave(
-                nu, a, b, sec.float("m", required=True), sec.float("p", required=True)
-            )
-        elif family == Family.STRONGLY_DAMPED.value:
-            model = strongly_damped_wave(nu, a, b, sec.float("p", required=True))
-        else:
-            raise ConfigError(f"[model] unknown family {family!r}")
-        if bc != model.bc.value:
-            raise ConfigError(f"[model] {family} is posed with Dirichlet boundaries, got bc = {bc!r}")
+        family = Family(family)
+    except ValueError:
+        raise ConfigError(f"[model] unknown family {family!r}") from None
+    # only the damped wave reads its source law; the other two families hard-wire the power law
+    law = sec.str("nonlinearity", "zero").lower() if family is Family.DAMPED_WAVE else "power"
+    if law not in ("zero", "power"):
+        raise ConfigError(f"[model] nonlinearity must be 'zero' or 'power', got {law!r}")
+    p = sec.float("p", required=True) if law == "power" else None
+    m = sec.float("m", required=True) if family is Family.NONLINEAR_DAMPING else None
+    try:
+        model = ModelSpec(family, nu, a, b, BoundaryCondition(bc), p, m)
         grid = make_grid(L, n_cells, model.bc)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from None
     return model, grid

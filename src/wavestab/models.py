@@ -7,9 +7,12 @@ Three families share the first-order form u_t = v; they differ in v_t:
 * ``STRONGLY_DAMPED``:  v_t = nu*u_xx + b*v_xx + a*u - |u|^(p-2)*u + control
 
 The linear ``a*u`` term is destabilizing (it is what the feedback has to
-beat); damping and the monotone nonlinearity dissipate.  The power-law
-nonlinearity is hard-wired for the second and third family; the first
-also admits f = 0.
+beat); damping and the monotone nonlinearity dissipate.  Like the damping
+exponent ``m``, the source is a scalar field of :class:`ModelSpec`: ``p``
+gives the power law f(u) = |u|^(p-2) u (p >= 2), with F(u) = |u|^p / p,
+and ``p = None`` gives f = 0.  Both meet the admissibility the certificates
+need, f(s)*s - F(s) >= 0 and f'(s) >= 0.  The power law is hard-wired for
+the second and third family; the first also admits f = 0.
 Each right-hand side splits into linear stiff terms (the Laplacians and
 the linear damping ``b*v``), which the IMEX step treats implicitly, and the
 explicit :func:`source`, which it evaluates at the half step.  The tests
@@ -35,32 +38,14 @@ class Family(str, enum.Enum):
     STRONGLY_DAMPED = "strongly_damped"
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Monotone source term f with antiderivative F (F(0) = 0), held as its exponent.
+def power(u: np.ndarray, p: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|u|^(p-2), the factor of the power law f(u) = |u|^(p-2) u, written into ``out`` when it is given.
 
-    ``p = None`` is f = 0; a number p >= 2 is the power law
-    f(u) = |u|^(p-2) u with F(u) = |u|^p / p.  Both meet the admissibility
-    the certificates need: f(s)*s - F(s) >= 0 and f'(s) >= 0.
+    ``**=`` keeps numpy's fast paths for its exponents, a square at p = 4.
     """
-
-    p: Optional[float] = None
-
-    def __post_init__(self):
-        if self.p is not None and not (math.isfinite(self.p) and self.p >= 2.0):
-            raise ValueError(f"power law needs a finite p >= 2, got {self.p}")
-
-    def power(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """|u|^(p-2) of a power law, written into ``out`` when it is given.
-
-        ``**=`` keeps numpy's fast paths for its exponents, a square at p = 4.
-        """
-        w = np.abs(u, out=out)
-        w **= self.p - 2.0
-        return w
-
-    def f(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u) if self.p is None else self.power(u) * u
+    w = np.abs(u, out=out)
+    w **= p - 2.0
+    return w
 
 
 @dataclass(frozen=True)
@@ -72,11 +57,11 @@ class ModelSpec:
     a: float
     b: float
     bc: BoundaryCondition
-    nonlinearity: Nonlinearity
+    p: Optional[float] = None  # source exponent: f = 0 when None, else |u|^(p-2) u
     m: Optional[float] = None  # damping exponent, NONLINEAR_DAMPING only
 
     def __post_init__(self):
-        for name in ("nu", "a", "b", "m"):
+        for name in ("nu", "a", "b", "p", "m"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite, got {value}")
@@ -84,6 +69,8 @@ class ModelSpec:
             raise ValueError(f"diffusion coefficient nu must be > 0, got {self.nu}")
         if self.a < 0.0:
             raise ValueError(f"destabilizing coefficient a must be >= 0, got {self.a}")
+        if self.p is not None and self.p < 2.0:
+            raise ValueError(f"power law needs p >= 2, got {self.p}")
         if self.family is Family.DAMPED_WAVE:
             # b = 0 (no damping at all) is a legitimate conservation test case
             # for this family only; the stabilization theory itself needs b > 0.
@@ -91,8 +78,10 @@ class ModelSpec:
                 raise ValueError(f"damping coefficient b must be >= 0, got {self.b}")
         else:
             if self.bc is not BoundaryCondition.DIRICHLET:
-                raise ValueError(f"{self.family.value} is posed with Dirichlet boundaries")
-            if self.nonlinearity.p is None:
+                raise ValueError(
+                    f"{self.family.value} is posed with Dirichlet boundaries, got bc = {self.bc.value!r}"
+                )
+            if self.p is None:
                 raise ValueError(f"{self.family.value} hard-wires a power-law source")
             if self.b <= 0.0:
                 raise ValueError(f"damping coefficient b must be > 0, got {self.b}")
@@ -114,39 +103,17 @@ class ModelSpec:
 
 
 def damped_wave(
-    nu: float,
-    a: float,
-    b: float,
-    bc: BoundaryCondition | str,
-    nonlinearity: Nonlinearity | None = None,
+    nu: float, a: float, b: float, bc: BoundaryCondition | str, p: Optional[float] = None
 ) -> ModelSpec:
-    if isinstance(bc, str):
-        bc = BoundaryCondition(bc)
-    nl = nonlinearity if nonlinearity is not None else Nonlinearity()
-    return ModelSpec(Family.DAMPED_WAVE, nu, a, b, bc, nl)
+    return ModelSpec(Family.DAMPED_WAVE, nu, a, b, BoundaryCondition(bc), p)
 
 
 def nonlinear_damping_wave(nu: float, a: float, b: float, m: float, p: float) -> ModelSpec:
-    return ModelSpec(
-        Family.NONLINEAR_DAMPING,
-        nu,
-        a,
-        b,
-        BoundaryCondition.DIRICHLET,
-        Nonlinearity(p),
-        m=m,
-    )
+    return ModelSpec(Family.NONLINEAR_DAMPING, nu, a, b, BoundaryCondition.DIRICHLET, p, m)
 
 
 def strongly_damped_wave(nu: float, a: float, b: float, p: float) -> ModelSpec:
-    return ModelSpec(
-        Family.STRONGLY_DAMPED,
-        nu,
-        a,
-        b,
-        BoundaryCondition.DIRICHLET,
-        Nonlinearity(p),
-    )
+    return ModelSpec(Family.STRONGLY_DAMPED, nu, a, b, BoundaryCondition.DIRICHLET, p)
 
 
 def source(
@@ -165,11 +132,10 @@ def source(
     it is given: a time step passes one from its workspace, and the terms
     of every family but nonlinear damping then take no temporary array.
     """
-    nl = model.nonlinearity
-    if nl.p is None:
+    if model.p is None:
         s = np.multiply(model.a, u, out=out)
     else:
-        s = nl.power(u, out=out)
+        s = power(u, model.p, out=out)
         np.subtract(model.a, s, out=s)
         s *= u
     s += base
@@ -213,7 +179,6 @@ def energy_record(
     kin = 0.5 * vv
     grad = 0.5 * model.nu * h1
     quad = -0.5 * model.a * uu
-    nl = model.nonlinearity
-    lp = np.zeros(np.shape(vv)) if nl.p is None else integral(grid, nl.f(u), u) / nl.p
+    lp = np.zeros(np.shape(vv)) if model.p is None else integral(grid, power(u, model.p) * u, u) / model.p
     total = kin + grad + quad + lp + controller
     return np.array([kin, grad, quad, lp, controller, total, vv + h1, h1, uu, integral(grid, u, v)])

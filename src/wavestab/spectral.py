@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .grid import BoundaryCondition, Field, Grid1D
+from .grid import BoundaryCondition, Grid1D
 
 MU_BISECTION_MAX = 1.0e6
 MU_BISECTION_RTOL = 1.0e-3
@@ -66,11 +66,6 @@ def trig_table(grid: Grid1D, degree: int) -> np.ndarray:
     rows[1::2] = np.cos(theta)
     rows[2::2] = np.sin(theta)
     return rows
-
-
-def project_modes(f: Field, N: int) -> np.ndarray:
-    """First N modal coefficients (f, w_k) under the grid quadrature."""
-    return mode_matrix(f.grid, N) @ (f.grid.quad_weights * f.values)
 
 
 @dataclass(frozen=True)

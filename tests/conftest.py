@@ -76,7 +76,7 @@ def closed_loop_abscissa(model, ctrl, grid):
     ctl = make_control_operator(ctrl, grid)
     stencil = np.column_stack([lap(e, grid.dx) for e in eye])
     feedback = np.column_stack([ctl(e) for e in eye])
-    a_lin = model.a - (1.0 if model.nonlinearity.p == 2.0 else 0.0)
+    a_lin = model.a - (1.0 if model.p == 2.0 else 0.0)
     A = np.block([
         [np.zeros_like(eye), eye],
         [model.nu * stencil + a_lin * eye + feedback, model.viscosity * stencil - model.linear_damping * eye],
@@ -130,7 +130,7 @@ def reference_acceleration(model, grid, u, v, control):
         padded = np.pad(w, 1, mode=ghosts)
         return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / grid.dx**2
 
-    p, b = model.nonlinearity.p, model.b
+    p, b = model.p, model.b
     f = 0.0 if p is None else np.abs(u) ** (p - 2.0) * u
     common = model.nu * lap(u) + model.a * u - f + control
     if model.family is Family.DAMPED_WAVE:

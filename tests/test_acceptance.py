@@ -15,7 +15,6 @@ from wavestab import (
     Field,
     FourierModes,
     Nodal,
-    Nonlinearity,
     StepperConfig,
     Subdomain,
     SubdomainControl,
@@ -106,9 +105,7 @@ def volume_loop():
 @pytest.fixture(scope="module")
 def fourier_loop():
     grid = make_grid(L, 128, "dirichlet")
-    model = damped_wave(
-        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity(4.0)
-    )
+    model = damped_wave(nu=1.0, a=1.0, b=2.0, bc="dirichlet", p=4.0)
     ctrl = FourierModes(N=2, mu=4.0)
     report = check_fourier_gains(grid, model, ctrl)
     cfg = StepperConfig(dt=0.005, t_end=6.0, record_every=5)
@@ -166,9 +163,7 @@ def test_criterion_3_localized_damping():
     lam_c = (math.pi / 0.5) ** 2  # longest complement component has length 0.5
     d = 0.5 * lam_c
     mu0 = mu_zero(omega, d, grid)
-    model = damped_wave(
-        nu=1.0, a=1.0, b=2.0, bc="dirichlet", nonlinearity=Nonlinearity(4.0)
-    )
+    model = damped_wave(nu=1.0, a=1.0, b=2.0, bc="dirichlet", p=4.0)
     ctrl = SubdomainControl(omega, 1.1 * mu0)
     report = check_subdomain_gains(grid, model, ctrl)
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)

@@ -426,6 +426,82 @@ t_end = 4.0
 """
 
 
+# a [model] section around the keys each test gives; the rest stays at its defaults
+MODEL_INI = """\
+[model]
+{keys}
+nu = 1.5
+a = 0.5
+b = 2.0
+L = 3.141592653589793
+n_cells = 64
+
+[time]
+t_end = 1.0
+"""
+
+
+class TestModelSection:
+    """The [model] section builds, in one call, the model its family's factory builds."""
+
+    @pytest.mark.parametrize(
+        "keys,factory",
+        [
+            ("family = damped_wave\nbc = neumann\nm = 1.0", lambda: damped_wave(1.5, 0.5, 2.0, "neumann")),
+            (
+                "family = damped_wave\nnonlinearity = power\np = 4.0",
+                lambda: damped_wave(1.5, 0.5, 2.0, "dirichlet", 4.0),
+            ),
+            (
+                "family = nonlinear_damping\nm = 3.0\np = 4.0",
+                lambda: nonlinear_damping_wave(1.5, 0.5, 2.0, 3.0, 4.0),
+            ),
+            ("family = strongly_damped\np = 6.0\nm = 1.0", lambda: strongly_damped_wave(1.5, 0.5, 2.0, 6.0)),
+        ],
+        ids=["damped_zero", "damped_power", "nonlinear_damping", "strongly_damped"],
+    )
+    def test_each_family_equals_its_factory(self, tmp_path, keys, factory):
+        # a key the family does not use (m here but on nonlinear damping) has no effect
+        cfg = load_config(write(tmp_path, MODEL_INI.format(keys=keys)))
+        assert cfg.model == factory()
+        assert cfg.grid.bc is cfg.model.bc
+
+    def test_stray_p_on_a_zero_source_has_no_effect(self, tmp_path):
+        keys = "family = damped_wave\nnonlinearity = zero\np = 1.0"
+        cfg = load_config(write(tmp_path, MODEL_INI.format(keys=keys)))
+        assert cfg.model == damped_wave(1.5, 0.5, 2.0, "dirichlet") and cfg.model.p is None
+
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ("family = damped_wave\nnonlinearity = power", "[model] missing required key 'p'"),
+            (
+                "family = damped_wave\nnonlinearity = cubic\np = 4.0",
+                "[model] nonlinearity must be 'zero' or 'power', got 'cubic'",
+            ),
+            ("family = strongly_damped", "[model] missing required key 'p'"),
+            ("family = nonlinear_damping\np = 4.0", "[model] missing required key 'm'"),
+            ("family = strongly_damped\np = 1.5", "[model] power law needs p >= 2, got 1.5"),
+            (
+                "family = nonlinear_damping\nm = 2.0\np = 4.0",
+                "[model] nonlinear damping needs exponent m > 2, got 2.0",
+            ),
+            (
+                "family = nonlinear_damping\nbc = neumann\nm = 3.0\np = 4.0",
+                "[model] nonlinear_damping is posed with Dirichlet boundaries, got bc = 'neumann'",
+            ),
+        ],
+        ids=[
+            "power_without_p", "unknown_law", "strong_without_p", "without_m",
+            "p_below_two", "m_two", "neumann",
+        ],
+    )
+    def test_family_rules_are_config_errors(self, tmp_path, keys, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, MODEL_INI.format(keys=keys)))
+        assert str(exc.value) == message
+
+
 def _thinned(ledger, every):
     """The ledger a run with ``record_every = every`` keeps, from a run that kept every step."""
     k = np.arange(len(ledger))

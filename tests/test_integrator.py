@@ -13,7 +13,6 @@ from wavestab import (
     FourierModes,
     Nodal,
     NoControl,
-    Nonlinearity,
     State,
     StepperConfig,
     Subdomain,
@@ -259,7 +258,7 @@ class TestBlowup:
         # |u|^38 u overflows to inf in the first explicit half step, long
         # before |u| reaches the 1e12 limit; the solve passes it on as NaN
         g = make_grid(PI, 64, "dirichlet")
-        model = damped_wave(1.0, 1.0, 0.5, "dirichlet", Nonlinearity(40))
+        model = damped_wave(1.0, 1.0, 0.5, "dirichlet", 40)
         u0 = Field(g, 1e10 * np.sin(g.nodes))
         with np.errstate(over="ignore", invalid="ignore"):
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=5.0))
@@ -335,11 +334,11 @@ def symmetric_imex_system(model, grid, dt):
 class TestPrefactoredSolve:
     CASES = [
         pytest.param(
-            damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4)),
+            damped_wave(1.0, 1.0, 2.0, "dirichlet", 4),
             "dirichlet", FourierModes(2, 4.0), id="dirichlet",
         ),
         pytest.param(
-            damped_wave(1.0, 1.0, 2.0, "neumann", Nonlinearity(4)),
+            damped_wave(1.0, 1.0, 2.0, "neumann", 4),
             "neumann", VolumeElements(4, 6.0), id="neumann",
         ),
         pytest.param(
@@ -366,8 +365,8 @@ class TestPrefactoredSolve:
         np.testing.assert_array_equal(fast.ledger, ref.ledger)
 
     @pytest.mark.parametrize("model, law", [
-        (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4)), FourierModes(2, 4.0)),
-        (damped_wave(1.0, 1.0, 2.0, "neumann", Nonlinearity(4)), VolumeElements(4, 6.0)),
+        (damped_wave(1.0, 1.0, 2.0, "dirichlet", 4), FourierModes(2, 4.0)),
+        (damped_wave(1.0, 1.0, 2.0, "neumann", 4), VolumeElements(4, 6.0)),
         (damped_wave(1.0, 0.0, 0.0, "neumann"), NoControl()),
         (strongly_damped_wave(1.0, 1.0, 0.5, 4.0), Nodal(4, 2.0)),
         (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
@@ -408,7 +407,7 @@ class TestPrefactoredSolve:
 # ---------------------------------------------------------------------------
 
 REFERENCE_CASES = {
-    "damped_fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0)), FourierModes(2, 3.0)),
+    "damped_fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0), FourierModes(2, 3.0)),
     "neumann_volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
     "strong_nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
     "nonlinear_fourier": (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
@@ -548,7 +547,7 @@ def two_stencil_step(stepper, u, v):
 
 
 @pytest.mark.parametrize("model, law", [
-    (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0)), FourierModes(2, 3.0)),
+    (damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0), FourierModes(2, 3.0)),
     (damped_wave(0.7, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
     (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
     (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
@@ -624,7 +623,7 @@ def per_state_ledger_row(model, law, grid, t, u, v):
     if grid.bc.value == "dirichlet":
         h1 = h1 + u[0] * u[0] + u[-1] * u[-1]
     h1 = h1 / grid.dx
-    p = model.nonlinearity.p
+    p = model.p
     vv, uu = integral_of(v * v), integral_of(u * u)
     kin, grad, quad = 0.5 * vv, 0.5 * model.nu * h1, -0.5 * model.a * uu
     lp = 0.0 if p is None else integral_of(np.abs(u) ** p / p)
@@ -643,7 +642,7 @@ REPLACED_PATH_CASES = {
     "volume_N1": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(1, 6.0)),
     "volume_N2": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(2, 6.0)),
     "volume_half": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(32, 6.0)),
-    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0)), FourierModes(2, 3.0)),
+    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0), FourierModes(2, 3.0)),
     "strong_fourier": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), FourierModes(2, 3.0)),
     "nonlinear": (nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0), FourierModes(2, 3.0)),
     "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),
@@ -686,7 +685,7 @@ def test_workspace_step_and_ledger_match_the_paths_they_replaced(name):
 # ---------------------------------------------------------------------------
 
 LEDGER_CASES = {
-    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0)), FourierModes(2, 3.0)),
+    "fourier": (damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0), FourierModes(2, 3.0)),
     "volume": (damped_wave(1.0, 1.0, 2.0, "neumann"), VolumeElements(4, 6.0)),
     "subdomain": (damped_wave(1.0, 1.0, 2.0, "dirichlet"), SubdomainControl(Subdomain(0.5, 1.7), 4.0)),
     "nodal": (strongly_damped_wave(1.0, 1.0, 1.0, 4.0), Nodal(4, 2.0)),

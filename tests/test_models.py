@@ -10,7 +10,7 @@ from wavestab import (
     BoundaryCondition,
     Family,
     Field,
-    Nonlinearity,
+    ModelSpec,
     State,
     damped_wave,
     energy_record,
@@ -23,7 +23,7 @@ from wavestab import (
     zeros,
 )
 
-from wavestab.models import LEDGER_COLUMNS, source
+from wavestab.models import LEDGER_COLUMNS, power, source
 
 from conftest import reference_acceleration
 
@@ -43,37 +43,47 @@ def make_state(grid, u_vals, v_vals):
 # --------------------------------------------------------------------------
 
 def test_zero_nonlinearity():
-    nl = Nonlinearity()
+    # p = None is f = 0: with a = 0 the source is its base alone
+    m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
     x = np.linspace(-3, 3, 7)
-    assert not nl.f(x).any()
+    assert m.p is None and not source(m, x, x, np.zeros_like(x)).any()
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
 def test_power_law_values(p):
-    nl = Nonlinearity(p)
     s = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    np.testing.assert_allclose(nl.f(s), np.abs(s) ** (p - 2) * s)
-    assert nl.p == p
+    np.testing.assert_allclose(power(s, p) * s, np.abs(s) ** (p - 2) * s)
+    out = np.empty_like(s)
+    assert power(s, p, out=out) is out
+    # with a = 0 the source is -f(u)
+    m = damped_wave(1.0, 0.0, 1.0, "dirichlet", p)
+    assert m.p == p
+    np.testing.assert_allclose(source(m, s, s, np.zeros_like(s)), -np.abs(s) ** (p - 2) * s)
 
 
 def test_power_law_rejects_p_below_two():
-    with pytest.raises(ValueError):
-        Nonlinearity(1.5)
+    with pytest.raises(ValueError, match="p >= 2"):
+        damped_wave(1.0, 1.0, 1.0, "dirichlet", 1.5)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
+def test_model_spec_refuses_bad_p(p):
+    with pytest.raises(ValueError, match="p >= 2" if p == 1.5 else "finite"):
+        ModelSpec(Family.DAMPED_WAVE, 1.0, 1.0, 1.0, BoundaryCondition.DIRICHLET, p=p)
 
 
 def test_models_built_alike_compare_equal():
-    # a nonlinearity is its exponent, so equal inputs give equal models, pickled or not
-    model, twin = (damped_wave(1, 1, 2, "dirichlet", Nonlinearity(4.0)) for _ in range(2))
+    # the source is its exponent, so equal inputs give equal models, pickled or not
+    model, twin = (damped_wave(1, 1, 2, "dirichlet", 4.0) for _ in range(2))
     assert model == twin and pickle.loads(pickle.dumps(model)) == model
-    assert model != damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(3.0))
+    assert model != damped_wave(1.0, 1.0, 2.0, "dirichlet", 3.0)
 
 
 def test_condition_f_ok_for_power_laws():
     # the certificates' admissibility: f(s)s - F(s) >= 0 and f nondecreasing
     s = np.linspace(-10.0, 10.0, 10_001)
     for p in (2.0, 4.0, 5.0):
-        nl = Nonlinearity(p)
-        f = nl.f(s)
+        f = power(s, p) * s
         assert np.min(f * s - np.abs(s) ** p / p) >= 0.0  # F(s) = |s|^p / p
         assert np.min(np.diff(f)) >= 0.0
 
@@ -85,7 +95,7 @@ def test_condition_f_ok_for_power_laws():
 def test_damped_wave_defaults_to_zero_f():
     m = damped_wave(1.0, 0.5, 2.0, "neumann")
     assert m.family is Family.DAMPED_WAVE
-    assert m.nonlinearity == Nonlinearity() and m.nonlinearity.p is None
+    assert m.p is None
     assert m.bc is BoundaryCondition.NEUMANN
 
 
@@ -129,22 +139,12 @@ def test_non_finite_coefficients_rejected(ctor, kwargs, name, bad):
 def test_nonlinear_damping_is_dirichlet_power_law():
     m = nonlinear_damping_wave(1.0, 1.0, 1.0, 3.0, 4.0)
     assert m.bc is BoundaryCondition.DIRICHLET
-    assert m.m == 3.0 and m.nonlinearity == Nonlinearity(4.0)
+    assert m.m == 3.0 and m.p == 4.0
 
 
 def test_strongly_damped_rejects_m():
-    from wavestab import ModelSpec
-
     with pytest.raises(ValueError):
-        ModelSpec(
-            Family.STRONGLY_DAMPED,
-            1.0,
-            1.0,
-            1.0,
-            BoundaryCondition.DIRICHLET,
-            Nonlinearity(4.0),
-            m=3.0,
-        )
+        ModelSpec(Family.STRONGLY_DAMPED, 1.0, 1.0, 1.0, BoundaryCondition.DIRICHLET, p=4.0, m=3.0)
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_strongly_damped_rejects_m():
 class TestAcceleration:
     def test_zero_state_zero_control(self):
         g = make_grid(PI, 64, "dirichlet")
-        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0))
+        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0)
         z = np.zeros(g.n_nodes)
         assert not reference_acceleration(m, g, z, z, z).any()
 
@@ -232,7 +232,7 @@ class TestEnergyRecord:
     def test_pure_mode_partition(self):
         g = make_grid(PI, 512, "dirichlet")
         u = Field(g, mode_matrix(g, 1)[0])
-        m = damped_wave(1.0, 0.0, 1.0, "dirichlet", Nonlinearity(2.0))
+        m = damped_wave(1.0, 0.0, 1.0, "dirichlet", 2.0)
         r = record(State(u, zeros(g)), m)
         assert r["kinetic"] == 0.0
         assert r["grad"] == pytest.approx(0.5, rel=1e-4)
@@ -263,7 +263,7 @@ class TestEnergyRecord:
     def test_rows_are_the_grid_norms(self, bc):
         g = make_grid(PI, 96, bc)
         rng = np.random.default_rng(4)
-        m = damped_wave(1.5, 0.7, 1.0, bc, Nonlinearity(4.0))
+        m = damped_wave(1.5, 0.7, 1.0, bc, 4.0)
         u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
         r = record(make_state(g, u, v), m)
         h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u, u), integral(g, v, v)
@@ -275,7 +275,7 @@ class TestEnergyRecord:
         assert r["kinetic"] == 0.5 * vv
         assert r["grad"] == 0.5 * m.nu * h1
         assert r["quadratic"] == -0.5 * m.a * uu
-        assert r["lp"] == integral(g, m.nonlinearity.f(u), u) / 4.0
+        assert r["lp"] == integral(g, power(u, 4.0) * u, u) / 4.0
         # the pair (f(u), u) against the integrand F(u) = u^4/4 it replaced
         assert r["lp"] == pytest.approx(float(np.sum(g.quad_weights * u**4 / 4.0)), rel=1e-13)
         assert r["stab_norm"] == vv + h1
@@ -283,7 +283,7 @@ class TestEnergyRecord:
     def test_block_rows_match_single_records(self):
         g = make_grid(PI, 64, "dirichlet")
         rng = np.random.default_rng(8)
-        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", Nonlinearity(4.0))
+        m = damped_wave(1.0, 1.0, 2.0, "dirichlet", 4.0)
         u, v = rng.standard_normal((5, g.n_nodes)), rng.standard_normal((5, g.n_nodes))
         ctrl = rng.uniform(0.0, 2.0, 5)
         block = energy_record(m, g, u, v, ctrl)
