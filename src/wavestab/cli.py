@@ -233,12 +233,12 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
 # ``summary.csv``'s header; perfbench reads value, gain_satisfied and verified by name
 SUMMARY_COLUMNS = (
     "value", "gain_satisfied", "fitted_rate", "verified", "blew_up", "blowup_time", "certified_rate",
+    "wall_time_s",
 )
 
 
-def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
-    """Run one member; return its ``summary.csv`` cells after the label."""
-    doc, _code = _execute(cfg, out_dir)
+def _summary_cells(doc: dict) -> list[str]:
+    """A member's ``summary.csv`` cells after the label, from its ``report.json`` document."""
     fit, verify, gain, blowup = doc["fit"], doc["verify"], doc["gain"], doc["blowup"]
     exponential = gain is not None and gain["kind"] == "exponential"
     return [
@@ -248,6 +248,7 @@ def _sweep_worker(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         str(blowup["blew_up"]).lower(),
         _fmt(blowup["time"]),
         _fmt(gain["predicted_rate"] if exponential else None),
+        _fmt(doc["wall_time_s"]),
     ]
 
 
@@ -264,7 +265,7 @@ def cmd_sweep(args) -> int:
         print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
         return 2
     # Read the INI once and build every member, in ascending order, before
-    # launching anything; the members run from these configs, not the file.
+    # running any; the members run from these configs, not the file.
     base = load_config(args.config)
     repeated = sorted({v for v in values if values.count(v) > 1})  # as numbers: 0 == -0
     if repeated:
@@ -276,23 +277,16 @@ def cmd_sweep(args) -> int:
         _warn_step(cfg, f"{args.param}={label}: ")
 
     _make_out(args.out)
-    labels, cfgs = zip(*members)
-    subs = [os.path.join(args.out, f"{args.param}={label}") for label in labels]
-    if args.jobs > 1 and len(members) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # costs ms to import; only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, cfgs, subs))
-    else:
-        rows = list(map(_sweep_worker, cfgs, subs))
-
-    table = [[label, *row] for label, row in zip(labels, rows)]
+    table = []
+    for label, cfg in members:
+        doc, _code = _execute(cfg, os.path.join(args.out, f"{args.param}={label}"))
+        table.append([label, *_summary_cells(doc)])
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerows(table)
-    print(f"wrote {summary} ({len(rows)} rows)")
+    print(f"wrote {summary} ({len(table)} rows)")
     blew_up = SUMMARY_COLUMNS.index("blew_up")
     blown = [row[0] for row in table if row[blew_up] == "true"]
     if blown:
@@ -334,13 +328,6 @@ def cmd_lemmas(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavestab",
@@ -363,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--param", required=True, choices=("mu", "N"), help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
+    # members run one after another; --jobs stays only so that perfbench's "--jobs 1" parses
+    p_sweep.add_argument("--jobs", type=int, choices=(1,), default=1, help="only 1, kept for perfbench's --jobs 1")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_lem = sub.add_parser("lemmas", help="sharp constants of the discrete inequalities")

@@ -76,9 +76,6 @@ class Grid1D:
         w.flags.writeable = False
         return w
 
-    def __reduce__(self):  # a copy rebuilds nodes and quad_weights, read-only
-        return (Grid1D, (self.L, self.n_cells, self.bc))
-
 
 def make_grid(L: float, n_cells: int, bc: BoundaryCondition | str) -> Grid1D:
     """Construct a validated :class:`Grid1D`.
@@ -119,9 +116,6 @@ class Field:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __reduce__(self):  # a copy goes through __post_init__: finite and read-only
-        return (Field, (self.grid, self.values))
 
 
 @dataclass(frozen=True)
