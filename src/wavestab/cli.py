@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -30,8 +29,8 @@ from .analysis import (
     verify_exponential,
     verify_polynomial,
 )
-from .config import ConfigError, ExperimentConfig, build_controller, finite_float
-from .config import gain_report_for, load_config
+from .config import ConfigError, ExperimentConfig, build_controller, check_step_ratio, finite_float
+from .config import gain_report_for, largest_stable_dt, load_config
 from .controllers import NoControl
 from .integrator import RunResult, run
 from .models import LEDGER_COLUMNS
@@ -94,24 +93,23 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
 def _warn_step(cfg: ExperimentConfig, member: str) -> None:
     """Print one ``warning:`` line, led by ``member``, when r = ``cfg.step_ratio`` > 0.9.
 
-    The line names the largest stable dt.  The exit code is left alone: r < 1 is sufficient for a stable step, but
-    whether strong damping needs it is unverified.
+    The line names the largest stable dt.  ``load_config`` refuses r >= 1
+    for every law but the nodal one, whose lambda is a bound that may
+    exceed its stiffness, so only a nodal r >= 1 reaches this line.
     """
     r, n_steps = cfg.step_ratio, cfg.stepper.n_steps
     if r <= 0.9 or n_steps == 0:
         return
     if r >= 1.0:
-        state = " >= 1, past the explicit feedback's limit: the step is unstable"
+        state = " >= 1, past the explicit feedback's limit: the step is unstable if the bound lambda is attained"
     else:
         state = (
             f", near the explicit feedback's limit r = 1: the energy can exceed the step's"
             f" modified energy by the factor 1/(1 - r) = {1.0 / (1.0 - r):.6g}"
         )
-    stable = math.floor(n_steps * math.sqrt(r)) + 1  # r scales as dt^2
-    t_end = cfg.stepper.t_end
     print(
         f"warning: {member}dt = {cfg.stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state};"
-        f" the largest dt that divides t_end with r < 1 is dt = {t_end:g}/{stable} = {t_end / stable!r}",
+        f" {largest_stable_dt(cfg.stepper, r)}",
         file=sys.stderr,
     )
 
@@ -219,7 +217,7 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     """The member's label and config: ``base``'s controller text with ``param`` set to the label.
 
     The member's law is parsed from that text, so its ``report.json``
-    echoes the text it ran.
+    echoes the text it ran; a step ratio r >= 1 is refused as for a run.
     """
     if isinstance(base.controller, NoControl) or not hasattr(base.controller, param):
         raise ConfigError(f"controller variant {base.variant!r} has no {param} to sweep")
@@ -227,7 +225,9 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     section = {**base.raw["controller"], param.lower(): label}
     controller = build_controller(section, base.grid)
     raw = {**base.raw, "controller": section}
-    return label, dataclasses.replace(base, controller=controller, raw=raw)
+    member = dataclasses.replace(base, controller=controller, raw=raw)
+    check_step_ratio(member, f"{param}={label}: ")
+    return label, member
 
 
 # ``summary.csv``'s header; perfbench reads value, gain_satisfied and verified by name
@@ -240,14 +240,15 @@ SUMMARY_COLUMNS = (
 def _summary_cells(doc: dict) -> list[str]:
     """A member's ``summary.csv`` cells after the label, from its ``report.json`` document."""
     fit, verify, gain, blowup = doc["fit"], doc["verify"], doc["gain"], doc["blowup"]
-    exponential = gain is not None and gain["kind"] == "exponential"
+    satisfied = bool(gain and gain["satisfied"])
+    certified = satisfied and gain["kind"] == "exponential"  # a rate holds only where the conditions do
     return [
-        str(bool(gain and gain["satisfied"])).lower(),
+        str(satisfied).lower(),
         _fmt(fit.get("rate") if isinstance(fit, dict) else None),
         str(bool(verify and verify["ok"])).lower(),
         str(blowup["blew_up"]).lower(),
         _fmt(blowup["time"]),
-        _fmt(gain["predicted_rate"] if exponential else None),
+        _fmt(gain["predicted_rate"] if certified else None),
         _fmt(doc["wall_time_s"]),
     ]
 

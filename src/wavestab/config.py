@@ -27,11 +27,12 @@ from .controllers import (
     Nodal,
     SubdomainControl,
     VolumeElements,
+    certificate,
     feedback_stiffness,
     make_control_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
-from .integrator import StepperConfig, certificate, default_dt
+from .integrator import StepperConfig, default_dt
 from .models import Family, ModelSpec
 from .spectral import Subdomain, sine_mode, trig_table
 
@@ -295,6 +296,29 @@ def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
     return controller
 
 
+def largest_stable_dt(stepper: StepperConfig, r: float) -> str:
+    """Name the largest dt that divides t_end with step ratio below 1, given the ratio r at ``stepper.dt``."""
+    n = math.floor(stepper.n_steps * math.sqrt(r)) + 1  # r scales as dt^2
+    return f"the largest dt that divides t_end with r < 1 is dt = {stepper.t_end:g}/{n} = {stepper.t_end / n!r}"
+
+
+def check_step_ratio(cfg: ExperimentConfig, member: str = "") -> None:
+    """Refuse a step ratio r >= 1 before any step: past it the explicit feedback makes the step unstable.
+
+    The nodal law is only warned about: its lambda is a row-sum bound, above
+    the largest eigenvalue when points share a node, so it could refuse a
+    stable dt.
+    """
+    if isinstance(cfg.controller, Nodal) or cfg.stepper.n_steps == 0:
+        return
+    r = cfg.step_ratio
+    if r >= 1.0:
+        raise ConfigError(
+            f"[time] {member}step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = {cfg.stepper.dt!r}: "
+            f"past the explicit feedback's limit the step is unstable; {largest_stable_dt(cfg.stepper, r)}"
+        )
+
+
 def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_law: bool) -> None:
     """Refuse a record cadence that leaves the verifier's window fewer records than it needs."""
     if power_law:
@@ -356,7 +380,7 @@ def load_config(path: str) -> ExperimentConfig:
         power_law = cert.gains(grid, model, controller).kind == "polynomial"
         _check_cadence(stepper, (lo, hi), power_law)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         grid=grid,
         model=model,
         controller=controller,
@@ -367,9 +391,11 @@ def load_config(path: str) -> ExperimentConfig:
         safety=safety,
         raw=raw,
     )
+    check_step_ratio(cfg)
+    return cfg
 
 
 def gain_report_for(cfg: ExperimentConfig) -> Optional[GainReport]:
-    """The configured pair's gain report; None if ``integrator.CERTIFIED`` has no entry."""
+    """The configured pair's gain report; None if ``controllers.CERTIFIED`` has no entry."""
     cert = certificate(cfg.model, cfg.controller)
     return cert.gains(cfg.grid, cfg.model, cfg.controller) if cert is not None else None

@@ -12,6 +12,8 @@ Each law comes with a checker that evaluates the printed sufficient gain /
 resolution conditions (those printed at unit stiffness on the problem
 rescaled to nu = 1) and reports per-condition margins plus the predicted
 decay rate, so a simulation can be compared against its certificate.
+:data:`CERTIFIED` pairs each (law, family) pair the paper proves with its
+checker and the weights of its perturbed-energy functional, if it has one.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .grid import BoundaryCondition, Grid1D
-from .models import ModelSpec
+from .models import Family, ModelSpec
 from .spectral import Subdomain, complement_eigenvalue, dirichlet_eigenvalue, mode_matrix, mu_zero
 
 
@@ -510,3 +512,46 @@ def check_subdomain_gains(grid: Grid1D, model: ModelSpec, ctrl: SubdomainControl
     )
     notes = (f"mu_zero={mu0:.6g} at gap target d={d:.6g}",)
     return GainReport("subdomain", "exponential", 0.5 * model.b, margins, notes)
+
+
+# ---------------------------------------------------------------------------
+# certified (law, family) pairs: each one's gain check and perturbed-energy weights
+# ---------------------------------------------------------------------------
+
+def _damped_weights(model: ModelSpec, grid: Grid1D) -> tuple[float, float, float]:
+    """E_b for the damped wave: eps = b/2, grad = nu, quad = (eps*b - a)/2.
+
+    The quadratic term's sign makes the (u, v) cross term cancel in d/dt Phi;
+    with it, d/dt Phi + delta0 * Phi <= 0 under the pair's gain conditions.
+    """
+    eps = 0.5 * model.b
+    return eps, model.nu, 0.5 * (eps * model.b - model.a)
+
+
+def _strong_weights(model: ModelSpec, grid: Grid1D) -> tuple[float, float, float]:
+    """E_eps for the strongly damped wave: eps = b*lam1/2, grad = nu + eps*b, quad = -a/2."""
+    eps = 0.5 * model.b * dirichlet_eigenvalue(grid.L, 1)
+    return eps, model.nu + eps * model.b, -0.5 * model.a
+
+
+class Certificate(NamedTuple):
+    """One pair's proof: its gain check and its functional's weights (None if it uses none)."""
+
+    gains: Callable[[Grid1D, ModelSpec, ControllerSpec], GainReport]
+    weights: Optional[Callable[[ModelSpec, Grid1D], tuple[float, float, float]]] = None
+
+
+# The pairs the paper certifies, and the only place that pairs a law with a family.
+CERTIFIED: dict[tuple[type, Family], Certificate] = {
+    (VolumeElements, Family.DAMPED_WAVE): Certificate(check_volume_gains, _damped_weights),
+    (FourierModes, Family.DAMPED_WAVE): Certificate(check_fourier_gains, _damped_weights),
+    (FourierModes, Family.STRONGLY_DAMPED): Certificate(check_strong_fourier_gains, _strong_weights),
+    (FourierModes, Family.NONLINEAR_DAMPING): Certificate(check_nonlinear_gains),
+    (Nodal, Family.STRONGLY_DAMPED): Certificate(check_nodal_gains),
+    (SubdomainControl, Family.DAMPED_WAVE): Certificate(check_subdomain_gains, _damped_weights),
+}
+
+
+def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]:
+    """The certificate proved for this model's family under this law, or None."""
+    return CERTIFIED.get((type(ctrl), model.family))

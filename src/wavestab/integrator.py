@@ -33,42 +33,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
 from .controllers import (
     ControllerSpec,
-    FourierModes,
-    GainReport,
-    Nodal,
-    SubdomainControl,
-    VolumeElements,
-    check_fourier_gains,
-    check_nodal_gains,
-    check_nonlinear_gains,
-    check_strong_fourier_gains,
-    check_subdomain_gains,
-    check_volume_gains,
+    certificate,
     controller_energy,
     make_control_operator,
     make_energy_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
-from .models import LEDGER_COLUMNS, Family, ModelSpec, energy_record, source
-from .spectral import dirichlet_eigenvalue
-
-__all__ = [
-    "StepperConfig",
-    "RunResult",
-    "Certificate",
-    "CERTIFIED",
-    "certificate",
-    "run",
-    "default_dt",
-    "lyapunov_eb",
-]
+from .models import LEDGER_COLUMNS, ModelSpec, energy_record, source
 
 BLOWUP_LIMIT = 1.0e12
 # max^2 <= the sum of squares, so a sum of squares within this passes no node
@@ -215,53 +193,14 @@ class _ImexStepper:
 
 
 # ---------------------------------------------------------------------------
-# certified (law, family) pairs and their perturbed energies
+# the perturbed energy
 # ---------------------------------------------------------------------------
-
-def _damped_weights(model: ModelSpec, grid: Grid1D) -> tuple[float, float, float]:
-    """E_b for the damped wave: eps = b/2, grad = nu, quad = (eps*b - a)/2.
-
-    The quadratic term's sign makes the (u, v) cross term cancel in d/dt Phi;
-    with it, d/dt Phi + delta0 * Phi <= 0 under the pair's gain conditions.
-    """
-    eps = 0.5 * model.b
-    return eps, model.nu, 0.5 * (eps * model.b - model.a)
-
-
-def _strong_weights(model: ModelSpec, grid: Grid1D) -> tuple[float, float, float]:
-    """E_eps for the strongly damped wave: eps = b*lam1/2, grad = nu + eps*b, quad = -a/2."""
-    eps = 0.5 * model.b * dirichlet_eigenvalue(grid.L, 1)
-    return eps, model.nu + eps * model.b, -0.5 * model.a
-
-
-class Certificate(NamedTuple):
-    """One pair's proof: its gain check and its functional's weights (None if it uses none)."""
-
-    gains: Callable[[Grid1D, ModelSpec, ControllerSpec], GainReport]
-    weights: Optional[Callable[[ModelSpec, Grid1D], tuple[float, float, float]]] = None
-
-
-# The pairs the paper certifies, and the only place that pairs a law with a family.
-CERTIFIED: dict[tuple[type, Family], Certificate] = {
-    (VolumeElements, Family.DAMPED_WAVE): Certificate(check_volume_gains, _damped_weights),
-    (FourierModes, Family.DAMPED_WAVE): Certificate(check_fourier_gains, _damped_weights),
-    (FourierModes, Family.STRONGLY_DAMPED): Certificate(check_strong_fourier_gains, _strong_weights),
-    (FourierModes, Family.NONLINEAR_DAMPING): Certificate(check_nonlinear_gains),
-    (Nodal, Family.STRONGLY_DAMPED): Certificate(check_nodal_gains),
-    (SubdomainControl, Family.DAMPED_WAVE): Certificate(check_subdomain_gains, _damped_weights),
-}
-
-
-def certificate(model: ModelSpec, ctrl: ControllerSpec) -> Optional[Certificate]:
-    """The certificate proved for this model's family under this law, or None."""
-    return CERTIFIED.get((type(ctrl), model.family))
-
 
 def lyapunov_eb(
     model: ModelSpec, ctrl: ControllerSpec, grid: Grid1D, u: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """Phi = 1/2||v||^2 + grad/2||u_x||^2 + quad||u||^2 + int F(u) + E_ctrl(u) + eps*(u, v),
-    weighted as ``CERTIFIED`` says for the pair; a pair with no functional is a TypeError.
+    weighted as ``controllers.CERTIFIED`` says; a pair with no functional is a TypeError.
 
     ``u`` is one state's displacement, ``(n,)``, or a block of them,
     ``(K, n)``, and ``rows`` are the rows :func:`energy_record` computed for
@@ -319,7 +258,7 @@ def run(
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
     Each record carries the perturbed energy of the (law, family) pair's
-    certificate, when it has one (see ``CERTIFIED``).  The loop copies each
+    certificate, when it has one (see ``controllers.CERTIFIED``).  The loop copies each
     recorded state into a block buffer and evaluates the ledger of a full
     block in one pass over its rows, so each norm costs one array operation
     per block, not per record, and each record still gets the numbers its

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -684,21 +685,50 @@ class TestStepRatio:
         assert line.startswith(f"warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = {report['step_ratio']:.6g}")
         assert f"by the factor 1/(1 - r) = {factor};" in line
 
-    def test_a_ratio_past_one_warns_that_the_step_is_unstable(self, tmp_path, capsys):
-        code, err, report = self.run_mu("4.05e4", tmp_path, capsys)
-        assert code == 3 and report["step_ratio"] > 1.0
-        (line,) = err.splitlines()
-        assert "the step is unstable" in line
+    def test_a_ratio_past_one_is_refused_before_any_step(self, tmp_path, capsys):
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="4.05e4"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        r = 0.01**2 * (4.05e4 - 1.0) / 4.0
+        assert line.startswith(f"error: [time] step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = 0.01:")
         assert line.endswith(f"the largest dt that divides t_end with r < 1 is dt = 4/403 = {4 / 403!r}")
 
-    def test_a_sweep_warns_for_each_member_past_the_bound(self, tmp_path, capsys):
+    def test_a_sweep_refuses_a_member_past_the_bound_before_any_runs(self, tmp_path, capsys):
         p = tmp_path / "step.ini"
         p.write_text(STEP_INI.format(mu="1e4"))
-        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "out"), "--param", "mu",
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu",
                      "--values", "1e4,3.9e4,4.05e4"])
-        assert code == 3
-        lines = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[:2] for line in lines] == [["warning", " mu=39000"], ["warning", " mu=40500"]]
+        assert code == 2 and not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: [time] mu=40500: step ratio r = dt^2 (lambda - a)/4 = 1.012")
+
+    # r = dt^2 (mu - a)/4 = 1 at mu = 4/dt^2 + a = 40001: one part in 1e6 either side
+    @pytest.mark.parametrize("pair", ["volume-damped_wave", "fourier-damped_wave", "subdomain-damped_wave"])
+    @pytest.mark.parametrize("mu, refused", [("40000.96", False), ("40001.04", True)])
+    def test_check_refuses_a_ratio_just_past_one(self, pair, mu, refused, tmp_path, capsys):
+        p = tmp_path / "limit.ini"
+        p.write_text(re.sub(r"^mu = .*$", f"mu = {mu}", pair_ini(pair), flags=re.M))
+        code = main(["check", "--config", str(p)])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 2 and err.startswith("error: [time] step ratio r = dt^2 (lambda - a)/4 = 1.000001")
+        else:
+            assert code in (0, 1) and err == ""
+
+    def test_a_nodal_ratio_past_one_only_warns(self, tmp_path, capsys):
+        # lambda = mu h/dx = 16 mu bounds the nodal stiffness, so r = 1.2 here
+        p = tmp_path / "nodal.ini"
+        p.write_text(pair_ini("nodal-strongly_damped").replace("mu = 1.0", "mu = 3000"))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code != 2 and report["step_ratio"] == pytest.approx(1e-4 * (48000 - 1) / 4, rel=1e-12)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 1.19998 >= 1")
 
 
 class TestSweep:
@@ -805,18 +835,19 @@ class TestSweep:
             assert cell == repr(report["wall_time_s"]) and float(cell) > 0.0
 
     @pytest.mark.parametrize(
-        "text,param,values,rate",
+        "text,param,values,rates",
         [
-            (VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5"), "mu", "0,4", "1.0"),  # (b/2) min(1, nu)
-            (pair_ini("fourier-damped_wave"), "mu", "0,4", "0.25"),  # b/2
-            (pair_ini("fourier-nonlinear_damping"), "N", "1,2", ""),  # an exponent, not a rate
-            (pair_ini("nodal-strongly_damped"), "mu", "1", ""),  # qualitative: no rate
-            (PAIR_INI.format(family="damped_wave", controller=NODAL), "mu", "1", ""),  # no certificate
+            # (b/2) min(1, nu); mu = 0 fails the gain condition, so it certifies no rate
+            (VOLUME_INI.replace("t_end = 6.0", "t_end = 0.5"), "mu", "0,4", ["", "1.0"]),
+            (pair_ini("fourier-damped_wave"), "mu", "0,4", ["", "0.25"]),  # b/2
+            (pair_ini("fourier-nonlinear_damping"), "N", "1,2", ["", ""]),  # an exponent, not a rate
+            (pair_ini("nodal-strongly_damped"), "mu", "1", [""]),  # qualitative: no rate
+            (PAIR_INI.format(family="damped_wave", controller=NODAL), "mu", "1", [""]),  # no certificate
         ],
         ids=["volume", "fourier", "power_law", "qualitative", "uncertified"],
     )
     def test_certified_rate_column_is_the_reports_exponential_rate(
-        self, tmp_path, text, param, values, rate
+        self, tmp_path, text, param, values, rates
     ):
         ini = tmp_path / "base.ini"
         ini.write_text(text)
@@ -825,8 +856,8 @@ class TestSweep:
                     + ["--out", str(out)]) == 0
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["certified_rate"] for r in rows] == [rate] * len(values.split(","))
-        for r in rows:
+        assert [r["certified_rate"] for r in rows] == rates
+        for r, rate in zip(rows, rates):
             gain = json.loads((out / f"{param}={r['value']}" / "report.json").read_text())["gain"]
             if rate:  # the member's own report, written as repr writes it
                 assert rate == repr(gain["predicted_rate"]) and gain["kind"] == "exponential"
@@ -1125,3 +1156,89 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "wavestab" in capsys.readouterr().out
+
+
+# the north-star sweep's model and law at seed 7: Fourier N = 2 with the cubic,
+# target safety * b/2 = 0.8 and linear rate 2 - sqrt(4 - 4 mu) for mu < 1
+SWEEP_MU_INI = """\
+[model]
+family = damped_wave
+nu = 1.0
+a = 1.0
+b = 2.0
+bc = dirichlet
+nonlinearity = power
+p = 4
+L = 3.141592653589793
+n_cells = 256
+
+[controller]
+variant = fourier
+N = 2
+mu = {mu}
+
+[initial]
+{initial}
+
+[time]
+dt = 0.005
+t_end = 6.0
+"""
+
+# a certified nodal run that decays, from linear rate 0.505, with every margin satisfied
+DECAYING_NODAL_INI = """\
+[model]
+family = strongly_damped
+nu = 1.0
+a = 1.0
+b = 0.5
+p = 4.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 108
+
+[controller]
+variant = nodal
+N = 27
+mu = 4.3
+
+[initial]
+u0 = mode 1
+u1 = random(3, 2)
+
+[time]
+dt = 0.01
+t_end = 6.0
+"""
+
+WRONG_VERDICT = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 13")
+
+
+class TestVerdictsTheLinearRateDecides:
+    """Verdicts the linearization at zero contradicts; each test asserts the right one."""
+
+    def verify(self, text, tmp_path):
+        p = tmp_path / "case.ini"
+        p.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        return code, json.loads((out / "report.json").read_text())
+
+    @WRONG_VERDICT
+    @pytest.mark.parametrize("mu", ["0.25", "0.5"])  # linear rates 0.268 and 0.586
+    def test_a_member_below_the_target_rate_is_not_verified(self, mu, tmp_path):
+        _, report = self.verify(SWEEP_MU_INI.format(mu=mu, initial="u0 = random(7, 3)"), tmp_path)
+        assert report["verify"]["ok"] is False
+
+    @WRONG_VERDICT
+    def test_a_certified_nodal_run_that_decays_verifies(self, tmp_path):
+        code, report = self.verify(DECAYING_NODAL_INI, tmp_path)
+        assert report["gain"]["satisfied"] is True
+        assert code == 0
+
+    @WRONG_VERDICT
+    def test_a_member_above_the_target_rate_passes_its_envelope(self, tmp_path):
+        initial = "u0 = mode 1\nu0_amplitude = 0.1"  # linear rate 2 - sqrt(4 - 3) = 1
+        _, report = self.verify(SWEEP_MU_INI.format(mu="0.75", initial=initial), tmp_path)
+        assert report["verify"]["rate_ok"] is True
+        assert report["verify"]["envelope_ok"] is True

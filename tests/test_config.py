@@ -40,8 +40,8 @@ from wavestab.config import (
     load_config,
     parse_profile,
 )
+from wavestab.controllers import CERTIFIED
 from wavestab.grid import make_grid
-from wavestab.integrator import CERTIFIED
 from wavestab.models import LEDGER_COLUMNS, energy_record, ledger_column
 from wavestab.spectral import Subdomain
 

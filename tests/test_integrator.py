@@ -630,7 +630,7 @@ def per_state_ledger_row(model, law, grid, t, u, v):
     _, _, s = controllers._feedback_law(law, grid)
     ctrl = 0.5 * law.mu * float(np.dot(s, one_state_observation(law, grid)(u) ** 2))
     row = [t, kin, grad, quad, lp, ctrl, kin + grad + quad + lp + ctrl, vv + h1]
-    cert = integrator.certificate(model, law)
+    cert = controllers.certificate(model, law)
     if cert is not None and cert.weights is not None:
         eps, g1, q = cert.weights(model, grid)
         row.append(kin + 0.5 * g1 * h1 + q * uu + lp + ctrl + eps * integral_of(u * v))
@@ -652,7 +652,7 @@ REPLACED_PATH_CASES = {
 
 def test_replaced_path_cases_cover_every_certified_pair():
     pairs = {(type(law), model.family) for model, law in REPLACED_PATH_CASES.values()}
-    assert pairs == set(integrator.CERTIFIED)
+    assert pairs == set(controllers.CERTIFIED)
 
 
 @pytest.mark.parametrize("name", sorted(REPLACED_PATH_CASES))
@@ -700,7 +700,7 @@ def alone(model, law, st):
     """The ledger row of one state, evaluated by itself."""
     g, u, v = st.grid, st.u.values, st.v.values
     rows = energy_record(model, g, u, v, controller_energy(law, g, u))
-    cert = integrator.certificate(model, law)
+    cert = controllers.certificate(model, law)
     lyapunov = [] if cert is None or cert.weights is None else [phi(model, law, g, u, v)]
     return np.array([st.t, *rows[:7], *lyapunov])
 

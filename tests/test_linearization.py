@@ -32,7 +32,7 @@ from wavestab import (
     make_grid,
     strongly_damped_wave,
 )
-from wavestab.integrator import certificate
+from wavestab.controllers import certificate
 
 from conftest import closed_loop_abscissa
 

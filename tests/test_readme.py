@@ -4,7 +4,8 @@ import pathlib
 import re
 
 from wavestab.cli import main
-from wavestab.config import KEYS
+from wavestab.config import KEYS, LAWS
+from wavestab.controllers import CERTIFIED
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -39,3 +40,14 @@ def test_key_table_lists_the_keys_config_knows():
         section = re.findall(r"`\[(\w+)\]`", sec_cell)[0] if sec_cell.strip() else section
         keys.setdefault(section, set()).update(k.lower() for k in re.findall(r"`(\w+)`", key_cell))
     assert keys == {name: set(known) for name, known in KEYS.items()}
+
+
+def test_pair_table_lists_the_certified_pairs():
+    start = README.index("| controller  | family")
+    table = README[start:].split("\n\n")[0]
+    pairs = {}
+    for row in table.splitlines()[2:]:
+        law_cell, family_cell, cert_cell = row.split("|")[1:4]
+        law = LAWS[re.findall(r"`(\w+)`", law_cell)[0]]
+        pairs[(law, family_cell.strip().replace(" ", "_"))] = re.findall(r"`(check_\w+)`", cert_cell)
+    assert pairs == {(law, family.value): [cert.gains.__name__] for (law, family), cert in CERTIFIED.items()}
