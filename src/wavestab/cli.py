@@ -93,8 +93,8 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
 def _warn_step(cfg: ExperimentConfig, member: str) -> None:
     """Print one ``warning:`` line, led by ``member``, when r = ``cfg.step_ratio`` > 0.9.
 
-    The line names the largest stable dt.  ``load_config`` refuses r >= 1
-    for every law but the nodal one, whose lambda is a bound that may
+    The line names the largest stable dt.  ``check_step_ratio`` refuses r >= 1
+    first for every law but the nodal one, whose lambda is a bound that may
     exceed its stiffness, so only a nodal r >= 1 reaches this line.
     """
     r, n_steps = cfg.step_ratio, cfg.stepper.n_steps
@@ -182,6 +182,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
+    check_step_ratio(cfg)
     report = gain_report_for(cfg)
     if report is None:
         family = cfg.model.family.value
@@ -194,6 +195,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    check_step_ratio(cfg)
     _warn_step(cfg, "")
     doc, code = _execute(cfg, args.out)
     gain = doc["gain"]

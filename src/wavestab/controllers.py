@@ -194,16 +194,27 @@ def _require_dirichlet(grid: Grid1D, what: str) -> None:
         raise ValueError(f"{what} feedback is posed with Dirichlet boundaries")
 
 
-def _frozen_law(observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray):
-    """The law triple, with ``s`` and the arrays its closures hold made read-only."""
+class FeedbackLaw(NamedTuple):
+    """A law as :func:`_feedback_law` builds it."""
+
+    observe: Callable  # nodal values, of one state or a block, to y
+    actuate: Callable  # one state's y to the nodal forcing -mu * A y
+    s: np.ndarray  # the weights of the controller energy
+    feedback: Callable  # actuate(observe(u)) of one state, bit for bit, in fewer calls
+
+
+def _frozen_law(
+    observe: Callable, actuate: Callable, s: np.ndarray, feedback: Callable, *held: np.ndarray
+) -> FeedbackLaw:
+    """The law, with ``s`` and the arrays its closures hold made read-only."""
     for arr in (s, *held):
         arr.flags.writeable = False
-    return observe, actuate, s
+    return FeedbackLaw(observe, actuate, s, feedback)
 
 
 @lru_cache(maxsize=16)
-def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callable, np.ndarray]:
-    """The law as (observe, actuate, s), validated and built once per (controller, grid).
+def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
+    """The law as (observe, actuate, s, feedback), validated and built once per (controller, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y along the
     last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
@@ -217,12 +228,19 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
     energy; the nodal law interpolates at its observation points and
     actuates with that interpolation's transpose at its actuation points,
     so for it this holds when the two agree, as the default midpoints do.
+    ``feedback(u)`` is ``actuate(observe(u))`` of one state ``(n,)``, the
+    same operations on the same arrays with the block's reshapes and the
+    second Python call left out, so it equals, bit for bit, the actuation
+    of that state's row of a block observation; the time step calls it.
 
     The cache makes the ledger's energy calls a lookup, not a rebuild.  The
     arrays the laws hold are read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0))
+        def zero(_):
+            return np.zeros(grid.n_nodes)
+
+        return _frozen_law(lambda u: u[..., :0], zero, np.zeros(0), zero)
 
     if isinstance(spec, VolumeElements):
         weights, bounds, owner, m = element_layout(grid, spec.N)
@@ -231,13 +249,20 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         left = np.concatenate((owner[:1], owner[:-1]))
         half_gain = 0.5 * -spec.mu
 
+        def observe_volume(u):
+            return element_averages(weights, bounds, u)
+
         def actuate_volume(y):
             z = half_gain * y  # N values, scaled before the two n-node gathers
             return z[left] + z[owner]
 
+        def feedback_volume(u):  # actuate_volume of one state's element_averages
+            z = half_gain * np.add.reduceat(weights * u, bounds)[::2]
+            return z[left] + z[owner]
+
         s = np.full(spec.N, m * grid.dx)
         held = (weights, bounds, owner, left)
-        return _frozen_law(lambda u: element_averages(weights, bounds, u), actuate_volume, s, *held)
+        return _frozen_law(observe_volume, actuate_volume, s, feedback_volume, *held)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -250,8 +275,10 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def observe_modes(u):  # one matrix-vector product per state, a block or not
             return np.matmul(Wq, u[..., None])[..., 0]
 
-        # one state's coefficients: dot costs less than @
-        return _frozen_law(observe_modes, lambda c: np.dot(c, gW), np.ones(spec.N), Wq, gW)
+        def feedback_modes(u):  # one state: the same two BLAS gemv, by the method dot, cheaper than @
+            return Wq.dot(u).dot(gW)
+
+        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), feedback_modes, Wq, gW)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
@@ -272,8 +299,11 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
         def actuate_nodal(y):
             return np.bincount(act_idx, (gw * y).ravel(), grid.n_nodes)
 
+        def feedback_nodal(u):  # actuate_nodal of one state's observe_nodal
+            return np.bincount(act_idx, (gw * (w_lo * u[lo] + w_hi * u[hi])).ravel(), grid.n_nodes)
+
         held = (act_idx, gw, lo, hi, w_lo, w_hi)
-        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), feedback_nodal, *held)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -281,7 +311,12 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> tuple[Callable, Callabl
             raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
         g_chi = -spec.mu * chi
-        return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, chi, g_chi)
+
+        def actuate_subdomain(y):  # also the feedback: the observation is u itself
+            return g_chi * y
+
+        s = grid.quad_weights * chi
+        return _frozen_law(lambda u: u, actuate_subdomain, s, actuate_subdomain, chi, g_chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
 
@@ -296,21 +331,21 @@ def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
     two points share a node, and mu h/dx when each point sits on its own.
     """
     if isinstance(spec, Nodal):
-        observe, actuate, _ = _feedback_law(spec, grid)
+        observe, actuate, _, _ = _feedback_law(spec, grid)
         coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
         return float(np.max(np.sum(np.abs(coupling), axis=1)))
     return spec.mu
 
 
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the feedback law into an array-in/array-out closure.
+    """Compile the feedback law into an array-in/array-out closure of one state.
 
     :func:`_feedback_law` validates the law (boundary type, alignment, point
     placement) and folds -mu into its arrays once per (controller, grid);
-    the returned closure is what a time stepper should call.
+    the returned closure is its one-state ``feedback``, what a time stepper
+    should call.
     """
-    observe, actuate, _ = _feedback_law(spec, grid)
-    return lambda u: actuate(observe(u))
+    return _feedback_law(spec, grid).feedback
 
 
 def make_energy_operator(
@@ -325,7 +360,7 @@ def make_energy_operator(
     of a block as it observes the row alone, so each state gets the number
     it gets alone, bit for bit.
     """
-    observe, _, s = _feedback_law(spec, grid)
+    observe, _, s, _ = _feedback_law(spec, grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):

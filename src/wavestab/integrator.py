@@ -17,15 +17,20 @@ weights, which are one half at the ends.  On the undamped linear wave the
 scheme reduces to plain Crank--Nicolson and conserves the discrete energy
 to round-off, because the discrete Laplacian is exactly self-adjoint under
 the trapezoid weights and the H1 seminorm is its associated quadratic
-form.  The step writes its intermediate arrays into a workspace built with
-the stepper, and the solve works in place, so each step allocates little
-besides the new state it returns.  The tests check the step at order 2 against a
-``scipy.integrate.solve_ivp`` reference of the same semi-discrete system,
-written independently, on every family.
+form.  Each step's work is one stencil of u, one solve, one evaluation of
+the law's one-state feedback (two for nonlinear damping, whose predictor
+needs its own), the explicit terms written into a workspace built with the
+stepper, and a sum-of-squares screen of the new state; the solve works in
+place, so a step allocates little besides the new state it returns.  The
+one-state feedback is the law's block observation, actuated, bit for bit
+(see ``controllers._feedback_law``).  The tests check the step at order 2
+against a ``scipy.integrate.solve_ivp`` reference of the same semi-discrete
+system, written independently, on every family.
 
-The loop records the energy ledger a block of states at a time: each norm
-of :func:`energy_record`, and the controller energy, is one pass over the
-block, and a record holds the numbers its state gets alone, bit for bit.
+The loop records the energy ledger a block of states at a time: it holds
+the recorded states by reference, stacks a block once, and each norm of
+:func:`energy_record`, and the controller energy, is one pass over the
+block; a record holds the numbers its state gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -98,8 +103,8 @@ def default_dt(grid: Grid1D) -> float:
     return min(0.25 * grid.dx, 1.0e-2)
 
 
-# nodal values each of the loop's two record buffers holds (128 KB); a block
-# of records is that many over the node count, so it stays small on fine grids
+# nodal values in each of a ledger block's two stacked arrays, u and v (128 KB);
+# a block of records is that many over the node count, so it stays small on fine grids
 LEDGER_BLOCK_VALUES = 1 << 14
 
 
@@ -171,23 +176,25 @@ class _ImexStepper:
         self.u_star, self.g = np.empty((2, n))
 
     def advance(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # ``out`` goes by position and the fresh arrays by operator: a
+        # keyword or an ``np.*`` call costs more dispatch than the arithmetic
         mdl, half_dt = self.model, self.half_dt
         u_star, g = self.u_star, self.g
-        np.multiply(v, half_dt, out=u_star)
+        np.multiply(v, half_dt, u_star)
         u_star += u
         nu_lap_u = self.lap(u, self.nu_dx)
         v_half = v
         if mdl.m is not None:
             # only nonlinear damping reads v: predict it at the half step
             v_half = v + half_dt * (source(mdl, u, v, nu_lap_u) + self.ctl(u))
-        source(mdl, u_star, v_half, nu_lap_u, out=g)
+        source(mdl, u_star, v_half, nu_lap_u, g)
         g += self.ctl(u_star)
         g *= self.dt
-        rhs = np.add(v, v)
+        rhs = v + v
         rhs += g
         v_new = kernels.thomas_solve(self.factors, rhs)
         v_new -= v
-        u_new = np.multiply(v_new, half_dt)
+        u_new = v_new * half_dt
         u_new += u_star
         return u_new, v_new
 
@@ -240,6 +247,7 @@ def _within_limit(u: np.ndarray, v: np.ndarray) -> bool:
 
     The sum of squares screens first, as it is cheaper than two maxima; NaN,
     and a square that overflows to inf, fail the screen and reach the exact test.
+    :func:`run` screens inline and calls this only for a state that fails.
     The method ``u.dot(u)`` calls the same BLAS ``ddot`` as ``np.dot`` and ``@``,
     so the screen is bit-identical, but it skips numpy's function dispatch.
     """
@@ -258,11 +266,11 @@ def run(
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
     Each record carries the perturbed energy of the (law, family) pair's
-    certificate, when it has one (see ``controllers.CERTIFIED``).  The loop copies each
-    recorded state into a block buffer and evaluates the ledger of a full
-    block in one pass over its rows, so each norm costs one array operation
-    per block, not per record, and each record still gets the numbers its
-    state gets alone (see :func:`energy_record`).  Blow-up (any nodal magnitude
+    certificate, when it has one (see ``controllers.CERTIFIED``).  The loop holds each
+    recorded state by reference, a block at a time, stacks a full block once
+    and evaluates its ledger in one pass over its rows, so each norm costs one
+    array operation per block, not per record, and each record still gets the
+    numbers its state gets alone (see :func:`energy_record`).  Blow-up (any nodal magnitude
     above 1e12, or non-finite values) aborts the loop and is reported
     through ``RunResult.blowup_time``; the records collected so far are
     kept.  Identical inputs produce bit-identical trajectories.
@@ -287,16 +295,23 @@ def run(
     n_energy = len(LEDGER_COLUMNS) - 2  # the columns between t and lyapunov
     ledger = np.empty((n_records, 1 + n_energy + has_functional))
     width = max(1, min(n_records, LEDGER_BLOCK_VALUES // grid.n_nodes))
-    # one recorded state per row, so each copy is contiguous
-    us, vs = np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
+    # the block's recorded states, held by reference (each step returns fresh
+    # arrays), and the two arrays that a block is stacked into for its ledger:
+    # reused, as a fresh pair per block costs more than the copies it saves
+    us, vs = [], []
+    u_flat, v_flat = np.empty((2, width * grid.n_nodes))
     done = 0  # ledger rows written
     ledger_s = 0.0  # seconds spent in flush()
 
-    def flush(k: int) -> None:
-        """Write the ledger rows of the first k buffered records, and time them."""
+    def flush() -> None:
+        """Write the ledger rows of the held records, one row of a block each, and time them."""
         nonlocal done, ledger_s
         t0 = time.perf_counter()
-        u, v = us[:k], vs[:k]
+        k, n = len(us), grid.n_nodes
+        u = np.concatenate(us, out=u_flat[:k * n]).reshape(k, n)
+        v = np.concatenate(vs, out=v_flat[:k * n]).reshape(k, n)
+        us.clear()
+        vs.clear()
         rows = energy_record(model, grid, u, v, energy_op(u))
         out = ledger[done:done + k]
         out[:, 0] = record_steps[done:done + k] * cfg.dt
@@ -308,25 +323,26 @@ def run(
 
     u = u0.values.copy()
     v = u1.values.copy()
-    us[0], vs[0] = u, v
-    held = 1  # records in the buffers
+    us.append(u)
+    vs.append(v)
     blowup_time = None
     t = 0.0
     setup_s = time.perf_counter() - t_setup
     for k in range(1, cfg.n_steps + 1):
+        # looked up at each step, not bound once: a caller may swap the method
         u_new, v_new = stepper.advance(u, v)
         t_new = k * cfg.dt
-        if not _within_limit(u_new, v_new):
+        # the screen of _within_limit, inline; NaN fails it and reaches the exact test
+        if not u_new.dot(u_new) + v_new.dot(v_new) <= _SCREEN_LIMIT and not _within_limit(u_new, v_new):
             # the aborting step may hold non-finite values; keep the last good state
             blowup_time = t_new
             break
         u, v, t = u_new, v_new, t_new
-        if k == record_at[done + held]:  # the next record's step
-            if held == width:
-                flush(held)
-                held = 0
-            us[held], vs[held] = u, v
-            held += 1
-    flush(held)
+        if k == record_at[done + len(us)]:  # the next record's step
+            if len(us) == width:
+                flush()
+            us.append(u)
+            vs.append(v)
+    flush()
     final = State(Field(grid, u), Field(grid, v), t)
     return RunResult(ledger[:done], final, blowup_time, ledger_s, setup_s)

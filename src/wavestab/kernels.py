@@ -136,5 +136,5 @@ def thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     if doubled_ends:  # W*M x = W*rhs: halve the two end entries
         rhs[0] *= 0.5
         rhs[-1] *= 0.5
-    x, _ = dpttrs(d, e, rhs, overwrite_b=True)
+    x, _ = dpttrs(d, e, rhs, True)  # overwrite_b, by position
     return x

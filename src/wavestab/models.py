@@ -41,9 +41,13 @@ class Family(str, enum.Enum):
 def power(u: np.ndarray, p: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """|u|^(p-2), the factor of the power law f(u) = |u|^(p-2) u, written into ``out`` when it is given.
 
-    ``**=`` keeps numpy's fast paths for its exponents, a square at p = 4.
+    At p = 4 it is the one product u*u, bit for bit the |u|**2 of the other
+    exponents' path, since a product's magnitude does not depend on signs;
+    ``**=`` keeps numpy's fast paths for the others.
     """
-    w = np.abs(u, out=out)
+    if p == 4.0:
+        return np.multiply(u, u, out)
+    w = np.abs(u, out)
     w **= p - 2.0
     return w
 
@@ -133,10 +137,10 @@ def source(
     of every family but nonlinear damping then take no temporary array.
     """
     if model.p is None:
-        s = np.multiply(model.a, u, out=out)
+        s = np.multiply(model.a, u, out)
     else:
-        s = power(u, model.p, out=out)
-        np.subtract(model.a, s, out=s)
+        s = power(u, model.p, out)
+        np.subtract(model.a, s, s)
         s *= u
     s += base
     if model.family is Family.NONLINEAR_DAMPING:

@@ -706,6 +706,25 @@ class TestStepRatio:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: [time] mu=40500: step ratio r = dt^2 (lambda - a)/4 = 1.012")
 
+    def test_a_sweep_does_not_refuse_the_ini_law_no_member_runs(self, tmp_path, capsys):
+        # the INI's own mu = 4.05e4 gives r = 1.012; the members' gains are far below the limit
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="4.05e4"))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu", "--values", "1,4"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        with open(out / "summary.csv", newline="") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == ["1", "4"]
+        for label in ("1", "4"):
+            assert (out / f"mu={label}" / "trajectory.csv").exists()
+        # a command that steps the INI's own law still refuses it
+        assert main(["check", "--config", str(p)]) == 2
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error: [time] step ratio r = dt^2 (lambda - a)/4 = 1.012") for line in lines)
+
     # r = dt^2 (mu - a)/4 = 1 at mu = 4/dt^2 + a = 40001: one part in 1e6 either side
     @pytest.mark.parametrize("pair", ["volume-damped_wave", "fourier-damped_wave", "subdomain-damped_wave"])
     @pytest.mark.parametrize("mu, refused", [("40000.96", False), ("40001.04", True)])

@@ -130,7 +130,7 @@ class TestControlFields:
         # 0.4 dx lies between the implicit zero at 0 and stored node 0,
         # so the point's whole weight, 0.4, goes to node 0
         g = make_grid(PI, 64, "dirichlet")
-        _, actuate, _ = controllers._feedback_law(Nodal(3, 2.0, act_points=(0.4 * g.dx, 1.5, 2.5)), g)
+        actuate = controllers._feedback_law(Nodal(3, 2.0, act_points=(0.4 * g.dx, 1.5, 2.5)), g).actuate
         out = actuate(np.array([1.0, 0.0, 0.0]))
         assert np.flatnonzero(out).tolist() == [0]
         assert out[0] == pytest.approx(-2.0 * (PI / 3) / g.dx * 0.4, rel=1e-14)
@@ -261,7 +261,7 @@ class TestControlFields:
         g = make_grid(PI, 64, bc)
         rng = np.random.default_rng(12)
         u, w = rng.standard_normal((2, g.n_nodes))
-        observe, _, s = controllers._feedback_law(spec, g)
+        observe, _, s, _ = controllers._feedback_law(spec, g)
         work = np.sum(g.quad_weights * make_control_operator(spec, g)(u) * w)
         assert work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13)
 
@@ -325,7 +325,7 @@ def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
 
 def uncached_operators(spec, grid):
     """Control and energy closures from a fresh build of the law, bypassing the cache."""
-    observe, actuate, s = controllers._feedback_law.__wrapped__(spec, grid)
+    observe, actuate, s, _ = controllers._feedback_law.__wrapped__(spec, grid)
     return (
         lambda u: actuate(observe(u)),
         lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
@@ -399,10 +399,10 @@ class TestLawCache:
     @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
     def test_cached_arrays_are_read_only(self, spec, bc):
         g = make_grid(PI, 64, bc)
-        observe, actuate, s = controllers._feedback_law(spec, g)
+        observe, actuate, s, feedback = controllers._feedback_law(spec, g)
         held = [s] + [
             c.cell_contents
-            for fn in (observe, actuate)
+            for fn in (observe, actuate, feedback)
             for c in fn.__closure__ or ()
             if isinstance(c.cell_contents, np.ndarray)
         ]
@@ -427,7 +427,7 @@ def per_row_energy_operator(spec, grid):
     """The controller energy as it was evaluated before laws took blocks: one
     state at a time, each by a BLAS dot product of the one-state observation."""
     observe = one_state_observation(spec, grid)
-    _, _, s = controllers._feedback_law(spec, grid)
+    s = controllers._feedback_law(spec, grid).s
     half_mu = 0.5 * spec.mu
 
     def energy(u):
@@ -447,7 +447,7 @@ def random_block(grid, K, seed):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
     g = make_grid(PI, 64, bc)
-    observe, _, _ = controllers._feedback_law(spec, g)
+    observe = controllers._feedback_law(spec, g).observe
     energy = make_energy_operator(spec, g)
     u = np.random.default_rng(K).standard_normal((K, g.n_nodes))
     y, e = observe(u), energy(u)
@@ -460,7 +460,7 @@ def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
     g = make_grid(PI, 64, bc)
-    observe, actuate, _ = controllers._feedback_law(spec, g)
+    observe, actuate, _, _ = controllers._feedback_law(spec, g)
     reference = one_state_observation(spec, g)
     control = make_control_operator(spec, g)
     u = random_block(g, 64, 17)

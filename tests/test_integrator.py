@@ -8,6 +8,7 @@ from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from wavestab import (
+    BoundaryCondition,
     Family,
     Field,
     FourierModes,
@@ -627,7 +628,7 @@ def per_state_ledger_row(model, law, grid, t, u, v):
     vv, uu = integral_of(v * v), integral_of(u * u)
     kin, grad, quad = 0.5 * vv, 0.5 * model.nu * h1, -0.5 * model.a * uu
     lp = 0.0 if p is None else integral_of(np.abs(u) ** p / p)
-    _, _, s = controllers._feedback_law(law, grid)
+    s = controllers._feedback_law(law, grid).s
     ctrl = 0.5 * law.mu * float(np.dot(s, one_state_observation(law, grid)(u) ** 2))
     row = [t, kin, grad, quad, lp, ctrl, kin + grad + quad + lp + ctrl, vv + h1]
     cert = controllers.certificate(model, law)
@@ -653,6 +654,7 @@ REPLACED_PATH_CASES = {
 def test_replaced_path_cases_cover_every_certified_pair():
     pairs = {(type(law), model.family) for model, law in REPLACED_PATH_CASES.values()}
     assert pairs == set(controllers.CERTIFIED)
+    assert {model.bc for model, _ in REPLACED_PATH_CASES.values()} == set(BoundaryCondition)
 
 
 @pytest.mark.parametrize("name", sorted(REPLACED_PATH_CASES))
@@ -678,6 +680,85 @@ def test_workspace_step_and_ledger_match_the_paths_they_replaced(name):
     ref = np.array(ref)
     scale = np.max(np.abs(ref[0, 1:]))  # E(0): the largest energy term of the first record
     np.testing.assert_allclose(res.ledger, ref, rtol=0.0, atol=1e-13 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the lean step against the step it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def keyword_power(u, p, out=None):
+    """``models.power`` before its product at p = 4, verbatim."""
+    w = np.abs(u, out=out)
+    w **= p - 2.0
+    return w
+
+
+def keyword_source(model, u, v, base, out=None):
+    """``models.source`` before its ``out`` went by position, verbatim, on :func:`keyword_power`."""
+    if model.p is None:
+        s = np.multiply(model.a, u, out=out)
+    else:
+        s = keyword_power(u, model.p, out=out)
+        np.subtract(model.a, s, out=s)
+        s *= u
+    s += base
+    if model.family is Family.NONLINEAR_DAMPING:
+        s -= model.b * np.abs(v) ** (model.m - 2.0) * v
+    return s
+
+
+def keyword_advance(self, u, v):
+    """The IMEX step before its calls lost their keywords, verbatim, on :func:`keyword_source`.
+
+    Its stepper's ``ctl`` is :func:`block_feedback`, the feedback it took.
+    """
+    mdl, half_dt = self.model, self.half_dt
+    u_star, g = self.u_star, self.g
+    np.multiply(v, half_dt, out=u_star)
+    u_star += u
+    nu_lap_u = self.lap(u, self.nu_dx)
+    v_half = v
+    if mdl.m is not None:
+        # only nonlinear damping reads v: predict it at the half step
+        v_half = v + half_dt * (keyword_source(mdl, u, v, nu_lap_u) + self.ctl(u))
+    keyword_source(mdl, u_star, v_half, nu_lap_u, out=g)
+    g += self.ctl(u_star)
+    g *= self.dt
+    rhs = np.add(v, v)
+    rhs += g
+    v_new = kernels.thomas_solve(self.factors, rhs)
+    v_new -= v
+    u_new = np.multiply(v_new, half_dt)
+    u_new += u_star
+    return u_new, v_new
+
+
+def block_feedback(law, grid):
+    """The feedback as the step took it before the one-state path: the law's observation, actuated."""
+    observe, actuate, _, _ = controllers._feedback_law(law, grid)
+    return lambda u: actuate(observe(u))
+
+
+@pytest.mark.parametrize("name", sorted(REPLACED_PATH_CASES))
+def test_the_step_is_the_keyword_step_bit_for_bit(name):
+    model, law = REPLACED_PATH_CASES[name]
+    g = make_grid(PI, 64, model.bc)
+    x = g.nodes
+    u0 = Field(g, np.sin(x) + 0.4 * np.sin(3.0 * x) + 0.2 * np.cos(2.0 * x) * (x < 1.0))
+    u1 = Field(g, 0.5 * np.sin(2.0 * x))
+    cfg = StepperConfig(dt=0.01, t_end=2.0)
+    assert cfg.n_steps == 200
+    stepper = integrator._ImexStepper(model, g, cfg.dt, make_control_operator(law, g))
+    before = integrator._ImexStepper(model, g, cfg.dt, block_feedback(law, g))
+    state = want = (u0.values, u1.values)
+    for _ in range(cfg.n_steps):  # each from its own last state
+        state = stepper.advance(*state)
+        want = keyword_advance(before, *want)
+        for a, b in zip(state, want):
+            assert a.tobytes() == b.tobytes()
+    final = run(model, law, u0, u1, cfg).final_state
+    assert final.u.values.tobytes() == want[0].tobytes()
+    assert final.v.values.tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -739,3 +820,113 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
     assert final.t == pytest.approx(res.blowup_time - 0.01)
     assert len(res.ledger) == round(final.t / 0.01) + 1
     np.testing.assert_array_equal(res.ledger[-1], alone(BLOWUP_MODEL, FourierModes(5, 0.0), final))
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_the_one_state_feedback_is_the_block_observation_actuated(name):
+    model, law = LEDGER_CASES[name]
+    g = make_grid(PI, 64, model.bc)
+    observe, actuate, _, feedback = controllers._feedback_law(law, g)
+    assert make_control_operator(law, g) is feedback
+    block = np.random.default_rng(17).standard_normal((9, g.n_nodes))
+    for u, y in zip(block, observe(block)):
+        assert feedback(u).tobytes() == actuate(y).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the loop's bookkeeping against the loop stepped and recorded one by one
+# ---------------------------------------------------------------------------
+
+def stepped_one_by_one(model, law, u0, u1, cfg):
+    """(ledger, blowup_time, t_reached) of the loop as it was first written: each
+    step through ``_within_limit``, each recorded state's ledger row evaluated alone."""
+    g = u0.grid
+    stepper = integrator._ImexStepper(model, g, cfg.dt, make_control_operator(law, g))
+    record = set(cfg.record_steps.tolist())
+    u, v, t = u0.values, u1.values, 0.0
+    rows, blowup_time = [alone(model, law, State(u0, u1))], None
+    for k in range(1, cfg.n_steps + 1):
+        u_new, v_new = stepper.advance(u, v)
+        if not integrator._within_limit(u_new, v_new):
+            blowup_time = k * cfg.dt
+            break
+        u, v, t = u_new, v_new, k * cfg.dt
+        if k in record:
+            rows.append(alone(model, law, State(Field(g, u), Field(g, v), t)))
+    return np.array(rows), blowup_time, t
+
+
+class TestLoopBookkeeping:
+    """The blow-up time, the time reached and the ledger rows, exactly as stepped one by one."""
+
+    GRID = make_grid(PI, 64, "dirichlet")
+    CUBIC = damped_wave(1.0, 1.0, 0.5, "dirichlet", 4.0)
+
+    def same_as_stepped(self, model, law, u0, cfg):
+        res = run(model, law, u0, zeros(u0.grid), cfg)
+        ledger, blowup_time, t = stepped_one_by_one(model, law, u0, zeros(u0.grid), cfg)
+        assert (res.blowup_time, res.final_state.t) == (blowup_time, t)
+        assert res.ledger.shape == ledger.shape and res.ledger.tobytes() == ledger.tobytes()
+        return res
+
+    @pytest.mark.parametrize("width", [2, None])
+    def test_an_overflowing_run(self, width, monkeypatch):
+        # mu = 0 and u0 = 100 sin x: the explicit cubic term is unstable, and
+        # the state passes 1e12, still finite, at step 13
+        g = self.GRID
+        if width is not None:  # blocks flushed before the blow-up
+            monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
+        u0 = Field(g, 100.0 * np.sin(g.nodes))
+        cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=3)
+        res = self.same_as_stepped(self.CUBIC, FourierModes(2, 0.0), u0, cfg)
+        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (13 * 0.01, 12 * 0.01, 5)
+
+    def test_a_run_whose_step_overflows_to_nan(self):
+        # |u|^38 u overflows in the first half step, and the solve turns it into NaN
+        model = damped_wave(1.0, 1.0, 0.5, "dirichlet", 40)
+        u0 = Field(self.GRID, 1e10 * np.sin(self.GRID.nodes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = self.same_as_stepped(model, NoControl(), u0, StepperConfig(dt=0.01, t_end=1.0))
+        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (0.01, 0.0, 1)
+
+    def test_a_nan_after_some_records(self, monkeypatch):
+        # the seventh step of each stepper returns a NaN in one velocity node
+        advance = integrator._ImexStepper.advance
+
+        def poisoned(self, u, v):
+            u_new, v_new = advance(self, u, v)
+            self.taken = getattr(self, "taken", 0) + 1
+            if self.taken == 7:
+                v_new[5] = np.nan
+            return u_new, v_new
+
+        monkeypatch.setattr(integrator._ImexStepper, "advance", poisoned)
+        u0 = Field(self.GRID, np.sin(self.GRID.nodes))
+        cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=2)
+        res = self.same_as_stepped(self.CUBIC, FourierModes(2, 3.0), u0, cfg)
+        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (7 * 0.01, 6 * 0.01, 4)
+
+    def test_a_zero_step_run(self):
+        u0 = Field(self.GRID, np.sin(self.GRID.nodes))
+        res = self.same_as_stepped(self.CUBIC, FourierModes(2, 3.0), u0, StepperConfig(dt=0.01, t_end=0.0))
+        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (None, 0.0, 1)
+
+
+def test_an_advance_that_swaps_itself_out_in_its_first_call_runs_once(monkeypatch):
+    # a benchmark stamps the first step so: the loop looks the method up at every step
+    advance = integrator._ImexStepper.advance
+    calls = []
+
+    def first_step(self, u, v):
+        integrator._ImexStepper.advance = advance
+        calls.append(1)
+        return advance(self, u, v)
+
+    model, law = LEDGER_CASES["fourier"]
+    g = make_grid(PI, 64, model.bc)
+    u0, cfg = Field(g, np.sin(g.nodes)), StepperConfig(dt=0.01, t_end=0.5)
+    want = run(model, law, u0, zeros(g), cfg)
+    monkeypatch.setattr(integrator._ImexStepper, "advance", first_step)
+    got = run(model, law, u0, zeros(g), cfg)
+    assert calls == [1]
+    assert got.ledger.tobytes() == want.ledger.tobytes()

@@ -61,6 +61,21 @@ def test_power_law_values(p):
     np.testing.assert_allclose(source(m, s, s, np.zeros_like(s)), -np.abs(s) ** (p - 2) * s)
 
 
+def test_power_at_p_four_is_the_square_of_the_other_exponents_path():
+    # u*u, bit for bit the |u| then **= 2.0 it replaced, on signs, zeros, extremes and non-finite values
+    rng = np.random.default_rng(4)
+    tiny = np.finfo(float).tiny
+    u = np.concatenate((rng.standard_normal(200) * 10.0 ** rng.integers(-160, 160, 200),
+                        [0.0, -0.0, tiny, -5e-324, 1e154, -1e155, 1.7e308, np.inf, -np.inf, np.nan]))
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.abs(u)
+        want **= 2.0
+        got = power(u, 4.0)
+        assert power(u, 4.0, np.empty_like(u)).tobytes() == got.tobytes()
+    np.testing.assert_array_equal(got, want)
+    assert not np.signbit(got[~np.isnan(got)]).any()
+
+
 def test_power_law_rejects_p_below_two():
     with pytest.raises(ValueError, match="p >= 2"):
         damped_wave(1.0, 1.0, 1.0, "dirichlet", 1.5)
