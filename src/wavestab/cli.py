@@ -180,9 +180,19 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    cfg = load_config(args.config)
+def _load_stepped(path: str) -> ExperimentConfig:
+    """The INI's config, refused when its own law steps past the step-ratio limit.
+
+    ``check`` and ``run`` load through this; ``sweep`` loads with plain
+    ``load_config``, as it steps only its members' laws, and checks each.
+    """
+    cfg = load_config(path)
     check_step_ratio(cfg)
+    return cfg
+
+
+def cmd_check(args) -> int:
+    cfg = _load_stepped(args.config)
     report = gain_report_for(cfg)
     if report is None:
         family = cfg.model.family.value
@@ -194,8 +204,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    check_step_ratio(cfg)
+    cfg = _load_stepped(args.config)
     _warn_step(cfg, "")
     doc, code = _execute(cfg, args.out)
     gain = doc["gain"]

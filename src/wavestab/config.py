@@ -305,8 +305,8 @@ def largest_stable_dt(stepper: StepperConfig, r: float) -> str:
 def check_step_ratio(cfg: ExperimentConfig, member: str = "") -> None:
     """Refuse a step ratio r >= 1 before any step: past it the explicit feedback makes the step unstable.
 
-    Only configs that step are checked: ``check`` and ``run`` check the
-    INI's, and ``sweep`` each member's but not the INI's own law, which no
+    ``load_config`` does not call this: ``check`` and ``run`` check the
+    INI's own law, and ``sweep`` each member's but not the INI's, which no
     member runs.  The nodal law is only warned about: its lambda is a
     row-sum bound, above the largest eigenvalue when points share a node,
     so it could refuse a stable dt.

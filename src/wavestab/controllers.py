@@ -200,16 +200,19 @@ class FeedbackLaw(NamedTuple):
     observe: Callable  # nodal values, of one state or a block, to y
     actuate: Callable  # one state's y to the nodal forcing -mu * A y
     s: np.ndarray  # the weights of the controller energy
-    feedback: Callable  # actuate(observe(u)) of one state, bit for bit, in fewer calls
+    feedback: Callable  # actuate(observe(u)) of one state, what the time step calls
 
 
 def _frozen_law(
-    observe: Callable, actuate: Callable, s: np.ndarray, feedback: Callable, *held: np.ndarray
+    observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray, feedback: Optional[Callable] = None
 ) -> FeedbackLaw:
-    """The law, with ``s`` and the arrays its closures hold made read-only."""
+    """The law, with ``s`` and the arrays its closures hold made read-only.
+
+    ``feedback`` defaults to ``actuate(observe(u))``.
+    """
     for arr in (s, *held):
         arr.flags.writeable = False
-    return FeedbackLaw(observe, actuate, s, feedback)
+    return FeedbackLaw(observe, actuate, s, feedback or (lambda u: actuate(observe(u))))
 
 
 @lru_cache(maxsize=16)
@@ -228,19 +231,16 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     energy; the nodal law interpolates at its observation points and
     actuates with that interpolation's transpose at its actuation points,
     so for it this holds when the two agree, as the default midpoints do.
-    ``feedback(u)`` is ``actuate(observe(u))`` of one state ``(n,)``, the
-    same operations on the same arrays with the block's reshapes and the
-    second Python call left out, so it equals, bit for bit, the actuation
-    of that state's row of a block observation; the time step calls it.
+    ``feedback(u)`` is ``actuate(observe(u))`` of one state ``(n,)``, what
+    the time step calls.  The modal law's runs the same two BLAS products
+    without the block's reshapes, so it too equals, bit for bit, the
+    actuation of that state's row of a block observation.
 
     The cache makes the ledger's energy calls a lookup, not a rebuild.  The
     arrays the laws hold are read-only.
     """
     if isinstance(spec, NoControl):
-        def zero(_):
-            return np.zeros(grid.n_nodes)
-
-        return _frozen_law(lambda u: u[..., :0], zero, np.zeros(0), zero)
+        return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0))
 
     if isinstance(spec, VolumeElements):
         weights, bounds, owner, m = element_layout(grid, spec.N)
@@ -249,20 +249,13 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         left = np.concatenate((owner[:1], owner[:-1]))
         half_gain = 0.5 * -spec.mu
 
-        def observe_volume(u):
-            return element_averages(weights, bounds, u)
-
         def actuate_volume(y):
             z = half_gain * y  # N values, scaled before the two n-node gathers
             return z[left] + z[owner]
 
-        def feedback_volume(u):  # actuate_volume of one state's element_averages
-            z = half_gain * np.add.reduceat(weights * u, bounds)[::2]
-            return z[left] + z[owner]
-
         s = np.full(spec.N, m * grid.dx)
         held = (weights, bounds, owner, left)
-        return _frozen_law(observe_volume, actuate_volume, s, feedback_volume, *held)
+        return _frozen_law(lambda u: element_averages(weights, bounds, u), actuate_volume, s, *held)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -278,7 +271,7 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         def feedback_modes(u):  # one state: the same two BLAS gemv, by the method dot, cheaper than @
             return Wq.dot(u).dot(gW)
 
-        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), feedback_modes, Wq, gW)
+        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), Wq, gW, feedback=feedback_modes)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
@@ -299,11 +292,8 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         def actuate_nodal(y):
             return np.bincount(act_idx, (gw * y).ravel(), grid.n_nodes)
 
-        def feedback_nodal(u):  # actuate_nodal of one state's observe_nodal
-            return np.bincount(act_idx, (gw * (w_lo * u[lo] + w_hi * u[hi])).ravel(), grid.n_nodes)
-
         held = (act_idx, gw, lo, hi, w_lo, w_hi)
-        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), feedback_nodal, *held)
+        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -311,12 +301,7 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
             raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
         g_chi = -spec.mu * chi
-
-        def actuate_subdomain(y):  # also the feedback: the observation is u itself
-            return g_chi * y
-
-        s = grid.quad_weights * chi
-        return _frozen_law(lambda u: u, actuate_subdomain, s, actuate_subdomain, chi, g_chi)
+        return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, chi, g_chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
 

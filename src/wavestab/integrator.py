@@ -27,10 +27,9 @@ one-state feedback is the law's block observation, actuated, bit for bit
 against a ``scipy.integrate.solve_ivp`` reference of the same semi-discrete
 system, written independently, on every family.
 
-The loop records the energy ledger a block of states at a time: it holds
-the recorded states by reference, stacks a block once, and each norm of
-:func:`energy_record`, and the controller energy, is one pass over the
-block; a record holds the numbers its state gets alone, bit for bit.
+The loop records the energy ledger a block of states at a time: each norm
+of :func:`energy_record`, and the controller energy, is one pass over the
+block, and a record holds the numbers its state gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ def default_dt(grid: Grid1D) -> float:
     return min(0.25 * grid.dx, 1.0e-2)
 
 
-# nodal values in each of a ledger block's two stacked arrays, u and v (128 KB);
-# a block of records is that many over the node count, so it stays small on fine grids
+# nodal values each of the loop's two record buffers holds (128 KB); a block
+# of records is that many over the node count, so it stays small on fine grids
 LEDGER_BLOCK_VALUES = 1 << 14
 
 
@@ -245,14 +244,10 @@ lyapunov_volume = lyapunov_eb
 def _within_limit(u: np.ndarray, v: np.ndarray) -> bool:
     """True when every node of u and v is finite and at most BLOWUP_LIMIT in magnitude.
 
-    The sum of squares screens first, as it is cheaper than two maxima; NaN,
-    and a square that overflows to inf, fail the screen and reach the exact test.
-    :func:`run` screens inline and calls this only for a state that fails.
-    The method ``u.dot(u)`` calls the same BLAS ``ddot`` as ``np.dot`` and ``@``,
-    so the screen is bit-identical, but it skips numpy's function dispatch.
+    The exact test.  :func:`run` screens each state's sum of squares first,
+    as it is cheaper than two maxima, and calls this only for a state that
+    fails the screen.
     """
-    if u.dot(u) + v.dot(v) <= _SCREEN_LIMIT:
-        return True
     return bool(abs(u).max() <= BLOWUP_LIMIT and abs(v).max() <= BLOWUP_LIMIT)
 
 
@@ -266,11 +261,11 @@ def run(
     """Integrate from (u0, u1) to t_end, sampling the energy ledger.
 
     Each record carries the perturbed energy of the (law, family) pair's
-    certificate, when it has one (see ``controllers.CERTIFIED``).  The loop holds each
-    recorded state by reference, a block at a time, stacks a full block once
-    and evaluates its ledger in one pass over its rows, so each norm costs one
-    array operation per block, not per record, and each record still gets the
-    numbers its state gets alone (see :func:`energy_record`).  Blow-up (any nodal magnitude
+    certificate, when it has one (see ``controllers.CERTIFIED``).  The loop copies each
+    recorded state into a block buffer and evaluates the ledger of a full
+    block in one pass over its rows, so each norm costs one array operation
+    per block, not per record, and each record still gets the numbers its
+    state gets alone (see :func:`energy_record`).  Blow-up (any nodal magnitude
     above 1e12, or non-finite values) aborts the loop and is reported
     through ``RunResult.blowup_time``; the records collected so far are
     kept.  Identical inputs produce bit-identical trajectories.
@@ -295,23 +290,16 @@ def run(
     n_energy = len(LEDGER_COLUMNS) - 2  # the columns between t and lyapunov
     ledger = np.empty((n_records, 1 + n_energy + has_functional))
     width = max(1, min(n_records, LEDGER_BLOCK_VALUES // grid.n_nodes))
-    # the block's recorded states, held by reference (each step returns fresh
-    # arrays), and the two arrays that a block is stacked into for its ledger:
-    # reused, as a fresh pair per block costs more than the copies it saves
-    us, vs = [], []
-    u_flat, v_flat = np.empty((2, width * grid.n_nodes))
+    # one recorded state per row, so each copy is contiguous
+    us, vs = np.empty((width, grid.n_nodes)), np.empty((width, grid.n_nodes))
     done = 0  # ledger rows written
     ledger_s = 0.0  # seconds spent in flush()
 
-    def flush() -> None:
-        """Write the ledger rows of the held records, one row of a block each, and time them."""
+    def flush(k: int) -> None:
+        """Write the ledger rows of the first k buffered records, and time them."""
         nonlocal done, ledger_s
         t0 = time.perf_counter()
-        k, n = len(us), grid.n_nodes
-        u = np.concatenate(us, out=u_flat[:k * n]).reshape(k, n)
-        v = np.concatenate(vs, out=v_flat[:k * n]).reshape(k, n)
-        us.clear()
-        vs.clear()
+        u, v = us[:k], vs[:k]
         rows = energy_record(model, grid, u, v, energy_op(u))
         out = ledger[done:done + k]
         out[:, 0] = record_steps[done:done + k] * cfg.dt
@@ -323,8 +311,8 @@ def run(
 
     u = u0.values.copy()
     v = u1.values.copy()
-    us.append(u)
-    vs.append(v)
+    us[0], vs[0] = u, v
+    held = 1  # records in the buffers
     blowup_time = None
     t = 0.0
     setup_s = time.perf_counter() - t_setup
@@ -332,17 +320,20 @@ def run(
         # looked up at each step, not bound once: a caller may swap the method
         u_new, v_new = stepper.advance(u, v)
         t_new = k * cfg.dt
-        # the screen of _within_limit, inline; NaN fails it and reaches the exact test
+        # the sum-of-squares screen; NaN, and a square that overflows to inf,
+        # fail it and reach the exact test.  The method dot is the same BLAS
+        # ddot as np.dot and @, bit for bit, without numpy's function dispatch
         if not u_new.dot(u_new) + v_new.dot(v_new) <= _SCREEN_LIMIT and not _within_limit(u_new, v_new):
             # the aborting step may hold non-finite values; keep the last good state
             blowup_time = t_new
             break
         u, v, t = u_new, v_new, t_new
-        if k == record_at[done + len(us)]:  # the next record's step
-            if len(us) == width:
-                flush()
-            us.append(u)
-            vs.append(v)
-    flush()
+        if k == record_at[done + held]:  # the next record's step
+            if held == width:
+                flush(held)
+                held = 0
+            us[held], vs[held] = u, v
+            held += 1
+    flush(held)
     final = State(Field(grid, u), Field(grid, v), t)
     return RunResult(ledger[:done], final, blowup_time, ledger_s, setup_s)

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests driven through ``wavestab.cli.main``."""
 
+import argparse
 import csv
 import json
 import os
@@ -14,7 +15,7 @@ import scipy
 
 from wavestab import __version__, analysis, cli, mode_matrix
 from wavestab import LEDGER_COLUMNS, run
-from wavestab.cli import main
+from wavestab.cli import build_parser, main
 from wavestab.config import load_config
 
 VOLUME_INI = """\
@@ -724,6 +725,24 @@ class TestStepRatio:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
         assert all(line.startswith("error: [time] step ratio r = dt^2 (lambda - a)/4 = 1.012") for line in lines)
+
+    def test_every_command_that_reads_a_config_refuses_a_ratio_past_one(self, tmp_path, capsys):
+        # load_config does not check the ratio, so each command that reads an
+        # INI must; a new one fails the first assertion until it is listed here
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        reads = {name for name, p in sub.choices.items() if any("--config" in a.option_strings for a in p._actions)}
+        assert reads == {"check", "run", "sweep"}
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="4.05e4"))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(p)]) == 2
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu", "--values", "4.05e4"]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        for line, member in zip(lines, ["", "", "mu=40500: "]):
+            assert line.startswith(f"error: [time] {member}step ratio r = dt^2 (lambda - a)/4 = 1.012")
 
     # r = dt^2 (mu - a)/4 = 1 at mu = 4/dt^2 + a = 40001: one part in 1e6 either side
     @pytest.mark.parametrize("pair", ["volume-damped_wave", "fourier-damped_wave", "subdomain-damped_wave"])

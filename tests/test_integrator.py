@@ -270,7 +270,8 @@ class TestBlowup:
 
 
 class TestBlowupLimit:
-    """The loop's per-step test: every node finite and within BLOWUP_LIMIT."""
+    """The loop's exact per-step test, for a state that fails its sum-of-squares screen:
+    every node finite and within BLOWUP_LIMIT."""
 
     LIMIT = integrator.BLOWUP_LIMIT
 
@@ -298,7 +299,7 @@ class TestBlowupLimit:
         assert not integrator._within_limit(v, u)
 
     def test_every_node_at_nine_tenths_of_the_limit_is_not_a_blow_up(self):
-        # the sum of squares fails the screen; the exact test passes
+        # the sum of squares fails the loop's screen; the exact test passes
         u = np.full(255, 0.9 * self.LIMIT)
         assert u @ u + u @ u > 0.25 * self.LIMIT**2
         assert integrator._within_limit(u, -u)
@@ -839,7 +840,8 @@ def test_the_one_state_feedback_is_the_block_observation_actuated(name):
 
 def stepped_one_by_one(model, law, u0, u1, cfg):
     """(ledger, blowup_time, t_reached) of the loop as it was first written: each
-    step through ``_within_limit``, each recorded state's ledger row evaluated alone."""
+    step through the exact ``_within_limit``, with no screen, and each recorded
+    state's ledger row evaluated alone."""
     g = u0.grid
     stepper = integrator._ImexStepper(model, g, cfg.dt, make_control_operator(law, g))
     record = set(cfg.record_steps.tolist())
