@@ -29,8 +29,8 @@ from .analysis import (
     verify_exponential,
     verify_polynomial,
 )
-from .config import ConfigError, ExperimentConfig, build_controller, check_step_ratio, finite_float
-from .config import gain_report_for, largest_stable_dt, load_config
+from .config import ConfigError, ExperimentConfig, build_controller, finite_float, gain_report_for
+from .config import load_config, step_gate
 from .controllers import NoControl
 from .integrator import RunResult, run
 from .models import LEDGER_COLUMNS
@@ -88,30 +88,6 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     except ValueError as exc:
         return fit_dict, {"kind": report.kind, "ok": False, "error": str(exc)}, False
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok
-
-
-def _warn_step(cfg: ExperimentConfig, member: str) -> None:
-    """Print one ``warning:`` line, led by ``member``, when r = ``cfg.step_ratio`` > 0.9.
-
-    The line names the largest stable dt.  ``check_step_ratio`` refuses r >= 1
-    first for every law but the nodal one, whose lambda is a bound that may
-    exceed its stiffness, so only a nodal r >= 1 reaches this line.
-    """
-    r, n_steps = cfg.step_ratio, cfg.stepper.n_steps
-    if r <= 0.9 or n_steps == 0:
-        return
-    if r >= 1.0:
-        state = " >= 1, past the explicit feedback's limit: the step is unstable if the bound lambda is attained"
-    else:
-        state = (
-            f", near the explicit feedback's limit r = 1: the energy can exceed the step's"
-            f" modified energy by the factor 1/(1 - r) = {1.0 / (1.0 - r):.6g}"
-        )
-    print(
-        f"warning: {member}dt = {cfg.stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state};"
-        f" {largest_stable_dt(cfg.stepper, r)}",
-        file=sys.stderr,
-    )
 
 
 def _make_out(path: str) -> None:
@@ -180,19 +156,9 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_stepped(path: str) -> ExperimentConfig:
-    """The INI's config, refused when its own law steps past the step-ratio limit.
-
-    ``check`` and ``run`` load through this; ``sweep`` loads with plain
-    ``load_config``, as it steps only its members' laws, and checks each.
-    """
-    cfg = load_config(path)
-    check_step_ratio(cfg)
-    return cfg
-
-
 def cmd_check(args) -> int:
-    cfg = _load_stepped(args.config)
+    cfg = load_config(args.config)
+    step_gate(cfg)  # refuses r >= 1; check prints no warning
     report = gain_report_for(cfg)
     if report is None:
         family = cfg.model.family.value
@@ -204,8 +170,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_stepped(args.config)
-    _warn_step(cfg, "")
+    cfg = load_config(args.config)
+    warning = step_gate(cfg)
+    if warning:
+        print(warning, file=sys.stderr)
     doc, code = _execute(cfg, args.out)
     gain = doc["gain"]
     if gain is not None:
@@ -224,11 +192,12 @@ def cmd_run(args) -> int:
     return code
 
 
-def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str, ExperimentConfig]:
-    """The member's label and config: ``base``'s controller text with ``param`` set to the label.
+def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str, ExperimentConfig, Optional[str]]:
+    """The member's label, config and :func:`step_gate` warning, with ``param`` set to the label.
 
-    The member's law is parsed from that text, so its ``report.json``
-    echoes the text it ran; a step ratio r >= 1 is refused as for a run.
+    The member's law is parsed from ``base``'s controller text with that
+    label, so its ``report.json`` echoes the text it ran; the gate refuses a
+    member past the step limit as it refuses a run.
     """
     if isinstance(base.controller, NoControl) or not hasattr(base.controller, param):
         raise ConfigError(f"controller variant {base.variant!r} has no {param} to sweep")
@@ -237,8 +206,7 @@ def _sweep_member(base: ExperimentConfig, param: str, value: float) -> tuple[str
     controller = build_controller(section, base.grid)
     raw = {**base.raw, "controller": section}
     member = dataclasses.replace(base, controller=controller, raw=raw)
-    check_step_ratio(member, f"{param}={label}: ")
-    return label, member
+    return label, member, step_gate(member, f"{param}={label}: ")
 
 
 # ``summary.csv``'s header; perfbench reads value, gain_satisfied and verified by name
@@ -285,12 +253,13 @@ def cmd_sweep(args) -> int:
         print(f"error: --values repeats {args.param} = {shown}", file=sys.stderr)
         return 2
     members = [_sweep_member(base, args.param, v) for v in sorted(values)]
-    for label, cfg in members:
-        _warn_step(cfg, f"{args.param}={label}: ")
+    for _label, _cfg, warning in members:
+        if warning:
+            print(warning, file=sys.stderr)
 
     _make_out(args.out)
     table = []
-    for label, cfg in members:
+    for label, cfg, _warning in members:
         doc, _code = _execute(cfg, os.path.join(args.out, f"{args.param}={label}"))
         table.append([label, *_summary_cells(doc)])
     summary = os.path.join(args.out, "summary.csv")

@@ -6,6 +6,9 @@ Sections: ``[model]`` (family, coefficients, grid), ``[controller]``
 malformed, and any section or key not in :data:`KEYS`, raises
 :class:`ConfigError` carrying the section/key context so the CLI can exit
 with a usage error.
+
+:func:`step_gate` decides the explicit feedback's step limit, r < 1; the CLI
+prints what it decides.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -86,16 +90,24 @@ class ExperimentConfig:
     safety: float
     raw: dict
 
-    @property
+    @cached_property
     def step_ratio(self) -> float:
-        """r = dt^2 (lambda - a)/4, with lambda bounding the feedback's stiffness.
+        """r = dt^2 (lambda - a)/4 at the configured dt: :meth:`ratio_at` ``stepper.dt``."""
+        return self.ratio_at(self.stepper.dt)
+
+    @cached_property
+    def _stiffness(self) -> float:
+        """lambda, from :func:`controllers.feedback_stiffness`, evaluated once per config."""
+        return feedback_stiffness(self.controller, self.grid)
+
+    def ratio_at(self, dt: float) -> float:
+        """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda bounding the feedback's stiffness.
 
         The IMEX step takes the feedback and ``a*u`` explicitly; it is
         stable, and its modified energy positive, while r < 1, and the
         physical energy can exceed the modified one by 1/(1 - r).
         """
-        lam = feedback_stiffness(self.controller, self.grid)
-        return self.stepper.dt**2 * (lam - self.model.a) / 4.0
+        return dt**2 * (self._stiffness - self.model.a) / 4.0
 
     @property
     def variant(self) -> str:
@@ -296,29 +308,42 @@ def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
     return controller
 
 
-def largest_stable_dt(stepper: StepperConfig, r: float) -> str:
-    """Name the largest dt that divides t_end with step ratio below 1, given the ratio r at ``stepper.dt``."""
-    n = math.floor(stepper.n_steps * math.sqrt(r)) + 1  # r scales as dt^2
-    return f"the largest dt that divides t_end with r < 1 is dt = {stepper.t_end:g}/{n} = {stepper.t_end / n!r}"
+def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
+    """Refuse, warn about or pass the step ratio r = ``cfg.step_ratio`` of a config about to step.
 
-
-def check_step_ratio(cfg: ExperimentConfig, member: str = "") -> None:
-    """Refuse a step ratio r >= 1 before any step: past it the explicit feedback makes the step unstable.
-
-    ``load_config`` does not call this: ``check`` and ``run`` check the
-    INI's own law, and ``sweep`` each member's but not the INI's, which no
-    member runs.  The nodal law is only warned about: its lambda is a
-    row-sum bound, above the largest eigenvalue when points share a node,
-    so it could refuse a stable dt.
+    A config with no step, or with r <= 0.9, passes (None).  r >= 1 is a
+    :class:`ConfigError` before any step, for every law but the nodal one,
+    whose lambda is a row-sum bound above its stiffness when points share a
+    node; otherwise the result is one ``warning:`` line.  Both, led by
+    ``member``, name the largest dt that divides t_end and passes this gate.
+    ``load_config`` does not call this: a sweep gates its members, not the
+    INI's own law, which no member runs.
     """
-    if isinstance(cfg.controller, Nodal) or cfg.stepper.n_steps == 0:
-        return
-    r = cfg.step_ratio
-    if r >= 1.0:
-        raise ConfigError(
-            f"[time] {member}step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = {cfg.stepper.dt!r}: "
-            f"past the explicit feedback's limit the step is unstable; {largest_stable_dt(cfg.stepper, r)}"
+    r, stepper = cfg.step_ratio, cfg.stepper
+    if r <= 0.9 or stepper.n_steps == 0:
+        return None
+    # the fewest steps n with r(t_end/n) < 1, by bisection on r itself, which
+    # does not rise with n: r(t_end/lo) >= 1 (or lo = 0) and r(t_end/hi) < 1
+    t_end, lo, hi = stepper.t_end, 0, stepper.n_steps
+    while cfg.ratio_at(t_end / hi) >= 1.0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cfg.ratio_at(t_end / mid) >= 1.0 else (lo, mid)
+    largest = f"the largest dt that divides t_end with r < 1 is dt = {t_end:g}/{hi} = {t_end / hi!r}"
+    if r < 1.0:
+        state = (
+            f", near the explicit feedback's limit r = 1: the energy can exceed the step's"
+            f" modified energy by the factor 1/(1 - r) = {1.0 / (1.0 - r):.6g}"
         )
+    elif isinstance(cfg.controller, Nodal):
+        state = " >= 1, past the explicit feedback's limit: the step is unstable if the bound lambda is attained"
+    else:
+        raise ConfigError(
+            f"[time] {member}step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = {stepper.dt!r}: "
+            f"past the explicit feedback's limit the step is unstable; {largest}"
+        )
+    return f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state}; {largest}"
 
 
 def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_law: bool) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavestab import __version__, analysis, cli, mode_matrix
+from wavestab import __version__, analysis, cli, config, mode_matrix
 from wavestab import LEDGER_COLUMNS, run
 from wavestab.cli import build_parser, main
 from wavestab.config import load_config
@@ -767,6 +767,53 @@ class TestStepRatio:
         assert code != 2 and report["step_ratio"] == pytest.approx(1e-4 * (48000 - 1) / 4, rel=1e-12)
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 1.19998 >= 1")
+
+    def test_a_sweep_warns_once_for_the_member_near_one_and_runs(self, tmp_path, capsys):
+        # a = 0: r = dt^2 mu/4 is 0.25 at mu = 1e4 and 0.975 at mu = 3.9e4
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="1e4").replace("a = 1.0", "a = 0.0"))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu", "--values", "1e4,3.9e4"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert line.startswith("warning: mu=39000: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 0.975,")
+
+    def test_a_nodal_sweep_member_past_one_only_warns(self, tmp_path, capsys):
+        p = tmp_path / "nodal.ini"
+        p.write_text(pair_ini("nodal-strongly_damped"))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu", "--values", "1,3000"])
+        assert code != 2 and (out / "mu=3000" / "report.json").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: mu=3000: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 1.19998 >= 1")
+
+    @pytest.mark.parametrize("command, calls", [
+        (["run"], 1),
+        (["sweep", "--param", "mu", "--values", "1e4,2e4,3.9e4"], 3),
+    ], ids=["run", "sweep"])
+    def test_the_stiffness_is_evaluated_once_per_stepped_config(self, command, calls, tmp_path, monkeypatch):
+        seen = []
+        stiffness = config.feedback_stiffness
+        monkeypatch.setattr(config, "feedback_stiffness", lambda *a: seen.append(a) or stiffness(*a))
+        p = tmp_path / "step.ini"
+        p.write_text(STEP_INI.format(mu="3.9e4"))  # warned about, so the gate names a dt
+        assert main([command[0], "--config", str(p), "--out", str(tmp_path / "out"), *command[1:]]) != 2
+        assert len(seen) == calls
+
+    def test_the_named_dt_is_the_largest_the_gate_passes(self, tmp_path, capsys):
+        # mu = 4 (1966/16)^2 up to rounding puts r = 1 at dt = 16/1966 to the last bit
+        p = tmp_path / "edge.ini"
+        text = STEP_INI.format(mu="60393.06250000001").replace("a = 1.0", "a = 0.0")
+        p.write_text(text.replace("dt = 0.01\nt_end = 4.0", f"dt = {16 / 2038!r}\nt_end = 16.0"))
+        assert main(["check", "--config", str(p)]) in (0, 1)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) != 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"the largest dt that divides t_end with r < 1 is dt = 16/1967 = {16 / 1967!r}")
+        for n, refused in ((1967, False), (1966, True)):
+            p.write_text(text.replace("dt = 0.01\nt_end = 4.0", f"dt = {16 / n!r}\nt_end = 16.0"))
+            assert (main(["check", "--config", str(p)]) == 2) is refused
+        err = capsys.readouterr().err
+        assert err.startswith("error: [time] step ratio r = dt^2 (lambda - a)/4 = 1.0 >= 1 at dt = 0.008138")
 
 
 class TestSweep:

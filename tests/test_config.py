@@ -39,6 +39,7 @@ from wavestab.config import (
     gain_report_for,
     load_config,
     parse_profile,
+    step_gate,
 )
 from wavestab.controllers import CERTIFIED
 from wavestab.grid import make_grid
@@ -500,6 +501,52 @@ class TestModelSection:
         with pytest.raises(ConfigError) as exc:
             load_config(write(tmp_path, MODEL_INI.format(keys=keys)))
         assert str(exc.value) == message
+
+
+class TestStepGate:
+    FOURIER = BASE.replace("variant = volume", "variant = fourier").replace("bc = neumann", "bc = dirichlet")
+
+    @staticmethod
+    def gate(cfg, n):
+        """``step_gate`` on ``cfg`` stepped with dt = t_end/n: its line, or its refusal's text."""
+        t_end = cfg.stepper.t_end
+        try:
+            return step_gate(replace(cfg, stepper=StepperConfig(dt=t_end / n, t_end=t_end)))
+        except ConfigError as exc:
+            return f"refused: {exc}"
+
+    def test_the_named_dt_is_the_largest_the_gate_passes_near_the_boundary(self, tmp_path):
+        base = load_config(write(tmp_path, self.FOURIER))
+        rng = np.random.default_rng(33)
+        named = 0
+        for _ in range(400):
+            # mu puts r = 1 at dt = t_end/m up to a few ulps; the run's own dt is near it
+            t_end, a = float(rng.choice([0.5, 1.0, 2.5, 4.0, 16.0])), float(rng.choice([0.0, 1.0, 0.3]))
+            m = int(rng.integers(20, 4000))
+            mu = 4.0 * (m / t_end) ** 2 + a
+            for _ in range(int(rng.integers(0, 4))):
+                mu = float(np.nextafter(mu, rng.choice([-np.inf, np.inf])))
+            cfg = replace(base, model=replace(base.model, a=a), controller=FourierModes(2, mu))
+            line = self.gate(cfg, m + int(rng.integers(-m // 40 - 1, m // 40 + 2)))
+            if line is None:
+                continue
+            n = int(re.search(r"with r < 1 is dt = \S+/(\d+) = ", line).group(1))
+            assert not (self.gate(cfg, n) or "").startswith("refused")
+            assert n == 1 or self.gate(cfg, n - 1).startswith("refused")
+            named += 1
+        assert named > 300
+
+    def test_a_ratio_that_overflows_is_refused(self, tmp_path):
+        # dt^2 mu overflows to r = inf at dt = 2: still a config error, with a finite dt named
+        cfg = load_config(write(tmp_path, self.FOURIER.replace("mu = 4.0", "mu = 1e308")))
+        line = self.gate(cfg, 3)
+        assert line.startswith("refused: [time] step ratio r = dt^2 (lambda - a)/4 = inf >= 1 at dt = 2.0:")
+        n = int(re.search(r"with r < 1 is dt = 6/(\d+) = ", line).group(1))
+        assert not self.gate(cfg, n).startswith("refused") and self.gate(cfg, n - 1).startswith("refused")
+
+    def test_a_config_with_no_step_passes(self, tmp_path):
+        cfg = load_config(write(tmp_path, BASE.replace("t_end = 6.0", "t_end = 0.0").replace("mu = 4.0", "mu = 1e9")))
+        assert cfg.step_ratio > 1.0 and step_gate(cfg) is None
 
 
 def _thinned(ledger, every):

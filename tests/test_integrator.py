@@ -1,5 +1,6 @@
 """Time stepping: accuracy, conservation, blow-up handling, Lyapunov hooks, the block ledger."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from wavestab import (
     zeros,
 )
 from wavestab import LEDGER_COLUMNS, controllers, integrator, kernels
+from wavestab.config import ConfigError, ExperimentConfig, step_gate
 from wavestab.models import ledger_column, source
 
 from conftest import one_state_observation, reference_solution
@@ -932,3 +934,39 @@ def test_an_advance_that_swaps_itself_out_in_its_first_call_runs_once(monkeypatc
     got = run(model, law, u0, zeros(g), cfg)
     assert calls == [1]
     assert got.ledger.tobytes() == want.ledger.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the step's limit: the linearized step against the step gate
+# ---------------------------------------------------------------------------
+
+def step_map(stepper):
+    """The IMEX step of a linear model as its 2n x 2n matrix G: (u, v) -> G (u, v),
+    assembled column by column from the step of each unit vector."""
+    n = stepper.grid.n_nodes
+    zero = np.zeros(n)
+    columns = [stepper.advance(e, zero) for e in np.eye(n)] + [stepper.advance(zero, e) for e in np.eye(n)]
+    return np.column_stack([np.concatenate(uv) for uv in columns])
+
+
+@pytest.mark.parametrize("bc, law", [
+    ("dirichlet", FourierModes(2, 0.0)),
+    ("neumann", VolumeElements(4, 0.0)),
+    ("dirichlet", SubdomainControl(Subdomain(1.0, 2.5), 0.0)),
+], ids=["fourier", "volume", "subdomain"])
+def test_the_step_gate_refuses_where_the_linearized_step_grows(bc, law):
+    # mu = 4 r/dt^2 + a puts the gate's r = dt^2 (mu - a)/4 at r; past r = 1, rho(G) > 1
+    model, g, dt = damped_wave(1.0, 1.0, 2.0, bc), make_grid(PI, 64, bc), 0.01
+    for r, stable in ((0.99, True), (1.01, False)):
+        spec = dataclasses.replace(law, mu=4.0 * r / dt**2 + model.a)
+        stepper = StepperConfig(dt=dt, t_end=1.0)
+        cfg = ExperimentConfig(g, model, spec, zeros(g), zeros(g), stepper, (0.2, 0.9), 0.8, {})
+        assert cfg.step_ratio == pytest.approx(r, rel=1e-12)
+        G = step_map(integrator._ImexStepper(model, g, dt, make_control_operator(spec, g)))
+        rho = np.max(np.abs(np.linalg.eigvals(G)))
+        if stable:
+            assert rho < 1.0 and step_gate(cfg).startswith("warning: dt = 0.01 gives r")
+        else:
+            assert rho > 1.0
+            with pytest.raises(ConfigError, match="step ratio"):
+                step_gate(cfg)
