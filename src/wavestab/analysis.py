@@ -1,10 +1,11 @@
 """Decay-rate estimation and the sharp constants of the inequality suite.
 
-``fit_exponential`` regresses log stabilization norm against time over a
-trimmed window; ``verify_exponential`` compares the fitted rate against a
-certified target with a safety factor and additionally checks a pointwise
-envelope.  ``verify_polynomial`` tests algebraic decay by watching whether
-the running supremum of ``total_energy(t) * t^alpha`` stabilizes.
+``check_window`` gives the window each check reads and the records it
+needs there.  ``fit_exponential`` regresses log stabilization norm against
+time over a window; ``verify_exponential`` compares a fit's rate against a
+certified target with a safety factor and checks a pointwise envelope.
+``verify_polynomial`` tests algebraic decay by watching whether the running
+supremum of ``total_energy(t) * t^alpha`` stabilizes.
 
 ``inequality_constants`` computes, for each finite-parameter
 interpolation and spectral inequality, the least constant that makes it
@@ -83,9 +84,18 @@ class VerifyPolynomial:
     window: tuple[float, float]
 
 
-def power_law_window(window: tuple[float, float]) -> tuple[float, float]:
-    """The part of a fit window the power-law check reads: from t = 1 on."""
-    return (max(1.0, window[0]), window[1])
+def check_window(kind: str, window: tuple[float, float], t_end: float) -> tuple[tuple[float, float], int]:
+    """The window a check of a gain report's ``kind`` reads, and the fewest records it needs there.
+
+    Each check reads the fit window up to ``t_end``, the time of the run's
+    last record, and the power law (``kind == "polynomial"``) reads it from
+    t = 1.  The CLI's checks read this window, and ``load_config`` refuses a
+    run whose records leave it fewer than the check needs.
+    """
+    lo, hi = window[0], min(window[1], t_end)
+    if kind == "polynomial":
+        return (max(1.0, lo), hi), MIN_POWER_RECORDS
+    return (lo, hi), MIN_FIT_RECORDS
 
 
 def _in_window(t: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -130,28 +140,25 @@ def fit_exponential(ledger: np.ndarray, window: tuple[float, float]) -> DecayFit
 
 
 def verify_exponential(
-    ledger: np.ndarray,
-    delta_target: float,
-    safety: float,
-    window: tuple[float, float],
+    ledger: np.ndarray, fit: DecayFit, delta_target: float, safety: float
 ) -> VerifyExponential:
     """Check exponential decay of stab_norm against a certified rate.
 
-    Passing requires (i) fitted rate >= safety * delta_target, and (ii) the
-    envelope ``stab_norm(t) <= C exp(-safety*delta_target*t)`` to hold over
-    the window, with C calibrated on the records before the window starts.
-    The outcome is monotone in ``safety``: passing at s implies passing at
-    any s' < s.
+    ``fit`` is :func:`fit_exponential` of this ``ledger``; its window is the
+    one checked.  Passing requires (i) fitted rate >= safety * delta_target,
+    and (ii) the envelope ``stab_norm(t) <= C exp(-safety*delta_target*t)``
+    to hold over the window, with C calibrated on the records before the
+    window starts.  The outcome is monotone in ``safety``: passing at s
+    implies passing at any s' < s.
     """
     if delta_target <= 0.0:
         raise ValueError(f"target rate must be positive, got {delta_target}")
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must be in (0, 1], got {safety}")
-    fit = fit_exponential(ledger, window)
     target = safety * delta_target
     rate_ok = fit.rate >= target
-    t, s, usable = _decay(ledger, window)
-    head = t <= window[0]
+    t, s, usable = _decay(ledger, fit.window)
+    head = t <= fit.window[0]
     const = float(np.max(s[head] * np.exp(target * t[head]))) if head.any() else 0.0
     t, s = t[usable], s[usable]
     envelope_ok = not np.any(s > const * np.exp(-target * t) * (1.0 + 1e-9))

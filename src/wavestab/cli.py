@@ -23,9 +23,9 @@ from .analysis import (
     SUITE_CELLS,
     SUITE_INFORMATIONAL,
     SUITE_SLACK,
+    check_window,
     fit_exponential,
     inequality_constants,
-    power_law_window,
     verify_exponential,
     verify_polynomial,
 )
@@ -50,22 +50,23 @@ def write_trajectory(path: str, result: RunResult) -> None:
 
 
 def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[dict], Optional[dict], bool]:
-    """Fit the recorded decay and test it against the predicted rate.
+    """Fit the recorded decay once and test it against the predicted rate.
 
     Returns (fit_dict, verify_dict, ok).  Verification runs whenever the
     pair has a certificate, even with unsatisfied gain conditions — the
     conditions are sufficient, not necessary, so sweeps can legitimately
     observe decay below the certified threshold.  The report picks the
     test: no rate is qualitative, a polynomial exponent is checked as a
-    power law, and an exponential rate against its envelope.
+    power law, and an exponential rate against its envelope.  Each test
+    reads the window :func:`analysis.check_window` gives it.
     """
-    window = cfg.window
+    end = result.final_state.t  # the time of the last record
+    fit_window, _ = check_window("exponential", cfg.window, end)
     try:
-        fit = fit_exponential(result.ledger, window=window)
+        fit = fit_exponential(result.ledger, fit_window)
         fit_dict = dataclasses.asdict(fit)
     except ValueError as exc:
-        fit = None
-        fit_dict = {"error": str(exc)}
+        fit, fit_dict = None, {"error": str(exc)}
 
     if report is None:
         return fit_dict, None, True
@@ -82,9 +83,12 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     rate = report.predicted_rate
     try:
         if report.kind == "polynomial":
-            res = verify_polynomial(result.ledger, rate, window=power_law_window(window))
+            window, _ = check_window(report.kind, cfg.window, end)
+            res = verify_polynomial(result.ledger, rate, window=window)
+        elif fit is None:
+            raise ValueError(fit_dict["error"])  # the envelope check reads the fit that failed
         else:
-            res = verify_exponential(result.ledger, rate, safety=cfg.safety, window=window)
+            res = verify_exponential(result.ledger, fit, rate, safety=cfg.safety)
     except ValueError as exc:
         return fit_dict, {"kind": report.kind, "ok": False, "error": str(exc)}, False
     return fit_dict, {"kind": report.kind, **dataclasses.asdict(res)}, res.ok

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, power_law_window
+from .analysis import check_window
 from .controllers import (
     ControllerSpec,
     FourierModes,
@@ -53,7 +53,7 @@ KEYS = {
     "controller": ("variant", "mu", "n", "obs_points", "act_points", "omega_lo", "omega_hi"),
     "initial": ("u0", "u1", "u0_amplitude", "u1_amplitude"),
     "time": ("t_end", "dt", "record_every"),
-    "analysis": ("safety", "window_lo_frac", "window_hi_frac", "window_lo", "window_hi"),
+    "analysis": ("safety", "window_lo", "window_hi"),
 }
 
 # the [controller] variant names of the feedback laws
@@ -94,6 +94,12 @@ class ExperimentConfig:
     def step_ratio(self) -> float:
         """r = dt^2 (lambda - a)/4 at the configured dt: :meth:`ratio_at` ``stepper.dt``."""
         return self.ratio_at(self.stepper.dt)
+
+    @cached_property
+    def gain_report(self) -> Optional[GainReport]:
+        """The pair's gain report, evaluated once per config; None if ``controllers.CERTIFIED`` has no entry."""
+        cert = certificate(self.model, self.controller)
+        return cert.gains(self.grid, self.model, self.controller) if cert is not None else None
 
     @cached_property
     def _stiffness(self) -> float:
@@ -346,21 +352,6 @@ def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
     return f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state}; {largest}"
 
 
-def _check_cadence(stepper: StepperConfig, window: tuple[float, float], power_law: bool) -> None:
-    """Refuse a record cadence that leaves the verifier's window fewer records than it needs."""
-    if power_law:
-        window, need, check = power_law_window(window), MIN_POWER_RECORDS, "power-law check"
-    else:
-        need, check = MIN_FIT_RECORDS, "decay fit"
-    t = stepper.record_steps * stepper.dt
-    count = int(np.count_nonzero((window[0] <= t) & (t <= window[1])))
-    if count < need:
-        raise ConfigError(
-            f"[time] only {count} of the {t.size} records (record_every = {stepper.record_every}) "
-            f"fall in the {check}'s window ({window[0]!r}, {window[1]!r}); need at least {need}"
-        )
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     raw = _load_ini(path)
@@ -394,34 +385,29 @@ def load_config(path: str) -> ExperimentConfig:
     safety = an_sec.float("safety", DEFAULT_SAFETY)
     if not 0.0 < safety <= 1.0:
         raise ConfigError(f"[analysis] safety must be in (0, 1], got {safety}")
-    # an absolute end overrides its fraction of t_end
-    lo = an_sec.float("window_lo", an_sec.float("window_lo_frac", DEFAULT_FIT_WINDOW[0]) * t_end)
-    hi = an_sec.float("window_hi", an_sec.float("window_hi_frac", DEFAULT_FIT_WINDOW[1]) * t_end)
+    lo = an_sec.float("window_lo", DEFAULT_FIT_WINDOW[0] * t_end)
+    hi = an_sec.float("window_hi", DEFAULT_FIT_WINDOW[1] * t_end)
     if t_end > 0.0 and not (0.0 <= lo < hi and lo < t_end):
         raise ConfigError(
             f"[analysis] fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}"
         )
-    cert = certificate(model, controller)
-    if t_end > 0.0 and cert is not None:
-        # a run too sparse to verify is refused before it runs
-        power_law = cert.gains(grid, model, controller).kind == "polynomial"
-        _check_cadence(stepper, (lo, hi), power_law)
 
-    cfg = ExperimentConfig(
-        grid=grid,
-        model=model,
-        controller=controller,
-        u0=u0,
-        u1=u1,
-        stepper=stepper,
-        window=(lo, hi),
-        safety=safety,
-        raw=raw,
-    )
+    cfg = ExperimentConfig(grid=grid, model=model, controller=controller, u0=u0, u1=u1,
+                           stepper=stepper, window=(lo, hi), safety=safety, raw=raw)
+    if t_end > 0.0 and cfg.gain_report is not None:
+        # a record cadence that leaves the check's window too few records is refused before the run
+        kind, t = cfg.gain_report.kind, stepper.record_steps * stepper.dt
+        window, need = check_window(kind, cfg.window, t[-1])
+        count = int(np.count_nonzero((window[0] <= t) & (t <= window[1])))
+        if count < need:
+            check = "power-law check" if kind == "polynomial" else "decay fit"
+            raise ConfigError(
+                f"[time] only {count} of the {t.size} records (record_every = {stepper.record_every}) "
+                f"fall in the {check}'s window ({window[0]!r}, {window[1]!r}); need at least {need}"
+            )
     return cfg
 
 
 def gain_report_for(cfg: ExperimentConfig) -> Optional[GainReport]:
-    """The configured pair's gain report; None if ``controllers.CERTIFIED`` has no entry."""
-    cert = certificate(cfg.model, cfg.controller)
-    return cert.gains(cfg.grid, cfg.model, cfg.controller) if cert is not None else None
+    """The configured pair's gain report, :attr:`ExperimentConfig.gain_report`."""
+    return cfg.gain_report

@@ -133,7 +133,8 @@ def test_criterion_1_volume_element_decay(volume_loop):
     grid, model, _, report, cfg, result = volume_loop
     window = (1.2, 5.4)
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
-    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, window)
+    fit = fit_exponential(result.ledger, window)
+    ver = verify_exponential(result.ledger, fit, report.predicted_rate, 0.8)
 
     # negative control: zero gain leaves the anti-damping term winning
     off = run(model, VolumeElements(N=2, mu=0.0), _bump(grid, L / 2, 0.5), _zero(grid), cfg)
@@ -152,7 +153,8 @@ def test_criterion_2_modal_feedback_decay(fourier_loop):
     """First two Dirichlet modes at mu=4 on the quartic model: fit >= 0.8."""
     _, _, _, report, _, result = fourier_loop
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0)
-    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (1.2, 5.4))
+    fit = fit_exponential(result.ledger, (1.2, 5.4))
+    ver = verify_exponential(result.ledger, fit, report.predicted_rate, 0.8)
     _verdict(2, "modal feedback", ver.ok, f"fit={ver.fit.rate:.3f} target=0.8")
 
 
@@ -177,7 +179,8 @@ def test_criterion_3_localized_damping():
 
     cfg = StepperConfig(dt=0.002, t_end=6.0, record_every=10)
     result = run(model, ctrl, _bump(grid, 0.3, 0.15), _zero(grid), cfg)
-    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (1.2, 5.4))
+    fit = fit_exponential(result.ledger, (1.2, 5.4))
+    ver = verify_exponential(result.ledger, fit, report.predicted_rate, 0.8)
 
     ok = certificate and ver.ok
     _verdict(
@@ -213,7 +216,8 @@ def test_criterion_5_strong_damping_decay(strong_loop):
     """Viscous damping bDv_t with one controlled mode: fit >= 0.8*(1/3)."""
     _, _, _, report, _, result = strong_loop
     assert report.satisfied and report.predicted_rate == pytest.approx(1.0 / 3.0)
-    ver = verify_exponential(result.ledger, report.predicted_rate, 0.8, (5.0, 22.5))
+    fit = fit_exponential(result.ledger, (5.0, 22.5))
+    ver = verify_exponential(result.ledger, fit, report.predicted_rate, 0.8)
     _verdict(
         5,
         "strong damping",

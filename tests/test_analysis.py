@@ -22,11 +22,14 @@ from wavestab import (
     verify_polynomial,
 )
 from wavestab.analysis import (
+    MIN_FIT_RECORDS,
+    MIN_POWER_RECORDS,
     SUITE_CELLS,
     SUITE_ELEMENT_COUNTS,
     SUITE_MODE_COUNTS,
     SUITE_OFFSETS,
     SUITE_SLACK,
+    check_window,
 )
 from wavestab.spectral import dirichlet_eigenvalue, grid_eigenvalue, trig_table
 
@@ -46,6 +49,24 @@ def synth(values, ts):
     for name, column in (("t", ts), ("total", values), ("stab_norm", values)):
         ledger[:, LEDGER_COLUMNS.index(name)] = column
     return ledger
+
+
+def verify_over(ledger, target, safety, window):
+    """``verify_exponential`` of the ledger's fit over ``window``, as the CLI calls it."""
+    return verify_exponential(ledger, fit_exponential(ledger, window), target, safety)
+
+
+class TestCheckWindow:
+    def test_the_fit_reads_the_window_up_to_t_end(self):
+        assert check_window("exponential", (2.0, 9.0), 10.0) == ((2.0, 9.0), MIN_FIT_RECORDS)
+        assert check_window("exponential", (4.0, 60.0), 20.0) == ((4.0, 20.0), MIN_FIT_RECORDS)
+
+    def test_the_power_law_reads_from_t_one(self):
+        assert check_window("polynomial", (0.5, 9.0), 10.0) == ((1.0, 9.0), MIN_POWER_RECORDS)
+        assert check_window("polynomial", (4.0, 60.0), 20.0) == ((4.0, 20.0), MIN_POWER_RECORDS)
+        # a window that ends before t = 1 leaves the power law nothing to read
+        (lo, hi), _ = check_window("polynomial", (0.1, 0.45), 0.5)
+        assert lo > hi
 
 
 class TestFitExponential:
@@ -101,16 +122,16 @@ class TestVerifyExponential:
         return synth(5.0 * np.exp(-rate * ts), ts)
 
     def test_passes_at_certified_rate(self):
-        res = verify_exponential(self.setup_records(1.0), 1.0, safety=0.8, window=WINDOW)
+        res = verify_over(self.setup_records(1.0), 1.0, 0.8, WINDOW)
         assert res.ok and res.rate_ok and res.envelope_ok
 
     def test_fails_when_decay_too_slow(self):
-        res = verify_exponential(self.setup_records(0.5), 1.0, safety=0.8, window=WINDOW)
+        res = verify_over(self.setup_records(0.5), 1.0, 0.8, WINDOW)
         assert not res.ok and not res.rate_ok
 
     def test_growth_fails(self):
         ts = np.linspace(0, 10, 400)
-        res = verify_exponential(synth(np.exp(+0.3 * ts), ts), 1.0, safety=0.8, window=WINDOW)
+        res = verify_over(synth(np.exp(+0.3 * ts), ts), 1.0, 0.8, WINDOW)
         assert not res.ok
         assert res.fit.rate < 0
 
@@ -120,24 +141,35 @@ class TestVerifyExponential:
         vals = np.exp(-1.0 * ts)
         bump = (ts > 5.0) & (ts < 5.5)
         vals[bump] *= 40.0
-        res = verify_exponential(synth(vals, ts), 1.0, safety=0.8, window=(2.0, 9.0))
+        res = verify_over(synth(vals, ts), 1.0, 0.8, (2.0, 9.0))
         assert not res.envelope_ok and not res.ok
+
+    def test_reads_its_window_from_the_fit(self):
+        # a bump on (5, 5.5): inside the window (2, 9), in the head of the window (6, 9)
+        ts = np.linspace(0, 10, 400)
+        vals = np.exp(-1.0 * ts)
+        vals[(ts > 5.0) & (ts < 5.5)] *= 40.0
+        recs = synth(vals, ts)
+        for window, envelope_ok in (((2.0, 9.0), False), ((6.0, 9.0), True)):
+            fit = fit_exponential(recs, window)
+            res = verify_exponential(recs, fit, 1.0, safety=0.8)
+            assert res.fit is fit and res.envelope_ok is envelope_ok
 
     def test_envelope_constant_calibrated_on_head(self):
         recs = self.setup_records(1.0)
-        res = verify_exponential(recs, 1.0, safety=0.8, window=(2.0, 9.0))
+        res = verify_over(recs, 1.0, 0.8, (2.0, 9.0))
         # head max of stab*exp(+target t) = 5 exp(-0.2 t), decreasing: hit at t=0
         assert res.envelope_constant == pytest.approx(5.0, rel=1e-9)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive_target(self, bad):
         with pytest.raises(ValueError):
-            verify_exponential(self.setup_records(1.0), bad, safety=0.8, window=WINDOW)
+            verify_over(self.setup_records(1.0), bad, 0.8, WINDOW)
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.2])
     def test_rejects_bad_safety(self, bad):
         with pytest.raises(ValueError):
-            verify_exponential(self.setup_records(1.0), 1.0, safety=bad, window=WINDOW)
+            verify_over(self.setup_records(1.0), 1.0, bad, WINDOW)
 
     @given(
         rate=st.floats(0.3, 3.0),
@@ -150,8 +182,8 @@ class TestVerifyExponential:
         """Passing at a safety factor implies passing at any smaller one."""
         ts = np.linspace(0, 10, 300)
         recs = synth(3.0 * np.exp(-rate * ts) * (1.5 + np.sin(7 * ts) / 3), ts)
-        hi = verify_exponential(recs, target, safety=s_hi, window=WINDOW)
-        lo = verify_exponential(recs, target, safety=s_hi * shrink, window=WINDOW)
+        hi = verify_over(recs, target, s_hi, WINDOW)
+        lo = verify_over(recs, target, s_hi * shrink, WINDOW)
         if hi.ok:
             assert lo.ok
 
@@ -204,7 +236,7 @@ def test_masked_checks_match_the_per_record_loops():
     slope, _ = np.polyfit([t for t, _ in usable], [math.log(v) for _, v in usable], 1)
     const = max(v * math.exp(target * t) for t, v in recs if t <= window[0])
     envelope_ok = all(v <= const * math.exp(-target * t) * (1.0 + 1e-9) for t, v in usable)
-    res = verify_exponential(synth(vals, ts), 1.0, safety=target, window=window)
+    res = verify_over(synth(vals, ts), 1.0, target, window)
     assert res.fit.n_points == len(usable)
     assert res.fit.rate == pytest.approx(-slope, rel=1e-13)
     assert res.envelope_constant == pytest.approx(const, rel=1e-13)

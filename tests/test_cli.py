@@ -1,6 +1,7 @@
 """End-to-end subcommand tests driven through ``wavestab.cli.main``."""
 
 import argparse
+import collections
 import csv
 import json
 import os
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 import scipy
 
-from wavestab import __version__, analysis, cli, config, mode_matrix
-from wavestab import LEDGER_COLUMNS, run
+from wavestab import __version__, analysis, cli, config, controllers, mode_matrix
+from wavestab import LEDGER_COLUMNS, StepperConfig, run
 from wavestab.cli import build_parser, main
 from wavestab.config import load_config
 
@@ -661,6 +662,112 @@ def test_certified_run_verifies(name, tmp_path):
         with open(out / "trajectory.csv", newline="") as fh:
             total = [float(row["total"]) for row in csv.DictReader(fh)]
         assert max(b - a for a, b in zip(total, total[1:])) <= 1e-9 * total[0]
+
+
+# the power-law pair with every margin satisfied, run to t_end = 20
+POWER_LAW_INI = """\
+[model]
+family = nonlinear_damping
+nu = 1.0
+a = 1.0
+b = 1.0
+m = 3.0
+p = 4.0
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = fourier
+N = 1
+mu = 2.0
+
+[initial]
+u0 = mode 1
+
+[time]
+dt = 0.01
+t_end = 20.0
+"""
+
+
+@pytest.mark.parametrize("hi, window", [("60.0", [4.0, 20.0]), ("18.0", [4.0, 18.0])], ids=["past_t_end", "inside"])
+def test_a_fit_window_past_t_end_verifies_a_power_law_run(hi, window, tmp_path):
+    """The checks read the window up to t_end: a window_hi past it no longer leaves a quarter empty."""
+    p = tmp_path / "power.ini"
+    p.write_text(POWER_LAW_INI + f"\n[analysis]\nwindow_hi = {hi}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    verify = json.loads((out / "report.json").read_text())["verify"]
+    assert verify["ok"] is True and verify["window"] == window
+
+
+class TestTheRefusalAgreesWithTheChecks:
+    """A run with exactly the records its check needs in the check's window loads and verifies;
+    with one fewer it is refused at load."""
+
+    PAIRS = {"exponential": ("fourier-damped_wave", "exponential"),
+             "power_law": ("fourier-nonlinear_damping", "polynomial")}
+
+    @pytest.mark.parametrize("missing", [0, 1], ids=["need", "need_minus_one"])
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_need_records_verify_and_one_fewer_is_refused(self, pair, missing, tmp_path, capsys):
+        name, kind = self.PAIRS[pair]
+        stepper = StepperConfig(dt=0.01, t_end=6.0, record_every=10)
+        t = stepper.record_steps * stepper.dt  # every 0.1 up to 6
+        _, need = analysis.check_window(kind, (0.0, 60.0), t[-1])
+        # the window starts between records and ends past t_end: the checks read its last records up to t = 6
+        have = need - missing
+        lo = float(t[-have - 1] + t[-have]) / 2
+        text = re.sub(r"t_end = \S+", "t_end = 6.0\nrecord_every = 10", pair_ini(name))
+        p = tmp_path / "case.ini"
+        p.write_text(text + f"\n[analysis]\nwindow_lo = {lo!r}\nwindow_hi = 60.0\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(p), "--out", str(out)])
+        if missing:
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err.startswith(f"error: [time] only {have} of the {t.size} records")
+            return
+        report = json.loads((out / "report.json").read_text())
+        assert report["gain"]["kind"] == kind and report["records"] == t.size
+        assert "error" not in report["verify"]
+        if kind == "exponential":  # the power-law check does not read the fit, which needs 20 records
+            assert report["fit"]["n_points"] == need
+
+
+class TestVerificationIsDecidedOnce:
+    """Each config evaluates its gain check once, and each run fits its decay once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = collections.Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for pair, cert in list(controllers.CERTIFIED.items()):
+            monkeypatch.setitem(controllers.CERTIFIED, pair, cert._replace(gains=counted("gains", cert.gains)))
+        fit = counted("fit", analysis.fit_exponential)
+        monkeypatch.setattr(cli, "fit_exponential", fit)
+        monkeypatch.setattr(analysis, "fit_exponential", fit)  # what a check could refit through
+        return seen
+
+    @pytest.mark.parametrize("command, gains, fits", [
+        (["check"], 1, 0),
+        (["run"], 1, 1),
+        # the INI's own config and each of the three members'
+        (["sweep", "--param", "mu", "--values", "3,4,5"], 4, 3),
+    ], ids=["check", "run", "sweep"])
+    @pytest.mark.parametrize("pair", ["volume-damped_wave", "nodal-strongly_damped", "fourier-nonlinear_damping"],
+                             ids=["exponential", "qualitative", "power_law"])
+    def test_once_per_config_and_per_run(self, pair, command, gains, fits, counts, tmp_path):
+        p = tmp_path / "pair.ini"
+        p.write_text(pair_ini(pair))
+        out = [] if command[0] == "check" else ["--out", str(tmp_path / "out")]
+        assert main([command[0], "--config", str(p), *out, *command[1:]]) in (0, 1)
+        assert (counts["gains"], counts["fit"]) == (gains, fits)
 
 
 class TestStepRatio:

@@ -30,7 +30,7 @@ from wavestab import (
     strongly_damped_wave,
     zeros,
 )
-from wavestab.analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, fit_exponential, power_law_window
+from wavestab.analysis import MIN_FIT_RECORDS, MIN_POWER_RECORDS, check_window, fit_exponential
 from wavestab.cli import main
 from wavestab.config import (
     ConfigError,
@@ -385,8 +385,8 @@ t_end = 1.0
     @pytest.mark.parametrize(
         "keys",
         [
-            "window_lo_frac = 0.9\nwindow_hi_frac = 0.2",  # (5.4, 1.2): starts after it ends
-            "window_lo_frac = -3\nwindow_hi_frac = 7",  # (-18, 42): starts before t = 0
+            "window_lo = 5.4\nwindow_hi = 1.2",  # starts after it ends
+            "window_lo = -18.0\nwindow_hi = 42.0",  # starts before t = 0
             "window_lo = 6.0\nwindow_hi = 8.0",  # starts at t_end = 6, no record inside
         ],
         ids=["reversed", "negative_start", "start_at_t_end"],
@@ -585,7 +585,8 @@ class TestRecordCadence:
     def test_power_law_needs_eight_from_t_one(self, tmp_path):
         cfg = load_config(write(tmp_path, NONLINEAR))
         ledger = run(cfg.model, cfg.controller, cfg.u0, cfg.u1, replace(cfg.stepper, record_every=1)).ledger
-        lo, hi = power_law_window(cfg.window)  # (1.0, 3.6)
+        (lo, hi), need = check_window("polynomial", cfg.window, cfg.stepper.t_end)  # (1.0, 3.6), 8
+        assert need == MIN_POWER_RECORDS
         verdicts = set()
         for every in range(28, 40):
             t = ledger_column(_thinned(ledger, every), "t")
@@ -613,12 +614,16 @@ class TestRecordCadence:
 
 def test_analysis_window_fractions_and_overrides(tmp_path):
     text = BASE.replace("t_end = 6.0", "t_end = 10.0")
-    assert load_config(write(tmp_path, text)).window == (2.0, 9.0)  # default 20%-90%
-    text += "\n[analysis]\nwindow_lo_frac = 0.5\nwindow_hi = 50.0\n"
-    assert load_config(write(tmp_path, text)).window == (5.0, 50.0)
-    # an absolute end overrides its fraction
-    text = text.replace("window_lo_frac = 0.5", "window_lo_frac = 0.5\nwindow_lo = 3.0")
-    assert load_config(write(tmp_path, text)).window == (3.0, 50.0)
+    assert load_config(write(tmp_path, text)).window == (2.0, 9.0)  # default 20%-90% of t_end
+    # each key overrides its end; the other keeps its fraction of t_end
+    assert load_config(write(tmp_path, text + "\n[analysis]\nwindow_lo = 5.0\n")).window == (5.0, 9.0)
+    assert load_config(write(tmp_path, text + "\n[analysis]\nwindow_hi = 50.0\n")).window == (2.0, 50.0)
+
+
+@pytest.mark.parametrize("key", ["window_lo_frac", "window_hi_frac"])
+def test_window_fraction_keys_are_unknown(tmp_path, key):
+    with pytest.raises(ConfigError, match=rf"\[analysis\] unknown key '{key}'"):
+        load_config(write(tmp_path, BASE + f"\n[analysis]\n{key} = 0.5\n"))
 
 
 def _pair_config(family, ctrl):
