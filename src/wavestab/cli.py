@@ -20,6 +20,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    STAB_FLOOR,
     SUITE_CELLS,
     SUITE_INFORMATIONAL,
     SUITE_SLACK,
@@ -33,7 +34,7 @@ from .config import ConfigError, ExperimentConfig, build_controller, finite_floa
 from .config import load_config, step_gate
 from .controllers import NoControl
 from .integrator import RunResult, run
-from .models import LEDGER_COLUMNS
+from .models import LEDGER_COLUMNS, ledger_column
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -58,7 +59,9 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     observe decay below the certified threshold.  The report picks the
     test: no rate is qualitative, a polynomial exponent is checked as a
     power law, and an exponential rate against its envelope.  Each test
-    reads the window :func:`analysis.check_window` gives it.
+    reads the window :func:`analysis.check_window` gives it.  A run whose
+    ``stab_norm`` never exceeds ``analysis.STAB_FLOOR`` fails every test:
+    its initial data leave no decay to verify.
     """
     end = result.final_state.t  # the time of the last record
     fit_window, _ = check_window("exponential", cfg.window, end)
@@ -70,6 +73,12 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
 
     if report is None:
         return fit_dict, None, True
+
+    if not np.any(ledger_column(result.ledger, "stab_norm") > STAB_FLOOR):
+        kind = "qualitative" if report.predicted_rate is None else report.kind
+        error = (f"u0 and u1 are zero or too small: stab_norm stays at or below {STAB_FLOOR:g},"
+                 " so there is no decay to verify")
+        return fit_dict, {"kind": kind, "ok": False, "error": error}, False
 
     if report.predicted_rate is None:
         ok = fit is not None and fit.rate > 0.0 and fit.r_squared >= 0.95

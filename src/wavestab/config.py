@@ -107,7 +107,7 @@ class ExperimentConfig:
         return feedback_stiffness(self.controller, self.grid)
 
     def ratio_at(self, dt: float) -> float:
-        """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda bounding the feedback's stiffness.
+        """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda the largest eigenvalue of the feedback's stiffness.
 
         The IMEX step takes the feedback and ``a*u`` explicitly; it is
         stable, and its modified energy positive, while r < 1, and the
@@ -318,12 +318,10 @@ def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
     """Refuse, warn about or pass the step ratio r = ``cfg.step_ratio`` of a config about to step.
 
     A config with no step, or with r <= 0.9, passes (None).  r >= 1 is a
-    :class:`ConfigError` before any step, for every law but the nodal one,
-    whose lambda is a row-sum bound above its stiffness when points share a
-    node; otherwise the result is one ``warning:`` line.  Both, led by
-    ``member``, name the largest dt that divides t_end and passes this gate.
-    ``load_config`` does not call this: a sweep gates its members, not the
-    INI's own law, which no member runs.
+    :class:`ConfigError` before any step; otherwise the result is one
+    ``warning:`` line.  Both, led by ``member``, name the largest dt that
+    divides t_end and passes this gate.  ``load_config`` does not call this:
+    a sweep gates its members, not the INI's own law, which no member runs.
     """
     r, stepper = cfg.step_ratio, cfg.stepper
     if r <= 0.9 or stepper.n_steps == 0:
@@ -337,19 +335,16 @@ def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if cfg.ratio_at(t_end / mid) >= 1.0 else (lo, mid)
     largest = f"the largest dt that divides t_end with r < 1 is dt = {t_end:g}/{hi} = {t_end / hi!r}"
-    if r < 1.0:
-        state = (
-            f", near the explicit feedback's limit r = 1: the energy can exceed the step's"
-            f" modified energy by the factor 1/(1 - r) = {1.0 / (1.0 - r):.6g}"
-        )
-    elif isinstance(cfg.controller, Nodal):
-        state = " >= 1, past the explicit feedback's limit: the step is unstable if the bound lambda is attained"
-    else:
+    if r >= 1.0:
         raise ConfigError(
             f"[time] {member}step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = {stepper.dt!r}: "
             f"past the explicit feedback's limit the step is unstable; {largest}"
         )
-    return f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}{state}; {largest}"
+    return (
+        f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g}, near the explicit"
+        f" feedback's limit r = 1: the energy can exceed the step's modified energy by the factor"
+        f" 1/(1 - r) = {1.0 / (1.0 - r):.6g}; {largest}"
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:

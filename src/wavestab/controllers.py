@@ -307,18 +307,16 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
 
 
 def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
-    """An upper bound on the largest eigenvalue of the feedback's stiffness mu * AC.
+    """The largest eigenvalue of the feedback's stiffness mu * AC, its largest real part for the nodal law.
 
     AC's largest eigenvalue is 1 for the modal, volume and subdomain laws.
     For the nodal law, mu * AC has the nonzero eigenvalues of the N x N
-    matrix whose k-th row is ``-observe(actuate(e_k))``, so its largest
-    absolute row sum bounds them (Gershgorin).  The bound is exact while no
-    two points share a node, and mu h/dx when each point sits on its own.
+    matrix whose k-th row is ``-observe(actuate(e_k))``.
     """
     if isinstance(spec, Nodal):
         observe, actuate, _, _ = _feedback_law(spec, grid)
         coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
-        return float(np.max(np.sum(np.abs(coupling), axis=1)))
+        return float(np.max(np.linalg.eigvals(-coupling).real))
     return spec.mu
 
 

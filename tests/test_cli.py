@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 from wavestab import __version__, analysis, cli, config, controllers, mode_matrix
-from wavestab import LEDGER_COLUMNS, StepperConfig, run
+from wavestab import LEDGER_COLUMNS, Nodal, StepperConfig, make_control_operator, make_grid, run
 from wavestab.cli import build_parser, main
 from wavestab.config import load_config
 
@@ -701,6 +701,44 @@ def test_a_fit_window_past_t_end_verifies_a_power_law_run(hi, window, tmp_path):
     assert verify["ok"] is True and verify["window"] == window
 
 
+# two certified pairs whose INI has no [initial] section, so u0 = u1 = 0: the volume pair (an
+# exponential check) and the satisfied power-law pair
+ZERO_DATA_INI = {
+    "exponential": """\
+[model]
+family = damped_wave
+b = 2.0
+bc = neumann
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = volume
+N = 4
+mu = 4.0
+
+[time]
+t_end = 1.0
+""",
+    "power_law": POWER_LAW_INI.replace("[initial]\nu0 = mode 1\n\n", ""),
+}
+
+
+@pytest.mark.parametrize("kind", list(ZERO_DATA_INI))
+def test_zero_initial_data_fail_verification_and_the_verdict_says_why(kind, tmp_path):
+    p = tmp_path / "zero.ini"
+    p.write_text(ZERO_DATA_INI[kind])
+    assert "[initial]" not in p.read_text()
+    assert main(["check", "--config", str(p)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    verify = json.loads((out / "report.json").read_text())["verify"]
+    assert verify["ok"] is False
+    assert verify["error"] == (
+        "u0 and u1 are zero or too small: stab_norm stays at or below 1e-13, so there is no decay to verify"
+    )
+
+
 class TestTheRefusalAgreesWithTheChecks:
     """A run with exactly the records its check needs in the check's window loads and verifies;
     with one fewer it is refused at load."""
@@ -851,12 +889,15 @@ class TestStepRatio:
         for line, member in zip(lines, ["", "", "mu=40500: "]):
             assert line.startswith(f"error: [time] {member}step ratio r = dt^2 (lambda - a)/4 = 1.012")
 
-    # r = dt^2 (mu - a)/4 = 1 at mu = 4/dt^2 + a = 40001: one part in 1e6 either side
-    @pytest.mark.parametrize("pair", ["volume-damped_wave", "fourier-damped_wave", "subdomain-damped_wave"])
+    # r = dt^2 (lambda - a)/4 = 1 at lambda = 4/dt^2 + a = 40001: one part in 1e6 either side.  lambda
+    # is mu, but mu h/dx = 16 mu for the nodal law, whose four midpoints each sit on a node
+    @pytest.mark.parametrize("pair", ["volume-damped_wave", "fourier-damped_wave", "subdomain-damped_wave",
+                                      "nodal-strongly_damped"])
     @pytest.mark.parametrize("mu, refused", [("40000.96", False), ("40001.04", True)])
     def test_check_refuses_a_ratio_just_past_one(self, pair, mu, refused, tmp_path, capsys):
         p = tmp_path / "limit.ini"
-        p.write_text(re.sub(r"^mu = .*$", f"mu = {mu}", pair_ini(pair), flags=re.M))
+        per_mu = 16.0 if pair.startswith("nodal") else 1.0
+        p.write_text(re.sub(r"^mu = .*$", f"mu = {float(mu) / per_mu!r}", pair_ini(pair), flags=re.M))
         code = main(["check", "--config", str(p)])
         err = capsys.readouterr().err
         if refused:
@@ -864,16 +905,31 @@ class TestStepRatio:
         else:
             assert code in (0, 1) and err == ""
 
-    def test_a_nodal_ratio_past_one_only_warns(self, tmp_path, capsys):
-        # lambda = mu h/dx = 16 mu bounds the nodal stiffness, so r = 1.2 here
+    def test_a_nodal_ratio_past_one_is_refused_before_any_step(self, tmp_path, capsys):
+        # lambda = mu h/dx = 16 mu, so r = 1.2 here
         p = tmp_path / "nodal.ini"
         p.write_text(pair_ini("nodal-strongly_damped").replace("mu = 1.0", "mu = 3000"))
         out = tmp_path / "out"
-        code = main(["run", "--config", str(p), "--out", str(out)])
-        report = json.loads((out / "report.json").read_text())
-        assert code != 2 and report["step_ratio"] == pytest.approx(1e-4 * (48000 - 1) / 4, rel=1e-12)
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 1.19998 >= 1")
+        r = 1e-4 * (48000 - 1) / 4
+        assert line.startswith(f"error: [time] step ratio r = dt^2 (lambda - a)/4 = {r!r} >= 1 at dt = 0.01:")
+
+    def test_a_nodal_ratio_near_one_from_its_exact_lambda_warns(self, tmp_path, capsys):
+        # N = 100 midpoints on 64 cells: the dense mu * AC's largest eigenvalue is 1.005934 mu, where
+        # its row sum is 1.1008 mu; this mu puts r at 0.95 by the first, and at 1.04 by the second
+        g = make_grid(np.pi, 64, "dirichlet")
+        control = make_control_operator(Nodal(100, 1.0), g)
+        per_mu = float(np.max(np.linalg.eigvals(-np.stack([control(e) for e in np.eye(g.n_nodes)], axis=-1)).real))
+        mu = (4.0 * 0.95 / 0.01**2 + 1.0) / per_mu
+        p = tmp_path / "nodal.ini"
+        p.write_text(pair_ini("nodal-strongly_damped").replace("N = 4\nmu = 1.0", f"N = 100\nmu = {mu!r}"))
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code != 2
+        assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 0.95, near the explicit")
+        assert "by the factor 1/(1 - r) = 20;" in line
 
     def test_a_sweep_warns_once_for_the_member_near_one_and_runs(self, tmp_path, capsys):
         # a = 0: r = dt^2 mu/4 is 0.25 at mu = 1e4 and 0.975 at mu = 3.9e4
@@ -885,14 +941,14 @@ class TestStepRatio:
         assert code == 0
         assert line.startswith("warning: mu=39000: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 0.975,")
 
-    def test_a_nodal_sweep_member_past_one_only_warns(self, tmp_path, capsys):
+    def test_a_nodal_sweep_member_past_one_is_refused(self, tmp_path, capsys):
         p = tmp_path / "nodal.ini"
         p.write_text(pair_ini("nodal-strongly_damped"))
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(p), "--out", str(out), "--param", "mu", "--values", "1,3000"])
-        assert code != 2 and (out / "mu=3000" / "report.json").exists()
+        assert code == 2 and not out.exists()
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("warning: mu=3000: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 1.19998 >= 1")
+        assert line.startswith("error: [time] mu=3000: step ratio r = dt^2 (lambda - a)/4 = 1.199975 >= 1")
 
     @pytest.mark.parametrize("command, calls", [
         (["run"], 1),

@@ -953,12 +953,14 @@ def step_map(stepper):
     ("dirichlet", FourierModes(2, 0.0)),
     ("neumann", VolumeElements(4, 0.0)),
     ("dirichlet", SubdomainControl(Subdomain(1.0, 2.5), 0.0)),
-], ids=["fourier", "volume", "subdomain"])
+    ("dirichlet", Nodal(64, 0.0)),  # midpoints closer than dx: lambda/mu = 0.999398, where a row sum reads 1
+], ids=["fourier", "volume", "subdomain", "nodal"])
 def test_the_step_gate_refuses_where_the_linearized_step_grows(bc, law):
-    # mu = 4 r/dt^2 + a puts the gate's r = dt^2 (mu - a)/4 at r; past r = 1, rho(G) > 1
+    # mu = (4 r/dt^2 + a)/(lambda/mu) puts the gate's r = dt^2 (lambda - a)/4 at r; past r = 1, rho(G) > 1
     model, g, dt = damped_wave(1.0, 1.0, 2.0, bc), make_grid(PI, 64, bc), 0.01
-    for r, stable in ((0.99, True), (1.01, False)):
-        spec = dataclasses.replace(law, mu=4.0 * r / dt**2 + model.a)
+    per_mu = controllers.feedback_stiffness(dataclasses.replace(law, mu=1.0), g)
+    for r, stable in ((0.99, True), (0.999, True), (1.001, False), (1.01, False)):
+        spec = dataclasses.replace(law, mu=(4.0 * r / dt**2 + model.a) / per_mu)
         stepper = StepperConfig(dt=dt, t_end=1.0)
         cfg = ExperimentConfig(g, model, spec, zeros(g), zeros(g), stepper, (0.2, 0.9), 0.8, {})
         assert cfg.step_ratio == pytest.approx(r, rel=1e-12)
