@@ -42,7 +42,6 @@ from .grid import (
     BoundaryCondition,
     Field,
     Grid1D,
-    State,
     h1_seminorm_sq,
     integral,
     laplacian_stencil,
@@ -81,7 +80,6 @@ __all__ = [
     "BoundaryCondition",
     "Grid1D",
     "Field",
-    "State",
     "make_grid",
     "zeros",
     "integral",

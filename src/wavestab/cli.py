@@ -63,7 +63,7 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
     ``stab_norm`` never exceeds ``analysis.STAB_FLOOR`` fails every test:
     its initial data leave no decay to verify.
     """
-    end = result.final_state.t  # the time of the last record
+    end = result.t  # the time of the last record
     fit_window, _ = check_window("exponential", cfg.window, end)
     try:
         fit = fit_exponential(result.ledger, fit_window)
@@ -131,7 +131,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
     t3 = time.perf_counter()
     stepping = t1 - t0 - result.setup_seconds - result.ledger_seconds
     # the steps taken: all of them, or up to the one that blew up
-    steps = round((result.blowup_time or result.final_state.t) / cfg.stepper.dt)
+    steps = round((result.blowup_time or result.t) / cfg.stepper.dt)
     doc = {
         "version": __version__,
         # trajectories depend at round-off on which LAPACK build runs
@@ -143,7 +143,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str) -> tuple[dict, int]:
         "n_steps": cfg.stepper.n_steps,
         "dt": cfg.stepper.dt,
         "step_ratio": cfg.step_ratio,
-        "t_reached": result.final_state.t,
+        "t_reached": result.t,
         "records": len(result.ledger),
         "fit": fit_dict,
         "verify": verify,

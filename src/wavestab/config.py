@@ -7,8 +7,8 @@ malformed, and any section or key not in :data:`KEYS`, raises
 :class:`ConfigError` carrying the section/key context so the CLI can exit
 with a usage error.
 
-:func:`step_gate` decides the explicit feedback's step limit, r < 1; the CLI
-prints what it decides.
+:func:`step_gate` decides the explicit feedback's step limit, r < 1, and
+warns where r < 1 does not bound the step; the CLI prints what it decides.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .controllers import (
     Nodal,
     SubdomainControl,
     VolumeElements,
+    actuation_is_adjoint,
     certificate,
     feedback_stiffness,
     make_control_operator,
@@ -111,7 +112,9 @@ class ExperimentConfig:
 
         The IMEX step takes the feedback and ``a*u`` explicitly; it is
         stable, and its modified energy positive, while r < 1, and the
-        physical energy can exceed the modified one by 1/(1 - r).
+        physical energy can exceed the modified one by 1/(1 - r).  That
+        holds for a law that actuates through the adjoint of its
+        observation; for one that does not, r < 1 is only necessary.
         """
         return dt**2 * (self._stiffness - self.model.a) / 4.0
 
@@ -320,11 +323,22 @@ def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
     A config with no step, or with r <= 0.9, passes (None).  r >= 1 is a
     :class:`ConfigError` before any step; otherwise the result is one
     ``warning:`` line.  Both, led by ``member``, name the largest dt that
-    divides t_end and passes this gate.  ``load_config`` does not call this:
-    a sweep gates its members, not the INI's own law, which no member runs.
+    divides t_end and passes this gate.  A law that does not actuate
+    through the adjoint of its observation is warned about at any r < 1
+    instead, as r < 1 does not bound its step.  ``load_config`` does not
+    call this: a sweep gates its members, not the INI's own law, which no
+    member runs.
     """
     r, stepper = cfg.step_ratio, cfg.stepper
-    if r <= 0.9 or stepper.n_steps == 0:
+    if stepper.n_steps == 0:
+        return None
+    if r < 1.0 and not actuation_is_adjoint(cfg.controller, cfg.grid):
+        return (
+            f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g} < 1, which is"
+            " necessary but does not bound this law's step: its actuation is not the adjoint of its"
+            " observation, so the step can grow at any r"
+        )
+    if r <= 0.9:
         return None
     # the fewest steps n with r(t_end/n) < 1, by bisection on r itself, which
     # does not rise with n: r(t_end/lo) >= 1 (or lo = 0) and r(t_end/hi) < 1

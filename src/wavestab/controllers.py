@@ -230,7 +230,8 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     feedback ``actuate(observe(u))`` is minus the weighted gradient of that
     energy; the nodal law interpolates at its observation points and
     actuates with that interpolation's transpose at its actuation points,
-    so for it this holds when the two agree, as the default midpoints do.
+    so for it this holds when the two agree, as the default midpoints do
+    (:func:`actuation_is_adjoint`).
     ``feedback(u)`` is ``actuate(observe(u))`` of one state ``(n,)``, what
     the time step calls.  The modal law's runs the same two BLAS products
     without the block's reshapes, so it too equals, bit for bit, the
@@ -318,6 +319,18 @@ def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
         coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
         return float(np.max(np.linalg.eigvals(-coupling).real))
     return spec.mu
+
+
+def actuation_is_adjoint(spec: ControllerSpec, grid: Grid1D) -> bool:
+    """Whether the law actuates through the adjoint of its observation (see :func:`_feedback_law`).
+
+    Every law does, except a nodal law whose resolved observation and
+    actuation points differ.
+    """
+    if isinstance(spec, Nodal):
+        obs, act = spec.points(grid.L)
+        return np.array_equal(obs, act)
+    return True
 
 
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:

@@ -118,23 +118,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class State:
-    """Pair (u, v) = (displacement, velocity) on a common grid at time t."""
-
-    u: Field
-    v: Field
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("u and v must live on the same grid")
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.u.grid
-
-
 def zeros(grid: Grid1D) -> Field:
     return Field(grid, np.zeros(grid.n_nodes))
 

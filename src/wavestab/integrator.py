@@ -49,7 +49,7 @@ from .controllers import (
     make_control_operator,
     make_energy_operator,
 )
-from .grid import BoundaryCondition, Field, Grid1D, State, laplacian_stencil
+from .grid import BoundaryCondition, Field, Grid1D, laplacian_stencil
 from .models import LEDGER_COLUMNS, ModelSpec, energy_record, source
 
 BLOWUP_LIMIT = 1.0e12
@@ -109,15 +109,19 @@ LEDGER_BLOCK_VALUES = 1 << 14
 
 @dataclass
 class RunResult:
-    """One trajectory's energy ledger plus blow-up bookkeeping.
+    """One trajectory's energy ledger, last state and blow-up bookkeeping.
 
     ``ledger`` has one row per record and ``models.LEDGER_COLUMNS``'s
     columns, without ``lyapunov`` when the (law, family) pair has no
-    perturbed-energy functional.
+    perturbed-energy functional.  ``u`` and ``v`` are the nodal values of
+    the last state the run reached, the last good one after a blow-up,
+    and ``t`` is its time.
     """
 
     ledger: np.ndarray
-    final_state: State
+    u: np.ndarray
+    v: np.ndarray
+    t: float
     blowup_time: Optional[float] = None
     ledger_seconds: float = 0.0  # wall time spent evaluating the ledger
     setup_seconds: float = 0.0  # wall time before the first step: operators and factorization
@@ -335,5 +339,4 @@ def run(
             us[held], vs[held] = u, v
             held += 1
     flush(held)
-    final = State(Field(grid, u), Field(grid, v), t)
-    return RunResult(ledger[:done], final, blowup_time, ledger_s, setup_s)
+    return RunResult(ledger[:done], u, v, t, blowup_time, ledger_s, setup_s)

@@ -10,7 +10,6 @@ from wavestab import (
     FourierModes,
     Nodal,
     NoControl,
-    State,
     SubdomainControl,
     VolumeElements,
     laplacian_stencil,
@@ -20,6 +19,9 @@ from wavestab import (
 )
 
 L_PI = float(np.pi)
+# a nodal law whose 13 observation and 13 actuation points are drawn inside their elements (numpy seed 3)
+_DRAW = np.random.default_rng(3).uniform(size=(2, 13))
+DISTINCT = Nodal(13, 1.0, *(tuple((np.arange(13) + row) * L_PI / 13) for row in _DRAW))
 
 
 @pytest.fixture
@@ -46,10 +48,6 @@ def random_trig_field(grid, rng, degree=12):
         if grid.bc is BoundaryCondition.NEUMANN:
             vals += rng.uniform(-1.0, 1.0) * np.cos(j * np.pi * x / grid.L)
     return Field(grid, vals)
-
-
-def random_state(grid, rng, degree=12):
-    return State(random_trig_field(grid, rng, degree), random_trig_field(grid, rng, degree))
 
 
 def min_eig_shifted(grid, chi, mu):

@@ -306,7 +306,7 @@ def test_criterion_8_integrator_fidelity():
     for dt in (4e-3, 2e-3, 1e-3):
         res = run(model, FourierModes(1, 0.0), _mode(grid, 1), _zero(grid),
                   StepperConfig(dt=dt, t_end=1.0))
-        errs.append(float(np.max(np.abs(res.final_state.u.values - exact))))
+        errs.append(float(np.max(np.abs(res.u - exact))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     order_ok = all(1.8 <= q <= 2.2 for q in orders)
 
@@ -319,9 +319,7 @@ def test_criterion_8_integrator_fidelity():
 
     again = run(free, FourierModes(1, 0.0), _mode(grid, 1), _zero(grid),
                 StepperConfig(dt=1e-3, t_end=10.0, record_every=100))
-    same = np.array_equal(again.final_state.u.values, cons.final_state.u.values) and np.array_equal(
-        again.ledger, cons.ledger
-    )
+    same = np.array_equal(again.u, cons.u) and np.array_equal(again.ledger, cons.ledger)
 
     ok = order_ok and cons_ok and same
     _verdict(

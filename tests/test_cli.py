@@ -594,6 +594,32 @@ t_end = 4.0
 """
 
 
+# a nodal law on the damped wave, which no certificate covers, whose
+# actuation points sit 0.1 to the right of its observation points
+DISTINCT_INI = """\
+[model]
+family = damped_wave
+a = 1.0
+b = 2.0
+L = 3.141592653589793
+n_cells = 64
+
+[controller]
+variant = nodal
+N = 3
+mu = 2.0
+obs_points = 0.5, 1.5, 2.5
+act_points = 0.6, 1.6, 2.6
+
+[initial]
+u0 = random(3, 6)
+
+[time]
+dt = 0.01
+t_end = 1.0
+"""
+
+
 # certified runs the CLI verifies: the two families whose step takes no
 # stencil of v, and nodal points off the nodes (N = 3 on 64 cells), which
 # actuate through the transpose of their interpolation
@@ -930,6 +956,20 @@ class TestStepRatio:
         assert code != 2
         assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 0.95, near the explicit")
         assert "by the factor 1/(1 - r) = 20;" in line
+
+    def test_nodal_points_that_differ_warn_at_any_ratio(self, tmp_path, capsys):
+        # lambda < a puts r below 0 here, but r < 1 does not bound a step whose actuation points are
+        # not its observation points; the warning changes no exit code, and a sweep warns for its member
+        p = tmp_path / "distinct.ini"
+        p.write_text(DISTINCT_INI)
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "run")])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = -2.5e-05 < 1, which is necessary")
+        assert "but does not bound this law's step" in line
+        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep"), "--param", "mu", "--values", "2"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 0 and line.startswith("warning: mu=2: dt = 0.01 gives r")
 
     def test_a_sweep_warns_once_for_the_member_near_one_and_runs(self, tmp_path, capsys):
         # a = 0: r = dt^2 mu/4 is 0.25 at mu = 1e4 and 0.975 at mu = 3.9e4

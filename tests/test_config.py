@@ -699,8 +699,7 @@ class TestCertifiedPairs:
         if weights is None:
             assert res.ledger.shape[1] == len(LEDGER_COLUMNS) - 1  # no lyapunov column
             return
-        final = res.final_state
-        for row, u, v in ((res.ledger[0], cfg.u0, cfg.u1), (res.ledger[-1], final.u, final.v)):
-            rows = energy_record(cfg.model, cfg.grid, u.values, v.values, 0.0)
-            phi = lyapunov_eb(cfg.model, ctrl, cfg.grid, u.values, rows)
+        for row, u, v in ((res.ledger[0], cfg.u0.values, cfg.u1.values), (res.ledger[-1], res.u, res.v)):
+            rows = energy_record(cfg.model, cfg.grid, u, v, 0.0)
+            phi = lyapunov_eb(cfg.model, ctrl, cfg.grid, u, rows)
             assert row[LEDGER_COLUMNS.index("lyapunov")] == phi

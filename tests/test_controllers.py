@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavestab import (
-    Field,
     FourierModes,
     Nodal,
     NoControl,
-    State,
     Subdomain,
     SubdomainControl,
     VolumeElements,
@@ -37,16 +35,12 @@ from wavestab import (
     mu_zero,
     nonlinear_damping_wave,
     strongly_damped_wave,
-    zeros,
 )
 from wavestab import controllers
 
-from conftest import closed_loop_abscissa, one_state_observation, random_trig_field
+from conftest import DISTINCT, closed_loop_abscissa, one_state_observation, random_trig_field
 
 PI = np.pi
-# a nodal law whose 13 observation and 13 actuation points are drawn inside their elements (numpy seed 3)
-_DRAW = np.random.default_rng(3).uniform(size=(2, 13))
-DISTINCT = Nodal(13, 1.0, *(tuple((np.arange(13) + row) * PI / 13) for row in _DRAW))
 
 
 # ---------------------------------------------------------------------------
@@ -248,58 +242,60 @@ class TestControlFields:
         assert work == pytest.approx(-0.5 * (energy(u + e) - energy(u - e)), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "spec, bc",
+        "spec, bc, adjoint",
         [
-            (VolumeElements(4, 3.0), "neumann"),
-            (FourierModes(3, 3.0), "dirichlet"),
-            (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet"),
-            (Nodal(4, 3.0), "dirichlet"),
-            (Nodal(3, 3.0), "dirichlet"),
-            (Nodal(3, 3.0, obs_points=(0.1, 1.2, 3.0), act_points=(0.1, 1.2, 3.0)), "dirichlet"),
+            (VolumeElements(4, 3.0), "neumann", True),
+            (FourierModes(3, 3.0), "dirichlet", True),
+            (SubdomainControl(Subdomain(0.5, 1.7), 3.0), "dirichlet", True),
+            (Nodal(4, 3.0), "dirichlet", True),
+            (Nodal(3, 3.0), "dirichlet", True),
+            (Nodal(3, 3.0, obs_points=(0.1, 1.2, 3.0), act_points=(0.1, 1.2, 3.0)), "dirichlet", True),
+            (DISTINCT, "dirichlet", False),
         ],
-        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "nodal_points"],
+        ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "nodal_points",
+             "nodal_distinct_points"],
     )
-    def test_actuation_is_the_adjoint_of_the_observation(self, spec, bc):
-        # sum(w_q * control(u) * w) = -mu * sum(s * y(u) * y(w)), trapezoid weights w_q
+    def test_actuation_is_the_adjoint_of_the_observation(self, spec, bc, adjoint):
+        # sum(w_q * control(u) * w) = -mu * sum(s * y(u) * y(w)), trapezoid weights w_q,
+        # exactly where actuation_is_adjoint says so: not where the points differ
         g = make_grid(PI, 64, bc)
         rng = np.random.default_rng(12)
         u, w = rng.standard_normal((2, g.n_nodes))
         observe, _, s, _ = controllers._feedback_law(spec, g)
         work = np.sum(g.quad_weights * make_control_operator(spec, g)(u) * w)
-        assert work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13)
+        holds = bool(work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13))
+        assert controllers.actuation_is_adjoint(spec, g) is holds is adjoint
 
 
 class TestControllerEnergy:
     def test_volume_energy_of_constant(self):
         g = make_grid(PI, 60, "neumann")
         c, mu, N = 1.5, 2.0, 3
-        st_ = State(Field(g, np.full(g.n_nodes, c)), zeros(g))
         # (mu/2) * h * sum of squared means = (mu/2) * L * c^2
-        assert controller_energy(VolumeElements(N, mu), g, st_.u.values) == pytest.approx(
+        assert controller_energy(VolumeElements(N, mu), g, np.full(g.n_nodes, c)) == pytest.approx(
             0.5 * mu * PI * c * c
         )
 
     def test_fourier_energy_of_unit_mode(self):
         g = make_grid(PI, 256, "dirichlet")
-        st_ = State(Field(g, mode_matrix(g, 1)[0]), zeros(g))
-        assert controller_energy(FourierModes(2, 5.0), g, st_.u.values) == pytest.approx(2.5, abs=1e-9)
+        assert controller_energy(FourierModes(2, 5.0), g, mode_matrix(g, 1)[0]) == pytest.approx(2.5, abs=1e-9)
 
     def test_no_control_energy_is_zero(self):
         g = make_grid(PI, 64, "neumann")
-        st_ = State(random_trig_field(g, np.random.default_rng(2)), zeros(g))
-        assert controller_energy(NoControl(), g, st_.u.values) == 0.0
+        u = random_trig_field(g, np.random.default_rng(2)).values
+        assert controller_energy(NoControl(), g, u) == 0.0
 
     def test_energies_nonnegative(self):
         gd = make_grid(1.0, 120, "dirichlet")
         rng = np.random.default_rng(3)
         for _ in range(25):
-            st_ = State(random_trig_field(gd, rng, degree=8), zeros(gd))
+            u = random_trig_field(gd, rng, degree=8).values
             for spec in (
                 FourierModes(3, 1.3),
                 Nodal(6, 0.7),
                 SubdomainControl(Subdomain(0.2, 0.7), 2.0),
             ):
-                assert controller_energy(spec, gd, st_.u.values) >= 0.0
+                assert controller_energy(spec, gd, u) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +385,8 @@ class TestLawCache:
         spec_hi = dataclasses.replace(spec_lo, mu=7.25)
         for _ in range(2):  # the second pass is served from the cache
             for spec in (spec_lo, spec_hi):
-                st_ = State(random_trig_field(g, rng), zeros(g))
+                u = random_trig_field(g, rng).values
                 control, energy = uncached_operators(spec, g)
-                u = st_.u.values
                 assert controller_energy(spec, g, u) == energy(u)
                 np.testing.assert_array_equal(make_control_operator(spec, g)(u), control(u))
         # the gain is folded into the law's arrays: each gain has its own build,

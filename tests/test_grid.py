@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wavestab import (
     BoundaryCondition,
     Field,
-    State,
     h1_seminorm_sq,
     integral,
     laplacian_stencil,
@@ -163,10 +162,6 @@ class TestFieldState:
         f = zeros(neumann_grid)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
-
-    def test_state_requires_matching_grids(self, neumann_grid, dirichlet_grid):
-        with pytest.raises(ValueError):
-            State(zeros(neumann_grid), zeros(dirichlet_grid))
 
     def test_seminorm_counts_one_difference_per_cell(self):
         # a unit spike at one node: two cells change, on either boundary type,

@@ -15,7 +15,6 @@ from wavestab import (
     FourierModes,
     Nodal,
     NoControl,
-    State,
     StepperConfig,
     Subdomain,
     SubdomainControl,
@@ -38,7 +37,7 @@ from wavestab import LEDGER_COLUMNS, controllers, integrator, kernels
 from wavestab.config import ConfigError, ExperimentConfig, step_gate
 from wavestab.models import ledger_column, source
 
-from conftest import one_state_observation, reference_solution
+from conftest import DISTINCT, one_state_observation, reference_solution
 
 PI = np.pi
 
@@ -114,7 +113,7 @@ class TestLinearAccuracy:
         u0 = first_mode_state(g)
         res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=1e-3, t_end=1.0))
         expected = modal_solution(discrete_lambda1(g), 1.0, 1.0) * u0.values
-        err = np.max(np.abs(res.final_state.u.values - expected))
+        err = np.max(np.abs(res.u - expected))
         assert err < 5e-7  # O(dt^2)
 
     def test_second_order_convergence(self):
@@ -126,7 +125,7 @@ class TestLinearAccuracy:
         for dt in (0.02, 0.01, 0.005):
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=dt, t_end=1.0))
             expected = modal_solution(lam, 1.0, 1.0) * u0.values
-            errs.append(l2_error(g, res.final_state.u.values, expected))
+            errs.append(l2_error(g, res.u, expected))
         order = math.log(errs[0] / errs[-1]) / math.log(4)
         assert 1.8 <= order <= 2.2, f"observed order {order:.3f} from errors {errs}"
 
@@ -139,7 +138,7 @@ class TestLinearAccuracy:
         for dt in (0.02, 0.01):
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=dt, t_end=1.0))
             expected = modal_solution(lam, 1.0, 1.0) * u0.values
-            errs.append(l2_error(g, res.final_state.u.values, expected))
+            errs.append(l2_error(g, res.u, expected))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
 
@@ -170,8 +169,8 @@ def test_zero_state_stays_zero():
     g = make_grid(PI, 64, "neumann")
     model = damped_wave(1.0, 1.0, 2.0, "neumann")
     res = run(model, VolumeElements(2, 4.0), zeros(g), zeros(g), StepperConfig(dt=0.01, t_end=1.0))
-    assert not res.final_state.u.values.any()
-    assert not res.final_state.v.values.any()
+    assert not res.u.any()
+    assert not res.v.any()
 
 
 def test_t_end_zero_single_record():
@@ -180,7 +179,7 @@ def test_t_end_zero_single_record():
     u0 = first_mode_state(g, 2.0)
     res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=0.0))
     assert len(res.ledger) == 1
-    np.testing.assert_array_equal(res.final_state.u.values, u0.values)
+    np.testing.assert_array_equal(res.u, u0.values)
 
 
 def test_deterministic_reruns():
@@ -190,8 +189,8 @@ def test_deterministic_reruns():
     cfg = StepperConfig(dt=0.004, t_end=2.0)
     a = run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
     b = run(model, VolumeElements(2, 4.0), u0, zeros(g), cfg)
-    assert np.array_equal(a.final_state.u.values, b.final_state.u.values)
-    assert np.array_equal(a.final_state.v.values, b.final_state.v.values)
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.v, b.v)
     np.testing.assert_array_equal(a.ledger, b.ledger)
 
 
@@ -244,7 +243,7 @@ class TestBlowup:
         assert res.blew_up
         assert res.blowup_time is not None and 0 < res.blowup_time < 60.0
         assert len(res.ledger) > 0
-        assert np.all(np.isfinite(res.final_state.u.values))
+        assert np.all(np.isfinite(res.u))
 
     def test_constant_mode_growth_flagged(self):
         # Neumann, a=1, mu=0: the constant mode obeys u'' = u - b u' and grows
@@ -267,8 +266,8 @@ class TestBlowup:
             res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=5.0))
         assert res.blew_up
         assert res.blowup_time == 0.01
-        assert res.final_state.t == 0.0
-        np.testing.assert_array_equal(res.final_state.u.values, u0.values)
+        assert res.t == 0.0
+        np.testing.assert_array_equal(res.u, u0.values)
 
 
 class TestBlowupLimit:
@@ -362,9 +361,8 @@ class TestPrefactoredSolve:
         sym, w = symmetric_imex_system(model, g, cfg.dt)
         monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: solveh_banded(sym, w * rhs))
         ref = run(model, ctrl, u0, zeros(g), cfg)
-        a, b = fast.final_state, ref.final_state
-        np.testing.assert_array_equal(a.u.values, b.u.values)
-        np.testing.assert_array_equal(a.v.values, b.v.values)
+        np.testing.assert_array_equal(fast.u, ref.u)
+        np.testing.assert_array_equal(fast.v, ref.v)
         assert len(fast.ledger) == len(ref.ledger) == 11
         np.testing.assert_array_equal(fast.ledger, ref.ledger)
 
@@ -387,10 +385,8 @@ class TestPrefactoredSolve:
         assert info == 0
         monkeypatch.setattr(kernels, "thomas_solve", lambda _f, rhs: dgttrs(*lu, rhs)[0])
         ref = run(model, law, u0, zeros(g), cfg)
-        for got, want in ((fast.final_state.u, ref.final_state.u), (fast.final_state.v, ref.final_state.v)):
-            np.testing.assert_allclose(
-                got.values, want.values, rtol=0.0, atol=1e-12 * np.max(np.abs(want.values))
-            )
+        for got, want in ((fast.u, ref.u), (fast.v, ref.v)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
         np.testing.assert_allclose(fast.ledger, ref.ledger, rtol=0.0, atol=1e-12 * np.max(np.abs(ref.ledger)))
 
     def test_one_factorisation_per_run(self, monkeypatch):
@@ -433,8 +429,8 @@ def test_imex_converges_to_the_reference_at_order_two(name):
     u_ref, v_ref = reference_solution(model, law, u0, v0, 1.0)
     errs = []
     for dt in (0.004, 0.002, 0.001):
-        final = run(model, law, u0, v0, StepperConfig(dt=dt, t_end=1.0, record_every=1000)).final_state
-        errs.append(max(np.max(np.abs(final.u.values - u_ref)), np.max(np.abs(final.v.values - v_ref))))
+        res = run(model, law, u0, v0, StepperConfig(dt=dt, t_end=1.0, record_every=1000))
+        errs.append(max(np.max(np.abs(res.u - u_ref)), np.max(np.abs(res.v - v_ref))))
     order = math.log(errs[0] / errs[-1]) / math.log(4)
     assert 1.9 <= order <= 2.1, f"observed order {order:.3f} from errors {errs}"
 
@@ -513,11 +509,10 @@ def test_final_state_matches_last_record():
     model = damped_wave(1.0, 0.0, 1.0, "dirichlet")
     u0 = first_mode_state(g)
     res = run(model, NoControl(), u0, zeros(g), StepperConfig(dt=0.01, t_end=0.5))
-    final = res.final_state
-    assert final.t == 0.5 and final.u.grid == g and final.u.values.shape == (g.n_nodes,)
-    assert not np.shares_memory(final.u.values, u0.values)
-    last = energy_record(model, g, final.u.values, final.v.values, 0.0)
-    np.testing.assert_array_equal(res.ledger[-1], [final.t, *last[:7]])
+    assert res.t == 0.5 and res.u.shape == res.v.shape == (g.n_nodes,)
+    assert not np.shares_memory(res.u, u0.values)
+    last = energy_record(model, g, res.u, res.v, 0.0)
+    np.testing.assert_array_equal(res.ledger[-1], [res.t, *last[:7]])
 
 
 def test_grid_mismatch_rejected():
@@ -679,7 +674,7 @@ def test_workspace_step_and_ledger_match_the_paths_they_replaced(name):
         for a, want in zip(got, (u, v)):
             np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
         ref.append(per_state_ledger_row(model, law, g, k * cfg.dt, u, v))
-    np.testing.assert_allclose(res.final_state.u.values, u, rtol=0.0, atol=1e-13 * np.max(np.abs(u)))
+    np.testing.assert_allclose(res.u, u, rtol=0.0, atol=1e-13 * np.max(np.abs(u)))
     ref = np.array(ref)
     scale = np.max(np.abs(ref[0, 1:]))  # E(0): the largest energy term of the first record
     np.testing.assert_allclose(res.ledger, ref, rtol=0.0, atol=1e-13 * scale)
@@ -759,9 +754,9 @@ def test_the_step_is_the_keyword_step_bit_for_bit(name):
         want = keyword_advance(before, *want)
         for a, b in zip(state, want):
             assert a.tobytes() == b.tobytes()
-    final = run(model, law, u0, u1, cfg).final_state
-    assert final.u.values.tobytes() == want[0].tobytes()
-    assert final.v.values.tobytes() == want[1].tobytes()
+    res = run(model, law, u0, u1, cfg)
+    assert res.u.tobytes() == want[0].tobytes()
+    assert res.v.tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +775,12 @@ LEDGER_CASES = {
 }
 
 
-def alone(model, law, st):
-    """The ledger row of one state, evaluated by itself."""
-    g, u, v = st.grid, st.u.values, st.v.values
+def alone(model, law, g, t, u, v):
+    """The ledger row of the state (u, v) at time t, evaluated by itself."""
     rows = energy_record(model, g, u, v, controller_energy(law, g, u))
     cert = controllers.certificate(model, law)
     lyapunov = [] if cert is None or cert.weights is None else [phi(model, law, g, u, v)]
-    return np.array([st.t, *rows[:7], *lyapunov])
+    return np.array([t, *rows[:7], *lyapunov])
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_CASES))
@@ -802,8 +796,8 @@ def test_the_ledger_does_not_depend_on_the_block_width(name, monkeypatch):
         monkeypatch.setattr(integrator, "LEDGER_BLOCK_VALUES", width * g.n_nodes)
         res = run(model, law, u0, zeros(g), cfg)
         np.testing.assert_array_equal(res.ledger, default.ledger)
-    np.testing.assert_array_equal(default.ledger[0], alone(model, law, State(u0, zeros(g))))
-    np.testing.assert_array_equal(default.ledger[-1], alone(model, law, default.final_state))
+    np.testing.assert_array_equal(default.ledger[0], alone(model, law, g, 0.0, u0.values, np.zeros(g.n_nodes)))
+    np.testing.assert_array_equal(default.ledger[-1], alone(model, law, g, default.t, default.u, default.v))
 
 
 # a linear wave whose five low modes grow at rate ~4.9 without feedback:
@@ -819,10 +813,9 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
     u0 = Field(g, np.sin(g.nodes) + 0.5 * np.sin(2.0 * g.nodes))
     res = run(BLOWUP_MODEL, FourierModes(5, 0.0), u0, zeros(g), StepperConfig(dt=0.01, t_end=8.0))
     assert res.blew_up and 5.0 < res.blowup_time < 6.0
-    final = res.final_state
-    assert final.t == pytest.approx(res.blowup_time - 0.01)
-    assert len(res.ledger) == round(final.t / 0.01) + 1
-    np.testing.assert_array_equal(res.ledger[-1], alone(BLOWUP_MODEL, FourierModes(5, 0.0), final))
+    assert res.t == pytest.approx(res.blowup_time - 0.01)
+    assert len(res.ledger) == round(res.t / 0.01) + 1
+    np.testing.assert_array_equal(res.ledger[-1], alone(BLOWUP_MODEL, FourierModes(5, 0.0), g, res.t, res.u, res.v))
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_CASES))
@@ -841,14 +834,14 @@ def test_the_one_state_feedback_is_the_block_observation_actuated(name):
 # ---------------------------------------------------------------------------
 
 def stepped_one_by_one(model, law, u0, u1, cfg):
-    """(ledger, blowup_time, t_reached) of the loop as it was first written: each
-    step through the exact ``_within_limit``, with no screen, and each recorded
-    state's ledger row evaluated alone."""
+    """(ledger, blowup_time, t_reached, u, v) of the loop as it was first written:
+    each step through the exact ``_within_limit``, with no screen, and each
+    recorded state's ledger row evaluated alone; u and v are the last good state."""
     g = u0.grid
     stepper = integrator._ImexStepper(model, g, cfg.dt, make_control_operator(law, g))
     record = set(cfg.record_steps.tolist())
     u, v, t = u0.values, u1.values, 0.0
-    rows, blowup_time = [alone(model, law, State(u0, u1))], None
+    rows, blowup_time = [alone(model, law, g, t, u, v)], None
     for k in range(1, cfg.n_steps + 1):
         u_new, v_new = stepper.advance(u, v)
         if not integrator._within_limit(u_new, v_new):
@@ -856,20 +849,21 @@ def stepped_one_by_one(model, law, u0, u1, cfg):
             break
         u, v, t = u_new, v_new, k * cfg.dt
         if k in record:
-            rows.append(alone(model, law, State(Field(g, u), Field(g, v), t)))
-    return np.array(rows), blowup_time, t
+            rows.append(alone(model, law, g, t, u, v))
+    return np.array(rows), blowup_time, t, u, v
 
 
 class TestLoopBookkeeping:
-    """The blow-up time, the time reached and the ledger rows, exactly as stepped one by one."""
+    """The blow-up time, the time reached, the last state and the ledger rows, exactly as stepped one by one."""
 
     GRID = make_grid(PI, 64, "dirichlet")
     CUBIC = damped_wave(1.0, 1.0, 0.5, "dirichlet", 4.0)
 
     def same_as_stepped(self, model, law, u0, cfg):
         res = run(model, law, u0, zeros(u0.grid), cfg)
-        ledger, blowup_time, t = stepped_one_by_one(model, law, u0, zeros(u0.grid), cfg)
-        assert (res.blowup_time, res.final_state.t) == (blowup_time, t)
+        ledger, blowup_time, t, u, v = stepped_one_by_one(model, law, u0, zeros(u0.grid), cfg)
+        assert (res.blowup_time, res.t) == (blowup_time, t)
+        assert res.u.tobytes() == u.tobytes() and res.v.tobytes() == v.tobytes()
         assert res.ledger.shape == ledger.shape and res.ledger.tobytes() == ledger.tobytes()
         return res
 
@@ -883,7 +877,7 @@ class TestLoopBookkeeping:
         u0 = Field(g, 100.0 * np.sin(g.nodes))
         cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=3)
         res = self.same_as_stepped(self.CUBIC, FourierModes(2, 0.0), u0, cfg)
-        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (13 * 0.01, 12 * 0.01, 5)
+        assert (res.blowup_time, res.t, len(res.ledger)) == (13 * 0.01, 12 * 0.01, 5)
 
     def test_a_run_whose_step_overflows_to_nan(self):
         # |u|^38 u overflows in the first half step, and the solve turns it into NaN
@@ -891,7 +885,7 @@ class TestLoopBookkeeping:
         u0 = Field(self.GRID, 1e10 * np.sin(self.GRID.nodes))
         with np.errstate(over="ignore", invalid="ignore"):
             res = self.same_as_stepped(model, NoControl(), u0, StepperConfig(dt=0.01, t_end=1.0))
-        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (0.01, 0.0, 1)
+        assert (res.blowup_time, res.t, len(res.ledger)) == (0.01, 0.0, 1)
 
     def test_a_nan_after_some_records(self, monkeypatch):
         # the seventh step of each stepper returns a NaN in one velocity node
@@ -908,12 +902,12 @@ class TestLoopBookkeeping:
         u0 = Field(self.GRID, np.sin(self.GRID.nodes))
         cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=2)
         res = self.same_as_stepped(self.CUBIC, FourierModes(2, 3.0), u0, cfg)
-        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (7 * 0.01, 6 * 0.01, 4)
+        assert (res.blowup_time, res.t, len(res.ledger)) == (7 * 0.01, 6 * 0.01, 4)
 
     def test_a_zero_step_run(self):
         u0 = Field(self.GRID, np.sin(self.GRID.nodes))
         res = self.same_as_stepped(self.CUBIC, FourierModes(2, 3.0), u0, StepperConfig(dt=0.01, t_end=0.0))
-        assert (res.blowup_time, res.final_state.t, len(res.ledger)) == (None, 0.0, 1)
+        assert (res.blowup_time, res.t, len(res.ledger)) == (None, 0.0, 1)
 
 
 def test_an_advance_that_swaps_itself_out_in_its_first_call_runs_once(monkeypatch):
@@ -972,3 +966,23 @@ def test_the_step_gate_refuses_where_the_linearized_step_grows(bc, law):
             assert rho > 1.0
             with pytest.raises(ConfigError, match="step ratio"):
                 step_gate(cfg)
+
+
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct_points", "midpoints"])
+def test_the_step_gate_warns_where_r_does_not_bound_the_step(distinct):
+    # at r = 0.5 the step of DISTINCT grows, as its actuation is not the adjoint of its
+    # observation; 13 midpoints give a stable step
+    model, g, dt = damped_wave(1.0, 1.0, 2.0, "dirichlet"), make_grid(PI, 64, "dirichlet"), 0.01
+    law = DISTINCT if distinct else Nodal(13, 1.0)
+    spec = dataclasses.replace(law, mu=(4.0 * 0.5 / dt**2 + model.a) / controllers.feedback_stiffness(law, g))
+    cfg = ExperimentConfig(g, model, spec, zeros(g), zeros(g), StepperConfig(dt=dt, t_end=1.0), (0.2, 0.9), 0.8, {})
+    assert cfg.step_ratio == pytest.approx(0.5, rel=1e-12)
+    G = step_map(integrator._ImexStepper(model, g, dt, make_control_operator(spec, g)))
+    rho = np.max(np.abs(np.linalg.eigvals(G)))
+    if distinct:
+        assert rho > 1.0
+        assert step_gate(cfg).startswith(
+            "warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = 0.5 < 1, which is necessary but does not bound"
+        )
+    else:
+        assert rho < 1.0 and step_gate(cfg) is None

@@ -9,9 +9,7 @@ import pytest
 from wavestab import (
     BoundaryCondition,
     Family,
-    Field,
     ModelSpec,
-    State,
     damped_wave,
     energy_record,
     h1_seminorm_sq,
@@ -20,7 +18,6 @@ from wavestab import (
     mode_matrix,
     nonlinear_damping_wave,
     strongly_damped_wave,
-    zeros,
 )
 
 from wavestab.models import LEDGER_COLUMNS, power, source
@@ -32,10 +29,6 @@ from conftest import reference_acceleration
 ROW_NAMES = LEDGER_COLUMNS[1:-1] + ("h1_sq", "l2_sq", "cross")
 
 PI = np.pi
-
-
-def make_state(grid, u_vals, v_vals):
-    return State(Field(grid, np.asarray(u_vals, float)), Field(grid, np.asarray(v_vals, float)))
 
 
 # --------------------------------------------------------------------------
@@ -231,9 +224,9 @@ def test_linear_source_is_a_times_u():
 # energy records
 # --------------------------------------------------------------------------
 
-def record(st, m, controller=0.0):
-    """The ledger rows of one State, by name."""
-    rows = energy_record(m, st.grid, st.u.values, st.v.values, controller)
+def record(m, g, u, v, controller=0.0):
+    """The ledger rows of one state's nodal values ``u`` and ``v``, by name."""
+    rows = energy_record(m, g, np.asarray(u, float), np.asarray(v, float), controller)
     return dict(zip(ROW_NAMES, rows))
 
 
@@ -241,14 +234,14 @@ class TestEnergyRecord:
     def test_zero_state(self):
         g = make_grid(PI, 64, "dirichlet")
         m = damped_wave(1.0, 1.0, 1.0, "dirichlet")
-        r = record(State(zeros(g), zeros(g)), m)
+        r = record(m, g, np.zeros(g.n_nodes), np.zeros(g.n_nodes))
         assert all(r[k] == 0.0 for k in ("kinetic", "grad", "quadratic", "lp", "total", "stab_norm"))
 
     def test_pure_mode_partition(self):
         g = make_grid(PI, 512, "dirichlet")
-        u = Field(g, mode_matrix(g, 1)[0])
+        u = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet", 2.0)
-        r = record(State(u, zeros(g)), m)
+        r = record(m, g, u, np.zeros(g.n_nodes))
         assert r["kinetic"] == 0.0
         assert r["grad"] == pytest.approx(0.5, rel=1e-4)
         assert r["lp"] == pytest.approx(0.5, rel=1e-6)
@@ -258,21 +251,21 @@ class TestEnergyRecord:
         g = make_grid(PI, 512, "dirichlet")
         w = mode_matrix(g, 1)[0]
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        r = record(make_state(g, w, w), m)
+        r = record(m, g, w, w)
         assert r["stab_norm"] == pytest.approx(2.0, rel=1e-4)
 
     def test_controller_term_passthrough(self):
         g = make_grid(PI, 64, "dirichlet")
         m = damped_wave(1.0, 0.0, 1.0, "dirichlet")
-        r = record(State(zeros(g), zeros(g)), m, controller=0.75)
+        r = record(m, g, np.zeros(g.n_nodes), np.zeros(g.n_nodes), controller=0.75)
         assert r["controller"] == 0.75
         assert r["total"] == 0.75
 
     def test_quadratic_term_is_negative(self):
         g = make_grid(PI, 128, "neumann")
         m = damped_wave(1.0, 2.0, 1.0, "neumann")
-        st = make_state(g, np.ones(g.n_nodes), np.zeros(g.n_nodes))
-        assert record(st, m)["quadratic"] == pytest.approx(-PI, rel=1e-12)  # -(a/2)*||1||^2 = -pi
+        r = record(m, g, np.ones(g.n_nodes), np.zeros(g.n_nodes))
+        assert r["quadratic"] == pytest.approx(-PI, rel=1e-12)  # -(a/2)*||1||^2 = -pi
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_rows_are_the_grid_norms(self, bc):
@@ -280,7 +273,7 @@ class TestEnergyRecord:
         rng = np.random.default_rng(4)
         m = damped_wave(1.5, 0.7, 1.0, bc, 4.0)
         u, v = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
-        r = record(make_state(g, u, v), m)
+        r = record(m, g, u, v)
         h1, uu, vv = h1_seminorm_sq(g, u), integral(g, u, u), integral(g, v, v)
         # the trapezoid weights against a BLAS dot product
         assert vv == pytest.approx(float(np.dot(g.quad_weights, v * v)), rel=1e-13)
