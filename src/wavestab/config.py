@@ -31,10 +31,9 @@ from .controllers import (
     Nodal,
     SubdomainControl,
     VolumeElements,
-    actuation_is_adjoint,
     certificate,
+    feedback_law,
     feedback_stiffness,
-    make_control_operator,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
 from .integrator import StepperConfig, default_dt
@@ -153,38 +152,48 @@ def parse_profile(text: str) -> tuple[str, tuple[float, ...]]:
     return (kind, args)
 
 
-def build_profile(grid: Grid1D, text: str, amplitude: float) -> Field:
-    """Realize a named profile on the grid, scaled by ``amplitude``; the text is checked at any amplitude."""
+def build_profile(grid: Grid1D, text: str, amplitude: float, key: str = "u0") -> Field:
+    """Realize a named profile on the grid, scaled by ``amplitude``; the text is checked at any amplitude.
+
+    A scaled profile that is not finite is a :class:`ConfigError` naming
+    ``key``, the ``[initial]`` key that holds the profile, and its amplitude key.
+    """
     kind, args = parse_profile(text)
     if kind == "zero":
         return zeros(grid)
     x = grid.nodes
-    if kind == "mode":
-        k = int(args[0])
-        lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
-        # the nodes resolve n_nodes modes; any higher one aliases onto these
-        if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
-            raise ConfigError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
-        if grid.bc is BoundaryCondition.DIRICHLET:
-            vals = sine_mode(grid, k)
-        else:
-            vals = np.cos(k * np.pi * x / grid.L)
-    elif kind == "bump":
-        center, width = args
-        if width <= 0.0:
-            raise ConfigError(f"bump width must be positive, got {width}")
-        vals = np.exp(-(((x - center) / width) ** 2))
-    else:  # random trigonometric polynomial
-        # a degree of n_cells or more aliases onto lower modes
-        if any(a != int(a) for a in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
-            need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
-            raise ConfigError(f"profile {text!r} needs {need}")
-        seed, degree = int(args[0]), int(args[1])
-        rng = np.random.default_rng([seed, 0])
-        vals = np.zeros_like(x)
-        for row in trig_table(grid, degree):  # one coefficient per row, summed in row order
-            vals += rng.uniform(-1.0, 1.0) * row
-    return zeros(grid) if amplitude == 0.0 else Field(grid, amplitude * vals)
+    with np.errstate(over="ignore"):  # an overflow is refused below, by key, not warned about
+        if kind == "mode":
+            k = int(args[0])
+            lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
+            # the nodes resolve n_nodes modes; any higher one aliases onto these
+            if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
+                raise ConfigError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
+            if grid.bc is BoundaryCondition.DIRICHLET:
+                vals = sine_mode(grid, k)
+            else:
+                vals = np.cos(k * np.pi * x / grid.L)
+        elif kind == "bump":
+            center, width = args
+            if width <= 0.0:
+                raise ConfigError(f"bump width must be positive, got {width}")
+            vals = np.exp(-(((x - center) / width) ** 2))
+        else:  # random trigonometric polynomial
+            # a degree of n_cells or more aliases onto lower modes
+            if any(a != int(a) for a in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
+                need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
+                raise ConfigError(f"profile {text!r} needs {need}")
+            seed, degree = int(args[0]), int(args[1])
+            rng = np.random.default_rng([seed, 0])
+            vals = np.zeros_like(x)
+            for row in trig_table(grid, degree):  # one coefficient per row, summed in row order
+                vals += rng.uniform(-1.0, 1.0) * row
+        if amplitude == 0.0:
+            return zeros(grid)
+        vals = amplitude * vals
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"[initial] {key} = {text!r} times {key}_amplitude = {amplitude!r} is not finite")
+    return Field(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,7 @@ def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
                 controller = SubdomainControl(Subdomain(lo, hi), mu)
             else:
                 controller = law(sec.int("n", required=True), mu)
-        make_control_operator(controller, grid)
+        feedback_law(controller, grid)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -332,7 +341,7 @@ def step_gate(cfg: ExperimentConfig, member: str = "") -> Optional[str]:
     r, stepper = cfg.step_ratio, cfg.stepper
     if stepper.n_steps == 0:
         return None
-    if r < 1.0 and not actuation_is_adjoint(cfg.controller, cfg.grid):
+    if r < 1.0 and not feedback_law(cfg.controller, cfg.grid).adjoint:
         return (
             f"warning: {member}dt = {stepper.dt!r} gives r = dt^2 (lambda - a)/4 = {r:.6g} < 1, which is"
             " necessary but does not bound this law's step: its actuation is not the adjoint of its"
@@ -372,8 +381,8 @@ def load_config(path: str) -> ExperimentConfig:
     controller = build_controller(raw.get("controller", {}), grid)
 
     init_sec = _Section("initial", raw.get("initial", {}))
-    u0 = build_profile(grid, init_sec.str("u0", "zero"), init_sec.float("u0_amplitude", 1.0))
-    u1 = build_profile(grid, init_sec.str("u1", "zero"), init_sec.float("u1_amplitude", 1.0))
+    u0 = build_profile(grid, init_sec.str("u0", "zero"), init_sec.float("u0_amplitude", 1.0), "u0")
+    u1 = build_profile(grid, init_sec.str("u1", "zero"), init_sec.float("u1_amplitude", 1.0), "u1")
 
     time_sec = _Section("time", raw["time"])
     t_end = time_sec.float("t_end", required=True)

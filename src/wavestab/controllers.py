@@ -195,29 +195,26 @@ def _require_dirichlet(grid: Grid1D, what: str) -> None:
 
 
 class FeedbackLaw(NamedTuple):
-    """A law as :func:`_feedback_law` builds it."""
+    """A law as :func:`feedback_law` builds it."""
 
     observe: Callable  # nodal values, of one state or a block, to y
     actuate: Callable  # one state's y to the nodal forcing -mu * A y
     s: np.ndarray  # the weights of the controller energy
-    feedback: Callable  # actuate(observe(u)) of one state, what the time step calls
+    adjoint: bool  # whether actuate is the adjoint of observe
 
 
 def _frozen_law(
-    observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray, feedback: Optional[Callable] = None
+    observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray, adjoint: bool = True
 ) -> FeedbackLaw:
-    """The law, with ``s`` and the arrays its closures hold made read-only.
-
-    ``feedback`` defaults to ``actuate(observe(u))``.
-    """
+    """The law, with ``s`` and the arrays its closures hold made read-only."""
     for arr in (s, *held):
         arr.flags.writeable = False
-    return FeedbackLaw(observe, actuate, s, feedback or (lambda u: actuate(observe(u))))
+    return FeedbackLaw(observe, actuate, s, adjoint)
 
 
 @lru_cache(maxsize=16)
-def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
-    """The law as (observe, actuate, s, feedback), validated and built once per (controller, grid).
+def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
+    """The law as (observe, actuate, s, adjoint), validated and built once per (controller, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y along the
     last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
@@ -225,17 +222,13 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     which spreads y back onto the nodes with -mu folded once into the law's
     arrays: the modal matrix, the subdomain's indicator, the nodal ``h/dx``
     scale, or the element values before their two gathers.  The controller
-    energy is ``1/2 * mu * sum(s * y**2)``.  The actuation is the adjoint of
-    the observation (weights s on y, trapezoid weights on the nodes), so the
-    feedback ``actuate(observe(u))`` is minus the weighted gradient of that
-    energy; the nodal law interpolates at its observation points and
-    actuates with that interpolation's transpose at its actuation points,
-    so for it this holds when the two agree, as the default midpoints do
-    (:func:`actuation_is_adjoint`).
-    ``feedback(u)`` is ``actuate(observe(u))`` of one state ``(n,)``, what
-    the time step calls.  The modal law's runs the same two BLAS products
-    without the block's reshapes, so it too equals, bit for bit, the
-    actuation of that state's row of a block observation.
+    energy is ``1/2 * mu * sum(s * y**2)``.  ``adjoint`` says whether the
+    actuation is the adjoint of the observation (weights s on y, trapezoid
+    weights on the nodes), so that the feedback ``actuate(observe(u))`` is
+    minus the weighted gradient of that energy.  Every law's is, except a
+    nodal law's whose resolved observation and actuation points differ: it
+    interpolates at its observation points and actuates with that
+    interpolation's transpose at its actuation points.
 
     The cache makes the ledger's energy calls a lookup, not a rebuild.  The
     arrays the laws hold are read-only.
@@ -266,13 +259,10 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         Wq = W * grid.quad_weights
         gW = -spec.mu * W
 
-        def observe_modes(u):  # one matrix-vector product per state, a block or not
-            return np.matmul(Wq, u[..., None])[..., 0]
+        def observe_modes(u):  # one gemv per state: by the method dot for one, cheaper than @
+            return Wq.dot(u) if u.ndim == 1 else np.matmul(Wq, u[..., None])[..., 0]
 
-        def feedback_modes(u):  # one state: the same two BLAS gemv, by the method dot, cheaper than @
-            return Wq.dot(u).dot(gW)
-
-        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), Wq, gW, feedback=feedback_modes)
+        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), Wq, gW)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
@@ -294,7 +284,8 @@ def _feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
             return np.bincount(act_idx, (gw * y).ravel(), grid.n_nodes)
 
         held = (act_idx, gw, lo, hi, w_lo, w_hi)
-        return _frozen_law(observe_nodal, actuate_nodal, np.full(spec.N, h), *held)
+        s = np.full(spec.N, h)
+        return _frozen_law(observe_nodal, actuate_nodal, s, *held, adjoint=np.array_equal(obs, act))
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -315,33 +306,22 @@ def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
     matrix whose k-th row is ``-observe(actuate(e_k))``.
     """
     if isinstance(spec, Nodal):
-        observe, actuate, _, _ = _feedback_law(spec, grid)
+        observe, actuate, _, _ = feedback_law(spec, grid)
         coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
         return float(np.max(np.linalg.eigvals(-coupling).real))
     return spec.mu
 
 
-def actuation_is_adjoint(spec: ControllerSpec, grid: Grid1D) -> bool:
-    """Whether the law actuates through the adjoint of its observation (see :func:`_feedback_law`).
-
-    Every law does, except a nodal law whose resolved observation and
-    actuation points differ.
-    """
-    if isinstance(spec, Nodal):
-        obs, act = spec.points(grid.L)
-        return np.array_equal(obs, act)
-    return True
-
-
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
     """Compile the feedback law into an array-in/array-out closure of one state.
 
-    :func:`_feedback_law` validates the law (boundary type, alignment, point
+    :func:`feedback_law` validates the law (boundary type, alignment, point
     placement) and folds -mu into its arrays once per (controller, grid);
-    the returned closure is its one-state ``feedback``, what a time stepper
+    the returned closure is ``actuate(observe(u))``, what a time stepper
     should call.
     """
-    return _feedback_law(spec, grid).feedback
+    observe, actuate, _, _ = feedback_law(spec, grid)
+    return lambda u: actuate(observe(u))
 
 
 def make_energy_operator(
@@ -356,7 +336,7 @@ def make_energy_operator(
     of a block as it observes the row alone, so each state gets the number
     it gets alone, bit for bit.
     """
-    observe, _, s, _ = _feedback_law(spec, grid)
+    observe, _, s, _ = feedback_law(spec, grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):

@@ -18,12 +18,12 @@ scheme reduces to plain Crank--Nicolson and conserves the discrete energy
 to round-off, because the discrete Laplacian is exactly self-adjoint under
 the trapezoid weights and the H1 seminorm is its associated quadratic
 form.  Each step's work is one stencil of u, one solve, one evaluation of
-the law's one-state feedback (two for nonlinear damping, whose predictor
-needs its own), the explicit terms written into a workspace built with the
-stepper, and a sum-of-squares screen of the new state; the solve works in
-place, so a step allocates little besides the new state it returns.  The
-one-state feedback is the law's block observation, actuated, bit for bit
-(see ``controllers._feedback_law``).  The tests check the step at order 2
+the feedback (two for nonlinear damping, whose predictor needs its own),
+the explicit terms written into a workspace built with the stepper, and a
+sum-of-squares screen of the new state; the solve works in place, so a
+step allocates little besides the new state it returns.  The feedback is
+the law's observation of the state, actuated (see
+``controllers.feedback_law``).  The tests check the step at order 2
 against a ``scipy.integrate.solve_ivp`` reference of the same semi-discrete
 system, written independently, on every family.
 

@@ -307,6 +307,26 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["u0", "u1"])
+    def test_a_profile_that_overflows_exits_two_naming_its_keys(self, tmp_path, capsys, key):
+        p = tmp_path / "overflow.ini"
+        initial = f"{key} = random(3, 6)\n{key}_amplitude = 1e308"
+        p.write_text(VOLUME_INI.replace("u0 = bump(1.5707963267948966, 0.5)", initial))
+        assert main(["check", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [initial] {key} = 'random(3, 6)' times {key}_amplitude = 1e+308 is not finite\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_bump_too_narrow_for_a_float_loads_without_a_warning(self, tmp_path):
+        # ((x - 1) / 1e-300)**2 overflows to inf away from x = 1, where exp(-inf) = 0
+        p = tmp_path / "narrow.ini"
+        p.write_text(VOLUME_INI.replace("u0 = bump(1.5707963267948966, 0.5)", "u0 = bump(1.0, 1e-300)"))
+        np.testing.assert_array_equal(load_config(str(p)).u0.values, 0.0)
+
     @pytest.mark.parametrize(
         "old,new", [("mu = 4.0", "mu = inf"), ("mu = 4.0", "mu = nan"), ("nu = 1.0", "nu = inf")]
     )

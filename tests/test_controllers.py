@@ -127,7 +127,7 @@ class TestControlFields:
         # 0.4 dx lies between the implicit zero at 0 and stored node 0,
         # so the point's whole weight, 0.4, goes to node 0
         g = make_grid(PI, 64, "dirichlet")
-        actuate = controllers._feedback_law(Nodal(3, 2.0, act_points=(0.4 * g.dx, 1.5, 2.5)), g).actuate
+        actuate = controllers.feedback_law(Nodal(3, 2.0, act_points=(0.4 * g.dx, 1.5, 2.5)), g).actuate
         out = actuate(np.array([1.0, 0.0, 0.0]))
         assert np.flatnonzero(out).tolist() == [0]
         assert out[0] == pytest.approx(-2.0 * (PI / 3) / g.dx * 0.4, rel=1e-14)
@@ -251,20 +251,22 @@ class TestControlFields:
             (Nodal(3, 3.0), "dirichlet", True),
             (Nodal(3, 3.0, obs_points=(0.1, 1.2, 3.0), act_points=(0.1, 1.2, 3.0)), "dirichlet", True),
             (DISTINCT, "dirichlet", False),
+            # the resolved points decide, not which fields the spec writes out
+            (Nodal(3, 3.0, act_points=tuple((np.arange(3) + 0.5) * (PI / 3))), "dirichlet", True),
         ],
         ids=["volume", "fourier", "subdomain", "nodal_on_nodes", "nodal_off_nodes", "nodal_points",
-             "nodal_distinct_points"],
+             "nodal_distinct_points", "nodal_midpoints_written_out"],
     )
     def test_actuation_is_the_adjoint_of_the_observation(self, spec, bc, adjoint):
         # sum(w_q * control(u) * w) = -mu * sum(s * y(u) * y(w)), trapezoid weights w_q,
-        # exactly where actuation_is_adjoint says so: not where the points differ
+        # exactly where the law says it is adjoint: not where the points differ
         g = make_grid(PI, 64, bc)
         rng = np.random.default_rng(12)
         u, w = rng.standard_normal((2, g.n_nodes))
-        observe, _, s, _ = controllers._feedback_law(spec, g)
+        observe, _, s, law_adjoint = controllers.feedback_law(spec, g)
         work = np.sum(g.quad_weights * make_control_operator(spec, g)(u) * w)
         holds = bool(work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13))
-        assert controllers.actuation_is_adjoint(spec, g) is holds is adjoint
+        assert law_adjoint is holds is adjoint
 
 
 class TestControllerEnergy:
@@ -324,7 +326,7 @@ def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
 
 def uncached_operators(spec, grid):
     """Control and energy closures from a fresh build of the law, bypassing the cache."""
-    observe, actuate, s, _ = controllers._feedback_law.__wrapped__(spec, grid)
+    observe, actuate, s, _ = controllers.feedback_law.__wrapped__(spec, grid)
     return (
         lambda u: actuate(observe(u)),
         lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
@@ -334,9 +336,9 @@ def uncached_operators(spec, grid):
 class TestLawCache:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
-        controllers._feedback_law.cache_clear()
+        controllers.feedback_law.cache_clear()
         yield
-        controllers._feedback_law.cache_clear()
+        controllers.feedback_law.cache_clear()
 
     def test_one_layout_for_many_records(self, monkeypatch):
         calls = []
@@ -351,7 +353,7 @@ class TestLawCache:
         for _ in range(50):
             controller_energy(spec, g, random_trig_field(g, rng).values)
         assert len(calls) == 1
-        assert controllers._feedback_law.cache_info().currsize == 1
+        assert controllers.feedback_law.cache_info().currsize == 1
 
     def test_distinct_geometries_never_share_a_law(self):
         keys = [
@@ -369,9 +371,9 @@ class TestLawCache:
             (NoControl(), make_grid(PI, 64, "neumann")),
         ]
         rng = np.random.default_rng(9)
-        laws = [controllers._feedback_law(spec, g) for spec, g in keys]
+        laws = [controllers.feedback_law(spec, g) for spec, g in keys]
         assert len({id(law) for law in laws}) == len(keys)
-        assert controllers._feedback_law.cache_info().currsize == len(keys)
+        assert controllers.feedback_law.cache_info().currsize == len(keys)
         for spec, g in keys:
             u = random_trig_field(g, rng).values
             control, energy = uncached_operators(spec, g)
@@ -391,16 +393,16 @@ class TestLawCache:
                 np.testing.assert_array_equal(make_control_operator(spec, g)(u), control(u))
         # the gain is folded into the law's arrays: each gain has its own build,
         # and the second pass reuses both
-        info = controllers._feedback_law.cache_info()
+        info = controllers.feedback_law.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
 
     @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
     def test_cached_arrays_are_read_only(self, spec, bc):
         g = make_grid(PI, 64, bc)
-        observe, actuate, s, feedback = controllers._feedback_law(spec, g)
+        observe, actuate, s, _ = controllers.feedback_law(spec, g)
         held = [s] + [
             c.cell_contents
-            for fn in (observe, actuate, feedback)
+            for fn in (observe, actuate)
             for c in fn.__closure__ or ()
             if isinstance(c.cell_contents, np.ndarray)
         ]
@@ -425,7 +427,7 @@ def per_row_energy_operator(spec, grid):
     """The controller energy as it was evaluated before laws took blocks: one
     state at a time, each by a BLAS dot product of the one-state observation."""
     observe = one_state_observation(spec, grid)
-    s = controllers._feedback_law(spec, grid).s
+    s = controllers.feedback_law(spec, grid).s
     half_mu = 0.5 * spec.mu
 
     def energy(u):
@@ -445,7 +447,7 @@ def random_block(grid, K, seed):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
     g = make_grid(PI, 64, bc)
-    observe = controllers._feedback_law(spec, g).observe
+    observe = controllers.feedback_law(spec, g).observe
     energy = make_energy_operator(spec, g)
     u = np.random.default_rng(K).standard_normal((K, g.n_nodes))
     y, e = observe(u), energy(u)
@@ -458,7 +460,7 @@ def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
     g = make_grid(PI, 64, bc)
-    observe, actuate, _, _ = controllers._feedback_law(spec, g)
+    observe, actuate, _, _ = controllers.feedback_law(spec, g)
     reference = one_state_observation(spec, g)
     control = make_control_operator(spec, g)
     u = random_block(g, 64, 17)

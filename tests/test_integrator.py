@@ -626,7 +626,7 @@ def per_state_ledger_row(model, law, grid, t, u, v):
     vv, uu = integral_of(v * v), integral_of(u * u)
     kin, grad, quad = 0.5 * vv, 0.5 * model.nu * h1, -0.5 * model.a * uu
     lp = 0.0 if p is None else integral_of(np.abs(u) ** p / p)
-    s = controllers._feedback_law(law, grid).s
+    s = controllers.feedback_law(law, grid).s
     ctrl = 0.5 * law.mu * float(np.dot(s, one_state_observation(law, grid)(u) ** 2))
     row = [t, kin, grad, quad, lp, ctrl, kin + grad + quad + lp + ctrl, vv + h1]
     cert = controllers.certificate(model, law)
@@ -732,8 +732,8 @@ def keyword_advance(self, u, v):
 
 
 def block_feedback(law, grid):
-    """The feedback as the step took it before the one-state path: the law's observation, actuated."""
-    observe, actuate, _, _ = controllers._feedback_law(law, grid)
+    """The law's observation, actuated, composed here rather than by ``make_control_operator``."""
+    observe, actuate, _, _ = controllers.feedback_law(law, grid)
     return lambda u: actuate(observe(u))
 
 
@@ -822,11 +822,11 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
 def test_the_one_state_feedback_is_the_block_observation_actuated(name):
     model, law = LEDGER_CASES[name]
     g = make_grid(PI, 64, model.bc)
-    observe, actuate, _, feedback = controllers._feedback_law(law, g)
-    assert make_control_operator(law, g) is feedback
+    observe, actuate, _, _ = controllers.feedback_law(law, g)
+    control = make_control_operator(law, g)
     block = np.random.default_rng(17).standard_normal((9, g.n_nodes))
     for u, y in zip(block, observe(block)):
-        assert feedback(u).tobytes() == actuate(y).tobytes()
+        assert control(u).tobytes() == actuate(y).tobytes()
 
 
 # ---------------------------------------------------------------------------
