@@ -97,9 +97,12 @@ class ExperimentConfig:
 
     @cached_property
     def gain_report(self) -> Optional[GainReport]:
-        """The pair's gain report, evaluated once per config; None if ``controllers.CERTIFIED`` has no entry."""
+        """The pair's gain report, once per config (None if uncertified); a failed check is a ``[controller]`` error."""
         cert = certificate(self.model, self.controller)
-        return cert.gains(self.grid, self.model, self.controller) if cert is not None else None
+        try:
+            return cert.gains(self.grid, self.model, self.controller) if cert is not None else None
+        except ValueError as exc:
+            raise ConfigError(f"[controller] {exc}") from None
 
     @cached_property
     def _stiffness(self) -> float:

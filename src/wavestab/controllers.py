@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -212,7 +212,7 @@ def _frozen_law(
     return FeedbackLaw(observe, actuate, s, adjoint)
 
 
-@lru_cache(maxsize=16)
+@cache
 def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     """The law as (observe, actuate, s, adjoint), validated and built once per (controller, grid).
 
@@ -230,8 +230,8 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     interpolates at its observation points and actuates with that
     interpolation's transpose at its actuation points.
 
-    The cache makes the ledger's energy calls a lookup, not a rebuild.  The
-    arrays the laws hold are read-only.
+    Every law built is kept, so a sweep builds each member's law once and the
+    ledger's energy is a lookup; the arrays a shared law holds are read-only.
     """
     if isinstance(spec, NoControl):
         return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0))

@@ -15,7 +15,6 @@ factorization that the IMEX solve uses (:func:`wavestab.kernels.dpttrf`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,16 +44,13 @@ def sine_mode(grid: Grid1D, k) -> np.ndarray:
     return np.sqrt(2.0 / grid.L) * np.sin(k * np.pi * grid.nodes / grid.L)
 
 
-@lru_cache(maxsize=64)
 def mode_matrix(grid: Grid1D, N: int) -> np.ndarray:
-    """Rows w_1 .. w_N sampled at the nodes of a Dirichlet grid (cached, read-only)."""
+    """Rows w_1 .. w_N sampled at the nodes of a Dirichlet grid, a new array per call."""
     if grid.bc is not BoundaryCondition.DIRICHLET:
         raise ValueError("the sine modes are sampled on a Dirichlet grid")
     if N < 1:
         raise ValueError(f"need at least one mode, got N={N}")
-    W = sine_mode(grid, np.arange(1, N + 1)[:, None])
-    W.flags.writeable = False
-    return W
+    return sine_mode(grid, np.arange(1, N + 1)[:, None])
 
 
 def trig_table(grid: Grid1D, degree: int) -> np.ndarray:

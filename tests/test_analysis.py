@@ -106,6 +106,10 @@ class TestFitExponential:
         with pytest.raises(ValueError):
             fit_exponential(synth(np.exp(-ts), ts), window=(3.0, 2.0))
 
+    def test_empty_ledger_rejected(self):
+        with pytest.raises(ValueError, match="no records to fit"):
+            fit_exponential(synth([], []), window=(0.0, 1.0))
+
     def test_window_recorded(self):
         ts = np.linspace(0, 10, 100)
         fit = fit_exponential(synth(np.exp(-ts), ts), window=(2, 9))
@@ -221,6 +225,21 @@ class TestVerifyPolynomial:
         ts = np.linspace(1, 50, 5)
         with pytest.raises(ValueError):
             verify_polynomial(synth(ts ** (-1.0), ts), 1.0, window=(1.0, 50.0))
+
+    def test_rejects_an_empty_window(self):
+        ts = np.linspace(1, 50, 500)
+        with pytest.raises(ValueError, match="empty window"):
+            verify_polynomial(synth(ts ** (-1.0), ts), 1.0, window=(5.0, 5.0))
+
+    def test_needs_records_in_both_quarters(self):
+        ts = np.linspace(20, 30, 10)  # all in the middle half of (1, 50)
+        with pytest.raises(ValueError, match="quarters contain no records"):
+            verify_polynomial(synth(ts ** (-1.0), ts), 1.0, window=(1.0, 50.0))
+
+    def test_rejects_a_compensated_energy_that_is_not_positive(self):
+        ts = np.linspace(1, 50, 500)
+        with pytest.raises(ValueError, match="not positive on the first quarter"):
+            verify_polynomial(synth(np.zeros_like(ts), ts), 1.0, window=(5.0, 50.0))
 
 
 def test_masked_checks_match_the_per_record_loops():

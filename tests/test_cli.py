@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wavestab import __version__, analysis, cli, config, controllers, mode_matrix
+from wavestab import __version__, analysis, cli, config, controllers
 from wavestab import LEDGER_COLUMNS, Nodal, StepperConfig, make_control_operator, make_grid, run
 from wavestab.cli import build_parser, main
 from wavestab.config import load_config
@@ -371,8 +371,46 @@ def test_unreachable_subdomain_gap_is_config_error(command, tmp_path, capsys):
     assert main([command, "--config", str(p), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: gap target 2014 unreachable")
+    assert captured.err.startswith("error: [controller] gap target 2014 unreachable")
     assert "refine the grid or move omega" in captured.err
+    assert not out.exists()
+
+
+# subdomains whose gain check cannot be evaluated: (omega_lo, omega_hi) and the check's reason
+UNCHECKABLE_OMEGA = {
+    "gap_unreachable": ("0.0495", "3.1", "gap target 2014 unreachable"),
+    "both_ends": ("0", "3.141592653589793", "omega touches both ends"),
+    "between_nodes": ("0.01", "0.02", "omega contains no grid nodes"),
+}
+
+
+def omega_ini(lo, hi):
+    return UNREACHABLE_GAP_INI.replace("omega_lo = 0.0495", f"omega_lo = {lo}").replace(
+        "omega_hi = 3.1", f"omega_hi = {hi}")
+
+
+@pytest.mark.parametrize("lo,hi,reason", UNCHECKABLE_OMEGA.values(), ids=list(UNCHECKABLE_OMEGA))
+def test_load_config_names_the_controller_where_the_gain_check_cannot_be_evaluated(lo, hi, reason, tmp_path):
+    p = tmp_path / "omega.ini"
+    p.write_text(omega_ini(lo, hi))
+    with pytest.raises(config.ConfigError, match=rf"^\[controller\] {reason}"):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("command", ["check", "run", "sweep"])
+@pytest.mark.parametrize("geometry", ["both_ends", "between_nodes"])
+def test_an_omega_the_gain_check_cannot_evaluate_is_one_controller_error(geometry, command, tmp_path, capsys):
+    lo, hi, reason = UNCHECKABLE_OMEGA[geometry]
+    p = tmp_path / "omega.ini"
+    p.write_text(omega_ini(lo, hi))
+    out = tmp_path / "out"
+    argv = {"check": [], "run": ["--out", str(out)],
+            "sweep": ["--param", "mu", "--values", "5", "--out", str(out)]}[command]
+    assert main([command, "--config", str(p), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: [controller] {reason}")
     assert not out.exists()
 
 
@@ -381,6 +419,31 @@ def test_subdomain_beyond_the_grid_is_config_error(tmp_path, capsys):
     p.write_text(PAIR_INI.format(family="damped_wave", controller=SUBDOMAIN.replace("2.0", "3.5")))
     assert main(["check", "--config", str(p)]) == 2
     assert "[controller] omega_hi=3.5 lies beyond the grid's L=3.14159" in capsys.readouterr().err
+
+
+# [controller] texts whose one fault is the named key; each is refused before any law is built
+CONTROLLER_FAULTS = {
+    "unknown_variant": ("variant = bogus\nmu = 1.0", "variant 'bogus'"),
+    "volume_no_elements": (VOLUME.replace("N = 2", "N = 0"), "N=0"),
+    "fourier_no_modes": (FOURIER.replace("N = 2", "N = 0"), "N=0"),
+    "nodal_no_nodes": (NODAL.replace("N = 4", "N = 0"), "N=0"),
+    "obs_points_too_few": (NODAL + "\nobs_points = 0.3, 1.0", "obs_points"),
+    "obs_points_not_numbers": (NODAL + "\nobs_points = 0.3, one, 1.9, 2.8", "obs_points"),
+}
+
+
+@pytest.mark.parametrize("controller,key", CONTROLLER_FAULTS.values(), ids=list(CONTROLLER_FAULTS))
+def test_a_controller_key_at_fault_is_one_config_error(controller, key, tmp_path, capsys):
+    p = tmp_path / "fault.ini"
+    text = PAIR_INI.format(family="damped_wave", controller=controller)
+    p.write_text(text.replace("bc = dirichlet", "bc = neumann") if "volume" in controller else text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: [controller] ") and key in line
+    assert not out.exists()
 
 
 def test_nodal_actuation_on_the_boundary_is_config_error(tmp_path, capsys):
@@ -979,7 +1042,7 @@ class TestStepRatio:
 
     def test_nodal_points_that_differ_warn_at_any_ratio(self, tmp_path, capsys):
         # lambda < a puts r below 0 here, but r < 1 does not bound a step whose actuation points are
-        # not its observation points; the warning changes no exit code, and a sweep warns for its member
+        # not its observation points; the warning changes no exit code, and a sweep warns for each member
         p = tmp_path / "distinct.ini"
         p.write_text(DISTINCT_INI)
         code = main(["run", "--config", str(p), "--out", str(tmp_path / "run")])
@@ -987,9 +1050,12 @@ class TestStepRatio:
         assert code == 0
         assert line.startswith("warning: dt = 0.01 gives r = dt^2 (lambda - a)/4 = -2.5e-05 < 1, which is necessary")
         assert "but does not bound this law's step" in line
-        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep"), "--param", "mu", "--values", "2"])
-        (line,) = capsys.readouterr().err.splitlines()
-        assert code == 0 and line.startswith("warning: mu=2: dt = 0.01 gives r")
+        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "sweep"), "--param", "mu", "--values", "1,2"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 0 and len(lines) == 2
+        for line, member in zip(lines, ("mu=1: ", "mu=2: ")):
+            assert line.startswith(f"warning: {member}dt = 0.01 gives r")
+            assert "but does not bound this law's step" in line
 
     def test_a_sweep_warns_once_for_the_member_near_one_and_runs(self, tmp_path, capsys):
         # a = 0: r = dt^2 mu/4 is 0.25 at mu = 1e4 and 0.975 at mu = 3.9e4
@@ -1170,15 +1236,18 @@ class TestSweep:
             if rate:  # the member's own report, written as repr writes it
                 assert rate == repr(gain["predicted_rate"]) and gain["kind"] == "exponential"
 
-    def test_mu_sweep_computes_its_sine_table_once(self, tmp_path):
-        # each member builds its own law, its -mu folded in, from one cached sine table
-        mode_matrix.cache_clear()
+    @pytest.mark.parametrize("param,values", [
+        ("mu", [repr(8.5 * k / 32) for k in range(33)]),  # as many gains as sweep_mu; 4.25 is the INI's
+        ("N", [str(n) for n in range(1, 21)]),  # N = 2 is the INI's
+    ], ids=["mu", "N"])
+    def test_a_sweep_builds_each_members_law_once(self, param, values, tmp_path):
+        # each member's law is built when the sweep checks it, before any member runs; its run reuses it
+        controllers.feedback_law.cache_clear()
         ini = tmp_path / "fourier.ini"
-        ini.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER))
-        values = ",".join(repr(8.5 * k / 32) for k in range(33))
-        assert main(["sweep", "--config", str(ini), "--param", "mu", "--values", values]
+        ini.write_text(PAIR_INI.format(family="damped_wave", controller=FOURIER.replace("4.0", "4.25")))
+        assert main(["sweep", "--config", str(ini), "--param", param, "--values", ",".join(values)]
                     + ["--out", str(tmp_path / "sweep")]) == 0
-        assert mode_matrix.cache_info().misses == 1
+        assert controllers.feedback_law.cache_info().misses == len(values)
 
     def test_close_values_get_their_own_members(self, tmp_path):
         out = tmp_path / "sweep"
