@@ -18,6 +18,7 @@ form; the printed one is four times too small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class VerifyExponential:
     target_rate: float
     rate_ok: bool
     envelope_ok: bool
-    envelope_constant: float
+    envelope_constant: Optional[float]  # None past the float range
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,9 @@ def verify_exponential(
     one checked.  Passing requires (i) fitted rate >= safety * delta_target,
     and (ii) the envelope ``stab_norm(t) <= C exp(-safety*delta_target*t)``
     to hold over the window, with C calibrated on the records before the
-    window starts.  The outcome is monotone in ``safety``: passing at s
-    implies passing at any s' < s.
+    window starts; ``envelope_constant`` is C, or None past the float
+    range.  The outcome is monotone in ``safety``: passing at s implies
+    passing at any s' < s.
     """
     if delta_target <= 0.0:
         raise ValueError(f"target rate must be positive, got {delta_target}")
@@ -158,17 +160,20 @@ def verify_exponential(
     target = safety * delta_target
     rate_ok = fit.rate >= target
     t, s, usable = _decay(ledger, fit.window)
-    head = t <= fit.window[0]
-    const = float(np.max(s[head] * np.exp(target * t[head]))) if head.any() else 0.0
+    t0 = fit.window[0]  # C = c exp(target t0): exp(target t) alone overflows on a long run
+    head = t <= t0
+    c = float(np.max(s[head] * np.exp(target * (t[head] - t0)))) if head.any() else 0.0
     t, s = t[usable], s[usable]
-    envelope_ok = not np.any(s > const * np.exp(-target * t) * (1.0 + 1e-9))
+    envelope_ok = not np.any(s > c * np.exp(-target * (t - t0)) * (1.0 + 1e-9))
+    with np.errstate(over="ignore"):
+        const = c * np.exp(target * t0) if c > 0.0 else 0.0
     return VerifyExponential(
         ok=bool(rate_ok and envelope_ok),
         fit=fit,
         target_rate=target,
         rate_ok=bool(rate_ok),
         envelope_ok=envelope_ok,
-        envelope_constant=const,
+        envelope_constant=float(const) if np.isfinite(const) else None,
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: ``check``, ``run``, ``sweep``, ``lemmas``.
 
 Exit codes: 0 success, 1 conditions unsatisfied / verification or
-inequality failures, 2 usage or configuration errors, 3 solution blow-up.
+inequality failures, 2 usage or configuration errors or an output file
+that cannot be written, 3 solution blow-up.
 """
 
 from __future__ import annotations
@@ -362,6 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output file the CLI cannot write is a usage error too
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

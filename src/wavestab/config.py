@@ -33,7 +33,6 @@ from .controllers import (
     VolumeElements,
     certificate,
     feedback_law,
-    feedback_stiffness,
 )
 from .grid import BoundaryCondition, Field, Grid1D, make_grid, zeros
 from .integrator import StepperConfig, default_dt
@@ -104,13 +103,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"[controller] {exc}") from None
 
-    @cached_property
-    def _stiffness(self) -> float:
-        """lambda, from :func:`controllers.feedback_stiffness`, evaluated once per config."""
-        return feedback_stiffness(self.controller, self.grid)
-
     def ratio_at(self, dt: float) -> float:
-        """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda the largest eigenvalue of the feedback's stiffness.
+        """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda the ``stiffness`` of :func:`feedback_law`.
 
         The IMEX step takes the feedback and ``a*u`` explicitly; it is
         stable, and its modified energy positive, while r < 1, and the
@@ -118,7 +112,7 @@ class ExperimentConfig:
         holds for a law that actuates through the adjoint of its
         observation; for one that does not, r < 1 is only necessary.
         """
-        return dt**2 * (self._stiffness - self.model.a) / 4.0
+        return dt**2 * (feedback_law(self.controller, self.grid).stiffness - self.model.a) / 4.0
 
     @property
     def variant(self) -> str:

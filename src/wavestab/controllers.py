@@ -78,6 +78,7 @@ class Nodal:
 
     Both point families must place one point in each element
     J_k = [(k-1)h, kh), h = L/N; ``None`` means element midpoints.
+    :func:`feedback_law` resolves and checks them on the grid's L.
     """
 
     N: int
@@ -96,25 +97,6 @@ class Nodal:
                 if len(pts) != self.N:
                     raise ValueError(f"{name} must supply exactly N={self.N} points")
                 object.__setattr__(self, name, pts)
-
-    def points(self, L: float) -> tuple[np.ndarray, np.ndarray]:
-        """Resolved (obs, act) coordinates, validated against the elements."""
-        h = L / self.N
-        mid = (np.arange(self.N) + 0.5) * h
-        obs = np.asarray(self.obs_points, dtype=float) if self.obs_points else mid
-        act = np.asarray(self.act_points, dtype=float) if self.act_points else mid.copy()
-        for name, pts in (("obs", obs), ("act", act)):
-            lo = np.arange(self.N) * h
-            hi = lo + h
-            hi[-1] = L  # last element is closed at L
-            inside = (pts >= lo) & ((pts < hi) | ((np.arange(self.N) == self.N - 1) & (pts <= L)))
-            if not inside.all():
-                k = int(np.argmin(inside))
-                raise ValueError(
-                    f"{name} point {pts[k]:.6g} falls outside element {k + 1} "
-                    f"[{lo[k]:.6g}, {hi[k]:.6g})"
-                )
-        return obs, act
 
 
 @dataclass(frozen=True)
@@ -201,20 +183,21 @@ class FeedbackLaw(NamedTuple):
     actuate: Callable  # one state's y to the nodal forcing -mu * A y
     s: np.ndarray  # the weights of the controller energy
     adjoint: bool  # whether actuate is the adjoint of observe
+    stiffness: float  # lambda: the largest eigenvalue of mu * AC, its largest real part for a nodal law
 
 
 def _frozen_law(
-    observe: Callable, actuate: Callable, s: np.ndarray, *held: np.ndarray, adjoint: bool = True
+    observe: Callable, actuate: Callable, s: np.ndarray, stiffness: float, *held: np.ndarray, adjoint: bool = True
 ) -> FeedbackLaw:
     """The law, with ``s`` and the arrays its closures hold made read-only."""
     for arr in (s, *held):
         arr.flags.writeable = False
-    return FeedbackLaw(observe, actuate, s, adjoint)
+    return FeedbackLaw(observe, actuate, s, adjoint, stiffness)
 
 
 @cache
 def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
-    """The law as (observe, actuate, s, adjoint), validated and built once per (controller, grid).
+    """The law as (observe, actuate, s, adjoint, stiffness), validated and built once per (controller, grid).
 
     ``observe(u)`` gives the finitely many observed numbers y along the
     last axis, of one state ``(n,)`` or a block ``(K, n)``, each row of a
@@ -228,13 +211,18 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
     minus the weighted gradient of that energy.  Every law's is, except a
     nodal law's whose resolved observation and actuation points differ: it
     interpolates at its observation points and actuates with that
-    interpolation's transpose at its actuation points.
+    interpolation's transpose at its actuation points.  ``stiffness`` is
+    lambda, the largest eigenvalue of the feedback's stiffness mu * AC: mu
+    for the modal, volume and subdomain laws, whose AC has largest
+    eigenvalue 1, and 0 with no control.  For a nodal law mu * AC has the
+    nonzero eigenvalues of the N x N matrix whose k-th row is
+    ``-observe(actuate(e_k))``, and lambda is their largest real part.
 
     Every law built is kept, so a sweep builds each member's law once and the
     ledger's energy is a lookup; the arrays a shared law holds are read-only.
     """
     if isinstance(spec, NoControl):
-        return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0))
+        return _frozen_law(lambda u: u[..., :0], lambda y: np.zeros(grid.n_nodes), np.zeros(0), 0.0)
 
     if isinstance(spec, VolumeElements):
         weights, bounds, owner, m = element_layout(grid, spec.N)
@@ -249,7 +237,7 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
 
         s = np.full(spec.N, m * grid.dx)
         held = (weights, bounds, owner, left)
-        return _frozen_law(lambda u: element_averages(weights, bounds, u), actuate_volume, s, *held)
+        return _frozen_law(lambda u: element_averages(weights, bounds, u), actuate_volume, s, spec.mu, *held)
 
     if isinstance(spec, FourierModes):
         _require_dirichlet(grid, "modal")
@@ -262,17 +250,30 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         def observe_modes(u):  # one gemv per state: by the method dot for one, cheaper than @
             return Wq.dot(u) if u.ndim == 1 else np.matmul(Wq, u[..., None])[..., 0]
 
-        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), Wq, gW)
+        return _frozen_law(observe_modes, lambda c: c.dot(gW), np.ones(spec.N), spec.mu, Wq, gW)
 
     if isinstance(spec, Nodal):
         _require_dirichlet(grid, "nodal")
-        obs, act = spec.points(grid.L)
+        N, h = spec.N, grid.L / spec.N
+        mid = (np.arange(N) + 0.5) * h
+        obs = np.asarray(spec.obs_points, dtype=float) if spec.obs_points else mid
+        act = np.asarray(spec.act_points, dtype=float) if spec.act_points else mid
+        left = np.arange(N) * h
+        right = left + h
+        right[-1] = grid.L  # last element is closed at L
+        for name, pts in (("obs", obs), ("act", act)):
+            inside = (pts >= left) & ((pts < right) | ((np.arange(N) == N - 1) & (pts <= grid.L)))
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise ValueError(
+                    f"{name} point {pts[k]:.6g} falls outside element {k + 1} "
+                    f"[{left[k]:.6g}, {right[k]:.6g})"
+                )
         lo, hi, w_lo, w_hi = _interpolation(grid, obs)
         act_lo, act_hi, *act_w = _interpolation(grid, act)
         dead = act_w[0] + act_w[1] == 0.0  # a point at 0 or L: both weights fall on boundary nodes
         if dead.any():
             raise ValueError(f"actuation point {act[dead][0]:.6g} lies on the boundary, where u = 0")
-        h = grid.L / spec.N
         # the interpolation's transpose: -mu * h/dx * w * y onto the two nodes around each x_k
         act_idx = np.concatenate((act_lo, act_hi))
         gw = -spec.mu * h / grid.dx * np.stack(act_w)
@@ -283,9 +284,11 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
         def actuate_nodal(y):
             return np.bincount(act_idx, (gw * y).ravel(), grid.n_nodes)
 
+        coupling = observe_nodal(np.stack([actuate_nodal(e) for e in np.eye(N)]))
+        stiffness = float(np.max(np.linalg.eigvals(-coupling).real))
         held = (act_idx, gw, lo, hi, w_lo, w_hi)
-        s = np.full(spec.N, h)
-        return _frozen_law(observe_nodal, actuate_nodal, s, *held, adjoint=np.array_equal(obs, act))
+        s = np.full(N, h)
+        return _frozen_law(observe_nodal, actuate_nodal, s, stiffness, *held, adjoint=np.array_equal(obs, act))
 
     if isinstance(spec, SubdomainControl):
         _require_dirichlet(grid, "subdomain")
@@ -293,23 +296,9 @@ def feedback_law(spec: ControllerSpec, grid: Grid1D) -> FeedbackLaw:
             raise ValueError(f"omega_hi={spec.omega.hi} lies beyond the grid's L={grid.L}")
         chi = spec.omega.indicator(grid.nodes)
         g_chi = -spec.mu * chi
-        return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, chi, g_chi)
+        return _frozen_law(lambda u: u, lambda y: g_chi * y, grid.quad_weights * chi, spec.mu, chi, g_chi)
 
     raise TypeError(f"unknown controller specification {type(spec).__name__}")
-
-
-def feedback_stiffness(spec: ControllerSpec, grid: Grid1D) -> float:
-    """The largest eigenvalue of the feedback's stiffness mu * AC, its largest real part for the nodal law.
-
-    AC's largest eigenvalue is 1 for the modal, volume and subdomain laws.
-    For the nodal law, mu * AC has the nonzero eigenvalues of the N x N
-    matrix whose k-th row is ``-observe(actuate(e_k))``.
-    """
-    if isinstance(spec, Nodal):
-        observe, actuate, _, _ = feedback_law(spec, grid)
-        coupling = observe(np.stack([actuate(e) for e in np.eye(spec.N)]))
-        return float(np.max(np.linalg.eigvals(-coupling).real))
-    return spec.mu
 
 
 def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.ndarray], np.ndarray]:
@@ -320,7 +309,7 @@ def make_control_operator(spec: ControllerSpec, grid: Grid1D) -> Callable[[np.nd
     the returned closure is ``actuate(observe(u))``, what a time stepper
     should call.
     """
-    observe, actuate, _, _ = feedback_law(spec, grid)
+    observe, actuate, *_ = feedback_law(spec, grid)
     return lambda u: actuate(observe(u))
 
 
@@ -336,7 +325,7 @@ def make_energy_operator(
     of a block as it observes the row alone, so each state gets the number
     it gets alone, bit for bit.
     """
-    observe, _, s, _ = feedback_law(spec, grid)
+    observe, _, s, *_ = feedback_law(spec, grid)
     half_mu = 0.5 * spec.mu
 
     def energy(u):

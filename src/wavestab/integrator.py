@@ -79,6 +79,8 @@ class StepperConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.t_end > 0.0 and self.dt > self.t_end:
             raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end/dt = {self.t_end}/{self.dt} overflows: the step count must be finite")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
                 f"dt={self.dt} does not divide t_end={self.t_end}; the nearest dt "

@@ -105,7 +105,8 @@ def one_state_observation(spec, grid):
         Wq = mode_matrix(grid, spec.N) * grid.quad_weights
         return lambda u: Wq @ u
     if isinstance(spec, Nodal):
-        obs, _ = spec.points(grid.L)
+        midpoints = (np.arange(spec.N) + 0.5) * (grid.L / spec.N)
+        obs = np.array(spec.obs_points) if spec.obs_points else midpoints
         xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
         return lambda u: np.interp(obs, xs, np.concatenate(([0.0], u, [0.0])))
     if isinstance(spec, SubdomainControl):

@@ -165,6 +165,14 @@ class TestVerifyExponential:
         # head max of stab*exp(+target t) = 5 exp(-0.2 t), decreasing: hit at t=0
         assert res.envelope_constant == pytest.approx(5.0, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_envelope_constant_past_the_float_range_is_none_and_fails(self):
+        # a flat stab_norm: exp(0.8 t) over the head (t <= 900) overflows
+        ts = np.linspace(0.0, 4500.0, 901)
+        res = verify_over(synth(np.ones_like(ts), ts), 1.0, 0.8, (900.0, 4050.0))
+        assert res.envelope_constant is None
+        assert res.envelope_ok is False and res.ok is False
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive_target(self, bad):
         with pytest.raises(ValueError):

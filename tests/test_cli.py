@@ -321,6 +321,17 @@ class TestCheck:
         )
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("time", ["t_end = 1.0\ndt = 1e-320", "t_end = 1e300\ndt = 1e-300"])
+    def test_a_step_count_past_the_float_range_exits_two(self, tmp_path, capsys, time):
+        p = tmp_path / "steps.ini"
+        p.write_text(VOLUME_INI.replace("dt = 0.005\nt_end = 6.0", time))
+        assert time in p.read_text()
+        assert main(["check", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [time] t_end/dt = ") and err.count("\n") == 1
+        assert "the step count must be finite" in err
+
+    @pytest.mark.filterwarnings("error")
     def test_a_bump_too_narrow_for_a_float_loads_without_a_warning(self, tmp_path):
         # ((x - 1) / 1e-300)**2 overflows to inf away from x = 1, where exp(-inf) = 0
         p = tmp_path / "narrow.ini"
@@ -833,6 +844,50 @@ t_end = 1.0
 }
 
 
+# a source stronger than the feedback: the run settles at a nonzero state, and the
+# envelope's exp(target * t) over the records before the window (t <= 900) overflows
+SETTLING_INI = """\
+[model]
+family = damped_wave
+nu = 1.0
+a = 3.0
+b = 2.0
+nonlinearity = power
+p = 4.0
+bc = dirichlet
+L = 3.141592653589793
+n_cells = 32
+
+[controller]
+variant = fourier
+N = 1
+mu = 1.5
+
+[initial]
+u0 = mode 1
+u0_amplitude = 0.5
+
+[time]
+dt = 0.05
+t_end = 4500
+"""
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_envelope_past_the_float_range_fails_and_is_written_as_strict_json(tmp_path):
+    p = tmp_path / "settling.ini"
+    p.write_text(SETTLING_INI)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+    verify = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)["verify"]
+    assert verify["envelope_ok"] is False and verify["ok"] is False
+    assert verify["envelope_constant"] is None
+
+
 @pytest.mark.parametrize("kind", list(ZERO_DATA_INI))
 def test_zero_initial_data_fail_verification_and_the_verdict_says_why(kind, tmp_path):
     p = tmp_path / "zero.ini"
@@ -1078,14 +1133,17 @@ class TestStepRatio:
 
     @pytest.mark.parametrize("command, calls", [
         (["run"], 1),
-        (["sweep", "--param", "mu", "--values", "1e4,2e4,3.9e4"], 3),
+        (["sweep", "--param", "mu", "--values", "2100,2200,2300"], 4),  # the members and the INI's own law
     ], ids=["run", "sweep"])
     def test_the_stiffness_is_evaluated_once_per_stepped_config(self, command, calls, tmp_path, monkeypatch):
+        # a nodal law's lambda is one eigen-solve, made where the law is built
         seen = []
-        stiffness = config.feedback_stiffness
-        monkeypatch.setattr(config, "feedback_stiffness", lambda *a: seen.append(a) or stiffness(*a))
-        p = tmp_path / "step.ini"
-        p.write_text(STEP_INI.format(mu="3.9e4"))  # warned about, so the gate names a dt
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: seen.append(a) or eigvals(*a))
+        controllers.feedback_law.cache_clear()
+        p = tmp_path / "nodal.ini"
+        # r = 0.959975 at mu = 2400 and 0.919975 at mu = 2300: warned about, so the gate names a dt
+        p.write_text(pair_ini("nodal-strongly_damped").replace("mu = 1.0", "mu = 2400"))
         assert main([command[0], "--config", str(p), "--out", str(tmp_path / "out"), *command[1:]]) != 2
         assert len(seen) == calls
 
@@ -1520,6 +1578,23 @@ def test_an_out_path_that_cannot_be_created_exits_two(command, volume_ini, tmp_p
         assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
         assert err.count("\n") == 1
     assert started == []  # the path is checked before anything is simulated or computed
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "trajectory.csv"), ("sweep", "summary.csv"), ("lemmas", "lemmas.json"),
+])
+def test_an_output_file_that_cannot_be_written_exits_two(command, blocked, volume_ini, tmp_path, capsys):
+    args = {
+        "run": ["run", "--config", volume_ini],
+        "sweep": ["sweep", "--config", volume_ini, "--param", "mu", "--values", "4"],
+        "lemmas": ["lemmas"],
+    }[command]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(out / blocked)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_subcommand_exits_two():

@@ -333,9 +333,13 @@ t_end = 1.0
 """
         cfg = load_config(write(tmp_path, text))
         assert isinstance(cfg.controller, Nodal)
-        obs, act = cfg.controller.points(np.pi)
-        np.testing.assert_allclose(obs, [0.7, 2.2])
-        np.testing.assert_allclose(act, [0.8, 2.3])
+        # observing x reads back the observation points; actuating e_k and weighing
+        # by x reads back the actuation point x_k times the law's scale -mu h/dx
+        g = cfg.grid
+        observe, actuate, *_ = controllers.feedback_law(cfg.controller, g)
+        np.testing.assert_allclose(observe(g.nodes), [0.7, 2.2], rtol=0, atol=1e-12)
+        act = [np.dot(actuate(e), g.nodes) / -(np.pi / 2 / g.dx) for e in np.eye(2)]
+        np.testing.assert_allclose(act, [0.8, 2.3], rtol=0, atol=1e-12)
 
     def test_default_dt_and_records(self, tmp_path):
         text = BASE.replace("dt = 0.005\n", "")

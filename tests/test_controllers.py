@@ -116,11 +116,10 @@ class TestControlFields:
         out = make_control_operator(spec, g)(u.values)
         assert np.count_nonzero(out) <= 27
         # the midpoints sit on nodes: weight mu * h / dx at the node x_k, bit for bit
-        obs, act = spec.points(PI)
-        k = int(np.rint(act[0] / g.dx)) - 1
-        assert g.nodes[k] == act[0]
-        u_obs = np.interp(obs[0], np.concatenate(([0], g.nodes, [PI])), np.concatenate(([0], u.values, [0])))
         h = PI / 27
+        k = int(np.rint(0.5 * h / g.dx)) - 1
+        assert g.nodes[k] == 0.5 * h
+        u_obs = np.interp(0.5 * h, np.concatenate(([0], g.nodes, [PI])), np.concatenate(([0], u.values, [0])))
         assert out[k] == -4.3 * h / g.dx * u_obs
 
     def test_nodal_actuation_next_to_the_boundary(self):
@@ -164,21 +163,26 @@ class TestControlFields:
         control = make_control_operator(spec, g)
         stiffness = -np.stack([control(e) for e in np.eye(g.n_nodes)], axis=-1)  # mu * AC
         top = np.max(np.linalg.eigvals(stiffness).real)
-        assert controllers.feedback_stiffness(spec, g) == pytest.approx(top, rel=1e-9, abs=1e-12)
+        assert controllers.feedback_law(spec, g).stiffness == pytest.approx(top, rel=1e-9, abs=1e-12)
 
     def test_nodal_stiffness_with_each_point_on_its_own_node_is_mu_h_over_dx(self):
         g = make_grid(PI, 64, "dirichlet")
-        assert controllers.feedback_stiffness(Nodal(4, 3.0), g) == 3.0 * (PI / 4) / g.dx
+        assert controllers.feedback_law(Nodal(4, 3.0), g).stiffness == 3.0 * (PI / 4) / g.dx
 
     def test_nodal_explicit_points_roundtrip(self):
+        # observing the nodal values x reads back the points, to interpolation's round-off
+        g = make_grid(PI, 64, "dirichlet")
         spec = Nodal(3, 1.0, obs_points=(0.5, 1.5, 2.5), act_points=(0.6, 1.6, 2.6))
-        obs, act = spec.points(PI)
-        np.testing.assert_allclose(obs, [0.5, 1.5, 2.5])
-        np.testing.assert_allclose(act, [0.6, 1.6, 2.6])
+        observe, actuate, *_ = controllers.feedback_law(spec, g)
+        np.testing.assert_allclose(observe(g.nodes), [0.5, 1.5, 2.5], rtol=0, atol=1e-12)
+        # actuating e_k and weighing by x reads back x_k times the law's scale -mu h/dx
+        act = [np.dot(actuate(e), g.nodes) / -(PI / 3 / g.dx) for e in np.eye(3)]
+        np.testing.assert_allclose(act, [0.6, 1.6, 2.6], rtol=0, atol=1e-12)
 
     def test_nodal_points_must_sit_in_cells(self):
-        with pytest.raises(ValueError):
-            Nodal(2, 1.0, obs_points=(0.1, 0.2)).points(PI)  # both in first cell
+        g = make_grid(PI, 64, "dirichlet")
+        with pytest.raises(ValueError, match="obs point 0.2 falls outside element 2"):
+            controllers.feedback_law(Nodal(2, 1.0, obs_points=(0.1, 0.2)), g)  # both in first cell
 
     def test_subdomain_masks_sharply(self):
         g = make_grid(1.0, 100, "dirichlet")
@@ -194,6 +198,11 @@ class TestControlFields:
         gn = make_grid(PI, 64, "neumann")
         with pytest.raises(ValueError):
             make_control_operator(FourierModes(2, 1.0), gn)
+
+    def test_an_unknown_specification_is_a_type_error(self):
+        g = make_grid(PI, 64, "dirichlet")
+        with pytest.raises(TypeError, match="unknown controller specification tuple"):
+            controllers.feedback_law(("volume", 4, 2.0), g)
 
     def test_modal_count_must_be_resolved(self):
         g = make_grid(PI, 64, "dirichlet")
@@ -263,7 +272,7 @@ class TestControlFields:
         g = make_grid(PI, 64, bc)
         rng = np.random.default_rng(12)
         u, w = rng.standard_normal((2, g.n_nodes))
-        observe, _, s, law_adjoint = controllers.feedback_law(spec, g)
+        observe, _, s, law_adjoint, _ = controllers.feedback_law(spec, g)
         work = np.sum(g.quad_weights * make_control_operator(spec, g)(u) * w)
         holds = bool(work == pytest.approx(-spec.mu * np.sum(s * observe(u) * observe(w)), rel=1e-13))
         assert law_adjoint is holds is adjoint
@@ -326,7 +335,7 @@ def test_gain_must_be_finite_and_non_negative(spec, bc, mu):
 
 def uncached_operators(spec, grid):
     """Control and energy closures from a fresh build of the law, bypassing the cache."""
-    observe, actuate, s, _ = controllers.feedback_law.__wrapped__(spec, grid)
+    observe, actuate, s, *_ = controllers.feedback_law.__wrapped__(spec, grid)
     return (
         lambda u: actuate(observe(u)),
         lambda u: 0.5 * spec.mu * np.einsum("i,...i,...i->...", s, observe(u), observe(u)),
@@ -399,7 +408,7 @@ class TestLawCache:
     @pytest.mark.parametrize("spec, bc", law_specs(2.0), ids=LAW_IDS)
     def test_cached_arrays_are_read_only(self, spec, bc):
         g = make_grid(PI, 64, bc)
-        observe, actuate, s, _ = controllers.feedback_law(spec, g)
+        observe, actuate, s, *_ = controllers.feedback_law(spec, g)
         held = [s] + [
             c.cell_contents
             for fn in (observe, actuate)
@@ -460,7 +469,7 @@ def test_a_block_row_is_observed_as_the_row_alone(spec, bc, K):
 @pytest.mark.parametrize("spec, bc", BLOCK_LAWS, ids=BLOCK_IDS)
 def test_block_laws_match_the_one_state_paths_they_replaced(spec, bc):
     g = make_grid(PI, 64, bc)
-    observe, actuate, _, _ = controllers.feedback_law(spec, g)
+    observe, actuate, *_ = controllers.feedback_law(spec, g)
     reference = one_state_observation(spec, g)
     control = make_control_operator(spec, g)
     u = random_block(g, 64, 17)

@@ -79,6 +79,8 @@ class TestStepperConfig:
             dict(dt=0.5, t_end=-1.0),
             dict(dt=2.0, t_end=1.0),
             dict(dt=0.1, t_end=1.0, record_every=0),
+            dict(dt=1e-320, t_end=1.0),  # t_end/dt overflows: no finite step count
+            dict(dt=1e-300, t_end=1e300),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -733,7 +735,7 @@ def keyword_advance(self, u, v):
 
 def block_feedback(law, grid):
     """The law's observation, actuated, composed here rather than by ``make_control_operator``."""
-    observe, actuate, _, _ = controllers.feedback_law(law, grid)
+    observe, actuate, *_ = controllers.feedback_law(law, grid)
     return lambda u: actuate(observe(u))
 
 
@@ -822,7 +824,7 @@ def test_a_blow_up_keeps_the_buffered_records(width, monkeypatch):
 def test_the_one_state_feedback_is_the_block_observation_actuated(name):
     model, law = LEDGER_CASES[name]
     g = make_grid(PI, 64, model.bc)
-    observe, actuate, _, _ = controllers.feedback_law(law, g)
+    observe, actuate, *_ = controllers.feedback_law(law, g)
     control = make_control_operator(law, g)
     block = np.random.default_rng(17).standard_normal((9, g.n_nodes))
     for u, y in zip(block, observe(block)):
@@ -952,7 +954,7 @@ def step_map(stepper):
 def test_the_step_gate_refuses_where_the_linearized_step_grows(bc, law):
     # mu = (4 r/dt^2 + a)/(lambda/mu) puts the gate's r = dt^2 (lambda - a)/4 at r; past r = 1, rho(G) > 1
     model, g, dt = damped_wave(1.0, 1.0, 2.0, bc), make_grid(PI, 64, bc), 0.01
-    per_mu = controllers.feedback_stiffness(dataclasses.replace(law, mu=1.0), g)
+    per_mu = controllers.feedback_law(dataclasses.replace(law, mu=1.0), g).stiffness
     for r, stable in ((0.99, True), (0.999, True), (1.001, False), (1.01, False)):
         spec = dataclasses.replace(law, mu=(4.0 * r / dt**2 + model.a) / per_mu)
         stepper = StepperConfig(dt=dt, t_end=1.0)
@@ -974,7 +976,7 @@ def test_the_step_gate_warns_where_r_does_not_bound_the_step(distinct):
     # observation; 13 midpoints give a stable step
     model, g, dt = damped_wave(1.0, 1.0, 2.0, "dirichlet"), make_grid(PI, 64, "dirichlet"), 0.01
     law = DISTINCT if distinct else Nodal(13, 1.0)
-    spec = dataclasses.replace(law, mu=(4.0 * 0.5 / dt**2 + model.a) / controllers.feedback_stiffness(law, g))
+    spec = dataclasses.replace(law, mu=(4.0 * 0.5 / dt**2 + model.a) / controllers.feedback_law(law, g).stiffness)
     cfg = ExperimentConfig(g, model, spec, zeros(g), zeros(g), StepperConfig(dt=dt, t_end=1.0), (0.2, 0.9), 0.8, {})
     assert cfg.step_ratio == pytest.approx(0.5, rel=1e-12)
     G = step_map(integrator._ImexStepper(model, g, dt, make_control_operator(spec, g)))

@@ -120,6 +120,9 @@ def test_damped_wave_accepts_zero_damping():
         (nonlinear_damping_wave, dict(nu=1.0, a=1.0, b=0.0, m=3.0, p=4.0)),
         (nonlinear_damping_wave, dict(nu=1.0, a=1.0, b=1.0, m=2.0, p=4.0)),
         (strongly_damped_wave, dict(nu=1.0, a=1.0, b=0.0, p=4.0)),
+        # the two families that hard-wire a power-law source need its p
+        (strongly_damped_wave, dict(nu=1.0, a=1.0, b=1.0, p=None)),
+        (nonlinear_damping_wave, dict(nu=1.0, a=1.0, b=1.0, m=3.0, p=None)),
     ],
 )
 def test_invalid_coefficients_rejected(ctor, kwargs):
