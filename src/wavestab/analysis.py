@@ -52,6 +52,8 @@ SUITE_INFORMATIONAL = "mean_plus_gradient_printed"
 # the exponential and qualitative checks use) and the power-law check
 MIN_FIT_RECORDS = 20
 MIN_POWER_RECORDS = 8
+# log(stab_norm) values spanning at most this many round-offs, eps * max(1, |log|), are flat: no r_squared
+FLAT_LOG_ROUNDOFF = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class DecayFit:
 
     rate: float
     amplitude: float
-    r_squared: float
+    r_squared: Optional[float]  # None when the log values are flat to round-off
     window: tuple[float, float]
     n_points: int
 
@@ -127,10 +129,11 @@ def fit_exponential(ledger: np.ndarray, window: tuple[float, float]) -> DecayFit
         )
     y = np.log(s)
     slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    if np.ptp(y) <= FLAT_LOG_ROUNDOFF * np.finfo(float).eps * max(1.0, float(np.abs(y).max())):
+        r2 = None
+    else:
+        resid = y - (slope * t + intercept)
+        r2 = 1.0 - float(np.dot(resid, resid)) / float(np.dot(y - y.mean(), y - y.mean()))
     return DecayFit(
         rate=float(-slope),
         amplitude=float(np.exp(intercept)),
@@ -291,11 +294,11 @@ def _element_constants(grid: Grid1D, N: int) -> tuple[float, float, float, list[
     )
 
 
-def inequality_constants(n_cells: int = SUITE_CELLS) -> dict[str, InequalityReport]:
+def inequality_constants() -> dict[str, InequalityReport]:
     """Sharp discrete constants of the finite-parameter inequalities on (0, pi).
 
     Neumann-side inequalities, for each of N = ``SUITE_ELEMENT_COUNTS``
-    elements of width h (each count must divide ``n_cells``):
+    elements of width h, on ``SUITE_CELLS`` cells:
 
     - ``element_mean_approx``: ||f - m||^2 <= C h^2 |f|^2_H1, where m is the
       mean of the element that owns each node;
@@ -316,8 +319,8 @@ def inequality_constants(n_cells: int = SUITE_CELLS) -> dict[str, InequalityRepo
       in ``SUITE_MODE_COUNTS``; C = lambda_{N+1} / lambda_{h,N+1};
     - ``poincare``: ||f||^2 <= C |f|^2_H1 / lambda_1; C = lambda_1 / lambda_{h,1}.
     """
-    ngrid = make_grid(np.pi, n_cells, BoundaryCondition.NEUMANN)
-    dgrid = make_grid(ngrid.L, n_cells, BoundaryCondition.DIRICHLET)
+    ngrid = make_grid(np.pi, SUITE_CELLS, BoundaryCondition.NEUMANN)
+    dgrid = make_grid(ngrid.L, SUITE_CELLS, BoundaryCondition.DIRICHLET)
     cases = {name: {} for name in SUITE_INEQUALITIES}
     for N in SUITE_ELEMENT_COUNTS:
         oscillation, distance, paired, sampling = _element_constants(ngrid, N)

@@ -82,7 +82,8 @@ def _verify(cfg: ExperimentConfig, report, result: RunResult) -> tuple[Optional[
         return fit_dict, {"kind": kind, "ok": False, "error": error}, False
 
     if report.predicted_rate is None:
-        ok = fit is not None and fit.rate > 0.0 and fit.r_squared >= 0.95
+        # a fit with no r_squared, its log values flat to round-off, fails
+        ok = fit is not None and fit.rate > 0.0 and fit.r_squared is not None and fit.r_squared >= 0.95
         verify = {
             "kind": "qualitative",
             "ok": ok,
@@ -175,10 +176,7 @@ def cmd_check(args) -> int:
     step_gate(cfg)  # refuses r >= 1; check prints no warning
     report = gain_report_for(cfg)
     if report is None:
-        family = cfg.model.family.value
-        pair = f"variant {cfg.variant!r} on family {family!r}"
-        print(f"error: no certificate covers {pair}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"no certificate covers variant {cfg.variant!r} on family {cfg.model.family.value!r}")
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.satisfied else 1
 
@@ -196,10 +194,9 @@ def cmd_run(args) -> int:
     if doc["blowup"]["blew_up"]:
         print(f"solution blew up at t = {doc['blowup']['time']:.6g}")
     elif doc["fit"] is not None and "rate" in doc["fit"]:
-        print(
-            f"fitted rate = {doc['fit']['rate']:.6g}"
-            f" (r^2 = {doc['fit']['r_squared']:.4f})"
-        )
+        r2 = doc["fit"]["r_squared"]
+        quality = "no r^2: stab_norm is flat to round-off" if r2 is None else f"r^2 = {r2:.4f}"
+        print(f"fitted rate = {doc['fit']['rate']:.6g} ({quality})")
     if doc["verify"] is not None:
         print(f"verification ({doc['verify']['kind']}): {'ok' if doc['verify']['ok'] else 'FAILED'}")
     print(f"wrote {os.path.join(args.out, 'trajectory.csv')} and report.json")
@@ -256,16 +253,13 @@ def cmd_sweep(args) -> int:
     try:
         values = [finite_float(s) for s in args.values.split(",")]
     except ValueError:
-        print("error: --values must be a comma-separated list of finite numbers", file=sys.stderr)
-        return 2
+        raise ValueError("--values must be a comma-separated list of finite numbers") from None
     # Read the INI once and build every member, in ascending order, before
     # running any; the members run from these configs, not the file.
     base = load_config(args.config)
     repeated = sorted({v for v in values if values.count(v) > 1})  # as numbers: 0 == -0
     if repeated:
-        shown = ", ".join(map(_format_value, repeated))
-        print(f"error: --values repeats {args.param} = {shown}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--values repeats {args.param} = {', '.join(map(_format_value, repeated))}")
     members = [_sweep_member(base, args.param, v) for v in sorted(values)]
     for _label, _cfg, warning in members:
         if warning:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -69,6 +70,17 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+@contextmanager
+def _section(name: str):
+    """Read section ``[name]`` inside: a ValueError raised there becomes a :class:`ConfigError` led by ``[name]``."""
+    try:
+        yield
+    except ConfigError:  # it already says where it comes from
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
+
+
 def finite_float(text: str) -> float:
     """``float(text)``, with infinities and NaN refused like unparsable text."""
     value = float(text)
@@ -98,10 +110,8 @@ class ExperimentConfig:
     def gain_report(self) -> Optional[GainReport]:
         """The pair's gain report, once per config (None if uncertified); a failed check is a ``[controller]`` error."""
         cert = certificate(self.model, self.controller)
-        try:
+        with _section("controller"):
             return cert.gains(self.grid, self.model, self.controller) if cert is not None else None
-        except ValueError as exc:
-            raise ConfigError(f"[controller] {exc}") from None
 
     def ratio_at(self, dt: float) -> float:
         """r = dt^2 (lambda - a)/4 at step ``dt``, with lambda the ``stiffness`` of :func:`feedback_law`.
@@ -137,59 +147,64 @@ def parse_profile(text: str) -> tuple[str, tuple[float, ...]]:
         t = f"mode({m.group(1)})"
     m = _PROFILE_CALL.match(t)
     if not m:
-        raise ConfigError(f"unrecognized profile {text!r}")
+        raise ConfigError("unrecognized profile")
     kind = m.group(1)
     try:
         args = tuple(finite_float(s) for s in m.group(2).split(",")) if m.group(2) else ()
     except ValueError:
-        raise ConfigError(f"profile {text!r} needs finite numeric arguments") from None
+        raise ConfigError("needs finite numeric arguments") from None
     expected = {"mode": 1, "bump": 2, "random": 2}[kind]
     if len(args) != expected:
-        raise ConfigError(f"profile {kind!r} takes {expected} argument(s), got {len(args)}")
+        raise ConfigError(f"{kind} takes {expected} argument(s), got {len(args)}")
     return (kind, args)
 
 
 def build_profile(grid: Grid1D, text: str, amplitude: float, key: str = "u0") -> Field:
     """Realize a named profile on the grid, scaled by ``amplitude``; the text is checked at any amplitude.
 
-    A scaled profile that is not finite is a :class:`ConfigError` naming
-    ``key``, the ``[initial]`` key that holds the profile, and its amplitude key.
+    A refusal is a :class:`ConfigError` led by ``[initial] key = text``,
+    with ``key`` the ``[initial]`` key that holds the profile; a scaled
+    profile that is not finite also names the amplitude key.
     """
-    kind, args = parse_profile(text)
-    if kind == "zero":
-        return zeros(grid)
-    x = grid.nodes
-    with np.errstate(over="ignore"):  # an overflow is refused below, by key, not warned about
-        if kind == "mode":
-            k = int(args[0])
-            lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
-            # the nodes resolve n_nodes modes; any higher one aliases onto these
-            if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
-                raise ConfigError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
-            if grid.bc is BoundaryCondition.DIRICHLET:
-                vals = sine_mode(grid, k)
-            else:
-                vals = np.cos(k * np.pi * x / grid.L)
-        elif kind == "bump":
-            center, width = args
-            if width <= 0.0:
-                raise ConfigError(f"bump width must be positive, got {width}")
-            vals = np.exp(-(((x - center) / width) ** 2))
-        else:  # random trigonometric polynomial
-            # a degree of n_cells or more aliases onto lower modes
-            if any(a != int(a) for a in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
-                need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
-                raise ConfigError(f"profile {text!r} needs {need}")
-            seed, degree = int(args[0]), int(args[1])
-            rng = np.random.default_rng([seed, 0])
-            vals = np.zeros_like(x)
-            for row in trig_table(grid, degree):  # one coefficient per row, summed in row order
-                vals += rng.uniform(-1.0, 1.0) * row
-        if amplitude == 0.0:
+    lead = f"[initial] {key} = {text!r}"
+    try:
+        kind, args = parse_profile(text)
+        if kind == "zero":
             return zeros(grid)
-        vals = amplitude * vals
+        x = grid.nodes
+        with np.errstate(over="ignore"):  # an overflow is refused below, by key, not warned about
+            if kind == "mode":
+                k = int(args[0])
+                lowest = 1 if grid.bc is BoundaryCondition.DIRICHLET else 0
+                # the nodes resolve n_nodes modes; any higher one aliases onto these
+                if k != args[0] or not lowest <= k < lowest + grid.n_nodes:
+                    raise ValueError(f"invalid mode index {args[0]} on {grid.n_cells} cells")
+                if grid.bc is BoundaryCondition.DIRICHLET:
+                    vals = sine_mode(grid, k)
+                else:
+                    vals = np.cos(k * np.pi * x / grid.L)
+            elif kind == "bump":
+                center, width = args
+                if width <= 0.0:
+                    raise ValueError(f"bump width must be positive, got {width}")
+                vals = np.exp(-(((x - center) / width) ** 2))
+            else:  # random trigonometric polynomial
+                # a degree of n_cells or more aliases onto lower modes
+                if any(a != int(a) for a in args) or args[0] < 0 or not 1 <= args[1] < grid.n_cells:
+                    need = f"an integer seed >= 0 and an integer degree in [1, n_cells = {grid.n_cells})"
+                    raise ValueError(f"needs {need}")
+                seed, degree = int(args[0]), int(args[1])
+                rng = np.random.default_rng([seed, 0])
+                vals = np.zeros_like(x)
+                for row in trig_table(grid, degree):  # one coefficient per row, summed in row order
+                    vals += rng.uniform(-1.0, 1.0) * row
+            if amplitude == 0.0:
+                return zeros(grid)
+            vals = amplitude * vals
+    except ValueError as exc:  # a ConfigError of parse_profile among them
+        raise ConfigError(f"{lead}: {exc}") from None
     if not np.isfinite(vals).all():
-        raise ConfigError(f"[initial] {key} = {text!r} times {key}_amplitude = {amplitude!r} is not finite")
+        raise ConfigError(f"{lead} times {key}_amplitude = {amplitude!r} is not finite")
     return Field(grid, vals)
 
 
@@ -198,22 +213,21 @@ def build_profile(grid: Grid1D, text: str, amplitude: float, key: str = "u0") ->
 # ---------------------------------------------------------------------------
 
 class _Section:
-    """Typed accessors over one INI section with error context."""
+    """Typed accessors over one INI section; read it inside :func:`_section`, which names it."""
 
-    def __init__(self, name: str, section: dict):
-        self.name = name
+    def __init__(self, section: dict):
         self.section = section
 
     def _get(self, key, conv, default, required):
         if key not in self.section:
             if required:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
+                raise ValueError(f"missing required key {key!r}")
             return default
         raw = self.section[key]
         try:
             return conv(raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid value") from None
+            raise ValueError(f"{key} = {raw!r} is not a valid value") from None
 
     def float(self, key, default=None, required=False):
         return self._get(key, finite_float, default, required)
@@ -237,7 +251,7 @@ class _Section:
         try:
             return tuple(finite_float(s) for s in raw.split(","))
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a comma-separated list") from None
+            raise ValueError(f"{key} must be a comma-separated list") from None
 
 
 def _load_ini(path: str) -> dict:
@@ -260,32 +274,6 @@ def _load_ini(path: str) -> dict:
     return raw
 
 
-def _build_model(sec: _Section) -> tuple[ModelSpec, Grid1D]:
-    family = sec.str("family", required=True).lower()
-    L = sec.float("l", required=True)
-    n_cells = sec.int("n_cells", required=True)
-    nu = sec.float("nu", 1.0)
-    a = sec.float("a", 0.0)
-    b = sec.float("b", required=True)
-    bc = sec.str("bc", "dirichlet").lower()
-    try:
-        family = Family(family)
-    except ValueError:
-        raise ConfigError(f"[model] unknown family {family!r}") from None
-    # only the damped wave reads its source law; the other two families hard-wire the power law
-    law = sec.str("nonlinearity", "zero").lower() if family is Family.DAMPED_WAVE else "power"
-    if law not in ("zero", "power"):
-        raise ConfigError(f"[model] nonlinearity must be 'zero' or 'power', got {law!r}")
-    p = sec.float("p", required=True) if law == "power" else None
-    m = sec.float("m", required=True) if family is Family.NONLINEAR_DAMPING else None
-    try:
-        model = ModelSpec(family, nu, a, b, BoundaryCondition(bc), p, m)
-        grid = make_grid(L, n_cells, model.bc)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from None
-    return model, grid
-
-
 def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
     """The law a ``[controller]`` section's text names, built on ``grid``.
 
@@ -293,12 +281,12 @@ def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
     config error.  ``load_config`` and each sweep member parse their
     section here.
     """
-    sec = _Section("controller", section)
-    variant = sec.str("variant", "none").lower()
-    law = LAWS.get(variant)
-    if law is None:
-        raise ConfigError(f"[controller] unknown variant {variant!r}")
-    try:
+    with _section("controller"):
+        sec = _Section(section)
+        variant = sec.str("variant", "none").lower()
+        law = LAWS.get(variant)
+        if law is None:
+            raise ValueError(f"unknown variant {variant!r}")
         if law is NoControl:
             controller = NoControl()
         else:
@@ -316,10 +304,6 @@ def build_controller(section: dict, grid: Grid1D) -> ControllerSpec:
             else:
                 controller = law(sec.int("n", required=True), mu)
         feedback_law(controller, grid)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}") from None
     return controller
 
 
@@ -374,38 +358,55 @@ def load_config(path: str) -> ExperimentConfig:
         if required not in raw:
             raise ConfigError(f"config is missing the [{required}] section")
 
-    model, grid = _build_model(_Section("model", raw["model"]))
+    with _section("model"):
+        sec = _Section(raw["model"])
+        family = sec.str("family", required=True).lower()
+        L = sec.float("l", required=True)
+        n_cells = sec.int("n_cells", required=True)
+        nu = sec.float("nu", 1.0)
+        a = sec.float("a", 0.0)
+        b = sec.float("b", required=True)
+        bc = sec.str("bc", "dirichlet").lower()
+        if family not in {f.value for f in Family}:
+            raise ValueError(f"unknown family {family!r}")
+        family = Family(family)
+        # only the damped wave reads its source law; the other two families hard-wire the power law
+        law = sec.str("nonlinearity", "zero").lower() if family is Family.DAMPED_WAVE else "power"
+        if law not in ("zero", "power"):
+            raise ValueError(f"nonlinearity must be 'zero' or 'power', got {law!r}")
+        p = sec.float("p", required=True) if law == "power" else None
+        m = sec.float("m", required=True) if family is Family.NONLINEAR_DAMPING else None
+        model = ModelSpec(family, nu, a, b, BoundaryCondition(bc), p, m)
+        grid = make_grid(L, n_cells, model.bc)
     controller = build_controller(raw.get("controller", {}), grid)
 
-    init_sec = _Section("initial", raw.get("initial", {}))
-    u0 = build_profile(grid, init_sec.str("u0", "zero"), init_sec.float("u0_amplitude", 1.0), "u0")
-    u1 = build_profile(grid, init_sec.str("u1", "zero"), init_sec.float("u1_amplitude", 1.0), "u1")
+    with _section("initial"):
+        sec = _Section(raw.get("initial", {}))
+        u0 = build_profile(grid, sec.str("u0", "zero"), sec.float("u0_amplitude", 1.0), "u0")
+        u1 = build_profile(grid, sec.str("u1", "zero"), sec.float("u1_amplitude", 1.0), "u1")
 
-    time_sec = _Section("time", raw["time"])
-    t_end = time_sec.float("t_end", required=True)
-    dt = time_sec.float("dt")
-    if dt is None:
-        # the largest step up to the default that divides t_end
-        dt = default_dt(grid)
-        if math.isfinite(t_end) and t_end > 0.0:
-            dt = t_end / math.ceil(t_end / dt)
-    record_every = time_sec.int("record_every", 0)
-    try:
+    with _section("time"):
+        sec = _Section(raw["time"])
+        t_end = sec.float("t_end", required=True)
+        dt = sec.float("dt")
+        if dt is None:
+            # the largest step up to the default that divides t_end
+            dt = default_dt(grid)
+            if math.isfinite(t_end) and t_end > 0.0:
+                dt = t_end / math.ceil(t_end / dt)
+        record_every = sec.int("record_every", 0)
         stepper = StepperConfig(dt=dt, t_end=t_end)
         stepper = replace(stepper, record_every=record_every or max(1, stepper.n_steps // 2000))
-    except ValueError as exc:
-        raise ConfigError(f"[time] {exc}") from None
 
-    an_sec = _Section("analysis", raw.get("analysis", {}))
-    safety = an_sec.float("safety", DEFAULT_SAFETY)
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"[analysis] safety must be in (0, 1], got {safety}")
-    lo = an_sec.float("window_lo", DEFAULT_FIT_WINDOW[0] * t_end)
-    hi = an_sec.float("window_hi", DEFAULT_FIT_WINDOW[1] * t_end)
-    if t_end > 0.0 and not (0.0 <= lo < hi and lo < t_end):
-        raise ConfigError(
-            f"[analysis] fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}"
-        )
+    with _section("analysis"):
+        sec = _Section(raw.get("analysis", {}))
+        safety = sec.float("safety", DEFAULT_SAFETY)
+        if not 0.0 < safety <= 1.0:
+            raise ValueError(f"safety must be in (0, 1], got {safety}")
+        lo = sec.float("window_lo", DEFAULT_FIT_WINDOW[0] * t_end)
+        hi = sec.float("window_hi", DEFAULT_FIT_WINDOW[1] * t_end)
+        if t_end > 0.0 and not (0.0 <= lo < hi and lo < t_end):
+            raise ValueError(f"fit window ({lo!r}, {hi!r}) needs 0 <= lo < hi and lo < t_end = {t_end!r}")
 
     cfg = ExperimentConfig(grid=grid, model=model, controller=controller, u0=u0, u1=u1,
                            stepper=stepper, window=(lo, hi), safety=safety, raw=raw)

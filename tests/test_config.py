@@ -148,7 +148,7 @@ class TestBuildProfile:
         g = make_grid(np.pi, 64, bc)
         assert np.any(build_profile(g, "random(3, 63)", 1.0).values)
         for text in ("random(3, 64)", "random(3, 200000)"):
-            rule = re.escape(f"profile {text!r} needs") + r".*\[1, n_cells = 64\)"
+            rule = re.escape(f"[initial] u0 = {text!r}: needs") + r".*\[1, n_cells = 64\)"
             for amplitude in (1.0, 0.0):
                 with pytest.raises(ConfigError, match=rule):
                     build_profile(g, text, amplitude)
@@ -197,7 +197,7 @@ class TestBuildProfile:
         # 1.5 and 3.7 were truncated to 1 and 3; -1 reached numpy's seeding
         g = make_grid(np.pi, 64, "dirichlet")
         for amplitude in (1.0, 0.0):
-            with pytest.raises(ConfigError, match=re.escape(f"profile {text!r} needs an integer seed")):
+            with pytest.raises(ConfigError, match=re.escape(f"[initial] u0 = {text!r}: needs an integer seed")):
                 build_profile(g, text, amplitude)
 
     @pytest.mark.parametrize("amplitude", [1.0, 0.0])
